@@ -1,17 +1,19 @@
 """Run one benchmark workload against the hornexplain library.
 
-    python3 perfbench/run.py --workload exact-mix --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload exact-mix --seed 1 --seconds 15 --trace 0
 
 Load model: one process, one thread, a closed loop with one client; the next
 request starts when the previous one has finished.  The seed draws the
 request deck (see workloads.py); the library only sees KB text.
 
---trace 0 times whole passes over the deck, as many as fill --seconds (and at
-least MIN_REQUESTS requests), and reports the end-to-end metrics.  --trace 1 runs
-the known-defect probes once, then makes passes over the first TRACE_BLOCKS
-blocks of the deck for --seconds, running each request untraced and then
-traced, and reports the per-layer metrics; spans of the first pass go to
-perfbench/out/.
+--trace 0 times whole passes over the deck, as many as fill --seconds at the
+reference speed (and at least MIN_REQUESTS requests), and reports the
+end-to-end metrics.  --trace 1 runs the known-defect probes once and every
+request class of the deck beyond the first TRACE_BLOCKS blocks once (so that
+proofs.json_changed covers the whole deck), then makes passes over those
+first blocks until --seconds have gone by since the start, at least one,
+running each request untraced and then traced, and reports the per-layer
+metrics; spans of the first pass go to perfbench/out/.
 
 Times are scaled to a reference machine speed (see calibration.py); the
 summary line also gives the raw wall-time figures.  Human-readable lines go
@@ -44,6 +46,7 @@ SRC = HERE.parent / "src"
 OUT = HERE / "out"
 
 MIN_REQUESTS = 100          # p90 then has at least 10 samples beyond it
+PASS_S = 15.0               # one pass over any deck, at the reference speed
 SETUP_REPEATS = 5
 TRACE_BLOCKS = {"exact-mix": 2, "poly-tree": 2, "sat-decide": 3}
 
@@ -151,24 +154,26 @@ def src_lines() -> int:
 
 
 def end_to_end(args, runner: Runner, deck, setup_s: float) -> dict:
-    """Time whole passes over the deck, as many as fill --seconds.
+    """Time whole passes over the deck, as many as fill --seconds at the
+    reference speed.
 
-    Whole passes keep the mix of request classes the same in every run;
-    the first pass's wall time sets how many passes to make.
+    Whole passes keep the mix of request classes the same in every run.
+    The number of passes follows from --seconds alone, not from the
+    machine's speed: in one process a second pass ran about 25 % slower
+    (scaled) than the first, so runs that made a different number of
+    passes did not compare.
     """
     requests = workloads.flatten(deck)
+    passes = max(round(args.seconds / PASS_S),
+                 math.ceil(MIN_REQUESTS / len(requests)))
     raw: list[float] = []
     scaled: list[float] = []
     start = time.perf_counter()
-    passes = 1
-    while len(raw) < passes * len(requests):
+    for _ in range(passes):
         for req in requests:
             speed = calibration.factor()
             raw.append(runner.run(req))
             scaled.append(speed * raw[-1])
-        if len(raw) == len(requests):
-            passes = max(round(args.seconds / (time.perf_counter() - start)),
-                         math.ceil(MIN_REQUESTS / len(requests)))
     elapsed = time.perf_counter() - start
     p50, p90 = quantile(scaled, 0.5), quantile(scaled, 0.9)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -210,6 +215,12 @@ def per_layer(args, runner: Runner, deck) -> dict:
     start = time.perf_counter()
     defects = probe_defects(args, runner)
     requests = workloads.flatten(deck[:TRACE_BLOCKS[args.workload]])
+    # every other class of the deck once, untraced, for proofs.json_changed
+    done = {req.key for req in requests}
+    for req in workloads.flatten(deck):
+        if req.key not in done:
+            done.add(req.key)
+            runner.run(req)
     tracer = Tracer()
     tracer.install()
     walls: list[tuple[float, float]] = []       # (untraced, traced) per pass
@@ -238,16 +249,16 @@ def per_layer(args, runner: Runner, deck) -> dict:
             self_s[name].append(layer_s[name])
         if first is None:
             first = (tracer.counts.copy(), tracer.calls.copy(),
-                     len(tracer.fell_back), len(tracer.spans))
-    counts, calls, fell_back, n_spans = first
-    json_changed = len({req.key for req in requests} & runner.changed)
+                     len(tracer.fell_back))
+            tracer.recording = False
+    counts, calls, fell_back = first
     OUT.mkdir(exist_ok=True)
     path = OUT / f"spans-{args.workload}-{args.seed}.jsonl.gz"
-    tracer.write(path, limit=n_spans)
+    tracer.write(path)
     overhead = statistics.median(traced - untraced
                                  for untraced, traced in walls)
     print(f"traced {len(requests)} requests per pass, "
-          f"{len(walls)} passes; {n_spans} spans -> {path}; "
+          f"{len(walls)} passes; {len(tracer.spans)} spans -> {path}; "
           f"fail_share {len(runner.failures)}/{runner.attempted}; "
           f"defects.failed {defects}")
 
@@ -267,7 +278,7 @@ def per_layer(args, runner: Runner, deck) -> dict:
     out["deriver_cq.growth"] = metric(
         share(counts["deriver_cq.vertices_out"],
               counts["deriver_cq.vertices_in"]), "ratio")
-    out["proofs.json_changed"] = metric(json_changed, "count")
+    out["proofs.json_changed"] = metric(len(runner.changed), "count")
     out["trace.requests"] = metric(len(requests), "count")
     out["trace.overhead_s"] = metric(overhead, "s")
     out["defects.failed"] = metric(defects, "count")

@@ -5,8 +5,9 @@
 both import ``saturate``-family functions, for instance), so calls between
 modules are seen as well as calls from the benchmark.  Generators such as
 ``match_conjunction`` get one span per resume.  Spans carry the request id
-and their parent span; they are kept in memory and written out at the end of
-the run.  A span's self time is its duration minus its children's.
+and their parent span; they are kept in memory while ``recording`` is set
+and written out at the end of the run.  A span's self time is its duration
+minus its children's.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class Tracer:
         self.spans: list[tuple] = []    # (request, id, parent, name, t0, t1)
         self.request = 0
         self.enabled = False
+        self.recording = True           # keep spans; off after the first pass
         self._stack: list[list] = []    # [span id, name, child seconds]
         self._next_id = 0
         self.reset()
@@ -53,6 +55,7 @@ class Tracer:
         self.calls: Counter = Counter()
         self.counts: Counter = Counter()
         self.fell_back: set[int] = set()   # el_cq_min_treesize span ids
+                                           # that realized the witness
 
     # -- spans --------------------------------------------------------------
 
@@ -72,7 +75,8 @@ class Tracer:
             if self._stack:
                 self._stack[-1][2] += duration
             self.self_s[name] += duration - frame[2]
-            self.spans.append((self.request, sid, parent, name, t0, t1))
+            if self.recording:
+                self.spans.append((self.request, sid, parent, name, t0, t1))
 
     def under(self, *names: str) -> Optional[int]:
         """Id of the innermost open span with one of these names."""
@@ -108,8 +112,10 @@ class Tracer:
             tracer.calls[name] += 1
             nested_search = (name in _SEARCHES
                              and tracer.under(*_SEARCHES) is not None)
+            # the realization fallback is the only saturate_kb call made
+            # inside el_cq_min_treesize (compress_el calls saturate)
             fallback = (tracer.under("compress.el_cq_min_treesize")
-                        if name == "deriver_sk.saturate" else None)
+                        if name == "deriver_sk.saturate_kb" else None)
             try:
                 result = tracer._timed(name, fn, args, kwargs)
             except Exception:
@@ -137,6 +143,7 @@ class Tracer:
         if name == "deriver_sk.saturate":
             c["deriver_sk.vertices"] += len(result.vertices)
             c["deriver_sk.edges"] += len(result.edges)
+        elif name == "deriver_sk.saturate_kb":
             if fallback is not None:
                 c["compress.fallbacks"] += 1
                 self.fell_back.add(fallback)
@@ -175,15 +182,13 @@ class Tracer:
 
     # -- output -------------------------------------------------------------
 
-    def write(self, path, limit: Optional[int] = None) -> int:
-        """Write spans as gzipped JSON lines, one array per span:
-        [request, id, parent, name, start, end], times in seconds from the
-        first span's start.  Returns how many were written."""
-        spans = self.spans if limit is None else self.spans[:limit]
-        origin = spans[0][4] if spans else 0.0
+    def write(self, path) -> None:
+        """Write the recorded spans as gzipped JSON lines, one array per
+        span: [request, id, parent, name, start, end], times in seconds
+        from the first span's start."""
+        origin = self.spans[0][4] if self.spans else 0.0
         with gzip.open(path, "wt", encoding="utf-8") as handle:
-            for request, sid, parent, name, t0, t1 in spans:
+            for request, sid, parent, name, t0, t1 in self.spans:
                 handle.write(json.dumps(
                     [request, sid, parent, name, round(t0 - origin, 7),
                      round(t1 - origin, 7)]) + "\n")
-        return len(spans)

@@ -142,7 +142,9 @@ def exact_mix_probes(hx) -> list[tuple[Request, str]]:
         (el_tree(6, "size"), transform),
         (el_tree(6, "domain"), transform),
         (el_tree(7, "size"), transform),
+        (el_tree(7, "domain"), transform),
         (el_tree(8, "size"), "RecursionError in explain"),
+        (el_tree(8, "domain"), "RecursionError in explain"),
         (_exact("hornalc-counter/2/tree/c3",
                 _text(hx, hx.gen_hornalc_counter(2)), "tree", ceiling=3),
          transform),
@@ -277,8 +279,7 @@ def _spread(n: int, start: int) -> list[int]:
     return order
 
 
-def build_deck(workload: str, seed: int, hx,
-               blocks: Optional[int] = None) -> list[list[Request]]:
+def build_deck(workload: str, seed: int, hx) -> list[list[Request]]:
     """The seeded request list, as blocks of one stratified draw each.
 
     A range stratum's draws over the whole deck sit at the midpoints of
@@ -290,7 +291,7 @@ def build_deck(workload: str, seed: int, hx,
     members at random without replacement.
     """
     rng = random.Random(f"{workload}:{seed}")
-    n_blocks = blocks or BLOCKS[workload]
+    n_blocks = BLOCKS[workload]
     deck: list[list[Request]] = [[] for _ in range(n_blocks)]
     for stratum in strata(workload, hx):
         total = n_blocks * stratum.per_block
