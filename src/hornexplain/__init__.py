@@ -21,8 +21,8 @@ from .deriver_sk import (InferenceInstance, cg_instances, check_edge,
                          e_instances, mp_instances, saturate_kb)
 from .compress import (CompressedStructure, CostGraph, compress_dllite,
                        compress_el, decompress, dllite_query_min_size,
-                       el_cq_min_treesize, min_size_dijkstra,
-                       min_tree_size_dp, tree_query_min_treesize)
+                       el_cq_min_treesize, min_tree_size_dp,
+                       tree_query_min_treesize)
 from .deriver_cq import (ce_apply, ee_apply, ge_apply, mpe_apply, te_rule,
                          transform_cq_to_sk, transform_sk_to_cq)
 from .search import (ExplainResult, RunConfig, SearchBudget, SearchOutcome,

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KnowledgeBase,
-                 NormalForm, RoleAtom, Rule, SkolemTerm, Term, Var,
-                 atom_key, atom_terms, substitute_atom, term_depth, term_key)
+from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, NormalForm,
+                 Rule, SkolemTerm, Term, Var, atom_key, atom_terms,
+                 map_atom_terms, substitute_atom, term_depth, term_key)
 from .matching import AtomIndex, match_conjunction
 
 
@@ -86,11 +86,7 @@ class _Rewriter:
         return t
 
     def atom(self, a: Atom) -> Atom:
-        if isinstance(a, ConceptAtom):
-            return ConceptAtom(a.concept, self.resolve(a.term))
-        if isinstance(a, RoleAtom):
-            return RoleAtom(a.role, self.resolve(a.subj), self.resolve(a.obj))
-        return EqAtom(self.resolve(a.lhs), self.resolve(a.rhs))
+        return map_atom_terms(a, self.resolve)
 
     def add(self, src: Term, dst: Const) -> None:
         self.map[src] = dst

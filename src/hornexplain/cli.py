@@ -5,7 +5,8 @@ Subcommands: ``answer`` (entailment with a witness match), ``explain``
 (benchmark families), ``convert`` (between the two proof formats),
 ``export`` (proof DOT), ``normalize`` (thin rule rewriter), and ``bench``
 (CSV sweeps).  Exit codes: 0 found/success, 1 definitive negative,
-2 resource limit or unknown, 64 usage errors, 65 bad input data.
+2 resource limit or unknown, 64 usage errors, 65 bad input data, 70
+internal errors (a crash or a produced proof that fails validation).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .search import RunConfig, explain
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+INTERNAL_ERROR = 70
 
 MEASURES = {"size": Measure.SIZE, "tree": Measure.TREE_SIZE,
             "domain": Measure.DOMAIN_SIZE}
@@ -118,8 +120,9 @@ def cmd_explain(args) -> int:
         return result.exit_code
     ok, problems = validate_proof(result.proof, kb, q, config.deriver)
     if not ok:
-        raise KBError("internal error: produced proof failed validation: "
-                      + "; ".join(problems))
+        print("internal error: produced proof failed validation: "
+              + "; ".join(problems), file=sys.stderr)
+        return INTERNAL_ERROR
     if args.format == "dot":
         _emit(proof_to_dot(result.proof), args.out)
     elif args.format == "json":
@@ -262,7 +265,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = []
     families = args.families.split(",")
     params = [int(x) for x in args.params.split(",")]
     jobs = [(fam, n) for fam in families for n in params]
@@ -281,12 +283,7 @@ def cmd_bench(args) -> int:
                 result.value if result.status == "found" else result.status,
                 result.nodes, wall_ms]
 
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = [run(job) for job in jobs]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["family", "parameter", "measure", "optimum",
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="dllite-chain,el-abox")
     p.add_argument("--params", default="1,2,3")
     p.add_argument("--measure", choices=sorted(MEASURES), default="tree")
-    p.add_argument("--jobs", type=int, default=1)
     _add_budget_args(p)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_bench)
@@ -383,6 +379,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

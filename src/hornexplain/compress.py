@@ -12,17 +12,16 @@ with different origins is rejected rather than silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .chase import SkolemRule, skolemize
-from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, Fragment,
-                 KBError, KnowledgeBase, RoleAtom, SkolemTerm, Term, Var,
-                 atom_terms, gaifman_graph, is_tree_shaped, substitute_atom,
-                 term_key)
-from .matching import match_positionally
+from .chase import SkolemRule, default_depth_ceiling, skolemize
+from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
+                 RoleAtom, SkolemTerm, Term, Var, atom_terms, gaifman_graph,
+                 is_tree_shaped, map_atom_terms, substitute_atom, term_key)
+from .matching import AtomIndex, match_conjunction, match_positionally
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
-                     ProofGraph, RuleLabel, Schema)
-from .deriver_sk import FiniteStructure, saturate
+                     ProofGraph, RuleLabel, Schema, label_key)
+from .deriver_sk import FiniteStructure, saturate, saturate_kb
 
 
 class CompressError(KBError):
@@ -65,15 +64,7 @@ def _compress_head(head: tuple[Atom, ...], fn: str, placeholder: Const
             return placeholder
         return t
 
-    out = []
-    for a in head:
-        if isinstance(a, ConceptAtom):
-            out.append(ConceptAtom(a.concept, fix(a.term)))
-        elif isinstance(a, RoleAtom):
-            out.append(RoleAtom(a.role, fix(a.subj), fix(a.obj)))
-        else:
-            out.append(EqAtom(fix(a.lhs), fix(a.rhs)))
-    return tuple(out)
+    return tuple(map_atom_terms(a, fix) for a in head)
 
 
 def _compress(kb: KnowledgeBase, name_for_rule) -> CompressedStructure:
@@ -238,29 +229,36 @@ def _resolve_mp(proof: ProofGraph, comp: CompressedStructure, edge: ProofEdge,
 _INF = float("inf")
 
 
-def dp_min_tree(structure: FiniteStructure) -> tuple[dict[int, float],
-                                                     dict[int, int]]:
+def edge_key(structure: FiniteStructure, idx: int):
+    """Deterministic tie-break between derivations of one vertex."""
+    e = structure.edges[idx]
+    return (e.schema.value,
+            tuple(label_key(structure.vertices[q]) for q in e.premises))
+
+
+def dp_min_tree(structure: FiniteStructure,
+                tick: Optional[Callable[[], None]] = None
+                ) -> tuple[dict[int, int | float], dict[int, int]]:
     """Minimal tree size per vertex plus the chosen incoming edge.
 
-    Label-correcting fixpoint of ``1 + sum over premises``; ties are broken
-    on a fixed edge key, so results do not depend on edge insertion order.
+    Label-correcting fixpoint of ``1 + sum over premises`` on exact
+    integers (``_INF`` marks underivable vertices); ties are broken on
+    :func:`edge_key`, so results do not depend on edge insertion order.
+    ``tick`` is called once per edge visit, so a caller can charge the
+    iteration to a budget.
     """
-    values: dict[int, float] = {v: _INF for v in structure.vertices}
+    values: dict[int, int | float] = {v: _INF for v in structure.vertices}
     chosen: dict[int, int] = {}
     for leaf in structure.leaf_ids:
-        values[leaf] = 1.0
-
-    def edge_key(idx: int):
-        e = structure.edges[idx]
-        return (e.schema.value,
-                tuple(_label_sort_key(structure.vertices[q])
-                      for q in e.premises))
+        values[leaf] = 1
 
     changed = True
     while changed:
         changed = False
         for idx, e in enumerate(structure.edges):
-            total = 1.0
+            if tick is not None:
+                tick()
+            total = 1
             dead = False
             for q in e.premises:
                 if values[q] == _INF:
@@ -275,15 +273,11 @@ def dp_min_tree(structure: FiniteStructure) -> tuple[dict[int, float],
                 chosen[e.conclusion] = idx
                 changed = True
             elif total == cur and e.conclusion in chosen \
-                    and edge_key(idx) < edge_key(chosen[e.conclusion]):
+                    and edge_key(structure, idx) \
+                    < edge_key(structure, chosen[e.conclusion]):
                 chosen[e.conclusion] = idx
                 changed = True
     return values, chosen
-
-
-def _label_sort_key(label: Label):
-    from .proofs import label_key
-    return label_key(label)
 
 
 def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
@@ -318,33 +312,50 @@ def min_tree_size_dp(structure: FiniteStructure, goal_label: Label
     if vid is None or values[vid] == _INF:
         raise KBError("goal label is not derivable in the structure")
     vertices, edges = extract_witness(structure, chosen, [vid])
-    return int(values[vid]), ProofGraph(vertices, edges)
+    return values[vid], ProofGraph(vertices, edges)
 
 
-def min_size_dijkstra(structure: FiniteStructure,
-                      goals: Optional[Iterable[Label]] = None
-                      ) -> dict[Label, tuple[int, ProofGraph]]:
-    """Minimal-size witnesses per label under the no-sharing relaxation.
+def rank_matches(structure: FiniteStructure, values: dict[int, int | float],
+                 q: BooleanCQ) -> list[tuple[int, dict[Var, Term]]]:
+    """Matches of the query into the structure, cheapest first.
 
-    Edge choices optimize the tree-style relaxation; the reported value is
-    the vertex count of the resulting subproof, which coincides with the
-    relaxation on linear structures (one derivable premise per inference)
-    and can only be smaller when subproofs are shared.
+    A match costs the sum of its atoms' tree-size values; ties go to the
+    least assignment.  Matches with an underivable atom are left out.
     """
-    values, chosen = dp_min_tree(structure)
-    if goals is None:
-        goal_labels = [lab for lab in structure.vertices.values()
-                       if isinstance(lab, AtomLabel)]
-    else:
-        goal_labels = list(goals)
-    out: dict[Label, tuple[int, ProofGraph]] = {}
-    for label in goal_labels:
-        vid = structure.label_ids.get(label)
-        if vid is None or values[vid] == _INF:
-            continue
-        vertices, edges = extract_witness(structure, chosen, [vid])
-        out[label] = (len(vertices), ProofGraph(vertices, edges))
-    return out
+    scored = []
+    for subst in match_conjunction(q.atoms,
+                                   AtomIndex(structure.atom_labels())):
+        total = 0
+        for atom in q.atoms:
+            vid = structure.label_ids.get(
+                AtomLabel(substitute_atom(atom, subst)))
+            if vid is None or values[vid] == _INF:
+                break
+            total += values[vid]
+        else:
+            key = tuple(sorted((v.name, term_key(t))
+                               for v, t in subst.items()))
+            scored.append((total, key, subst))
+    scored.sort(key=lambda s: (s[0], s[1]))
+    return [(total, subst) for total, _, subst in scored]
+
+
+def assemble_witness(structure: FiniteStructure, chosen: dict[int, int],
+                     q: BooleanCQ, sigma: dict[Var, Term],
+                     strict_cg: bool) -> ProofGraph:
+    """The proof of the query under the match ``sigma``: the chosen-edge
+    witness of every matched atom, merged, then the goal tail."""
+    targets: list[int] = []
+    parts = []
+    for atom in q.atoms:
+        ground = substitute_atom(atom, sigma)
+        vid = structure.label_ids.get(AtomLabel(ground))
+        if vid is None:
+            raise KBError(f"atom instance not derivable: {ground}")
+        targets.append(vid)
+        parts.append(extract_witness(structure, chosen, [vid]))
+    vertices, edges = merge_witnesses(parts)
+    return add_goal_tail(vertices, edges, targets, q, strict_cg)
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +540,6 @@ def eliminate_cost_graph(graph: CostGraph) -> CostGraph:
     return graph
 
 
-def _assemble_assignment_proof(comp: CompressedStructure,
-                               chosen_edges: dict[int, int],
-                               assignment: dict[Var, Term], q: BooleanCQ,
-                               strict_cg: bool) -> ProofGraph:
-    structure = comp.structure
-    targets: list[int] = []
-    parts = []
-    for atom in q.atoms:
-        ground = substitute_atom(atom, assignment)
-        vid = structure.label_ids.get(AtomLabel(ground))
-        if vid is None:
-            raise KBError(f"atom instance not derivable: {ground}")
-        targets.append(vid)
-        parts.append(extract_witness(structure, chosen_edges, [vid]))
-    vertices, edges = merge_witnesses(parts)
-    return add_goal_tail(vertices, edges, targets, q, strict_cg)
-
-
 def _query_optimum_dllite(kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool
                           ) -> tuple[ProofGraph, CostGraph]:
     if not is_tree_shaped(q):
@@ -559,8 +552,8 @@ def _query_optimum_dllite(kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool
                             "derivable in the compressed structure")
     assignment = {t: c for t, c in graph.chosen.items() if isinstance(t, Var)}
     try:
-        compressed_proof = _assemble_assignment_proof(comp, chosen, assignment,
-                                                      q, strict_cg)
+        compressed_proof = assemble_witness(comp.structure, chosen, q,
+                                            assignment, strict_cg)
         return decompress(compressed_proof, kb, comp), graph
     except DecompressError:
         # anonymous joins across branches: realize the witness directly
@@ -597,33 +590,20 @@ def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     ascending cost order and returns the first assembly that survives
     decompression; conflated-witness assignments are skipped.
     """
-    from .matching import AtomIndex, match_conjunction
-
     comp = compress_el(kb)
-    structure = comp.structure
-    values, chosen = dp_min_tree(structure)
-    index = AtomIndex(structure.atom_labels())
-
-    scored: list[tuple[float, tuple, dict]] = []
-    for subst in match_conjunction(q.atoms, index):
-        total = 0.0
-        for atom in q.atoms:
-            vid = structure.label_ids[AtomLabel(substitute_atom(atom, subst))]
-            total += values[vid]
-        key = tuple(sorted((v.name, term_key(t)) for v, t in subst.items()))
-        scored.append((total, key, subst))
-    if not scored:
+    values, chosen = dp_min_tree(comp.structure)
+    ranked = rank_matches(comp.structure, values, q)
+    if not ranked:
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
-    scored.sort(key=lambda s: (s[0], s[1]))
 
-    best_total = scored[0][0]
-    for total, _, subst in scored:
+    best_total = ranked[0][0]
+    for total, subst in ranked:
         if total > best_total:
             break  # a conflation-free realization of the optimum exists
         try:
-            compressed_proof = _assemble_assignment_proof(
-                comp, chosen, subst, q, strict_cg)
+            compressed_proof = assemble_witness(comp.structure, chosen, q,
+                                                subst, strict_cg)
             return decompress(compressed_proof, kb, comp)
         except DecompressError:
             continue
@@ -640,39 +620,11 @@ def _realize_over_real_structure(kb: KnowledgeBase, q: BooleanCQ,
     different origins: the value machinery stays polynomial, only the
     witness is re-derived with real Skolem terms.
     """
-    from .chase import default_depth_ceiling
-    from .deriver_sk import saturate_kb
-    from .matching import AtomIndex, match_conjunction
-
     structure = saturate_kb(kb, default_depth_ceiling(kb, q),
                             max_atoms=500_000)
     values, chosen = dp_min_tree(structure)
-    index = AtomIndex(structure.atom_labels())
-    best: Optional[tuple[float, tuple, dict]] = None
-    for subst in match_conjunction(q.atoms, index):
-        total = 0.0
-        ok = True
-        for atom in q.atoms:
-            vid = structure.label_ids.get(
-                AtomLabel(substitute_atom(atom, subst)))
-            if vid is None or values[vid] == _INF:
-                ok = False
-                break
-            total += values[vid]
-        if not ok:
-            continue
-        key = tuple(sorted((v.name, term_key(t)) for v, t in subst.items()))
-        if best is None or (total, key) < (best[0], best[1]):
-            best = (total, key, subst)
-    if best is None:
+    ranked = rank_matches(structure, values, q)
+    if not ranked:
         raise CompressError("query is not entailed within the realization "
                             "depth bound")
-    _, _, subst = best
-    targets = []
-    parts = []
-    for atom in q.atoms:
-        vid = structure.label_ids[AtomLabel(substitute_atom(atom, subst))]
-        targets.append(vid)
-        parts.append(extract_witness(structure, chosen, [vid]))
-    vertices, edges = merge_witnesses(parts)
-    return add_goal_tail(vertices, edges, targets, q, strict_cg)
+    return assemble_witness(structure, chosen, q, ranked[0][1], strict_cg)

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
-from .kb import (Atom, BooleanCQ, ConceptAtom, EqAtom, KBError,
-                 KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term, Var,
-                 atom_key, atom_terms, atom_vars, cq_equivalent,
-                 substitute_atom, term_key)
+from .compress import add_goal_tail
+from .kb import (Atom, BooleanCQ, EqAtom, KBError, KnowledgeBase, Rule,
+                 SkolemTerm, Term, Var, atom_key, atom_terms, atom_vars,
+                 cq_equivalent, map_atom_terms, substitute_atom, subterms,
+                 term_key)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
@@ -111,11 +112,7 @@ def _subst_with_rename(atom: Atom, pi: dict[Var, Term],
             return SkolemTerm(t.fn, fix(t.arg))
         return t
 
-    if isinstance(atom, ConceptAtom):
-        return ConceptAtom(atom.concept, fix(atom.term))
-    if isinstance(atom, RoleAtom):
-        return RoleAtom(atom.role, fix(atom.subj), fix(atom.obj))
-    return EqAtom(fix(atom.lhs), fix(atom.rhs))
+    return map_atom_terms(atom, fix)
 
 
 def te_rule(pattern: Sequence[Atom], vars_to_duplicate: Iterable[Var],
@@ -156,11 +153,7 @@ def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
             return SkolemTerm(t.fn, fix(t.arg))
         return t
 
-    if isinstance(atom, ConceptAtom):
-        return ConceptAtom(atom.concept, fix(atom.term))
-    if isinstance(atom, RoleAtom):
-        return RoleAtom(atom.role, fix(atom.subj), fix(atom.obj))
-    return EqAtom(fix(atom.lhs), fix(atom.rhs))
+    return map_atom_terms(atom, fix)
 
 
 def ce_apply(cq1: BooleanCQ, cq2: BooleanCQ,
@@ -204,12 +197,8 @@ def ge_apply(cq: BooleanCQ,
                               "different terms")
             bound[v] = t
             terms[pos] = v
-        if isinstance(atom, ConceptAtom):
-            new_atoms.append(ConceptAtom(atom.concept, terms[0]))
-        elif isinstance(atom, RoleAtom):
-            new_atoms.append(RoleAtom(atom.role, terms[0], terms[1]))
-        else:
-            new_atoms.append(EqAtom(terms[0], terms[1]))
+        rebuilt = iter(terms)
+        new_atoms.append(map_atom_terms(atom, lambda _: next(rebuilt)))
     return _close_cq(new_atoms)
 
 
@@ -646,7 +635,6 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
 
 
 def _mentions_term(atom: Atom, t: Term) -> bool:
-    from .kb import subterms
     return any(t == s for term in atom_terms(atom) for s in subterms(term))
 
 
@@ -683,23 +671,17 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
             return naming.get(rebuilt, rebuilt)
         return t
 
-    def fix_atom(a: Atom) -> Atom:
-        if isinstance(a, ConceptAtom):
-            return ConceptAtom(a.concept, fix_term(a.term))
-        if isinstance(a, RoleAtom):
-            return RoleAtom(a.role, fix_term(a.subj), fix_term(a.obj))
-        return EqAtom(fix_term(a.lhs), fix_term(a.rhs))
-
     def fix_label(label: Label) -> Label:
         if isinstance(label, CQLabel):
-            return CQLabel(_close_cq([fix_atom(a) for a in label.cq.atoms]))
+            return CQLabel(_close_cq([map_atom_terms(a, fix_term)
+                                      for a in label.cq.atoms]))
         if isinstance(label, RuleLabel) and isinstance(label.rule, SkolemRule):
             return RuleLabel(kb.tbox[label.rule.index])
         if isinstance(label, RuleLabel) and isinstance(label.rule, TautRule):
             rule = label.rule
             return RuleLabel(TautRule(
-                tuple(fix_atom(a) for a in rule.body),
-                tuple(fix_atom(a) for a in rule.head),
+                tuple(map_atom_terms(a, fix_term) for a in rule.body),
+                tuple(map_atom_terms(a, fix_term) for a in rule.head),
                 rule.existential_vars))
         return label
 
@@ -707,7 +689,6 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
 
 
 def _skolem_subterms(t: Term):
-    from .kb import subterms
     for s in subterms(t):
         if isinstance(s, SkolemTerm):
             yield s
@@ -741,12 +722,7 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         return t
 
     def ground_atom(gamma: dict[Var, Term], a: Atom) -> Atom:
-        if isinstance(a, ConceptAtom):
-            return ConceptAtom(a.concept, ground_term(gamma, a.term))
-        if isinstance(a, RoleAtom):
-            return RoleAtom(a.role, ground_term(gamma, a.subj),
-                            ground_term(gamma, a.obj))
-        return EqAtom(ground_term(gamma, a.lhs), ground_term(gamma, a.rhs))
+        return map_atom_terms(a, lambda t: ground_term(gamma, t))
 
     for v in p.topological_order():
         label = p.vertices[v]
@@ -811,14 +787,7 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
 
     target_ids = [need(a) for a in targets]
     graph = builder.build()
-    return _finish_sk(graph, target_ids, goal)
-
-
-def _finish_sk(graph: ProofGraph, target_ids: list[int],
-               goal: BooleanCQ) -> ProofGraph:
-    from .compress import add_goal_tail
-    return add_goal_tail(dict(graph.vertices), list(graph.edges), target_ids,
-                         goal, strict_cg=False)
+    return add_goal_tail(graph.vertices, graph.edges, target_ids, goal)
 
 
 def _ground_mpe(p, kb, sk_rules, edge, v, grounding, ground_sets, producer,

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
-from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
-                 KnowledgeBase, RoleAtom, SkolemTerm, Term, Var,
-                 atom_is_ground, atom_key, atom_terms, substitute_atom,
-                 term_depth)
+from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
+                 SkolemTerm, Term, Var, atom_is_ground, atom_key, atom_terms,
+                 map_atom_terms, substitute_atom, term_depth)
 from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, RuleLabel, Schema)
 
@@ -72,20 +71,9 @@ def _orient_equality(eq: EqAtom) -> Optional[tuple[Term, Term]]:
 
 def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
     """Replace top-level occurrences of src; None when src does not occur."""
-    def rep(t: Term) -> Term:
-        return dst if t == src else t
-
-    if isinstance(atom, ConceptAtom):
-        if atom.term != src:
-            return None
-        return ConceptAtom(atom.concept, dst)
-    if isinstance(atom, RoleAtom):
-        if src not in (atom.subj, atom.obj):
-            return None
-        return RoleAtom(atom.role, rep(atom.subj), rep(atom.obj))
-    if src not in (atom.lhs, atom.rhs):
+    if src not in atom_terms(atom):
         return None
-    return EqAtom(rep(atom.lhs), rep(atom.rhs))
+    return map_atom_terms(atom, lambda t: dst if t == src else t)
 
 
 def e_instances(atoms: Iterable[Atom]) -> list[InferenceInstance]:

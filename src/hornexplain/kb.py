@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class KBError(Exception):
@@ -127,6 +127,16 @@ def atom_terms(a: Atom) -> tuple[Term, ...]:
     return (a.lhs, a.rhs)
 
 
+def map_atom_terms(a: Atom, fn: Callable[[Term], Term]) -> Atom:
+    """The atom with ``fn`` applied to each top-level term, in argument
+    order."""
+    if isinstance(a, ConceptAtom):
+        return ConceptAtom(a.concept, fn(a.term))
+    if isinstance(a, RoleAtom):
+        return RoleAtom(a.role, fn(a.subj), fn(a.obj))
+    return EqAtom(fn(a.lhs), fn(a.rhs))
+
+
 def atom_vars(a: Atom) -> set[Var]:
     out = set()
     for t in atom_terms(a):
@@ -170,12 +180,7 @@ def substitute_term(t: Term, subst: Mapping[Var, Term]) -> Term:
 
 
 def substitute_atom(a: Atom, subst: Mapping[Var, Term]) -> Atom:
-    if isinstance(a, ConceptAtom):
-        return ConceptAtom(a.concept, substitute_term(a.term, subst))
-    if isinstance(a, RoleAtom):
-        return RoleAtom(a.role, substitute_term(a.subj, subst),
-                        substitute_term(a.obj, subst))
-    return EqAtom(substitute_term(a.lhs, subst), substitute_term(a.rhs, subst))
+    return map_atom_terms(a, lambda t: substitute_term(t, subst))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, Fragment,
                  KBError, KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term,
                  Var, atom_terms, atom_vars, classify_rule, make_kb,
-                 make_rule, subterms, RESERVED_CONCEPTS)
+                 make_rule, map_atom_terms, subterms, RESERVED_CONCEPTS)
 
 
 class KBSyntaxError(KBError):
@@ -223,25 +223,13 @@ def _parse_rule_statement(cur: _Cursor) -> Rule:
     head_raw = _parse_atom_list(head_cur, variables=body_vars | set(evar_names))
     head_cur.expect("end")
 
-    def bind(a: Atom) -> Atom:
-        if isinstance(a, ConceptAtom):
-            t = a.term
-            return ConceptAtom(a.concept,
-                               Var(t.name) if isinstance(t, Const)
-                               and t.name in body_vars else t)
-        if isinstance(a, RoleAtom):
-            s, o = a.subj, a.obj
-            s = Var(s.name) if isinstance(s, Const) and s.name in body_vars else s
-            o = Var(o.name) if isinstance(o, Const) and o.name in body_vars else o
-            return RoleAtom(a.role, s, o)
-        lhs = Var(a.lhs.name) if isinstance(a.lhs, Const) \
-            and a.lhs.name in body_vars else a.lhs
-        rhs = Var(a.rhs.name) if isinstance(a.rhs, Const) \
-            and a.rhs.name in body_vars else a.rhs
-        return EqAtom(lhs, rhs)
+    def bind_term(t: Term) -> Term:
+        if isinstance(t, Const) and t.name in body_vars:
+            return Var(t.name)
+        return t
 
-    body = tuple(bind(a) for a in body_raw)
-    head = tuple(bind(a) for a in head_raw)
+    body = tuple(map_atom_terms(a, bind_term) for a in body_raw)
+    head = tuple(map_atom_terms(a, bind_term) for a in head_raw)
     evars = tuple(Var(n) for n in evar_names)
     try:
         form, _ = classify_rule(body, head, evars)
@@ -448,11 +436,7 @@ def _replace_consts(a: Atom, rename: dict) -> Atom:
             return SkolemTerm(t.fn, fix(t.arg))
         return t
 
-    if isinstance(a, ConceptAtom):
-        return ConceptAtom(a.concept, fix(a.term))
-    if isinstance(a, RoleAtom):
-        return RoleAtom(a.role, fix(a.subj), fix(a.obj))
-    return EqAtom(fix(a.lhs), fix(a.rhs))
+    return map_atom_terms(a, fix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,36 @@
 """Exact bounded proof search and the algorithm router.
 
-The searches here are deliberately independent of the dynamic programs in
-:mod:`hornexplain.compress`: tree-size minima are recomputed by recursive
-descent over the saturated structure, and size / domain-size minima by
-branch-and-bound over explicit derivation choices.  Outcomes are exact
-relative to the structural bounds in force (term-depth ceiling, node and
-time budgets); ``none`` means the whole space within those bounds was
-exhausted, ``exhausted`` that a resource limit cut the search short.
+Tree-size minima come from the value iteration in
+:mod:`hornexplain.compress` (or, with duplicate labels allowed, from
+recursive descent over the saturated structure), and size / domain-size
+minima from branch-and-bound over explicit derivation choices.  Outcomes
+are exact relative to the structural bounds in force (term-depth ceiling,
+node and time budgets); ``none`` means the whole space within those bounds
+was exhausted, ``exhausted`` that a resource limit cut the search short.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .chase import default_depth_ceiling, entails
 from .compress import (CompressError, DecompressError, add_goal_tail,
-                       extract_witness, merge_witnesses, _INF)
+                       assemble_witness, dllite_query_min_size, dp_min_tree,
+                       edge_key, el_cq_min_treesize, tree_query_min_treesize,
+                       _INF)
+from .deriver_cq import mpe_apply, te_rule
 from .deriver_sk import BudgetExceeded, FiniteStructure, saturate_kb
-from .kb import (Atom, BooleanCQ, Fragment, KnowledgeBase, Term, Var,
-                 is_tree_shaped, substitute_atom)
+from .kb import (Atom, BooleanCQ, Fragment, KBError, KnowledgeBase, Term,
+                 Var, atom_pred, atom_terms, cq_equivalent, is_tree_shaped,
+                 substitute_atom)
 from .matching import AtomIndex, match_conjunction
 from .proofs import (AtomLabel, CQLabel, Label, Measure, ProofEdge,
-                     ProofGraph, RuleLabel, Schema, TautRule, label_key,
-                     measure, proof_size, tree_size)
+                     ProofGraph, RuleLabel, Schema, TautRule,
+                     ground_terms_of_label, label_key, measure, proof_size,
+                     sub_derivation, tree_size)
 
 
 @dataclass
@@ -82,45 +88,9 @@ def _tail_shape(q: BooleanCQ, strict_cg: bool) -> tuple[str, int]:
 
 # ---------------------------------------------------------------------------
 # Tree-size search.  The unique-label mode fixes one derivation per label and
-# computes the least fixpoint by value iteration; the duplicate-tolerant mode
-# descends recursively without any per-label state.
+# takes the least fixpoint from compress.dp_min_tree; the duplicate-tolerant
+# mode descends recursively without any per-label state.
 # ---------------------------------------------------------------------------
-
-def _tree_values_fixpoint(structure: FiniteStructure, ticker: _Ticker
-                          ) -> tuple[dict[int, float], dict[int, int]]:
-    values: dict[int, float] = {v: _INF for v in structure.vertices}
-    chosen: dict[int, int] = {}
-    for leaf in structure.leaf_ids:
-        values[leaf] = 1.0
-    changed = True
-    while changed:
-        changed = False
-        for idx, e in enumerate(structure.edges):
-            ticker.tick()
-            if e.conclusion in structure.leaf_ids:
-                continue
-            total = 1.0
-            dead = False
-            for p in e.premises:
-                if values[p] == _INF:
-                    dead = True
-                    break
-                total += values[p]
-            if dead:
-                continue
-            cur = values[e.conclusion]
-            if total < cur:
-                values[e.conclusion] = total
-                chosen[e.conclusion] = idx
-                changed = True
-            elif total == cur and e.conclusion in chosen \
-                    and chosen[e.conclusion] != idx \
-                    and _edge_sort_key(structure, idx) \
-                    < _edge_sort_key(structure, chosen[e.conclusion]):
-                chosen[e.conclusion] = idx
-                changed = True
-    return values, chosen
-
 
 def _tree_min_descend(structure: FiniteStructure, vid: int, limit: float,
                       ticker: _Ticker, path: frozenset) -> float:
@@ -128,14 +98,14 @@ def _tree_min_descend(structure: FiniteStructure, vid: int, limit: float,
     never along a path (on-path repeats are never part of a minimum)."""
     ticker.tick()
     if vid in structure.leaf_ids:
-        return 1.0
+        return 1
     best: float = _INF
     for eidx in sorted(structure.in_edges[vid],
-                       key=lambda i: _edge_sort_key(structure, i)):
+                       key=lambda i: edge_key(structure, i)):
         e = structure.edges[eidx]
         if any(p in path for p in e.premises):
             continue
-        total = 1.0
+        total = 1
         sub_path = path | {vid}
         cap = min(limit, best)
         for p in e.premises:
@@ -146,12 +116,6 @@ def _tree_min_descend(structure: FiniteStructure, vid: int, limit: float,
                 break
         best = min(best, total)
     return best
-
-
-def _edge_sort_key(structure: FiniteStructure, idx: int):
-    e = structure.edges[idx]
-    return (e.schema.value,
-            tuple(label_key(structure.vertices[p]) for p in e.premises))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +129,6 @@ class _CoverState:
     arcs: dict[tuple[int, int], set[tuple[int, int]]]
     size_count: int
     terms: set[Term]
-
-
-def _label_terms(label: Label) -> set[Term]:
-    from .proofs import ground_terms_of_label
-    return ground_terms_of_label(label)
 
 
 def _reaches(arcs, start, goal) -> bool:
@@ -217,7 +176,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         key = state.pending.pop()
         vid = key[0]
         edge_ids = sorted(structure.in_edges[vid],
-                          key=lambda i: _edge_sort_key(structure, i))
+                          key=lambda i: edge_key(structure, i))
         for eidx in edge_ids:
             e = structure.edges[eidx]
             for combo in _premise_combos(structure, e.premises, state,
@@ -236,7 +195,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
                         nxt.members[pkey] = None
                         nxt.size_count += 1
                         if kind is Measure.DOMAIN_SIZE:
-                            nxt.terms = nxt.terms | _label_terms(
+                            nxt.terms = nxt.terms | ground_terms_of_label(
                                 structure.vertices[pkey[0]])
                         if pkey[0] not in structure.leaf_ids:
                             nxt.pending.append(pkey)
@@ -253,7 +212,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
     for vid in dict.fromkeys(targets):
         key = (vid, 0)
         init_members[key] = None
-        init_terms |= _label_terms(structure.vertices[vid])
+        init_terms |= ground_terms_of_label(structure.vertices[vid])
         if vid not in structure.leaf_ids:
             init_pending.append(key)
     state = _CoverState(init_members, init_pending, {}, len(init_members),
@@ -362,11 +321,8 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     if best_sigma is not None and (budget.bound is None
                                    or best_value <= budget.bound):
         assert best_structure is not None
-        assembly_ticker = _Ticker(SearchBudget(budget.measure,
-                                               max_nodes=10_000_000,
-                                               max_seconds=120.0))
-        proof = _assemble_sk(best_structure, kb, q, best_sigma, budget.measure,
-                             best_choice, strict_cg, assembly_ticker)
+        proof = _assemble_sk(best_structure, q, best_sigma, budget.measure,
+                             best_choice, strict_cg)
         complete = (not tripped) and (
             budget.bound is not None
             or best_structure.complete
@@ -395,10 +351,11 @@ def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     best_value = incoming_best
     best_sigma: Optional[dict[Var, Term]] = None
     best_choice = None
-    tree_values: Optional[dict[int, float]] = None
+    tree_values: Optional[dict[int, int | float]] = None
+    tree_chosen: Optional[dict[int, int]] = None
     if budget.measure is Measure.TREE_SIZE and unique_labels:
         try:
-            tree_values, _ = _tree_values_fixpoint(structure, ticker)
+            tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
         except _OutOfBudget:
             return best_value, None, None, True
     tripped = False
@@ -411,7 +368,7 @@ def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                 targets.append(structure.label_ids[AtomLabel(ground)])
             cap = min(limit, best_value)
             if budget.measure is Measure.TREE_SIZE:
-                total = float(tail_count)
+                total = tail_count
                 ok = True
                 for vid in targets:
                     if tree_values is not None:
@@ -425,7 +382,7 @@ def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                         break
                 if ok and total < best_value:
                     best_value, best_sigma = total, sigma
-                    best_choice = None
+                    best_choice = tree_chosen
             else:
                 res = _cover_min(structure, targets, budget.measure,
                                  cap - (tail_count if budget.measure
@@ -443,22 +400,20 @@ def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     return best_value, best_sigma, best_choice, tripped
 
 
-def _assemble_sk(structure: FiniteStructure, kb: KnowledgeBase, q: BooleanCQ,
+def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
                  sigma: dict[Var, Term], kind: Measure, choice,
-                 strict_cg: bool, ticker: _Ticker) -> ProofGraph:
-    targets = []
-    for atom in q.atoms:
-        ground = substitute_atom(atom, sigma)
-        targets.append(structure.label_ids[AtomLabel(ground)])
-
+                 strict_cg: bool) -> ProofGraph:
+    """Materialize the search's choice: the tree-size DP's chosen edges
+    (None from the duplicate-tolerant search, which runs no DP), or the
+    cover's chosen vertex copies."""
     if kind is Measure.TREE_SIZE:
-        _, chosen = _tree_values_fixpoint(structure, ticker)
-        parts = [extract_witness(structure, chosen, [vid]) for vid in targets]
-        vertices, edges = merge_witnesses(parts)
-        return add_goal_tail(vertices, edges, targets, q, strict_cg)
+        chosen = choice if choice is not None else dp_min_tree(structure)[1]
+        return assemble_witness(structure, chosen, q, sigma, strict_cg)
 
     # size / domain: materialize the chosen copies
     assert choice is not None
+    targets = [structure.label_ids[AtomLabel(substitute_atom(atom, sigma))]
+               for atom in q.atoms]
     id_of: dict[tuple[int, int], int] = {}
     vertices: dict[int, Label] = {}
     for i, key in enumerate(sorted(choice,
@@ -561,12 +516,10 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
 
 def _canon_cq(cq: BooleanCQ) -> tuple:
     """Dedup key up to variable renaming (approximate but deterministic)."""
-    from .kb import atom_pred, atom_terms as terms_of
-
     def blind_key(a: Atom):
         return (atom_pred(a),
                 tuple(("v",) if isinstance(t, Var) else ("c", t.name)
-                      for t in terms_of(a)))
+                      for t in atom_terms(a)))
 
     order = sorted(range(len(cq.atoms)), key=lambda i: blind_key(cq.atoms[i]))
     naming: dict[Var, int] = {}
@@ -574,7 +527,7 @@ def _canon_cq(cq: BooleanCQ) -> tuple:
     for i in order:
         a = cq.atoms[i]
         row = [atom_pred(a)]
-        for t in terms_of(a):
+        for t in atom_terms(a):
             if isinstance(t, Var):
                 naming.setdefault(t, len(naming))
                 row.append(("v", naming[t]))
@@ -591,10 +544,6 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
     tautology step.  Cheapest-first, so the first goal hit is the minimum
     over the enumerated moves (intermediate tautologies are not explored).
     """
-    import heapq
-    from .deriver_cq import mpe_apply
-    from .matching import match_conjunction as mc
-
     builder_vertices: dict[int, Label] = {}
     builder_edges: list[ProofEdge] = []
 
@@ -627,13 +576,12 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
             value, sink = finish
             reachable = ProofGraph(dict(builder_vertices),
                                    list(builder_edges))
-            from .proofs import sub_derivation
             return value, sub_derivation(reachable, sink)
 
         # rule applications
         for rule in kb.tbox:
             body_index = AtomIndex(cq.atoms)
-            for pi in mc(rule.body, body_index):
+            for pi in match_conjunction(rule.body, body_index):
                 matched = sorted({substitute_atom(b, pi) for b in rule.body},
                                  key=lambda a: str(a))
                 n_heads = len(rule.head)
@@ -644,7 +592,7 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
                         keep = [i for i in range(n_heads) if kmask >> i & 1]
                         try:
                             new_cq = mpe_apply(cq, rule, pi, replace, keep)
-                        except Exception:
+                        except KBError:
                             continue
                         if len(new_cq.atoms) > max_atoms:
                             continue
@@ -667,14 +615,10 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
 def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: float,
                     add_vertex, edges: list[ProofEdge]
                     ) -> Optional[tuple[float, int]]:
-    from .deriver_cq import te_rule
-    from .kb import cq_equivalent
-    from .matching import match_conjunction as mc
-
     if cq_equivalent(cq, q):
         return cost, vid
     index = AtomIndex(cq.atoms)
-    for pi in mc(q.atoms, index):
+    for pi in match_conjunction(q.atoms, index):
         image = {substitute_atom(a, pi) for a in q.atoms}
         if not set(cq.atoms) <= image:
             continue  # leftovers would survive into the conclusion
@@ -771,9 +715,6 @@ def _poly_applicable(kb: KnowledgeBase, q: BooleanCQ, m: Measure) -> bool:
 
 def _run_poly(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig
               ) -> tuple[ProofGraph, str]:
-    from .compress import (dllite_query_min_size, el_cq_min_treesize,
-                           tree_query_min_treesize)
-
     if kb.fragment == Fragment.DLLiteR and is_tree_shaped(q):
         if config.measure is Measure.SIZE:
             proof, _ = dllite_query_min_size(kb, q, config.strict_cg)

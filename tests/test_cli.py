@@ -124,6 +124,23 @@ def test_usage_error_exit_code():
     assert proc.returncode == 64
 
 
+def test_internal_errors_exit_70(ex1_file, monkeypatch, capsys):
+    from hornexplain import cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "explain", crash)
+    assert cli.main(["explain", ex1_file]) == 70
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "validate_proof",
+                        lambda *args: (False, ["bad edge"]))
+    assert cli.main(["explain", ex1_file]) == 70
+    assert "failed validation: bad edge" in capsys.readouterr().err
+
+
 def test_convert_and_export_round_trip(ex1_file, tmp_path):
     proof = tmp_path / "p.json"
     run_cli("explain", ex1_file, "--measure", "size", "--format", "json",
@@ -161,9 +178,3 @@ def test_bench_csv(tmp_path):
     assert lines[0] == "family,parameter,measure,optimum,search_nodes,wall_ms"
     assert len(lines) == 3
     assert lines[1].startswith("dllite-chain,1,tree,17,")
-
-
-def test_bench_jobs_flag(tmp_path):
-    proc = run_cli("bench", "--families", "el-abox", "--params", "1,2",
-                   "--jobs", "2", expect=0)
-    assert len(proc.stdout.strip().splitlines()) == 3
