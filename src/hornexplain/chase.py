@@ -35,15 +35,18 @@ def skolem_fn_name(rule_index: int) -> str:
     return f"f_{rule_index}"
 
 
-_SKOLEMIZE_CACHE: dict[tuple, tuple[SkolemRule, ...]] = {}
+# id(tbox) -> (tbox, its Skolem rules).  Keyed by identity: hashing a TBox
+# hashes every rule again.  Holding the tbox keeps its id from being reused.
+_SKOLEMIZE_CACHE: dict[int, tuple[tuple[Rule, ...],
+                                  tuple[SkolemRule, ...]]] = {}
 
 
 def skolemize(tbox: Iterable[Rule]) -> tuple[SkolemRule, ...]:
     """One Skolem rule per rule; functions are named by rule position."""
-    key = tuple(tbox)
-    cached = _SKOLEMIZE_CACHE.get(key)
+    tbox = tuple(tbox)
+    cached = _SKOLEMIZE_CACHE.get(id(tbox))
     if cached is not None:
-        return cached
+        return cached[1]
     out = []
     for i, rule in enumerate(tbox):
         if rule.existential_vars:
@@ -57,7 +60,7 @@ def skolemize(tbox: Iterable[Rule]) -> tuple[SkolemRule, ...]:
     if len(_SKOLEMIZE_CACHE) > 256:
         _SKOLEMIZE_CACHE.clear()
     result = tuple(out)
-    _SKOLEMIZE_CACHE[key] = result
+    _SKOLEMIZE_CACHE[id(tbox)] = (tbox, result)
     return result
 
 

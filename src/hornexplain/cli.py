@@ -6,7 +6,8 @@ Subcommands: ``answer`` (entailment with a witness match), ``explain``
 ``export`` (proof DOT), ``normalize`` (thin rule rewriter), and ``bench``
 (CSV sweeps).  Exit codes: 0 found/success, 1 definitive negative,
 2 resource limit or unknown, 64 usage errors, 65 bad input data, 70
-internal errors (a crash or a produced proof that fails validation).
+internal errors (a crash, or a produced or converted proof that fails
+validation).
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ def cmd_convert(args) -> int:
         raise KBError("proof file carries no goal, cannot convert safely")
     ok, problems = validate_proof(converted, kb, goal, args.to)
     if not ok:
-        raise KBError("conversion produced an invalid proof: "
-                      + "; ".join(problems))
+        print("internal error: conversion produced an invalid proof: "
+              + "; ".join(problems), file=sys.stderr)
+        return INTERNAL_ERROR
     _emit(proof_to_json(converted, goal) + "\n", args.out)
     return 0
 

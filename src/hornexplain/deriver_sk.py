@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
-                 SkolemTerm, Term, Var, atom_is_ground, atom_key, atom_terms,
-                 map_atom_terms, substitute_atom, term_depth)
+                 SkolemTerm, Term, Var, atom_is_ground, atom_key, atom_pred,
+                 atom_terms, map_atom_terms, substitute_atom, term_depth)
 from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, RuleLabel, Schema)
 
@@ -163,7 +163,8 @@ def _check_mp(premises, conclusion, kb) -> Optional[str]:
     rule = premises[-1].rule
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
-    if rule not in skolemize(kb.tbox):
+    sk_rules = skolemize(kb.tbox)
+    if not (0 <= rule.index < len(sk_rules) and sk_rules[rule.index] == rule):
         return "rule is not from the TBox"
     atom_premises = premises[:-1]
     for lab in atom_premises:
@@ -348,13 +349,16 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             raise BudgetExceeded("saturation deadline")
         new_atoms: set[Atom] = set()
         frontier_set = set(frontier)
+        frontier_by_pred: dict[tuple, list[Atom]] = {}
+        for fa in frontier:
+            frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)
         for rule in rules:
             seeds: list[dict] = []
             if first_round:
                 seeds.append({})
             else:
-                for i, pattern in enumerate(rule.body):
-                    for fa in frontier:
+                for pattern in rule.body:
+                    for fa in frontier_by_pred.get(atom_pred(pattern), ()):
                         ext = unify_atom(pattern, fa, {})
                         if ext is not None:
                             seeds.append(ext)

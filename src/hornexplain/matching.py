@@ -1,42 +1,100 @@
 """Backtracking matcher: homomorphisms from atom conjunctions into atom sets.
 
-Used for rule application, query answering, and inference checking.  The
-search picks the most constrained pattern atom first and enumerates
-candidates in lexicographic order, so results come out in a fixed order.
+Used for rule application, query answering, and inference checking.
+
+:class:`AtomIndex` keeps every atom in one list per predicate and in one
+list per (predicate, argument position, term), all in ``atom_key`` order.
+An atom added while a :func:`match_conjunction` generator is suspended is
+seen by every later step of that generator.
+
+At each step the search picks the most constrained pattern atom: the one
+with the fewest unifiers under the current bindings, ties going to the
+lowest position.  A pattern draws its candidates from the shortest list
+among its predicate's list and the position lists of its arguments that
+are ground under the bindings.  When at most one argument is ground and
+the others are distinct unbound variables, every atom in that list is a
+unifier, so the list length is the score; other patterns count the atoms
+of the list that unify.  Only the chosen pattern's candidates are turned
+into substitutions, in list order, so results come out in a fixed order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .kb import (Atom, ConceptAtom, RoleAtom, SkolemTerm, Term, Var,
-                 atom_key, atom_pred)
+from .kb import (Atom, SkolemTerm, Term, Var, atom_key, atom_pred,
+                 atom_terms)
+
+
+def _insert(entry: tuple[list[Atom], list[tuple]], atom: Atom,
+            key: tuple) -> None:
+    atoms, keys = entry
+    if key > keys[-1]:
+        atoms.append(atom)
+        keys.append(key)
+    else:
+        i = bisect_left(keys, key)
+        atoms.insert(i, atom)
+        keys.insert(i, key)
 
 
 class AtomIndex:
-    """Per-predicate buckets, each sorted for deterministic enumeration."""
+    """Atoms by predicate and by (predicate, position, term), each list
+    sorted by ``atom_key`` for deterministic enumeration."""
 
     def __init__(self, atoms=()):
-        self.buckets: dict[tuple, list[Atom]] = {}
-        self._dirty: set[tuple] = set()
         self.atoms: set[Atom] = set()
-        for a in atoms:
-            self.add(a)
+        # each list is kept as (atoms, their atom_key values), in key order
+        self._buckets: dict[tuple, tuple[list[Atom], list[tuple]]] = {}
+        # predicate -> per argument position: term -> list
+        self._positions: dict[tuple, list[dict[Term, tuple[list[Atom],
+                                                           list[tuple]]]]] = {}
+        # in key order, so every list only grows at its end
+        for key, atom in sorted(zip(map(atom_key, atoms), atoms),
+                                key=itemgetter(0)):
+            if self._new(atom):
+                self._add(atom, key)
+
+    def _new(self, atom: Atom) -> bool:
+        n = len(self.atoms)
+        self.atoms.add(atom)
+        return len(self.atoms) > n
 
     def add(self, atom: Atom) -> bool:
-        if atom in self.atoms:
+        if not self._new(atom):
             return False
-        self.atoms.add(atom)
-        key = atom_pred(atom)
-        self.buckets.setdefault(key, []).append(atom)
-        self._dirty.add(key)
+        self._add(atom, atom_key(atom))
         return True
 
-    def bucket(self, key: tuple) -> Sequence[Atom]:
-        if key in self._dirty:
-            self.buckets[key].sort(key=atom_key)
-            self._dirty.discard(key)
-        return self.buckets.get(key, ())
+    def _add(self, atom: Atom, key: tuple) -> None:
+        pred = atom_pred(atom)
+        terms = atom_terms(atom)
+        bucket = self._buckets.get(pred)
+        if bucket is None:
+            self._buckets[pred] = ([atom], [key])
+            positions = self._positions[pred] = [{} for _ in terms]
+        else:
+            _insert(bucket, atom, key)
+            positions = self._positions[pred]
+        for by_term, t in zip(positions, terms):
+            entry = by_term.get(t)
+            if entry is None:
+                by_term[t] = ([atom], [key])
+            else:
+                _insert(entry, atom, key)
+
+    def bucket(self, pred: tuple) -> Sequence[Atom]:
+        """The atoms of one predicate."""
+        entry = self._buckets.get(pred)
+        return entry[0] if entry is not None else ()
+
+    def at(self, pred: tuple, pos: int, term: Term) -> Sequence[Atom]:
+        """The atoms of one predicate with ``term`` at argument ``pos``."""
+        positions = self._positions.get(pred)
+        entry = positions[pos].get(term) if positions is not None else None
+        return entry[0] if entry is not None else ()
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
@@ -45,72 +103,145 @@ class AtomIndex:
         return len(self.atoms)
 
 
-def unify_term(pattern: Term, ground: Term,
-               subst: dict[Var, Term]) -> Optional[dict[Var, Term]]:
-    """Extend subst so that pattern maps onto ground; None if impossible."""
+def _bind(pattern: Term, ground: Term, subst: Mapping[Var, Term],
+          new: dict[Var, Term]) -> bool:
+    """Whether pattern maps onto ground under subst; the variables it binds
+    afresh go into ``new``, in the order they occur."""
+    while isinstance(pattern, SkolemTerm):
+        if not isinstance(ground, SkolemTerm) or pattern.fn != ground.fn:
+            return False
+        pattern, ground = pattern.arg, ground.arg
     if isinstance(pattern, Var):
         bound = subst.get(pattern)
         if bound is None:
-            subst = dict(subst)
-            subst[pattern] = ground
-            return subst
-        return subst if bound == ground else None
-    if isinstance(pattern, SkolemTerm):
-        if not isinstance(ground, SkolemTerm) or pattern.fn != ground.fn:
-            return None
-        return unify_term(pattern.arg, ground.arg, subst)
-    return subst if pattern == ground else None
+            bound = new.get(pattern)
+            if bound is None:
+                new[pattern] = ground
+                return True
+        return bound == ground
+    return pattern == ground
 
 
 def unify_atom(pattern: Atom, ground: Atom,
                subst: dict[Var, Term]) -> Optional[dict[Var, Term]]:
+    """Extend subst so that pattern maps onto ground; None if impossible.
+    Returns subst itself when nothing new is bound."""
     if atom_pred(pattern) != atom_pred(ground):
         return None
-    if isinstance(pattern, ConceptAtom):
-        return unify_term(pattern.term, ground.term, subst)
-    if isinstance(pattern, RoleAtom):
-        s = unify_term(pattern.subj, ground.subj, subst)
-        if s is None:
+    new: dict[Var, Term] = {}
+    for p, g in zip(atom_terms(pattern), atom_terms(ground)):
+        if not _bind(p, g, subst, new):
             return None
-        return unify_term(pattern.obj, ground.obj, s)
-    s = unify_term(pattern.lhs, ground.lhs, subst)
-    if s is None:
-        return None
-    return unify_term(pattern.rhs, ground.rhs, s)
+    if not new:
+        return subst
+    ext = dict(subst)
+    ext.update(new)
+    return ext
 
 
-def _candidates(pattern: Atom, index: AtomIndex,
-                subst: Mapping[Var, Term]) -> list[tuple[Atom, dict]]:
-    out = []
-    for ground in index.bucket(atom_pred(pattern)):
-        ext = unify_atom(pattern, ground, dict(subst))
-        if ext is not None:
-            out.append((ground, ext))
-    return out
+def _resolve(t: Term, subst: Mapping[Var, Term]) -> Optional[Term]:
+    """The term ``t`` denotes under subst; None while a variable is unbound."""
+    if isinstance(t, Var):
+        return subst.get(t)
+    if isinstance(t, SkolemTerm):
+        arg = _resolve(t.arg, subst)
+        return None if arg is None else SkolemTerm(t.fn, arg)
+    return t
+
+
+# A check is (position, ground value or None, pattern term): a ground value
+# is compared, otherwise the pattern term is bound against the candidate.
+_Check = tuple[int, Optional[Term], Term]
+
+
+def _plan(pred: tuple, terms: tuple[Term, ...], index: AtomIndex,
+          subst: Mapping[Var, Term]
+          ) -> tuple[Sequence[Atom], list[_Check], bool]:
+    """Candidate list, per-candidate checks, and whether every candidate in
+    the list is a unifier."""
+    source = index.bucket(pred)
+    source_pos = None
+    ground_count = 0
+    free_vars: list[Var] = []
+    exact = True
+    checks: list[_Check] = []
+    for pos, t in enumerate(terms):
+        if isinstance(t, Var) and t not in subst:
+            if t in free_vars:
+                exact = False      # repeated variable: r(x, x)
+            free_vars.append(t)
+            checks.append((pos, None, t))
+            continue
+        value = _resolve(t, subst)
+        if value is None:          # Skolem term over an unbound variable
+            exact = False
+            checks.append((pos, None, t))
+            continue
+        ground_count += 1
+        checks.append((pos, value, t))
+        at = index.at(pred, pos, value)
+        if len(at) < len(source):
+            source, source_pos = at, pos
+    if ground_count > 1:
+        exact = False
+    if source_pos is not None:
+        checks = [c for c in checks if c[0] != source_pos]
+    return source, checks, exact
+
+
+def _accepts(checks: list[_Check], ground: Atom, subst: Mapping[Var, Term],
+             new: dict[Var, Term]) -> bool:
+    gterms = atom_terms(ground)
+    for pos, value, pattern in checks:
+        if value is not None:
+            if gterms[pos] != value:
+                return False
+        elif not _bind(pattern, gterms[pos], subst, new):
+            return False
+    return True
 
 
 def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                       subst: Optional[Mapping[Var, Term]] = None,
                       ) -> Iterator[dict[Var, Term]]:
-    """All homomorphisms of the pattern conjunction into the indexed atoms."""
-    base = dict(subst) if subst else {}
+    """All homomorphisms of the pattern conjunction into the indexed atoms.
 
-    def extend(remaining: list[Atom], current: dict[Var, Term]
-               ) -> Iterator[dict[Var, Term]]:
+    Each yielded substitution is a fresh dict extending ``subst``.
+    """
+    base = dict(subst) if subst else {}
+    prepared = [(atom_pred(p), atom_terms(p)) for p in patterns]
+
+    def extend(remaining: list[tuple[tuple, tuple[Term, ...]]],
+               current: dict[Var, Term]) -> Iterator[dict[Var, Term]]:
         if not remaining:
             yield current
             return
-        # most constrained first: fewest candidates under current bindings
-        scored = []
-        for i, p in enumerate(remaining):
-            cands = _candidates(p, index, current)
-            scored.append((len(cands), i, p, cands))
-        _, idx, _, cands = min(scored, key=lambda s: (s[0], s[1]))
+        # most constrained first: fewest unifiers under current bindings
+        best = None
+        for i, (pred, terms) in enumerate(remaining):
+            source, checks, exact = _plan(pred, terms, index, current)
+            score = len(source) if exact else sum(
+                1 for ground in source
+                if _accepts(checks, ground, current, {}))
+            if best is None or score < best[0]:
+                best = (score, i, source, checks)
+                if score == 0:
+                    return
+        _, idx, source, checks = best
+        # unify the chosen candidates now: atoms added to the index while
+        # this generator is suspended are seen only by deeper steps
+        exts = []
+        for ground in source:
+            new: dict[Var, Term] = {}
+            if _accepts(checks, ground, current, new):
+                ext = dict(current)
+                ext.update(new)
+                exts.append(ext)
         rest = remaining[:idx] + remaining[idx + 1:]
-        for _, ext in cands:
+        for ext in exts:
             yield from extend(rest, ext)
 
-    yield from extend(list(patterns), base)
+    yield from extend(prepared, base)
 
 
 def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom],

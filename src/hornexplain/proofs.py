@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .kb import (Atom, BooleanCQ, KnowledgeBase, NormalForm, Rule, Term,
                  Var, atom_key, atom_terms, cq_equivalent, format_atom,
@@ -128,6 +128,33 @@ def format_label(label: Label) -> str:
 # The hypergraph
 # ---------------------------------------------------------------------------
 
+def _postorder(inc: dict[int, list[ProofEdge]],
+               roots: Iterable[int]) -> Iterator[int]:
+    """Every vertex reachable from the roots through premises, each after
+    all of its premises (depth first, in edge and premise order); raises
+    ValueError on a cycle."""
+    state: dict[int, int] = {}          # 1 on the path, 2 done
+    for root in roots:
+        if state.get(root):
+            continue
+        state[root] = 1
+        stack = [(root, (q for e in inc[root] for q in e.premises))]
+        while stack:
+            v, premises = stack[-1]
+            for q in premises:
+                s = state.get(q, 0)
+                if s == 1:
+                    raise ValueError("cycle detected")
+                if s == 0:
+                    state[q] = 1
+                    stack.append((q, (r for e in inc[q] for r in e.premises)))
+                    break
+            else:
+                stack.pop()
+                state[v] = 2
+                yield v
+
+
 @dataclass(frozen=True)
 class ProofEdge:
     premises: tuple[int, ...]
@@ -172,26 +199,7 @@ class ProofGraph:
 
     def topological_order(self) -> list[int]:
         """Vertices ordered premises before conclusions; raises on cycles."""
-        inc = self.incoming()
-        order: list[int] = []
-        state: dict[int, int] = {}
-
-        def rec(v: int):
-            s = state.get(v, 0)
-            if s == 1:
-                raise ValueError("cycle detected")
-            if s == 2:
-                return
-            state[v] = 1
-            for e in inc[v]:
-                for p in e.premises:
-                    rec(p)
-            state[v] = 2
-            order.append(v)
-
-        for v in sorted(self.vertices):
-            rec(v)
-        return order
+        return list(_postorder(self.incoming(), sorted(self.vertices)))
 
     def is_acyclic(self) -> bool:
         try:
@@ -251,22 +259,15 @@ def proof_size(p: ProofGraph) -> int:
 def tree_size(p: ProofGraph) -> int:
     """Size of the tree unraveling: shared premises count once per use."""
     inc = p.incoming()
+    sink = p.sink()
     memo: dict[int, int] = {}
-
-    def mt(v: int) -> int:
-        if v in memo:
-            return memo[v]
+    for v in _postorder(inc, [sink]):
         es = inc[v]
-        if not es:
-            memo[v] = 1
-            return 1
         if len(es) > 1:
             raise ValueError("tree size needs at most one incoming edge "
                              "per vertex")
-        memo[v] = 1 + sum(mt(q) for q in es[0].premises)
-        return memo[v]
-
-    return mt(p.sink())
+        memo[v] = 1 + sum(memo[q] for q in es[0].premises) if es else 1
+    return memo[sink]
 
 
 def ground_terms_of_label(label: Label) -> set[Term]:
@@ -313,19 +314,32 @@ def tree_unravel(p: ProofGraph) -> ProofGraph:
     """Duplicate shared subproofs so the result is a tree."""
     inc = p.incoming()
     builder = ProofBuilder()
+    on_path: set[int] = set()
 
-    def copy(v: int) -> int:
-        nid = builder.add_vertex(p.vertices[v])
+    def start(v: int) -> tuple[int, int, Optional[ProofEdge], list[int]]:
+        if v in on_path:
+            raise ValueError("cycle detected")
         es = inc[v]
-        if es:
-            if len(es) > 1:
-                raise ValueError("unraveling needs at most one incoming edge "
-                                 "per vertex")
-            e = es[0]
-            builder.add_edge(tuple(copy(q) for q in e.premises), nid, e.schema)
-        return nid
+        if len(es) > 1:
+            raise ValueError("unraveling needs at most one incoming edge "
+                             "per vertex")
+        on_path.add(v)
+        return v, builder.add_vertex(p.vertices[v]), \
+            (es[0] if es else None), []
 
-    copy(p.sink())
+    # copies get ids in preorder, edges are added in postorder
+    stack = [start(p.sink())]
+    while stack:
+        v, nid, e, copies = stack[-1]
+        if e is not None and len(copies) < len(e.premises):
+            stack.append(start(e.premises[len(copies)]))
+            continue
+        stack.pop()
+        on_path.discard(v)
+        if e is not None:
+            builder.add_edge(tuple(copies), nid, e.schema)
+        if stack:
+            stack[-1][3].append(nid)
     return builder.build()
 
 

@@ -92,14 +92,15 @@ def _tail_shape(q: BooleanCQ, strict_cg: bool) -> tuple[str, int]:
 # mode descends recursively without any per-label state.
 # ---------------------------------------------------------------------------
 
-def _tree_min_descend(structure: FiniteStructure, vid: int, limit: float,
-                      ticker: _Ticker, path: frozenset) -> float:
+def _tree_min_descend(structure: FiniteStructure, vid: int,
+                      limit: int | float, ticker: _Ticker,
+                      path: frozenset) -> int | float:
     """Exhaustive minimal tree size; labels may repeat across branches but
     never along a path (on-path repeats are never part of a minimum)."""
     ticker.tick()
     if vid in structure.leaf_ids:
         return 1
-    best: float = _INF
+    best: int | float = _INF
     for eidx in sorted(structure.in_edges[vid],
                        key=lambda i: edge_key(structure, i)):
         e = structure.edges[eidx]
@@ -146,22 +147,22 @@ def _reaches(arcs, start, goal) -> bool:
 
 
 def _cover_min(structure: FiniteStructure, targets: list[int],
-               kind: Measure, limit: float, ticker: _Ticker,
+               kind: Measure, limit: int | float, ticker: _Ticker,
                allow_duplicates: bool
-               ) -> Optional[tuple[float, dict[tuple[int, int], Optional[int]]]]:
+               ) -> Optional[tuple[int, dict[tuple[int, int], Optional[int]]]]:
     """Exact minimum over derivation choices for the target set.
 
     ``allow_duplicates`` admits up to two proof vertices per atom label
     (never beneficial, but part of the space the restriction cuts away).
     """
-    best_value: list[float] = [limit]
+    best_value: list[int | float] = [limit]
     best_choice: list[Optional[dict]] = [None]
     max_copies = 2 if allow_duplicates else 1
 
-    def value_of(state: _CoverState) -> float:
+    def value_of(state: _CoverState) -> int:
         if kind is Measure.SIZE:
-            return float(state.size_count)
-        return float(len(state.terms))
+            return state.size_count
+        return len(state.terms)
 
     def dfs(state: _CoverState) -> None:
         ticker.tick()
@@ -306,7 +307,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         if tripped:
             break
         certified = structure.complete or (
-            depth >= (min(best_value, float(budget.bound))
+            depth >= (min(best_value, budget.bound)
                       if budget.bound is not None else best_value) - 1)
         if budget.bound is not None and best_value <= budget.bound:
             break  # existence settled
@@ -342,11 +343,13 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
 
 def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                      structure: FiniteStructure, unique_labels: bool,
-                     strict_cg: bool, ticker: _Ticker, incoming_best: float
-                     ) -> tuple[float, Optional[dict], Optional[dict], bool]:
+                     strict_cg: bool, ticker: _Ticker,
+                     incoming_best: int | float
+                     ) -> tuple[int | float, Optional[dict], Optional[dict],
+                                bool]:
     _, tail_count = _tail_shape(q, strict_cg)
     index = AtomIndex(structure.atom_labels())
-    limit = float(budget.bound) + 1.0 if budget.bound is not None else _INF
+    limit = budget.bound + 1 if budget.bound is not None else _INF
 
     best_value = incoming_best
     best_sigma: Optional[dict[Var, Term]] = None
@@ -464,8 +467,8 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         raise ValueError("domain size is not defined for query-level proofs")
     ticker = _Ticker(budget)
     index = AtomIndex(kb.abox)
-    best: Optional[tuple[float, dict[Var, Term], bool]] = None
-    limit = float(budget.bound) + 1.0 if budget.bound is not None else _INF
+    best: Optional[tuple[int, dict[Var, Term], bool]] = None
+    limit = budget.bound + 1 if budget.bound is not None else _INF
     try:
         for sigma in match_conjunction(q.atoms, index):
             ticker.tick()
@@ -475,13 +478,13 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             no_collision = len(distinct) == len(grounds)
             if not q.existential_vars:
                 # the collected query already is the goal unless atoms repeat
-                value = float(chain if no_collision else chain + 2)
+                value = chain if no_collision else chain + 2
                 use_taut = not no_collision
             elif no_collision:
-                value = float(chain + 1)      # one generalization step
+                value = chain + 1             # one generalization step
                 use_taut = False
             else:
-                value = float(chain + 2)      # tautology rule + application
+                value = chain + 2             # tautology rule + application
                 use_taut = True
             if value < (best[0] if best else limit) and value < limit:
                 best = (value, sigma, use_taut)
@@ -489,7 +492,7 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         return SearchOutcome("exhausted", nodes=ticker.count, complete=False)
 
     complete = not kb.tbox
-    forward: Optional[tuple[float, ProofGraph]] = None
+    forward: Optional[tuple[int, ProofGraph]] = None
     if kb.tbox:
         cap = min(limit, best[0] if best else _INF)
         try:
@@ -537,8 +540,8 @@ def _canon_cq(cq: BooleanCQ) -> tuple:
     return tuple(sorted(out))
 
 
-def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
-                       ticker: _Ticker) -> Optional[tuple[float, ProofGraph]]:
+def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
+                       ticker: _Ticker) -> Optional[tuple[int, ProofGraph]]:
     """Node-capped closure over query labels: rule applications on derived
     queries, conjunction with facts, and a final generalization or
     tautology step.  Cheapest-first, so the first goal hit is the minimum
@@ -553,13 +556,13 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
         return vid
 
     max_atoms = max(len(q.atoms), 2) + 2
-    heap: list[tuple[float, int, BooleanCQ, int]] = []
-    seen: dict[tuple, float] = {}
+    heap: list[tuple[int, int, BooleanCQ, int]] = []
+    seen: dict[tuple, int] = {}
     counter = 0
     for fact in sorted(kb.abox, key=lambda a: str(a)):
         cq = BooleanCQ((fact,), ())
         vid = add_vertex(CQLabel(cq))
-        heapq.heappush(heap, (1.0, counter, cq, vid))
+        heapq.heappush(heap, (1, counter, cq, vid))
         counter += 1
 
     while heap:
@@ -596,7 +599,7 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
                             continue
                         if len(new_cq.atoms) > max_atoms:
                             continue
-                        new_cost = cost + 2.0
+                        new_cost = cost + 2
                         if new_cost >= limit:
                             continue
                         nkey = _canon_cq(new_cq)
@@ -612,9 +615,9 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: float,
     return None
 
 
-def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: float,
+def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: int,
                     add_vertex, edges: list[ProofEdge]
-                    ) -> Optional[tuple[float, int]]:
+                    ) -> Optional[tuple[int, int]]:
     if cq_equivalent(cq, q):
         return cost, vid
     index = AtomIndex(cq.atoms)
@@ -627,7 +630,7 @@ def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: float,
         edges.append(ProofEdge((), taut_vid, Schema.Te))
         goal_vid = add_vertex(CQLabel(q))
         edges.append(ProofEdge((vid, taut_vid), goal_vid, Schema.MPe))
-        return cost + 2.0, goal_vid
+        return cost + 2, goal_vid
     return None
 
 

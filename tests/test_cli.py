@@ -124,7 +124,7 @@ def test_usage_error_exit_code():
     assert proc.returncode == 64
 
 
-def test_internal_errors_exit_70(ex1_file, monkeypatch, capsys):
+def test_internal_errors_exit_70(ex1_file, tmp_path, monkeypatch, capsys):
     from hornexplain import cli
 
     def crash(*args, **kwargs):
@@ -139,6 +139,17 @@ def test_internal_errors_exit_70(ex1_file, monkeypatch, capsys):
                         lambda *args: (False, ["bad edge"]))
     assert cli.main(["explain", ex1_file]) == 70
     assert "failed validation: bad edge" in capsys.readouterr().err
+
+    # a conversion of an accepted proof that fails validation is ours too
+    monkeypatch.undo()
+    proof = tmp_path / "p.json"
+    assert cli.main(["explain", ex1_file, "--measure", "size", "--format",
+                     "json", "-o", str(proof)]) == 0
+    monkeypatch.setattr(cli, "validate_proof",
+                        lambda *args: (False, ["bad edge"]))
+    assert cli.main(["convert", str(proof), "--kb", ex1_file,
+                     "--to", "cq"]) == 70
+    assert "invalid proof: bad edge" in capsys.readouterr().err
 
 
 def test_convert_and_export_round_trip(ex1_file, tmp_path):

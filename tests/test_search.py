@@ -71,8 +71,9 @@ def test_min_tree_size_counts_shared_premises_twice():
 
 
 def test_min_tree_size_doubles_on_the_fact_chain():
-    # n=60 is past 2**53, where float costs stop being exact
-    for n in (1, 2, 3, 60):
+    # n=60 is past 2**53, where float costs stop being exact; n=300 is
+    # deeper than Python's default recursion limit
+    for n in (1, 2, 3, 60, 300):
         inst = gen_el_abox(n)
         structure = saturate_kb(inst.kb, 0)
         goal = AtomLabel(inst.query.atoms[0])
@@ -350,6 +351,16 @@ def test_explain_reports_value_equal_to_measure(ex1):
         got = {Measure.SIZE: proof_size, Measure.TREE_SIZE: tree_size,
                Measure.DOMAIN_SIZE: domain_size}[m](result.proof)
         assert got == result.value
+
+
+def test_explain_tree_size_on_a_long_fact_chain():
+    """Proof walks are iterative: 300 levels are past the recursion limit."""
+    inst = gen_el_abox(300)
+    result = explain(inst.kb, inst.query, RunConfig(measure=Measure.TREE_SIZE))
+    assert result.status == "found"
+    assert result.value == 9 * 2 ** 300 - 8
+    ok, problems = validate_proof(result.proof, inst.kb, inst.query)
+    assert ok, problems
 
 
 def test_strict_cg_adds_the_identity_tail():
