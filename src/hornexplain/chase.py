@@ -13,7 +13,8 @@ from typing import Iterable, Optional
 
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, NormalForm,
                  Rule, SkolemTerm, Term, Var, atom_key, atom_terms,
-                 map_atom_terms, substitute_atom, term_depth, term_key)
+                 map_atom_terms, orient_equality, substitute_atom, term_depth,
+                 term_key)
 from .matching import AtomIndex, match_conjunction
 
 
@@ -98,19 +99,6 @@ class _Rewriter:
             self.map[key] = self.resolve(self.map[key])
 
 
-def _orient(lhs: Term, rhs: Term) -> Optional[tuple[Term, Const]]:
-    """Replaced term and its constant replacement; None when trivial."""
-    if lhs == rhs:
-        return None
-    if isinstance(lhs, SkolemTerm) and isinstance(rhs, Const):
-        return lhs, rhs
-    if isinstance(rhs, SkolemTerm) and isinstance(lhs, Const):
-        return rhs, lhs
-    if isinstance(lhs, Const) and isinstance(rhs, Const):
-        return lhs, rhs  # as written
-    raise ValueError(f"equality between two complex terms: {lhs} = {rhs}")
-
-
 def chase(kb: KnowledgeBase, depth_bound: int,
           max_atoms: Optional[int] = None) -> ChaseState:
     """Least fixpoint of rule application up to the term-depth bound."""
@@ -123,10 +111,13 @@ def chase(kb: KnowledgeBase, depth_bound: int,
     suppressed = False
     capped = False
 
+    # one index across rounds: a round matches before it adds anything, and
+    # only an equality rewrite forces a rebuild
+    index = AtomIndex(atoms)
     changed = True
     while changed:
         changed = False
-        index = AtomIndex(atoms)
+        rewritten = False
         derived: list[tuple[SkolemRule, Atom]] = []
         for rule in sk_rules:
             for subst in match_conjunction(rule.body, index):
@@ -135,14 +126,14 @@ def chase(kb: KnowledgeBase, depth_bound: int,
         for rule, atom in derived:
             atom = rewriter.atom(atom)
             if isinstance(atom, EqAtom):
-                pair = _orient(atom.lhs, atom.rhs)
+                pair = orient_equality(atom.lhs, atom.rhs)
                 if pair is None:
                     continue
                 src, dst = pair
                 rewriter.add(src, dst)
                 equalities.append((src, dst))
                 atoms = {rewriter.atom(a) for a in atoms}
-                changed = True
+                rewritten = changed = True
                 continue
             if max(term_depth(t) for t in atom_terms(atom)) > depth_bound:
                 suppressed = True
@@ -152,9 +143,13 @@ def chase(kb: KnowledgeBase, depth_bound: int,
                     capped = True
                     break
                 atoms.add(atom)
+                if not rewritten:
+                    index.add(atom)
                 changed = True
         if capped:
             break
+        if rewritten:
+            index = AtomIndex(atoms)
 
     equalities_final = tuple(sorted(
         equalities, key=lambda p: (term_key(p[0]), term_key(p[1]))))
@@ -172,11 +167,19 @@ class QueryMatch:
 
 def match_query(q: BooleanCQ, state: ChaseState,
                 limit: int = 1) -> list[QueryMatch]:
-    """Up to ``limit`` homomorphisms of the query into the chase atoms."""
+    """Up to ``limit`` homomorphisms of the query into the chase atoms.
+
+    The chase replaced every merged term by its constant, so the query's
+    constants are resolved the same way before matching.
+    """
+    rewriter = _Rewriter()
+    for src, dst in state.equalities:
+        rewriter.add(src, dst)
+    patterns = [rewriter.atom(a) for a in q.atoms]
     index = AtomIndex(state.atoms)
     out: list[QueryMatch] = []
     seen: set[tuple] = set()
-    for subst in match_conjunction(q.atoms, index):
+    for subst in match_conjunction(patterns, index):
         pairs = tuple(sorted(((v, t) for v, t in subst.items()),
                              key=lambda p: p[0].name))
         if pairs in seen:

@@ -18,7 +18,7 @@ from .chase import SkolemRule, default_depth_ceiling, skolemize
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  RoleAtom, SkolemTerm, Term, Var, atom_terms, gaifman_graph,
                  is_tree_shaped, map_atom_terms, substitute_atom, term_key)
-from .matching import AtomIndex, match_conjunction, match_positionally
+from .matching import match_conjunction, match_positionally
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
 from .deriver_sk import FiniteStructure, saturate, saturate_kb
@@ -323,8 +323,7 @@ def rank_matches(structure: FiniteStructure, values: dict[int, int | float],
     least assignment.  Matches with an underivable atom are left out.
     """
     scored = []
-    for subst in match_conjunction(q.atoms,
-                                   AtomIndex(structure.atom_labels())):
+    for subst in match_conjunction(q.atoms, structure.index):
         total = 0
         for atom in q.atoms:
             vid = structure.label_ids.get(

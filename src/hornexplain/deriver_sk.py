@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
-from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
-                 SkolemTerm, Term, Var, atom_is_ground, atom_key, atom_pred,
-                 atom_terms, map_atom_terms, substitute_atom, term_depth)
+from .kb import (Atom, BooleanCQ, EqAtom, KBError, KnowledgeBase, Term, Var,
+                 atom_is_ground, atom_key, atom_pred, atom_terms,
+                 map_atom_terms, orient_equality, substitute_atom, term_depth)
 from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, RuleLabel, Schema)
 
@@ -56,19 +56,6 @@ def mp_instances(atoms: Iterable[Atom],
     return out
 
 
-def _orient_equality(eq: EqAtom) -> Optional[tuple[Term, Term]]:
-    """Replaced term first; complex terms always give way to constants."""
-    if eq.lhs == eq.rhs:
-        return None
-    if isinstance(eq.lhs, SkolemTerm) and isinstance(eq.rhs, Const):
-        return eq.lhs, eq.rhs
-    if isinstance(eq.rhs, SkolemTerm) and isinstance(eq.lhs, Const):
-        return eq.rhs, eq.lhs
-    if isinstance(eq.lhs, Const) and isinstance(eq.rhs, Const):
-        return eq.lhs, eq.rhs
-    return None
-
-
 def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
     """Replace top-level occurrences of src; None when src does not occur."""
     if src not in atom_terms(atom):
@@ -83,7 +70,10 @@ def e_instances(atoms: Iterable[Atom]) -> list[InferenceInstance]:
     eqs = [a for a in pool if isinstance(a, EqAtom)]
     out: list[InferenceInstance] = []
     for eq in eqs:
-        oriented = _orient_equality(eq)
+        try:
+            oriented = orient_equality(eq.lhs, eq.rhs)
+        except ValueError:
+            continue
         if oriented is None:
             continue
         src, dst = oriented
@@ -188,9 +178,12 @@ def _check_e(premises, conclusion) -> Optional[str]:
     atom_lab, eq_lab = premises
     if not isinstance(eq_lab.atom, EqAtom):
         return "second premise must be an equality"
-    oriented = _orient_equality(eq_lab.atom)
+    try:
+        oriented = orient_equality(eq_lab.atom.lhs, eq_lab.atom.rhs)
+    except ValueError:
+        return "equality cannot be oriented toward a constant"
     if oriented is None:
-        return "equality is trivial or cannot be oriented toward a constant"
+        return "equality is trivial"
     src, dst = oriented
     if atom_lab.atom == eq_lab.atom:
         return "equality cannot rewrite itself"
@@ -266,6 +259,7 @@ class FiniteStructure:
     leaf_ids: set[int] = field(default_factory=set)
     complete: bool = True
     depth_bound: Optional[int] = None
+    index: AtomIndex = field(default_factory=AtomIndex)  # the atom vertices
 
     def vertex_for(self, label: Label) -> int:
         vid = self.label_ids.get(label)
@@ -283,17 +277,12 @@ class FiniteStructure:
         self.edges.append(edge)
         self.in_edges[conclusion].append(idx)
 
-    def atom_labels(self) -> list[Atom]:
-        return sorted((lab.atom for lab in self.vertices.values()
-                       if isinstance(lab, AtomLabel)), key=atom_key)
-
     def has_atom(self, atom: Atom) -> bool:
         return AtomLabel(atom) in self.label_ids
 
 
 def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
              depth_bound: int, max_atoms: Optional[int] = None,
-             with_equalities: bool = True,
              deadline: Optional[float] = None) -> FiniteStructure:
     """Materialize every rule application and equality replacement whose
     conclusion stays within the depth bound.
@@ -304,12 +293,10 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     import time as _time
 
     structure = FiniteStructure(depth_bound=depth_bound)
-    atoms: set[Atom] = set()
-    index = AtomIndex()
+    index = structure.index
     for f in sorted(facts, key=atom_key):
         vid = structure.vertex_for(AtomLabel(f))
         structure.leaf_ids.add(vid)
-        atoms.add(f)
         index.add(f)
     for r in rules:
         vid = structure.vertex_for(RuleLabel(r))
@@ -328,12 +315,11 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
         if key in seen_edges:
             return False
         seen_edges.add(key)
-        fresh = concl_atom not in atoms
+        fresh = concl_atom not in index
         if fresh:
-            if max_atoms is not None and len(atoms) >= max_atoms:
+            if max_atoms is not None and len(index) >= max_atoms:
                 structure.complete = False
                 raise BudgetExceeded(f"saturation exceeded {max_atoms} atoms")
-            atoms.add(concl_atom)
             index.add(concl_atom)
         premise_ids = tuple(structure.vertex_for(lab)
                             for lab in inst.premises)
@@ -341,7 +327,7 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                            inst.schema)
         return fresh
 
-    frontier = sorted(atoms, key=atom_key)
+    frontier = sorted(index.atoms, key=atom_key)
     first_round = True
     while frontier:
         if deadline is not None and _time.monotonic() > deadline:
@@ -378,19 +364,15 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                         concl = inst.conclusion.atom
                         if record(inst) and concl not in new_atoms:
                             new_atoms.add(concl)
-        if with_equalities:
-            eqs = [a for a in atoms if isinstance(a, EqAtom)]
-            if eqs:
-                pool = sorted(atoms, key=atom_key)
-                fresh_pool = frontier if not first_round else pool
-                for inst in e_instances(pool):
-                    # keep only instances touching the frontier to stay
-                    # incremental; the dedup makes repeats harmless
-                    if first_round or inst.premises[0].atom in frontier_set \
-                            or inst.premises[1].atom in frontier_set:
-                        concl = inst.conclusion.atom
-                        if record(inst) and concl not in new_atoms:
-                            new_atoms.add(concl)
+        if any(isinstance(a, EqAtom) for a in index.atoms):
+            for inst in e_instances(index.atoms):
+                # keep only instances touching the frontier to stay
+                # incremental; the dedup makes repeats harmless
+                if first_round or inst.premises[0].atom in frontier_set \
+                        or inst.premises[1].atom in frontier_set:
+                    concl = inst.conclusion.atom
+                    if record(inst) and concl not in new_atoms:
+                        new_atoms.add(concl)
         first_round = False
         frontier = sorted(new_atoms, key=atom_key)
     return structure

@@ -137,6 +137,20 @@ def map_atom_terms(a: Atom, fn: Callable[[Term], Term]) -> Atom:
     return EqAtom(fn(a.lhs), fn(a.rhs))
 
 
+def orient_equality(lhs: Term, rhs: Term) -> Optional[tuple[Term, Const]]:
+    """The replaced term and the constant replacing it: a complex term gives
+    way to a constant, and of two constants the left one is replaced.  None
+    when the terms are equal; ValueError when no such orientation exists."""
+    if lhs == rhs:
+        return None
+    if isinstance(rhs, Const) and isinstance(lhs, (Const, SkolemTerm)):
+        return lhs, rhs
+    if isinstance(lhs, Const) and isinstance(rhs, SkolemTerm):
+        return rhs, lhs
+    raise ValueError(f"equality with no constant to orient toward: "
+                     f"{lhs} = {rhs}")
+
+
 def atom_vars(a: Atom) -> set[Var]:
     out = set()
     for t in atom_terms(a):
@@ -537,9 +551,6 @@ class BooleanCQ:
                     seen.add(t)
                     out.append(t)
         return out
-
-    def is_ground(self) -> bool:
-        return not self.variables()
 
 
 def cq_equivalent(a: BooleanCQ, b: BooleanCQ) -> bool:

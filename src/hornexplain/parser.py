@@ -376,56 +376,11 @@ def parse_kb(text: str, expect_fragment: Optional[Fragment] = None) -> Knowledge
 # Proof-label parsing (explicit ?var markers, nested Skolem terms)
 # ---------------------------------------------------------------------------
 
-def parse_term_text(text: str) -> Term:
-    cur = _Cursor(_tokenize(text, 0), 0)
-    t = _parse_term(cur, variables=None)
-    cur.expect("end")
-    return t
-
-
 def parse_atom_text(text: str) -> Atom:
     cur = _Cursor(_tokenize(text, 0), 0)
     a = _parse_atom(cur, variables=None)
     cur.expect("end")
     return a
-
-
-def parse_atoms_text(text: str) -> tuple[Atom, ...]:
-    cur = _Cursor(_tokenize(text, 0), 0)
-    atoms = _parse_atom_list(cur, variables=None)
-    cur.expect("end")
-    return tuple(atoms)
-
-
-def parse_cq_text(text: str) -> BooleanCQ:
-    """A query in label syntax: vars carry ``?``, no exists prefix needed."""
-    cur = _Cursor(_tokenize(text, 0), 0)
-    names = _parse_exists_prefix(cur)
-    atoms = _parse_atom_list(cur, variables=set(names))
-    cur.expect("end")
-    declared = {Var(n) for n in names}
-    used = set()
-    for a in atoms:
-        used |= atom_vars(a)
-    return BooleanCQ(tuple(atoms), tuple(sorted(declared | used,
-                                                key=lambda v: v.name)))
-
-
-def parse_rule_text(text: str) -> tuple[tuple[Atom, ...], tuple[Atom, ...],
-                                        tuple[Var, ...]]:
-    """Rule label syntax with ?vars: returns body, head, existential vars."""
-    if "->" not in text:
-        raise KBSyntaxError("rule label is missing '->'", 0, 0)
-    body_text, head_text = text.split("->", 1)
-    body = parse_atoms_text(body_text.strip())
-    cur = _Cursor(_tokenize(head_text.strip(), 0), 0)
-    names = _parse_exists_prefix(cur)
-    head = _parse_atom_list(cur, variables=set(names))
-    cur.expect("end")
-    # exists-prefixed names in label syntax still mark variables
-    rename = {Const(n): Var(n) for n in names}
-    head = [_replace_consts(a, rename) for a in head]
-    return body, tuple(head), tuple(Var(n) for n in names)
 
 
 def _replace_consts(a: Atom, rename: dict) -> Atom:

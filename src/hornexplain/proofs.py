@@ -194,9 +194,6 @@ class ProofGraph:
         inc = self.incoming()
         return sorted(v for v, es in inc.items() if not es)
 
-    def sink_label(self) -> Label:
-        return self.vertices[self.sink()]
-
     def topological_order(self) -> list[int]:
         """Vertices ordered premises before conclusions; raises on cycles."""
         return list(_postorder(self.incoming(), sorted(self.vertices)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .chase import default_depth_ceiling, entails
 from .compress import (CompressError, DecompressError, add_goal_tail,
@@ -23,8 +23,9 @@ from .compress import (CompressError, DecompressError, add_goal_tail,
                        _INF)
 from .deriver_cq import mpe_apply, te_rule
 from .deriver_sk import BudgetExceeded, FiniteStructure, saturate_kb
-from .kb import (Atom, BooleanCQ, Fragment, KBError, KnowledgeBase, Term,
-                 Var, atom_pred, atom_terms, cq_equivalent, is_tree_shaped,
+from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
+                 KnowledgeBase, NormalForm, Term, Var, atom_pred, atom_terms,
+                 cq_equivalent, is_tree_shaped, orient_equality,
                  substitute_atom)
 from .matching import AtomIndex, match_conjunction
 from .proofs import (AtomLabel, CQLabel, Label, Measure, ProofEdge,
@@ -255,10 +256,10 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                    depth_ceiling: Optional[int] = None) -> SearchOutcome:
     """Decide whether a proof within the measure bound exists (or minimize).
 
-    Saturates the derivation structure up to a term-depth cap implied by the
-    bound and the configured ceiling, then optimizes over query matches and
-    derivation choices.  Three-valued outcome; ``none`` is exact relative to
-    the structural bounds.
+    Saturates the derivation structure at term depth 0, 1, ... up to a cap
+    implied by the bound and the configured ceiling, and optimizes over the
+    query matches and derivation choices of each.  Three-valued outcome;
+    ``none`` is exact relative to the structural bounds.
     """
     if deriver == "cq":
         return bounded_search_cq(kb, q, budget, strict_cg=strict_cg)
@@ -266,18 +267,13 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         raise ValueError(f"unknown deriver {deriver!r}")
 
     ticker = _Ticker(budget)
-    ent = entails(kb, q, ceiling=depth_ceiling)
-    if ent.verdict == "no":
-        return SearchOutcome("none", complete=True)
-    if ent.verdict == "unknown":
-        return SearchOutcome("exhausted", complete=False)
-
     explicit_ceiling = depth_ceiling is not None
-    hard = depth_ceiling if depth_ceiling is not None \
-        else default_depth_ceiling(kb, q)
-    hard = max(hard, ent.at_depth or 0)
+    hard = depth_ceiling if explicit_ceiling else default_depth_ceiling(kb, q)
     depth_want = min(budget.bound, hard) if budget.bound is not None else hard
-    depth = min(max(ent.at_depth or 0, 0), depth_want)
+    depth = 0
+    # the chase can certify ``none`` beyond the saturation only where nominals
+    # merge existential witnesses; elsewhere its atoms are the saturation's
+    ask_chase = any(r.normal_form is NormalForm.VI for r in kb.tbox)
 
     best_value = _INF
     best_sigma: Optional[dict[Var, Term]] = None
@@ -299,7 +295,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             structure = None
             break
         value, sigma, choice, tripped = _search_at_depth(
-            kb, q, budget, structure, unique_labels, strict_cg, ticker,
+            q, budget, structure, unique_labels, strict_cg, ticker,
             best_value)
         if value < best_value:
             best_value, best_sigma, best_choice = value, sigma, choice
@@ -315,6 +311,20 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             # certifying optimality may need terms deeper than the default
             # entailment ceiling; the node and time budgets still apply
             depth_want = max(depth_want, int(best_value) - 1)
+        if ask_chase and best_sigma is None and (
+                not certified or _names_replaced_constant(q, structure)):
+            # asked once, at the first depth without a match or a
+            # certificate: the chase's eager merging terminates where merged
+            # witnesses keep the saturation growing
+            ask_chase = False
+            verdict = entails(kb, q, ceiling=depth_ceiling).verdict
+            if verdict == "no":
+                return SearchOutcome("none", nodes=ticker.count, complete=True)
+            if verdict == "unknown" and budget.bound is None:
+                # the saturation's atoms, read modulo the merges, are chase
+                # atoms of no greater depth: none up to the ceiling matches
+                return SearchOutcome("exhausted", nodes=ticker.count,
+                                     complete=False)
         if certified or depth >= depth_want:
             break
         depth = min(depth_want, depth + 1)
@@ -333,37 +343,51 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                              complete)
     if tripped:
         return SearchOutcome("exhausted", nodes=ticker.count, complete=False)
-    if budget.bound is not None:
-        complete = (structure is not None and structure.complete) \
-            or depth >= budget.bound - 1
-        return SearchOutcome("none" if complete else "exhausted",
-                             nodes=ticker.count, complete=complete)
-    return SearchOutcome("exhausted", nodes=ticker.count, complete=False)
+    # ``none`` needs a certificate: a complete structure or the bound's depth
+    # argument (the chase's was asked in the loop)
+    complete = (structure.complete or (
+        budget.bound is not None and depth >= budget.bound - 1)) \
+        and not _names_replaced_constant(q, structure)
+    return SearchOutcome("none" if complete else "exhausted",
+                         nodes=ticker.count, complete=complete)
 
 
-def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
+def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
+    """Whether an equality between two constants replaces one the query
+    names.  The sk calculus rewrites such an equality one way only, so a
+    query entailed modulo the merge can have no proof, and the absence of
+    one certifies nothing."""
+    named = {t for a in q.atoms for t in atom_terms(a) if isinstance(t, Const)}
+    for a in structure.index.atoms if named else ():
+        if isinstance(a, EqAtom) and isinstance(a.lhs, Const) \
+                and isinstance(a.rhs, Const):
+            pair = orient_equality(a.lhs, a.rhs)
+            if pair is not None and pair[0] in named:
+                return True
+    return False
+
+
+def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                      structure: FiniteStructure, unique_labels: bool,
                      strict_cg: bool, ticker: _Ticker,
                      incoming_best: int | float
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
                                 bool]:
     _, tail_count = _tail_shape(q, strict_cg)
-    index = AtomIndex(structure.atom_labels())
     limit = budget.bound + 1 if budget.bound is not None else _INF
 
     best_value = incoming_best
     best_sigma: Optional[dict[Var, Term]] = None
     best_choice = None
+    use_dp = budget.measure is Measure.TREE_SIZE and unique_labels
     tree_values: Optional[dict[int, int | float]] = None
     tree_chosen: Optional[dict[int, int]] = None
-    if budget.measure is Measure.TREE_SIZE and unique_labels:
-        try:
-            tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
-        except _OutOfBudget:
-            return best_value, None, None, True
     tripped = False
     try:
-        for sigma in match_conjunction(q.atoms, index):
+        for sigma in match_conjunction(q.atoms, structure.index):
+            if use_dp and tree_values is None:
+                # only a depth with a match needs the values
+                tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
             ticker.tick()
             targets = []
             for atom in q.atoms:
@@ -374,7 +398,7 @@ def _search_at_depth(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                 total = tail_count
                 ok = True
                 for vid in targets:
-                    if tree_values is not None:
+                    if use_dp:
                         sub = tree_values[vid]
                     else:
                         sub = _tree_min_descend(structure, vid, cap - total,

@@ -42,6 +42,15 @@ def test_answer_no_and_unknown(tmp_path):
     assert proc.stdout.strip() == "unknown"
 
 
+def test_answer_and_explain_read_the_query_modulo_merged_constants(tmp_path):
+    path = tmp_path / "merged.kb"
+    path.write_text("rule: Q(x) -> x = d\nfact: Q(e)\nquery: Q(e)\n")
+    proc = run_cli("answer", str(path), expect=0)
+    assert proc.stdout.startswith("yes, depth 0")
+    proc = run_cli("explain", str(path), "--measure", "size", expect=0)
+    assert proc.stdout.splitlines()[0] == "size = 1 (exact)"
+
+
 def test_answer_json_format(ex1_file):
     proc = run_cli("answer", ex1_file, "--format", "json", expect=0)
     doc = json.loads(proc.stdout)

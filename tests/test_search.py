@@ -1,8 +1,12 @@
 """Minimal-proof machinery: dynamic programs, compressed structures,
 the cost-graph algorithm, and the exact bounded search."""
 
+import random
+import re
+
 import pytest
 
+from hornexplain.chase import chase, entails
 from hornexplain.compress import (CompressError, compress_dllite, compress_el,
                                   decompress, dllite_query_min_size,
                                   el_cq_min_treesize, min_tree_size_dp,
@@ -11,12 +15,13 @@ from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
                                     gen_el_tree, gen_sat, gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
-                            SkolemTerm, Var)
-from hornexplain.parser import parse_document, parse_kb
+                            SkolemTerm, Var, atom_terms)
+from hornexplain.parser import parse_document, parse_kb, parse_query_text
 from hornexplain.proofs import (AtomLabel, Measure, domain_size, proof_size,
                                 tree_size, validate_proof)
 from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
                                 bounded_search_cq, explain)
+from test_chase import _random_kb
 
 
 def _chain_kb(n):
@@ -275,6 +280,106 @@ def test_bounded_search_monotone_in_the_bound(ex1):
     first_yes = outcomes.index("found")
     assert all(s == "found" for s in outcomes[first_yes:])
     assert all(s == "none" for s in outcomes[:first_yes])
+
+
+def test_none_is_certified_by_the_chase_where_saturation_keeps_growing():
+    """Every merged witness spawns a new one, so no saturation is complete;
+    the chase merges them eagerly and terminates."""
+    doc = parse_document("rule: Q(x) -> exists y. u(x,y), Q(y)\n"
+                         "rule: Q(x) -> x = e\n"
+                         "fact: Q(d)\n"
+                         "query: exists x. P(x), Q(x)\n")
+    out = bounded_search(doc.kb, doc.queries[0], SearchBudget(Measure.SIZE))
+    assert out.status == "none" and out.complete
+
+
+def test_chase_certifies_none_before_the_search_deepens(monkeypatch):
+    """Three witnesses per element, all merged into e: the saturations grow
+    as 3^depth, so the chase is asked before the second one."""
+    doc = parse_document("".join(
+        f"rule: Q(x) -> exists y. r{i}(x,y), Q(y)\n" for i in (1, 2, 3))
+        + "rule: Q(x) -> x = e\nfact: Q(d)\nquery: exists x. P(x)\n")
+    depths = []
+    real = saturate_kb
+
+    def counting(kb, depth, **kwargs):
+        depths.append(depth)
+        return real(kb, depth, **kwargs)
+
+    monkeypatch.setattr("hornexplain.search.saturate_kb", counting)
+    for m in Measure:
+        depths.clear()
+        out = bounded_search(doc.kb, doc.queries[0],
+                             SearchBudget(m, max_seconds=10.0))
+        assert out.status == "none" and out.complete, m
+        assert depths == [0], (m, depths)
+
+
+def test_no_none_for_a_query_naming_a_replaced_constant():
+    """d = e replaces d by e, and no rule rewrites e back to d: the query
+    is entailed but has no sk proof, so nothing certifies ``none``."""
+    doc = parse_document("rule: P(x) -> x = e\nfact: P(d)\nfact: v(e,e)\n"
+                         "query: v(e,d)\n")
+    for budget in (SearchBudget(Measure.SIZE), SearchBudget(Measure.SIZE, 5)):
+        out = bounded_search(doc.kb, doc.queries[0], budget)
+        assert out.status == "exhausted" and not out.complete, budget
+    assert entails(doc.kb, doc.queries[0]).verdict == "yes"
+
+
+def test_found_proofs_never_need_the_chase(ex1, monkeypatch):
+    def no_chase(*args, **kwargs):
+        raise AssertionError("the search ran the chase")
+
+    monkeypatch.setattr("hornexplain.search.entails", no_chase)
+    inst = gen_el_tree(3)
+    for kb, q in (ex1, (inst.kb, inst.query)):
+        for m in Measure:
+            result = explain(kb, q, RunConfig(measure=m, algo="exact"))
+            assert result.status == "found", m
+
+
+def _random_query(rng):
+    terms = ("x", "y", "d", "e")
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            atoms.append(f"{rng.choice('PQR')}({rng.choice(terms)})")
+        else:
+            atoms.append(f"{rng.choice('uv')}({rng.choice(terms)},"
+                         f"{rng.choice(terms)})")
+    body = ", ".join(atoms)
+    used = [v for v in ("x", "y") if re.search(rf"\b{v}\b", body)]
+    return parse_query_text((f"exists {', '.join(used)}. " if used else "")
+                            + body)
+
+
+def test_search_verdicts_agree_with_the_chase():
+    """found, none and exhausted go with the chase's yes, no and unknown.
+
+    The sk calculus rewrites an equality between constants one way only, so
+    a query naming the replaced constant can lack a proof that the chase,
+    reading the query modulo merges, entails; there the search must say
+    ``exhausted``, never ``none``.
+    """
+    rng = random.Random(20261018)
+    for case in range(800):
+        kb = _random_kb(rng)
+        q = _random_query(rng)
+        m = rng.choice(list(Measure))
+        ceiling = rng.randint(1, 4)
+        out = bounded_search(kb, q, SearchBudget(m), depth_ceiling=ceiling)
+        verdict = entails(kb, q, ceiling=ceiling).verdict
+        if out.status == "found":
+            ok, problems = validate_proof(out.proof, kb, q)
+            assert ok, (case, problems)
+            assert verdict == "yes", case
+            continue
+        replaced = {src for src, _ in chase(kb, ceiling).equalities}
+        if out.status == "exhausted" and verdict == "yes" and any(
+                t in replaced for a in q.atoms for t in atom_terms(a)):
+            continue
+        assert verdict == {"none": "no", "exhausted": "unknown"}[out.status], \
+            (case, out.status, verdict)
 
 
 def test_bounded_search_rejects_trivial_bounds():
