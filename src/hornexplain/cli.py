@@ -93,9 +93,10 @@ def cmd_answer(args) -> int:
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         if result.verdict == "yes":
-            pairs = ", ".join(f"{v.name} -> {format_term_surface(t)}"
-                              for v, t in result.witness.substitution)
-            _emit(f"yes, depth {result.at_depth}, {pairs}\n", args.out)
+            parts = [f"yes, depth {result.at_depth}"] + [
+                f"{v.name} -> {format_term_surface(t)}"
+                for v, t in result.witness.substitution]
+            _emit(", ".join(parts) + "\n", args.out)
         else:
             _emit(result.verdict + "\n", args.out)
     return {"yes": 0, "no": 1, "unknown": 2}[result.verdict]

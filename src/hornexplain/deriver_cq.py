@@ -12,15 +12,16 @@ split back into single-atom inferences.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
 from .compress import add_goal_tail
-from .kb import (Atom, BooleanCQ, EqAtom, KBError, KnowledgeBase, Rule,
-                 SkolemTerm, Term, Var, atom_key, atom_terms, atom_vars,
-                 cq_equivalent, map_atom_terms, substitute_atom, subterms,
-                 term_key)
+from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
+                 Rule, SkolemTerm, Term, Var, atom_key, atom_pred, atom_terms,
+                 atom_vars, cq_equivalent, map_atom_terms, substitute_atom,
+                 subterms, term_key)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
@@ -37,12 +38,13 @@ class TransformError(KBError):
 
 def _close_cq(atoms: Sequence[Atom]) -> BooleanCQ:
     """Existentially close every variable, in first-occurrence order."""
-    seen: list[Var] = []
+    seen: dict[Var, None] = {}
     for a in atoms:
         for t in atom_terms(a):
-            for v in _term_vars(t):
-                if v not in seen:
-                    seen.append(v)
+            while isinstance(t, SkolemTerm):
+                t = t.arg
+            if isinstance(t, Var):
+                seen[t] = None
     return BooleanCQ(tuple(atoms), tuple(seen))
 
 
@@ -240,15 +242,15 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
     premise and head_assignment interprets the rule's existential variables,
     or None when no choice of replaced/kept subsets produces the conclusion.
     """
-    prem_atoms = set(premise.atoms)
-    concl_atoms = set(conclusion.atoms)
-    added = [a for a in conclusion.atoms if a not in prem_atoms]
-    removed = [a for a in premise.atoms if a not in concl_atoms]
+    removed = premise.atom_set - conclusion.atom_set
+    new = conclusion.atom_set - premise.atom_set
+    added = list(new) if len(new) < 2 else [a for a in conclusion.atoms
+                                            if a in new]
     evars = tuple(getattr(rule, "existential_vars", ()))
-    index = AtomIndex(premise.atoms)
-    for pi in match_conjunction(rule.body, index):
-        matched = {substitute_atom(b, pi) for b in rule.body}
-        if not set(removed) <= matched:
+    pool = AtomIndex(_body_pool(premise, rule.body, removed))
+    for pi in match_conjunction(rule.body, pool):
+        if removed and not removed <= {substitute_atom(b, pi)
+                                       for b in rule.body}:
             continue
         assignment = _match_added(added, rule.head, pi, evars)
         if assignment is not None:
@@ -256,21 +258,49 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
     return None
 
 
+def _body_pool(premise: BooleanCQ, body: Sequence[Atom],
+               removed: frozenset[Atom]) -> list[Atom]:
+    """The premise atoms to match the body into, when the match must cover
+    the ``removed`` atoms.
+
+    Only atoms of the body's predicates can be images.  When the body's
+    predicates are distinct, a removed atom can only be the image of the
+    body atom of its predicate.  If that pins every body atom but at most
+    one, the covering matches differ only in the free atom's image, so over
+    any pool that holds them they come in the ``atom_key`` order of that
+    image, which is the order over the whole premise.  (With two free atoms
+    the matcher could meet them in another order.)
+    """
+    preds = {atom_pred(b) for b in body}
+    if len(preds) == len(body):
+        free = preds.difference(atom_pred(a) for a in removed)
+        if not free:
+            return list(removed)
+        if len(free) == 1:
+            return list(removed) + [a for a in premise.atoms
+                                    if atom_pred(a) in free]
+    return [a for a in premise.atoms if atom_pred(a) in preds]
+
+
 def _match_added(added: list[Atom], head: tuple[Atom, ...],
                  pi: dict[Var, Term], evars) -> Optional[dict[Var, Term]]:
-    """Assign head existential variables so every added atom is covered."""
+    """Assign head existential variables so every added atom is covered.
+
+    Each existential variable is bound to a variable; the query's own
+    variables in the head's pi-image stay rigid (each binds only to
+    itself), or an added atom could be matched to the wrong terms.
+    """
+    patterns = [_subst_with_rename(h, pi, {}, evars) for h in head]
+
     def backtrack(i: int, assignment: dict[Var, Term]
                   ) -> Optional[dict[Var, Term]]:
         if i == len(added):
             return assignment
         target = added[i]
-        for h in head:
-            pattern = _subst_with_rename(h, pi, {}, evars)
-            ext = unify_atom(pattern, target, dict(assignment))
-            if ext is None:
-                continue
-            # renamed existential variables must stay variables
-            if any(k in evars and not isinstance(ext[k], Var) for k in ext):
+        for pattern in patterns:
+            ext = unify_atom(pattern, target, assignment)
+            if ext is None or any(not isinstance(t, Var) if k in evars
+                                  else t != k for k, t in ext.items()):
                 continue
             result = backtrack(i + 1, ext)
             if result is not None:
@@ -503,33 +533,39 @@ def _collect_steps(p: ProofGraph) -> tuple[list[_Step], list[Atom]]:
                                  "ground-atom proof")
 
     steps = list(mp_groups.values()) + list(e_groups.values())
-    # dependency-consistent order: a step waits for every producer of its
-    # premises; ties resolved on a fixed key for determinism
-    produced_by: dict[Atom, _Step] = {}
-    for s in steps:
+    # dependency-consistent order (Kahn): a step waits for the first producer
+    # of each premise that is not a fact; of the ready steps the least
+    # (kind, premise keys) goes first, ties to the earlier step
+    produced_by: dict[Atom, int] = {}
+    for i, s in enumerate(steps):
         for c in s.conclusions:
-            produced_by.setdefault(c, s)
-    ordered: list[_Step] = []
-    placed: set[int] = set()
-
+            produced_by.setdefault(c, i)
     fact_set = set(facts)
+    unmet = [0] * len(steps)
+    waiting: list[list[int]] = [[] for _ in steps]
+    for i, s in enumerate(steps):
+        for a in s.premises:
+            if a not in fact_set:
+                unmet[i] += 1       # stays unmet if no step produces it
+                if a in produced_by:
+                    waiting[produced_by[a]].append(i)
 
-    def ready(s: _Step) -> bool:
-        return all(a in fact_set
-                   or (a in produced_by and id(produced_by[a]) in placed)
-                   for a in s.premises)
+    def entry(i: int) -> tuple:
+        s = steps[i]
+        return s.kind, tuple(atom_key(a) for a in s.premises), i
 
-    remaining = list(steps)
-    while remaining:
-        candidates = [s for s in remaining if ready(s)]
-        if not candidates:
-            raise TransformError("could not order the inference steps")
-        candidates.sort(key=lambda s: (s.kind,
-                                       tuple(atom_key(a) for a in s.premises)))
-        nxt = candidates[0]
-        ordered.append(nxt)
-        placed.add(id(nxt))
-        remaining.remove(nxt)
+    ready = [entry(i) for i, n in enumerate(unmet) if n == 0]
+    heapq.heapify(ready)
+    ordered: list[_Step] = []
+    while ready:
+        i = heapq.heappop(ready)[2]
+        ordered.append(steps[i])
+        for j in waiting[i]:
+            unmet[j] -= 1
+            if unmet[j] == 0:
+                heapq.heappush(ready, entry(j))
+    if len(ordered) < len(steps):
+        raise TransformError("could not order the inference steps")
     return ordered, facts
 
 
@@ -543,7 +579,6 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     """
     goal, target_atoms = _goal_and_targets(p)
     steps, facts = _collect_steps(p)
-    sk_rules = skolemize(kb.tbox)
 
     # liveness: the step index after which an atom is no longer needed
     last_use: dict[Atom, int] = {}
@@ -560,13 +595,15 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     if not used_facts:
         raise TransformError("a ground proof always rests on at least one fact")
 
+    # the collected queries are ground conjunctions until _deskolemize
+    # closes them
     builder = ProofBuilder()
     running: list[Atom] = [used_facts[0]]
-    current = builder.add_vertex(CQLabel(BooleanCQ((used_facts[0],), ())))
+    current = builder.add_vertex(ConjLabel((used_facts[0],)))
     for f in used_facts[1:]:
-        leaf = builder.add_vertex(CQLabel(BooleanCQ((f,), ())))
+        leaf = builder.add_vertex(ConjLabel((f,)))
         running.append(f)
-        nxt = builder.add_vertex(CQLabel(BooleanCQ(tuple(running), ())))
+        nxt = builder.add_vertex(ConjLabel(tuple(running)))
         builder.add_edge((current, leaf), nxt, Schema.Ce)
         current = nxt
 
@@ -582,8 +619,7 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                 if c not in new_running:
                     new_running.append(c)
             rule_vertex = builder.add_vertex(RuleLabel(step.rule))
-            nxt = builder.add_vertex(
-                CQLabel(BooleanCQ(tuple(new_running), ())))
+            nxt = builder.add_vertex(ConjLabel(tuple(new_running)))
             builder.add_edge((current, rule_vertex), nxt, Schema.MPe)
             current, running = nxt, new_running
         else:
@@ -609,13 +645,11 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                 b = _replace_everywhere(a, eq.lhs, eq.rhs)
                 if b not in new_running:
                     new_running.append(b)
-            nxt = builder.add_vertex(
-                CQLabel(BooleanCQ(tuple(new_running), ())))
+            nxt = builder.add_vertex(ConjLabel(tuple(new_running)))
             builder.add_edge((current,), nxt, Schema.Ee)
             current, running = nxt, new_running
 
     # final step: produce the goal exactly
-    distinct_targets = list(dict.fromkeys(target_atoms))
     if not goal.existential_vars and running == list(goal.atoms):
         pass  # the collected query already is the goal
     elif len(goal.atoms) == 1 and len(running) == 1 and goal.existential_vars:
@@ -640,14 +674,19 @@ def _mentions_term(atom: Atom, t: Term) -> bool:
 
 def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
                  target_atoms: list[Atom]) -> ProofGraph:
-    """Replace ground Skolem terms by variables throughout the proof."""
-    skolem_terms: set[Term] = set()
-    for label in graph.vertices.values():
-        if isinstance(label, CQLabel):
-            for a in label.cq.atoms:
-                for t in atom_terms(a):
-                    for s in _skolem_subterms(t):
-                        skolem_terms.add(s)
+    """Replace ground Skolem terms by variables throughout the proof and
+    close every collected conjunction into a query."""
+    def atoms_of(label: Label) -> tuple[Atom, ...]:
+        if isinstance(label, ConjLabel):
+            return label.atoms
+        return label.cq.atoms if isinstance(label, CQLabel) else ()
+
+    # consecutive query labels share most atom objects: each is mapped
+    # once, found by identity (hashing a nested Skolem term walks it)
+    fixed: dict[int, Atom] = {id(a): a for label in graph.vertices.values()
+                              for a in atoms_of(label)}
+    skolem_terms = {s for a in fixed.values() for t in atom_terms(a)
+                    for s in _skolem_subterms(t)}
     naming: dict[Term, Var] = {}
     sigma = match_positionally(list(goal.atoms), target_atoms)
     if sigma:
@@ -671,10 +710,12 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
             return naming.get(rebuilt, rebuilt)
         return t
 
+    for key, a in fixed.items():
+        fixed[key] = map_atom_terms(a, fix_term)
+
     def fix_label(label: Label) -> Label:
-        if isinstance(label, CQLabel):
-            return CQLabel(_close_cq([map_atom_terms(a, fix_term)
-                                      for a in label.cq.atoms]))
+        if isinstance(label, (ConjLabel, CQLabel)):
+            return CQLabel(_close_cq([fixed[id(a)] for a in atoms_of(label)]))
         if isinstance(label, RuleLabel) and isinstance(label.rule, SkolemRule):
             return RuleLabel(kb.tbox[label.rule.index])
         if isinstance(label, RuleLabel) and isinstance(label.rule, TautRule):
@@ -707,6 +748,9 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     re-derived backward from the goal instance.
     """
     sk_rules = skolemize(kb.tbox)
+    rule_index: dict[Rule, int] = {}
+    for i, r in enumerate(kb.tbox):
+        rule_index.setdefault(r, i)
     inc = p.incoming()
     grounding: dict[int, dict[Var, Term]] = {}
     ground_sets: dict[int, list[Atom]] = {}
@@ -722,6 +766,8 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         return t
 
     def ground_atom(gamma: dict[Var, Term], a: Atom) -> Atom:
+        if all(isinstance(t, Const) for t in atom_terms(a)):
+            return a
         return map_atom_terms(a, lambda t: ground_term(gamma, t))
 
     for v in p.topological_order():
@@ -739,8 +785,8 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
             continue
         edge = edges[0]
         if edge.schema is Schema.MPe:
-            _ground_mpe(p, kb, sk_rules, edge, v, grounding, ground_sets,
-                        producer, ground_atom)
+            _ground_mpe(p, rule_index, sk_rules, edge, v, grounding,
+                        ground_sets, producer, ground_atom)
         elif edge.schema is Schema.Ee:
             _ground_ee(p, edge, v, grounding, ground_sets, producer,
                        ground_atom)
@@ -762,27 +808,45 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
 
     builder = ProofBuilder()
 
-    def need(atom: Atom) -> int:
-        if builder.has_label(AtomLabel(atom)):
-            return builder.vertex_for(AtomLabel(atom))
-        vid = builder.vertex_for(AtomLabel(atom))
+    def reach(atom: Atom) -> tuple[int, Optional[list]]:
+        """The atom's vertex, numbered when first reached, and the frame
+        [vertex, premise atoms, their vertices, rule or None, schema] of
+        its derivation if that is still to be built."""
+        label = AtomLabel(atom)
+        if builder.has_label(label):
+            return builder.vertex_for(label), None
+        vid = builder.vertex_for(label)
         entry = producer.get(atom)
         if entry is None:
             raise TransformError(f"no derivation recorded for {atom}")
         if entry[0] == "fact":
-            return vid
+            return vid, None
         if entry[0] == "mp":
             _, idx, pi_hat = entry
             rule = sk_rules[idx]
-            premise_ids = [need(substitute_atom(b, pi_hat))
-                           for b in rule.body]
-            rule_id = builder.vertex_for(RuleLabel(rule))
-            builder.add_edge(tuple(premise_ids) + (rule_id,), vid, Schema.MP)
-            return vid
-        _, source, eq = entry
-        src_id = need(source)
-        eq_id = need(eq)
-        builder.add_edge((src_id, eq_id), vid, Schema.E)
+            body = [substitute_atom(b, pi_hat) for b in rule.body]
+            return vid, [vid, body, [], rule, Schema.MP]
+        return vid, [vid, list(entry[1:]), [], None, Schema.E]
+
+    def need(atom: Atom) -> int:
+        """Derive the atom and its premises depth-first, iteratively."""
+        vid, frame = reach(atom)
+        stack = [frame] if frame else []
+        while stack:
+            top, atoms, ids, rule, schema = stack[-1]
+            if len(ids) < len(atoms):
+                child_vid, child = reach(atoms[len(ids)])
+                if child is None:
+                    ids.append(child_vid)
+                else:
+                    stack.append(child)
+                continue
+            stack.pop()
+            if rule is not None:
+                ids.append(builder.vertex_for(RuleLabel(rule)))
+            builder.add_edge(tuple(ids), top, schema)
+            if stack:
+                stack[-1][2].append(top)
         return vid
 
     target_ids = [need(a) for a in targets]
@@ -790,8 +854,8 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     return add_goal_tail(graph.vertices, graph.edges, target_ids, goal)
 
 
-def _ground_mpe(p, kb, sk_rules, edge, v, grounding, ground_sets, producer,
-                ground_atom):
+def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
+                producer, ground_atom):
     phi_vid = edge.premises[0]
     rule_label = p.vertices[edge.premises[1]]
     assert isinstance(rule_label, RuleLabel)
@@ -826,7 +890,9 @@ def _ground_mpe(p, kb, sk_rules, edge, v, grounding, ground_sets, producer,
                     pass
         new_producers = {}
     else:
-        idx = kb.tbox.index(rule)
+        idx = rule_index.get(rule)
+        if idx is None:
+            raise TransformError("rule is not from the TBox")
         sk_rule = sk_rules[idx]
         witness = {}
         for evar in rule.existential_vars:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -529,19 +530,26 @@ class BooleanCQ:
     def __post_init__(self):
         # equality conjuncts are legal inside derived queries; user-facing
         # query statements reject them at parse time
-        declared = set(self.existential_vars)
         used = set()
         for a in self.atoms:
-            used |= atom_vars(a)
-        if used - declared:
-            missing = sorted(v.name for v in used - declared)
+            for t in atom_terms(a):
+                while isinstance(t, SkolemTerm):    # Skolem terms are unary
+                    t = t.arg
+                if isinstance(t, Var):
+                    used.add(t)
+        undeclared = used.difference(self.existential_vars)
+        if undeclared:
+            missing = sorted(v.name for v in undeclared)
             raise KBError(f"undeclared query variables: {missing}")
+        # the atoms are immutable, so their variables are collected once
+        object.__setattr__(self, "_variables", frozenset(used))
 
-    def variables(self) -> set[Var]:
-        out = set()
-        for a in self.atoms:
-            out |= atom_vars(a)
-        return out
+    def variables(self) -> frozenset[Var]:
+        return self._variables
+
+    @cached_property
+    def atom_set(self) -> frozenset[Atom]:
+        return frozenset(self.atoms)
 
     def terms(self) -> list[Term]:
         seen, out = set(), []

@@ -51,6 +51,26 @@ def test_answer_and_explain_read_the_query_modulo_merged_constants(tmp_path):
     assert proc.stdout.splitlines()[0] == "size = 1 (exact)"
 
 
+def test_answer_without_variables_ends_at_the_depth(tmp_path):
+    path = tmp_path / "ground.kb"
+    path.write_text("rule: A(x) -> B(x)\nfact: A(a)\nquery: B(a)\n")
+    proc = run_cli("answer", str(path), expect=0)
+    assert proc.stdout == "yes, depth 0\n"
+
+
+def test_convert_el_tree_size_proof(tmp_path):
+    """A proof whose translation used to stop at a missing derivation."""
+    kb = tmp_path / "el4.kb"
+    run_cli("gen", "el-tree", "4", "-o", str(kb), expect=0)
+    proof = tmp_path / "p.json"
+    run_cli("explain", str(kb), "--measure", "size", "--format", "json",
+            "-o", str(proof), expect=0)
+    as_cq = tmp_path / "p_cq.json"
+    run_cli("convert", str(proof), "--kb", str(kb), "--to", "cq",
+            "-o", str(as_cq), expect=0)
+    run_cli("convert", str(as_cq), "--kb", str(kb), "--to", "sk", expect=0)
+
+
 def test_answer_json_format(ex1_file):
     proc = run_cli("answer", ex1_file, "--format", "json", expect=0)
     doc = json.loads(proc.stdout)
