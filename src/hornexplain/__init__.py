@@ -25,7 +25,7 @@ from .compress import (CompressedStructure, CostGraph, compress_dllite,
                        tree_query_min_treesize)
 from .deriver_cq import (ce_apply, ee_apply, ge_apply, mpe_apply, te_rule,
                          transform_cq_to_sk, transform_sk_to_cq)
-from .search import (ExplainResult, RunConfig, SearchBudget, SearchOutcome,
+from .search import (ExplainResult, RunConfig, SearchBudget,
                      bounded_search, bounded_search_cq, explain)
 from .generators import (GeneratedInstance, brute_force_sat, gen_dllite_chain,
                          gen_dllite_tree_query, gen_el_abox, gen_el_tree,

@@ -134,7 +134,9 @@ def cmd_explain(args) -> int:
         doc["algorithm"] = result.algorithm
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        lines = [f"{args.measure} = {result.value} ({result.algorithm})"]
+        algorithm = result.algorithm if result.complete \
+            else f"{result.algorithm}, uncertified"
+        lines = [f"{args.measure} = {result.value} ({algorithm})"]
         from .proofs import inference_steps
         for schema, premises, conclusions in inference_steps(result.proof):
             prem = "; ".join(format_label(result.proof.vertices[v])

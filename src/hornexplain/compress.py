@@ -361,39 +361,43 @@ def assemble_witness(structure: FiniteStructure, chosen: dict[int, int],
 # Goal tails: conjunction and generalization steps
 # ---------------------------------------------------------------------------
 
+def _tail_steps(goal: BooleanCQ, strict_cg: bool) -> tuple[bool, bool]:
+    """Whether the goal tail has a conjunction and a generalization step;
+    by default a step that would be an identity is left out."""
+    return (strict_cg or len(goal.atoms) > 1,
+            strict_cg or bool(goal.existential_vars))
+
+
+def goal_tail_size(goal: BooleanCQ, strict_cg: bool = False) -> int:
+    """The number of vertices :func:`add_goal_tail` adds."""
+    return sum(_tail_steps(goal, strict_cg))
+
+
 def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
                   targets: list[int], goal: BooleanCQ,
                   strict_cg: bool = False) -> ProofGraph:
     """Finish a per-atom proof bundle with the conjunction and
     generalization steps, skipping degenerate identity steps by default."""
+    conj, gen = _tail_steps(goal, strict_cg)
     vertices = dict(vertices)
     edges = list(edges)
-    has_vars = bool(goal.existential_vars)
     next_id = max(vertices) + 1 if vertices else 0
-
-    if not strict_cg:
-        if len(goal.atoms) == 1 and not has_vars:
-            return ProofGraph(vertices, edges)
-        if len(goal.atoms) == 1 and has_vars:
+    if conj:
+        if gen:
+            atoms = []
+            for t in targets:
+                lab = vertices[t]
+                assert isinstance(lab, AtomLabel)
+                atoms.append(lab.atom)
+            vertices[next_id] = ConjLabel(tuple(atoms))
+        else:
             vertices[next_id] = CQLabel(goal)
-            edges.append(ProofEdge((targets[0],), next_id, Schema.G))
-            return ProofGraph(vertices, edges)
-        if not has_vars:
-            vertices[next_id] = CQLabel(goal)
-            edges.append(ProofEdge(tuple(targets), next_id, Schema.C))
-            return ProofGraph(vertices, edges)
-
-    conj_atoms = []
-    for t in targets:
-        lab = vertices[t]
-        assert isinstance(lab, AtomLabel)
-        conj_atoms.append(lab.atom)
-    cid = next_id
-    vertices[cid] = ConjLabel(tuple(conj_atoms))
-    edges.append(ProofEdge(tuple(targets), cid, Schema.C))
-    gid = cid + 1
-    vertices[gid] = CQLabel(goal)
-    edges.append(ProofEdge((cid,), gid, Schema.G))
+        edges.append(ProofEdge(tuple(targets), next_id, Schema.C))
+        targets = [next_id]
+        next_id += 1
+    if gen:
+        vertices[next_id] = CQLabel(goal)
+        edges.append(ProofEdge((targets[0],), next_id, Schema.G))
     return ProofGraph(vertices, edges)
 
 
@@ -539,8 +543,15 @@ def eliminate_cost_graph(graph: CostGraph) -> CostGraph:
     return graph
 
 
-def _query_optimum_dllite(kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool
-                          ) -> tuple[ProofGraph, CostGraph]:
+def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
+                            strict_cg: bool = False
+                            ) -> tuple[ProofGraph, CostGraph]:
+    """Minimal-tree-size proof for a tree-shaped query over DL-Lite.
+
+    It is the size route as well (``dllite_query_min_size``): per-atom
+    proofs in DL-Lite are linear, where size and tree size agree; sharing
+    across atoms is reflected in the measured result.
+    """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
     comp = compress_dllite(kb)
@@ -550,31 +561,11 @@ def _query_optimum_dllite(kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool
         raise CompressError("query is not entailed: no assignment is "
                             "derivable in the compressed structure")
     assignment = {t: c for t, c in graph.chosen.items() if isinstance(t, Var)}
-    try:
-        compressed_proof = assemble_witness(comp.structure, chosen, q,
-                                            assignment, strict_cg)
-        return decompress(compressed_proof, kb, comp), graph
-    except DecompressError:
-        # anonymous joins across branches: realize the witness directly
-        return _realize_over_real_structure(kb, q, strict_cg), graph
+    return _decompressed_witness(kb, q, comp, chosen, [assignment],
+                                 strict_cg), graph
 
 
-def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
-                            strict_cg: bool = False
-                            ) -> tuple[ProofGraph, CostGraph]:
-    """Minimal-tree-size proof for a tree-shaped query over DL-Lite."""
-    return _query_optimum_dllite(kb, q, strict_cg)
-
-
-def dllite_query_min_size(kb: KnowledgeBase, q: BooleanCQ,
-                          strict_cg: bool = False
-                          ) -> tuple[ProofGraph, CostGraph]:
-    """Size-minimal assembly over the same machinery.
-
-    Per-atom proofs in DL-Lite are linear, where size and tree size agree;
-    sharing across atoms is reflected in the measured result.
-    """
-    return _query_optimum_dllite(kb, q, strict_cg)
+dllite_query_min_size = tree_query_min_treesize
 
 
 # ---------------------------------------------------------------------------
@@ -595,19 +586,27 @@ def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     if not ranked:
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
+    tied = [subst for total, subst in ranked if total == ranked[0][0]]
+    return _decompressed_witness(kb, q, comp, chosen, tied, strict_cg)
 
-    best_total = ranked[0][0]
-    for total, subst in ranked:
-        if total > best_total:
-            break  # a conflation-free realization of the optimum exists
+
+def _decompressed_witness(kb: KnowledgeBase, q: BooleanCQ,
+                          comp: CompressedStructure, chosen: dict[int, int],
+                          assignments: list[dict[Var, Term]],
+                          strict_cg: bool) -> ProofGraph:
+    """The first of the equally cheap assignments whose compressed witness
+    decompresses.
+
+    When every one conflates anonymous witnesses of different origins (a
+    join across branches), the optimal value is still right and the
+    witness is realized over the real structure instead.
+    """
+    for subst in assignments:
         try:
-            compressed_proof = assemble_witness(comp.structure, chosen, q,
-                                                subst, strict_cg)
-            return decompress(compressed_proof, kb, comp)
+            return decompress(assemble_witness(comp.structure, chosen, q,
+                                               subst, strict_cg), kb, comp)
         except DecompressError:
             continue
-    # the optimal value is right but its compressed witness conflates
-    # anonymous witnesses with different origins; realize it directly
     return _realize_over_real_structure(kb, q, strict_cg)
 
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
 from .compress import add_goal_tail
+from .deriver_sk import _replace_top_level
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
                  Rule, SkolemTerm, Term, Var, atom_key, atom_pred, atom_terms,
                  atom_vars, cq_equivalent, map_atom_terms, substitute_atom,
-                 subterms, term_key)
+                 subterms, term_is_ground, term_key)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
@@ -46,14 +47,6 @@ def _close_cq(atoms: Sequence[Atom]) -> BooleanCQ:
             if isinstance(t, Var):
                 seen[t] = None
     return BooleanCQ(tuple(atoms), tuple(seen))
-
-
-def _term_vars(t: Term) -> list[Var]:
-    if isinstance(t, Var):
-        return [t]
-    if isinstance(t, SkolemTerm):
-        return _term_vars(t.arg)
-    return []
 
 
 def fresh_vars(count: int, taken: set[str], prefix: str = "u") -> list[Var]:
@@ -92,29 +85,15 @@ def mpe_apply(cq: BooleanCQ, rule, pi: dict[Var, Term],
     if images & cq.variables():
         raise KBError("variable capture: renamed existential variables must "
                       "not occur in the query")
-    kept: list[Atom] = []
-    for i in keep_head:
-        atom = rule.head[i]
-        kept.append(_subst_with_rename(atom, pi, rename, evars))
+    # the renaming overrides pi: a tautology's existential variables also
+    # occur in its body
+    subst = {**pi, **{v: rename.get(v, v) for v in evars}}
     result = [a for a in cq.atoms if a not in replace]
-    for a in kept:
+    for i in keep_head:
+        a = substitute_atom(rule.head[i], subst)
         if a not in result:
             result.append(a)
     return _close_cq(result)
-
-
-def _subst_with_rename(atom: Atom, pi: dict[Var, Term],
-                       rename: dict[Var, Var], evars) -> Atom:
-    def fix(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t in evars:
-                return rename.get(t, t)
-            return pi.get(t, t)
-        if isinstance(t, SkolemTerm):
-            return SkolemTerm(t.fn, fix(t.arg))
-        return t
-
-    return map_atom_terms(atom, fix)
 
 
 def te_rule(pattern: Sequence[Atom], vars_to_duplicate: Iterable[Var],
@@ -131,6 +110,32 @@ def te_rule(pattern: Sequence[Atom], vars_to_duplicate: Iterable[Var],
     head = tuple(substitute_atom(a, {v: rename[v] for v in dup})
                  for a in pattern)
     return TautRule(tuple(pattern), head, tuple(rename[v] for v in dup))
+
+
+def conjunction_chain(builder: ProofBuilder, atoms: Sequence[Atom],
+                      label: Callable[[tuple[Atom, ...]], Label]) -> int:
+    """Collect the atoms left to right with Ce steps: a leaf per atom and a
+    conclusion per longer prefix.  Returns the vertex of the last one."""
+    current = builder.add_vertex(label(tuple(atoms[:1])))
+    for i in range(1, len(atoms)):
+        leaf = builder.add_vertex(label((atoms[i],)))
+        nxt = builder.add_vertex(label(tuple(atoms[:i + 1])))
+        builder.add_edge((current, leaf), nxt, Schema.Ce)
+        current = nxt
+    return current
+
+
+def tautology_finish(builder: ProofBuilder, current: int,
+                     goal: BooleanCQ) -> int:
+    """Derive the goal from the vertex ``current`` with the tautology over
+    the goal's atoms (Te) and its application (MPe).  Returns the goal's
+    vertex."""
+    taut = builder.add_vertex(RuleLabel(te_rule(goal.atoms,
+                                                goal.existential_vars)))
+    builder.add_edge((), taut, Schema.Te)
+    goal_vid = builder.add_vertex(CQLabel(goal))
+    builder.add_edge((current, taut), goal_vid, Schema.MPe)
+    return goal_vid
 
 
 def ee_apply(cq: BooleanCQ, equality: EqAtom) -> BooleanCQ:
@@ -192,7 +197,7 @@ def ge_apply(cq: BooleanCQ,
             if v in taken:
                 raise KBError(f"generalization variable ?{v.name} already "
                               "occurs in the query")
-            if _term_vars(t):
+            if not term_is_ground(t):
                 raise KBError("only ground occurrences can be generalized")
             if v in bound and bound[v] != t:
                 raise KBError(f"variable ?{v.name} would generalize two "
@@ -220,13 +225,10 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
         return _check_mpe(premises, conclusion, kb)
     if schema is Schema.Te:
         return _check_te(premises, conclusion)
-    if schema is Schema.Ee:
-        return _check_ee(premises, conclusion)
-    if schema is Schema.Ce:
-        return _check_ce(premises, conclusion)
-    if schema is Schema.Ge:
-        return _check_ge(premises, conclusion)
-    return f"schema {schema.value} does not belong to this deriver"
+    if schema not in _STEP_ANALYSES:
+        return f"schema {schema.value} does not belong to this deriver"
+    found = _STEP_ANALYSES[schema](premises, conclusion)
+    return found if isinstance(found, str) else None
 
 
 def check_edge(schema: Schema, premises: tuple[Label, ...], conclusion: Label,
@@ -247,12 +249,14 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
     added = list(new) if len(new) < 2 else [a for a in conclusion.atoms
                                             if a in new]
     evars = tuple(getattr(rule, "existential_vars", ()))
+    # a tautology may copy a variable onto its own pi-image
+    taken = None if isinstance(rule, TautRule) else premise.variables()
     pool = AtomIndex(_body_pool(premise, rule.body, removed))
     for pi in match_conjunction(rule.body, pool):
         if removed and not removed <= {substitute_atom(b, pi)
                                        for b in rule.body}:
             continue
-        assignment = _match_added(added, rule.head, pi, evars)
+        assignment = _match_added(added, rule.head, pi, evars, taken)
         if assignment is not None:
             return pi, assignment
     return None
@@ -283,14 +287,27 @@ def _body_pool(premise: BooleanCQ, body: Sequence[Atom],
 
 
 def _match_added(added: list[Atom], head: tuple[Atom, ...],
-                 pi: dict[Var, Term], evars) -> Optional[dict[Var, Term]]:
+                 pi: dict[Var, Term], evars,
+                 taken: Optional[frozenset[Var]]
+                 ) -> Optional[dict[Var, Term]]:
     """Assign head existential variables so every added atom is covered.
 
-    Each existential variable is bound to a variable; the query's own
-    variables in the head's pi-image stay rigid (each binds only to
-    itself), or an added atom could be matched to the wrong terms.
+    Each existential variable is bound to a variable; unless ``taken`` is
+    None, to one outside ``taken`` (the premise's variables) and apart from
+    the other existential variables' images.  The query's own variables in
+    the head's pi-image stay rigid (each binds only to itself), or an added
+    atom could be matched to the wrong terms.
     """
-    patterns = [_subst_with_rename(h, pi, {}, evars) for h in head]
+    patterns = [substitute_atom(h, {**pi, **{v: v for v in evars}})
+                for h in head]
+
+    def admissible(ext: dict[Var, Term]) -> bool:
+        images = [t for k, t in ext.items() if k in evars]
+        if taken is not None and (len(set(images)) < len(images)
+                                  or not taken.isdisjoint(images)):
+            return False
+        return all(isinstance(t, Var) if k in evars else t == k
+                   for k, t in ext.items())
 
     def backtrack(i: int, assignment: dict[Var, Term]
                   ) -> Optional[dict[Var, Term]]:
@@ -299,8 +316,7 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
         target = added[i]
         for pattern in patterns:
             ext = unify_atom(pattern, target, assignment)
-            if ext is None or any(not isinstance(t, Var) if k in evars
-                                  else t != k for k, t in ext.items()):
+            if ext is None or not admissible(ext):
                 continue
             result = backtrack(i + 1, ext)
             if result is not None:
@@ -363,7 +379,11 @@ def _check_te(premises, conclusion) -> Optional[str]:
     return _taut_shape_error(conclusion.rule)
 
 
-def _check_ee(premises, conclusion) -> Optional[str]:
+# An analysis returns what a valid step is made of, or the reason it is
+# invalid as a string; the checker and the cq->sk grounding share it.
+
+def _analyze_ee(premises, conclusion) -> EqAtom | str:
+    """The equality conjunct the step eliminates."""
     if len(premises) != 1 or not isinstance(premises[0], CQLabel):
         return "equality elimination takes a single query premise"
     if not isinstance(conclusion, CQLabel):
@@ -373,13 +393,14 @@ def _check_ee(premises, conclusion) -> Optional[str]:
         if isinstance(eq, EqAtom):
             try:
                 if cq_equivalent(ee_apply(cq, eq), conclusion.cq):
-                    return None
+                    return eq
             except KBError:
                 continue
     return "no equality conjunct produces the conclusion"
 
 
-def _check_ce(premises, conclusion) -> Optional[str]:
+def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
+    """The renaming of the second premise into the conclusion's tail."""
     if len(premises) != 2 or not all(isinstance(p, CQLabel)
                                      for p in premises):
         return "conjunction takes two query premises"
@@ -400,7 +421,7 @@ def _check_ce(premises, conclusion) -> Optional[str]:
         return "conclusion tail is not a renaming of the second premise"
     image = set()
     for v, t in mapping.items():
-        if not isinstance(t, Var) and _term_vars(t):
+        if not isinstance(t, Var) and not term_is_ground(t):
             return "conjunction only renames variables"
         if isinstance(t, Var):
             if t in cq1.variables():
@@ -410,10 +431,11 @@ def _check_ce(premises, conclusion) -> Optional[str]:
             image.add(t)
         elif v != t:
             return "constants cannot be renamed"
-    return None
+    return mapping
 
 
-def _check_ge(premises, conclusion) -> Optional[str]:
+def _analyze_ge(premises, conclusion) -> dict[Var, Term] | str:
+    """The match of the conclusion onto the premise."""
     if len(premises) != 1 or not isinstance(premises[0], CQLabel):
         return "generalization takes a single query premise"
     if not isinstance(conclusion, CQLabel):
@@ -429,10 +451,13 @@ def _check_ge(premises, conclusion) -> Optional[str]:
         if v in prem_vars:
             if t != v:
                 return "existing variables cannot be remapped"
-        else:
-            if _term_vars(t):
-                return "new variables must abstract ground terms"
-    return None
+        elif not term_is_ground(t):
+            return "new variables must abstract ground terms"
+    return mapping
+
+
+_STEP_ANALYSES = {Schema.Ee: _analyze_ee, Schema.Ce: _analyze_ce,
+                  Schema.Ge: _analyze_ge}
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +623,8 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     # the collected queries are ground conjunctions until _deskolemize
     # closes them
     builder = ProofBuilder()
-    running: list[Atom] = [used_facts[0]]
-    current = builder.add_vertex(ConjLabel((used_facts[0],)))
-    for f in used_facts[1:]:
-        leaf = builder.add_vertex(ConjLabel((f,)))
-        running.append(f)
-        nxt = builder.add_vertex(ConjLabel(tuple(running)))
-        builder.add_edge((current, leaf), nxt, Schema.Ce)
-        current = nxt
+    current = conjunction_chain(builder, used_facts, ConjLabel)
+    running = list(used_facts)
 
     eliminated: set[EqAtom] = set()
     for i, step in enumerate(steps):
@@ -653,19 +672,11 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     if not goal.existential_vars and running == list(goal.atoms):
         pass  # the collected query already is the goal
     elif len(goal.atoms) == 1 and len(running) == 1 and goal.existential_vars:
-        gid = builder.add_vertex(CQLabel(goal))
-        builder.add_edge((current,), gid, Schema.Ge)
-        current = gid
+        builder.add_edge((current,), builder.add_vertex(CQLabel(goal)),
+                         Schema.Ge)
     else:
-        taut = te_rule(goal.atoms, goal.existential_vars)
-        tid = builder.add_vertex(RuleLabel(taut))
-        builder.add_edge((), tid, Schema.Te)
-        gid = builder.add_vertex(CQLabel(goal))
-        builder.add_edge((current, tid), gid, Schema.MPe)
-        current = gid
-
-    graph = builder.build()
-    return _deskolemize(graph, kb, goal, target_atoms)
+        tautology_finish(builder, current, goal)
+    return _deskolemize(builder.build(), kb, goal, target_atoms)
 
 
 def _mentions_term(atom: Atom, t: Term) -> bool:
@@ -755,21 +766,6 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     grounding: dict[int, dict[Var, Term]] = {}
     ground_sets: dict[int, list[Atom]] = {}
     producer: dict[Atom, tuple] = {}
-
-    def ground_term(gamma: dict[Var, Term], t: Term) -> Term:
-        if isinstance(t, Var):
-            if t not in gamma:
-                raise TransformError(f"variable ?{t.name} has no grounding")
-            return gamma[t]
-        if isinstance(t, SkolemTerm):
-            raise TransformError("query labels cannot contain Skolem terms")
-        return t
-
-    def ground_atom(gamma: dict[Var, Term], a: Atom) -> Atom:
-        if all(isinstance(t, Const) for t in atom_terms(a)):
-            return a
-        return map_atom_terms(a, lambda t: ground_term(gamma, t))
-
     for v in p.topological_order():
         label = p.vertices[v]
         edges = inc[v]
@@ -786,10 +782,9 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         edge = edges[0]
         if edge.schema is Schema.MPe:
             _ground_mpe(p, rule_index, sk_rules, edge, v, grounding,
-                        ground_sets, producer, ground_atom)
+                        ground_sets, producer)
         elif edge.schema is Schema.Ee:
-            _ground_ee(p, edge, v, grounding, ground_sets, producer,
-                       ground_atom)
+            _ground_ee(p, edge, v, grounding, ground_sets, producer)
         elif edge.schema is Schema.Ce:
             _ground_ce(p, edge, v, grounding, ground_sets)
         elif edge.schema is Schema.Ge:
@@ -854,8 +849,35 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     return add_goal_tail(graph.vertices, graph.edges, target_ids, goal)
 
 
+def ground_term(gamma: dict[Var, Term], t: Term) -> Term:
+    """The term under ``gamma``, the grounding of a query's variables."""
+    if isinstance(t, Var):
+        if t not in gamma:
+            raise TransformError(f"variable ?{t.name} has no grounding")
+        return gamma[t]
+    if isinstance(t, SkolemTerm):
+        raise TransformError("query labels cannot contain Skolem terms")
+    return t
+
+
+def ground_atom(gamma: dict[Var, Term], a: Atom) -> Atom:
+    if all(isinstance(t, Const) for t in atom_terms(a)):
+        return a
+    return map_atom_terms(a, lambda t: ground_term(gamma, t))
+
+
+def _step_analysis(p: ProofGraph, edge, v: int):
+    """The checker's analysis of a Ce, Ge or Ee step; TransformError when
+    the step is invalid."""
+    found = _STEP_ANALYSES[edge.schema](
+        tuple(p.vertices[q] for q in edge.premises), p.vertices[v])
+    if isinstance(found, str):
+        raise TransformError(f"invalid {edge.schema.value} step: {found}")
+    return found
+
+
 def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
-                producer, ground_atom):
+                producer):
     phi_vid = edge.premises[0]
     rule_label = p.vertices[edge.premises[1]]
     assert isinstance(rule_label, RuleLabel)
@@ -869,7 +891,7 @@ def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
         raise TransformError("invalid rule application step")
     pi, head_assign = analysis
     gamma_phi = grounding[phi_vid]
-    pi_hat = {var: ground_term_of(gamma_phi, t) for var, t in pi.items()}
+    pi_hat = {var: ground_term(gamma_phi, t) for var, t in pi.items()}
 
     gamma_new: dict[Var, Term] = {}
     for var in concl_label.cq.variables():
@@ -886,8 +908,6 @@ def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
                 w = head_assign.get(head_term)
                 if isinstance(w, Var):
                     gamma_new[w] = pi_hat[body_var]
-                elif w is None and head_term in gamma_new:
-                    pass
         new_producers = {}
     else:
         idx = rule_index.get(rule)
@@ -901,10 +921,8 @@ def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
         for evar, w in head_assign.items():
             if isinstance(w, Var) and evar in witness:
                 gamma_new[w] = witness[evar]
-        new_producers = {}
-        for k, h in enumerate(sk_rule.head):
-            ground_h = substitute_atom(h, pi_hat)
-            new_producers[ground_h] = ("mp", idx, dict(pi_hat))
+        new_producers = {substitute_atom(h, pi_hat): ("mp", idx, dict(pi_hat))
+                         for h in sk_rule.head}
 
     grounding[v] = gamma_new
     ground_sets[v] = [ground_atom(gamma_new, a) for a in concl_label.cq.atoms]
@@ -912,31 +930,10 @@ def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
         producer.setdefault(atom, entry)
 
 
-def ground_term_of(gamma: dict[Var, Term], t: Term) -> Term:
-    if isinstance(t, Var):
-        if t not in gamma:
-            raise TransformError(f"variable ?{t.name} has no grounding")
-        return gamma[t]
-    return t
-
-
-def _ground_ee(p, edge, v, grounding, ground_sets, producer, ground_atom):
+def _ground_ee(p, edge, v, grounding, ground_sets, producer):
+    equality = _step_analysis(p, edge, v)
     phi_vid = edge.premises[0]
-    phi_label = p.vertices[phi_vid]
-    concl_label = p.vertices[v]
-    assert isinstance(phi_label, CQLabel) and isinstance(concl_label, CQLabel)
     gamma_phi = grounding[phi_vid]
-    equality = None
-    for eq in phi_label.cq.atoms:
-        if isinstance(eq, EqAtom):
-            try:
-                if cq_equivalent(ee_apply(phi_label.cq, eq), concl_label.cq):
-                    equality = eq
-                    break
-            except KBError:
-                continue
-    if equality is None:
-        raise TransformError("invalid equality elimination step")
     eq_hat = ground_atom(gamma_phi, equality)
     assert isinstance(eq_hat, EqAtom)
     src, dst = eq_hat.lhs, eq_hat.rhs
@@ -948,7 +945,6 @@ def _ground_ee(p, edge, v, grounding, ground_sets, producer, ground_atom):
     for a in ground_sets[phi_vid]:
         if a == eq_hat:
             continue
-        from .deriver_sk import _replace_top_level
         b = _replace_top_level(a, src, dst)
         rewritten = b if b is not None else a
         new_set.append(rewritten)
@@ -958,16 +954,8 @@ def _ground_ee(p, edge, v, grounding, ground_sets, producer, ground_atom):
 
 
 def _ground_ce(p, edge, v, grounding, ground_sets):
+    mapping = _step_analysis(p, edge, v)
     left_vid, right_vid = edge.premises
-    left = p.vertices[left_vid]
-    right = p.vertices[right_vid]
-    concl = p.vertices[v]
-    assert isinstance(left, CQLabel) and isinstance(right, CQLabel)
-    assert isinstance(concl, CQLabel)
-    tail = list(concl.cq.atoms[len(left.cq.atoms):])
-    mapping = match_positionally(list(right.cq.atoms), tail)
-    if mapping is None:
-        raise TransformError("invalid conjunction step")
     gamma = dict(grounding[left_vid])
     gamma_right = grounding[right_vid]
     for var, target in mapping.items():
@@ -979,13 +967,8 @@ def _ground_ce(p, edge, v, grounding, ground_sets):
 
 
 def _ground_ge(p, edge, v, grounding, ground_sets):
+    mapping = _step_analysis(p, edge, v)
     phi_vid = edge.premises[0]
-    phi = p.vertices[phi_vid]
-    concl = p.vertices[v]
-    assert isinstance(phi, CQLabel) and isinstance(concl, CQLabel)
-    mapping = match_positionally(list(concl.cq.atoms), list(phi.cq.atoms))
-    if mapping is None:
-        raise TransformError("invalid generalization step")
     gamma = dict(grounding[phi_vid])
     for var, target in mapping.items():
         if isinstance(target, Var):

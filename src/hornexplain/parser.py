@@ -198,7 +198,10 @@ def _parse_exists_prefix(cur: _Cursor) -> list[str]:
 # Statements
 # ---------------------------------------------------------------------------
 
-def _parse_rule_statement(cur: _Cursor) -> Rule:
+def _split_rule(cur: _Cursor) -> tuple[tuple[Atom, ...], tuple[Atom, ...],
+                                      tuple[Var, ...]]:
+    """Body, head and existential variables of a rule statement, with the
+    body's identifiers bound as variables; the shape is not checked."""
     # First pass finds the arrow so body identifiers can be bound.
     arrow_at = None
     for idx in range(cur.pos, len(cur.toks)):
@@ -228,9 +231,13 @@ def _parse_rule_statement(cur: _Cursor) -> Rule:
             return Var(t.name)
         return t
 
-    body = tuple(map_atom_terms(a, bind_term) for a in body_raw)
-    head = tuple(map_atom_terms(a, bind_term) for a in head_raw)
-    evars = tuple(Var(n) for n in evar_names)
+    return (tuple(map_atom_terms(a, bind_term) for a in body_raw),
+            tuple(map_atom_terms(a, bind_term) for a in head_raw),
+            tuple(Var(n) for n in evar_names))
+
+
+def _parse_rule_statement(cur: _Cursor) -> Rule:
+    body, head, evars = _split_rule(cur)
     try:
         form, _ = classify_rule(body, head, evars)
     except KBError as exc:
@@ -381,17 +388,6 @@ def parse_atom_text(text: str) -> Atom:
     a = _parse_atom(cur, variables=None)
     cur.expect("end")
     return a
-
-
-def _replace_consts(a: Atom, rename: dict) -> Atom:
-    def fix(t: Term) -> Term:
-        if isinstance(t, Const) and t in rename:
-            return rename[t]
-        if isinstance(t, SkolemTerm):
-            return SkolemTerm(t.fn, fix(t.arg))
-        return t
-
-    return map_atom_terms(a, fix)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +554,8 @@ def _flatten_body(body, produced: list[Rule], fresh: _FreshNames):
 
 
 def normalize_document_text(text: str) -> str:
-    """Parse leniently, normalize the rules, and re-emit the document."""
+    """Split each rule as the parser does, normalize the rules, and re-emit
+    the document."""
     raw_rules = []
     other_lines = []
     taken: set[str] = set()
@@ -570,7 +567,7 @@ def normalize_document_text(text: str) -> str:
         kind = cur.expect("name").text
         cur.expect("sym", ":")
         if kind == "rule":
-            raw_rules.append(_parse_rule_loose(cur))
+            raw_rules.append(_split_rule(cur))
         elif kind in ("fact", "query"):
             other_lines.append(stripped)
         else:
@@ -581,28 +578,3 @@ def normalize_document_text(text: str) -> str:
     rules = normalize_rules(raw_rules, taken)
     lines = [format_rule(r) for r in rules] + other_lines
     return "\n".join(lines) + "\n"
-
-
-def _parse_rule_loose(cur: _Cursor):
-    """Like a rule statement but without shape validation."""
-    arrow_at = None
-    for idx in range(cur.pos, len(cur.toks)):
-        if cur.toks[idx].kind == "arrow":
-            arrow_at = idx
-            break
-    if arrow_at is None:
-        raise cur.error("rule is missing '->'")
-    body_cur = _Cursor(cur.toks[cur.pos:arrow_at] + [_Tok("end", "", 0)],
-                       cur.lineno)
-    body_raw = _parse_atom_list(body_cur, variables=None)
-    body_vars = {t.name for a in body_raw for t in atom_terms(a)
-                 if isinstance(t, Const)}
-    head_cur = _Cursor(cur.toks[arrow_at + 1:], cur.lineno)
-    evar_names = _parse_exists_prefix(head_cur)
-    head_raw = _parse_atom_list(head_cur, variables=body_vars | set(evar_names))
-    head_cur.expect("end")
-    rename = {Const(n): Var(n) for n in body_vars}
-    body = tuple(_replace_consts(a, rename) for a in body_raw)
-    head = tuple(_replace_consts(a, rename) for a in head_raw)
-    cur.pos = len(cur.toks) - 1
-    return body, head, tuple(Var(n) for n in evar_names)

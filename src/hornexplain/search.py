@@ -19,17 +19,17 @@ from typing import Optional
 from .chase import default_depth_ceiling, entails
 from .compress import (CompressError, DecompressError, add_goal_tail,
                        assemble_witness, dllite_query_min_size, dp_min_tree,
-                       edge_key, el_cq_min_treesize, tree_query_min_treesize,
-                       _INF)
-from .deriver_cq import mpe_apply, te_rule
+                       edge_key, el_cq_min_treesize, goal_tail_size,
+                       tree_query_min_treesize, _INF)
+from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
 from .deriver_sk import BudgetExceeded, FiniteStructure, saturate_kb
 from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
                  KnowledgeBase, NormalForm, Term, Var, atom_pred, atom_terms,
                  cq_equivalent, is_tree_shaped, orient_equality,
                  substitute_atom)
 from .matching import AtomIndex, match_conjunction
-from .proofs import (AtomLabel, CQLabel, Label, Measure, ProofEdge,
-                     ProofGraph, RuleLabel, Schema, TautRule,
+from .proofs import (AtomLabel, CQLabel, Label, Measure, ProofBuilder,
+                     ProofEdge, ProofGraph, RuleLabel, Schema,
                      ground_terms_of_label, label_key, measure, proof_size,
                      sub_derivation, tree_size)
 
@@ -47,44 +47,42 @@ class SearchBudget:
 
 
 @dataclass
-class SearchOutcome:
+class ExplainResult:
     status: str                          # "found" | "none" | "exhausted"
     proof: Optional[ProofGraph] = None
     value: Optional[int] = None
+    measure: Measure = Measure.SIZE
+    algorithm: str = "exact"
     nodes: int = 0
-    complete: bool = True
+    warnings: list[str] = field(default_factory=list)
+    complete: bool = True                # certified within the bounds
 
-
-class _OutOfBudget(Exception):
-    pass
+    @property
+    def exit_code(self) -> int:
+        return {"found": 0, "none": 1, "exhausted": 2}[self.status]
 
 
 class _Ticker:
+    """A search's node count and budget, and its results."""
+
     def __init__(self, budget: SearchBudget):
         self.count = 0
+        self.measure = budget.measure
         self.max_nodes = budget.max_nodes
         self.deadline = time.monotonic() + budget.max_seconds
 
     def tick(self, k: int = 1) -> None:
         self.count += k
         if self.count > self.max_nodes:
-            raise _OutOfBudget("node limit")
+            raise BudgetExceeded("node limit")
         if self.count % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _OutOfBudget("time limit")
+            raise BudgetExceeded("time limit")
 
-
-def _tail_shape(q: BooleanCQ, strict_cg: bool) -> tuple[str, int]:
-    """How the proof ends after the per-atom part: kind and vertex count."""
-    has_vars = bool(q.existential_vars)
-    if strict_cg:
-        return "c_and_g", 2
-    if len(q.atoms) == 1 and not has_vars:
-        return "none", 0
-    if len(q.atoms) == 1:
-        return "g_only", 1
-    if not has_vars:
-        return "c_only", 1
-    return "c_and_g", 2
+    def result(self, status: str, proof: Optional[ProofGraph] = None,
+               value: Optional[int] = None, complete: bool = False
+               ) -> ExplainResult:
+        return ExplainResult(status, proof, value, self.measure,
+                             nodes=self.count, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -155,59 +153,10 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
 
     ``allow_duplicates`` admits up to two proof vertices per atom label
     (never beneficial, but part of the space the restriction cuts away).
+    Depth-first with an explicit stack of child iterators: a child state is
+    built only once its elder sibling's subtree is done, so it is pruned
+    against the best value found so far.
     """
-    best_value: list[int | float] = [limit]
-    best_choice: list[Optional[dict]] = [None]
-    max_copies = 2 if allow_duplicates else 1
-
-    def value_of(state: _CoverState) -> int:
-        if kind is Measure.SIZE:
-            return state.size_count
-        return len(state.terms)
-
-    def dfs(state: _CoverState) -> None:
-        ticker.tick()
-        if value_of(state) >= best_value[0]:
-            return
-        if not state.pending:
-            best_value[0] = value_of(state)
-            best_choice[0] = dict(state.members)
-            return
-        state.pending.sort(key=lambda k: (label_key(structure.vertices[k[0]]),
-                                          k[1]), reverse=True)
-        key = state.pending.pop()
-        vid = key[0]
-        edge_ids = sorted(structure.in_edges[vid],
-                          key=lambda i: edge_key(structure, i))
-        for eidx in edge_ids:
-            e = structure.edges[eidx]
-            for combo in _premise_combos(structure, e.premises, state,
-                                         max_copies):
-                nxt = _CoverState(dict(state.members), list(state.pending),
-                                  {k: set(v) for k, v in state.arcs.items()},
-                                  state.size_count, state.terms)
-                nxt.members[key] = eidx
-                ok = True
-                for pkey in combo:
-                    if _reaches(nxt.arcs, key, pkey):
-                        ok = False
-                        break
-                    nxt.arcs.setdefault(pkey, set()).add(key)
-                    if pkey not in nxt.members:
-                        nxt.members[pkey] = None
-                        nxt.size_count += 1
-                        if kind is Measure.DOMAIN_SIZE:
-                            nxt.terms = nxt.terms | ground_terms_of_label(
-                                structure.vertices[pkey[0]])
-                        if pkey[0] not in structure.leaf_ids:
-                            nxt.pending.append(pkey)
-                        if value_of(nxt) >= best_value[0]:
-                            ok = False
-                            break
-                if ok:
-                    dfs(nxt)
-        state.pending.append(key)
-
     init_members: dict[tuple[int, int], Optional[int]] = {}
     init_terms: set[Term] = set()
     init_pending = []
@@ -217,12 +166,69 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         init_terms |= ground_terms_of_label(structure.vertices[vid])
         if vid not in structure.leaf_ids:
             init_pending.append(key)
-    state = _CoverState(init_members, init_pending, {}, len(init_members),
-                        init_terms)
-    dfs(state)
-    if best_choice[0] is None:
+    best: list = [limit, None]          # value, choice
+    max_copies = 2 if allow_duplicates else 1
+    stack = [iter((_CoverState(init_members, init_pending, {},
+                               len(init_members), init_terms),))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        ticker.tick()
+        value = _cover_value(state, kind)
+        if value >= best[0]:
+            continue
+        if state.pending:
+            stack.append(_cover_children(structure, state, kind, max_copies,
+                                         best))
+        else:
+            best[:] = value, state.members
+    if best[1] is None:
         return None
-    return best_value[0], best_choice[0]
+    return best[0], best[1]
+
+
+def _cover_value(state: _CoverState, kind: Measure) -> int:
+    return state.size_count if kind is Measure.SIZE else len(state.terms)
+
+
+def _cover_children(structure: FiniteStructure, state: _CoverState,
+                    kind: Measure, max_copies: int, best: list):
+    """The states that derive the least pending vertex copy: one per
+    incoming edge and choice of premise copies, built as they are asked
+    for and left out once they reach ``best[0]``."""
+    state.pending.sort(key=lambda k: (label_key(structure.vertices[k[0]]),
+                                      k[1]), reverse=True)
+    key = state.pending.pop()
+    for eidx in sorted(structure.in_edges[key[0]],
+                       key=lambda i: edge_key(structure, i)):
+        e = structure.edges[eidx]
+        for combo in _premise_combos(structure, e.premises, state,
+                                     max_copies):
+            nxt = _CoverState(dict(state.members), list(state.pending),
+                              {k: set(v) for k, v in state.arcs.items()},
+                              state.size_count, state.terms)
+            nxt.members[key] = eidx
+            ok = True
+            for pkey in combo:
+                if _reaches(nxt.arcs, key, pkey):
+                    ok = False
+                    break
+                nxt.arcs.setdefault(pkey, set()).add(key)
+                if pkey not in nxt.members:
+                    nxt.members[pkey] = None
+                    nxt.size_count += 1
+                    if kind is Measure.DOMAIN_SIZE:
+                        nxt.terms = nxt.terms | ground_terms_of_label(
+                            structure.vertices[pkey[0]])
+                    if pkey[0] not in structure.leaf_ids:
+                        nxt.pending.append(pkey)
+                    if _cover_value(nxt, kind) >= best[0]:
+                        ok = False
+                        break
+            if ok:
+                yield nxt
 
 
 def _premise_combos(structure, premises, state: _CoverState, max_copies):
@@ -253,7 +259,7 @@ def _premise_combos(structure, premises, state: _CoverState, max_copies):
 def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                    deriver: str = "sk", unique_labels: bool = True,
                    strict_cg: bool = False,
-                   depth_ceiling: Optional[int] = None) -> SearchOutcome:
+                   depth_ceiling: Optional[int] = None) -> ExplainResult:
     """Decide whether a proof within the measure bound exists (or minimize).
 
     Saturates the derivation structure at term depth 0, 1, ... up to a cap
@@ -319,12 +325,11 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             ask_chase = False
             verdict = entails(kb, q, ceiling=depth_ceiling).verdict
             if verdict == "no":
-                return SearchOutcome("none", nodes=ticker.count, complete=True)
+                return ticker.result("none", complete=True)
             if verdict == "unknown" and budget.bound is None:
                 # the saturation's atoms, read modulo the merges, are chase
                 # atoms of no greater depth: none up to the ceiling matches
-                return SearchOutcome("exhausted", nodes=ticker.count,
-                                     complete=False)
+                return ticker.result("exhausted")
         if certified or depth >= depth_want:
             break
         depth = min(depth_want, depth + 1)
@@ -339,17 +344,16 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             or best_structure.complete
             or (structure is not None and structure.complete)
             or depth >= best_value - 1)
-        return SearchOutcome("found", proof, int(best_value), ticker.count,
-                             complete)
+        return ticker.result("found", proof, int(best_value), complete)
     if tripped:
-        return SearchOutcome("exhausted", nodes=ticker.count, complete=False)
+        return ticker.result("exhausted")
     # ``none`` needs a certificate: a complete structure or the bound's depth
     # argument (the chase's was asked in the loop)
     complete = (structure.complete or (
         budget.bound is not None and depth >= budget.bound - 1)) \
         and not _names_replaced_constant(q, structure)
-    return SearchOutcome("none" if complete else "exhausted",
-                         nodes=ticker.count, complete=complete)
+    return ticker.result("none" if complete else "exhausted",
+                         complete=complete)
 
 
 def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
@@ -373,7 +377,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                      incoming_best: int | float
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
                                 bool]:
-    _, tail_count = _tail_shape(q, strict_cg)
+    tail_count = goal_tail_size(q, strict_cg)
     limit = budget.bound + 1 if budget.bound is not None else _INF
 
     best_value = incoming_best
@@ -422,7 +426,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                     if total < best_value:
                         best_value, best_sigma = total, sigma
                         best_choice = choice
-    except _OutOfBudget:
+    except BudgetExceeded:
         tripped = True
     return best_value, best_sigma, best_choice, tripped
 
@@ -479,7 +483,7 @@ def _premises_for(structure, premises, choice, conclusion_key):
 # ---------------------------------------------------------------------------
 
 def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
-                      strict_cg: bool = False) -> SearchOutcome:
+                      strict_cg: bool = False) -> ExplainResult:
     """Bounded search over whole-query proofs.
 
     Exact for rule-free knowledge bases, where every proof collects facts
@@ -498,22 +502,16 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             ticker.tick()
             grounds = [substitute_atom(a, sigma) for a in q.atoms]
             distinct = list(dict.fromkeys(grounds))
-            chain = 2 * len(distinct) - 1
-            no_collision = len(distinct) == len(grounds)
-            if not q.existential_vars:
-                # the collected query already is the goal unless atoms repeat
-                value = chain if no_collision else chain + 2
-                use_taut = not no_collision
-            elif no_collision:
-                value = chain + 1             # one generalization step
-                use_taut = False
-            else:
-                value = chain + 2             # tautology rule + application
-                use_taut = True
+            # the Ce chain, then a tautology rule and its application where
+            # atoms repeat, else one generalization step if the goal has
+            # variables (without, the collected query is the goal)
+            use_taut = len(distinct) < len(grounds)
+            value = 2 * len(distinct) - 1 + (
+                2 if use_taut else bool(q.existential_vars))
             if value < (best[0] if best else limit) and value < limit:
                 best = (value, sigma, use_taut)
-    except _OutOfBudget:
-        return SearchOutcome("exhausted", nodes=ticker.count, complete=False)
+    except BudgetExceeded:
+        return ticker.result("exhausted")
 
     complete = not kb.tbox
     forward: Optional[tuple[int, ProofGraph]] = None
@@ -521,24 +519,23 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         cap = min(limit, best[0] if best else _INF)
         try:
             forward = _forward_cq_search(kb, q, cap, ticker)
-        except _OutOfBudget:
+        except BudgetExceeded:
             if best is None:
-                return SearchOutcome("exhausted", nodes=ticker.count,
-                                     complete=False)
+                return ticker.result("exhausted")
     if forward is not None and (best is None or forward[0] < best[0]):
         value, proof = forward
         got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
             else proof_size(proof)
-        return SearchOutcome("found", proof, got, ticker.count, False)
+        return ticker.result("found", proof, got)
     if best is None and kb.tbox:
-        return SearchOutcome("exhausted", nodes=ticker.count, complete=False)
+        return ticker.result("exhausted")
     if best is None:
-        return SearchOutcome("none", nodes=ticker.count, complete=True)
+        return ticker.result("none", complete=True)
     value, sigma, use_taut = best
-    proof = _assemble_cq(kb, q, sigma, use_taut)
+    proof = _assemble_cq(q, sigma, use_taut)
     got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
         else proof_size(proof)
-    return SearchOutcome("found", proof, got, ticker.count, complete)
+    return ticker.result("found", proof, got, complete)
 
 
 def _canon_cq(cq: BooleanCQ) -> tuple:
@@ -571,21 +568,14 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
     tautology step.  Cheapest-first, so the first goal hit is the minimum
     over the enumerated moves (intermediate tautologies are not explored).
     """
-    builder_vertices: dict[int, Label] = {}
-    builder_edges: list[ProofEdge] = []
-
-    def add_vertex(label: Label) -> int:
-        vid = len(builder_vertices)
-        builder_vertices[vid] = label
-        return vid
-
+    builder = ProofBuilder()
     max_atoms = max(len(q.atoms), 2) + 2
     heap: list[tuple[int, int, BooleanCQ, int]] = []
     seen: dict[tuple, int] = {}
     counter = 0
     for fact in sorted(kb.abox, key=lambda a: str(a)):
         cq = BooleanCQ((fact,), ())
-        vid = add_vertex(CQLabel(cq))
+        vid = builder.add_vertex(CQLabel(cq))
         heapq.heappush(heap, (1, counter, cq, vid))
         counter += 1
 
@@ -598,12 +588,10 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
         seen[key] = cost
 
         # try to finish: the popped query instantiates the goal
-        finish = _finish_cq_goal(cq, vid, q, cost, add_vertex, builder_edges)
+        finish = _finish_cq_goal(cq, vid, q, cost, builder)
         if finish is not None and finish[0] < limit:
             value, sink = finish
-            reachable = ProofGraph(dict(builder_vertices),
-                                   list(builder_edges))
-            return value, sub_derivation(reachable, sink)
+            return value, sub_derivation(builder.build(), sink)
 
         # rule applications
         for rule in kb.tbox:
@@ -629,10 +617,9 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
                         nkey = _canon_cq(new_cq)
                         if seen.get(nkey, _INF) <= new_cost:
                             continue
-                        rule_vid = add_vertex(RuleLabel(rule))
-                        new_vid = add_vertex(CQLabel(new_cq))
-                        builder_edges.append(
-                            ProofEdge((vid, rule_vid), new_vid, Schema.MPe))
+                        rule_vid = builder.add_vertex(RuleLabel(rule))
+                        new_vid = builder.add_vertex(CQLabel(new_cq))
+                        builder.add_edge((vid, rule_vid), new_vid, Schema.MPe)
                         heapq.heappush(heap,
                                        (new_cost, counter, new_cq, new_vid))
                         counter += 1
@@ -640,8 +627,7 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
 
 
 def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: int,
-                    add_vertex, edges: list[ProofEdge]
-                    ) -> Optional[tuple[int, int]]:
+                    builder: ProofBuilder) -> Optional[tuple[int, int]]:
     if cq_equivalent(cq, q):
         return cost, vid
     index = AtomIndex(cq.atoms)
@@ -649,51 +635,24 @@ def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: int,
         image = {substitute_atom(a, pi) for a in q.atoms}
         if not set(cq.atoms) <= image:
             continue  # leftovers would survive into the conclusion
-        taut = te_rule(q.atoms, q.existential_vars)
-        taut_vid = add_vertex(RuleLabel(taut))
-        edges.append(ProofEdge((), taut_vid, Schema.Te))
-        goal_vid = add_vertex(CQLabel(q))
-        edges.append(ProofEdge((vid, taut_vid), goal_vid, Schema.MPe))
-        return cost + 2, goal_vid
+        return cost + 2, tautology_finish(builder, vid, q)
     return None
 
 
-def _assemble_cq(kb: KnowledgeBase, q: BooleanCQ, sigma: dict[Var, Term],
+def _assemble_cq(q: BooleanCQ, sigma: dict[Var, Term],
                  use_taut: bool) -> ProofGraph:
+    """The facts of the match collected by Ce steps, then a Ge step or a
+    tautology application unless the collected query is the goal."""
     grounds = [substitute_atom(a, sigma) for a in q.atoms]
-    distinct = list(dict.fromkeys(grounds))
-    vertices: dict[int, Label] = {}
-    edges: list[ProofEdge] = []
-
-    def fresh(label: Label) -> int:
-        vid = len(vertices)
-        vertices[vid] = label
-        return vid
-
-    chain_atoms: list[Atom] = [distinct[0]]
-    current = fresh(CQLabel(BooleanCQ((distinct[0],), ())))
-    for atom in distinct[1:]:
-        leaf = fresh(CQLabel(BooleanCQ((atom,), ())))
-        chain_atoms.append(atom)
-        nxt = fresh(CQLabel(BooleanCQ(tuple(chain_atoms), ())))
-        edges.append(ProofEdge((current, leaf), nxt, Schema.Ce))
-        current = nxt
-
-    if not q.existential_vars and not use_taut:
-        # the chain collects the goal atoms in goal order: current is the sink
-        return ProofGraph(vertices, edges)
-
-    if not use_taut:
-        goal_id = fresh(CQLabel(q))
-        edges.append(ProofEdge((current,), goal_id, Schema.Ge))
-        return ProofGraph(vertices, edges)
-
-    taut = TautRule(q.atoms, q.atoms, q.existential_vars)
-    taut_id = fresh(RuleLabel(taut))
-    edges.append(ProofEdge((), taut_id, Schema.Te))
-    goal_id = fresh(CQLabel(q))
-    edges.append(ProofEdge((current, taut_id), goal_id, Schema.MPe))
-    return ProofGraph(vertices, edges)
+    builder = ProofBuilder()
+    current = conjunction_chain(builder, list(dict.fromkeys(grounds)),
+                                lambda atoms: CQLabel(BooleanCQ(atoms, ())))
+    if use_taut:
+        tautology_finish(builder, current, q)
+    elif q.existential_vars:
+        builder.add_edge((current,), builder.add_vertex(CQLabel(q)),
+                         Schema.Ge)
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -715,20 +674,6 @@ class RunConfig:
         return SearchBudget(self.measure, self.bound, self.max_nodes,
                             self.max_seconds)
 
-
-@dataclass
-class ExplainResult:
-    status: str                          # "found" | "none" | "exhausted"
-    proof: Optional[ProofGraph] = None
-    value: Optional[int] = None
-    measure: Measure = Measure.SIZE
-    algorithm: str = "exact"
-    nodes: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        return {"found": 0, "none": 1, "exhausted": 2}[self.status]
 
 
 def _poly_applicable(kb: KnowledgeBase, q: BooleanCQ, m: Measure) -> bool:
@@ -789,11 +734,11 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             else:
                 warnings.append(str(exc))
 
-    outcome = bounded_search(kb, q, config.budget(), deriver=config.deriver,
-                             strict_cg=config.strict_cg,
-                             depth_ceiling=config.depth_ceiling)
-    if not outcome.complete and outcome.status in ("found", "none"):
+    result = bounded_search(kb, q, config.budget(), deriver=config.deriver,
+                            strict_cg=config.strict_cg,
+                            depth_ceiling=config.depth_ceiling)
+    if not result.complete and result.status in ("found", "none"):
         warnings.append("search space was cut by the depth ceiling or "
                         "resource limits; result is relative to those bounds")
-    return ExplainResult(outcome.status, outcome.proof, outcome.value,
-                         config.measure, "exact", outcome.nodes, warnings)
+    result.warnings = warnings
+    return result

@@ -203,6 +203,14 @@ def test_export_empty_file_fails(tmp_path):
     assert run_cli("export", str(empty)).returncode == 65
 
 
+def test_explain_marks_an_uncertified_optimum(tmp_path):
+    path = tmp_path / "counter.kb"
+    run_cli("gen", "hornalc-counter", "1", "-o", str(path), expect=0)
+    proc = run_cli("explain", str(path), "--measure", "size",
+                   "--depth-ceiling", "3", expect=0)
+    assert proc.stdout.splitlines()[0] == "size = 22 (exact, uncertified)"
+
+
 def test_normalize_subcommand(tmp_path):
     path = tmp_path / "wide.kb"
     path.write_text("rule: A(x) -> B(x), C(x)\nfact: A(a)\n")

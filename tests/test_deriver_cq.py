@@ -7,10 +7,11 @@ import sys
 import pytest
 
 from conftest import EX1_TEXT
-from hornexplain.deriver_cq import (_close_cq, _collect_steps, _match_added,
-                                    _Step, analyze_mpe, ce_apply, check_edge,
-                                    ee_apply, ge_apply, mpe_apply, te_rule,
-                                    transform_cq_to_sk, transform_sk_to_cq)
+from hornexplain.deriver_cq import (TransformError, _close_cq, _collect_steps,
+                                    _match_added, _Step, analyze_mpe,
+                                    ce_apply, check_edge, ee_apply, ge_apply,
+                                    mpe_apply, te_rule, transform_cq_to_sk,
+                                    transform_sk_to_cq)
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
@@ -18,9 +19,10 @@ from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                             cq_equivalent, substitute_atom)
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofGraph,
-                                RuleLabel, Schema, TautRule, proof_size,
-                                tree_size, tree_unravel, validate_proof)
+from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofEdge,
+                                ProofGraph, RuleLabel, Schema, TautRule,
+                                proof_size, tree_size, tree_unravel,
+                                validate_proof)
 from hornexplain.search import RunConfig, explain
 
 A_ = Const("a")
@@ -299,10 +301,11 @@ def _reference_analyze_mpe(premise, rule, conclusion):
     added = [a for a in conclusion.atoms if a not in prem]
     removed = {a for a in premise.atoms if a not in concl}
     evars = tuple(getattr(rule, "existential_vars", ()))
+    taken = None if isinstance(rule, TautRule) else premise.variables()
     for pi in match_conjunction(rule.body, AtomIndex(premise.atoms)):
         if not removed <= {substitute_atom(b, pi) for b in rule.body}:
             continue
-        assignment = _match_added(added, rule.head, pi, evars)
+        assignment = _match_added(added, rule.head, pi, evars, taken)
         if assignment is not None:
             return pi, assignment
     return None
@@ -325,6 +328,32 @@ def test_rule_application_cannot_rebind_query_variables():
     assert not check_edge(*step(RoleAtom("r", u2, u3)))
     forged = step(RoleAtom("r", u2, u3))
     assert analyze_mpe(forged[1][0].cq, rule, forged[2].cq) is None
+    # the witness y is a new element: it cannot be u2, which the premise has
+    reused = BooleanCQ(premise.atoms + (RoleAtom("r", u1, u2),), (u1, u2))
+    assert not check_edge(Schema.MPe, (CQLabel(premise), RuleLabel(rule)),
+                          CQLabel(reused), kb)
+    assert analyze_mpe(premise, rule, reused) is None
+
+
+def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
+    kb = parse_kb("fact: A(a)\nfact: B(a)\nfact: C(a)\n")
+    a, b, c = (ConceptAtom(n, A_) for n in "ABC")
+    leaves = {0: CQLabel(BooleanCQ((a,), ())), 1: CQLabel(BooleanCQ((b,), ()))}
+    # the conclusion of a conjunction starts with the first premise's atoms
+    bad_ce = ProofGraph({**leaves, 2: CQLabel(BooleanCQ((c, b), ()))},
+                        [ProofEdge((0, 1), 2, Schema.Ce)])
+    # generalization abstracts ground terms, not the premise's variables
+    bad_ge = ProofGraph(
+        {0: leaves[0], 1: CQLabel(BooleanCQ((ConceptAtom("A", X),), (X,))),
+         2: CQLabel(BooleanCQ((ConceptAtom("A", Y),), (Y,)))},
+        [ProofEdge((0,), 1, Schema.Ge), ProofEdge((1,), 2, Schema.Ge)])
+    for proof in (bad_ce, bad_ge):
+        assert not check_edge(proof.edges[-1].schema,
+                              tuple(proof.vertices[v]
+                                    for v in proof.edges[-1].premises),
+                              proof.vertices[2], kb)
+        with pytest.raises(TransformError, match="invalid"):
+            transform_cq_to_sk(proof, kb)
 
 
 _POOL_RULES = """\

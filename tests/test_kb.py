@@ -184,3 +184,12 @@ def test_normalize_splits_heads_and_wide_bodies():
     # fresh names appear and the original predicates survive
     assert "N1" in normalized
     assert "fact: A(a)" in normalized
+
+
+def test_normalize_rejects_what_the_parser_rejects():
+    for text in ("rule: A(x) B(x) -> C(x)\n",
+                 "rule: A(x) -> exists x. r(x,x)\n"):
+        with pytest.raises(KBSyntaxError):
+            parse_document(text)
+        with pytest.raises(KBSyntaxError):
+            normalize_document_text(text)

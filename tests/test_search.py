@@ -7,9 +7,10 @@ import re
 import pytest
 
 from hornexplain.chase import chase, entails
-from hornexplain.compress import (CompressError, compress_dllite, compress_el,
-                                  decompress, dllite_query_min_size,
-                                  el_cq_min_treesize, min_tree_size_dp,
+from hornexplain.compress import (CompressError, add_goal_tail,
+                                  compress_dllite, compress_el, decompress,
+                                  dllite_query_min_size, el_cq_min_treesize,
+                                  goal_tail_size, min_tree_size_dp,
                                   tree_query_min_treesize)
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
@@ -478,3 +479,24 @@ def test_strict_cg_adds_the_identity_tail():
     assert strict.value == default.value + 2
     ok, problems = validate_proof(strict.proof, inst.kb, inst.query, "sk")
     assert ok, problems
+
+
+def test_goal_tail_size_counts_the_vertices_add_goal_tail_adds():
+    a, b, x = ConceptAtom("A", Const("a")), ConceptAtom("B", Const("a")), \
+        Var("x")
+    vertices = {0: AtomLabel(a), 1: AtomLabel(b)}
+    for goal in (BooleanCQ((a,), ()), BooleanCQ((a, b), ()),
+                 BooleanCQ((ConceptAtom("A", x),), (x,)),
+                 BooleanCQ((ConceptAtom("A", x), b), (x,))):
+        for strict in (False, True):
+            proof = add_goal_tail(vertices, [], [0, 1][:len(goal.atoms)],
+                                  goal, strict)
+            assert len(proof.vertices) - 2 == goal_tail_size(goal, strict)
+
+
+def test_cover_search_does_not_recurse_per_proof_level():
+    inst = gen_dllite_chain(330)
+    result = explain(inst.kb, inst.query,
+                     RunConfig(measure=Measure.SIZE, algo="exact"))
+    assert (result.status, result.value, result.nodes) == ("found", 1991, 995)
+    assert result.complete
