@@ -132,6 +132,8 @@ def cmd_explain(args) -> int:
         doc["measure"] = args.measure
         doc["value"] = result.value
         doc["algorithm"] = result.algorithm
+        if not result.complete:
+            doc["complete"] = False
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
         algorithm = result.algorithm if result.complete \

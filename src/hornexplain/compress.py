@@ -67,7 +67,8 @@ def _compress_head(head: tuple[Atom, ...], fn: str, placeholder: Const
     return tuple(map_atom_terms(a, fix) for a in head)
 
 
-def _compress(kb: KnowledgeBase, name_for_rule) -> CompressedStructure:
+def _compress(kb: KnowledgeBase, name_for_rule,
+              deadline: Optional[float]) -> CompressedStructure:
     taken = set(kb.signature.individual_names)
     fresh: dict[str, Const] = {}
     compressed: list[SkolemRule] = []
@@ -83,13 +84,15 @@ def _compress(kb: KnowledgeBase, name_for_rule) -> CompressedStructure:
                                      _compress_head(rule.head, rule.fn,
                                                     placeholder),
                                      rule.normal_form, rule.index, rule.fn))
-    structure = saturate(kb.abox, tuple(compressed), depth_bound=0)
+    structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
+                         deadline=deadline)
     return CompressedStructure(structure, "",
                                frozenset(c.name for c in fresh.values()),
                                tuple(compressed))
 
 
-def compress_dllite(kb: KnowledgeBase) -> CompressedStructure:
+def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
+                    ) -> CompressedStructure:
     """Placeholder pool: one individual per (possibly inverse) role."""
     if kb.fragment != Fragment.DLLiteR:
         raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
@@ -102,17 +105,18 @@ def compress_dllite(kb: KnowledgeBase) -> CompressedStructure:
             return f"b_ex_{role_atom.role}_inv"
         return f"b_ex_{role_atom.role}"
 
-    out = _compress(kb, name_for_rule)
+    out = _compress(kb, name_for_rule, deadline)
     out.variant = "dllite"
     return out
 
 
-def compress_el(kb: KnowledgeBase) -> CompressedStructure:
+def compress_el(kb: KnowledgeBase, deadline: Optional[float] = None
+                ) -> CompressedStructure:
     """Placeholder pool: one individual per Skolem function."""
     if kb.fragment not in (Fragment.EL, Fragment.DLLiteR):
         raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
                             "this construction needs el or dl-lite-r")
-    out = _compress(kb, lambda rule: f"c_{rule.fn}")
+    out = _compress(kb, lambda rule: f"c_{rule.fn}", deadline)
     out.variant = "el"
     return out
 
@@ -247,8 +251,25 @@ def dp_min_tree(structure: FiniteStructure,
     ``tick`` is called once per edge visit, so a caller can charge the
     iteration to a budget.
     """
-    values: dict[int, int | float] = {v: _INF for v in structure.vertices}
     chosen: dict[int, int] = {}
+    return _least_fixpoint(structure, sum, tick, chosen), chosen
+
+
+def min_heights(structure: FiniteStructure,
+                tick: Optional[Callable[[], None]] = None
+                ) -> dict[int, int | float]:
+    """Least number of vertices on a longest path of a derivation, per
+    vertex: a lower bound on the size of every derivation of it."""
+    return _least_fixpoint(structure, max, tick, None)
+
+
+def _least_fixpoint(structure: FiniteStructure, combine,
+                    tick: Optional[Callable[[], None]],
+                    chosen: Optional[dict[int, int]]
+                    ) -> dict[int, int | float]:
+    """Label-correcting fixpoint of ``1 + combine(premise values)`` with
+    leaves at 1; records each vertex's least edge in ``chosen`` if given."""
+    values: dict[int, int | float] = {v: _INF for v in structure.vertices}
     for leaf in structure.leaf_ids:
         values[leaf] = 1
 
@@ -258,26 +279,21 @@ def dp_min_tree(structure: FiniteStructure,
         for idx, e in enumerate(structure.edges):
             if tick is not None:
                 tick()
-            total = 1
-            dead = False
-            for q in e.premises:
-                if values[q] == _INF:
-                    dead = True
-                    break
-                total += values[q]
-            if dead:
-                continue
+            # _INF absorbs under both sum and max
+            total = 1 + combine([values[q] for q in e.premises])
             cur = values[e.conclusion]
             if total < cur:
                 values[e.conclusion] = total
-                chosen[e.conclusion] = idx
+                if chosen is not None:
+                    chosen[e.conclusion] = idx
                 changed = True
-            elif total == cur and e.conclusion in chosen \
+            elif chosen is not None and total == cur \
+                    and e.conclusion in chosen \
                     and edge_key(structure, idx) \
                     < edge_key(structure, chosen[e.conclusion]):
                 chosen[e.conclusion] = idx
                 changed = True
-    return values, chosen
+    return values
 
 
 def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
@@ -544,7 +560,8 @@ def eliminate_cost_graph(graph: CostGraph) -> CostGraph:
 
 
 def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
-                            strict_cg: bool = False
+                            strict_cg: bool = False,
+                            deadline: Optional[float] = None
                             ) -> tuple[ProofGraph, CostGraph]:
     """Minimal-tree-size proof for a tree-shaped query over DL-Lite.
 
@@ -554,7 +571,7 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
-    comp = compress_dllite(kb)
+    comp = compress_dllite(kb, deadline)
     values, chosen = dp_min_tree(comp.structure)
     graph = eliminate_cost_graph(build_cost_graph(comp, q, values))
     if graph.total == _INF:
@@ -562,7 +579,7 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                             "derivable in the compressed structure")
     assignment = {t: c for t, c in graph.chosen.items() if isinstance(t, Var)}
     return _decompressed_witness(kb, q, comp, chosen, [assignment],
-                                 strict_cg), graph
+                                 strict_cg, deadline), graph
 
 
 dllite_query_min_size = tree_query_min_treesize
@@ -573,27 +590,30 @@ dllite_query_min_size = tree_query_min_treesize
 # ---------------------------------------------------------------------------
 
 def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
-                       strict_cg: bool = False) -> ProofGraph:
+                       strict_cg: bool = False,
+                       deadline: Optional[float] = None) -> ProofGraph:
     """Minimal-tree-size proof via per-assignment minima.
 
     Enumerates homomorphisms of the query into the compressed structure in
     ascending cost order and returns the first assembly that survives
     decompression; conflated-witness assignments are skipped.
     """
-    comp = compress_el(kb)
+    comp = compress_el(kb, deadline)
     values, chosen = dp_min_tree(comp.structure)
     ranked = rank_matches(comp.structure, values, q)
     if not ranked:
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
     tied = [subst for total, subst in ranked if total == ranked[0][0]]
-    return _decompressed_witness(kb, q, comp, chosen, tied, strict_cg)
+    return _decompressed_witness(kb, q, comp, chosen, tied, strict_cg,
+                                 deadline)
 
 
 def _decompressed_witness(kb: KnowledgeBase, q: BooleanCQ,
                           comp: CompressedStructure, chosen: dict[int, int],
                           assignments: list[dict[Var, Term]],
-                          strict_cg: bool) -> ProofGraph:
+                          strict_cg: bool,
+                          deadline: Optional[float]) -> ProofGraph:
     """The first of the equally cheap assignments whose compressed witness
     decompresses.
 
@@ -607,11 +627,12 @@ def _decompressed_witness(kb: KnowledgeBase, q: BooleanCQ,
                                                subst, strict_cg), kb, comp)
         except DecompressError:
             continue
-    return _realize_over_real_structure(kb, q, strict_cg)
+    return _realize_over_real_structure(kb, q, strict_cg, deadline)
 
 
 def _realize_over_real_structure(kb: KnowledgeBase, q: BooleanCQ,
-                                 strict_cg: bool) -> ProofGraph:
+                                 strict_cg: bool,
+                                 deadline: Optional[float]) -> ProofGraph:
     """Minimal-tree-size witness over the depth-bounded real structure.
 
     Used when a compressed witness conflates anonymous witnesses of
@@ -619,7 +640,7 @@ def _realize_over_real_structure(kb: KnowledgeBase, q: BooleanCQ,
     witness is re-derived with real Skolem terms.
     """
     structure = saturate_kb(kb, default_depth_ceiling(kb, q),
-                            max_atoms=500_000)
+                            max_atoms=500_000, deadline=deadline)
     values, chosen = dp_min_tree(structure)
     ranked = rank_matches(structure, values, q)
     if not ranked:

@@ -260,6 +260,8 @@ class FiniteStructure:
     complete: bool = True
     depth_bound: Optional[int] = None
     index: AtomIndex = field(default_factory=AtomIndex)  # the atom vertices
+    # premise ids of the rule applications cut off by the depth bound
+    frontier: set[tuple[int, ...]] = field(default_factory=set)
 
     def vertex_for(self, label: Label) -> int:
         vid = self.label_ids.get(label)
@@ -294,24 +296,28 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
 
     structure = FiniteStructure(depth_bound=depth_bound)
     index = structure.index
+    label_ids = structure.label_ids
     for f in sorted(facts, key=atom_key):
         vid = structure.vertex_for(AtomLabel(f))
         structure.leaf_ids.add(vid)
         index.add(f)
+    rule_ids = []
     for r in rules:
         vid = structure.vertex_for(RuleLabel(r))
         structure.leaf_ids.add(vid)
+        rule_ids.append(vid)
 
     seen_edges: set[tuple] = set()
 
-    def record(inst: InferenceInstance) -> bool:
-        """Returns True when the conclusion atom is new."""
-        assert isinstance(inst.conclusion, AtomLabel)
-        concl_atom = inst.conclusion.atom
+    def record(schema: Schema, premise_ids: tuple[int, ...],
+               concl_atom: Atom) -> bool:
+        """Returns True when the conclusion atom is new.  The premises are
+        atoms of the index (or rules), so they already have vertices."""
         if max(term_depth(t) for t in atom_terms(concl_atom)) > depth_bound:
             structure.complete = False
+            structure.frontier.add(premise_ids)
             return False
-        key = (inst.schema, inst.premises, inst.conclusion)
+        key = (schema, premise_ids, concl_atom)
         if key in seen_edges:
             return False
         seen_edges.add(key)
@@ -321,24 +327,25 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                 structure.complete = False
                 raise BudgetExceeded(f"saturation exceeded {max_atoms} atoms")
             index.add(concl_atom)
-        premise_ids = tuple(structure.vertex_for(lab)
-                            for lab in inst.premises)
-        structure.add_edge(premise_ids, structure.vertex_for(inst.conclusion),
-                           inst.schema)
+        structure.add_edge(premise_ids,
+                           structure.vertex_for(AtomLabel(concl_atom)), schema)
         return fresh
+
+    def check_deadline() -> None:
+        if deadline is not None and _time.monotonic() > deadline:
+            structure.complete = False
+            raise BudgetExceeded("saturation deadline")
 
     frontier = sorted(index.atoms, key=atom_key)
     first_round = True
     while frontier:
-        if deadline is not None and _time.monotonic() > deadline:
-            structure.complete = False
-            raise BudgetExceeded("saturation deadline")
+        check_deadline()
         new_atoms: set[Atom] = set()
         frontier_set = set(frontier)
         frontier_by_pred: dict[tuple, list[Atom]] = {}
         for fa in frontier:
             frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)
-        for rule in rules:
+        for rule, rule_id in zip(rules, rule_ids):
             seeds: list[dict] = []
             if first_round:
                 seeds.append({})
@@ -350,19 +357,18 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                             seeds.append(ext)
             seen_subst: set[tuple] = set()
             for seed in seeds:
+                check_deadline()
                 for subst in match_conjunction(rule.body, index, seed):
                     key = tuple(sorted((v.name, subst[v]) for v in subst))
                     if key in seen_subst:
                         continue
                     seen_subst.add(key)
-                    premises = tuple(AtomLabel(substitute_atom(b, subst))
-                                     for b in rule.body) + (RuleLabel(rule),)
+                    premise_ids = tuple(
+                        label_ids[AtomLabel(substitute_atom(b, subst))]
+                        for b in rule.body) + (rule_id,)
                     for h in rule.head:
-                        inst = InferenceInstance(
-                            Schema.MP, premises,
-                            AtomLabel(substitute_atom(h, subst)))
-                        concl = inst.conclusion.atom
-                        if record(inst) and concl not in new_atoms:
+                        concl = substitute_atom(h, subst)
+                        if record(Schema.MP, premise_ids, concl):
                             new_atoms.add(concl)
         if any(isinstance(a, EqAtom) for a in index.atoms):
             for inst in e_instances(index.atoms):
@@ -371,7 +377,9 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                 if first_round or inst.premises[0].atom in frontier_set \
                         or inst.premises[1].atom in frontier_set:
                     concl = inst.conclusion.atom
-                    if record(inst) and concl not in new_atoms:
+                    if record(Schema.E, tuple(label_ids[lab]
+                                              for lab in inst.premises),
+                              concl):
                         new_atoms.add(concl)
         first_round = False
         frontier = sorted(new_atoms, key=atom_key)

@@ -20,7 +20,7 @@ from .chase import default_depth_ceiling, entails
 from .compress import (CompressError, DecompressError, add_goal_tail,
                        assemble_witness, dllite_query_min_size, dp_min_tree,
                        edge_key, el_cq_min_treesize, goal_tail_size,
-                       tree_query_min_treesize, _INF)
+                       min_heights, tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
 from .deriver_sk import BudgetExceeded, FiniteStructure, saturate_kb
 from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
@@ -67,6 +67,7 @@ class _Ticker:
 
     def __init__(self, budget: SearchBudget):
         self.count = 0
+        self.work = 0
         self.measure = budget.measure
         self.max_nodes = budget.max_nodes
         self.deadline = time.monotonic() + budget.max_seconds
@@ -76,6 +77,13 @@ class _Ticker:
         if self.count > self.max_nodes:
             raise BudgetExceeded("node limit")
         if self.count % 4096 == 0 and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time limit")
+
+    def charge(self) -> None:
+        """Work outside the search proper: held to the deadline, not counted
+        as search nodes."""
+        self.work += 1
+        if self.work % 4096 == 0 and time.monotonic() > self.deadline:
             raise BudgetExceeded("time limit")
 
     def result(self, status: str, proof: Optional[ProofGraph] = None,
@@ -286,11 +294,11 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     best_choice = None
     best_structure: Optional[FiniteStructure] = None
     tripped = False
+    certified = False
     structure: Optional[FiniteStructure] = None
 
-    # deepen until the result is certified: deeper terms need longer
-    # derivations, so nothing below the current best can hide past
-    # depth best-1 (and nothing within the bound past bound-1)
+    # deepen until the result is certified: the depth-d structure holds
+    # every proof within depth d, and _frontier_bound bounds every other
     while True:
         try:
             structure = saturate_kb(kb, depth,
@@ -300,7 +308,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             tripped = True
             structure = None
             break
-        value, sigma, choice, tripped = _search_at_depth(
+        value, sigma, choice, tree_values, tripped = _search_at_depth(
             q, budget, structure, unique_labels, strict_cg, ticker,
             best_value)
         if value < best_value:
@@ -308,9 +316,18 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             best_structure = structure
         if tripped:
             break
-        certified = structure.complete or (
-            depth >= (min(best_value, budget.bound)
-                      if budget.bound is not None else best_value) - 1)
+        # a proof is certified optimal at best, and absent within the bound
+        # at bound + 1
+        target = best_value if budget.bound is None \
+            else min(best_value, budget.bound + 1)
+        try:
+            certified = structure.complete or (
+                target < _INF and _frontier_bound(
+                    structure, q, budget.measure, strict_cg, tree_values,
+                    ticker) >= target)
+        except BudgetExceeded:
+            tripped = True
+            break
         if budget.bound is not None and best_value <= budget.bound:
             break  # existence settled
         if budget.bound is None and best_value < _INF and not explicit_ceiling:
@@ -339,21 +356,47 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         assert best_structure is not None
         proof = _assemble_sk(best_structure, q, best_sigma, budget.measure,
                              best_choice, strict_cg)
-        complete = (not tripped) and (
-            budget.bound is not None
-            or best_structure.complete
-            or (structure is not None and structure.complete)
-            or depth >= best_value - 1)
+        complete = not tripped and (budget.bound is not None or certified)
         return ticker.result("found", proof, int(best_value), complete)
     if tripped:
         return ticker.result("exhausted")
-    # ``none`` needs a certificate: a complete structure or the bound's depth
-    # argument (the chase's was asked in the loop)
-    complete = (structure.complete or (
-        budget.bound is not None and depth >= budget.bound - 1)) \
-        and not _names_replaced_constant(q, structure)
+    # ``none`` needs a certificate: a complete structure or the frontier
+    # bound above the bound (the chase's was asked in the loop)
+    complete = certified and not _names_replaced_constant(q, structure)
     return ticker.result("none" if complete else "exhausted",
                          complete=complete)
+
+
+def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,
+                    strict_cg: bool,
+                    tree_values: Optional[dict[int, int | float]],
+                    ticker: _Ticker) -> int | float:
+    """A lower bound on the measure of every proof of ``q`` that uses a term
+    deeper than the structure's depth bound d.
+
+    Such a proof has a depth-(d+1) term, whose d+2 ground subterms each
+    need an atom of their own, so it is never below d + 2.  It also has a
+    lowest vertex beyond depth d; everything below that vertex stays within
+    depth d, so the vertex is derived by one of the frontier's rule
+    applications from premises derivable in the structure.  Under tree
+    size, that subproof costs at least 1 + the premises' tree-size values
+    (``tree_values``, when the search computed them); under size, at least
+    1 + the larger of the premises' least heights and their number.
+    """
+    floor = structure.depth_bound + 2
+    if not structure.frontier or kind is Measure.DOMAIN_SIZE:
+        return floor
+    if kind is Measure.TREE_SIZE:
+        if tree_values is None:
+            return floor
+        below = min(sum(tree_values[p] for p in premises)
+                    for premises in structure.frontier)
+    else:
+        heights = min_heights(structure, ticker.charge)
+        below = min(max(max(heights[p] for p in premises),
+                        len(set(premises)))
+                    for premises in structure.frontier)
+    return max(floor, goal_tail_size(q, strict_cg) + 1 + below)
 
 
 def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
@@ -376,7 +419,9 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                      strict_cg: bool, ticker: _Ticker,
                      incoming_best: int | float
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
-                                bool]:
+                                Optional[dict], bool]:
+    """The best match and derivation choice at one depth below
+    ``incoming_best``, and the tree-size values if they were computed."""
     tail_count = goal_tail_size(q, strict_cg)
     limit = budget.bound + 1 if budget.bound is not None else _INF
 
@@ -428,7 +473,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                         best_choice = choice
     except BudgetExceeded:
         tripped = True
-    return best_value, best_sigma, best_choice, tripped
+    return best_value, best_sigma, best_choice, tree_values, tripped
 
 
 def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
@@ -685,15 +730,16 @@ def _poly_applicable(kb: KnowledgeBase, q: BooleanCQ, m: Measure) -> bool:
                                                       Fragment.DLLiteR)
 
 
-def _run_poly(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig
-              ) -> tuple[ProofGraph, str]:
+def _run_poly(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
+              deadline: float) -> tuple[ProofGraph, str]:
     if kb.fragment == Fragment.DLLiteR and is_tree_shaped(q):
         if config.measure is Measure.SIZE:
-            proof, _ = dllite_query_min_size(kb, q, config.strict_cg)
+            proof, _ = dllite_query_min_size(kb, q, config.strict_cg,
+                                             deadline)
             return proof, "poly-dllite-size"
-        proof, _ = tree_query_min_treesize(kb, q, config.strict_cg)
+        proof, _ = tree_query_min_treesize(kb, q, config.strict_cg, deadline)
         return proof, "poly-dllite-tree"
-    proof = el_cq_min_treesize(kb, q, config.strict_cg)
+    proof = el_cq_min_treesize(kb, q, config.strict_cg, deadline)
     return proof, "poly-el-tree"
 
 
@@ -720,13 +766,19 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
 
     if use_poly:
         try:
-            proof, algo = _run_poly(kb, q, config)
+            proof, algo = _run_poly(kb, q, config,
+                                    time.monotonic() + config.max_seconds)
             value = measure(proof, config.measure).value
             if config.bound is not None and value > config.bound:
                 return ExplainResult("none", None, value, config.measure,
                                      algo, 0, warnings)
             return ExplainResult("found", proof, value, config.measure, algo,
                                  0, warnings)
+        except BudgetExceeded as exc:
+            # the run's time is spent: no budget is left for a fallback
+            warnings.append(f"polynomial algorithm stopped: {exc}")
+            return ExplainResult("exhausted", None, None, config.measure,
+                                 "poly", 0, warnings, complete=False)
         except (CompressError, DecompressError) as exc:
             if config.algo == "poly":
                 warnings.append(f"polynomial algorithm failed: {exc}; "

@@ -211,6 +211,19 @@ def test_explain_marks_an_uncertified_optimum(tmp_path):
     assert proc.stdout.splitlines()[0] == "size = 22 (exact, uncertified)"
 
 
+def test_explain_json_marks_an_uncertified_optimum(tmp_path, ex1_file):
+    path = tmp_path / "counter.kb"
+    run_cli("gen", "hornalc-counter", "1", "-o", str(path), expect=0)
+    args = ("explain", str(path), "--measure", "tree", "--depth-ceiling", "3")
+    doc = json.loads(run_cli(*args, "--format", "json", expect=0).stdout)
+    assert doc["complete"] is False and doc["algorithm"] == "exact"
+    assert "(exact, uncertified)" in run_cli(*args, expect=0).stdout
+    # certified output carries no such key
+    doc = json.loads(run_cli("explain", ex1_file, "--format", "json",
+                             expect=0).stdout)
+    assert "complete" not in doc
+
+
 def test_normalize_subcommand(tmp_path):
     path = tmp_path / "wide.kb"
     path.write_text("rule: A(x) -> B(x), C(x)\nfact: A(a)\n")

@@ -3,6 +3,7 @@ the cost-graph algorithm, and the exact bounded search."""
 
 import random
 import re
+import time
 
 import pytest
 
@@ -14,12 +15,13 @@ from hornexplain.compress import (CompressError, add_goal_tail,
                                   tree_query_min_treesize)
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
-                                    gen_el_tree, gen_sat, gen_sat_cq)
+                                    gen_el_tree, gen_hornalc_counter, gen_sat,
+                                    gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
                             SkolemTerm, Var, atom_terms)
 from hornexplain.parser import parse_document, parse_kb, parse_query_text
 from hornexplain.proofs import (AtomLabel, Measure, domain_size, proof_size,
-                                tree_size, validate_proof)
+                                proof_to_json, tree_size, validate_proof)
 from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
                                 bounded_search_cq, explain)
 from test_chase import _random_kb
@@ -500,3 +502,82 @@ def test_cover_search_does_not_recurse_per_proof_level():
                      RunConfig(measure=Measure.SIZE, algo="exact"))
     assert (result.status, result.value, result.nodes) == ("found", 1991, 995)
     assert result.complete
+
+
+def test_saturation_keeps_the_cut_rule_applications_as_its_frontier(ex1):
+    kb, _ = ex1
+    shallow = saturate_kb(kb, 0)
+    assert shallow.frontier and not shallow.complete
+    for premises in shallow.frontier:
+        *atoms, rule = premises
+        assert rule in shallow.leaf_ids
+        assert all(isinstance(shallow.vertices[p], AtomLabel) for p in atoms)
+    chain = saturate_kb(_chain_kb(3), 0)
+    assert chain.complete and not chain.frontier
+
+
+def _floor_only(structure, *args):
+    return structure.depth_bound + 2
+
+
+def test_frontier_bound_changes_no_answer(monkeypatch):
+    """The frontier bound against the bare depth argument (d + 2): the same
+    answers and proofs, never more nodes, never less certified.  Only a
+    ``none`` within a bound may replace an ``exhausted``, and then the
+    bare argument confirms it once the ceiling allows depth bound - 1."""
+    rng = random.Random(20261019)
+    for case in range(1500):
+        kb = _random_kb(rng)
+        q = _random_query(rng)
+        budget = SearchBudget(rng.choice(list(Measure)),
+                              rng.choice([None] + list(range(2, 13))))
+        ceiling = rng.choice([None, 1, 2, 3, 4, 5, 6])
+        monkeypatch.undo()
+        got = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        monkeypatch.setattr("hornexplain.search._frontier_bound", _floor_only)
+        want = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        assert got.nodes <= want.nodes, case
+        assert got.complete or not want.complete, case
+        if (got.status, want.status) == ("none", "exhausted"):
+            assert got.complete and budget.bound is not None, case
+            deep = bounded_search(kb, q, budget, depth_ceiling=budget.bound)
+            assert deep.status == "none", case
+            continue
+        assert (got.status, got.value) == (want.status, want.value), case
+        if got.proof is not None:
+            assert proof_to_json(got.proof, q) == proof_to_json(want.proof, q)
+
+
+def test_counter_size_optimum_is_certified_without_a_ceiling():
+    inst = gen_hornalc_counter(1)
+    result = explain(inst.kb, inst.query,
+                     RunConfig(measure=Measure.SIZE, algo="exact"))
+    assert (result.status, result.value) == ("found", 22)
+    assert result.complete and result.nodes <= 1000
+
+
+def test_running_example_tree_size_stops_at_the_frontier(ex1, monkeypatch):
+    kb, q = ex1
+    depths = []
+    real = saturate_kb
+
+    def counting(kb, depth, **kwargs):
+        depths.append(depth)
+        return real(kb, depth, **kwargs)
+
+    monkeypatch.setattr("hornexplain.search.saturate_kb", counting)
+    result = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
+    assert (result.status, result.value, result.complete) == ("found", 23,
+                                                             True)
+    assert len(depths) <= 11, depths
+
+
+def test_max_seconds_bounds_the_polynomial_route():
+    inst = gen_el_tree(12)
+    start = time.monotonic()
+    result = explain(inst.kb, inst.query,
+                     RunConfig(measure=Measure.TREE_SIZE, algo="poly",
+                               max_seconds=0.5))
+    assert time.monotonic() - start < 0.5 + 1.5
+    assert result.status == "exhausted" and not result.complete
+    assert any("stopped" in w for w in result.warnings)
