@@ -273,6 +273,14 @@ def _least_fixpoint(structure: FiniteStructure, combine,
     for leaf in structure.leaf_ids:
         values[leaf] = 1
 
+    keys: dict[int, tuple] = {}     # edge_key per edge, computed once
+
+    def key_of(idx: int) -> tuple:
+        key = keys.get(idx)
+        if key is None:
+            key = keys[idx] = edge_key(structure, idx)
+        return key
+
     changed = True
     while changed:
         changed = False
@@ -288,9 +296,8 @@ def _least_fixpoint(structure: FiniteStructure, combine,
                     chosen[e.conclusion] = idx
                 changed = True
             elif chosen is not None and total == cur \
-                    and e.conclusion in chosen \
-                    and edge_key(structure, idx) \
-                    < edge_key(structure, chosen[e.conclusion]):
+                    and chosen.get(e.conclusion, idx) != idx \
+                    and key_of(idx) < key_of(chosen[e.conclusion]):
                 chosen[e.conclusion] = idx
                 changed = True
     return values

@@ -16,13 +16,15 @@ the others are distinct unbound variables, every atom in that list is a
 unifier, so the list length is the score; other patterns count the atoms
 of the list that unify.  Only the chosen pattern's candidates are turned
 into substitutions, in list order, so results come out in a fixed order.
+A caller's ``prune`` callback can cut a branch after any step; the search
+uses it for branch-and-bound over query matches.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .kb import (Atom, SkolemTerm, Term, Var, atom_key, atom_pred,
                  atom_terms)
@@ -203,22 +205,32 @@ def _accepts(checks: list[_Check], ground: Atom, subst: Mapping[Var, Term],
 
 def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                       subst: Optional[Mapping[Var, Term]] = None,
-                      ) -> Iterator[dict[Var, Term]]:
+                      prune: Optional[Callable[[list[Optional[Atom]]], bool]]
+                      = None) -> Iterator[dict[Var, Term]]:
     """All homomorphisms of the pattern conjunction into the indexed atoms.
 
     Each yielded substitution is a fresh dict extending ``subst``.
+
+    ``prune`` is asked after each step that binds a pattern while patterns
+    remain, with the ground atoms matched so far by pattern position
+    (``None`` where a pattern is unmatched); a true answer cuts that branch.
+    The other branches yield what they would without ``prune``, in the same
+    order.
     """
     base = dict(subst) if subst else {}
-    prepared = [(atom_pred(p), atom_terms(p)) for p in patterns]
+    prepared = [(pos, atom_pred(p), atom_terms(p))
+                for pos, p in enumerate(patterns)]
+    matched: list[Optional[Atom]] = \
+        [None] * len(patterns) if prune is not None else []
 
-    def extend(remaining: list[tuple[tuple, tuple[Term, ...]]],
+    def extend(remaining: list[tuple[int, tuple, tuple[Term, ...]]],
                current: dict[Var, Term]) -> Iterator[dict[Var, Term]]:
         if not remaining:
             yield current
             return
         # most constrained first: fewest unifiers under current bindings
         best = None
-        for i, (pred, terms) in enumerate(remaining):
+        for i, (_, pred, terms) in enumerate(remaining):
             source, checks, exact = _plan(pred, terms, index, current)
             score = len(source) if exact else sum(
                 1 for ground in source
@@ -230,16 +242,24 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
         _, idx, source, checks = best
         # unify the chosen candidates now: atoms added to the index while
         # this generator is suspended are seen only by deeper steps
-        exts = []
+        hits = []
         for ground in source:
             new: dict[Var, Term] = {}
             if _accepts(checks, ground, current, new):
-                ext = dict(current)
-                ext.update(new)
-                exts.append(ext)
+                hits.append((ground, new))
+        pos = remaining[idx][0]
         rest = remaining[:idx] + remaining[idx + 1:]
-        for ext in exts:
+        ask = prune is not None and bool(rest)
+        for ground, new in hits:
+            if ask:
+                matched[pos] = ground
+                if prune(matched):
+                    continue
+            ext = dict(current)
+            ext.update(new)
             yield from extend(rest, ext)
+        if ask:
+            matched[pos] = None
 
     yield from extend(prepared, base)
 

@@ -134,7 +134,9 @@ def _tree_min_descend(structure: FiniteStructure, vid: int,
 class _CoverState:
     members: dict[tuple[int, int], Optional[int]]  # (vid, copy) -> edge idx
     pending: list[tuple[int, int]]
-    arcs: dict[tuple[int, int], set[tuple[int, int]]]
+    # premise copy -> the copies it derives; the sets are shared between
+    # states and replaced, never changed
+    arcs: dict[tuple[int, int], frozenset[tuple[int, int]]]
     size_count: int
     terms: set[Term]
 
@@ -215,15 +217,17 @@ def _cover_children(structure: FiniteStructure, state: _CoverState,
         for combo in _premise_combos(structure, e.premises, state,
                                      max_copies):
             nxt = _CoverState(dict(state.members), list(state.pending),
-                              {k: set(v) for k, v in state.arcs.items()},
-                              state.size_count, state.terms)
+                              dict(state.arcs), state.size_count, state.terms)
             nxt.members[key] = eidx
             ok = True
             for pkey in combo:
-                if _reaches(nxt.arcs, key, pkey):
+                # only a derived copy has arcs into it, so only a derived
+                # copy (key itself included) can close a cycle
+                if nxt.members.get(pkey) is not None \
+                        and _reaches(nxt.arcs, key, pkey):
                     ok = False
                     break
-                nxt.arcs.setdefault(pkey, set()).add(key)
+                nxt.arcs[pkey] = nxt.arcs.get(pkey, frozenset()) | {key}
                 if pkey not in nxt.members:
                     nxt.members[pkey] = None
                     nxt.size_count += 1
@@ -432,8 +436,31 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     tree_values: Optional[dict[int, int | float]] = None
     tree_chosen: Optional[dict[int, int]] = None
     tripped = False
+
+    # branch-and-bound over the matches: each matched atom adds cost that
+    # no later choice removes, so a partial match whose lower bound reaches
+    # the cap holds no match that could replace the best
+    def prune(matched: list[Optional[Atom]]) -> bool:
+        cap = min(limit, best_value)
+        # tree size is bounded only by the DP's values, which exist from the
+        # first match on (never in the duplicate-tolerant mode)
+        if cap == _INF or (budget.measure is Measure.TREE_SIZE
+                           and tree_values is None):
+            return False
+        ticker.tick()
+        atoms = [a for a in matched if a is not None]
+        if budget.measure is Measure.SIZE:
+            lower = tail_count + len(set(atoms))
+        elif budget.measure is Measure.DOMAIN_SIZE:
+            lower = len(set().union(*(ground_terms_of_label(AtomLabel(a))
+                                      for a in atoms)))
+        else:
+            lower = tail_count + sum(
+                tree_values[structure.label_ids[AtomLabel(a)]] for a in atoms)
+        return lower >= cap
+
     try:
-        for sigma in match_conjunction(q.atoms, structure.index):
+        for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
             if use_dp and tree_values is None:
                 # only a depth with a match needs the values
                 tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
@@ -490,37 +517,26 @@ def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
     assert choice is not None
     targets = [structure.label_ids[AtomLabel(substitute_atom(atom, sigma))]
                for atom in q.atoms]
+    # the least copy of each vertex serves its premise positions: the
+    # duplicate-tolerant mode only needs a witness of equal value, which
+    # copy 0 always provides
     id_of: dict[tuple[int, int], int] = {}
     vertices: dict[int, Label] = {}
-    for i, key in enumerate(sorted(choice,
-                                   key=lambda k: (k[0], k[1]))):
+    first: dict[int, tuple[int, int]] = {}
+    for i, key in enumerate(sorted(choice)):
         id_of[key] = i
         vertices[i] = structure.vertices[key[0]]
+        first.setdefault(key[0], key)
     edges = []
-    for key, eidx in sorted(choice.items(), key=lambda kv: id_of[kv[0]]):
+    for key, i in id_of.items():
+        eidx = choice[key]
         if eidx is None:
             continue
         e = structure.edges[eidx]
-        premise_keys = _premises_for(structure, e.premises, choice, key)
-        edges.append(ProofEdge(tuple(id_of[p] for p in premise_keys),
-                               id_of[key], e.schema))
+        edges.append(ProofEdge(tuple(id_of[first[p]] for p in e.premises),
+                               i, e.schema))
     target_ids = [id_of[(vid, 0)] for vid in targets]
     return add_goal_tail(vertices, edges, target_ids, q, strict_cg)
-
-
-def _premises_for(structure, premises, choice, conclusion_key):
-    """Reconstruct which member copy served each premise position."""
-    out = []
-    for vid in premises:
-        label = structure.vertices[vid]
-        if isinstance(label, RuleLabel):
-            out.append((vid, 0))
-            continue
-        copies = sorted(k for k in choice if k[0] == vid)
-        # prefer copy 0; the duplicate-tolerant mode only needs a witness of
-        # equal value, which copy 0 always provides
-        out.append(copies[0] if copies else (vid, 0))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +558,20 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     index = AtomIndex(kb.abox)
     best: Optional[tuple[int, dict[Var, Term], bool]] = None
     limit = budget.bound + 1 if budget.bound is not None else _INF
+    tail = 1 if q.existential_vars else 0
+
+    def prune(matched: list[Optional[Atom]]) -> bool:
+        # the Ce chain over the distinct atoms matched so far, and a final
+        # step whenever the goal has variables
+        cap = min(best[0], limit) if best else limit
+        if cap == _INF:
+            return False
+        ticker.tick()
+        distinct = len({a for a in matched if a is not None})
+        return 2 * distinct - 1 + tail >= cap
+
     try:
-        for sigma in match_conjunction(q.atoms, index):
+        for sigma in match_conjunction(q.atoms, index, prune=prune):
             ticker.tick()
             grounds = [substitute_atom(a, sigma) for a in q.atoms]
             distinct = list(dict.fromkeys(grounds))
@@ -639,8 +667,8 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
             return value, sub_derivation(builder.build(), sink)
 
         # rule applications
+        body_index = AtomIndex(cq.atoms)
         for rule in kb.tbox:
-            body_index = AtomIndex(cq.atoms)
             for pi in match_conjunction(rule.body, body_index):
                 matched = sorted({substitute_atom(b, pi) for b in rule.body},
                                  key=lambda a: str(a))

@@ -1,6 +1,8 @@
 """The indexed matcher against a plain bucket scan that scores every pattern
 by unifying it with every atom of its predicate."""
 
+import zlib
+
 from hypothesis import given, settings, strategies as st
 
 from hornexplain.kb import (ConceptAtom, Const, EqAtom, RoleAtom, SkolemTerm,
@@ -156,3 +158,60 @@ def test_index_lists_stay_in_key_order():
         sorted(atoms[1:], key=atom_key)
     assert list(index.at(("R", "r"), 1, b)) == [RoleAtom("r", a, b)]
     assert list(index.at(("C", "A"), 0, a)) == []
+
+
+def _scan_pruned(patterns, index, cut, calls):
+    """The bucket-scan reference that asks ``cut`` after each step that
+    leaves a pattern unmatched, with the atoms bound on the path to it, and
+    records each question in ``calls``."""
+    def extend(remaining, current, path):
+        if not remaining:
+            yield current
+            return
+        scored = []
+        for i, (pos, p) in enumerate(remaining):
+            cands = _scan_candidates(p, index, current)
+            scored.append((len(cands), i, pos, cands))
+        _, idx, pos, cands = min(scored, key=lambda s: (s[0], s[1]))
+        rest = remaining[:idx] + remaining[idx + 1:]
+        for ground, ext in cands:
+            here = list(path)
+            here[pos] = ground
+            if rest:
+                calls.append(here)
+                if cut(here):
+                    continue
+            yield from extend(rest, ext, here)
+
+    yield from extend(list(enumerate(patterns)), {}, [None] * len(patterns))
+
+
+def _keyed_cut(salt, modulus):
+    """A deterministic pseudo-random predicate on partial matches."""
+    def cut(matched):
+        keys = tuple(None if a is None else atom_key(a) for a in matched)
+        return zlib.crc32(repr((salt, keys)).encode()) % modulus == 0
+    return cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(), st.integers(0, 1000), st.integers(1, 4))
+def test_prune_cuts_exactly_the_branches_the_bucket_scan_cuts(
+        case, salt, modulus):
+    patterns, facts, _, _ = case
+    cut = _keyed_cut(salt, modulus)
+    asked = []
+
+    def prune(matched):
+        asked.append(list(matched))
+        return cut(matched)
+
+    want_asked = []
+    want = [list(s.items())
+            for s in _scan_pruned(patterns, _ScanIndex(facts), cut,
+                                  want_asked)]
+    got = [list(s.items())
+           for s in match_conjunction(patterns, AtomIndex(facts),
+                                      prune=prune)]
+    assert got == want
+    assert asked == want_asked

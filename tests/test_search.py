@@ -14,14 +14,16 @@ from hornexplain.compress import (CompressError, add_goal_tail,
                                   goal_tail_size, min_tree_size_dp,
                                   tree_query_min_treesize)
 from hornexplain.deriver_sk import saturate_kb
-from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
-                                    gen_el_tree, gen_hornalc_counter, gen_sat,
-                                    gen_sat_cq)
+from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
+                                    gen_el_abox, gen_el_tree,
+                                    gen_hornalc_counter, gen_sat, gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
                             SkolemTerm, Var, atom_terms)
+from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb, parse_query_text
 from hornexplain.proofs import (AtomLabel, Measure, domain_size, proof_size,
                                 proof_to_json, tree_size, validate_proof)
+from hornexplain import search as search_module
 from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
                                 bounded_search_cq, explain)
 from test_chase import _random_kb
@@ -546,6 +548,87 @@ def test_frontier_bound_changes_no_answer(monkeypatch):
         assert (got.status, got.value) == (want.status, want.value), case
         if got.proof is not None:
             assert proof_to_json(got.proof, q) == proof_to_json(want.proof, q)
+
+
+def _uncut(patterns, index, subst=None, prune=None):
+    """The matcher with the search's match-level cut switched off."""
+    return match_conjunction(patterns, index, subst)
+
+
+def _random_cnf(rng):
+    k = rng.randint(2, 4)
+    return [[rng.choice((1, -1)) * rng.randint(1, k)
+             for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 4))]
+
+
+def test_match_level_cut_changes_no_answer(monkeypatch):
+    """Branch-and-bound over query matches against the plain enumeration:
+    the same status, value and proof bytes on random KBs and on the SAT
+    reductions, whose verdicts at the stated bounds follow satisfiability."""
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(300):
+        budget = SearchBudget(rng.choice(list(Measure)),
+                              rng.choice([None] + list(range(2, 13))))
+        cases.append((_random_kb(rng), _random_query(rng), budget, "sk",
+                      rng.choice([None, 1, 2, 3, 4]), None))
+    for _ in range(30):
+        clauses = _random_cnf(rng)
+        sat, sat_cq = gen_sat(clauses), gen_sat_cq(clauses)
+        verdict = brute_force_sat(map(frozenset, sat.bounds["clauses"]),
+                                  sat.bounds["k"])
+        for inst, m, key, deriver in (
+                (sat, Measure.SIZE, "size", "sk"),
+                (sat, Measure.DOMAIN_SIZE, "domain", "sk"),
+                (sat_cq, Measure.TREE_SIZE, "cq_tree", "cq")):
+            bound = inst.bounds[key]
+            cases.append((inst.kb, inst.query, SearchBudget(m, bound),
+                          deriver, None, verdict))
+            cases.append((inst.kb, inst.query,
+                          SearchBudget(m, rng.choice([None, bound - 1])),
+                          deriver, None, None))
+    # two matches whose tree sizes differ by one, the cheaper one second
+    doc = parse_document("rule: A(x), E(x) -> C(x)\nrule: B(x) -> C(x)\n"
+                         "fact: A(a)\nfact: E(a)\nfact: B(b)\nfact: r(a,a)\n"
+                         "fact: r(b,b)\nquery: exists x. C(x), r(x,x)\n")
+    for m in Measure:
+        for bound in (None, 5, 6):
+            cases.append((doc.kb, doc.queries[0], SearchBudget(m, bound),
+                          "sk", None, None))
+    for case, (kb, q, budget, deriver, ceiling, verdict) in enumerate(cases):
+        monkeypatch.undo()
+        got = bounded_search(kb, q, budget, deriver=deriver,
+                             depth_ceiling=ceiling)
+        monkeypatch.setattr("hornexplain.search.match_conjunction", _uncut)
+        want = bounded_search(kb, q, budget, deriver=deriver,
+                              depth_ceiling=ceiling)
+        assert (got.status, got.value, got.complete) == \
+            (want.status, want.value, want.complete), case
+        if got.proof is not None:
+            assert proof_to_json(got.proof, q) == proof_to_json(want.proof, q)
+        if verdict is not None:
+            assert got.status == ("found" if verdict else "none"), case
+
+
+def test_match_level_cut_fires_on_an_unsatisfiable_formula(monkeypatch):
+    """Fewer cover searches than complete query matches: most partial
+    matches already reach the bound."""
+    inst = gen_sat([[1, 2], [1, -2], [-1, 3], [-1, -3, 4], [-4]])
+    matches = sum(1 for _ in match_conjunction(
+        inst.query.atoms, saturate_kb(inst.kb, 0).index))
+    calls = []
+    real = search_module._cover_min
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("hornexplain.search._cover_min", counting)
+    out = bounded_search(inst.kb, inst.query,
+                         SearchBudget(Measure.SIZE, inst.bounds["size"]))
+    assert out.status == "none" and out.complete
+    assert len(calls) < matches
 
 
 def test_counter_size_optimum_is_certified_without_a_ceiling():
