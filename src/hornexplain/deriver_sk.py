@@ -11,7 +11,7 @@ enumerator generates it from exactly its premises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
 from .kb import (Atom, BooleanCQ, EqAtom, KBError, KnowledgeBase, Term, Var,
@@ -63,12 +63,12 @@ def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
     return map_atom_terms(atom, lambda t: dst if t == src else t)
 
 
-def e_instances(atoms: Iterable[Atom]) -> list[InferenceInstance]:
-    """Equality replacements: top-level occurrences only, complex terms
-    replaced by constants, never the other way around."""
-    pool = sorted(atoms, key=atom_key)
-    eqs = [a for a in pool if isinstance(a, EqAtom)]
-    out: list[InferenceInstance] = []
+def _replacements(eqs: Iterable[Atom],
+                  candidates: Callable[[Atom, Term], Sequence[Atom]]
+                  ) -> Iterator[tuple[Atom, Atom, Term, Term, Atom]]:
+    """(atom, equality, replaced term, constant, result) for each orientable
+    equality in turn and each of its candidate atoms with the replaced term
+    at the top level, in candidate order."""
     for eq in eqs:
         try:
             oriented = orient_equality(eq.lhs, eq.rhs)
@@ -77,15 +77,23 @@ def e_instances(atoms: Iterable[Atom]) -> list[InferenceInstance]:
         if oriented is None:
             continue
         src, dst = oriented
-        for atom in pool:
+        for atom in candidates(eq, src):
             if atom == eq:
                 continue
             replaced = _replace_top_level(atom, src, dst)
             if replaced is not None:
-                out.append(InferenceInstance(
-                    Schema.E, (AtomLabel(atom), AtomLabel(eq)),
-                    AtomLabel(replaced), (src, dst)))
-    return out
+                yield atom, eq, src, dst, replaced
+
+
+def e_instances(atoms: Iterable[Atom]) -> list[InferenceInstance]:
+    """Equality replacements: top-level occurrences only, complex terms
+    replaced by constants, never the other way around."""
+    pool = sorted(atoms, key=atom_key)
+    eqs = [a for a in pool if isinstance(a, EqAtom)]
+    return [InferenceInstance(Schema.E, (AtomLabel(atom), AtomLabel(eq)),
+                              AtomLabel(replaced), (src, dst))
+            for atom, eq, src, dst, replaced
+            in _replacements(eqs, lambda eq, src: pool)]
 
 
 def cg_instances(atoms: Iterable[Atom], goal: BooleanCQ,
@@ -290,7 +298,9 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     conclusion stays within the depth bound.
 
     Semi-naive: each round seeds rule bodies with the previous round's new
-    atoms, so work is proportional to what actually changed.
+    atoms, visits only the rules whose body predicates they carry, and
+    pairs an equality with an atom only when one of the two is new, so
+    work is proportional to what actually changed.
     """
     import time as _time
 
@@ -336,6 +346,12 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             structure.complete = False
             raise BudgetExceeded("saturation deadline")
 
+    # a rule can fire anew only when a body predicate has a frontier atom
+    rules_by_pred: dict[tuple, list[int]] = {}
+    for i, rule in enumerate(rules):
+        for pattern in rule.body:
+            rules_by_pred.setdefault(atom_pred(pattern), []).append(i)
+
     frontier = sorted(index.atoms, key=atom_key)
     first_round = True
     while frontier:
@@ -345,7 +361,13 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
         frontier_by_pred: dict[tuple, list[Atom]] = {}
         for fa in frontier:
             frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)
-        for rule, rule_id in zip(rules, rule_ids):
+        if first_round:
+            active = range(len(rules))
+        else:
+            active = sorted({i for pred in frontier_by_pred
+                             for i in rules_by_pred.get(pred, ())})
+        for i in active:
+            rule, rule_id = rules[i], rule_ids[i]
             seeds: list[dict] = []
             if first_round:
                 seeds.append({})
@@ -370,17 +392,25 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                         concl = substitute_atom(h, subst)
                         if record(Schema.MP, premise_ids, concl):
                             new_atoms.add(concl)
-        if any(isinstance(a, EqAtom) for a in index.atoms):
-            for inst in e_instances(index.atoms):
-                # keep only instances touching the frontier to stay
-                # incremental; the dedup makes repeats harmless
-                if first_round or inst.premises[0].atom in frontier_set \
-                        or inst.premises[1].atom in frontier_set:
-                    concl = inst.conclusion.atom
-                    if record(Schema.E, tuple(label_ids[lab]
-                                              for lab in inst.premises),
-                              concl):
-                        new_atoms.add(concl)
+        eqs = index.bucket(("=",))
+        if eqs:
+            # only instances with a frontier premise are new: a frontier
+            # equality rewrites every atom, an older one the frontier atoms
+            # with its replaced term at the top level (both in atom_key
+            # order, as e_instances lists them)
+            pool = sorted(index.atoms, key=atom_key) \
+                if first_round or ("=",) in frontier_by_pred else []
+            by_term: dict[Term, list[Atom]] = {}
+            for fa in frontier:
+                for t in set(atom_terms(fa)):
+                    by_term.setdefault(t, []).append(fa)
+            steps = list(_replacements(
+                eqs, lambda eq, src: pool if first_round or eq in frontier_set
+                else by_term.get(src, ())))
+            for atom, eq, _, _, concl in steps:
+                if record(Schema.E, (label_ids[AtomLabel(atom)],
+                                     label_ids[AtomLabel(eq)]), concl):
+                    new_atoms.add(concl)
         first_round = False
         frontier = sorted(new_atoms, key=atom_key)
     return structure

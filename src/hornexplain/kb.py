@@ -10,6 +10,8 @@ stored as ``r(y, x)``.
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -21,29 +23,102 @@ class KBError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+
+_INTERN_LOCK = threading.Lock()
+
+
+class _TableRef(weakref.ref):
+    """A table entry: a weak reference that carries its key for the
+    table's removal callback, like ``weakref.KeyedRef`` but built without
+    running Python code."""
+
+    __slots__ = ("key",)
+
+
+class _Interned:
+    """Immutable value with one live object per value (hash-consing).
+
+    Constructing an instance from arguments equal to those of a live
+    instance returns that instance, so equality and hashing are the default
+    identity ones.  Arguments are positional, in ``__slots__`` order, and
+    are strings or interned values themselves, so the table key hashes in
+    constant time.  Each class keeps a weak-valued table: a value nothing
+    else references leaves it.
+    """
+
+    __slots__ = ("__weakref__",)
+    _table: weakref.WeakValueDictionary
+    _refs: dict  # the table's own dict: key -> weak reference
+    _setters: tuple  # the slot descriptors' setters, in argument order
+
+    def __init_subclass__(cls):
+        cls._table = weakref.WeakValueDictionary()
+        cls._refs = cls._table.data
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
+
+    def __new__(cls, *args):
+        refs = cls._refs
+        ref = refs.get(args)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        if len(args) != len(cls._setters):
+            raise TypeError(f"{cls.__name__} takes {len(cls._setters)} "
+                            f"arguments, got {len(args)}")
+        # look up again and insert as one step, or two threads building
+        # the same value could each keep an object of their own
+        with _INTERN_LOCK:
+            ref = refs.get(args)
+            obj = ref() if ref is not None else None
+            if obj is None:
+                obj = object.__new__(cls)
+                for setter, value in zip(cls._setters, args):
+                    setter(obj, value)
+                ref = refs[args] = _TableRef(obj, cls._table._remove)
+                ref.key = args
+        return obj
+
+    def _immutable(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        # copying or unpickling constructs, and so interns, again
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Interned):
+    __slots__ = ("name",)
     name: str
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Interned):
+    __slots__ = ("name",)
     name: str
 
     def __repr__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class SkolemTerm:
+class SkolemTerm(_Interned):
     """Application of a unary Skolem function to a term."""
 
+    __slots__ = ("fn", "arg")
     fn: str
     arg: Term
 
@@ -98,21 +173,21 @@ def format_term(t: Term) -> str:
 # Atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConceptAtom:
+class ConceptAtom(_Interned):
+    __slots__ = ("concept", "term")
     concept: str
     term: Term
 
 
-@dataclass(frozen=True)
-class RoleAtom:
+class RoleAtom(_Interned):
+    __slots__ = ("role", "subj", "obj")
     role: str
     subj: Term
     obj: Term
 
 
-@dataclass(frozen=True)
-class EqAtom:
+class EqAtom(_Interned):
+    __slots__ = ("lhs", "rhs")
     lhs: Term
     rhs: Term
 

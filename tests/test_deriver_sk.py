@@ -1,5 +1,8 @@
 """Ground-atom inference schemas: enumeration, checking, soundness."""
 
+import hashlib
+import json
+
 import pytest
 
 from hornexplain.chase import chase, skolemize
@@ -7,9 +10,10 @@ from hornexplain.deriver_sk import (DeriverError, cg_instances, check_edge,
                                     e_instances, mp_instances, saturate_kb)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
                             SkolemTerm, atom_terms, make_kb, term_depth)
-from hornexplain.parser import parse_kb
+from hornexplain.generators import gen_el_abox, gen_hornalc_counter
+from hornexplain.parser import parse_kb, serialize_document
 from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, RuleLabel,
-                                Schema)
+                                Schema, format_label)
 
 A_ = Const("a")
 F0A = SkolemTerm("f_0", A_)
@@ -165,3 +169,50 @@ def test_saturation_covers_the_chase(ex1):
     structure = saturate_kb(kb, 2)
     for atom in state.atoms:
         assert structure.has_atom(atom)
+
+
+_NOMINAL_KB = """\
+rule: A(x) -> exists y. r(x,y), B(y)
+rule: B(x) -> x = b
+rule: r(x,y), B(y) -> C(x)
+rule: C(x) -> exists y. s(x,y)
+fact: A(a)
+fact: D(b)
+"""
+
+
+def _structure_digest(structure) -> tuple[int, int, str]:
+    """Vertex and edge counts, and the sha256 of the vertices, the edges in
+    order and the sorted frontier."""
+    text = json.dumps([
+        [[vid, format_label(label)]
+         for vid, label in structure.vertices.items()],
+        [[list(e.premises), e.conclusion, e.schema.value]
+         for e in structure.edges],
+        sorted(structure.frontier)])
+    return (len(structure.vertices), len(structure.edges),
+            hashlib.sha256(text.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("kb, depth, replaces, expected", [
+    (gen_el_abox(40).kb, 0, False, (
+        204, 120,
+        "232668e97262825d1be553539050535f0ca350fe8ffd994cb253ecd28f77ceb1")),
+    (gen_hornalc_counter(1).kb, 4, False, (
+        154, 168,
+        "8f30933ab8d53494c6560110d419918a05f23da291b01d47eda98133b9fc13cc")),
+    (parse_kb(_NOMINAL_KB), 2, True, (
+        14, 9,
+        "58269f2b0fc88d87c1190edb5d83050a723ef203de04124c90852a81b80b83f3")),
+    # equalities appear round after round, inside and outside the frontier
+    (parse_kb(serialize_document(gen_el_abox(30).kb)
+              + "rule: N1(x) -> x = b\nfact: C(b)\n"), 0, True, (
+        310, 566,
+        "bfc184f8f1e195200d324e2ea53fa6d0869c0f20c8533a1400469699568b6a73")),
+], ids=["el-abox-40", "hornalc-counter-1", "nominal", "el-abox-30-nominal"])
+def test_saturated_structures_are_pinned(kb, depth, replaces, expected):
+    """Proof vertex ids follow structure vertex ids, so an optimization of
+    the fixpoint must keep vertex ids, edge order and the frontier."""
+    structure = saturate_kb(kb, depth)
+    assert _structure_digest(structure) == expected
+    assert any(e.schema is Schema.E for e in structure.edges) == replaces

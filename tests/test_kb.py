@@ -1,13 +1,23 @@
 """Vocabulary, parsing, fragments, and query shape."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment, KBError,
-                            NormalForm, RoleAtom, Var, detect_fragment,
-                            gaifman_graph, is_tree_shaped, make_rule)
-from hornexplain.parser import (KBSyntaxError, parse_document, parse_kb,
-                                serialize_document, normalize_document_text)
+from hornexplain.generators import gen_el_abox, gen_hornalc_counter
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, Fragment,
+                            KBError, NormalForm, RoleAtom, SkolemTerm, Var,
+                            detect_fragment, format_atom, gaifman_graph,
+                            is_tree_shaped, make_rule, map_atom_terms,
+                            substitute_atom)
+from hornexplain.parser import (KBSyntaxError, parse_atom_text,
+                                parse_document, parse_kb, serialize_document,
+                                normalize_document_text)
 
 
 def test_example_kb_parses(ex1):
@@ -193,3 +203,149 @@ def test_normalize_rejects_what_the_parser_rejects():
             parse_document(text)
         with pytest.raises(KBSyntaxError):
             normalize_document_text(text)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: one live object per term or atom value
+# ---------------------------------------------------------------------------
+
+_NAMES = st.sampled_from(["a", "b", "c_1", "a_0"])
+_FNS = st.sampled_from(["f_0", "f_1", "g"])
+
+
+def _fresh(name: str) -> str:
+    """An equal string that is a different object, where Python allows."""
+    return "".join(list(name))
+
+
+@st.composite
+def _terms(draw, ground=False):
+    """A constant or variable under a chain of Skolem functions, as
+    (base kind, base name, functions from the inside out)."""
+    kind = "const" if ground else draw(st.sampled_from(["const", "var"]))
+    return kind, draw(_NAMES), draw(st.lists(_FNS, max_size=4))
+
+
+def _build(spec):
+    """The term of a spec, built bottom-up from fresh strings."""
+    kind, name, fns = spec
+    t = (Const if kind == "const" else Var)(_fresh(name))
+    for fn in fns:
+        t = SkolemTerm(_fresh(fn), t)
+    return t
+
+
+def _atoms(terms):
+    return st.one_of(
+        st.builds(lambda c, t: ConceptAtom(c, _build(t)),
+                  st.sampled_from(["A", "B_2"]), terms),
+        st.builds(lambda r, s, t: RoleAtom(r, _build(s), _build(t)),
+                  st.sampled_from(["r", "s"]), terms, terms),
+        st.builds(lambda s, t: EqAtom(_build(s), _build(t)), terms, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_atoms(_terms()))
+def test_equal_atoms_are_one_object(atom):
+    terms = {"ConceptAtom": ("term",), "RoleAtom": ("subj", "obj"),
+             "EqAtom": ("lhs", "rhs")}[type(atom).__name__]
+    args = [_fresh(a) if isinstance(a, str) else a
+            for a in (getattr(atom, n) for n in atom.__slots__)]
+    assert type(atom)(*args) is atom
+    assert map_atom_terms(atom, lambda t: t) is atom
+    assert parse_atom_text(format_atom(atom)) is atom
+    assert copy.deepcopy(atom) is atom
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    for name in terms:
+        t = getattr(atom, name)
+        while isinstance(t, SkolemTerm):
+            assert SkolemTerm(_fresh(t.fn), t.arg) is t
+            t = t.arg
+        assert type(t)(_fresh(t.name)) is t
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(ground=True), _terms(ground=True), st.lists(_FNS, max_size=3))
+def test_substitution_meets_direct_construction(s_spec, o_spec, fns):
+    """A pattern instantiated by substitution is the atom built directly
+    from the same terms."""
+    x, y = Var("x"), Var("y")
+    pattern_obj = y
+    for fn in fns:
+        pattern_obj = SkolemTerm(fn, pattern_obj)
+    s, o = _build(s_spec), _build(o_spec)
+    got = substitute_atom(RoleAtom("r", x, pattern_obj), {x: s, y: o})
+    direct = o
+    for fn in fns:
+        direct = SkolemTerm(fn, direct)
+    assert got is RoleAtom("r", s, direct)
+    assert substitute_atom(ConceptAtom("A", x), {x: s}) is ConceptAtom("A", s)
+
+
+def test_generators_build_the_same_objects():
+    for first, second in ((gen_el_abox(5), gen_el_abox(5)),
+                          (gen_hornalc_counter(1), gen_hornalc_counter(1))):
+        assert first.kb.abox == second.kb.abox
+        assert all(a is b for a, b in zip(first.kb.abox, second.kb.abox))
+        for r1, r2 in zip(first.kb.tbox, second.kb.tbox):
+            assert all(a is b for a, b in zip(r1.body + r1.head,
+                                              r2.body + r2.head))
+        assert first.query.atoms[0] is second.query.atoms[0]
+
+
+def test_terms_and_atoms_are_immutable():
+    t = SkolemTerm("f", Const("a"))
+    values = [Const("a"), Var("x"), t, ConceptAtom("A", t),
+              RoleAtom("r", t, Var("x")), EqAtom(t, Const("a"))]
+    for value in values:
+        name = value.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, "b")
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert [repr(v) for v in values] == [
+        "a", "?x", "f(a)", "ConceptAtom(concept='A', term=f(a))",
+        "RoleAtom(role='r', subj=f(a), obj=?x)", "EqAtom(lhs=f(a), rhs=a)"]
+
+
+def test_unreferenced_values_leave_their_tables():
+    name = _fresh("only_in_this_test")
+    atom = RoleAtom("r_only_here", SkolemTerm("g_only_here", Const(name)),
+                    Var(name))
+    assert (name,) in Const._table and (name,) in Var._table
+    del atom
+    gc.collect()
+    assert (name,) not in Const._table and (name,) not in Var._table
+    assert not any(k[0] == "g_only_here" for k in SkolemTerm._table)
+    assert not any(k[0] == "r_only_here" for k in RoleAtom._table)
+
+
+def test_threads_building_one_value_get_one_object():
+    """More threads than cores race to intern the same fresh values."""
+    n_threads, n_values = 4, 2000
+    barrier = threading.Barrier(n_threads)
+    results: list[list] = [[] for _ in range(n_threads)]
+
+    def build(out: list) -> None:
+        barrier.wait()
+        for i in range(n_values):
+            name = _fresh(f"raced_{i}")
+            out.append(ConceptAtom("Raced", SkolemTerm("g", Const(name))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,))
+                   for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == n_values for out in results)
+    for built in zip(*results):
+        assert all(b is built[0] for b in built)

@@ -1,5 +1,6 @@
 """Tooling contracts: the benchmark's tracer binds library functions by
-name, and output does not depend on the process's hash seed."""
+name, and output depends neither on the process's hash seed nor on where
+objects sit in memory."""
 
 import ast
 import importlib
@@ -51,19 +52,37 @@ def test_no_two_functions_in_a_module_share_a_body():
     assert not _function_clashes(ROOT / "src" / "hornexplain")
 
 
-def _cli_outputs(hash_seed: str, workdir: Path) -> dict[str, str]:
+# Runs the CLI after interning a few thousand unrelated terms and atoms, so
+# that every value the run builds sits at another address
+_SHIFTED_CLI = """\
+import runpy
+from hornexplain.kb import ConceptAtom, Const, RoleAtom, SkolemTerm
+ballast = []
+for i in range(3000):
+    t = SkolemTerm(f"ballast_{i % 7}", Const(f"ballast_{i}"))
+    ballast += [t, ConceptAtom("Ballast", t), RoleAtom("ballast", t, t)]
+runpy.run_module("hornexplain.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _cli_outputs(hash_seed: str, workdir: Path,
+                 shift_addresses: bool = False) -> dict[str, str]:
     """Outputs of a fixed set of CLI runs, by the name of their golden file.
 
     They cover the three measures on the running example, the sk->cq->sk
     round trip, the polynomial routes (el-tree 3 takes the realization
-    fallback) and the cq search.
+    fallback) and the cq search.  With ``shift_addresses`` each run uses the
+    system allocator and interns unrelated values first.
     """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    command = [sys.executable, "-m", "hornexplain.cli"]
+    if shift_addresses:
+        env["PYTHONMALLOC"] = "malloc"
+        command = [sys.executable, "-c", _SHIFTED_CLI]
 
     def run(*args: str) -> str:
-        proc = subprocess.run([sys.executable, "-m", "hornexplain.cli", *args],
-                              capture_output=True, text=True, env=env,
-                              check=True)
+        proc = subprocess.run([*command, *args], capture_output=True,
+                              text=True, env=env, check=True)
         return proc.stdout
 
     def explain(name: str, kb: Path, *args: str) -> None:
@@ -106,6 +125,14 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
     first = _cli_outputs("0", tmp_path)
     assert all(first.values())
     assert _cli_outputs("1", tmp_path) == first
+
+
+def test_cli_output_does_not_depend_on_object_addresses(tmp_path):
+    """Terms and atoms are interned and hash by identity, so the iteration
+    order of a set of them follows their addresses."""
+    outputs = _cli_outputs("0", tmp_path, shift_addresses=True)
+    assert outputs == {p.name: p.read_text(encoding="utf-8")
+                       for p in GOLDEN.iterdir()}
 
 
 def test_cli_output_matches_the_golden_files(tmp_path):
