@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 from typing import Optional
@@ -25,8 +24,9 @@ from .generators import FAMILIES, gen_sat, gen_sat_cq
 from .kb import BooleanCQ, KBError, KnowledgeBase, format_atom, term_key
 from .parser import (format_term_surface, normalize_document_text,
                      parse_document, serialize_document)
-from .proofs import (Measure, format_label, proof_from_json, proof_to_dot,
-                     proof_to_json, validate_proof)
+from .proofs import (Measure, format_json, format_label, proof_document,
+                     proof_from_json, proof_to_dot, proof_to_json,
+                     validate_proof)
 from .search import RunConfig, explain
 
 USAGE_ERROR = 64
@@ -90,7 +90,7 @@ def cmd_answer(args) -> int:
             v.name: format_term_surface(t)
             for v, t in result.witness.substitution}
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(format_json(payload) + "\n", args.out)
     else:
         if result.verdict == "yes":
             parts = [f"yes, depth {result.at_depth}"] + [
@@ -115,8 +115,8 @@ def cmd_explain(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if result.status != "found":
         if args.format == "json":
-            _emit(json.dumps({"schema_version": 1, "status": result.status},
-                             indent=2, sort_keys=True) + "\n", args.out)
+            _emit(format_json({"schema_version": 1,
+                               "status": result.status}) + "\n", args.out)
         else:
             _emit(result.status + "\n", args.out)
         return result.exit_code
@@ -128,13 +128,13 @@ def cmd_explain(args) -> int:
     if args.format == "dot":
         _emit(proof_to_dot(result.proof), args.out)
     elif args.format == "json":
-        doc = json.loads(proof_to_json(result.proof, q))
+        doc = proof_document(result.proof, q)
         doc["measure"] = args.measure
         doc["value"] = result.value
         doc["algorithm"] = result.algorithm
         if not result.complete:
             doc["complete"] = False
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(format_json(doc) + "\n", args.out)
     else:
         algorithm = result.algorithm if result.complete \
             else f"{result.algorithm}, uncertified"
@@ -221,11 +221,9 @@ def cmd_gen(args) -> int:
     if args.out:
         _emit(text, args.out)
         with open(args.out + ".predicted.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(format_json(meta) + "\n")
     elif args.format == "json":
-        _emit(json.dumps({"kb": text, **meta}, indent=2, sort_keys=True)
-              + "\n", None)
+        _emit(format_json({"kb": text, **meta}) + "\n", None)
     else:
         _emit(text, None)
     return 0
@@ -236,6 +234,8 @@ def cmd_convert(args) -> int:
         proof, goal = proof_from_json(handle.read())
     with open(args.kb, "r", encoding="utf-8") as handle:
         kb = parse_document(handle.read()).kb
+    if goal is None:
+        raise KBError("proof file carries no goal, cannot convert safely")
     from .deriver_cq import transform_cq_to_sk, transform_sk_to_cq
     current = proof.deriver()
     if args.to == current:
@@ -244,8 +244,6 @@ def cmd_convert(args) -> int:
         converted = transform_sk_to_cq(proof, kb)
     else:
         converted = transform_cq_to_sk(proof, kb)
-    if goal is None:
-        raise KBError("proof file carries no goal, cannot convert safely")
     ok, problems = validate_proof(converted, kb, goal, args.to)
     if not ok:
         print("internal error: conversion produced an invalid proof: "
@@ -257,10 +255,7 @@ def cmd_convert(args) -> int:
 
 def cmd_export(args) -> int:
     with open(args.proof, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if not text.strip():
-        raise KBError("empty proof file")
-    proof, _ = proof_from_json(text)
+        proof, _ = proof_from_json(handle.read())
     _emit(proof_to_dot(proof), args.out)
     return 0
 

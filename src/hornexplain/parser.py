@@ -16,6 +16,7 @@ they carry no binding context of their own.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -36,195 +37,208 @@ class KBSyntaxError(KBError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = {"(", ")", ",", ".", "=", "?", ":"}
+# A token is the arrow, a one-character symbol (``-`` marks an inverse
+# role), a word, or any other single character, which is a lexical error.
+_TOKEN = re.compile(r"->|[-(),.=?:]|\w+|\S")
+# Every line with a lexical error matches: a character no token may hold, a
+# '>' outside an arrow, a word starting with a digit, or any non-ASCII
+# character (a word must start with a letter or '_', which only
+# ``str.isalpha`` tells for non-ASCII numerics such as '²' or 'Ⅻ').
+_SUSPECT = re.compile(r"[^\w\s(),.=?:>-]|(?<!-)>|\b\d|[^\x00-\x7f]")
+# The symbol tokens, and "" for the end of the line; every other token is
+# a name.
+_PUNCT = frozenset({"(", ")", ",", ".", "=", "?", ":", "-", "->", ""})
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # name | sym | arrow | inv | end
-    text: str
-    col: int
-
-
-def _tokenize(line: str, lineno: int) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c == "#":
-            break
-        if c.isspace():
-            i += 1
-            continue
-        if c == "-":
-            if i + 1 < n and line[i + 1] == ">":
-                toks.append(_Tok("arrow", "->", i + 1))
-                i += 2
-                continue
-            toks.append(_Tok("inv", "-", i + 1))
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            toks.append(_Tok("sym", c, i + 1))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", line[i:j], i + 1))
-            i = j
-            continue
-        raise KBSyntaxError(f"unexpected character {c!r}", lineno, i + 1)
-    toks.append(_Tok("end", "", n + 1))
+def _tokenize(line: str, lineno: int) -> list[str]:
+    """The tokens of ``line`` up to its comment, then "" for the end."""
+    text = line.partition("#")[0]
+    if _SUSPECT.search(text):
+        for m in _TOKEN.finditer(text):
+            tok = m.group()
+            if tok not in _PUNCT and not (tok[0].isalpha() or tok[0] == "_"):
+                raise KBSyntaxError(f"unexpected character {tok[0]!r}",
+                                    lineno, m.start() + 1)
+    toks = _TOKEN.findall(text)
+    toks.append("")
     return toks
 
 
-class _Cursor:
-    def __init__(self, toks: list[_Tok], lineno: int):
-        self.toks = toks
-        self.pos = 0
-        self.lineno = lineno
+class _Stop(Exception):
+    """A syntax error at token ``at`` of its line (None: column 0); the
+    caller that holds the line turns it into a KBSyntaxError."""
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def __init__(self, message: str, at: Optional[int]):
+        super().__init__(message)
+        self.message = message
+        self.at = at
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
-        t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise self.error(f"expected {want!r}, found {t.text or 'end of line'}",
-                             t.col)
-        return t
+def _expected(want: str, toks: list[str], i: int) -> _Stop:
+    return _Stop(f"expected {want!r}, found {toks[i] or 'end of line'}", i)
 
-    def error(self, message: str, col: Optional[int] = None) -> KBSyntaxError:
-        return KBSyntaxError(message, self.lineno,
-                             col if col is not None else self.peek().col)
+
+def _syntax_error(stop: _Stop, line: str, lineno: int) -> KBSyntaxError:
+    if stop.at is None:
+        col = 0
+    else:
+        starts = [m.start() + 1
+                  for m in _TOKEN.finditer(line.partition("#")[0])]
+        col = starts[stop.at] if stop.at < len(starts) else len(line) + 1
+    return KBSyntaxError(stop.message, lineno, col)
 
 
 # ---------------------------------------------------------------------------
 # Term and atom parsing (shared by KB statements and proof labels)
+#
+# Each function reads the token list from index ``i`` and returns what it
+# read with the index after it; the list ends with "".
 # ---------------------------------------------------------------------------
 
-def _parse_term(cur: _Cursor, variables: Optional[set[str]]) -> Term:
+def _parse_term(toks: list[str], i: int,
+                variables: Optional[set[str]]) -> tuple[Term, int]:
     """Variables are either pre-declared names or ``?``-marked."""
-    if cur.peek().kind == "sym" and cur.peek().text == "?":
-        cur.next()
-        name = cur.expect("name").text
-        return Var(name)
-    tok = cur.expect("name")
-    if cur.peek().kind == "sym" and cur.peek().text == "(":
-        cur.next()
-        arg = _parse_term(cur, variables)
-        cur.expect("sym", ")")
-        return SkolemTerm(tok.text, arg)
-    if variables is not None and tok.text in variables:
-        return Var(tok.text)
-    return Const(tok.text)
+    fns = []
+    while True:
+        t = toks[i]
+        if t == "?":
+            if toks[i + 1] in _PUNCT:
+                raise _expected("name", toks, i + 1)
+            term: Term = Var(toks[i + 1])
+            i += 2
+            break
+        if t in _PUNCT:
+            raise _expected("name", toks, i)
+        if toks[i + 1] != "(":
+            term = Var(t) if variables is not None and t in variables \
+                else Const(t)
+            i += 1
+            break
+        fns.append(t)
+        i += 2
+    for fn in reversed(fns):
+        if toks[i] != ")":
+            raise _expected(")", toks, i)
+        term = SkolemTerm(fn, term)
+        i += 1
+    return term, i
 
 
-def _parse_atom(cur: _Cursor, variables: Optional[set[str]]) -> Atom:
+def _parse_atom(toks: list[str], i: int,
+                variables: Optional[set[str]]) -> tuple[Atom, int]:
     """An atom ``P(t)``, ``r(s,t)``, ``r-(s,t)`` or equality ``t1 = t2``."""
-    start = cur.peek()
-    if start.kind == "sym" and start.text == "?":
-        lhs = _parse_term(cur, variables)
-        cur.expect("sym", "=")
-        return EqAtom(lhs, _parse_term(cur, variables))
-    name_tok = cur.expect("name")
-    inverse = False
-    if cur.peek().kind == "inv":
-        cur.next()
-        inverse = True
-    if cur.peek().kind == "sym" and cur.peek().text == "(":
-        cur.next()
-        args = [_parse_term(cur, variables)]
-        while cur.peek().kind == "sym" and cur.peek().text == ",":
-            cur.next()
-            args.append(_parse_term(cur, variables))
-        cur.expect("sym", ")")
-        if cur.peek().kind == "sym" and cur.peek().text == "=":
+    start = i
+    name = toks[i]
+    if name == "?":
+        lhs, i = _parse_term(toks, i, variables)
+        if toks[i] != "=":
+            raise _expected("=", toks, i)
+        rhs, i = _parse_term(toks, i + 1, variables)
+        return EqAtom(lhs, rhs), i
+    if name in _PUNCT:
+        raise _expected("name", toks, i)
+    i += 1
+    inverse = toks[i] == "-"
+    if inverse:
+        i += 1
+    if toks[i] == "(":
+        arg, i = _parse_term(toks, i + 1, variables)
+        args = [arg]
+        while toks[i] == ",":
+            arg, i = _parse_term(toks, i + 1, variables)
+            args.append(arg)
+        if toks[i] != ")":
+            raise _expected(")", toks, i)
+        i += 1
+        if toks[i] == "=":
             # the application was a Skolem term on the left of an equality
             if inverse or len(args) != 1:
-                raise cur.error("malformed equality left-hand side", start.col)
-            cur.next()
-            return EqAtom(SkolemTerm(name_tok.text, args[0]),
-                          _parse_term(cur, variables))
+                raise _Stop("malformed equality left-hand side", start)
+            rhs, i = _parse_term(toks, i + 1, variables)
+            return EqAtom(SkolemTerm(name, args[0]), rhs), i
         if len(args) == 1:
             if inverse:
-                raise cur.error("inverse marker on a unary predicate",
-                                start.col)
-            return ConceptAtom(name_tok.text, args[0])
+                raise _Stop("inverse marker on a unary predicate", start)
+            return ConceptAtom(name, args[0]), i
         if len(args) == 2:
             if inverse:
-                args.reverse()
-            return RoleAtom(name_tok.text, args[0], args[1])
-        raise cur.error("predicates take one or two arguments", start.col)
+                return RoleAtom(name, args[1], args[0]), i
+            return RoleAtom(name, args[0], args[1]), i
+        raise _Stop("predicates take one or two arguments", start)
     # bare name: left-hand side of an equality
-    if variables is not None and name_tok.text in variables:
-        lhs: Term = Var(name_tok.text)
-    else:
-        lhs = Const(name_tok.text)
-    cur.expect("sym", "=")
-    return EqAtom(lhs, _parse_term(cur, variables))
+    lhs = Var(name) if variables is not None and name in variables \
+        else Const(name)
+    if toks[i] != "=":
+        raise _expected("=", toks, i)
+    rhs, i = _parse_term(toks, i + 1, variables)
+    return EqAtom(lhs, rhs), i
 
 
-def _parse_atom_list(cur: _Cursor, variables: Optional[set[str]]) -> list[Atom]:
-    atoms = [_parse_atom(cur, variables)]
-    while cur.peek().kind == "sym" and cur.peek().text == ",":
-        cur.next()
-        atoms.append(_parse_atom(cur, variables))
-    return atoms
+def _parse_atom_list(toks: list[str], i: int, variables: Optional[set[str]]
+                     ) -> tuple[list[Atom], int]:
+    atom, i = _parse_atom(toks, i, variables)
+    atoms = [atom]
+    while toks[i] == ",":
+        atom, i = _parse_atom(toks, i + 1, variables)
+        atoms.append(atom)
+    return atoms, i
 
 
-def _parse_exists_prefix(cur: _Cursor) -> list[str]:
+def _parse_exists_prefix(toks: list[str], i: int) -> tuple[list[str], int]:
     """Consume ``exists v1, v2.`` if present; returns declared names."""
-    if cur.peek().kind == "name" and cur.peek().text == "exists":
-        cur.next()
-        names = [cur.expect("name").text]
-        while cur.peek().kind == "sym" and cur.peek().text == ",":
-            cur.next()
-            names.append(cur.expect("name").text)
-        cur.expect("sym", ".")
-        return names
-    return []
+    if toks[i] != "exists":
+        return [], i
+    names = []
+    sep = ","
+    while sep == ",":
+        if toks[i + 1] in _PUNCT:
+            raise _expected("name", toks, i + 1)
+        names.append(toks[i + 1])
+        i += 2
+        sep = toks[i]
+    if sep != ".":
+        raise _expected(".", toks, i)
+    return names, i + 1
+
+
+def _expect_end(toks: list[str], i: int) -> None:
+    if toks[i]:
+        raise _expected("end", toks, i)
 
 
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
 
-def _split_rule(cur: _Cursor) -> tuple[tuple[Atom, ...], tuple[Atom, ...],
-                                      tuple[Var, ...]]:
-    """Body, head and existential variables of a rule statement, with the
-    body's identifiers bound as variables; the shape is not checked."""
-    # First pass finds the arrow so body identifiers can be bound.
-    arrow_at = None
-    for idx in range(cur.pos, len(cur.toks)):
-        if cur.toks[idx].kind == "arrow":
-            arrow_at = idx
-            break
-    if arrow_at is None:
-        raise cur.error("rule is missing '->'")
-    body_cur = _Cursor(cur.toks[cur.pos:arrow_at] + [_Tok("end", "", 0)],
-                       cur.lineno)
-    body_raw = _parse_atom_list(body_cur, variables=None)
-    if body_cur.peek().kind != "end":
-        raise cur.error("unexpected input before '->'", body_cur.peek().col)
+def _split_rule(toks: list[str], i: int) -> tuple[
+        tuple[Atom, ...], tuple[Atom, ...], tuple[Var, ...]]:
+    """Body, head and existential variables of a rule statement from token
+    ``i`` on, with the body's identifiers bound as variables; the shape is
+    not checked."""
+    # The arrow is found first so body identifiers can be bound.
+    try:
+        arrow = toks.index("->", i)
+    except ValueError:
+        raise _Stop("rule is missing '->'", i) from None
+    # the body ends at the arrow, which reads as an end of line at column 0
+    body = toks[i:arrow]
+    body.append("")
+    try:
+        body_raw, j = _parse_atom_list(body, 0, variables=None)
+    except _Stop as stop:
+        stop.at = None if stop.at == arrow - i else i + stop.at
+        raise
+    if body[j]:
+        raise _Stop("unexpected input before '->'", i + j)
     body_vars = {t.name for a in body_raw for t in atom_terms(a)
                  if isinstance(t, Const)}
-    head_cur = _Cursor(cur.toks[arrow_at + 1:], cur.lineno)
-    evar_names = _parse_exists_prefix(head_cur)
+    evar_names, j = _parse_exists_prefix(toks, arrow + 1)
     dup = set(evar_names) & body_vars
     if dup:
-        raise cur.error(f"existential variable shadows a body variable: "
-                        f"{sorted(dup)}")
-    head_raw = _parse_atom_list(head_cur, variables=body_vars | set(evar_names))
-    head_cur.expect("end")
+        raise _Stop(f"existential variable shadows a body variable: "
+                    f"{sorted(dup)}", i)
+    head_raw, j = _parse_atom_list(toks, j, body_vars | set(evar_names))
+    _expect_end(toks, j)
 
     def bind_term(t: Term) -> Term:
         if isinstance(t, Const) and t.name in body_vars:
@@ -236,31 +250,31 @@ def _split_rule(cur: _Cursor) -> tuple[tuple[Atom, ...], tuple[Atom, ...],
             tuple(Var(n) for n in evar_names))
 
 
-def _parse_rule_statement(cur: _Cursor) -> Rule:
-    body, head, evars = _split_rule(cur)
+def _parse_rule_statement(toks: list[str], i: int, lineno: int) -> Rule:
+    body, head, evars = _split_rule(toks, i)
     try:
         form, _ = classify_rule(body, head, evars)
     except KBError as exc:
-        raise KBSyntaxError(str(exc), cur.lineno, 1) from exc
+        raise KBSyntaxError(str(exc), lineno, 1) from exc
     return Rule(body, head, evars, form)
 
 
-def _parse_fact_statement(cur: _Cursor) -> Atom:
-    atom = _parse_atom(cur, variables=None)
-    cur.expect("end")
+def _parse_fact_statement(toks: list[str], i: int) -> Atom:
+    atom, j = _parse_atom(toks, i, variables=None)
+    _expect_end(toks, j)
     if isinstance(atom, EqAtom):
-        raise cur.error("facts cannot be equalities")
+        raise _Stop("facts cannot be equalities", i)
     if not all(isinstance(t, Const) for t in atom_terms(atom)):
-        raise cur.error("facts must be ground over individual names")
+        raise _Stop("facts must be ground over individual names", i)
     return atom
 
 
-def _parse_query_statement(cur: _Cursor) -> BooleanCQ:
-    evar_names = _parse_exists_prefix(cur)
-    atoms = _parse_atom_list(cur, variables=set(evar_names))
-    cur.expect("end")
+def _parse_query_statement(toks: list[str], i: int) -> BooleanCQ:
+    evar_names, j = _parse_exists_prefix(toks, i)
+    atoms, j = _parse_atom_list(toks, j, variables=set(evar_names))
+    _expect_end(toks, j)
     if any(isinstance(a, EqAtom) for a in atoms):
-        raise cur.error("queries cannot contain equality atoms")
+        raise _Stop("queries cannot contain equality atoms", i)
     return BooleanCQ(tuple(atoms), tuple(Var(n) for n in evar_names))
 
 
@@ -296,27 +310,31 @@ def parse_document(text: str) -> Document:
     facts: list[tuple[int, Atom]] = []
     queries: list[BooleanCQ] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.split("#", 1)[0].strip():
+        toks = _tokenize(raw, lineno)
+        if len(toks) == 1:
             continue
-        cur = _Cursor(_tokenize(raw, lineno), lineno)
-        head = cur.expect("name")
-        kind = head.text
-        if kind not in ("rule", "fact", "query"):
-            raise KBSyntaxError(f"unknown statement kind {kind!r}", lineno,
-                                head.col)
-        cur.expect("sym", ":")
-        if kind == "rule":
-            rule = _parse_rule_statement(cur)
-            _scan_reserved(rule.body + rule.head, lineno)
-            rules.append((lineno, rule))
-        elif kind == "fact":
-            atom = _parse_fact_statement(cur)
-            _scan_reserved([atom], lineno)
-            facts.append((lineno, atom))
-        else:
-            query = _parse_query_statement(cur)
-            _scan_reserved(query.atoms, lineno)
-            queries.append(query)
+        try:
+            kind = toks[0]
+            if kind in _PUNCT:
+                raise _expected("name", toks, 0)
+            if kind not in ("rule", "fact", "query"):
+                raise _Stop(f"unknown statement kind {kind!r}", 0)
+            if toks[1] != ":":
+                raise _expected(":", toks, 1)
+            if kind == "rule":
+                rule = _parse_rule_statement(toks, 2, lineno)
+                _scan_reserved(rule.body + rule.head, lineno)
+                rules.append((lineno, rule))
+            elif kind == "fact":
+                atom = _parse_fact_statement(toks, 2)
+                _scan_reserved([atom], lineno)
+                facts.append((lineno, atom))
+            else:
+                query = _parse_query_statement(toks, 2)
+                _scan_reserved(query.atoms, lineno)
+                queries.append(query)
+        except _Stop as stop:
+            raise _syntax_error(stop, raw, lineno) from None
 
     _check_name_spaces(rules, facts, queries)
     try:
@@ -360,8 +378,10 @@ def _check_name_spaces(rules, facts, queries) -> None:
 
 def parse_query_text(text: str) -> BooleanCQ:
     """A single query in the statement syntax, without the 'query:' marker."""
-    cur = _Cursor(_tokenize(text, 0), 0)
-    return _parse_query_statement(cur)
+    try:
+        return _parse_query_statement(_tokenize(text, 0), 0)
+    except _Stop as stop:
+        raise _syntax_error(stop, text, 0) from None
 
 
 def parse_kb(text: str, expect_fragment: Optional[Fragment] = None) -> KnowledgeBase:
@@ -384,10 +404,13 @@ def parse_kb(text: str, expect_fragment: Optional[Fragment] = None) -> Knowledge
 # ---------------------------------------------------------------------------
 
 def parse_atom_text(text: str) -> Atom:
-    cur = _Cursor(_tokenize(text, 0), 0)
-    a = _parse_atom(cur, variables=None)
-    cur.expect("end")
-    return a
+    toks = _tokenize(text, 0)
+    try:
+        atom, i = _parse_atom(toks, 0, variables=None)
+        _expect_end(toks, i)
+    except _Stop as stop:
+        raise _syntax_error(stop, text, 0) from None
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +583,24 @@ def normalize_document_text(text: str) -> str:
     other_lines = []
     taken: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        toks = _tokenize(raw, lineno)
+        if len(toks) == 1:
             continue
-        cur = _Cursor(_tokenize(raw, lineno), lineno)
-        kind = cur.expect("name").text
-        cur.expect("sym", ":")
-        if kind == "rule":
-            raw_rules.append(_split_rule(cur))
-        elif kind in ("fact", "query"):
-            other_lines.append(stripped)
-        else:
+        try:
+            if toks[0] in _PUNCT:
+                raise _expected("name", toks, 0)
+            if toks[1] != ":":
+                raise _expected(":", toks, 1)
+            kind = toks[0]
+            if kind == "rule":
+                raw_rules.append(_split_rule(toks, 2))
+        except _Stop as stop:
+            raise _syntax_error(stop, raw, lineno) from None
+        if kind in ("fact", "query"):
+            other_lines.append(raw.split("#", 1)[0].strip())
+        elif kind != "rule":
             raise KBSyntaxError(f"unknown statement kind {kind!r}", lineno, 1)
-        for tok in cur.toks:
-            if tok.kind == "name":
-                taken.add(tok.text)
+        taken.update(t for t in toks if t not in _PUNCT)
     rules = normalize_rules(raw_rules, taken)
     lines = [format_rule(r) for r in rules] + other_lines
     return "\n".join(lines) + "\n"

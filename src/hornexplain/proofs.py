@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
-from .kb import (Atom, BooleanCQ, KnowledgeBase, NormalForm, Rule, Term,
-                 Var, atom_key, atom_terms, cq_equivalent, format_atom,
+from .kb import (Atom, BooleanCQ, KBError, KnowledgeBase, NormalForm, Rule,
+                 Term, Var, atom_key, atom_terms, cq_equivalent, format_atom,
                  subterms, term_is_ground)
 from .chase import SkolemRule
 
@@ -103,25 +103,7 @@ def label_key(label: Label):
 
 
 def format_label(label: Label) -> str:
-    if isinstance(label, AtomLabel):
-        return format_atom(label.atom)
-    if isinstance(label, ConjLabel):
-        return ", ".join(format_atom(a) for a in label.atoms)
-    if isinstance(label, CQLabel):
-        cq = label.cq
-        atoms = ", ".join(format_atom(a) for a in cq.atoms)
-        if cq.existential_vars:
-            names = ", ".join(v.name for v in cq.existential_vars)
-            return f"exists {names}. {atoms}"
-        return atoms
-    rule = label.rule
-    body = ", ".join(format_atom(a) for a in rule.body)
-    head = ", ".join(format_atom(a) for a in rule.head)
-    evars = getattr(rule, "existential_vars", ())
-    if evars:
-        names = ", ".join(v.name for v in evars)
-        return f"{body} -> exists {names}. {head}"
-    return f"{body} -> {head}"
+    return _label_to_json(label, format_atom)["label"]
 
 
 # ---------------------------------------------------------------------------
@@ -518,56 +500,126 @@ def inference_steps(p: ProofGraph) -> list[tuple[Schema, tuple[int, ...],
 
 SCHEMA_VERSION = 1
 
+_quote = json.encoder.encode_basestring_ascii
+# the text of a scalar, by its exact type
+_SCALARS = {str: _quote, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
 
-def _label_to_json(label: Label) -> dict:
+
+def format_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    values built of str, int, bool, None, list and dict (with str keys);
+    raises TypeError on anything else.  The stdlib falls back to its
+    pure-Python encoder whenever ``indent`` is set; here every string is
+    quoted by the C quoter and a list of scalars of one type is one
+    join."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, nl: str, out: list[str]) -> None:
+    """Append the text of ``value``, whose nested lines start with ``nl``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:
+            out.append(f"[{inner}{(',' + inner).join(map(scalar, value))}"
+                       f"{nl}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                out.append(f"{sep}{_quote(key)}: {scalar(item)}")
+            else:
+                out.append(f"{sep}{_quote(key)}: ")
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not "
+                        "JSON serializable")
+
+
+def _label_to_json(label: Label, text) -> dict:
+    """The label's JSON object with its display text under ``label``;
+    ``text`` formats an atom."""
     if isinstance(label, AtomLabel):
-        return {"kind": "atom", "atom": format_atom(label.atom)}
+        atom = text(label.atom)
+        return {"kind": "atom", "atom": atom, "label": atom}
     if isinstance(label, ConjLabel):
-        return {"kind": "conjunction",
-                "atoms": [format_atom(a) for a in label.atoms]}
+        atoms = list(map(text, label.atoms))
+        return {"kind": "conjunction", "atoms": atoms,
+                "label": ", ".join(atoms)}
     if isinstance(label, CQLabel):
-        return {"kind": "cq",
-                "atoms": [format_atom(a) for a in label.cq.atoms],
-                "evars": [v.name for v in label.cq.existential_vars]}
+        atoms = list(map(text, label.cq.atoms))
+        evars = [v.name for v in label.cq.existential_vars]
+        shown = ", ".join(atoms)
+        if evars:
+            shown = f"exists {', '.join(evars)}. {shown}"
+        return {"kind": "cq", "atoms": atoms, "evars": evars,
+                "label": shown}
     rule = label.rule
-    base = {"body": [format_atom(a) for a in rule.body],
-            "head": [format_atom(a) for a in rule.head]}
+    body = list(map(text, rule.body))
+    head = list(map(text, rule.head))
+    evars = [v.name for v in getattr(rule, "existential_vars", ())]
+    shown = f"{', '.join(body)} -> "
+    if evars:
+        shown += f"exists {', '.join(evars)}. "
+    base = {"body": body, "head": head, "label": shown + ", ".join(head)}
     if isinstance(rule, SkolemRule):
         return {"kind": "skolem_rule", "index": rule.index,
                 "form": rule.normal_form.value, "fn": rule.fn, **base}
     if isinstance(rule, TautRule):
-        return {"kind": "taut_rule",
-                "evars": [v.name for v in rule.existential_vars], **base}
-    return {"kind": "rule", "form": rule.normal_form.value,
-            "evars": [v.name for v in rule.existential_vars], **base}
-
-
-def _label_from_json(obj: dict) -> Label:
-    from .parser import parse_atom_text
-
-    kind = obj["kind"]
-    if kind == "atom":
-        return AtomLabel(parse_atom_text(obj["atom"]))
-    if kind == "conjunction":
-        return ConjLabel(tuple(parse_atom_text(a) for a in obj["atoms"]))
-    if kind == "cq":
-        atoms = tuple(parse_atom_text(a) for a in obj["atoms"])
-        return CQLabel(BooleanCQ(atoms, tuple(Var(n) for n in obj["evars"])))
-    body = tuple(parse_atom_text(a) for a in obj["body"])
-    head = tuple(parse_atom_text(a) for a in obj["head"])
-    if kind == "skolem_rule":
-        return RuleLabel(SkolemRule(body, head, NormalForm(obj["form"]),
-                                    obj["index"], obj.get("fn")))
-    if kind == "taut_rule":
-        return RuleLabel(TautRule(body, head,
-                                  tuple(Var(n) for n in obj["evars"])))
-    return RuleLabel(Rule(body, head, tuple(Var(n) for n in obj["evars"]),
-                          NormalForm(obj["form"])))
+        return {"kind": "taut_rule", "evars": evars, **base}
+    return {"kind": "rule", "form": rule.normal_form.value, "evars": evars,
+            **base}
 
 
 def proof_to_json(p: ProofGraph, goal: Optional[BooleanCQ] = None) -> str:
-    vertices = [{"id": v, "label": format_label(lab), **_label_to_json(lab)}
-                for v, lab in sorted(p.vertices.items())]
+    return format_json(proof_document(p, goal))
+
+
+def proof_document(p: ProofGraph, goal: Optional[BooleanCQ] = None) -> dict:
+    """The JSON document of a proof (and its goal), as plain values."""
+    texts: dict[Atom, str] = {}
+
+    def text(atom: Atom) -> str:
+        shown = texts.get(atom)
+        if shown is None:
+            shown = texts[atom] = format_atom(atom)
+        return shown
+
+    vertices = []
+    for v, lab in sorted(p.vertices.items()):
+        obj = _label_to_json(lab, text)
+        obj["id"] = v
+        vertices.append(obj)
     edges = [{"premises": list(e.premises), "conclusion": e.conclusion,
               "schema": e.schema.value}
              for e in sorted(p.edges,
@@ -575,21 +627,126 @@ def proof_to_json(p: ProofGraph, goal: Optional[BooleanCQ] = None) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "deriver": p.deriver(),
            "vertices": vertices, "edges": edges}
     if goal is not None:
-        doc["goal"] = _label_to_json(CQLabel(goal))
-    return json.dumps(doc, indent=2, sort_keys=True)
+        obj = _label_to_json(CQLabel(goal), text)
+        del obj["label"]
+        doc["goal"] = obj
+    return doc
+
+
+_SCHEMA_NAMES = {s.value: s for s in Schema}
+_FORM_NAMES = {f.value: f for f in NormalForm}
+
+
+def _strings(obj: dict, key: str) -> list[str]:
+    value = obj.get(key)
+    if not isinstance(value, list) or not all(type(s) is str for s in value):
+        raise KBError(f"{key!r} must be a list of strings")
+    return value
+
+
+def _label_from_json(obj, atom) -> Label:
+    """``atom`` reads an atom text."""
+    if not isinstance(obj, dict):
+        raise KBError("a label must be a JSON object")
+    kind = obj.get("kind")
+    if kind == "atom":
+        return AtomLabel(atom(obj.get("atom")))
+    if kind in ("conjunction", "cq"):
+        atoms = tuple(map(atom, _strings(obj, "atoms")))
+        if kind == "conjunction":
+            return ConjLabel(atoms)
+        evars = tuple(map(Var, _strings(obj, "evars")))
+        return CQLabel(BooleanCQ(atoms, evars))
+    if kind not in ("skolem_rule", "taut_rule", "rule"):
+        raise KBError(f"unknown label kind {kind!r}")
+    body = tuple(map(atom, _strings(obj, "body")))
+    head = tuple(map(atom, _strings(obj, "head")))
+    if kind == "taut_rule":
+        return RuleLabel(TautRule(body, head,
+                                  tuple(map(Var, _strings(obj, "evars")))))
+    form = obj.get("form")
+    if type(form) is not str or form not in _FORM_NAMES:
+        raise KBError(f"unknown rule form {form!r}")
+    if kind == "rule":
+        return RuleLabel(Rule(body, head,
+                              tuple(map(Var, _strings(obj, "evars"))),
+                              _FORM_NAMES[form]))
+    index, fn = obj.get("index"), obj.get("fn")
+    if type(index) is not int or not (fn is None or type(fn) is str):
+        raise KBError("a Skolem rule needs an integer 'index' and a string "
+                      "or null 'fn'")
+    return RuleLabel(SkolemRule(body, head, _FORM_NAMES[form], index, fn))
 
 
 def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
-    doc = json.loads(text)
+    """Read a proof document; a malformed one raises KBError naming the
+    first problem found."""
+    from .parser import KBSyntaxError, parse_atom_text
+
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise KBError(f"proof file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise KBError("a proof file holds a JSON object, not "
+                      f"{type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("unsupported proof schema version")
-    vertices = {v["id"]: _label_from_json(v) for v in doc["vertices"]}
-    edges = [ProofEdge(tuple(e["premises"]), e["conclusion"],
-                       Schema(e["schema"])) for e in doc["edges"]]
+        raise KBError(f"unsupported proof schema version "
+                      f"{doc.get('schema_version')!r}, expected "
+                      f"{SCHEMA_VERSION}")
+    # atom texts repeat across labels: each distinct one is read once
+    atoms: dict[str, Atom] = {}
+
+    def atom(text) -> Atom:
+        if type(text) is not str:
+            raise KBError(f"an atom must be a string, not {text!r}")
+        a = atoms.get(text)
+        if a is None:
+            try:
+                a = atoms[text] = parse_atom_text(text)
+            except KBSyntaxError as exc:
+                raise KBError(f"atom {text!r}: {exc}") from None
+        return a
+
+    vertex_list, edge_list = doc.get("vertices"), doc.get("edges")
+    if not isinstance(vertex_list, list) or not isinstance(edge_list, list):
+        raise KBError("a proof needs 'vertices' and 'edges' lists")
+    vertices: dict[int, Label] = {}
+    for v in vertex_list:
+        vid = v.get("id") if isinstance(v, dict) else None
+        if type(vid) is not int:
+            raise KBError(f"vertex without an integer 'id': {v!r:.80}")
+        if vid in vertices:
+            raise KBError(f"vertex {vid} is defined twice")
+        try:
+            vertices[vid] = _label_from_json(v, atom)
+        except KBError as exc:
+            raise KBError(f"vertex {vid}: {exc}") from None
+    edges = []
+    for e in edge_list:
+        if not isinstance(e, dict):
+            raise KBError(f"an edge must be a JSON object: {e!r:.80}")
+        premises, conclusion = e.get("premises"), e.get("conclusion")
+        schema = e.get("schema")
+        if not isinstance(premises, list):
+            raise KBError(f"edge into {conclusion!r} has no 'premises' list")
+        for q in [conclusion] + premises:
+            if type(q) is not int or q not in vertices:
+                raise KBError(f"edge into {conclusion!r} names unknown "
+                              f"vertex {q!r}")
+        if type(schema) is not str or schema not in _SCHEMA_NAMES:
+            raise KBError(f"edge into {conclusion} has unknown schema "
+                          f"{schema!r}")
+        edges.append(ProofEdge(tuple(premises), conclusion,
+                               _SCHEMA_NAMES[schema]))
     goal = None
     if "goal" in doc:
-        lab = _label_from_json(doc["goal"])
-        assert isinstance(lab, CQLabel)
+        try:
+            lab = _label_from_json(doc["goal"], atom)
+        except KBError as exc:
+            raise KBError(f"goal: {exc}") from None
+        if not isinstance(lab, CQLabel):
+            raise KBError("the goal must be a 'cq' label")
         goal = lab.cq
     return ProofGraph(vertices, edges), goal
 

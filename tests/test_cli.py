@@ -239,3 +239,83 @@ def test_bench_csv(tmp_path):
     assert lines[0] == "family,parameter,measure,optimum,search_nodes,wall_ms"
     assert len(lines) == 3
     assert lines[1].startswith("dllite-chain,1,tree,17,")
+
+
+@pytest.fixture(scope="module")
+def ex1_proof_text(tmp_path_factory):
+    from hornexplain import cli
+    tmp = tmp_path_factory.mktemp("ex1-proof")
+    (tmp / "ex1.kb").write_text(EX1_TEXT)
+    proof = tmp / "p.json"
+    assert cli.main(["explain", str(tmp / "ex1.kb"), "--measure", "size",
+                     "--format", "json", "-o", str(proof)]) == 0
+    return proof.read_text()
+
+
+def _without_kind(doc):
+    del doc["vertices"][0]["kind"]
+    return doc
+
+
+def _unknown_vertex(doc):
+    doc["edges"][0]["premises"].append(5000)
+    return doc
+
+
+def _bad_atom(doc):
+    doc["vertices"][0]["atom"] = "A(a"
+    return doc
+
+
+def _cq_goal_as_atom(doc):
+    doc["goal"] = {"kind": "atom", "atom": "D(a)"}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["convert", "export"])
+@pytest.mark.parametrize("spoil, problem", [
+    pytest.param(_without_kind, "vertex 0: unknown label kind None",
+                 id="no-kind"),
+    pytest.param(_unknown_vertex, "names unknown vertex 5000",
+                 id="unknown-vertex"),
+    pytest.param(lambda doc: [doc], "holds a JSON object, not list",
+                 id="array"),
+    pytest.param(lambda doc: "{" + json.dumps(doc), "not valid JSON",
+                 id="invalid-json"),
+    pytest.param(lambda doc: {**doc, "schema_version": 2},
+                 "unsupported proof schema version 2", id="version"),
+    pytest.param(_cq_goal_as_atom, "goal must be a 'cq' label",
+                 id="atom-goal"),
+    pytest.param(_bad_atom, "vertex 0: atom 'A(a': line 0, column 4",
+                 id="bad-atom"),
+])
+def test_malformed_proof_files_are_bad_input(ex1_file, ex1_proof_text,
+                                             tmp_path, capsys, command, spoil,
+                                             problem):
+    from hornexplain import cli
+    spoiled = spoil(json.loads(ex1_proof_text))
+    path = tmp_path / "spoiled.json"
+    path.write_text(spoiled if isinstance(spoiled, str)
+                    else json.dumps(spoiled))
+    args = [command, str(path)] + (["--kb", ex1_file, "--to", "cq"]
+                                   if command == "convert" else [])
+    assert cli.main(args) == 65
+    assert problem in capsys.readouterr().err
+
+
+def test_convert_checks_for_a_goal_before_translating(ex1_file, ex1_proof_text,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    from hornexplain import cli, deriver_cq
+    doc = json.loads(ex1_proof_text)
+    del doc["goal"]
+    path = tmp_path / "no-goal.json"
+    path.write_text(json.dumps(doc))
+
+    def crash(*args):
+        raise AssertionError("translated a proof without a goal")
+
+    monkeypatch.setattr(deriver_cq, "transform_sk_to_cq", crash)
+    assert cli.main(["convert", str(path), "--kb", ex1_file,
+                     "--to", "cq"]) == 65
+    assert "carries no goal" in capsys.readouterr().err

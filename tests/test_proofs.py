@@ -1,14 +1,21 @@
-"""Proof hypergraphs: validation, measures, unraveling, homomorphisms."""
+"""Proof hypergraphs: validation, measures, unraveling, homomorphisms,
+JSON."""
+
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hornexplain.kb import BooleanCQ, ConceptAtom, Const
 from hornexplain.proofs import (AtomLabel, Measure, ProofEdge,
-                                ProofGraph, Schema, domain_size, homomorphism,
-                                inference_steps, is_subproof, measure,
-                                proof_from_json, proof_size, proof_to_dot,
-                                proof_to_json, sub_derivation, tree_size,
-                                tree_unravel, validate_proof)
+                                ProofGraph, Schema, domain_size, format_json,
+                                homomorphism, inference_steps, is_subproof,
+                                measure, proof_from_json, proof_size,
+                                proof_to_dot, proof_to_json, sub_derivation,
+                                tree_size, tree_unravel, validate_proof)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_reference_proof_validates(ex1, ex1_reference_proof):
@@ -171,3 +178,35 @@ def test_schema_tags_are_deriver_specific(ex1, ex1_reference_proof):
     ok, problems = validate_proof(ex1_reference_proof, kb, q, "cq")
     assert not ok
     assert any("not available" in m for m in problems)
+
+
+_JSON_SCALARS = (st.none() | st.booleans()
+                 | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+                 | st.text(alphabet=st.characters(), max_size=8)
+                 | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é",
+                                    "\U0001f600", " "]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_the_stdlib(value):
+    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_reproduces_every_golden_file():
+    for path in sorted(GOLDEN.glob("*.json")):
+        text = path.read_text()
+        assert format_json(json.loads(text)) + "\n" == text, path.name
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {2}},
+                                   [object()]])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        format_json(value)
