@@ -327,17 +327,6 @@ def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
     return vertices, edges
 
 
-def min_tree_size_dp(structure: FiniteStructure, goal_label: Label
-                     ) -> tuple[int, ProofGraph]:
-    """Exact minimal tree size for one label, with a witness subproof."""
-    values, chosen = dp_min_tree(structure)
-    vid = structure.label_ids.get(goal_label)
-    if vid is None or values[vid] == _INF:
-        raise KBError("goal label is not derivable in the structure")
-    vertices, edges = extract_witness(structure, chosen, [vid])
-    return values[vid], ProofGraph(vertices, edges)
-
-
 def rank_matches(structure: FiniteStructure, values: dict[int, int | float],
                  q: BooleanCQ) -> list[tuple[int, dict[Var, Term]]]:
     """Matches of the query into the structure, cheapest first.

@@ -163,52 +163,6 @@ def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
     return map_atom_terms(atom, fix)
 
 
-def ce_apply(cq1: BooleanCQ, cq2: BooleanCQ,
-             rename: Optional[dict[Var, Var]] = None) -> BooleanCQ:
-    """Conjoin two queries, renaming the second apart (``u1, u2, ...``)."""
-    if rename is None:
-        taken = {v.name for v in cq1.variables()}
-        vs = sorted(cq2.variables(), key=lambda v: v.name)
-        rename = dict(zip(vs, fresh_vars(len(vs), taken)))
-    renamed = [substitute_atom(a, dict(rename)) for a in cq2.atoms]
-    overlap = {rename.get(v, v) for v in cq2.variables()} & cq1.variables()
-    if overlap:
-        raise KBError(f"renaming does not avoid the first query's variables: "
-                      f"{sorted(v.name for v in overlap)}")
-    return _close_cq(list(cq1.atoms) + renamed)
-
-
-def ge_apply(cq: BooleanCQ,
-             occurrences: dict[tuple[int, int], Var]) -> BooleanCQ:
-    """Abstract chosen ground occurrences to fresh variables.
-
-    Keys are (atom index, argument position); all occurrences mapped to one
-    variable must carry the same ground term.
-    """
-    bound: dict[Var, Term] = {}
-    new_atoms: list[Atom] = []
-    taken = cq.variables()
-    for i, atom in enumerate(cq.atoms):
-        terms = list(atom_terms(atom))
-        for pos, t in enumerate(terms):
-            v = occurrences.get((i, pos))
-            if v is None:
-                continue
-            if v in taken:
-                raise KBError(f"generalization variable ?{v.name} already "
-                              "occurs in the query")
-            if not term_is_ground(t):
-                raise KBError("only ground occurrences can be generalized")
-            if v in bound and bound[v] != t:
-                raise KBError(f"variable ?{v.name} would generalize two "
-                              "different terms")
-            bound[v] = t
-            terms[pos] = v
-        rebuilt = iter(terms)
-        new_atoms.append(map_atom_terms(atom, lambda _: next(rebuilt)))
-    return _close_cq(new_atoms)
-
-
 def leaf_labels(kb: KnowledgeBase) -> set[Label]:
     out: set[Label] = {CQLabel(BooleanCQ((a,), ())) for a in kb.abox}
     out |= {RuleLabel(r) for r in kb.tbox}
@@ -229,11 +183,6 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
         return f"schema {schema.value} does not belong to this deriver"
     found = _STEP_ANALYSES[schema](premises, conclusion)
     return found if isinstance(found, str) else None
-
-
-def check_edge(schema: Schema, premises: tuple[Label, ...], conclusion: Label,
-               kb: KnowledgeBase) -> bool:
-    return check_edge_labels(schema, premises, conclusion, kb) is None
 
 
 def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ

@@ -3,9 +3,9 @@ replacement (E), conjunction (C), and generalization (G).
 
 The full derivation structure over a knowledge base is infinite (Skolem
 terms nest arbitrarily deep), so it is only ever materialized up to a term
-depth bound, as a :class:`FiniteStructure`.  The instance enumerators double
-as the admissibility oracle: an edge is admissible iff the corresponding
-enumerator generates it from exactly its premises.
+depth bound, as a :class:`FiniteStructure`, by :func:`saturate`.  Edge
+admissibility is checked separately, schema by schema, in
+:func:`check_edge_labels`.
 """
 
 from __future__ import annotations
@@ -14,46 +14,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .chase import SkolemRule, skolemize
-from .kb import (Atom, BooleanCQ, EqAtom, KBError, KnowledgeBase, Term, Var,
-                 atom_is_ground, atom_key, atom_pred, atom_terms,
-                 map_atom_terms, orient_equality, substitute_atom, term_depth)
+from .kb import (Atom, EqAtom, KnowledgeBase, Term, atom_is_ground, atom_key,
+                 atom_pred, atom_terms, map_atom_terms, orient_equality,
+                 substitute_atom, term_depth)
 from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, RuleLabel, Schema)
-
-
-class DeriverError(KBError):
-    """Requested inference cannot be instantiated."""
-
-
-@dataclass(frozen=True)
-class InferenceInstance:
-    schema: Schema
-    premises: tuple[Label, ...]
-    conclusion: Label
-    witness: tuple = ()  # substitution pairs (MP/C/G) or replaced pair (E)
-
-
-def _subst_pairs(subst: dict[Var, Term]) -> tuple:
-    return tuple(sorted(((v.name, t) for v, t in subst.items())))
-
-
-def mp_instances(atoms: Iterable[Atom],
-                 rules: Sequence[SkolemRule]) -> list[InferenceInstance]:
-    """All rule applications over the given ground atoms.
-
-    One instance per derived head atom; the rule itself is the last premise.
-    """
-    index = AtomIndex(atoms)
-    out: list[InferenceInstance] = []
-    for rule in rules:
-        for subst in match_conjunction(rule.body, index):
-            premises = tuple(AtomLabel(substitute_atom(b, subst))
-                             for b in rule.body) + (RuleLabel(rule),)
-            for h in rule.head:
-                out.append(InferenceInstance(
-                    Schema.MP, premises, AtomLabel(substitute_atom(h, subst)),
-                    _subst_pairs(subst)))
-    return out
 
 
 def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
@@ -65,10 +30,10 @@ def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
 
 def _replacements(eqs: Iterable[Atom],
                   candidates: Callable[[Atom, Term], Sequence[Atom]]
-                  ) -> Iterator[tuple[Atom, Atom, Term, Term, Atom]]:
-    """(atom, equality, replaced term, constant, result) for each orientable
-    equality in turn and each of its candidate atoms with the replaced term
-    at the top level, in candidate order."""
+                  ) -> Iterator[tuple[Atom, Atom, Atom]]:
+    """(atom, equality, result) for each orientable equality in turn and
+    each of its candidate atoms with the replaced term at the top level, in
+    candidate order."""
     for eq in eqs:
         try:
             oriented = orient_equality(eq.lhs, eq.rhs)
@@ -82,48 +47,7 @@ def _replacements(eqs: Iterable[Atom],
                 continue
             replaced = _replace_top_level(atom, src, dst)
             if replaced is not None:
-                yield atom, eq, src, dst, replaced
-
-
-def e_instances(atoms: Iterable[Atom]) -> list[InferenceInstance]:
-    """Equality replacements: top-level occurrences only, complex terms
-    replaced by constants, never the other way around."""
-    pool = sorted(atoms, key=atom_key)
-    eqs = [a for a in pool if isinstance(a, EqAtom)]
-    return [InferenceInstance(Schema.E, (AtomLabel(atom), AtomLabel(eq)),
-                              AtomLabel(replaced), (src, dst))
-            for atom, eq, src, dst, replaced
-            in _replacements(eqs, lambda eq, src: pool)]
-
-
-def cg_instances(atoms: Iterable[Atom], goal: BooleanCQ,
-                 sigma: Optional[dict[Var, Term]] = None
-                 ) -> tuple[InferenceInstance, InferenceInstance]:
-    """The conjunction step grounding the goal and the generalization step.
-
-    Uses the first match when no substitution is supplied; raises
-    DeriverError when the goal does not match at all.
-    """
-    if sigma is None:
-        index = AtomIndex(atoms)
-        for subst in match_conjunction(goal.atoms, index):
-            sigma = subst
-            break
-        if sigma is None:
-            raise DeriverError("goal does not match the given atoms")
-    ground = tuple(substitute_atom(a, sigma) for a in goal.atoms)
-    pool = set(atoms)
-    missing = [a for a in ground if a not in pool]
-    if missing:
-        raise DeriverError(f"substitution does not ground the goal into the "
-                           f"given atoms: missing {missing}")
-    conj = ConjLabel(ground)
-    c_inst = InferenceInstance(Schema.C,
-                               tuple(AtomLabel(a) for a in ground), conj,
-                               _subst_pairs(sigma))
-    g_inst = InferenceInstance(Schema.G, (conj,), CQLabel(goal),
-                               _subst_pairs(sigma))
-    return c_inst, g_inst
+                yield atom, eq, replaced
 
 
 def leaf_labels(kb: KnowledgeBase) -> set[Label]:
@@ -148,11 +72,6 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
     if schema is Schema.G:
         return _check_g(premises, conclusion)
     return f"schema {schema.value} does not belong to this deriver"
-
-
-def check_edge(schema: Schema, premises: tuple[Label, ...], conclusion: Label,
-               kb: KnowledgeBase) -> bool:
-    return check_edge_labels(schema, premises, conclusion, kb) is None
 
 
 def _check_mp(premises, conclusion, kb) -> Optional[str]:
@@ -397,7 +316,7 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             # only instances with a frontier premise are new: a frontier
             # equality rewrites every atom, an older one the frontier atoms
             # with its replaced term at the top level (both in atom_key
-            # order, as e_instances lists them)
+            # order)
             pool = sorted(index.atoms, key=atom_key) \
                 if first_round or ("=",) in frontier_by_pred else []
             by_term: dict[Term, list[Atom]] = {}
@@ -407,7 +326,7 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             steps = list(_replacements(
                 eqs, lambda eq, src: pool if first_round or eq in frontier_set
                 else by_term.get(src, ())))
-            for atom, eq, _, _, concl in steps:
+            for atom, eq, concl in steps:
                 if record(Schema.E, (label_ids[AtomLabel(atom)],
                                      label_ids[AtomLabel(eq)]), concl):
                     new_atoms.add(concl)

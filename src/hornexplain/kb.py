@@ -312,6 +312,9 @@ class Rule:
     head: tuple[Atom, ...]
     existential_vars: tuple[Var, ...]
     normal_form: NormalForm
+    # the fragments the rule is expressible in, from the same classification
+    # as the normal form
+    fragments: frozenset[Fragment] = field(compare=False, repr=False)
 
     def variables(self) -> set[Var]:
         out = set()
@@ -508,13 +511,8 @@ def _classify_concept_head(body, h: ConceptAtom):
 def make_rule(body: Iterable[Atom], head: Iterable[Atom],
               evars: Iterable[Var] = ()) -> Rule:
     body_t, head_t, evars_t = tuple(body), tuple(head), tuple(evars)
-    form, _ = classify_rule(body_t, head_t, evars_t)
-    return Rule(body_t, head_t, evars_t, form)
-
-
-def rule_fragments(rule: Rule) -> frozenset[Fragment]:
-    _, frags = classify_rule(rule.body, rule.head, rule.existential_vars)
-    return frags
+    form, frags = classify_rule(body_t, head_t, evars_t)
+    return Rule(body_t, head_t, evars_t, form, frags)
 
 
 def detect_fragment(tbox: Iterable[Rule]) -> Fragment:
@@ -524,7 +522,7 @@ def detect_fragment(tbox: Iterable[Rule]) -> Fragment:
     """
     common = ALL_FRAGMENTS
     for rule in tbox:
-        common &= rule_fragments(rule)
+        common &= rule.fragments
     for frag in FRAGMENT_ORDER:
         if frag in common:
             return frag

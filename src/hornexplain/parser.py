@@ -20,10 +20,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, Fragment,
-                 KBError, KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term,
-                 Var, atom_terms, atom_vars, classify_rule, make_kb,
-                 make_rule, map_atom_terms, subterms, RESERVED_CONCEPTS)
+from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
+                 KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term, Var,
+                 atom_terms, atom_vars, make_kb, make_rule, map_atom_terms,
+                 subterms, RESERVED_CONCEPTS)
 
 
 class KBSyntaxError(KBError):
@@ -253,10 +253,9 @@ def _split_rule(toks: list[str], i: int) -> tuple[
 def _parse_rule_statement(toks: list[str], i: int, lineno: int) -> Rule:
     body, head, evars = _split_rule(toks, i)
     try:
-        form, _ = classify_rule(body, head, evars)
+        return make_rule(body, head, evars)
     except KBError as exc:
         raise KBSyntaxError(str(exc), lineno, 1) from exc
-    return Rule(body, head, evars, form)
 
 
 def _parse_fact_statement(toks: list[str], i: int) -> Atom:
@@ -384,19 +383,8 @@ def parse_query_text(text: str) -> BooleanCQ:
         raise _syntax_error(stop, text, 0) from None
 
 
-def parse_kb(text: str, expect_fragment: Optional[Fragment] = None) -> KnowledgeBase:
-    """Parse a KB; optionally require it to fit a given fragment."""
-    from .kb import ALL_FRAGMENTS, rule_fragments
-    kb = parse_document(text).kb
-    if expect_fragment is not None:
-        common = ALL_FRAGMENTS
-        for rule in kb.tbox:
-            common &= rule_fragments(rule)
-        if expect_fragment not in common:
-            raise KBError(f"input is {kb.fragment.value}, not expressible in "
-                          f"{expect_fragment.value} (check for inverse roles "
-                          "or unsupported shapes)")
-    return kb
+def parse_kb(text: str) -> KnowledgeBase:
+    return parse_document(text).kb
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .kb import (Atom, BooleanCQ, KBError, KnowledgeBase, NormalForm, Rule,
                  Term, Var, atom_key, atom_terms, cq_equivalent, format_atom,
-                 subterms, term_is_ground)
+                 make_rule, subterms, term_is_ground)
 from .chase import SkolemRule
 
 
@@ -339,63 +339,6 @@ def sub_derivation(p: ProofGraph, vid: int) -> ProofGraph:
     return ProofGraph({v: p.vertices[v] for v in keep}, edges)
 
 
-def is_subproof(s: ProofGraph, h: ProofGraph) -> bool:
-    """Subgraph of ``h`` (shared ids), itself a proof, leaves among h's."""
-    for v, lab in s.vertices.items():
-        if h.vertices.get(v) != lab:
-            return False
-    h_edges = set(h.edges)
-    if any(e not in h_edges for e in s.edges):
-        return False
-    ok, _ = check_proof_shape(s)
-    if not ok:
-        return False
-    return set(s.leaves()) <= set(h.leaves())
-
-
-def homomorphism(h1: ProofGraph, h2: ProofGraph) -> Optional[dict[int, int]]:
-    """Label- and edge-preserving vertex map from h1 into h2, if any."""
-    by_label: dict[Label, list[int]] = {}
-    for v, lab in h2.vertices.items():
-        by_label.setdefault(lab, []).append(v)
-    for vs in by_label.values():
-        vs.sort()
-    candidates = {v: by_label.get(lab, []) for v, lab in h1.vertices.items()}
-    if any(not c for c in candidates.values()):
-        return None
-    order = sorted(h1.vertices, key=lambda v: (len(candidates[v]), v))
-    h2_edges = set(h2.edges)
-    edges_by_vertex: dict[int, list[ProofEdge]] = {v: [] for v in h1.vertices}
-    for e in h1.edges:
-        for v in set(e.premises) | {e.conclusion}:
-            edges_by_vertex[v].append(e)
-
-    assignment: dict[int, int] = {}
-
-    def consistent(v: int) -> bool:
-        for e in edges_by_vertex[v]:
-            ends = list(e.premises) + [e.conclusion]
-            if all(u in assignment for u in ends):
-                mapped = ProofEdge(tuple(assignment[u] for u in e.premises),
-                                   assignment[e.conclusion], e.schema)
-                if mapped not in h2_edges:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for cand in candidates[v]:
-            assignment[v] = cand
-            if consistent(v) and search(i + 1):
-                return True
-            del assignment[v]
-        return False
-
-    return dict(assignment) if search(0) else None
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -668,9 +611,11 @@ def _label_from_json(obj, atom) -> Label:
     if type(form) is not str or form not in _FORM_NAMES:
         raise KBError(f"unknown rule form {form!r}")
     if kind == "rule":
-        return RuleLabel(Rule(body, head,
-                              tuple(map(Var, _strings(obj, "evars"))),
-                              _FORM_NAMES[form]))
+        rule = make_rule(body, head, map(Var, _strings(obj, "evars")))
+        if rule.normal_form is not _FORM_NAMES[form]:
+            raise KBError(f"rule form {form!r} does not match the rule's "
+                          f"shape ({rule.normal_form.value})")
+        return RuleLabel(rule)
     index, fn = obj.get("index"), obj.get("fn")
     if type(index) is not int or not (fn is None or type(fn) is str):
         raise KBError("a Skolem rule needs an integer 'index' and a string "

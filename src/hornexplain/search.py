@@ -1,9 +1,8 @@
 """Exact bounded proof search and the algorithm router.
 
-Tree-size minima come from the value iteration in
-:mod:`hornexplain.compress` (or, with duplicate labels allowed, from
-recursive descent over the saturated structure), and size / domain-size
-minima from branch-and-bound over explicit derivation choices.  Outcomes
+Proofs use one vertex per atom label.  Tree-size minima come from the value
+iteration in :mod:`hornexplain.compress`, and size / domain-size minima
+from branch-and-bound over explicit derivation choices.  Outcomes
 are exact relative to the structural bounds in force (term-depth ceiling,
 node and time budgets); ``none`` means the whole space within those bounds
 was exhausted, ``exhausted`` that a resource limit cut the search short.
@@ -94,49 +93,16 @@ class _Ticker:
 
 
 # ---------------------------------------------------------------------------
-# Tree-size search.  The unique-label mode fixes one derivation per label and
-# takes the least fixpoint from compress.dp_min_tree; the duplicate-tolerant
-# mode descends recursively without any per-label state.
-# ---------------------------------------------------------------------------
-
-def _tree_min_descend(structure: FiniteStructure, vid: int,
-                      limit: int | float, ticker: _Ticker,
-                      path: frozenset) -> int | float:
-    """Exhaustive minimal tree size; labels may repeat across branches but
-    never along a path (on-path repeats are never part of a minimum)."""
-    ticker.tick()
-    if vid in structure.leaf_ids:
-        return 1
-    best: int | float = _INF
-    for eidx in sorted(structure.in_edges[vid],
-                       key=lambda i: edge_key(structure, i)):
-        e = structure.edges[eidx]
-        if any(p in path for p in e.premises):
-            continue
-        total = 1
-        sub_path = path | {vid}
-        cap = min(limit, best)
-        for p in e.premises:
-            total += _tree_min_descend(structure, p, cap - total, ticker,
-                                       sub_path)
-            if total >= cap:
-                total = _INF
-                break
-        best = min(best, total)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Size / domain-size search: choose a derivation per needed vertex copy
+# Size / domain-size search: choose a derivation per needed vertex
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _CoverState:
-    members: dict[tuple[int, int], Optional[int]]  # (vid, copy) -> edge idx
-    pending: list[tuple[int, int]]
-    # premise copy -> the copies it derives; the sets are shared between
+    members: dict[int, Optional[int]]    # vertex id -> chosen edge idx
+    pending: list[int]
+    # premise -> the vertices it derives; the sets are shared between
     # states and replaced, never changed
-    arcs: dict[tuple[int, int], frozenset[tuple[int, int]]]
+    arcs: dict[int, frozenset[int]]
     size_count: int
     terms: set[Term]
 
@@ -156,28 +122,24 @@ def _reaches(arcs, start, goal) -> bool:
 
 
 def _cover_min(structure: FiniteStructure, targets: list[int],
-               kind: Measure, limit: int | float, ticker: _Ticker,
-               allow_duplicates: bool
-               ) -> Optional[tuple[int, dict[tuple[int, int], Optional[int]]]]:
-    """Exact minimum over derivation choices for the target set.
+               kind: Measure, limit: int | float, ticker: _Ticker
+               ) -> Optional[tuple[int, dict[int, Optional[int]]]]:
+    """Exact minimum over derivation choices for the target set, one proof
+    vertex per atom label.
 
-    ``allow_duplicates`` admits up to two proof vertices per atom label
-    (never beneficial, but part of the space the restriction cuts away).
     Depth-first with an explicit stack of child iterators: a child state is
     built only once its elder sibling's subtree is done, so it is pruned
     against the best value found so far.
     """
-    init_members: dict[tuple[int, int], Optional[int]] = {}
+    init_members: dict[int, Optional[int]] = {}
     init_terms: set[Term] = set()
     init_pending = []
     for vid in dict.fromkeys(targets):
-        key = (vid, 0)
-        init_members[key] = None
+        init_members[vid] = None
         init_terms |= ground_terms_of_label(structure.vertices[vid])
         if vid not in structure.leaf_ids:
-            init_pending.append(key)
+            init_pending.append(vid)
     best: list = [limit, None]          # value, choice
-    max_copies = 2 if allow_duplicates else 1
     stack = [iter((_CoverState(init_members, init_pending, {},
                                len(init_members), init_terms),))]
     while stack:
@@ -190,8 +152,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         if value >= best[0]:
             continue
         if state.pending:
-            stack.append(_cover_children(structure, state, kind, max_copies,
-                                         best))
+            stack.append(_cover_children(structure, state, kind, best))
         else:
             best[:] = value, state.members
     if best[1] is None:
@@ -204,64 +165,39 @@ def _cover_value(state: _CoverState, kind: Measure) -> int:
 
 
 def _cover_children(structure: FiniteStructure, state: _CoverState,
-                    kind: Measure, max_copies: int, best: list):
-    """The states that derive the least pending vertex copy: one per
-    incoming edge and choice of premise copies, built as they are asked
-    for and left out once they reach ``best[0]``."""
-    state.pending.sort(key=lambda k: (label_key(structure.vertices[k[0]]),
-                                      k[1]), reverse=True)
-    key = state.pending.pop()
-    for eidx in sorted(structure.in_edges[key[0]],
+                    kind: Measure, best: list):
+    """The states that derive the least pending vertex: one per incoming
+    edge, built as they are asked for and left out once they reach
+    ``best[0]``."""
+    state.pending.sort(key=lambda v: label_key(structure.vertices[v]),
+                       reverse=True)
+    vid = state.pending.pop()
+    for eidx in sorted(structure.in_edges[vid],
                        key=lambda i: edge_key(structure, i)):
-        e = structure.edges[eidx]
-        for combo in _premise_combos(structure, e.premises, state,
-                                     max_copies):
-            nxt = _CoverState(dict(state.members), list(state.pending),
-                              dict(state.arcs), state.size_count, state.terms)
-            nxt.members[key] = eidx
-            ok = True
-            for pkey in combo:
-                # only a derived copy has arcs into it, so only a derived
-                # copy (key itself included) can close a cycle
-                if nxt.members.get(pkey) is not None \
-                        and _reaches(nxt.arcs, key, pkey):
+        nxt = _CoverState(dict(state.members), list(state.pending),
+                          dict(state.arcs), state.size_count, state.terms)
+        nxt.members[vid] = eidx
+        ok = True
+        for p in structure.edges[eidx].premises:
+            # only a derived vertex has arcs into it, so only a derived
+            # vertex (vid itself included) can close a cycle
+            if nxt.members.get(p) is not None and _reaches(nxt.arcs, vid, p):
+                ok = False
+                break
+            nxt.arcs[p] = nxt.arcs.get(p, frozenset()) | {vid}
+            if p not in nxt.members:
+                nxt.members[p] = None
+                nxt.size_count += 1
+                if kind is Measure.DOMAIN_SIZE:
+                    nxt.terms = nxt.terms | ground_terms_of_label(
+                        structure.vertices[p])
+                if p not in structure.leaf_ids:
+                    nxt.pending.append(p)
+                if _cover_value(nxt, kind) >= best[0]:
                     ok = False
                     break
-                nxt.arcs[pkey] = nxt.arcs.get(pkey, frozenset()) | {key}
-                if pkey not in nxt.members:
-                    nxt.members[pkey] = None
-                    nxt.size_count += 1
-                    if kind is Measure.DOMAIN_SIZE:
-                        nxt.terms = nxt.terms | ground_terms_of_label(
-                            structure.vertices[pkey[0]])
-                    if pkey[0] not in structure.leaf_ids:
-                        nxt.pending.append(pkey)
-                    if _cover_value(nxt, kind) >= best[0]:
-                        ok = False
-                        break
-            if ok:
-                yield nxt
-
-
-def _premise_combos(structure, premises, state: _CoverState, max_copies):
-    """All ways to satisfy the premise tuple with member copies."""
-    options_per_premise = []
-    for vid in premises:
-        label = structure.vertices[vid]
-        if isinstance(label, RuleLabel):
-            options_per_premise.append([(vid, 0)])
-            continue
-        opts = [(vid, k) for k in range(max_copies)
-                if (vid, k) in state.members]
-        for k in range(max_copies):
-            if (vid, k) not in state.members:
-                opts.append((vid, k))
-                break
-        options_per_premise.append(opts)
-    combos: list[tuple] = [()]
-    for opts in options_per_premise:
-        combos = [c + (o,) for c in combos for o in opts]
-    return combos
+        if ok:
+            yield nxt
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +205,7 @@ def _premise_combos(structure, premises, state: _CoverState, max_copies):
 # ---------------------------------------------------------------------------
 
 def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
-                   deriver: str = "sk", unique_labels: bool = True,
-                   strict_cg: bool = False,
+                   deriver: str = "sk", strict_cg: bool = False,
                    depth_ceiling: Optional[int] = None) -> ExplainResult:
     """Decide whether a proof within the measure bound exists (or minimize).
 
@@ -313,8 +248,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             structure = None
             break
         value, sigma, choice, tree_values, tripped = _search_at_depth(
-            q, budget, structure, unique_labels, strict_cg, ticker,
-            best_value)
+            q, budget, structure, strict_cg, ticker, best_value)
         if value < best_value:
             best_value, best_sigma, best_choice = value, sigma, choice
             best_structure = structure
@@ -419,8 +353,8 @@ def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
 
 
 def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
-                     structure: FiniteStructure, unique_labels: bool,
-                     strict_cg: bool, ticker: _Ticker,
+                     structure: FiniteStructure, strict_cg: bool,
+                     ticker: _Ticker,
                      incoming_best: int | float
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
                                 Optional[dict], bool]:
@@ -432,7 +366,6 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     best_value = incoming_best
     best_sigma: Optional[dict[Var, Term]] = None
     best_choice = None
-    use_dp = budget.measure is Measure.TREE_SIZE and unique_labels
     tree_values: Optional[dict[int, int | float]] = None
     tree_chosen: Optional[dict[int, int]] = None
     tripped = False
@@ -443,7 +376,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     def prune(matched: list[Optional[Atom]]) -> bool:
         cap = min(limit, best_value)
         # tree size is bounded only by the DP's values, which exist from the
-        # first match on (never in the duplicate-tolerant mode)
+        # first match on
         if cap == _INF or (budget.measure is Measure.TREE_SIZE
                            and tree_values is None):
             return False
@@ -461,7 +394,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
 
     try:
         for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
-            if use_dp and tree_values is None:
+            if budget.measure is Measure.TREE_SIZE and tree_values is None:
                 # only a depth with a match needs the values
                 tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
             ticker.tick()
@@ -471,26 +404,15 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                 targets.append(structure.label_ids[AtomLabel(ground)])
             cap = min(limit, best_value)
             if budget.measure is Measure.TREE_SIZE:
-                total = tail_count
-                ok = True
-                for vid in targets:
-                    if use_dp:
-                        sub = tree_values[vid]
-                    else:
-                        sub = _tree_min_descend(structure, vid, cap - total,
-                                                ticker, frozenset())
-                    total += sub
-                    if total >= cap:
-                        ok = False
-                        break
-                if ok and total < best_value:
+                total = tail_count + sum(tree_values[vid] for vid in targets)
+                if total < cap:
                     best_value, best_sigma = total, sigma
                     best_choice = tree_chosen
             else:
                 res = _cover_min(structure, targets, budget.measure,
                                  cap - (tail_count if budget.measure
                                         is Measure.SIZE else 0),
-                                 ticker, allow_duplicates=not unique_labels)
+                                 ticker)
                 if res is not None:
                     value, choice = res
                     total = value + (tail_count if budget.measure
@@ -506,36 +428,25 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
 def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
                  sigma: dict[Var, Term], kind: Measure, choice,
                  strict_cg: bool) -> ProofGraph:
-    """Materialize the search's choice: the tree-size DP's chosen edges
-    (None from the duplicate-tolerant search, which runs no DP), or the
-    cover's chosen vertex copies."""
+    """Materialize the search's choice: the tree-size DP's chosen edges, or
+    the cover's chosen vertices, renumbered in vertex-id order."""
     if kind is Measure.TREE_SIZE:
-        chosen = choice if choice is not None else dp_min_tree(structure)[1]
-        return assemble_witness(structure, chosen, q, sigma, strict_cg)
+        return assemble_witness(structure, choice, q, sigma, strict_cg)
 
-    # size / domain: materialize the chosen copies
-    assert choice is not None
     targets = [structure.label_ids[AtomLabel(substitute_atom(atom, sigma))]
                for atom in q.atoms]
-    # the least copy of each vertex serves its premise positions: the
-    # duplicate-tolerant mode only needs a witness of equal value, which
-    # copy 0 always provides
-    id_of: dict[tuple[int, int], int] = {}
-    vertices: dict[int, Label] = {}
-    first: dict[int, tuple[int, int]] = {}
-    for i, key in enumerate(sorted(choice)):
-        id_of[key] = i
-        vertices[i] = structure.vertices[key[0]]
-        first.setdefault(key[0], key)
+    id_of = {vid: i for i, vid in enumerate(sorted(choice))}
+    vertices: dict[int, Label] = {i: structure.vertices[vid]
+                                  for vid, i in id_of.items()}
     edges = []
-    for key, i in id_of.items():
-        eidx = choice[key]
+    for vid, i in id_of.items():
+        eidx = choice[vid]
         if eidx is None:
             continue
         e = structure.edges[eidx]
-        edges.append(ProofEdge(tuple(id_of[first[p]] for p in e.premises),
-                               i, e.schema))
-    target_ids = [id_of[(vid, 0)] for vid in targets]
+        edges.append(ProofEdge(tuple(id_of[p] for p in e.premises), i,
+                               e.schema))
+    target_ids = [id_of[vid] for vid in targets]
     return add_goal_tail(vertices, edges, target_ids, q, strict_cg)
 
 
@@ -797,11 +708,17 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             proof, algo = _run_poly(kb, q, config,
                                     time.monotonic() + config.max_seconds)
             value = measure(proof, config.measure).value
-            if config.bound is not None and value > config.bound:
+            if config.bound is None or value <= config.bound:
+                return ExplainResult("found", proof, value, config.measure,
+                                     algo, 0, warnings)
+            if config.measure is Measure.TREE_SIZE:
                 return ExplainResult("none", None, value, config.measure,
                                      algo, 0, warnings)
-            return ExplainResult("found", proof, value, config.measure, algo,
-                                 0, warnings)
+            # the size route minimizes tree size: where premises are shared,
+            # a smaller proof can exist, so the bound is left to the search
+            warnings.append(f"polynomial size value {value} exceeds the "
+                            "bound but only bounds the optimum from above; "
+                            "falling back to exact search")
         except BudgetExceeded as exc:
             # the run's time is spent: no budget is left for a fallback
             warnings.append(f"polynomial algorithm stopped: {exc}")

@@ -8,24 +8,25 @@ pytest's in-order execution within a module.
 import random
 import time
 
-from hornexplain.chase import chase, entails
+from hornexplain.chase import chase, default_depth_ceiling, entails
 from hornexplain.compress import (dllite_query_min_size, el_cq_min_treesize,
                                   tree_query_min_treesize)
 from hornexplain.deriver_cq import transform_cq_to_sk, transform_sk_to_cq
-from hornexplain.deriver_sk import mp_instances
+from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter, gen_sat,
                                     gen_sat_cq)
 from hornexplain.kb import (ConceptAtom, Const, RoleAtom, SkolemTerm, Var,
                             atom_terms, cq_equivalent, make_kb, term_depth)
-from hornexplain.proofs import (CQLabel, Measure, domain_size,
+from hornexplain.proofs import (CQLabel, Measure, Schema, domain_size,
                                 inference_steps, proof_size, tree_size,
                                 tree_unravel, validate_proof)
 from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
                                 bounded_search_cq, explain)
 
 from test_chase import _random_kb
+from test_search import _duplicate_tolerant_min
 
 # proofs collected by criteria 1-3 and reused by criteria 5-6:
 # entries are (kb, query, proof, deriver)
@@ -285,8 +286,9 @@ def test_criterion_6_structural_properties():
         if deriver == "sk":
             assert domain_size(unraveled) == domain_size(proof)
 
-    # soundness of enumerated rule applications, checked semantically:
-    # chasing just the premises under just the rule re-derives the conclusion
+    # soundness of the saturation's rule applications over the depth-1
+    # atoms, checked semantically: chasing just the premises under just the
+    # rule re-derives the conclusion
     def rename_fn(term, old, new):
         if isinstance(term, SkolemTerm):
             return SkolemTerm(new if term.fn == old else term.fn,
@@ -297,22 +299,27 @@ def test_criterion_6_structural_properties():
     rng = random.Random(7)
     for case in range(25):
         kb = _random_kb(rng)
-        state = chase(kb, 1, max_atoms=2000)
-        from hornexplain.chase import skolem_fn_name, skolemize
+        # one depth deeper, so every application over the depth-1 atoms is
+        # an edge
+        structure = saturate_kb(kb, 2)
+        from hornexplain.chase import skolem_fn_name
         from hornexplain.kb import EqAtom
-        for inst in mp_instances(state.atoms, skolemize(kb.tbox)):
-            premise_atoms = [lab.atom for lab in inst.premises[:-1]]
+        for e in structure.edges:
+            if e.schema is not Schema.MP:
+                continue
+            premise_atoms = [structure.vertices[p].atom
+                             for p in e.premises[:-1]]
             if any(isinstance(t2, SkolemTerm) for a in premise_atoms
                    for t2 in atom_terms(a)):
                 continue  # not expressible as facts
-            idx = inst.premises[-1].rule.index
+            idx = structure.vertices[e.premises[-1]].rule.index
             rule = kb.tbox[idx]
             little = make_kb([rule], premise_atoms)
             depth = 1 + max((term_depth(t2) for a in premise_atoms
                              for t2 in atom_terms(a)), default=0)
             deeper = chase(little, depth)
             # the mini knowledge base numbers its one rule 0
-            concl = inst.conclusion.atom
+            concl = structure.vertices[e.conclusion].atom
             old, new = skolem_fn_name(idx), skolem_fn_name(0)
             if isinstance(concl, ConceptAtom):
                 concl = ConceptAtom(concl.concept,
@@ -327,10 +334,10 @@ def test_criterion_6_structural_properties():
                 assert concl.lhs == concl.rhs \
                     or (concl.lhs, concl.rhs) in deeper.equalities \
                     or (concl.rhs, concl.lhs) in deeper.equalities, \
-                    (rule, inst)
+                    (rule, e)
             elif concl not in deeper.atoms:
                 # a nominal rule merged the witness into a constant
-                assert deeper.equalities, (rule, inst)
+                assert deeper.equalities, (rule, e)
             sound_checked += 1
 
     # 500 randomized knowledge bases: monotone growth and bounded depth
@@ -352,21 +359,18 @@ def test_criterion_6_structural_properties():
 
 
 def test_criterion_7_subproof_restriction():
-    """Allowing duplicate-labeled vertices never changes the optimum."""
+    """Allowing duplicate-labeled vertices never changes the optimum: the
+    frozen duplicate-tolerant reference over the complete saturated
+    structure finds the same optimum, so nothing below it either."""
     start = time.monotonic()
     assert _OPTIMA, "criterion 2 must run first"
     compared = 0
     for inst, m, optimum in _OPTIMA:
-        relaxed = bounded_search(inst.kb, inst.query,
-                                 SearchBudget(m, bound=optimum),
-                                 unique_labels=False)
-        assert relaxed.status == "found", (inst.family, m, optimum)
-        assert relaxed.value <= optimum
-        if optimum > 2:
-            below = bounded_search(inst.kb, inst.query,
-                                   SearchBudget(m, bound=optimum - 1),
-                                   unique_labels=False)
-            assert below.status == "none", (inst.family, m, optimum)
+        structure = saturate_kb(inst.kb,
+                                default_depth_ceiling(inst.kb, inst.query))
+        assert structure.complete, inst.family
+        relaxed = _duplicate_tolerant_min(structure, inst.query, m)
+        assert relaxed == optimum, (inst.family, m, optimum, relaxed)
         compared += 1
     elapsed = time.monotonic() - start
     print(f"\nCRITERION 7: PASS ({compared} optima identical with and "

@@ -96,6 +96,26 @@ def test_explain_bound_below_optimum_exits_one(ex1_file):
     assert proc.stdout.strip() == "none"
 
 
+# the poly size route minimizes tree size: it finds 16, sharing t(a, f_3(a))
+# gives 15
+_SHARED_PREMISE_KB = "".join(f"rule: {line}\n" for line in (
+    "A(x) -> A1(x)", "A1(x) -> A2(x)", "A2(x) -> A3(x)",
+    "A3(x) -> exists y. t(x,y)", "t(x,y) -> r(x,y)", "t(x,y) -> s(x,y)",
+    "r0(x,y) -> r1(x,y)", "r1(x,y) -> r2(x,y)", "r2(x,y) -> r(x,y)",
+    "s0(x,y) -> s1(x,y)", "s1(x,y) -> s2(x,y)", "s2(x,y) -> s(x,y)")) + (
+    "fact: A(a)\nfact: r0(a,b)\nfact: s0(a,b)\n"
+    "query: exists y. r(a,y), s(a,y)\n")
+
+
+def test_poly_size_above_the_bound_is_not_none(tmp_path):
+    path = tmp_path / "shared.kb"
+    path.write_text(_SHARED_PREMISE_KB)
+    args = ("explain", str(path), "--algo", "poly", "--measure", "size")
+    proc = run_cli(*args, "--bound", "15", expect=0)
+    assert proc.stdout.startswith("size = 15 (exact)")
+    assert run_cli(*args, "--bound", "14", expect=1).stdout.strip() == "none"
+
+
 def test_explain_poly_fallback_warns(ex1_file):
     proc = run_cli("explain", ex1_file, "--measure", "tree",
                    "--algo", "poly", expect=0)
@@ -267,6 +287,13 @@ def _bad_atom(doc):
     return doc
 
 
+def _misclassified_rule(doc):
+    vertex = next(v for v in doc["vertices"]
+                  if v["kind"] == "skolem_rule" and v["fn"] is None)
+    vertex.update(kind="rule", form="i", evars=[])
+    return doc
+
+
 def _cq_goal_as_atom(doc):
     doc["goal"] = {"kind": "atom", "atom": "D(a)"}
     return doc
@@ -288,6 +315,8 @@ def _cq_goal_as_atom(doc):
                  id="atom-goal"),
     pytest.param(_bad_atom, "vertex 0: atom 'A(a': line 0, column 4",
                  id="bad-atom"),
+    pytest.param(_misclassified_rule, "rule form 'i' does not match",
+                 id="rule-form"),
 ])
 def test_malformed_proof_files_are_bad_input(ex1_file, ex1_proof_text,
                                              tmp_path, capsys, command, spoil,

@@ -9,9 +9,9 @@ import pytest
 from conftest import EX1_TEXT
 from hornexplain.deriver_cq import (TransformError, _close_cq, _collect_steps,
                                     _match_added, _Step, analyze_mpe,
-                                    ce_apply, check_edge, ee_apply, ge_apply,
-                                    mpe_apply, te_rule, transform_cq_to_sk,
-                                    transform_sk_to_cq)
+                                    check_edge_labels, conjunction_chain,
+                                    ee_apply, mpe_apply, te_rule,
+                                    transform_cq_to_sk, transform_sk_to_cq)
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
@@ -19,8 +19,9 @@ from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                             cq_equivalent, substitute_atom)
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofEdge,
-                                ProofGraph, RuleLabel, Schema, TautRule,
+from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofBuilder,
+                                ProofEdge, ProofGraph, RuleLabel, Schema,
+                                TautRule,
                                 proof_size, tree_size, tree_unravel,
                                 validate_proof)
 from hornexplain.search import RunConfig, explain
@@ -83,23 +84,38 @@ def test_te_rule_shapes():
     assert set(full.existential_vars) == {X, Z}
 
 
-def test_ce_apply_renames_apart():
-    q1 = BooleanCQ((ConceptAtom("A", X),), (X,))
-    q2 = BooleanCQ((ConceptAtom("B", X),), (X,))
-    joined = ce_apply(q1, q2)
-    assert len(joined.atoms) == 2
-    assert joined.atoms[0] == ConceptAtom("A", X)
-    other = joined.atoms[1]
-    assert isinstance(other, ConceptAtom) and other.concept == "B"
-    assert other.term != X  # fresh variable
+def _cq(atoms, evars=()):
+    return CQLabel(BooleanCQ(tuple(atoms), tuple(evars)))
 
 
-def test_ge_apply_empty_and_real():
-    ground = BooleanCQ((ConceptAtom("A", A_),), ())
-    same = ge_apply(ground, {})
-    assert cq_equivalent(same, ground)
-    general = ge_apply(ground, {(0, 0): X})
-    assert cq_equivalent(general, BooleanCQ((ConceptAtom("A", X),), (X,)))
+def test_ce_apply_renames_apart(ex1):
+    kb, _ = ex1
+    q1, q2 = _cq([ConceptAtom("A", X)], [X]), _cq([ConceptAtom("B", X)], [X])
+    u1 = Var("u1")
+    apart = _cq([ConceptAtom("A", X), ConceptAtom("B", u1)], [X, u1])
+    assert check_edge_labels(Schema.Ce, (q1, q2), apart, kb) is None
+    shared = _cq([ConceptAtom("A", X), ConceptAtom("B", X)], [X])
+    assert "renamed apart" in check_edge_labels(Schema.Ce, (q1, q2), shared,
+                                                kb)
+    # the chain the translations build: one Ce step per further fact
+    builder = ProofBuilder()
+    conjunction_chain(builder, [ConceptAtom("A", A_), ConceptAtom("B", A_),
+                                RoleAtom("r", A_, A_)], _cq)
+    chain = builder.build()
+    assert [e.schema for e in chain.edges] == [Schema.Ce, Schema.Ce]
+    for e in chain.edges:
+        assert check_edge_labels(e.schema,
+                                 tuple(chain.vertices[v] for v in e.premises),
+                                 chain.vertices[e.conclusion], kb) is None
+
+
+def test_ge_apply_empty_and_real(ex1):
+    kb, _ = ex1
+    ground = _cq([ConceptAtom("A", A_)])
+    general = _cq([ConceptAtom("A", X)], [X])
+    assert check_edge_labels(Schema.Ge, (ground,), ground, kb) is None
+    assert check_edge_labels(Schema.Ge, (ground,), general, kb) is None
+    assert check_edge_labels(Schema.Ge, (general,), ground, kb) is not None
 
 
 def test_ee_apply_removes_conjunct_and_substitutes():
@@ -193,9 +209,9 @@ def test_ground_tautology_subproofs_collapse(ex1):
 def test_check_edge_te_zero_premises(ex1):
     kb, _ = ex1
     taut = te_rule((RoleAtom("P", X, Z),), [Z], rename={Z: Var("zp")})
-    assert check_edge(Schema.Te, (), RuleLabel(taut), kb)
-    assert not check_edge(Schema.Te, (), CQLabel(
-        BooleanCQ((ConceptAtom("A", A_),), ())), kb)
+    assert check_edge_labels(Schema.Te, (), RuleLabel(taut), kb) is None
+    assert check_edge_labels(Schema.Te, (), CQLabel(
+        BooleanCQ((ConceptAtom("A", A_),), ())), kb) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +339,15 @@ def test_rule_application_cannot_rebind_query_variables():
                 CQLabel(BooleanCQ(premise.atoms + (added,), (u1, u2, u3))),
                 kb)
 
-    assert check_edge(*step(RoleAtom("r", u1, u3)))
+    assert check_edge_labels(*step(RoleAtom("r", u1, u3))) is None
     # r(u2, u3) is not an instance of r(u1, y): u1 cannot become u2
-    assert not check_edge(*step(RoleAtom("r", u2, u3)))
+    assert check_edge_labels(*step(RoleAtom("r", u2, u3))) is not None
     forged = step(RoleAtom("r", u2, u3))
     assert analyze_mpe(forged[1][0].cq, rule, forged[2].cq) is None
     # the witness y is a new element: it cannot be u2, which the premise has
     reused = BooleanCQ(premise.atoms + (RoleAtom("r", u1, u2),), (u1, u2))
-    assert not check_edge(Schema.MPe, (CQLabel(premise), RuleLabel(rule)),
-                          CQLabel(reused), kb)
+    assert check_edge_labels(Schema.MPe, (CQLabel(premise), RuleLabel(rule)),
+                             CQLabel(reused), kb) is not None
     assert analyze_mpe(premise, rule, reused) is None
 
 
@@ -348,10 +364,10 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
          2: CQLabel(BooleanCQ((ConceptAtom("A", Y),), (Y,)))},
         [ProofEdge((0,), 1, Schema.Ge), ProofEdge((1,), 2, Schema.Ge)])
     for proof in (bad_ce, bad_ge):
-        assert not check_edge(proof.edges[-1].schema,
-                              tuple(proof.vertices[v]
-                                    for v in proof.edges[-1].premises),
-                              proof.vertices[2], kb)
+        assert check_edge_labels(proof.edges[-1].schema,
+                                 tuple(proof.vertices[v]
+                                       for v in proof.edges[-1].premises),
+                                 proof.vertices[2], kb) is not None
         with pytest.raises(TransformError, match="invalid"):
             transform_cq_to_sk(proof, kb)
 

@@ -1,4 +1,5 @@
-"""Ground-atom inference schemas: enumeration, checking, soundness."""
+"""Ground-atom inference schemas: the saturation's edges, checking,
+soundness."""
 
 import hashlib
 import json
@@ -6,10 +7,11 @@ import json
 import pytest
 
 from hornexplain.chase import chase, skolemize
-from hornexplain.deriver_sk import (DeriverError, cg_instances, check_edge,
-                                    e_instances, mp_instances, saturate_kb)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
-                            SkolemTerm, atom_terms, make_kb, term_depth)
+from hornexplain.compress import assemble_witness, dp_min_tree
+from hornexplain.deriver_sk import check_edge_labels, saturate, saturate_kb
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
+                            RoleAtom, SkolemTerm, Var, atom_terms, make_kb,
+                            term_depth)
 from hornexplain.generators import gen_el_abox, gen_hornalc_counter
 from hornexplain.parser import parse_kb, serialize_document
 from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, RuleLabel,
@@ -20,74 +22,102 @@ F0A = SkolemTerm("f_0", A_)
 F1F0A = SkolemTerm("f_1", F0A)
 
 
+def _steps(structure, schema, kb=None):
+    """(premise labels, conclusion label) of the structure's edges of one
+    schema, in edge order; each edge is checked against its schema."""
+    out = []
+    for e in structure.edges:
+        if e.schema is not schema:
+            continue
+        premises = tuple(structure.vertices[p] for p in e.premises)
+        conclusion = structure.vertices[e.conclusion]
+        if kb is not None:
+            assert check_edge_labels(schema, premises, conclusion, kb) is None
+        out.append((premises, conclusion))
+    return out
+
+
+def _within(labels, depth):
+    return all(term_depth(t) <= depth for lab in labels
+               if isinstance(lab, AtomLabel) for t in atom_terms(lab.atom))
+
+
 def test_mp_instances_first_rule(ex1):
     kb, _ = ex1
     sk = skolemize(kb.tbox)
-    instances = mp_instances([ConceptAtom("A", A_)], sk)
-    conclusions = {i.conclusion.atom for i in instances}
-    assert conclusions == {RoleAtom("r", A_, F0A), ConceptAtom("B", F0A)}
-    for inst in instances:
-        assert inst.schema is Schema.MP
-        assert inst.premises == (AtomLabel(ConceptAtom("A", A_)),
-                                 RuleLabel(sk[0]))
+    premises = (AtomLabel(ConceptAtom("A", A_)), RuleLabel(sk[0]))
+    steps = _steps(saturate_kb(kb, 1), Schema.MP, kb)
+    assert {c.atom for p, c in steps if p == premises} \
+        == {RoleAtom("r", A_, F0A), ConceptAtom("B", F0A)}
 
 
 def test_mp_instances_two_role_body(ex1):
     kb, _ = ex1
     sk = skolemize(kb.tbox)
     atoms = [RoleAtom("s", F0A, F1F0A), RoleAtom("r", A_, F0A)]
-    instances = mp_instances(atoms, [sk[2]])
-    assert [i.conclusion.atom for i in instances] == [ConceptAtom("E", F0A)]
+    steps = _steps(saturate(atoms, [sk[2]], 2), Schema.MP)
+    assert [c.atom for _, c in steps] == [ConceptAtom("E", F0A)]
 
 
 def test_mp_instances_empty_pool(ex1):
     kb, _ = ex1
-    assert mp_instances([], skolemize(kb.tbox)) == []
+    assert saturate([], skolemize(kb.tbox), 2).edges == []
 
 
 def test_e_instances_replace_top_level():
     eq = EqAtom(F0A, Const("b"))
-    atoms = [eq, ConceptAtom("A", F0A)]
-    out = e_instances(atoms)
-    assert [i.conclusion.atom for i in out] == [ConceptAtom("A", Const("b"))]
-    assert out[0].premises == (AtomLabel(ConceptAtom("A", F0A)),
-                               AtomLabel(eq))
+    steps = _steps(saturate([eq, ConceptAtom("A", F0A)], [], 1), Schema.E)
+    assert steps == [((AtomLabel(ConceptAtom("A", F0A)), AtomLabel(eq)),
+                      AtomLabel(ConceptAtom("A", Const("b"))))]
 
 
 def test_e_instances_ignore_nested_occurrences():
     eq = EqAtom(F0A, Const("b"))
     nested = RoleAtom("r", Const("c"), SkolemTerm("g", F0A))
-    assert e_instances([eq, nested]) == []
+    assert saturate([eq, nested], [], 2).edges == []
 
 
 def test_e_instances_empty():
-    assert e_instances([]) == []
+    assert saturate([], [], 0).edges == []
+
+
+def _goal_tail(structure, q, sigma, strict_cg=False):
+    """The C and G steps of the witness of ``q`` under ``sigma``."""
+    proof = assemble_witness(structure, dp_min_tree(structure)[1], q, sigma,
+                             strict_cg)
+    return {e.schema: (tuple(proof.vertices[p] for p in e.premises),
+                       proof.vertices[e.conclusion])
+            for e in proof.edges if e.schema in (Schema.C, Schema.G)}
 
 
 def test_cg_instances_example_sigma(ex1):
     kb, q = ex1
-    atoms = {RoleAtom("r", A_, F0A), ConceptAtom("D", A_)}
-    c_inst, g_inst = cg_instances(atoms, q)
-    assert isinstance(c_inst.conclusion, ConjLabel)
-    assert c_inst.conclusion.atoms == (RoleAtom("r", A_, F0A),
-                                       RoleAtom("r", A_, F0A),
-                                       ConceptAtom("D", A_))
-    assert g_inst.conclusion == CQLabel(q)
-    assert g_inst.premises == (c_inst.conclusion,)
+    tail = _goal_tail(saturate_kb(kb, 2), q, {Var("xp"): A_, Var("y"): F0A})
+    c_premises, conj = tail[Schema.C]
+    assert isinstance(conj, ConjLabel)
+    assert conj.atoms == (RoleAtom("r", A_, F0A), RoleAtom("r", A_, F0A),
+                          ConceptAtom("D", A_))
+    assert tail[Schema.G] == ((conj,), CQLabel(q))
+    for schema, (premises, conclusion) in tail.items():
+        assert check_edge_labels(schema, premises, conclusion, kb) is None
 
 
 def test_cg_instances_degenerate_single_atom():
+    kb = parse_kb("fact: A(a)\n")
     q = BooleanCQ((ConceptAtom("A", A_),), ())
-    c_inst, g_inst = cg_instances({ConceptAtom("A", A_)}, q)
-    assert c_inst.conclusion.atoms == (ConceptAtom("A", A_),)
-    assert len(c_inst.premises) == 1
-    assert g_inst.conclusion.cq.existential_vars == ()
+    tail = _goal_tail(saturate_kb(kb, 0), q, {}, strict_cg=True)
+    (c_premises, conj), (g_premises, goal) = tail[Schema.C], tail[Schema.G]
+    assert conj.atoms == (ConceptAtom("A", A_),) and len(c_premises) == 1
+    assert goal.cq.existential_vars == ()
+    for schema, (premises, conclusion) in tail.items():
+        assert check_edge_labels(schema, premises, conclusion, kb) is None
 
 
 def test_cg_instances_unmatched_goal_raises():
     q = BooleanCQ((ConceptAtom("A", A_),), ())
-    with pytest.raises(DeriverError):
-        cg_instances({ConceptAtom("B", A_)}, q)
+    structure = saturate_kb(parse_kb("fact: B(a)\n"), 0)
+    with pytest.raises(KBError, match="not derivable"):
+        assemble_witness(structure, {}, q, {}, False)
 
 
 def test_check_edge_accepts_every_reference_edge(ex1, ex1_reference_proof):
@@ -95,8 +125,8 @@ def test_check_edge_accepts_every_reference_edge(ex1, ex1_reference_proof):
     p = ex1_reference_proof
     for e in p.edges:
         premises = tuple(p.vertices[v] for v in e.premises)
-        assert check_edge(e.schema, premises, p.vertices[e.conclusion], kb), \
-            e
+        assert check_edge_labels(e.schema, premises, p.vertices[e.conclusion],
+                                 kb) is None, e
 
 
 def test_check_edge_rejects_inconsistent_substitution(ex1):
@@ -106,8 +136,8 @@ def test_check_edge_rejects_inconsistent_substitution(ex1):
     premises = (AtomLabel(ConceptAtom("E", F0A)),
                 AtomLabel(RoleAtom("r", A_, A_)),
                 RuleLabel(sk[3]))
-    assert not check_edge(Schema.MP, premises,
-                          AtomLabel(ConceptAtom("D", A_)), kb)
+    assert check_edge_labels(Schema.MP, premises,
+                             AtomLabel(ConceptAtom("D", A_)), kb) is not None
 
 
 def test_check_edge_rejects_generalizing_into_wrong_constant(ex1):
@@ -115,50 +145,47 @@ def test_check_edge_rejects_generalizing_into_wrong_constant(ex1):
     wrong = ConjLabel((RoleAtom("r", Const("b"), F0A),
                        RoleAtom("r", A_, F0A), ConceptAtom("D", A_)))
     # the first query atom fixes the constant a, not b
-    assert not check_edge(Schema.G, (wrong,), CQLabel(q), kb)
+    assert check_edge_labels(Schema.G, (wrong,), CQLabel(q), kb) is not None
 
 
 def test_mp_soundness_against_the_chase(ex1):
-    """Every enumerated rule application is entailed by its premises."""
+    """Every rule application over the depth-2 atoms is entailed by its
+    premises."""
     kb, _ = ex1
-    sk = skolemize(kb.tbox)
-    state = chase(kb, 2)
-    for inst in mp_instances(state.atoms, sk):
-        premise_atoms = [lab.atom for lab in inst.premises[:-1]]
-        rule_label = inst.premises[-1].rule
-        little = make_kb([kb.tbox[rule_label.index]], [])
-        # chase the premises alone under just that rule
-        little = make_kb([kb.tbox[rule_label.index]], premise_atoms) \
-            if all(all(not isinstance(t, SkolemTerm)
-                       for t in atom_terms(a)) for a in premise_atoms) \
-            else None
-        if little is None:
+    # one depth deeper, so every such application is an edge
+    for premises, conclusion in _steps(saturate_kb(kb, 3), Schema.MP, kb):
+        if not _within(premises, 2):
+            continue
+        premise_atoms = [lab.atom for lab in premises[:-1]]
+        if not all(all(not isinstance(t, SkolemTerm) for t in atom_terms(a))
+                   for a in premise_atoms):
             continue  # premises with Skolem terms are not legal facts
+        # chase the premises alone under just that rule
+        little = make_kb([kb.tbox[premises[-1].rule.index]], premise_atoms)
         deeper = chase(little, 1 + max(
             term_depth(t) for a in premise_atoms for t in atom_terms(a)))
-        assert inst.conclusion.atom in deeper.atoms
+        assert conclusion.atom in deeper.atoms
 
 
 def test_mp_changes_depth_by_at_most_one(ex1):
     kb, _ = ex1
-    sk = skolemize(kb.tbox)
-    state = chase(kb, 3)
-    for inst in mp_instances(state.atoms, sk):
-        premise_depth = max((term_depth(t) for lab in inst.premises[:-1]
+    for premises, conclusion in _steps(saturate_kb(kb, 4), Schema.MP):
+        if not _within(premises, 3):
+            continue
+        premise_depth = max((term_depth(t) for lab in premises[:-1]
                              for t in atom_terms(lab.atom)), default=0)
-        concl_depth = max(term_depth(t)
-                          for t in atom_terms(inst.conclusion.atom))
+        concl_depth = max(term_depth(t) for t in atom_terms(conclusion.atom))
         assert abs(concl_depth - premise_depth) <= 1
 
 
 def test_e_never_increases_depth():
     eq = EqAtom(F1F0A, Const("b"))
     atoms = [eq, ConceptAtom("A", F1F0A), RoleAtom("r", F1F0A, F1F0A)]
-    for inst in e_instances(atoms):
-        before = max(term_depth(t)
-                     for t in atom_terms(inst.premises[0].atom))
-        after = max(term_depth(t)
-                    for t in atom_terms(inst.conclusion.atom))
+    steps = _steps(saturate(atoms, [], 2), Schema.E)
+    assert steps
+    for premises, conclusion in steps:
+        before = max(term_depth(t) for t in atom_terms(premises[0].atom))
+        after = max(term_depth(t) for t in atom_terms(conclusion.atom))
         assert after <= before
 
 

@@ -9,7 +9,9 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hornexplain.generators import gen_el_abox, gen_hornalc_counter
+from hornexplain import kb as kb_module
+from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
+                                    gen_hornalc_counter)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, Fragment,
                             KBError, NormalForm, RoleAtom, SkolemTerm, Var,
                             detect_fragment, format_atom, gaifman_graph,
@@ -103,9 +105,28 @@ def test_parse_serialize_round_trip(ex1):
 
 
 def test_expected_fragment_rejects_inverse_roles():
-    with pytest.raises(KBError, match="not expressible"):
-        parse_kb("rule: r1(x,y) -> r2(x,y)\n", expect_fragment=Fragment.EL)
-    parse_kb("rule: r1(x,y) -> r2(x,y)\n", expect_fragment=Fragment.DLLiteR)
+    rule, = parse_kb("rule: r1(x,y) -> r2(x,y)\n").tbox
+    assert Fragment.EL not in rule.fragments
+    assert Fragment.DLLiteR in rule.fragments
+
+
+def test_parsing_classifies_each_rule_once():
+    inst = gen_dllite_chain(30)
+    text = serialize_document(inst.kb, [inst.query])
+    code = kb_module.classify_rule.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        doc = parse_document(text)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == len(doc.kb.tbox) > 0
+    assert doc.kb.fragment is Fragment.DLLiteR
 
 
 _RULE_POOL_TEXT = [

@@ -226,10 +226,10 @@ def _split_rule(cur: _Cursor) -> tuple[tuple[Atom, ...], tuple[Atom, ...],
 def _parse_rule_statement(cur: _Cursor) -> Rule:
     body, head, evars = _split_rule(cur)
     try:
-        form, _ = classify_rule(body, head, evars)
+        form, frags = classify_rule(body, head, evars)
     except KBError as exc:
         raise KBSyntaxError(str(exc), cur.lineno, 1) from exc
-    return Rule(body, head, evars, form)
+    return Rule(body, head, evars, form, frags)
 
 
 def _parse_fact_statement(cur: _Cursor) -> Atom:

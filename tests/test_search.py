@@ -10,23 +10,144 @@ import pytest
 from hornexplain.chase import chase, entails
 from hornexplain.compress import (CompressError, add_goal_tail,
                                   compress_dllite, compress_el, decompress,
-                                  dllite_query_min_size, el_cq_min_treesize,
-                                  goal_tail_size, min_tree_size_dp,
-                                  tree_query_min_treesize)
+                                  dllite_query_min_size, dp_min_tree,
+                                  el_cq_min_treesize, extract_witness,
+                                  goal_tail_size, tree_query_min_treesize)
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_el_abox, gen_el_tree,
                                     gen_hornalc_counter, gen_sat, gen_sat_cq)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
-                            SkolemTerm, Var, atom_terms)
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
+                            SkolemTerm, Var, atom_key, atom_terms,
+                            map_atom_terms, substitute_atom, term_key)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb, parse_query_text
-from hornexplain.proofs import (AtomLabel, Measure, domain_size, proof_size,
-                                proof_to_json, tree_size, validate_proof)
+from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
+                                domain_size, ground_terms_of_label,
+                                proof_size, proof_to_json, tree_size,
+                                validate_proof)
 from hornexplain import search as search_module
-from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
-                                bounded_search_cq, explain)
+from hornexplain.search import (RunConfig, SearchBudget, _reaches,
+                                bounded_search, bounded_search_cq, explain)
 from test_chase import _random_kb
+
+
+_INF = float("inf")
+
+
+def _min_tree(structure, goal_label):
+    """The tree-size DP's value for one label and its chosen-edge witness."""
+    values, chosen = dp_min_tree(structure)
+    vid = structure.label_ids[goal_label]
+    return values[vid], ProofGraph(*extract_witness(structure, chosen, [vid]))
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the exhaustive minimum with duplicate atom labels
+# allowed, for checking that one vertex per label loses no optimum
+# ---------------------------------------------------------------------------
+
+def _tree_min_descend(structure, vid, limit, path):
+    """Exhaustive minimal tree size; labels may repeat across branches but
+    never along a path (on-path repeats are never part of a minimum)."""
+    if vid in structure.leaf_ids:
+        return 1
+    best = _INF
+    for eidx in structure.in_edges[vid]:
+        e = structure.edges[eidx]
+        if any(p in path for p in e.premises):
+            continue
+        total = 1
+        cap = min(limit, best)
+        for p in e.premises:
+            total += _tree_min_descend(structure, p, cap - total, path | {vid})
+            if total >= cap:
+                total = _INF
+                break
+        best = min(best, total)
+    return best
+
+
+def _premise_combos(structure, premises, members):
+    """All ways to serve the premise tuple with up to two copies of each
+    atom vertex: a copy already in the proof, or the next new one."""
+    combos = [()]
+    for vid in premises:
+        if isinstance(structure.vertices[vid], RuleLabel):
+            opts = [(vid, 0)]
+        else:
+            opts = [(vid, k) for k in range(2) if (vid, k) in members]
+            opts += [(vid, k) for k in range(2)
+                     if (vid, k) not in members][:1]
+        combos = [c + (o,) for c in combos for o in opts]
+    return combos
+
+
+def _cover_min_with_copies(structure, kind, members, pending, arcs, terms,
+                           limit):
+    """Least size or domain size of a proof that derives every pending
+    vertex copy, each copy by an edge of its own; ``_INF`` at ``limit``."""
+    value = len(members) if kind is Measure.SIZE else len(terms)
+    if value >= limit:
+        return _INF
+    if not pending:
+        return value
+    key = pending[0]
+    best = _INF
+    for eidx in structure.in_edges[key[0]]:
+        e = structure.edges[eidx]
+        for combo in _premise_combos(structure, e.premises, members):
+            nxt_members = dict(members)
+            nxt_members[key] = eidx
+            nxt_pending = list(pending[1:])
+            nxt_arcs = dict(arcs)
+            nxt_terms = terms
+            ok = True
+            for pkey in combo:
+                if nxt_members.get(pkey) is not None \
+                        and _reaches(nxt_arcs, key, pkey):
+                    ok = False
+                    break
+                nxt_arcs[pkey] = nxt_arcs.get(pkey, frozenset()) | {key}
+                if pkey not in nxt_members:
+                    nxt_members[pkey] = None
+                    nxt_terms = nxt_terms | ground_terms_of_label(
+                        structure.vertices[pkey[0]])
+                    if pkey[0] not in structure.leaf_ids:
+                        nxt_pending.append(pkey)
+            if ok:
+                best = min(best, _cover_min_with_copies(
+                    structure, kind, nxt_members, nxt_pending, nxt_arcs,
+                    nxt_terms, min(limit, best)))
+    return best
+
+
+def _duplicate_tolerant_min(structure, q, kind, strict_cg=False):
+    """The least measure of a proof of ``q`` over the structure, over every
+    query match, when proofs may hold several vertices with one atom label:
+    up to two per label under size and domain size, and labels repeating
+    across branches under tree size.  ``_INF`` when nothing matches."""
+    tail = goal_tail_size(q, strict_cg) if kind is not Measure.DOMAIN_SIZE \
+        else 0
+    best = _INF
+    for sigma in match_conjunction(q.atoms, structure.index):
+        targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+                   for a in q.atoms]
+        total = tail
+        if kind is Measure.TREE_SIZE:
+            for vid in targets:
+                total += _tree_min_descend(structure, vid, best - total,
+                                           frozenset())
+        else:
+            keys = [(vid, 0) for vid in dict.fromkeys(targets)]
+            terms = frozenset().union(*(ground_terms_of_label(
+                structure.vertices[vid]) for vid, _ in keys))
+            total += _cover_min_with_copies(
+                structure, kind, dict.fromkeys(keys),
+                [k for k in keys if k[0] not in structure.leaf_ids], {},
+                terms, best - tail)
+        best = min(best, total)
+    return best
 
 
 def _chain_kb(n):
@@ -41,7 +162,7 @@ def test_min_size_on_an_inclusion_chain():
         kb = _chain_kb(n)
         structure = saturate_kb(kb, 0)
         goal = AtomLabel(ConceptAtom(f"P_{n}", Const("c")))
-        _, witness = min_tree_size_dp(structure, goal)
+        _, witness = _min_tree(structure, goal)
         assert proof_size(witness) == 2 * n + 1
         # brute force agreement
         q = BooleanCQ((ConceptAtom(f"P_{n}", Const("c")),), ())
@@ -53,7 +174,7 @@ def test_min_size_of_a_leaf_is_one():
     kb = _chain_kb(1)
     structure = saturate_kb(kb, 0)
     goal = AtomLabel(ConceptAtom("P_0", Const("c")))
-    _, witness = min_tree_size_dp(structure, goal)
+    _, witness = _min_tree(structure, goal)
     assert proof_size(witness) == 1
 
 
@@ -64,7 +185,7 @@ def test_min_size_prefers_the_short_route():
                   "fact: A(a)\n")
     structure = saturate_kb(kb, 0)
     goal = AtomLabel(ConceptAtom("B", Const("a")))
-    _, witness = min_tree_size_dp(structure, goal)
+    _, witness = _min_tree(structure, goal)
     assert proof_size(witness) == 3  # fact, one rule, one derived atom
 
 
@@ -75,7 +196,7 @@ def test_min_tree_size_counts_shared_premises_twice():
                   "fact: A(a)\n")
     structure = saturate_kb(kb, 0)
     goal = AtomLabel(ConceptAtom("B", Const("a")))
-    value, witness = min_tree_size_dp(structure, goal)
+    value, witness = _min_tree(structure, goal)
     assert value == tree_size(witness) == 8
     assert proof_size(witness) == 7  # the shared fact is one vertex
 
@@ -87,7 +208,7 @@ def test_min_tree_size_doubles_on_the_fact_chain():
         inst = gen_el_abox(n)
         structure = saturate_kb(inst.kb, 0)
         goal = AtomLabel(inst.query.atoms[0])
-        value, witness = min_tree_size_dp(structure, goal)
+        value, witness = _min_tree(structure, goal)
         assert value == 9 * 2 ** n - 8
         assert tree_size(witness) == value
 
@@ -96,7 +217,7 @@ def test_min_tree_size_of_a_leaf_is_one():
     kb = _chain_kb(1)
     structure = saturate_kb(kb, 0)
     goal = AtomLabel(ConceptAtom("P_0", Const("c")))
-    value, witness = min_tree_size_dp(structure, goal)
+    value, witness = _min_tree(structure, goal)
     assert value == 1 and proof_size(witness) == 1
 
 
@@ -163,7 +284,7 @@ def test_decompress_chain_of_witnesses():
                   "fact: A(a)\n")
     comp = compress_el(kb)
     goal = AtomLabel(ConceptAtom("C", Const("c_f_0")))
-    value, witness = min_tree_size_dp(comp.structure, goal)
+    value, witness = _min_tree(comp.structure, goal)
     real = decompress(witness, kb, comp)
     ok, problems = validate_proof(
         real, kb, BooleanCQ((ConceptAtom("C", SkolemTerm("f_0", Const("a"))),),
@@ -177,7 +298,7 @@ def test_decompress_without_fresh_names_is_identity_shaped():
     inst = gen_el_abox(1)
     comp = compress_el(inst.kb)
     goal = AtomLabel(inst.query.atoms[0])
-    _, witness = min_tree_size_dp(comp.structure, goal)
+    _, witness = _min_tree(comp.structure, goal)
     real = decompress(witness, inst.kb, comp)
     assert {str(l) for l in real.vertices.values()} \
         == {str(l) for l in witness.vertices.values()}
@@ -247,7 +368,7 @@ def test_el_cq_iq_reduces_to_the_dp():
     proof = el_cq_min_treesize(inst.kb, inst.query)
     comp = compress_el(inst.kb)
     goal = AtomLabel(inst.query.atoms[0])
-    value, _ = min_tree_size_dp(comp.structure, goal)
+    value, _ = _min_tree(comp.structure, goal)
     assert tree_size(proof) == value == 32
 
 
@@ -392,12 +513,54 @@ def test_bounded_search_rejects_trivial_bounds():
         SearchBudget(Measure.SIZE, bound=1)
 
 
+def _value_or_inf(result):
+    return _INF if result.value is None else result.value
+
+
 def test_unique_label_restriction_changes_nothing(ex1):
+    """One vertex per atom label, as the search keeps, against the frozen
+    duplicate-tolerant reference over the structure at each ceiling."""
     kb, q = ex1
-    for m in (Measure.SIZE, Measure.TREE_SIZE, Measure.DOMAIN_SIZE):
-        restricted = bounded_search(kb, q, SearchBudget(m), unique_labels=True)
-        relaxed = bounded_search(kb, q, SearchBudget(m), unique_labels=False)
-        assert restricted.value == relaxed.value
+    for ceiling in range(5):
+        structure = saturate_kb(kb, ceiling)
+        for m in Measure:
+            got = bounded_search(kb, q, SearchBudget(m),
+                                 depth_ceiling=ceiling)
+            assert _value_or_inf(got) == \
+                _duplicate_tolerant_min(structure, q, m), (ceiling, m)
+
+
+def _query_into(rng, structure):
+    """A query with a match in the structure: one to three of its atoms,
+    derived ones where there are any, with every Skolem term and about half
+    the constants made variables."""
+    atoms = sorted((a for a in structure.index.atoms
+                    if not isinstance(a, EqAtom)), key=atom_key)
+    derived = [a for a in atoms
+               if structure.label_ids[AtomLabel(a)] not in structure.leaf_ids]
+    atoms = derived or atoms
+    picked = list(dict.fromkeys(rng.choice(atoms)
+                                for _ in range(rng.randint(1, 3))))
+    names = {}
+    for t in sorted({t for a in picked for t in atom_terms(a)}, key=term_key):
+        if isinstance(t, SkolemTerm) or rng.random() < 0.5:
+            names[t] = Var(f"x{len(names)}")
+    return BooleanCQ(tuple(map_atom_terms(a, lambda t: names.get(t, t))
+                           for a in picked), tuple(names.values()))
+
+
+def test_unique_label_restriction_changes_nothing_on_random_kbs():
+    rng = random.Random(20261021)
+    for case in range(100):
+        kb = _random_kb(rng)
+        ceiling = rng.randint(0, 2)
+        structure = saturate_kb(kb, ceiling)
+        q = _query_into(rng, structure)
+        for m in Measure:
+            got = bounded_search(kb, q, SearchBudget(m),
+                                 depth_ceiling=ceiling)
+            assert _value_or_inf(got) == \
+                _duplicate_tolerant_min(structure, q, m), (case, m)
 
 
 def test_bounded_search_cq_sat_family():

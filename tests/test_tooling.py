@@ -29,11 +29,11 @@ def test_every_traced_layer_exists():
 
 
 def _function_clashes(src: Path) -> list[str]:
-    """Pairs of functions in one module with the same parameters and body,
-    compared by AST with docstrings left out."""
+    """Pairs of functions anywhere in the package with the same parameters
+    and body, compared by AST with docstrings left out."""
     clashes = []
+    seen: dict[str, str] = {}
     for path in sorted(src.glob("*.py")):
-        seen: dict[str, str] = {}
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -41,14 +41,16 @@ def _function_clashes(src: Path) -> list[str]:
             if ast.get_docstring(node) is not None:
                 body = body[1:]
             key = ast.dump(node.args) + "".join(ast.dump(b) for b in body)
+            name = f"{path.stem}.{node.name}"
             if key in seen:
-                clashes.append(f"{path.name}: {seen[key]} / {node.name}")
-            seen.setdefault(key, node.name)
+                clashes.append(f"{seen[key]} / {name}")
+            seen.setdefault(key, name)
     return clashes
 
 
 def test_no_two_functions_in_a_module_share_a_body():
-    """A second name for a function is an alias, not a copy."""
+    """A second name for a function is an alias, not a copy, within a
+    module and across the package's modules."""
     assert not _function_clashes(ROOT / "src" / "hornexplain")
 
 
