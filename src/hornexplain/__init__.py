@@ -7,12 +7,13 @@ optimal in size, tree size, or domain size.
 
 from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, Fragment,
                  KBError, KnowledgeBase, NormalForm, RoleAtom, Rule,
-                 SkolemTerm, Signature, Term, Var, detect_fragment,
-                 gaifman_graph, is_tree_shaped, make_kb, make_rule)
+                 SkolemRule, SkolemTerm, Signature, Term, Var,
+                 detect_fragment, gaifman_graph, is_tree_shaped, make_kb,
+                 make_rule, skolemize)
 from .parser import (Document, KBSyntaxError, parse_document, parse_kb,
                      serialize_document)
-from .chase import (ChaseState, EntailmentResult, QueryMatch, SkolemRule,
-                    chase, entails, match_query, skolemize)
+from .chase import (ChaseState, EntailmentResult, QueryMatch, chase,
+                    entails, match_query)
 from .proofs import (Measure, MeasureValue, ProofGraph, Schema, TautRule,
                      domain_size, measure, proof_from_json, proof_size,
                      proof_to_dot, proof_to_json, tree_size, tree_unravel,

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .chase import SkolemRule, default_depth_ceiling, skolemize
+from .chase import default_depth_ceiling
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
-                 RoleAtom, SkolemTerm, Term, Var, atom_terms, gaifman_graph,
-                 is_tree_shaped, map_atom_terms, substitute_atom, term_key)
+                 RoleAtom, SkolemRule, SkolemTerm, Term, Var, atom_terms,
+                 gaifman_graph, is_tree_shaped, map_atom_terms, skolemize,
+                 substitute_atom, term_key)
 from .matching import match_conjunction, match_positionally
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
@@ -321,7 +322,7 @@ def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
                 raise KBError("target is not derivable in the structure")
             continue
         e = structure.edges[idx]
-        edges.append(ProofEdge(e.premises, e.conclusion, e.schema))
+        edges.append(e)
         stack.extend(e.premises)
     vertices = {v: structure.vertices[v] for v in keep}
     return vertices, edges
@@ -355,17 +356,15 @@ def assemble_witness(structure: FiniteStructure, chosen: dict[int, int],
                      q: BooleanCQ, sigma: dict[Var, Term],
                      strict_cg: bool) -> ProofGraph:
     """The proof of the query under the match ``sigma``: the chosen-edge
-    witness of every matched atom, merged, then the goal tail."""
+    witness of the matched atoms, then the goal tail."""
     targets: list[int] = []
-    parts = []
     for atom in q.atoms:
         ground = substitute_atom(atom, sigma)
         vid = structure.label_ids.get(AtomLabel(ground))
         if vid is None:
             raise KBError(f"atom instance not derivable: {ground}")
         targets.append(vid)
-        parts.append(extract_witness(structure, chosen, [vid]))
-    vertices, edges = merge_witnesses(parts)
+    vertices, edges = extract_witness(structure, chosen, targets)
     return add_goal_tail(vertices, edges, targets, q, strict_cg)
 
 
@@ -411,18 +410,6 @@ def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
         vertices[next_id] = CQLabel(goal)
         edges.append(ProofEdge((targets[0],), next_id, Schema.G))
     return ProofGraph(vertices, edges)
-
-
-def merge_witnesses(parts: list[tuple[dict[int, Label], list[ProofEdge]]]
-                    ) -> tuple[dict[int, Label], list[ProofEdge]]:
-    """Union of chosen-edge subgraphs that share vertex ids."""
-    vertices: dict[int, Label] = {}
-    edges: dict[tuple, ProofEdge] = {}
-    for vs, es in parts:
-        vertices.update(vs)
-        for e in es:
-            edges[(e.premises, e.conclusion)] = e
-    return vertices, list(edges.values())
 
 
 # ---------------------------------------------------------------------------

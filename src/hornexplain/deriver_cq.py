@@ -16,13 +16,13 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .chase import SkolemRule, skolemize
 from .compress import add_goal_tail
 from .deriver_sk import _replace_top_level
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
-                 Rule, SkolemTerm, Term, Var, atom_key, atom_pred, atom_terms,
-                 atom_vars, cq_equivalent, map_atom_terms, substitute_atom,
-                 subterms, term_is_ground, term_key)
+                 Rule, SkolemRule, SkolemTerm, Term, Var, atom_key, atom_pred,
+                 atom_terms, atom_vars, cq_equivalent, map_atom_terms,
+                 skolemize, substitute_atom, subterms, term_is_ground,
+                 term_key)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .chase import SkolemRule, skolemize
-from .kb import (Atom, EqAtom, KnowledgeBase, Term, atom_is_ground, atom_key,
-                 atom_pred, atom_terms, map_atom_terms, orient_equality,
-                 substitute_atom, term_depth)
+from .kb import (Atom, EqAtom, KnowledgeBase, SkolemRule, Term,
+                 atom_is_ground, atom_key, atom_pred, atom_terms,
+                 map_atom_terms, orient_equality, skolemize, substitute_atom,
+                 term_depth)
 from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
-from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, RuleLabel, Schema)
+from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
+                     RuleLabel, Schema)
 
 
 def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
@@ -164,13 +165,6 @@ def _check_g(premises, conclusion) -> Optional[str]:
 # Finite view of the derivation structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructEdge:
-    premises: tuple[int, ...]
-    conclusion: int
-    schema: Schema
-
-
 class BudgetExceeded(Exception):
     pass
 
@@ -181,7 +175,7 @@ class FiniteStructure:
 
     vertices: dict[int, Label] = field(default_factory=dict)
     label_ids: dict[Label, int] = field(default_factory=dict)
-    edges: list[StructEdge] = field(default_factory=list)
+    edges: list[ProofEdge] = field(default_factory=list)
     in_edges: dict[int, list[int]] = field(default_factory=dict)
     leaf_ids: set[int] = field(default_factory=set)
     complete: bool = True
@@ -201,9 +195,8 @@ class FiniteStructure:
 
     def add_edge(self, premises: tuple[int, ...], conclusion: int,
                  schema: Schema) -> None:
-        edge = StructEdge(premises, conclusion, schema)
         idx = len(self.edges)
-        self.edges.append(edge)
+        self.edges.append(ProofEdge(premises, conclusion, schema))
         self.in_edges[conclusion].append(idx)
 
     def has_atom(self, atom: Atom) -> bool:

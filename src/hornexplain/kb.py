@@ -530,6 +530,57 @@ def detect_fragment(tbox: Iterable[Rule]) -> Fragment:
 
 
 # ---------------------------------------------------------------------------
+# Skolemization
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SkolemRule:
+    """A rule with existential variables replaced by Skolem applications."""
+
+    body: tuple[Atom, ...]
+    head: tuple[Atom, ...]
+    normal_form: NormalForm
+    index: int
+    fn: Optional[str] = None  # Skolem function name, shape (iv) only
+
+    def __repr__(self) -> str:
+        return f"SkolemRule#{self.index}"
+
+
+def skolem_fn_name(rule_index: int) -> str:
+    return f"f_{rule_index}"
+
+
+# id(tbox) -> (tbox, its Skolem rules).  Keyed by identity: hashing a TBox
+# hashes every rule again.  Holding the tbox keeps its id from being reused.
+_SKOLEMIZE_CACHE: dict[int, tuple[tuple[Rule, ...],
+                                  tuple[SkolemRule, ...]]] = {}
+
+
+def skolemize(tbox: Iterable[Rule]) -> tuple[SkolemRule, ...]:
+    """One Skolem rule per rule; functions are named by rule position."""
+    tbox = tuple(tbox)
+    cached = _SKOLEMIZE_CACHE.get(id(tbox))
+    if cached is not None:
+        return cached[1]
+    out = []
+    for i, rule in enumerate(tbox):
+        if rule.existential_vars:
+            fn = skolem_fn_name(i)
+            frontier = rule.body[0].term  # shape (iv): single concept atom
+            repl = {v: SkolemTerm(fn, frontier) for v in rule.existential_vars}
+            head = tuple(substitute_atom(a, repl) for a in rule.head)
+            out.append(SkolemRule(rule.body, head, rule.normal_form, i, fn))
+        else:
+            out.append(SkolemRule(rule.body, rule.head, rule.normal_form, i))
+    if len(_SKOLEMIZE_CACHE) > 256:
+        _SKOLEMIZE_CACHE.clear()
+    result = tuple(out)
+    _SKOLEMIZE_CACHE[id(tbox)] = (tbox, result)
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Signature, knowledge base, queries
 # ---------------------------------------------------------------------------
 

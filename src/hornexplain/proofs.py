@@ -14,9 +14,8 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
 from .kb import (Atom, BooleanCQ, KBError, KnowledgeBase, NormalForm, Rule,
-                 Term, Var, atom_key, atom_terms, cq_equivalent, format_atom,
-                 make_rule, subterms, term_is_ground)
-from .chase import SkolemRule
+                 SkolemRule, Term, Var, atom_key, atom_terms, cq_equivalent,
+                 format_atom, make_rule, subterms, term_is_ground)
 
 
 class Schema(Enum):

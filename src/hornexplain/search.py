@@ -275,15 +275,15 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         if ask_chase and best_sigma is None and (
                 not certified or _names_replaced_constant(q, structure)):
             # asked once, at the first depth without a match or a
-            # certificate: the chase's eager merging terminates where merged
-            # witnesses keep the saturation growing
+            # certificate: read modulo its merges, a saturation can be
+            # closed where merged witnesses keep it growing
             ask_chase = False
             verdict = entails(kb, q, ceiling=depth_ceiling).verdict
             if verdict == "no":
                 return ticker.result("none", complete=True)
             if verdict == "unknown" and budget.bound is None:
-                # the saturation's atoms, read modulo the merges, are chase
-                # atoms of no greater depth: none up to the ceiling matches
+                # the chase is the saturation read modulo its merges: none
+                # up to the ceiling matches
                 return ticker.result("exhausted")
         if certified or depth >= depth_want:
             break
@@ -686,6 +686,7 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             config: Optional[RunConfig] = None) -> ExplainResult:
     """Find an optimal proof (or one within the configured bound)."""
     config = config or RunConfig()
+    budget = config.budget()
     warnings: list[str] = []
     if config.deriver == "cq" and config.measure is Measure.DOMAIN_SIZE:
         raise ValueError("domain size is not defined for query-level proofs")
@@ -708,14 +709,18 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             proof, algo = _run_poly(kb, q, config,
                                     time.monotonic() + config.max_seconds)
             value = measure(proof, config.measure).value
+            # the size route minimizes tree size: where premises are shared,
+            # a smaller proof can exist, so its value only bounds the
+            # optimum from above
+            exact = config.measure is Measure.TREE_SIZE
             if config.bound is None or value <= config.bound:
                 return ExplainResult("found", proof, value, config.measure,
-                                     algo, 0, warnings)
-            if config.measure is Measure.TREE_SIZE:
+                                     algo, 0, warnings,
+                                     complete=exact or config.bound is not None)
+            if exact:
                 return ExplainResult("none", None, value, config.measure,
                                      algo, 0, warnings)
-            # the size route minimizes tree size: where premises are shared,
-            # a smaller proof can exist, so the bound is left to the search
+            # above the bound, the size route leaves the bound to the search
             warnings.append(f"polynomial size value {value} exceeds the "
                             "bound but only bounds the optimum from above; "
                             "falling back to exact search")
@@ -731,7 +736,7 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             else:
                 warnings.append(str(exc))
 
-    result = bounded_search(kb, q, config.budget(), deriver=config.deriver,
+    result = bounded_search(kb, q, budget, deriver=config.deriver,
                             strict_cg=config.strict_cg,
                             depth_ceiling=config.depth_ceiling)
     if not result.complete and result.status in ("found", "none"):

@@ -2,9 +2,8 @@
 
 import pytest
 
-from hornexplain.chase import skolemize
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
-                            SkolemTerm, Var)
+                            SkolemTerm, Var, skolemize)
 from hornexplain.parser import parse_document
 from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, ProofEdge,
                                 ProofGraph, RuleLabel, Schema, TautRule)

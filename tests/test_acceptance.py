@@ -302,7 +302,7 @@ def test_criterion_6_structural_properties():
         # one depth deeper, so every application over the depth-1 atoms is
         # an edge
         structure = saturate_kb(kb, 2)
-        from hornexplain.chase import skolem_fn_name
+        from hornexplain.kb import skolem_fn_name
         from hornexplain.kb import EqAtom
         for e in structure.edges:
             if e.schema is not Schema.MP:

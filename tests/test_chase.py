@@ -1,12 +1,18 @@
 """Skolemization, bounded model construction, matching, entailment."""
 
 import random
+import re
 
-from hornexplain.chase import chase, entails, match_query, skolemize
-from hornexplain.kb import (ConceptAtom, Const, RoleAtom, SkolemTerm, Var,
-                            atom_terms, term_depth)
-from hornexplain.parser import parse_document, parse_kb
+from hornexplain.chase import ChaseState, chase, entails, match_query
+from hornexplain.deriver_sk import saturate_kb
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
+                            SkolemTerm, Var, atom_key, atom_terms,
+                            map_atom_terms, orient_equality, skolemize,
+                            substitute_atom, term_depth, term_key)
+from hornexplain.matching import AtomIndex, match_conjunction
+from hornexplain.parser import parse_document, parse_kb, parse_query_text
 from hornexplain.generators import gen_el_tree
+from hornexplain.proofs import AtomLabel
 
 
 def test_skolemize_example_rules(ex1):
@@ -213,3 +219,167 @@ def test_chase_fuzz_monotone_depth_and_orientation():
             for atom in state.atoms:
                 for t in atom_terms(atom):
                     assert t not in merged
+
+
+def _random_query(rng):
+    terms = ("x", "y", "d", "e")
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            atoms.append(f"{rng.choice('PQR')}({rng.choice(terms)})")
+        else:
+            atoms.append(f"{rng.choice('uv')}({rng.choice(terms)},"
+                         f"{rng.choice(terms)})")
+    body = ", ".join(atoms)
+    used = [v for v in ("x", "y") if re.search(rf"\b{v}\b", body)]
+    return parse_query_text((f"exists {', '.join(used)}. " if used else "")
+                            + body)
+
+
+def _query_into(rng, structure):
+    """A query with a match in the structure: one to three of its atoms,
+    derived ones where there are any, with every Skolem term and about half
+    the constants made variables."""
+    atoms = sorted((a for a in structure.index.atoms
+                    if not isinstance(a, EqAtom)), key=atom_key)
+    derived = [a for a in atoms
+               if structure.label_ids[AtomLabel(a)] not in structure.leaf_ids]
+    atoms = derived or atoms
+    picked = list(dict.fromkeys(rng.choice(atoms)
+                                for _ in range(rng.randint(1, 3))))
+    names = {}
+    for t in sorted({t for a in picked for t in atom_terms(a)}, key=term_key):
+        if isinstance(t, SkolemTerm) or rng.random() < 0.5:
+            names[t] = Var(f"x{len(names)}")
+    return BooleanCQ(tuple(map_atom_terms(a, lambda t: names.get(t, t))
+                           for a in picked), tuple(names.values()))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the chase as a naive rule loop, frozen as it was before the
+# model fragment was read off the saturation
+# ---------------------------------------------------------------------------
+
+class _RefRewriter:
+    """Term rewriting map from derived equalities (replaced -> constant)."""
+
+    def __init__(self):
+        self.map = {}
+
+    def resolve(self, t):
+        if isinstance(t, SkolemTerm):
+            t = SkolemTerm(t.fn, self.resolve(t.arg))
+        while t in self.map:
+            t = self.map[t]
+        return t
+
+    def atom(self, a):
+        return map_atom_terms(a, self.resolve)
+
+    def add(self, src, dst):
+        self.map[src] = dst
+        # keep the map idempotent under later additions
+        for key in list(self.map):
+            self.map[key] = self.resolve(self.map[key])
+
+
+def _reference_chase(kb, depth_bound):
+    """Least fixpoint of rule application up to the term-depth bound."""
+    sk_rules = skolemize(kb.tbox)
+    rewriter = _RefRewriter()
+    atoms = set(kb.abox)
+    equalities = []
+    suppressed = False
+    index = AtomIndex(atoms)
+    changed = True
+    while changed:
+        changed = False
+        rewritten = False
+        derived = []
+        for rule in sk_rules:
+            for subst in match_conjunction(rule.body, index):
+                for head_atom in rule.head:
+                    derived.append(substitute_atom(head_atom, subst))
+        for atom in derived:
+            atom = rewriter.atom(atom)
+            if isinstance(atom, EqAtom):
+                pair = orient_equality(atom.lhs, atom.rhs)
+                if pair is None:
+                    continue
+                src, dst = pair
+                rewriter.add(src, dst)
+                equalities.append((src, dst))
+                atoms = {rewriter.atom(a) for a in atoms}
+                rewritten = changed = True
+                continue
+            if max(term_depth(t) for t in atom_terms(atom)) > depth_bound:
+                suppressed = True
+                continue
+            if atom not in atoms:
+                atoms.add(atom)
+                if not rewritten:
+                    index.add(atom)
+                changed = True
+        if rewritten:
+            index = AtomIndex(atoms)
+    equalities = tuple(sorted(
+        equalities, key=lambda p: (term_key(p[0]), term_key(p[1]))))
+    return ChaseState(frozenset(atoms), equalities, depth_bound,
+                      not suppressed)
+
+
+def _reference_match(q, state):
+    """The first homomorphism of the query into the chase atoms, as sorted
+    (variable, term) pairs, or None."""
+    rewriter = _RefRewriter()
+    for src, dst in state.equalities:
+        rewriter.add(src, dst)
+    patterns = [rewriter.atom(a) for a in q.atoms]
+    for subst in match_conjunction(patterns, AtomIndex(state.atoms)):
+        return tuple(sorted(subst.items(), key=lambda p: p[0].name))
+    return None
+
+
+def _reference_entails(kb, q, ceiling):
+    """(verdict, depth, first match) by iterative deepening."""
+    for depth in range(ceiling + 1):
+        state = _reference_chase(kb, depth)
+        match = _reference_match(q, state)
+        if match is not None:
+            return "yes", depth, match
+        if state.saturated_at_bound:
+            return "no", depth, None
+    return "unknown", ceiling, None
+
+
+def test_saturation_view_agrees_with_the_reference_chase():
+    """The model fragment read off the saturation against the frozen rule
+    loop: the same atoms and equalities, and the same entailment verdicts.
+
+    Two differences are allowed.  The loop flags a fragment unsaturated
+    when it cut off an atom that a later merge made unneeded; then the view
+    may say saturated, provided the loop one level deeper adds nothing.
+    And a ``no`` the view finds that way comes no later than the loop's.
+    """
+    rng = random.Random(20261024)
+    for case in range(2000):
+        kb = _random_kb(rng)
+        depth = case % 4
+        ref = _reference_chase(kb, depth)
+        got = chase(kb, depth)
+        assert got.atoms == ref.atoms, case
+        assert got.equalities == ref.equalities, case
+        if got.saturated_at_bound != ref.saturated_at_bound:
+            assert got.saturated_at_bound, case
+            assert _reference_chase(kb, depth + 1).atoms == ref.atoms, case
+        q = _query_into(rng, saturate_kb(kb, depth)) if case % 2 \
+            else _random_query(rng)
+        ceiling = rng.randint(1, 4)
+        verdict, at_depth, match = _reference_entails(kb, q, ceiling)
+        result = entails(kb, q, ceiling=ceiling)
+        assert result.verdict == verdict, (case, result.verdict, verdict)
+        if verdict == "yes":
+            assert result.at_depth == at_depth, case
+            assert result.witness.substitution == match, case
+        elif verdict == "no":
+            assert result.at_depth <= at_depth, case

@@ -116,6 +116,30 @@ def test_poly_size_above_the_bound_is_not_none(tmp_path):
     assert run_cli(*args, "--bound", "14", expect=1).stdout.strip() == "none"
 
 
+def test_poly_size_without_a_bound_is_uncertified(tmp_path):
+    """Unbounded, the size route only bounds the optimum from above: it
+    reports 16 where the exact search certifies 15."""
+    path = tmp_path / "shared.kb"
+    path.write_text(_SHARED_PREMISE_KB)
+    args = ("explain", str(path), "--algo", "poly", "--measure", "size")
+    proc = run_cli(*args, expect=0)
+    assert proc.stdout.startswith("size = 16 (poly-dllite-size, uncertified)")
+    doc = json.loads(run_cli(*args, "--format", "json", expect=0).stdout)
+    assert doc["value"] == 16 and doc["complete"] is False
+    proc = run_cli("explain", str(path), "--algo", "exact", "--measure",
+                   "size", expect=0)
+    assert proc.stdout.startswith("size = 15 (exact)")
+
+
+@pytest.mark.parametrize("algo", ["auto", "exact"])
+def test_bound_one_is_a_usage_error_on_every_route(tmp_path, algo):
+    path = tmp_path / "chain.kb"
+    run_cli("gen", "dllite-chain", "5", "-o", str(path), expect=0)
+    proc = run_cli("explain", str(path), "--measure", "tree", "--algo", algo,
+                   "--bound", "1", expect=64)
+    assert "greater than 1" in proc.stderr
+
+
 def test_explain_poly_fallback_warns(ex1_file):
     proc = run_cli("explain", ex1_file, "--measure", "tree",
                    "--algo", "poly", expect=0)

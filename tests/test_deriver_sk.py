@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from hornexplain.chase import chase, skolemize
+from hornexplain.chase import chase
 from hornexplain.compress import assemble_witness, dp_min_tree
 from hornexplain.deriver_sk import check_edge_labels, saturate, saturate_kb
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                             RoleAtom, SkolemTerm, Var, atom_terms, make_kb,
-                            term_depth)
+                            skolemize, term_depth)
 from hornexplain.generators import gen_el_abox, gen_hornalc_counter
 from hornexplain.parser import parse_kb, serialize_document
 from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, RuleLabel,

@@ -2,7 +2,6 @@
 the cost-graph algorithm, and the exact bounded search."""
 
 import random
-import re
 import time
 
 import pytest
@@ -17,11 +16,10 @@ from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_el_abox, gen_el_tree,
                                     gen_hornalc_counter, gen_sat, gen_sat_cq)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
-                            SkolemTerm, Var, atom_key, atom_terms,
-                            map_atom_terms, substitute_atom, term_key)
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
+                            SkolemTerm, Var, atom_terms, substitute_atom)
 from hornexplain.matching import match_conjunction
-from hornexplain.parser import parse_document, parse_kb, parse_query_text
+from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
                                 domain_size, ground_terms_of_label,
                                 proof_size, proof_to_json, tree_size,
@@ -29,7 +27,7 @@ from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
 from hornexplain import search as search_module
 from hornexplain.search import (RunConfig, SearchBudget, _reaches,
                                 bounded_search, bounded_search_cq, explain)
-from test_chase import _random_kb
+from test_chase import _query_into, _random_kb, _random_query
 
 
 _INF = float("inf")
@@ -464,21 +462,6 @@ def test_found_proofs_never_need_the_chase(ex1, monkeypatch):
             assert result.status == "found", m
 
 
-def _random_query(rng):
-    terms = ("x", "y", "d", "e")
-    atoms = []
-    for _ in range(rng.randint(1, 3)):
-        if rng.random() < 0.5:
-            atoms.append(f"{rng.choice('PQR')}({rng.choice(terms)})")
-        else:
-            atoms.append(f"{rng.choice('uv')}({rng.choice(terms)},"
-                         f"{rng.choice(terms)})")
-    body = ", ".join(atoms)
-    used = [v for v in ("x", "y") if re.search(rf"\b{v}\b", body)]
-    return parse_query_text((f"exists {', '.join(used)}. " if used else "")
-                            + body)
-
-
 def test_search_verdicts_agree_with_the_chase():
     """found, none and exhausted go with the chase's yes, no and unknown.
 
@@ -488,11 +471,20 @@ def test_search_verdicts_agree_with_the_chase():
     ``exhausted``, never ``none``.
     """
     rng = random.Random(20261018)
-    for case in range(800):
+    cases = []
+    for _ in range(800):
         kb = _random_kb(rng)
-        q = _random_query(rng)
-        m = rng.choice(list(Measure))
+        cases.append((kb, _random_query(rng), rng.choice(list(Measure)),
+                      rng.randint(1, 4)))
+    # few random queries match; these are drawn from the saturation at a
+    # depth within the ceiling, so they all do
+    rng = random.Random(20261025)
+    for _ in range(800):
+        kb = _random_kb(rng)
         ceiling = rng.randint(1, 4)
+        q = _query_into(rng, saturate_kb(kb, rng.randint(0, ceiling)))
+        cases.append((kb, q, rng.choice(list(Measure)), ceiling))
+    for case, (kb, q, m, ceiling) in enumerate(cases):
         out = bounded_search(kb, q, SearchBudget(m), depth_ceiling=ceiling)
         verdict = entails(kb, q, ceiling=ceiling).verdict
         if out.status == "found":
@@ -511,6 +503,12 @@ def test_search_verdicts_agree_with_the_chase():
 def test_bounded_search_rejects_trivial_bounds():
     with pytest.raises(ValueError):
         SearchBudget(Measure.SIZE, bound=1)
+    # on every route, the polynomial ones included
+    inst = gen_dllite_chain(5)
+    for algo in ("auto", "poly", "exact"):
+        with pytest.raises(ValueError):
+            explain(inst.kb, inst.query,
+                    RunConfig(measure=Measure.TREE_SIZE, bound=1, algo=algo))
 
 
 def _value_or_inf(result):
@@ -528,25 +526,6 @@ def test_unique_label_restriction_changes_nothing(ex1):
                                  depth_ceiling=ceiling)
             assert _value_or_inf(got) == \
                 _duplicate_tolerant_min(structure, q, m), (ceiling, m)
-
-
-def _query_into(rng, structure):
-    """A query with a match in the structure: one to three of its atoms,
-    derived ones where there are any, with every Skolem term and about half
-    the constants made variables."""
-    atoms = sorted((a for a in structure.index.atoms
-                    if not isinstance(a, EqAtom)), key=atom_key)
-    derived = [a for a in atoms
-               if structure.label_ids[AtomLabel(a)] not in structure.leaf_ids]
-    atoms = derived or atoms
-    picked = list(dict.fromkeys(rng.choice(atoms)
-                                for _ in range(rng.randint(1, 3))))
-    names = {}
-    for t in sorted({t for a in picked for t in atom_terms(a)}, key=term_key):
-        if isinstance(t, SkolemTerm) or rng.random() < 0.5:
-            names[t] = Var(f"x{len(names)}")
-    return BooleanCQ(tuple(map_atom_terms(a, lambda t: names.get(t, t))
-                           for a in picked), tuple(names.values()))
 
 
 def test_unique_label_restriction_changes_nothing_on_random_kbs():

@@ -30,17 +30,22 @@ def test_every_traced_layer_exists():
 
 def _function_clashes(src: Path) -> list[str]:
     """Pairs of functions anywhere in the package with the same parameters
-    and body, compared by AST with docstrings left out."""
+    and body, and pairs of decorated classes (dataclasses) with the same
+    body, compared by AST with docstrings left out."""
     clashes = []
     seen: dict[str, str] = {}
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                head = ast.dump(node.args)
+            elif isinstance(node, ast.ClassDef) and node.decorator_list:
+                head = "class"
+            else:
                 continue
             body = node.body
             if ast.get_docstring(node) is not None:
                 body = body[1:]
-            key = ast.dump(node.args) + "".join(ast.dump(b) for b in body)
+            key = head + "".join(ast.dump(b) for b in body)
             name = f"{path.stem}.{node.name}"
             if key in seen:
                 clashes.append(f"{seen[key]} / {name}")
@@ -49,8 +54,8 @@ def _function_clashes(src: Path) -> list[str]:
 
 
 def test_no_two_functions_in_a_module_share_a_body():
-    """A second name for a function is an alias, not a copy, within a
-    module and across the package's modules."""
+    """A second name for a function or a record type is an alias, not a
+    copy, within a module and across the package's modules."""
     assert not _function_clashes(ROOT / "src" / "hornexplain")
 
 
