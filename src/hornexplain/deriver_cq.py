@@ -247,8 +247,12 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
     the head's pi-image stay rigid (each binds only to itself), or an added
     atom could be matched to the wrong terms.
     """
-    patterns = [substitute_atom(h, {**pi, **{v: v for v in evars}})
-                for h in head]
+    # unify_atom rejects every pattern of another predicate
+    rigid = {**pi, **{v: v for v in evars}}
+    patterns: dict[tuple, list[Atom]] = {}
+    for h in head:
+        pattern = substitute_atom(h, rigid)
+        patterns.setdefault(atom_pred(pattern), []).append(pattern)
 
     def admissible(ext: dict[Var, Term]) -> bool:
         images = [t for k, t in ext.items() if k in evars]
@@ -263,7 +267,7 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
         if i == len(added):
             return assignment
         target = added[i]
-        for pattern in patterns:
+        for pattern in patterns.get(atom_pred(target), ()):
             ext = unify_atom(pattern, target, assignment)
             if ext is None or not admissible(ext):
                 continue

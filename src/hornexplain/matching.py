@@ -18,6 +18,13 @@ of the list that unify.  Only the chosen pattern's candidates are turned
 into substitutions, in list order, so results come out in a fixed order.
 A caller's ``prune`` callback can cut a branch after any step; the search
 uses it for branch-and-bound over query matches.
+
+A step re-plans only the patterns it touches.  A pattern's plan (its list,
+checks and score) depends on the bindings only through its unbound
+variables: the top-level ones and the innermost variable of each Skolem
+term over an unbound variable.  So a plan stays valid until a step binds
+one of them or the index grows, and every other plan is handed down to the
+next step as it is.
 """
 
 from __future__ import annotations
@@ -154,13 +161,16 @@ def _resolve(t: Term, subst: Mapping[Var, Term]) -> Optional[Term]:
 # A check is (position, ground value or None, pattern term): a ground value
 # is compared, otherwise the pattern term is bound against the candidate.
 _Check = tuple[int, Optional[Term], Term]
+# A plan is (score, candidate list, checks, unbound variables).
+_Plan = tuple[int, Sequence[Atom], list[_Check], list[Var]]
 
 
 def _plan(pred: tuple, terms: tuple[Term, ...], index: AtomIndex,
           subst: Mapping[Var, Term]
-          ) -> tuple[Sequence[Atom], list[_Check], bool]:
-    """Candidate list, per-candidate checks, and whether every candidate in
-    the list is a unifier."""
+          ) -> tuple[Sequence[Atom], list[_Check], bool, list[Var]]:
+    """Candidate list, per-candidate checks, whether every candidate in the
+    list is a unifier, and the unbound variables: top-level ones and the
+    innermost variable of each Skolem term over an unbound variable."""
     source = index.bucket(pred)
     source_pos = None
     ground_count = 0
@@ -176,6 +186,10 @@ def _plan(pred: tuple, terms: tuple[Term, ...], index: AtomIndex,
             continue
         value = _resolve(t, subst)
         if value is None:          # Skolem term over an unbound variable
+            inner = t.arg
+            while isinstance(inner, SkolemTerm):
+                inner = inner.arg
+            free_vars.append(inner)
             exact = False
             checks.append((pos, None, t))
             continue
@@ -188,7 +202,7 @@ def _plan(pred: tuple, terms: tuple[Term, ...], index: AtomIndex,
         exact = False
     if source_pos is not None:
         checks = [c for c in checks if c[0] != source_pos]
-    return source, checks, exact
+    return source, checks, exact, free_vars
 
 
 def _accepts(checks: list[_Check], ground: Atom, subst: Mapping[Var, Term],
@@ -222,24 +236,36 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                 for pos, p in enumerate(patterns)]
     matched: list[Optional[Atom]] = \
         [None] * len(patterns) if prune is not None else []
+    atoms = index.atoms            # its size tells when the index grew
 
     def extend(remaining: list[tuple[int, tuple, tuple[Term, ...]]],
+               kept: list[Optional[_Plan]], size: int,
                current: dict[Var, Term]) -> Iterator[dict[Var, Term]]:
         if not remaining:
             yield current
             return
+        if size != len(atoms):
+            # the index grew while the generator was suspended
+            size = len(atoms)
+            kept = [None] * len(remaining)
         # most constrained first: fewest unifiers under current bindings
+        plans: list[_Plan] = []
         best = None
         for i, (_, pred, terms) in enumerate(remaining):
-            source, checks, exact = _plan(pred, terms, index, current)
-            score = len(source) if exact else sum(
-                1 for ground in source
-                if _accepts(checks, ground, current, {}))
-            if best is None or score < best[0]:
-                best = (score, i, source, checks)
+            plan = kept[i]
+            if plan is None:
+                source, checks, exact, free = _plan(pred, terms, index,
+                                                    current)
+                score = len(source) if exact else sum(
+                    1 for ground in source
+                    if _accepts(checks, ground, current, {}))
                 if score == 0:
                     return
-        _, idx, source, checks = best
+                plan = (score, source, checks, free)
+            plans.append(plan)
+            if best is None or plan[0] < best[0]:
+                best, idx = plan, i
+        _, source, checks, free = best
         # unify the chosen candidates now: atoms added to the index while
         # this generator is suspended are seen only by deeper steps
         hits = []
@@ -249,6 +275,15 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                 hits.append((ground, new))
         pos = remaining[idx][0]
         rest = remaining[:idx] + remaining[idx + 1:]
+        if rest:
+            # every hit binds exactly ``free``: the plans that mention none
+            # of those variables are the same under each extension; the
+            # children only read this list
+            del plans[idx]
+            if free:
+                bound = set(free)
+                plans = [p if bound.isdisjoint(p[3]) else None
+                         for p in plans]
         ask = prune is not None and bool(rest)
         for ground, new in hits:
             if ask:
@@ -257,11 +292,14 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                     continue
             ext = dict(current)
             ext.update(new)
-            yield from extend(rest, ext)
+            if rest:
+                yield from extend(rest, plans, size, ext)
+            else:
+                yield ext
         if ask:
             matched[pos] = None
 
-    yield from extend(prepared, base)
+    yield from extend(prepared, [None] * len(prepared), len(atoms), base)
 
 
 def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom],

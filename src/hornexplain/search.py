@@ -385,12 +385,27 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
         if budget.measure is Measure.SIZE:
             lower = tail_count + len(set(atoms))
         elif budget.measure is Measure.DOMAIN_SIZE:
-            lower = len(set().union(*(ground_terms_of_label(AtomLabel(a))
-                                      for a in atoms)))
+            lower = len(set().union(*map(terms_of, atoms)))
         else:
-            lower = tail_count + sum(
-                tree_values[structure.label_ids[AtomLabel(a)]] for a in atoms)
+            lower = tail_count + sum(map(tree_value_of, atoms))
         return lower >= cap
+
+    # per-atom parts of the bounds, each computed once per depth
+    terms_memo: dict[Atom, set[Term]] = {}
+    tree_memo: dict[Atom, int | float] = {}
+
+    def terms_of(a: Atom) -> set[Term]:
+        terms = terms_memo.get(a)
+        if terms is None:
+            terms = terms_memo[a] = ground_terms_of_label(AtomLabel(a))
+        return terms
+
+    def tree_value_of(a: Atom) -> int | float:
+        value = tree_memo.get(a)
+        if value is None:
+            value = tree_memo[a] = tree_values[
+                structure.label_ids[AtomLabel(a)]]
+        return value
 
     try:
         for sigma in match_conjunction(q.atoms, structure.index, prune=prune):

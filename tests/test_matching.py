@@ -1,13 +1,20 @@
 """The indexed matcher against a plain bucket scan that scores every pattern
-by unifying it with every atom of its predicate."""
+by unifying it with every atom of its predicate, and a count of its planning
+work on the SAT reduction."""
 
 import zlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hornexplain import matching
+from hornexplain.generators import gen_sat
 from hornexplain.kb import (ConceptAtom, Const, EqAtom, RoleAtom, SkolemTerm,
-                            Var, atom_key, atom_pred, substitute_atom)
+                            Var, atom_key, atom_pred, atom_vars,
+                            substitute_atom)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
+from hornexplain.proofs import Measure
+from hornexplain.search import RunConfig, explain
 
 
 class _ScanIndex:
@@ -215,3 +222,130 @@ def test_prune_cuts_exactly_the_branches_the_bucket_scan_cuts(
                                       prune=prune)]
     assert got == want
     assert asked == want_asked
+
+
+# Long conjunctions, where a step binds the variables of few of the
+# patterns, so most plans are handed down: chains, and the 3m - 1 atoms of
+# the SAT reduction's query.  A small ground vocabulary makes scores tie.
+_LONG_GROUND = st.sampled_from([Const("a"), Const("b"), Const("c"),
+                                SkolemTerm("f", Const("a")),
+                                SkolemTerm("f", Const("b"))])
+
+
+@st.composite
+def _long_cases(draw):
+    """5-12 patterns, chain- or SAT-shaped, some of whose arguments are
+    Skolem terms over variables (``f(x)``); facts holding instances of them
+    plus noise; and atoms to add while the matcher runs."""
+    def term(v):
+        return SkolemTerm("f", v) if draw(st.integers(0, 3)) == 0 else v
+
+    patterns = []
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 12))
+        xs = [Var(f"x{i}") for i in range(n + 1)]
+        for i in range(n):
+            if draw(st.integers(0, 2)) == 0:
+                x = xs[draw(st.integers(0, i))]
+                patterns.append(ConceptAtom("A", term(x)))
+            else:
+                patterns.append(RoleAtom(draw(st.sampled_from("rrs")),
+                                         term(xs[i]), term(xs[i + 1])))
+    else:
+        m = draw(st.integers(2, 4))
+        for j in range(1, m + 1):
+            xc, xp = Var(f"xc{j}"), Var(f"xp{j}")
+            patterns.append(RoleAtom("c", xc, term(xp)))
+            patterns.append(ConceptAtom("T", term(xp)))
+            if j < m:
+                patterns.append(RoleAtom("next", xc, Var(f"xc{j + 1}")))
+    variables = sorted({v for p in patterns for v in atom_vars(p)},
+                       key=lambda v: v.name)
+    assignments = st.fixed_dictionaries({v: _LONG_GROUND for v in variables})
+
+    def pool(n_instances, n_noise):
+        sigmas = draw(st.lists(assignments, min_size=1, max_size=n_instances))
+        noise = [substitute_atom(p, sigma)
+                 for p, sigma in draw(st.lists(
+                     st.tuples(st.sampled_from(patterns), assignments),
+                     max_size=n_noise))]
+        return [substitute_atom(p, sigma) for sigma in sigmas
+                for p in patterns] + noise
+
+    facts = pool(3, 12)
+    later = draw(st.permutations(pool(1, 6)))
+    return patterns, facts, later
+
+
+def _agree_with_growth(patterns, facts, later, cut):
+    """The first 200 substitutions of the matcher and the bucket scan, with
+    one atom added to both indexes after each; with ``cut``, the prune
+    questions too."""
+    index, scan = AtomIndex(facts), _ScanIndex(facts)
+    asked, want_asked = [], []
+    if cut is None:
+        got = match_conjunction(patterns, index)
+        want = _scan_match(patterns, scan)
+    else:
+        def prune(matched):
+            asked.append(list(matched))
+            return cut(matched)
+        got = match_conjunction(patterns, index, prune=prune)
+        want = _scan_pruned(patterns, scan, cut, want_asked)
+    pending = iter(later)
+    for _ in range(200):
+        g, w = next(got, None), next(want, None)
+        assert (None if g is None else list(g.items())) == \
+            (None if w is None else list(w.items()))
+        assert asked == want_asked
+        if g is None:
+            break
+        atom = next(pending, None)
+        if atom is not None:
+            index.add(atom)
+            scan.add(atom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_long_cases())
+def test_long_conjunctions_agree_with_the_bucket_scan(case):
+    _agree_with_growth(*case, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_long_cases(), st.integers(0, 1000), st.integers(2, 4))
+def test_prune_on_long_conjunctions_asks_what_the_bucket_scan_asks(
+        case, salt, modulus):
+    _agree_with_growth(*case, _keyed_cut(salt, modulus))
+
+
+@pytest.mark.parametrize("clauses, measure, plans, status, value", [
+    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], Measure.SIZE, 260,
+     "found", 21),
+    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], Measure.DOMAIN_SIZE, 114,
+     "found", 12),
+    ([[1, 2], [-1, 2], [1, -2], [-1, -2]], Measure.SIZE, 151, "none", None),
+    ([[1, 2], [-1, 2], [1, -2], [-1, -2]], Measure.DOMAIN_SIZE, 103,
+     "none", None),
+])
+def test_sat_search_plans_each_pattern_once_per_binding(
+        monkeypatch, clauses, measure, plans, status, value):
+    """A machine-independent count of the matcher's work on the SAT
+    reduction at its stated bounds.  Re-planning every remaining pattern at
+    every step made 2,221 / 1,055 / 1,009 / 709 plans here; a change to
+    these counts must say why."""
+    calls = []
+    plan = matching._plan
+
+    def counted(*args):
+        calls.append(None)
+        return plan(*args)
+
+    monkeypatch.setattr(matching, "_plan", counted)
+    inst = gen_sat(clauses)
+    key = "size" if measure is Measure.SIZE else "domain"
+    result = explain(inst.kb, inst.query,
+                     RunConfig(measure=measure, bound=inst.bounds[key],
+                               algo="exact"))
+    assert (result.status, result.value) == (status, value)
+    assert len(calls) == plans
