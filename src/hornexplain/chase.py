@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .deriver_sk import BudgetExceeded, saturate_kb
+from .compress import equality_free_fold, refutes
+from .deriver_sk import BudgetExceeded, default_depth_ceiling, saturate_kb
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, SkolemTerm,
                  Term, Var, atom_key, map_atom_terms, orient_equality,
                  skolemize, substitute_atom, term_key)
@@ -118,11 +119,6 @@ def match_query(q: BooleanCQ, state: ChaseState,
     return out
 
 
-def default_depth_ceiling(kb: KnowledgeBase, q: BooleanCQ) -> int:
-    # polynomial in the TBox and query; enough slack for the small families
-    return max(4, len(kb.tbox) * (len(q.atoms) + 1) + 2)
-
-
 @dataclass(frozen=True)
 class EntailmentResult:
     verdict: str                       # "yes" | "no" | "unknown"
@@ -139,10 +135,26 @@ def entails(kb: KnowledgeBase, q: BooleanCQ,
             max_atoms: Optional[int] = 200_000) -> EntailmentResult:
     """Iteratively deepen the chase until the query matches or nothing can.
 
-    ``unknown`` is an honest outcome: the ceiling was reached while rule
-    applications were still being cut off by the depth bound, or the
-    saturation passed ``max_atoms`` atoms.
+    Where the deepening stops short, a query without a match in the
+    equality-free fold (:func:`hornexplain.compress.equality_free_fold`) is
+    still refuted.  ``unknown`` is an honest outcome: the ceiling was
+    reached while rule applications were still being cut off by the depth
+    bound, or the saturation passed ``max_atoms`` atoms, and the fold
+    refuted nothing.
     """
+    result = _chase_verdict(kb, q, ceiling, max_atoms)
+    if result.verdict != "unknown":
+        return result
+    try:
+        refuted = refutes(equality_free_fold(kb, max_atoms=max_atoms), q)
+    except BudgetExceeded:
+        refuted = False
+    return EntailmentResult("no", result.at_depth) if refuted else result
+
+
+def _chase_verdict(kb: KnowledgeBase, q: BooleanCQ, ceiling: Optional[int],
+                   max_atoms: Optional[int] = 200_000) -> EntailmentResult:
+    """The verdict of the deepening alone, without the fold's refutation."""
     if ceiling is None:
         ceiling = default_depth_ceiling(kb, q)
     for depth in range(ceiling + 1):

@@ -6,7 +6,9 @@ individuals: one per (possibly inverse) role for the DL-Lite variant, one
 per Skolem function for the EL variant.  Proofs found over the compressed
 structure are rewritten back to real Skolem terms afterwards; the rewriting
 follows each vertex's own derivation, so a proof that conflates witnesses
-with different origins is rejected rather than silently accepted.
+with different origins is rejected rather than silently accepted.  The EL
+variant (the fold) also bounds the exact search from below, for any
+fragment: see :func:`equality_free_fold`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .chase import default_depth_ceiling
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  RoleAtom, SkolemRule, SkolemTerm, Term, Var, atom_terms,
                  gaifman_graph, is_tree_shaped, map_atom_terms, skolemize,
@@ -22,7 +23,8 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
 from .matching import match_conjunction, match_positionally
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
-from .deriver_sk import FiniteStructure, saturate, saturate_kb
+from .deriver_sk import (FiniteStructure, default_depth_ceiling, saturate,
+                         saturate_kb)
 
 
 class CompressError(KBError):
@@ -68,8 +70,9 @@ def _compress_head(head: tuple[Atom, ...], fn: str, placeholder: Const
     return tuple(map_atom_terms(a, fix) for a in head)
 
 
-def _compress(kb: KnowledgeBase, name_for_rule,
-              deadline: Optional[float]) -> CompressedStructure:
+def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
+              deadline: Optional[float], max_atoms: Optional[int] = None
+              ) -> CompressedStructure:
     taken = set(kb.signature.individual_names)
     fresh: dict[str, Const] = {}
     compressed: list[SkolemRule] = []
@@ -86,8 +89,8 @@ def _compress(kb: KnowledgeBase, name_for_rule,
                                                     placeholder),
                                      rule.normal_form, rule.index, rule.fn))
     structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
-                         deadline=deadline)
-    return CompressedStructure(structure, "",
+                         max_atoms=max_atoms, deadline=deadline)
+    return CompressedStructure(structure, variant,
                                frozenset(c.name for c in fresh.values()),
                                tuple(compressed))
 
@@ -106,20 +109,56 @@ def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
             return f"b_ex_{role_atom.role}_inv"
         return f"b_ex_{role_atom.role}"
 
-    out = _compress(kb, name_for_rule, deadline)
-    out.variant = "dllite"
-    return out
+    return _compress(kb, name_for_rule, "dllite", deadline)
+
+
+def fold(kb: KnowledgeBase, deadline: Optional[float] = None,
+         max_atoms: Optional[int] = None) -> CompressedStructure:
+    """Placeholder pool: one individual ``c_f`` per Skolem function ``f``,
+    for a knowledge base of any fragment.
+
+    Reading every term ``f(t)`` as ``c_f`` maps each rule application of
+    the universal model onto one of the fold's.
+    """
+    return _compress(kb, lambda rule: f"c_{rule.fn}", "el", deadline,
+                     max_atoms)
 
 
 def compress_el(kb: KnowledgeBase, deadline: Optional[float] = None
                 ) -> CompressedStructure:
-    """Placeholder pool: one individual per Skolem function."""
+    """The fold of an EL or DL-Lite knowledge base."""
     if kb.fragment not in (Fragment.EL, Fragment.DLLiteR):
         raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
                             "this construction needs el or dl-lite-r")
-    out = _compress(kb, lambda rule: f"c_{rule.fn}", deadline)
-    out.variant = "el"
-    return out
+    return fold(kb, deadline)
+
+
+def equality_free_fold(kb: KnowledgeBase, deadline: Optional[float] = None,
+                       max_atoms: Optional[int] = None
+                       ) -> Optional[FiniteStructure]:
+    """The fold's structure, or None when it holds an equality atom.
+
+    Without one, the universal model holds none either (the fold maps each
+    of its atoms onto one of the fold's), so its proofs are rule
+    applications plus the goal tail.  Each proof then maps onto a proof
+    over the fold that is no larger in size, tree size or domain size:
+    keep, per folded label, the derivation of a least-height (under tree
+    size, least-tree-size) vertex folding onto it; its premises fold onto
+    labels that are kept lower, so the result is acyclic.  The fold's
+    optimum bounds every real proof from below, and a query without a
+    match in the fold is not entailed.  An equality replacement need not
+    survive the folding (its two sides can fold onto an equality oriented
+    the other way), so a fold with an equality atom bounds nothing.
+    """
+    structure = fold(kb, deadline, max_atoms).structure
+    return None if structure.index.bucket(("=",)) else structure
+
+
+def refutes(folded: Optional[FiniteStructure], q: BooleanCQ) -> bool:
+    """Whether the equality-free fold has no match of the query, which
+    proves the query unentailed."""
+    return folded is not None and next(
+        match_conjunction(q.atoms, folded.index), None) is None
 
 
 # ---------------------------------------------------------------------------

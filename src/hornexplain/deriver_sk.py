@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .kb import (Atom, EqAtom, KnowledgeBase, SkolemRule, Term,
+from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule, Term,
                  atom_is_ground, atom_key, atom_pred, atom_terms,
                  map_atom_terms, orient_equality, skolemize, substitute_atom,
                  term_depth)
@@ -333,3 +333,8 @@ def saturate_kb(kb: KnowledgeBase, depth_bound: int,
                 deadline: Optional[float] = None) -> FiniteStructure:
     return saturate(kb.abox, skolemize(kb.tbox), depth_bound,
                     max_atoms=max_atoms, deadline=deadline)
+
+
+def default_depth_ceiling(kb: KnowledgeBase, q: BooleanCQ) -> int:
+    # polynomial in the TBox and query; enough slack for the small families
+    return max(4, len(kb.tbox) * (len(q.atoms) + 1) + 2)

@@ -15,13 +15,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chase import default_depth_ceiling, entails
+from .chase import _chase_verdict
 from .compress import (CompressError, DecompressError, add_goal_tail,
                        assemble_witness, dllite_query_min_size, dp_min_tree,
-                       edge_key, el_cq_min_treesize, goal_tail_size,
-                       min_heights, tree_query_min_treesize, _INF)
+                       edge_key, el_cq_min_treesize, equality_free_fold,
+                       goal_tail_size, min_heights, refutes,
+                       tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
-from .deriver_sk import BudgetExceeded, FiniteStructure, saturate_kb
+from .deriver_sk import (BudgetExceeded, FiniteStructure,
+                         default_depth_ceiling, saturate_kb)
 from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
                  KnowledgeBase, NormalForm, Term, Var, atom_pred, atom_terms,
                  cq_equivalent, is_tree_shaped, orient_equality,
@@ -211,8 +213,10 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
 
     Saturates the derivation structure at term depth 0, 1, ... up to a cap
     implied by the bound and the configured ceiling, and optimizes over the
-    query matches and derivation choices of each.  Three-valued outcome;
-    ``none`` is exact relative to the structural bounds.
+    query matches and derivation choices of each, until a complete
+    structure, the frontier bound or the fold (:func:`_fold_value`)
+    certifies the result.  Three-valued outcome; ``none`` is exact relative
+    to the structural bounds.
     """
     if deriver == "cq":
         return bounded_search_cq(kb, q, budget, strict_cg=strict_cg)
@@ -220,6 +224,21 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         raise ValueError(f"unknown deriver {deriver!r}")
 
     ticker = _Ticker(budget)
+    max_atoms = max(1000, budget.max_nodes // 4)
+    # the equality-free fold, built at most once, when first asked, and the
+    # value of its one search
+    fold: list[Optional[FiniteStructure]] = []
+    fold_value: Optional[int | float] = None
+
+    def folded() -> Optional[FiniteStructure]:
+        if not fold:
+            try:
+                fold.append(equality_free_fold(kb, ticker.deadline,
+                                               max_atoms))
+            except BudgetExceeded:
+                fold.append(None)
+        return fold[0]
+
     explicit_ceiling = depth_ceiling is not None
     hard = depth_ceiling if explicit_ceiling else default_depth_ceiling(kb, q)
     depth_want = min(budget.bound, hard) if budget.bound is not None else hard
@@ -237,11 +256,11 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     structure: Optional[FiniteStructure] = None
 
     # deepen until the result is certified: the depth-d structure holds
-    # every proof within depth d, and _frontier_bound bounds every other
+    # every proof within depth d, and _frontier_bound and the fold bound
+    # every other
     while True:
         try:
-            structure = saturate_kb(kb, depth,
-                                    max_atoms=max(1000, budget.max_nodes // 4),
+            structure = saturate_kb(kb, depth, max_atoms=max_atoms,
                                     deadline=ticker.deadline)
         except BudgetExceeded:
             tripped = True
@@ -254,6 +273,8 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             best_structure = structure
         if tripped:
             break
+        if budget.bound is not None and best_value <= budget.bound:
+            break  # existence settled
         # a proof is certified optimal at best, and absent within the bound
         # at bound + 1
         target = best_value if budget.bound is None \
@@ -266,8 +287,11 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         except BudgetExceeded:
             tripped = True
             break
-        if budget.bound is not None and best_value <= budget.bound:
-            break  # existence settled
+        if not certified and target < _INF:
+            if fold_value is None:
+                fold_value = _fold_value(q, budget, folded(), strict_cg,
+                                         ticker, target)
+            certified = fold_value >= target
         if budget.bound is None and best_value < _INF and not explicit_ceiling:
             # certifying optimality may need terms deeper than the default
             # entailment ceiling; the node and time budgets still apply
@@ -278,13 +302,13 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             # certificate: read modulo its merges, a saturation can be
             # closed where merged witnesses keep it growing
             ask_chase = False
-            verdict = entails(kb, q, ceiling=depth_ceiling).verdict
+            verdict = _chase_verdict(kb, q, depth_ceiling).verdict
             if verdict == "no":
                 return ticker.result("none", complete=True)
             if verdict == "unknown" and budget.bound is None:
                 # the chase is the saturation read modulo its merges: none
                 # up to the ceiling matches
-                return ticker.result("exhausted")
+                break
         if certified or depth >= depth_want:
             break
         depth = min(depth_want, depth + 1)
@@ -296,13 +320,34 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                              best_choice, strict_cg)
         complete = not tripped and (budget.bound is not None or certified)
         return ticker.result("found", proof, int(best_value), complete)
-    if tripped:
-        return ticker.result("exhausted")
-    # ``none`` needs a certificate: a complete structure or the frontier
-    # bound above the bound (the chase's was asked in the loop)
-    complete = certified and not _names_replaced_constant(q, structure)
+    # ``none`` needs a certificate: a complete structure, the frontier or
+    # fold bound above the bound, the chase's (asked in the loop), or a
+    # query without a match in the fold
+    complete = not tripped and certified \
+        and not _names_replaced_constant(q, structure)
+    if not complete and best_sigma is None:
+        complete = refutes(folded(), q)
     return ticker.result("none" if complete else "exhausted",
                          complete=complete)
+
+
+def _fold_value(q: BooleanCQ, budget: SearchBudget,
+                folded: Optional[FiniteStructure], strict_cg: bool,
+                ticker: _Ticker, target: int | float) -> int | float:
+    """A lower bound on every proof's cost, from one search over the
+    equality-free fold (:func:`compress.equality_free_fold`) below
+    ``target``: the fold's optimum if below it, and a value at or above it
+    otherwise, so it stands for every later, never larger target.
+
+    The search spends the run's nodes and time.  One that runs out of them
+    bounds nothing (0), as does a fold that could not be built or holds an
+    equality atom; the run then goes on as far as its budget reaches.
+    """
+    if folded is None:
+        return 0
+    value, _, _, _, tripped = _search_at_depth(q, budget, folded, strict_cg,
+                                               ticker, target)
+    return 0 if tripped else value
 
 
 def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,

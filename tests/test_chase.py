@@ -1,5 +1,6 @@
 """Skolemization, bounded model construction, matching, entailment."""
 
+import importlib
 import random
 import re
 
@@ -13,6 +14,9 @@ from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb, parse_query_text
 from hornexplain.generators import gen_el_tree
 from hornexplain.proofs import AtomLabel
+
+# the package exports the function ``chase`` under the module's name
+chase_module = importlib.import_module("hornexplain.chase")
 
 
 def test_skolemize_example_rules(ex1):
@@ -138,12 +142,23 @@ def test_entails_definitive_no():
     assert result.verdict == "no"
 
 
-def test_entails_unknown_when_ceiling_hit():
+def _no_fold(*args, **kwargs):
+    return None
+
+
+def test_entails_unknown_when_ceiling_hit(monkeypatch):
+    """The chain never closes, and its fold r(c, c) has a loop that no
+    real element has: nothing refutes the query."""
     doc = parse_document(
         "rule: A(x) -> exists y. r(x,y), A(y)\nfact: A(a)\n"
-        "query: B(a)\n")
-    result = entails(doc.kb, doc.queries[0], ceiling=2)
+        "query: exists x. r(x,x)\nquery: B(a)\n")
+    loop, absent = doc.queries
+    result = entails(doc.kb, loop, ceiling=2)
     assert result.verdict == "unknown"
+    # no B anywhere in the fold: refuted although the chase never closes
+    assert entails(doc.kb, absent, ceiling=2).verdict == "no"
+    monkeypatch.setattr(chase_module, "equality_free_fold", _no_fold)
+    assert entails(doc.kb, absent, ceiling=2).verdict == "unknown"
 
 
 def test_entails_generated_el_instance():
@@ -352,7 +367,7 @@ def _reference_entails(kb, q, ceiling):
     return "unknown", ceiling, None
 
 
-def test_saturation_view_agrees_with_the_reference_chase():
+def test_saturation_view_agrees_with_the_reference_chase(monkeypatch):
     """The model fragment read off the saturation against the frozen rule
     loop: the same atoms and equalities, and the same entailment verdicts.
 
@@ -360,6 +375,8 @@ def test_saturation_view_agrees_with_the_reference_chase():
     when it cut off an atom that a later merge made unneeded; then the view
     may say saturated, provided the loop one level deeper adds nothing.
     And a ``no`` the view finds that way comes no later than the loop's.
+    The fold's refutation, which the loop lacks, only turns ``unknown``
+    into ``no``, and never where the loop finds a match two levels deeper.
     """
     rng = random.Random(20261024)
     for case in range(2000):
@@ -376,8 +393,14 @@ def test_saturation_view_agrees_with_the_reference_chase():
             else _random_query(rng)
         ceiling = rng.randint(1, 4)
         verdict, at_depth, match = _reference_entails(kb, q, ceiling)
-        result = entails(kb, q, ceiling=ceiling)
+        refuted = entails(kb, q, ceiling=ceiling).verdict
+        with monkeypatch.context() as m:
+            m.setattr(chase_module, "equality_free_fold", _no_fold)
+            result = entails(kb, q, ceiling=ceiling)
         assert result.verdict == verdict, (case, result.verdict, verdict)
+        if refuted != verdict:
+            assert (verdict, refuted) == ("unknown", "no"), case
+            assert _reference_entails(kb, q, ceiling + 2)[0] != "yes", case
         if verdict == "yes":
             assert result.at_depth == at_depth, case
             assert result.witness.substitution == match, case

@@ -34,9 +34,10 @@ def test_answer_no_and_unknown(tmp_path):
     no_file.write_text("fact: A(a)\nquery: B(a)\n")
     assert run_cli("answer", str(no_file)).returncode == 1
 
+    # the chain never closes, and its fold has a loop no real element has
     unknown_file = tmp_path / "unknown.kb"
-    unknown_file.write_text(
-        "rule: A(x) -> exists y. r(x,y), A(y)\nfact: A(a)\nquery: B(a)\n")
+    unknown_file.write_text("rule: A(x) -> exists y. r(x,y), A(y)\n"
+                            "fact: A(a)\nquery: exists x. r(x,x)\n")
     proc = run_cli("answer", str(unknown_file), "--depth-ceiling", "2")
     assert proc.returncode == 2
     assert proc.stdout.strip() == "unknown"
@@ -248,16 +249,42 @@ def test_export_empty_file_fails(tmp_path):
 
 
 def test_explain_marks_an_uncertified_optimum(tmp_path):
+    """Counter n=2 under tree size: the fold bounds every proof by 589
+    only, far below the 4153 found within the ceiling."""
+    path = tmp_path / "counter.kb"
+    run_cli("gen", "hornalc-counter", "2", "-o", str(path), expect=0)
+    proc = run_cli("explain", str(path), "--measure", "tree",
+                   "--depth-ceiling", "3", expect=0)
+    assert proc.stdout.splitlines()[0] == "tree = 4153 (exact, uncertified)"
+
+
+@pytest.mark.parametrize("measure,value", [("size", 22), ("tree", 60)])
+def test_explain_certifies_the_counter_from_its_fold(tmp_path, measure,
+                                                     value):
+    """Counter n=1: the fold's optimum equals the one found at depth 1."""
     path = tmp_path / "counter.kb"
     run_cli("gen", "hornalc-counter", "1", "-o", str(path), expect=0)
-    proc = run_cli("explain", str(path), "--measure", "size",
-                   "--depth-ceiling", "3", expect=0)
-    assert proc.stdout.splitlines()[0] == "size = 22 (exact, uncertified)"
+    for ceiling in ((), ("--depth-ceiling", "3")):
+        proc = run_cli("explain", str(path), "--measure", measure,
+                       "--algo", "exact", *ceiling, expect=0)
+        assert proc.stdout.splitlines()[0] == f"{measure} = {value} (exact)"
+
+
+@pytest.mark.parametrize("measure", ["size", "tree", "domain"])
+def test_a_query_without_a_match_in_the_fold_is_refuted(tmp_path, measure):
+    """No saturation of the chain is complete, but its fold derives no B."""
+    path = tmp_path / "chain.kb"
+    path.write_text("rule: A(x) -> exists y. r(x,y), A(y)\n"
+                    "rule: r(x,y), B(y) -> B(x)\n"
+                    "fact: A(a)\nquery: exists x. B(x)\n")
+    proc = run_cli("explain", str(path), "--measure", measure, expect=1)
+    assert proc.stdout.startswith("none")
+    assert run_cli("answer", str(path), expect=1).stdout.strip() == "no"
 
 
 def test_explain_json_marks_an_uncertified_optimum(tmp_path, ex1_file):
     path = tmp_path / "counter.kb"
-    run_cli("gen", "hornalc-counter", "1", "-o", str(path), expect=0)
+    run_cli("gen", "hornalc-counter", "2", "-o", str(path), expect=0)
     args = ("explain", str(path), "--measure", "tree", "--depth-ceiling", "3")
     doc = json.loads(run_cli(*args, "--format", "json", expect=0).stdout)
     assert doc["complete"] is False and doc["algorithm"] == "exact"

@@ -10,8 +10,9 @@ from hornexplain.chase import chase, entails
 from hornexplain.compress import (CompressError, add_goal_tail,
                                   compress_dllite, compress_el, decompress,
                                   dllite_query_min_size, dp_min_tree,
-                                  el_cq_min_treesize, extract_witness,
-                                  goal_tail_size, tree_query_min_treesize)
+                                  el_cq_min_treesize, equality_free_fold,
+                                  extract_witness, goal_tail_size, refutes,
+                                  tree_query_min_treesize)
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_el_abox, gen_el_tree,
@@ -454,7 +455,7 @@ def test_found_proofs_never_need_the_chase(ex1, monkeypatch):
     def no_chase(*args, **kwargs):
         raise AssertionError("the search ran the chase")
 
-    monkeypatch.setattr("hornexplain.search.entails", no_chase)
+    monkeypatch.setattr("hornexplain.search._chase_verdict", no_chase)
     inst = gen_el_tree(3)
     for kb, q in (ex1, (inst.kb, inst.query)):
         for m in Measure:
@@ -794,7 +795,81 @@ def test_running_example_tree_size_stops_at_the_frontier(ex1, monkeypatch):
     result = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
     assert (result.status, result.value, result.complete) == ("found", 23,
                                                              True)
-    assert len(depths) <= 11, depths
+    # the fold's optimum is 23 as well: certified at depth 2, which finds it
+    assert len(depths) <= 3, depths
+
+
+def test_the_fold_certifies_the_counter_at_the_depth_that_finds_it(
+        monkeypatch):
+    inst = gen_hornalc_counter(1)
+    depths = []
+    real = saturate_kb
+
+    def counting(kb, depth, **kwargs):
+        depths.append(depth)
+        return real(kb, depth, **kwargs)
+
+    monkeypatch.setattr("hornexplain.search.saturate_kb", counting)
+    for m, value in ((Measure.SIZE, 22), (Measure.TREE_SIZE, 60)):
+        depths.clear()
+        result = explain(inst.kb, inst.query,
+                         RunConfig(measure=m, algo="exact"))
+        assert (result.status, result.value, result.complete) == \
+            ("found", value, True), m
+        assert depths == [0, 1], (m, depths)
+
+
+def _no_fold(*args, **kwargs):
+    return None
+
+
+def test_the_fold_changes_no_answer(monkeypatch):
+    """The search with its fold against the search without one: the same
+    status, value and proof bytes, never less certified.  Only a query
+    without a match in the fold may turn ``exhausted`` into ``none``.
+
+    Under a bound that the first depth's proof meets, existence is settled
+    before the fold is asked: a node budget that this depth uses up leaves
+    that result as it is, certified included."""
+    rng = random.Random(20261026)
+    cases = []
+    for case in range(600):
+        kb = _random_kb(rng)
+        ceiling = rng.randint(1, 4)
+        q = _query_into(rng, saturate_kb(kb, rng.randint(0, ceiling))) \
+            if case % 3 else _random_query(rng)
+        for m in Measure:
+            for bound in (None, rng.randint(2, 12)):
+                cases.append((kb, q, SearchBudget(m, bound), ceiling))
+    changed = settled = 0
+    for case, (kb, q, budget, ceiling) in enumerate(cases):
+        monkeypatch.undo()
+        got = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        monkeypatch.setattr("hornexplain.search.equality_free_fold",
+                            _no_fold)
+        want = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        assert got.complete or not want.complete, case
+        if got.status != want.status:
+            assert (want.status, got.status) == ("exhausted", "none"), case
+            assert got.complete and refutes(equality_free_fold(kb), q), case
+            changed += 1
+            continue
+        assert got.value == want.value, case
+        if got.proof is not None:
+            assert proof_to_json(got.proof, q) == proof_to_json(want.proof, q)
+        if budget.bound is None:
+            continue
+        first = bounded_search(kb, q, budget, depth_ceiling=0)
+        if first.status == "found":
+            # no node left for a fold search
+            tight = SearchBudget(budget.measure, budget.bound,
+                                 max_nodes=first.nodes)
+            monkeypatch.undo()
+            got = bounded_search(kb, q, tight, depth_ceiling=ceiling)
+            assert (got.status, got.value, got.complete) == \
+                ("found", first.value, True), case
+            settled += 1
+    assert changed and settled
 
 
 def test_max_seconds_bounds_the_polynomial_route():
