@@ -4,27 +4,28 @@ built on them.
 Anonymous chase elements are folded into finitely many placeholder
 individuals: one per (possibly inverse) role for the DL-Lite variant, one
 per Skolem function for the EL variant.  Proofs found over the compressed
-structure are rewritten back to real Skolem terms afterwards; the rewriting
-follows each vertex's own derivation, so a proof that conflates witnesses
-with different origins is rejected rather than silently accepted.  The EL
-variant (the fold) also bounds the exact search from below, for any
+structure are unfolded onto real Skolem terms from the goal down
+(:func:`decompress`); an optimum that conflates witnesses of different
+origins has no unfolding and is rejected rather than silently accepted.
+The EL variant (the fold) also bounds the exact search from below, for any
 fragment: see :func:`equality_free_fold`.
 """
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
-                 RoleAtom, SkolemRule, SkolemTerm, Term, Var, atom_terms,
-                 gaifman_graph, is_tree_shaped, map_atom_terms, skolemize,
-                 substitute_atom, term_key)
-from .matching import match_conjunction, match_positionally
+                 RoleAtom, SkolemRule, SkolemTerm, Term, Var, atom_pred,
+                 atom_terms, gaifman_graph, is_tree_shaped, map_atom_terms,
+                 skolemize, substitute_atom, term_key)
+from .matching import match_conjunction
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
-from .deriver_sk import (FiniteStructure, default_depth_ceiling, saturate,
-                         saturate_kb)
+from .deriver_sk import BudgetExceeded, FiniteStructure, saturate
 
 
 class CompressError(KBError):
@@ -40,34 +41,6 @@ class CompressedStructure:
     structure: FiniteStructure
     variant: str                      # "dllite" | "el"
     fresh_consts: frozenset[str]      # placeholder individual names
-    rules: tuple[SkolemRule, ...]     # compressed rules, indexed like the TBox
-
-    def constants(self) -> list[Const]:
-        out: set[Const] = set()
-        for lab in self.structure.vertices.values():
-            if isinstance(lab, AtomLabel):
-                for t in atom_terms(lab.atom):
-                    if isinstance(t, Const):
-                        out.add(t)
-        return sorted(out, key=term_key)
-
-
-def _fresh_const(base: str, taken: set[str]) -> Const:
-    name = base
-    while name in taken:
-        name = "_" + name
-    taken.add(name)
-    return Const(name)
-
-
-def _compress_head(head: tuple[Atom, ...], fn: str, placeholder: Const
-                   ) -> tuple[Atom, ...]:
-    def fix(t: Term) -> Term:
-        if isinstance(t, SkolemTerm) and t.fn == fn:
-            return placeholder
-        return t
-
-    return tuple(map_atom_terms(a, fix) for a in head)
 
 
 def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
@@ -80,19 +53,20 @@ def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
         if rule.fn is None:
             compressed.append(rule)
             continue
-        base = name_for_rule(rule)
+        base = name = name_for_rule(rule)
         if base not in fresh:
-            fresh[base] = _fresh_const(base, taken)
-        placeholder = fresh[base]
-        compressed.append(SkolemRule(rule.body,
-                                     _compress_head(rule.head, rule.fn,
-                                                    placeholder),
-                                     rule.normal_form, rule.index, rule.fn))
+            while name in taken:
+                name = "_" + name
+            taken.add(name)
+            fresh[base] = Const(name)
+        head = tuple(map_atom_terms(a, lambda t: fresh[base] if isinstance(
+            t, SkolemTerm) else t) for a in rule.head)
+        compressed.append(SkolemRule(rule.body, head, rule.normal_form,
+                                     rule.index, rule.fn))
     structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
                          max_atoms=max_atoms, deadline=deadline)
     return CompressedStructure(structure, variant,
-                               frozenset(c.name for c in fresh.values()),
-                               tuple(compressed))
+                               frozenset(c.name for c in fresh.values()))
 
 
 def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
@@ -162,108 +136,194 @@ def refutes(folded: Optional[FiniteStructure], q: BooleanCQ) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Decompression
+# Decompression: the compressed witness unfolded from the goal down
 # ---------------------------------------------------------------------------
 
-def _contains_fresh(t: Term, fresh: frozenset[str]) -> bool:
-    if isinstance(t, Const):
-        return t.name in fresh
-    if isinstance(t, SkolemTerm):
-        return _contains_fresh(t.arg, fresh)
-    return False
+def decompress(comp: CompressedStructure, kb: KnowledgeBase, q: BooleanCQ,
+               values: dict[int, int | float], chosen: dict[int, int],
+               assignments: Iterable[dict[Var, Term]],
+               strict_cg: bool = False, deadline: Optional[float] = None
+               ) -> ProofGraph:
+    """The real proof of the first of the equally cheap query matches that
+    unfolds onto Skolem terms; DecompressError when none does.
 
-
-def decompress(proof: ProofGraph, kb: KnowledgeBase,
-               comp: CompressedStructure) -> ProofGraph:
-    """Rewrite placeholder individuals back to Skolem terms.
-
-    Proceeds bottom-up: the introducing rule application of a placeholder
-    determines the Skolem term, and every later inference is re-checked
-    against the real Skolemized rules.  Size and tree size are unchanged.
+    From the match down, each compressed atom vertex becomes one real atom
+    per binding of its placeholders, derived by the vertex's chosen edge
+    or, where that one does not fold onto the binding, by its next edge of
+    the same tree size in :func:`edge_key` order.  Only optimal edges are
+    used, so the proof has the match's value, which bounds every real
+    proof from below.  A vertex keeps its id for its first real image.
     """
-    real_rules = skolemize(kb.tbox)
-    inc = proof.incoming()
-    resolved: dict[int, Label] = {}
+    unfold = _Unfold(comp, kb, values, chosen, deadline)
+    for sigma in assignments:
+        targets = unfold.match(q, sigma)
+        if targets:
+            return add_goal_tail(*unfold.graph(targets), q, strict_cg)
+    raise DecompressError("no equally cheap match unfolds: the compressed "
+                          "optimum conflates witnesses of different origins")
 
-    for v in proof.topological_order():
-        label = proof.vertices[v]
-        edges = inc[v]
-        if not edges:
-            if isinstance(label, RuleLabel) and isinstance(label.rule,
-                                                           SkolemRule):
-                resolved[v] = RuleLabel(real_rules[label.rule.index])
+
+class _Unfold:
+    """The memo of one decompression: a key is a compressed vertex with the
+    real terms known for its arguments from above (None where unknown);
+    its entry is the real atom, the vertex, the edge used and the premises'
+    entries, or False when no edge of the vertex's value unfolds."""
+
+    def __init__(self, comp: CompressedStructure, kb: KnowledgeBase,
+                 values: dict[int, int | float], chosen: dict[int, int],
+                 deadline: Optional[float]):
+        self.structure, self.fresh = comp.structure, comp.fresh_consts
+        self.values, self.chosen, self.deadline = values, chosen, deadline
+        self.rules = skolemize(kb.tbox)
+        self.bodies = [list(map(atom_terms, r.body)) for r in self.rules]
+        self.heads = [{atom_pred(h): h for h in r.head} for r in self.rules]
+        self.memo: dict[tuple, tuple | bool] = {}
+
+    def match(self, q: BooleanCQ, sigma: dict[Var, Term]) -> list | bool:
+        """The entries of the query's atoms under the match, or False; the
+        unfolding generators run on an explicit stack, each one yielding
+        the key it needs next and being sent that key's entry."""
+        vertices = self.structure.vertices
+        vids = [self.structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+                for a in q.atoms]
+        terms = [atom_terms(a) for a in q.atoms]
+        # individuals stand for themselves, as do the query's constants
+        known = {t: c for ts, v in zip(terms, vids)
+                 for t, c in zip(ts, atom_terms(vertices[v].atom))
+                 if isinstance(t, Const) or c.name not in self.fresh}
+        stack = [self._unfold(None, [(None, None, terms, vids, known)])]
+        reply, pushed = None, 0
+        while True:
+            try:
+                key = stack[-1].send(reply)
+            except StopIteration as stop:
+                stack.pop()
+                if not stack:
+                    return stop.value
+                reply = stop.value
+                continue
+            pushed += 1
+            if self.deadline is not None and pushed % 256 == 0 \
+                    and time.monotonic() > self.deadline:
+                raise BudgetExceeded("decompression deadline")
+            stack.append(self._unfold(key, self._steps(key[0])))
+            reply = None
+
+    def _steps(self, vid: int):
+        """The rule applications behind the vertex's chosen in-edge, then
+        behind its other edges of the same value, in edge_key order."""
+        first = self.chosen[vid]
+        yield self._step(first)
+        edges, values = self.structure.edges, self.values
+        rest = [i for i in self.structure.in_edges[vid] if i != first
+                and 1 + sum(values[p] for p in edges[i].premises)
+                == values[vid]]
+        for i in sorted(rest, key=lambda i: edge_key(self.structure, i)):
+            yield self._step(i)
+
+    def _step(self, idx: int) -> tuple:
+        """The edge, the real head atom of its conclusion, the body's
+        terms, the premise vertices and no known terms."""
+        vertices = self.structure.vertices
+        e = self.structure.edges[idx]
+        rule = vertices[e.premises[-1]].rule.index
+        head = self.heads[rule][atom_pred(vertices[e.conclusion].atom)]
+        return idx, head, self.bodies[rule], e.premises[:-1], {}
+
+    def _unfold(self, key, steps):
+        """Unfold ``key`` by the first of ``steps`` that folds onto it.
+
+        The premises go one at a time, the one with the least share of
+        unknown terms first (a role atom on a tie), and hand the real terms
+        they bind to the rest.  The goal comes as key None with one step
+        without a head; its entry is its premises' entries."""
+        known = key[1] if key is not None else ()
+        structure, memo = self.structure, self.memo
+        entry = False
+        for idx, head, terms, premises, rsub in steps:
+            rsub = dict(rsub)
+            if head is not None and not _bind(atom_terms(head), known, rsub):
+                continue
+            entries: list = [None] * len(premises)
+            left = list(range(len(premises)))
+            while left:
+                j = left[0] if len(left) == 1 else min(left, key=lambda j: (
+                    sum(t not in rsub for t in terms[j]) / len(terms[j]),
+                    -len(terms[j])))
+                left.remove(j)
+                pkey = (premises[j], tuple(map(rsub.get, terms[j])))
+                got = memo.get(pkey)
+                if got is None:
+                    if premises[j] in structure.leaf_ids:
+                        got = memo[pkey] = (
+                            structure.vertices[premises[j]].atom,
+                            premises[j], None, ())
+                    else:
+                        got = yield pkey
+                if not got or not _bind(terms[j], atom_terms(got[0]), rsub):
+                    break
+                entries[j] = got
             else:
-                if isinstance(label, AtomLabel) and any(
-                        _contains_fresh(t, comp.fresh_consts)
-                        for t in atom_terms(label.atom)):
-                    raise DecompressError("placeholder individual in a leaf")
-                resolved[v] = label
+                entry = entries if head is None else \
+                    (substitute_atom(head, rsub), key[0], idx, entries)
+                break
+        if key is not None:
+            memo[key] = entry
+            if entry:     # the same atom asked for with every term known
+                memo.setdefault((key[0], atom_terms(entry[0])), entry)
+        return entry
+
+    def graph(self, targets: list) -> tuple[dict[int, Label],
+                                            list[ProofEdge], list[int]]:
+        """The proof below the target entries, one vertex per real atom,
+        and the targets' vertex ids."""
+        structure = self.structure
+        ids: dict[Atom, int] = {}
+        derived: list[tuple] = []
+        fresh = itertools.count(len(structure.vertices))
+        taken: set[int] = set()
+        stack = targets[::-1]
+        while stack:
+            entry = stack.pop()
+            if entry[0] not in ids:
+                ids[entry[0]] = next(fresh) if entry[1] in taken \
+                    else entry[1]
+                taken.add(entry[1])
+                derived.append(entry)
+                stack.extend(reversed(entry[3]))
+        renamed = len(taken) < len(ids)
+        vertices: dict[int, Label] = {}
+        edges: list[ProofEdge] = []
+        for atom, vid, idx, premises in derived:
+            label = structure.vertices[vid]
+            vertices[ids[atom]] = label if label.atom is atom \
+                else AtomLabel(atom)
+            if idx is None:
+                continue
+            e = structure.edges[idx]
+            if e.premises[-1] not in vertices:
+                vertices[e.premises[-1]] = RuleLabel(
+                    self.rules[structure.vertices[e.premises[-1]].rule.index])
+            if renamed:
+                e = ProofEdge(tuple(ids[p[0]] for p in premises)
+                              + e.premises[-1:], ids[atom], Schema.MP)
+            edges.append(e)
+        return vertices, edges, [ids[t[0]] for t in targets]
+
+
+def _bind(pattern: tuple, real: tuple, rsub: dict) -> bool:
+    """Extend ``rsub`` so that the pattern terms give the real ones where
+    these are known (not None); False on a clash."""
+    for t, r in zip(pattern, real):
+        if r is None:
             continue
-        edge = edges[0]
-        if edge.schema is Schema.MP:
-            resolved[v] = _resolve_mp(proof, comp, edge, v, resolved)
-        elif edge.schema is Schema.C:
-            atoms = []
-            for q in edge.premises:
-                lab = resolved[q]
-                assert isinstance(lab, AtomLabel)
-                atoms.append(lab.atom)
-            original = proof.vertices[v]
-            if isinstance(original, CQLabel):
-                resolved[v] = CQLabel(BooleanCQ(tuple(atoms), ()))
-            else:
-                resolved[v] = ConjLabel(tuple(atoms))
-        elif edge.schema is Schema.G:
-            # goal queries never mention placeholders; keep the label but
-            # re-check that the resolved conjunction still instantiates it
-            assert isinstance(label, CQLabel)
-            premise = resolved[edge.premises[0]]
-            ground = premise.atoms if isinstance(premise, ConjLabel) \
-                else (premise.atom,)
-            if match_positionally(list(label.cq.atoms), list(ground)) is None:
-                raise DecompressError(
-                    "conflated witnesses: the resolved conjunction no longer "
-                    "instantiates the goal query")
-            resolved[v] = label
-        else:
-            raise DecompressError(f"unexpected schema {edge.schema.value} in "
-                                  "a compressed proof")
-
-    return ProofGraph({v: resolved[v] for v in proof.vertices},
-                      list(proof.edges))
-
-
-def _resolve_mp(proof: ProofGraph, comp: CompressedStructure, edge: ProofEdge,
-                v: int, resolved: dict[int, Label]) -> Label:
-    rule_label = resolved[edge.premises[-1]]
-    if not isinstance(rule_label, RuleLabel) \
-            or not isinstance(rule_label.rule, SkolemRule):
-        raise DecompressError("rule premise missing in a compressed proof")
-    real_rule = rule_label.rule
-    premise_atoms = []
-    for q in edge.premises[:-1]:
-        lab = resolved[q]
-        assert isinstance(lab, AtomLabel)
-        premise_atoms.append(lab.atom)
-    subst = match_positionally(real_rule.body, premise_atoms)
-    if subst is None:
-        raise DecompressError(
-            "conflated witnesses: premises with different origins meet in "
-            "one rule application")
-    # find which head atom this conclusion instantiates, via the compressed rule
-    comp_rule = comp.rules[real_rule.index]
-    comp_premises = []
-    for q in edge.premises[:-1]:
-        lab = proof.vertices[q]
-        assert isinstance(lab, AtomLabel)
-        comp_premises.append(lab.atom)
-    comp_subst = match_positionally(comp_rule.body, comp_premises)
-    original = proof.vertices[v]
-    assert isinstance(original, AtomLabel) and comp_subst is not None
-    for k, h in enumerate(comp_rule.head):
-        if substitute_atom(h, comp_subst) == original.atom:
-            return AtomLabel(substitute_atom(real_rule.head[k], subst))
-    raise DecompressError("conclusion is not a head instance")
+        if isinstance(t, SkolemTerm):
+            if not isinstance(r, SkolemTerm) or r.fn != t.fn:
+                return False
+            t, r = t.arg, r.arg
+        if rsub.setdefault(t, r) != r:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +436,13 @@ def rank_matches(structure: FiniteStructure, values: dict[int, int | float],
     """
     scored = []
     for subst in match_conjunction(q.atoms, structure.index):
-        total = 0
-        for atom in q.atoms:
-            vid = structure.label_ids.get(
-                AtomLabel(substitute_atom(atom, subst)))
-            if vid is None or values[vid] == _INF:
-                break
-            total += values[vid]
-        else:
-            key = tuple(sorted((v.name, term_key(t))
-                               for v, t in subst.items()))
-            scored.append((total, key, subst))
-    scored.sort(key=lambda s: (s[0], s[1]))
-    return [(total, subst) for total, _, subst in scored]
-
-
-def assemble_witness(structure: FiniteStructure, chosen: dict[int, int],
-                     q: BooleanCQ, sigma: dict[Var, Term],
-                     strict_cg: bool) -> ProofGraph:
-    """The proof of the query under the match ``sigma``: the chosen-edge
-    witness of the matched atoms, then the goal tail."""
-    targets: list[int] = []
-    for atom in q.atoms:
-        ground = substitute_atom(atom, sigma)
-        vid = structure.label_ids.get(AtomLabel(ground))
-        if vid is None:
-            raise KBError(f"atom instance not derivable: {ground}")
-        targets.append(vid)
-    vertices, edges = extract_witness(structure, chosen, targets)
-    return add_goal_tail(vertices, edges, targets, q, strict_cg)
+        total = sum(values[structure.label_ids[AtomLabel(
+            substitute_atom(atom, subst))]] for atom in q.atoms)
+        if total < _INF:
+            scored.append((total, tuple(sorted(
+                (v.name, term_key(t)) for v, t in subst.items())), subst))
+    return [(total, subst) for total, _, subst in sorted(
+        scored, key=lambda s: s[:2])]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +538,8 @@ def build_cost_graph(comp: CompressedStructure, q: BooleanCQ,
     of their term pair.
     """
     root, order, children = _gaifman_tree(q)
-    constants = comp.constants()
+    constants = sorted({t for a in comp.structure.index.atoms
+                        for t in atom_terms(a)}, key=term_key)
 
     def atom_cost(atom: Atom, assignment: dict[Term, Const]) -> float:
         subst = {t: c for t, c in assignment.items() if isinstance(t, Var)}
@@ -600,8 +639,8 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
         raise CompressError("query is not entailed: no assignment is "
                             "derivable in the compressed structure")
     assignment = {t: c for t, c in graph.chosen.items() if isinstance(t, Var)}
-    return _decompressed_witness(kb, q, comp, chosen, [assignment],
-                                 strict_cg, deadline), graph
+    return decompress(comp, kb, q, values, chosen, [assignment], strict_cg,
+                      deadline), graph
 
 
 dllite_query_min_size = tree_query_min_treesize
@@ -614,12 +653,10 @@ dllite_query_min_size = tree_query_min_treesize
 def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                        strict_cg: bool = False,
                        deadline: Optional[float] = None) -> ProofGraph:
-    """Minimal-tree-size proof via per-assignment minima.
-
-    Enumerates homomorphisms of the query into the compressed structure in
-    ascending cost order and returns the first assembly that survives
-    decompression; conflated-witness assignments are skipped.
-    """
+    """Minimal-tree-size proof: the first of the cheapest matches into the
+    compressed structure that unfolds (:func:`decompress`).  When none
+    does, DecompressError: the compressed value then lies below every real
+    proof, and the exact search has to settle the optimum."""
     comp = compress_el(kb, deadline)
     values, chosen = dp_min_tree(comp.structure)
     ranked = rank_matches(comp.structure, values, q)
@@ -627,45 +664,4 @@ def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
     tied = [subst for total, subst in ranked if total == ranked[0][0]]
-    return _decompressed_witness(kb, q, comp, chosen, tied, strict_cg,
-                                 deadline)
-
-
-def _decompressed_witness(kb: KnowledgeBase, q: BooleanCQ,
-                          comp: CompressedStructure, chosen: dict[int, int],
-                          assignments: list[dict[Var, Term]],
-                          strict_cg: bool,
-                          deadline: Optional[float]) -> ProofGraph:
-    """The first of the equally cheap assignments whose compressed witness
-    decompresses.
-
-    When every one conflates anonymous witnesses of different origins (a
-    join across branches), the optimal value is still right and the
-    witness is realized over the real structure instead.
-    """
-    for subst in assignments:
-        try:
-            return decompress(assemble_witness(comp.structure, chosen, q,
-                                               subst, strict_cg), kb, comp)
-        except DecompressError:
-            continue
-    return _realize_over_real_structure(kb, q, strict_cg, deadline)
-
-
-def _realize_over_real_structure(kb: KnowledgeBase, q: BooleanCQ,
-                                 strict_cg: bool,
-                                 deadline: Optional[float]) -> ProofGraph:
-    """Minimal-tree-size witness over the depth-bounded real structure.
-
-    Used when a compressed witness conflates anonymous witnesses of
-    different origins: the value machinery stays polynomial, only the
-    witness is re-derived with real Skolem terms.
-    """
-    structure = saturate_kb(kb, default_depth_ceiling(kb, q),
-                            max_atoms=500_000, deadline=deadline)
-    values, chosen = dp_min_tree(structure)
-    ranked = rank_matches(structure, values, q)
-    if not ranked:
-        raise CompressError("query is not entailed within the realization "
-                            "depth bound")
-    return assemble_witness(structure, chosen, q, ranked[0][1], strict_cg)
+    return decompress(comp, kb, q, values, chosen, tied, strict_cg, deadline)

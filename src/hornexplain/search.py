@@ -17,8 +17,8 @@ from typing import Optional
 
 from .chase import _chase_verdict
 from .compress import (CompressError, DecompressError, add_goal_tail,
-                       assemble_witness, dllite_query_min_size, dp_min_tree,
-                       edge_key, el_cq_min_treesize, equality_free_fold,
+                       dllite_query_min_size, dp_min_tree, edge_key,
+                       el_cq_min_treesize, equality_free_fold, extract_witness,
                        goal_tail_size, min_heights, refutes,
                        tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
@@ -142,6 +142,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         if vid not in structure.leaf_ids:
             init_pending.append(vid)
     best: list = [limit, None]          # value, choice
+    keys: dict[int, tuple] = {}        # see _cover_children
     stack = [iter((_CoverState(init_members, init_pending, {},
                                len(init_members), init_terms),))]
     while stack:
@@ -154,7 +155,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         if value >= best[0]:
             continue
         if state.pending:
-            stack.append(_cover_children(structure, state, kind, best))
+            stack.append(_cover_children(structure, state, kind, best, keys))
         else:
             best[:] = value, state.members
     if best[1] is None:
@@ -167,15 +168,18 @@ def _cover_value(state: _CoverState, kind: Measure) -> int:
 
 
 def _cover_children(structure: FiniteStructure, state: _CoverState,
-                    kind: Measure, best: list):
+                    kind: Measure, best: list, keys: dict[int, tuple]):
     """The states that derive the least pending vertex: one per incoming
     edge, built as they are asked for and left out once they reach
-    ``best[0]``."""
-    state.pending.sort(key=lambda v: label_key(structure.vertices[v]),
-                       reverse=True)
+    ``best[0]``.  ``keys`` keeps, per vertex, its label_key and its
+    in-edges in edge_key order."""
+    for v in state.pending:
+        if v not in keys:
+            keys[v] = (label_key(structure.vertices[v]), sorted(
+                structure.in_edges[v], key=lambda i: edge_key(structure, i)))
+    state.pending.sort(key=keys.__getitem__, reverse=True)
     vid = state.pending.pop()
-    for eidx in sorted(structure.in_edges[vid],
-                       key=lambda i: edge_key(structure, i)):
+    for eidx in keys[vid][1]:
         nxt = _CoverState(dict(state.members), list(state.pending),
                           dict(state.arcs), state.size_count, state.terms)
         nxt.members[vid] = eidx
@@ -490,11 +494,11 @@ def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
                  strict_cg: bool) -> ProofGraph:
     """Materialize the search's choice: the tree-size DP's chosen edges, or
     the cover's chosen vertices, renumbered in vertex-id order."""
-    if kind is Measure.TREE_SIZE:
-        return assemble_witness(structure, choice, q, sigma, strict_cg)
-
     targets = [structure.label_ids[AtomLabel(substitute_atom(atom, sigma))]
                for atom in q.atoms]
+    if kind is Measure.TREE_SIZE:
+        vertices, edges = extract_witness(structure, choice, targets)
+        return add_goal_tail(vertices, edges, targets, q, strict_cg)
     id_of = {vid: i for i, vid in enumerate(sorted(choice))}
     vertices: dict[int, Label] = {i: structure.vertices[vid]
                                   for vid, i in id_of.items()}

@@ -7,11 +7,11 @@ import json
 import pytest
 
 from hornexplain.chase import chase
-from hornexplain.compress import assemble_witness, dp_min_tree
+from hornexplain.compress import add_goal_tail, dp_min_tree, extract_witness
 from hornexplain.deriver_sk import check_edge_labels, saturate, saturate_kb
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                             RoleAtom, SkolemTerm, Var, atom_terms, make_kb,
-                            skolemize, term_depth)
+                            skolemize, substitute_atom, term_depth)
 from hornexplain.generators import gen_el_abox, gen_hornalc_counter
 from hornexplain.parser import parse_kb, serialize_document
 from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, RuleLabel,
@@ -83,8 +83,11 @@ def test_e_instances_empty():
 
 def _goal_tail(structure, q, sigma, strict_cg=False):
     """The C and G steps of the witness of ``q`` under ``sigma``."""
-    proof = assemble_witness(structure, dp_min_tree(structure)[1], q, sigma,
-                             strict_cg)
+    targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+               for a in q.atoms]
+    proof = add_goal_tail(*extract_witness(structure,
+                                           dp_min_tree(structure)[1],
+                                           targets), targets, q, strict_cg)
     return {e.schema: (tuple(proof.vertices[p] for p in e.premises),
                        proof.vertices[e.conclusion])
             for e in proof.edges if e.schema in (Schema.C, Schema.G)}
@@ -114,10 +117,10 @@ def test_cg_instances_degenerate_single_atom():
 
 
 def test_cg_instances_unmatched_goal_raises():
-    q = BooleanCQ((ConceptAtom("A", A_),), ())
-    structure = saturate_kb(parse_kb("fact: B(a)\n"), 0)
+    structure = saturate_kb(parse_kb("rule: B(x) -> A(x)\nfact: B(a)\n"), 0)
+    goal = structure.label_ids[AtomLabel(ConceptAtom("A", A_))]
     with pytest.raises(KBError, match="not derivable"):
-        assemble_witness(structure, {}, q, {}, False)
+        extract_witness(structure, {}, [goal])
 
 
 def test_check_edge_accepts_every_reference_edge(ex1, ex1_reference_proof):

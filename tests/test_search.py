@@ -7,18 +7,20 @@ import time
 import pytest
 
 from hornexplain.chase import chase, entails
-from hornexplain.compress import (CompressError, add_goal_tail,
-                                  compress_dllite, compress_el, decompress,
-                                  dllite_query_min_size, dp_min_tree,
-                                  el_cq_min_treesize, equality_free_fold,
-                                  extract_witness, goal_tail_size, refutes,
+from hornexplain.compress import (CompressError, DecompressError,
+                                  add_goal_tail, compress_dllite, compress_el,
+                                  decompress, dllite_query_min_size,
+                                  dp_min_tree, el_cq_min_treesize,
+                                  equality_free_fold, extract_witness,
+                                  goal_tail_size, rank_matches, refutes,
                                   tree_query_min_treesize)
-from hornexplain.deriver_sk import saturate_kb
+from hornexplain.deriver_sk import default_depth_ceiling, saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_el_abox, gen_el_tree,
                                     gen_hornalc_counter, gen_sat, gen_sat_cq)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
-                            SkolemTerm, Var, atom_terms, substitute_atom)
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment,
+                            RoleAtom, SkolemTerm, Var, atom_terms,
+                            substitute_atom)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
@@ -281,24 +283,29 @@ def test_decompress_chain_of_witnesses():
     kb = parse_kb("rule: A(x) -> exists y. r(x,y), B(y)\n"
                   "rule: B(x) -> C(x)\n"
                   "fact: A(a)\n")
+    q = BooleanCQ((ConceptAtom("C", Var("y")),), (Var("y"),))
     comp = compress_el(kb)
+    values, chosen = dp_min_tree(comp.structure)
     goal = AtomLabel(ConceptAtom("C", Const("c_f_0")))
     value, witness = _min_tree(comp.structure, goal)
-    real = decompress(witness, kb, comp)
-    ok, problems = validate_proof(
-        real, kb, BooleanCQ((ConceptAtom("C", SkolemTerm("f_0", Const("a"))),),
-                            ()), "sk")
+    real = decompress(comp, kb, q, values, chosen,
+                      [{Var("y"): Const("c_f_0")}])
+    ok, problems = validate_proof(real, kb, q, "sk")
     assert ok, problems
-    assert proof_size(real) == proof_size(witness)
-    assert tree_size(real) == tree_size(witness) == value
+    assert AtomLabel(ConceptAtom("C", SkolemTerm("f_0", Const("a")))) \
+        in real.vertices.values()
+    assert proof_size(real) == proof_size(witness) + goal_tail_size(q)
+    assert tree_size(real) == tree_size(witness) + goal_tail_size(q) \
+        == value + goal_tail_size(q)
 
 
 def test_decompress_without_fresh_names_is_identity_shaped():
     inst = gen_el_abox(1)
     comp = compress_el(inst.kb)
+    values, chosen = dp_min_tree(comp.structure)
     goal = AtomLabel(inst.query.atoms[0])
     _, witness = _min_tree(comp.structure, goal)
-    real = decompress(witness, inst.kb, comp)
+    real = decompress(comp, inst.kb, inst.query, values, chosen, [{}])
     assert {str(l) for l in real.vertices.values()} \
         == {str(l) for l in witness.vertices.values()}
 
@@ -381,6 +388,83 @@ def test_el_tree_frozen_optima():
         out = bounded_search(inst.kb, inst.query,
                              SearchBudget(Measure.TREE_SIZE))
         assert out.value == value
+
+
+def _realized_witness(kb, q):
+    """Frozen reference: the minimal-tree-size witness over the real
+    structure at the default depth ceiling, as the EL route rebuilt it
+    before the unfolding replaced the rebuild."""
+    structure = saturate_kb(kb, default_depth_ceiling(kb, q),
+                            max_atoms=500_000)
+    values, chosen = dp_min_tree(structure)
+    sigma = rank_matches(structure, values, q)[0][1]
+    targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+               for a in q.atoms]
+    return add_goal_tail(*extract_witness(structure, chosen, targets),
+                         targets, q)
+
+
+def test_the_unfolding_agrees_with_the_realization_and_the_search():
+    """The polynomial routes' tree size equals the frozen realization's and
+    the exact search's, on the generators and on random EL and DL-Lite
+    knowledge bases, and every proof validates."""
+    cases = [gen_el_tree(n) for n in range(1, 9)]
+    cases += [gen_el_abox(n) for n in (1, 3, 6)]
+    cases += [gen_dllite_chain(n) for n in (0, 2, 5)]
+    cases = [(inst.kb, inst.query) for inst in cases]
+    rng = random.Random(20261019)
+    while len(cases) < 200:
+        kb = _random_kb(rng)
+        if kb.fragment in (Fragment.EL, Fragment.DLLiteR):
+            cases.append((kb, _query_into(rng, saturate_kb(
+                kb, rng.randint(0, 2)))))
+    for case, (kb, q) in enumerate(cases):
+        proof, _ = search_module._run_poly(
+            kb, q, RunConfig(measure=Measure.TREE_SIZE),
+            time.monotonic() + 60)
+        realized = _realized_witness(kb, q)
+        for p in (proof, realized):
+            ok, problems = validate_proof(p, kb, q, "sk")
+            assert ok, (case, problems)
+        exact = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
+        assert exact.complete, case
+        assert tree_size(proof) == tree_size(realized) == exact.value, case
+
+
+def test_the_el_route_leaves_an_underestimating_fold_to_the_search():
+    """b's witness for r needs its own B, which costs more than a's: the
+    fold's cheapest match (10 before the goal tail) has no unfolding, and
+    the exact search finds the real optimum."""
+    doc = parse_document("rule: A(x) -> exists y. r(x,y), B(y)\n"
+                         "rule: C(x) -> A(x)\n"
+                         "rule: D(x) -> C(x)\n"
+                         "fact: A(a)\nfact: D(b)\n"
+                         "query: exists y. r(b,y), B(y)\n")
+    kb, q = doc.kb, doc.queries[0]
+    comp = compress_el(kb)
+    values, _ = dp_min_tree(comp.structure)
+    assert rank_matches(comp.structure, values, q)[0][0] == 10
+    with pytest.raises(DecompressError):
+        el_cq_min_treesize(kb, q)
+    result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE))
+    assert (result.status, result.value, result.complete,
+            result.algorithm) == ("found", 16, True, "exact")
+    assert result.warnings
+    ok, problems = validate_proof(result.proof, kb, q, "sk")
+    assert ok, problems
+
+
+def test_a_query_constant_named_like_a_placeholder_is_not_its_witness():
+    """The fold names f_0's witness c_f_0; a query about an individual of
+    that name is not entailed, and the poly route must not prove it."""
+    doc = parse_document("rule: A(x) -> exists y. r(x,y), B(y)\n"
+                         "fact: A(a)\nquery: B(c_f_0)\n")
+    kb, q = doc.kb, doc.queries[0]
+    assert compress_el(kb).fresh_consts == {"c_f_0"}
+    with pytest.raises(DecompressError):
+        el_cq_min_treesize(kb, q)
+    result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE))
+    assert (result.status, result.complete) == ("none", True)
 
 
 def test_bounded_search_three_valued():
@@ -873,7 +957,8 @@ def test_the_fold_changes_no_answer(monkeypatch):
 
 
 def test_max_seconds_bounds_the_polynomial_route():
-    inst = gen_el_tree(12)
+    # the unfolding reaches el-tree 12 in about 0.7 s; 16 takes about 12 s
+    inst = gen_el_tree(16)
     start = time.monotonic()
     result = explain(inst.kb, inst.query,
                      RunConfig(measure=Measure.TREE_SIZE, algo="poly",

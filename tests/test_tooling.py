@@ -77,8 +77,8 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     """Outputs of a fixed set of CLI runs, by the name of their golden file.
 
     They cover the three measures on the running example, the sk->cq->sk
-    round trip, the polynomial routes (el-tree 3 takes the realization
-    fallback) and the cq search.  With ``shift_addresses`` each run uses the
+    round trip, the polynomial routes (el-tree 3 unfolds vertices with
+    several real images) and the cq search.  With ``shift_addresses`` each run uses the
     system allocator and interns unrelated values first.
     """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
