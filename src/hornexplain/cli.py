@@ -5,9 +5,9 @@ Subcommands: ``answer`` (entailment with a witness match), ``explain``
 (benchmark families), ``convert`` (between the two proof formats),
 ``export`` (proof DOT), ``normalize`` (thin rule rewriter), and ``bench``
 (CSV sweeps).  Exit codes: 0 found/success, 1 definitive negative,
-2 resource limit or unknown, 64 usage errors, 65 bad input data, 70
-internal errors (a crash, or a produced or converted proof that fails
-validation).
+2 resource limit or unknown, 64 usage errors, 65 bad input data (a proof
+file included), 70 internal errors (a crash, or a proof produced, or
+converted from a valid one, that fails validation).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 import time
 from typing import Optional
@@ -24,7 +25,7 @@ from .generators import FAMILIES, gen_sat, gen_sat_cq
 from .kb import BooleanCQ, KBError, KnowledgeBase, format_atom, term_key
 from .parser import (format_term_surface, normalize_document_text,
                      parse_document, serialize_document)
-from .proofs import (Measure, format_json, format_label, proof_document,
+from .proofs import (Measure, check_proof_shape, format_label,
                      proof_from_json, proof_to_dot, proof_to_json,
                      validate_proof)
 from .search import RunConfig, explain
@@ -35,6 +36,10 @@ INTERNAL_ERROR = 70
 
 MEASURES = {"size": Measure.SIZE, "tree": Measure.TREE_SIZE,
             "domain": Measure.DOMAIN_SIZE}
+
+
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +95,7 @@ def cmd_answer(args) -> int:
             v.name: format_term_surface(t)
             for v, t in result.witness.substitution}
     if args.format == "json":
-        _emit(format_json(payload) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         if result.verdict == "yes":
             parts = [f"yes, depth {result.at_depth}"] + [
@@ -115,8 +120,8 @@ def cmd_explain(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if result.status != "found":
         if args.format == "json":
-            _emit(format_json({"schema_version": 1,
-                               "status": result.status}) + "\n", args.out)
+            _emit(_json({"schema_version": 1, "status": result.status}),
+                  args.out)
         else:
             _emit(result.status + "\n", args.out)
         return result.exit_code
@@ -128,13 +133,11 @@ def cmd_explain(args) -> int:
     if args.format == "dot":
         _emit(proof_to_dot(result.proof), args.out)
     elif args.format == "json":
-        doc = proof_document(result.proof, q)
-        doc["measure"] = args.measure
-        doc["value"] = result.value
-        doc["algorithm"] = result.algorithm
+        extra = {"measure": args.measure, "value": result.value,
+                 "algorithm": result.algorithm}
         if not result.complete:
-            doc["complete"] = False
-        _emit(format_json(doc) + "\n", args.out)
+            extra["complete"] = False
+        _emit(proof_to_json(result.proof, q, extra) + "\n", args.out)
     else:
         algorithm = result.algorithm if result.complete \
             else f"{result.algorithm}, uncertified"
@@ -221,9 +224,9 @@ def cmd_gen(args) -> int:
     if args.out:
         _emit(text, args.out)
         with open(args.out + ".predicted.json", "w", encoding="utf-8") as fh:
-            fh.write(format_json(meta) + "\n")
+            fh.write(_json(meta))
     elif args.format == "json":
-        _emit(format_json({"kb": text, **meta}) + "\n", None)
+        _emit(_json({"kb": text, **meta}), None)
     else:
         _emit(text, None)
     return 0
@@ -238,24 +241,30 @@ def cmd_convert(args) -> int:
         raise KBError("proof file carries no goal, cannot convert safely")
     from .deriver_cq import transform_cq_to_sk, transform_sk_to_cq
     current = proof.deriver()
-    if args.to == current:
-        converted = proof
-    elif args.to == "cq":
-        converted = transform_sk_to_cq(proof, kb)
-    else:
-        converted = transform_cq_to_sk(proof, kb)
-    ok, problems = validate_proof(converted, kb, goal, args.to)
+    ok, problems = validate_proof(proof, kb, goal, current)
     if not ok:
-        print("internal error: conversion produced an invalid proof: "
-              + "; ".join(problems), file=sys.stderr)
-        return INTERNAL_ERROR
-    _emit(proof_to_json(converted, goal) + "\n", args.out)
+        raise KBError("the proof file does not prove its goal from this "
+                      "knowledge base: " + "; ".join(problems))
+    if args.to != current:
+        transform = transform_sk_to_cq if args.to == "cq" \
+            else transform_cq_to_sk
+        proof = transform(proof, kb)
+        ok, problems = validate_proof(proof, kb, goal, args.to)
+        if not ok:
+            print("internal error: conversion produced an invalid proof: "
+                  + "; ".join(problems), file=sys.stderr)
+            return INTERNAL_ERROR
+    _emit(proof_to_json(proof, goal) + "\n", args.out)
     return 0
 
 
 def cmd_export(args) -> int:
     with open(args.proof, "r", encoding="utf-8") as handle:
         proof, _ = proof_from_json(handle.read())
+    ok, problems = check_proof_shape(proof)
+    if not ok:
+        raise KBError("the proof file does not hold a proof: "
+                      + "; ".join(problems))
     _emit(proof_to_dot(proof), args.out)
     return 0
 

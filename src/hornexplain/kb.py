@@ -123,7 +123,7 @@ class SkolemTerm(_Interned):
     arg: Term
 
     def __repr__(self) -> str:
-        return f"{self.fn}({self.arg!r})"
+        return format_term(self)
 
 
 Term = Union[Const, Var, SkolemTerm]
@@ -156,17 +156,30 @@ def term_key(t: Term):
     """Total order on terms: constants, then Skolem terms, then variables."""
     if isinstance(t, Const):
         return (0, t.name)
-    if isinstance(t, SkolemTerm):
-        return (1, t.fn) + term_key(t.arg)
-    return (2, t.name)
+    if isinstance(t, Var):
+        return (2, t.name)
+    key: list = []
+    while isinstance(t, SkolemTerm):
+        key += (1, t.fn)
+        t = t.arg
+    return tuple(key) + term_key(t)
 
 
-def format_term(t: Term) -> str:
+def format_term(t: Term, texts: Optional[dict[Term, str]] = None) -> str:
+    """The term's label text.  A Skolem term's text is kept in ``texts``,
+    and the walk down its chain stops at the first term kept there: a
+    caller that passes one dict writes each Skolem application once."""
     if isinstance(t, Const):
         return t.name
-    if isinstance(t, Var):
-        return f"?{t.name}"
-    return f"{t.fn}({format_term(t.arg)})"
+    texts = {} if texts is None else texts
+    fns, s = [], t
+    while s not in texts and isinstance(s, SkolemTerm):
+        fns.append(s.fn)
+        s = s.arg
+    text = texts.get(s) or (s.name if isinstance(s, Const) else f"?{s.name}")
+    if fns:
+        text = texts[t] = f"{'('.join(fns)}({text}{')' * len(fns)}"
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +266,28 @@ def atom_key(a: Atom):
     return atom_pred(a) + tuple(term_key(t) for t in atom_terms(a))
 
 
-def format_atom(a: Atom) -> str:
+def format_atom(a: Atom, texts: Optional[dict[Term, str]] = None) -> str:
+    """The atom's label text; ``texts`` as for ``format_term``."""
     if isinstance(a, ConceptAtom):
-        return f"{a.concept}({format_term(a.term)})"
+        return f"{a.concept}({format_term(a.term, texts)})"
     if isinstance(a, RoleAtom):
-        return f"{a.role}({format_term(a.subj)},{format_term(a.obj)})"
-    return f"{format_term(a.lhs)} = {format_term(a.rhs)}"
+        return (f"{a.role}({format_term(a.subj, texts)},"
+                f"{format_term(a.obj, texts)})")
+    return f"{format_term(a.lhs, texts)} = {format_term(a.rhs, texts)}"
 
 
 def substitute_term(t: Term, subst: Mapping[Var, Term]) -> Term:
-    if isinstance(t, Var):
+    if not isinstance(t, SkolemTerm):
         return subst.get(t, t)
-    if isinstance(t, SkolemTerm):
-        return SkolemTerm(t.fn, substitute_term(t.arg, subst))
+    if not isinstance(t.arg, SkolemTerm):       # f(x), as rule heads have
+        return SkolemTerm(t.fn, subst.get(t.arg, t.arg))
+    fns = []
+    while isinstance(t, SkolemTerm):
+        fns.append(t.fn)
+        t = t.arg
+    t = subst.get(t, t)
+    for fn in reversed(fns):
+        t = SkolemTerm(fn, t)
     return t
 
 

@@ -22,8 +22,8 @@ from typing import Iterable, Optional
 
 from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                  KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term, Var,
-                 atom_terms, atom_vars, make_kb, make_rule, map_atom_terms,
-                 subterms, RESERVED_CONCEPTS)
+                 atom_terms, atom_vars, format_term, make_kb, make_rule,
+                 map_atom_terms, subterms, RESERVED_CONCEPTS)
 
 
 class KBSyntaxError(KBError):
@@ -43,8 +43,10 @@ _TOKEN = re.compile(r"->|[-(),.=?:]|\w+|\S")
 # Every line with a lexical error matches: a character no token may hold, a
 # '>' outside an arrow, a word starting with a digit, or any non-ASCII
 # character (a word must start with a letter or '_', which only
-# ``str.isalpha`` tells for non-ASCII numerics such as '²' or 'Ⅻ').
-_SUSPECT = re.compile(r"[^\w\s(),.=?:>-]|(?<!-)>|\b\d|[^\x00-\x7f]")
+# ``str.isalpha`` tells for non-ASCII numerics such as '²' or 'Ⅻ').  The
+# lookahead passes over the characters no alternative matches at.
+_SUSPECT = re.compile(r"(?=[^A-Za-z_\t-\r\x1c-\x20(),.=?:-])"
+                      r"(?:[^\w\s(),.=?:>-]|(?<!-)>|\b\d|[^\x00-\x7f])")
 # The symbol tokens, and "" for the end of the line; every other token is
 # a name.
 _PUNCT = frozenset({"(", ")", ",", ".", "=", "?", ":", "-", "->", ""})
@@ -101,6 +103,9 @@ def _parse_term(toks: list[str], i: int,
     fns = []
     while True:
         t = toks[i]
+        if type(t) is not str:      # a term read already, see LabelAtoms
+            term, i = t, i + 1
+            break
         if t == "?":
             if toks[i + 1] in _PUNCT:
                 raise _expected("name", toks, i + 1)
@@ -399,6 +404,75 @@ def parse_atom_text(text: str) -> Atom:
     except _Stop as stop:
         raise _syntax_error(stop, text, 0) from None
     return atom
+
+
+_TERM_START = re.compile(r"[(,]")
+
+
+class LabelAtoms(dict):
+    """Atom text -> the atom ``parse_atom_text`` reads from it (or raises),
+    for one proof document: each distinct atom and Skolem term text is
+    parsed once.  A new text goes through the grammar above, but each span
+    spelling a term that an earlier atom had as an argument reaches
+    ``_parse_term`` as that term, one token.  The span starts after '(' or
+    ',' and ends with ')': whole tokens, which ``_parse_term`` would read,
+    all and no more, into that term.  Whatever this cannot read goes to
+    ``parse_atom_text``, which words every error."""
+
+    def __init__(self):
+        super().__init__()
+        self.terms: dict[str, Term] = {}    # an argument's text -> the term
+        self.texts: dict[Term, str] = {}    # and back
+        self.lengths: set[int] = set()      # of the texts in self.terms
+
+    def __missing__(self, text: str) -> Atom:
+        if text.count("(") < 2 or "#" in text:      # no Skolem term
+            atom = self[text] = parse_atom_text(text)
+            return atom
+        try:
+            atom = self._read_known_terms(text)
+        except (_Stop, KBSyntaxError):
+            atom = None
+        atom = self[text] = atom or parse_atom_text(text)
+        for t in atom_terms(atom):
+            if isinstance(t, SkolemTerm) and t not in self.texts:
+                shown = format_term(t, self.texts)
+                self.terms[shown] = t
+                self.lengths.add(len(shown))
+        return atom
+
+    def _read_known_terms(self, text: str) -> Optional[Atom]:
+        """The atom, read with each known term's text as one token; None
+        when the text holds none."""
+        toks: list = []
+        done = close = last = 0     # toks holds text[:done]
+        m = _TERM_START.search(text)
+        while m is not None:
+            start = m.end()
+            # a Skolem term from here closes one ')' per '(' before the
+            # first ')'; each stretch of the text is scanned once
+            if start > close:
+                close = text.find(")", start)
+                if close < 0:
+                    break
+                nested = text.count("(", start, close)
+            else:
+                nested -= text.count("(", last, start)
+            last = start
+            end = close + nested
+            term = (self.terms.get(text[start:end])
+                    if nested and end - start in self.lengths else None)
+            if term is not None:
+                toks += _tokenize(text[done:start], 0)[:-1]
+                toks.append(term)
+                done = start = end
+            m = _TERM_START.search(text, start)
+        if not toks:
+            return None
+        toks += _tokenize(text[done:], 0)
+        atom, i = _parse_atom(toks, 0, variables=None)
+        _expect_end(toks, i)
+        return atom
 
 
 # ---------------------------------------------------------------------------

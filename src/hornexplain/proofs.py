@@ -101,10 +101,6 @@ def label_key(label: Label):
     return (3, 2, tuple(atom_key(a) for a in rule.body + rule.head))
 
 
-def format_label(label: Label) -> str:
-    return _label_to_json(label, format_atom)["label"]
-
-
 # ---------------------------------------------------------------------------
 # The hypergraph
 # ---------------------------------------------------------------------------
@@ -442,137 +438,133 @@ def inference_steps(p: ProofGraph) -> list[tuple[Schema, tuple[int, ...],
 
 SCHEMA_VERSION = 1
 
+# a str's JSON string; Enum values reach it as ``_value_``, since reading
+# ``.value`` runs Python code
 _quote = json.encoder.encode_basestring_ascii
-# the text of a scalar, by its exact type
-_SCALARS = {str: _quote, int: int.__repr__,
-            bool: {True: "true", False: "false"}.__getitem__,
-            type(None): lambda _: "null"}
+_SCALAR_TYPES = (str, int, bool, type(None))
 
 
-def format_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    values built of str, int, bool, None, list and dict (with str keys);
-    raises TypeError on anything else.  The stdlib falls back to its
-    pure-Python encoder whenever ``indent`` is set; here every string is
-    quoted by the C quoter and a list of scalars of one type is one
-    join."""
-    out: list[str] = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
-def _write_json(value, nl: str, out: list[str]) -> None:
-    """Append the text of ``value``, whose nested lines start with ``nl``."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        kinds = set(map(type, value))
-        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        if scalar is not None:
-            out.append(f"[{inner}{(',' + inner).join(map(scalar, value))}"
-                       f"{nl}]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            item = value[key]
-            scalar = _SCALARS.get(type(item))
-            if scalar is not None:
-                out.append(f"{sep}{_quote(key)}: {scalar(item)}")
-            else:
-                out.append(f"{sep}{_quote(key)}: ")
-                _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not "
-                        "JSON serializable")
-
-
-def _label_to_json(label: Label, text) -> dict:
-    """The label's JSON object with its display text under ``label``;
-    ``text`` formats an atom."""
+def format_label(label: Label, text=format_atom) -> str:
+    """The label's display text; ``text`` formats an atom."""
     if isinstance(label, AtomLabel):
-        atom = text(label.atom)
-        return {"kind": "atom", "atom": atom, "label": atom}
+        return text(label.atom)
     if isinstance(label, ConjLabel):
-        atoms = list(map(text, label.atoms))
-        return {"kind": "conjunction", "atoms": atoms,
-                "label": ", ".join(atoms)}
+        return ", ".join(map(text, label.atoms))
     if isinstance(label, CQLabel):
-        atoms = list(map(text, label.cq.atoms))
-        evars = [v.name for v in label.cq.existential_vars]
-        shown = ", ".join(atoms)
+        shown = ", ".join(map(text, label.cq.atoms))
+        evars = label.cq.existential_vars
         if evars:
-            shown = f"exists {', '.join(evars)}. {shown}"
-        return {"kind": "cq", "atoms": atoms, "evars": evars,
-                "label": shown}
+            shown = f"exists {', '.join(v.name for v in evars)}. {shown}"
+        return shown
     rule = label.rule
-    body = list(map(text, rule.body))
-    head = list(map(text, rule.head))
-    evars = [v.name for v in getattr(rule, "existential_vars", ())]
-    shown = f"{', '.join(body)} -> "
+    shown = f"{', '.join(map(text, rule.body))} -> "
+    evars = getattr(rule, "existential_vars", ())
     if evars:
-        shown += f"exists {', '.join(evars)}. "
-    base = {"body": body, "head": head, "label": shown + ", ".join(head)}
+        shown += f"exists {', '.join(v.name for v in evars)}. "
+    return shown + ", ".join(map(text, rule.head))
+
+
+def _json_list(items: list[str], nl: str) -> str:
+    """A JSON list of written items, one per line, one level deeper than
+    the line break and indentation ``nl``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
+
+
+def _fields(label: Label, text, quote, nl: str) -> tuple[str, str]:
+    """The JSON keys of a label other than an atom label, in key order:
+    those before "id" and those after it, separated by "," and ``nl``.
+    ``text`` formats an atom and ``quote`` writes its JSON string."""
+    sep = "," + nl
+    shown = _quote(format_label(label, text))
+    if isinstance(label, ConjLabel):
+        return (f'"atoms": {_json_list(list(map(quote, label.atoms)), nl)}',
+                f'"kind": "conjunction"{sep}"label": {shown}')
+    if isinstance(label, CQLabel):
+        atoms = _json_list(list(map(quote, label.cq.atoms)), nl)
+        evars = _json_list([_quote(v.name)
+                            for v in label.cq.existential_vars], nl)
+        return (f'"atoms": {atoms}{sep}"evars": {evars}',
+                f'"kind": "cq"{sep}"label": {shown}')
+    rule = label.rule
+    body = _json_list(list(map(quote, rule.body)), nl)
+    head = _json_list(list(map(quote, rule.head)), nl)
     if isinstance(rule, SkolemRule):
-        return {"kind": "skolem_rule", "index": rule.index,
-                "form": rule.normal_form.value, "fn": rule.fn, **base}
+        fn = "null" if rule.fn is None else _quote(rule.fn)
+        return (f'"body": {body}{sep}"fn": {fn}{sep}"form": '
+                f'{_quote(rule.normal_form._value_)}{sep}"head": {head}',
+                f'"index": {rule.index}{sep}"kind": "skolem_rule"{sep}'
+                f'"label": {shown}')
+    evars = _json_list([_quote(v.name) for v in rule.existential_vars], nl)
     if isinstance(rule, TautRule):
-        return {"kind": "taut_rule", "evars": evars, **base}
-    return {"kind": "rule", "form": rule.normal_form.value, "evars": evars,
-            **base}
+        return (f'"body": {body}{sep}"evars": {evars}{sep}"head": {head}',
+                f'"kind": "taut_rule"{sep}"label": {shown}')
+    return (f'"body": {body}{sep}"evars": {evars}{sep}"form": '
+            f'{_quote(rule.normal_form._value_)}{sep}"head": {head}',
+            f'"kind": "rule"{sep}"label": {shown}')
 
 
-def proof_to_json(p: ProofGraph, goal: Optional[BooleanCQ] = None) -> str:
-    return format_json(proof_document(p, goal))
+# An atom vertex, any other vertex and an edge, each as an item of a
+# top-level list, with its keys in order
+_ATOM_VERTEX = ('{\n      "atom": %s,\n      "id": %d,\n      "kind": "atom",'
+                '\n      "label": %s\n    }')
+_VERTEX = '{\n      %s,\n      "id": %d,\n      %s\n    }'
+_EDGE = ('{\n      "conclusion": %d,\n      "premises": %s,'
+         '\n      "schema": %s\n    }')
 
 
-def proof_document(p: ProofGraph, goal: Optional[BooleanCQ] = None) -> dict:
-    """The JSON document of a proof (and its goal), as plain values."""
+def proof_to_json(p: ProofGraph, goal: Optional[BooleanCQ] = None,
+                  extra: Optional[dict] = None) -> str:
+    """The proof document (with its goal, and with the top-level keys of
+    ``extra``, whose values are str, int, bool or None) as
+    ``json.dumps(document, indent=2, sort_keys=True)`` writes it, built
+    straight from the labels: each distinct term and atom is written
+    once."""
+    terms: dict[Term, str] = {}
     texts: dict[Atom, str] = {}
+    quoted: dict[Atom, str] = {}
 
     def text(atom: Atom) -> str:
         shown = texts.get(atom)
         if shown is None:
-            shown = texts[atom] = format_atom(atom)
+            shown = texts[atom] = format_atom(atom, terms)
         return shown
 
+    def quote(atom: Atom) -> str:
+        shown = quoted.get(atom)
+        if shown is None:
+            shown = quoted[atom] = _quote(texts.get(atom) or text(atom))
+        return shown
+
+    nl = "\n      "
     vertices = []
     for v, lab in sorted(p.vertices.items()):
-        obj = _label_to_json(lab, text)
-        obj["id"] = v
-        vertices.append(obj)
-    edges = [{"premises": list(e.premises), "conclusion": e.conclusion,
-              "schema": e.schema.value}
-             for e in sorted(p.edges,
-                             key=lambda e: (e.conclusion, e.premises))]
-    doc = {"schema_version": SCHEMA_VERSION, "deriver": p.deriver(),
-           "vertices": vertices, "edges": edges}
+        if type(lab) is AtomLabel:
+            shown = quote(lab.atom)
+            vertices.append(_ATOM_VERTEX % (shown, v, shown))
+        else:
+            before, after = _fields(lab, text, quote, nl)
+            vertices.append(_VERTEX % (before, v, after))
+    edges = [_EDGE % (e.conclusion, _json_list(list(map(str, e.premises)), nl),
+                      _quote(e.schema._value_))
+             for e in sorted(p.edges, key=lambda e: (e.conclusion, e.premises))]
+    doc = {"deriver": _quote(p.deriver()),
+           "edges": _json_list(edges, "\n  "),
+           "schema_version": str(SCHEMA_VERSION),
+           "vertices": _json_list(vertices, "\n  ")}
     if goal is not None:
-        obj = _label_to_json(CQLabel(goal), text)
-        del obj["label"]
-        doc["goal"] = obj
-    return doc
+        nl = "\n    "
+        doc["goal"] = (f"{{{nl}{_fields(CQLabel(goal), text, quote, nl)[0]},"
+                       f'{nl}"kind": "cq"\n  }}')
+    for key, value in (extra or {}).items():
+        if type(value) not in _SCALAR_TYPES:
+            raise TypeError(f"a top-level value must be a str, int, bool or "
+                            f"None, not {type(value).__name__}")
+        doc[key] = json.dumps(value)
+    body = ",\n  ".join(f"{_quote(key)}: {doc[key]}" for key in sorted(doc))
+    return f"{{\n  {body}\n}}"
 
 
 _SCHEMA_NAMES = {s.value: s for s in Schema}
@@ -625,7 +617,7 @@ def _label_from_json(obj, atom) -> Label:
 def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
     """Read a proof document; a malformed one raises KBError naming the
     first problem found."""
-    from .parser import KBSyntaxError, parse_atom_text
+    from .parser import KBSyntaxError, LabelAtoms
 
     try:
         doc = json.loads(text)
@@ -638,19 +630,15 @@ def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
         raise KBError(f"unsupported proof schema version "
                       f"{doc.get('schema_version')!r}, expected "
                       f"{SCHEMA_VERSION}")
-    # atom texts repeat across labels: each distinct one is read once
-    atoms: dict[str, Atom] = {}
+    atoms = LabelAtoms()
 
     def atom(text) -> Atom:
         if type(text) is not str:
             raise KBError(f"an atom must be a string, not {text!r}")
-        a = atoms.get(text)
-        if a is None:
-            try:
-                a = atoms[text] = parse_atom_text(text)
-            except KBSyntaxError as exc:
-                raise KBError(f"atom {text!r}: {exc}") from None
-        return a
+        try:
+            return atoms[text]
+        except KBSyntaxError as exc:
+            raise KBError(f"atom {text!r}: {exc}") from None
 
     vertex_list, edge_list = doc.get("vertices"), doc.get("edges")
     if not isinstance(vertex_list, list) or not isinstance(edge_list, list):

@@ -220,7 +220,8 @@ def test_internal_errors_exit_70(ex1_file, tmp_path, monkeypatch, capsys):
     assert cli.main(["explain", ex1_file, "--measure", "size", "--format",
                      "json", "-o", str(proof)]) == 0
     monkeypatch.setattr(cli, "validate_proof",
-                        lambda *args: (False, ["bad edge"]))
+                        lambda p, kb, goal, deriver: (deriver == "sk", [
+                            "bad edge"]))
     assert cli.main(["convert", str(proof), "--kb", ex1_file,
                      "--to", "cq"]) == 70
     assert "invalid proof: bad edge" in capsys.readouterr().err
@@ -350,6 +351,11 @@ def _cq_goal_as_atom(doc):
     return doc
 
 
+def _unknown_schema(doc):
+    doc["edges"][0]["schema"] = "MQ"
+    return doc
+
+
 @pytest.mark.parametrize("command", ["convert", "export"])
 @pytest.mark.parametrize("spoil, problem", [
     pytest.param(_without_kind, "vertex 0: unknown label kind None",
@@ -368,6 +374,8 @@ def _cq_goal_as_atom(doc):
                  id="bad-atom"),
     pytest.param(_misclassified_rule, "rule form 'i' does not match",
                  id="rule-form"),
+    pytest.param(_unknown_schema, "has unknown schema 'MQ'",
+                 id="unknown-schema"),
 ])
 def test_malformed_proof_files_are_bad_input(ex1_file, ex1_proof_text,
                                              tmp_path, capsys, command, spoil,
@@ -399,3 +407,108 @@ def test_convert_checks_for_a_goal_before_translating(ex1_file, ex1_proof_text,
     assert cli.main(["convert", str(path), "--kb", ex1_file,
                      "--to", "cq"]) == 65
     assert "carries no goal" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ex1_proof_texts(ex1_proof_text, tmp_path_factory):
+    """The running example's size proof in each calculus, by deriver."""
+    from hornexplain import cli
+    tmp = tmp_path_factory.mktemp("ex1-proofs")
+    (tmp / "ex1.kb").write_text(EX1_TEXT)
+    (tmp / "sk.json").write_text(ex1_proof_text)
+    assert cli.main(["convert", str(tmp / "sk.json"), "--kb",
+                     str(tmp / "ex1.kb"), "--to", "cq", "-o",
+                     str(tmp / "cq.json")]) == 0
+    return {"sk": ex1_proof_text, "cq": (tmp / "cq.json").read_text()}
+
+
+def _second_sink(doc):
+    doc["vertices"].append({**doc["vertices"][0], "id": 5000})
+    return doc
+
+
+def _fact_about_b(doc):
+    """The fact A(a), as the sk proof's leaf or the cq proof's first query,
+    edited to A(b)."""
+    for v in doc["vertices"]:
+        for key in ("atom", "label"):
+            if v.get(key) == "A(a)":
+                v[key] = "A(b)"
+        if v.get("atoms") == ["A(a)"]:
+            v["atoms"] = ["A(b)"]
+    return doc
+
+
+@pytest.mark.parametrize("deriver, to", [("sk", "cq"), ("cq", "sk")])
+@pytest.mark.parametrize("spoil, problem", [
+    pytest.param(_second_sink, "expected exactly one sink, found 2",
+                 id="two-sinks"),
+    pytest.param(_fact_about_b, "leaf 0 (A(b)) is not a fact or rule",
+                 id="edited-fact"),
+])
+def test_a_proof_that_does_not_hold_is_bad_input(ex1_file, ex1_proof_texts,
+                                                 tmp_path, capsys, deriver,
+                                                 to, spoil, problem):
+    """convert checks its input before translating it, and export checks
+    the proof's shape: both report a bad proof as bad input (65), never as
+    a usage error (64) or an internal error (70)."""
+    from hornexplain import cli
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(spoil(json.loads(ex1_proof_texts[deriver]))))
+    assert cli.main(["convert", str(path), "--kb", ex1_file,
+                     "--to", to]) == 65
+    assert problem in capsys.readouterr().err
+    shape_ok = spoil is _fact_about_b
+    assert cli.main(["export", str(path)]) == (0 if shape_ok else 65)
+    if not shape_ok:
+        assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deriver, to", [("sk", "cq"), ("cq", "sk")])
+def test_a_proof_that_holds_converts_and_exports(ex1_file, ex1_proof_texts,
+                                                 tmp_path, deriver, to):
+    from hornexplain import cli
+    path = tmp_path / "proof.json"
+    path.write_text(ex1_proof_texts[deriver])
+    out = tmp_path / "converted.json"
+    assert cli.main(["convert", str(path), "--kb", ex1_file, "--to", to,
+                     "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["deriver"] == to
+    assert cli.main(["export", str(path), "-o",
+                     str(tmp_path / "proof.dot")]) == 0
+
+
+def test_a_term_nested_5000_deep_is_read_written_and_refused(tmp_path,
+                                                             capsys):
+    """Reading, writing, validating and exporting a proof do not recurse
+    on a term: a one-vertex proof of A(f(f(...f(a)...))) goes through all
+    four, and convert refuses it as bad input, for it is no fact of the
+    KB."""
+    from hornexplain import cli
+    from hornexplain.kb import BooleanCQ, ConceptAtom, Const, SkolemTerm
+    from hornexplain.parser import parse_document
+    from hornexplain.proofs import (AtomLabel, ProofGraph, proof_from_json,
+                                    proof_to_json, validate_proof)
+    term = Const("a")
+    for _ in range(5000):
+        term = SkolemTerm("f", term)
+    atom = ConceptAtom("A", term)
+    text = proof_to_json(ProofGraph({0: AtomLabel(atom)}, []),
+                         BooleanCQ((atom,), ()))
+    assert len(text) > 2 * 5000 * len("f()")
+    proof, goal = proof_from_json(text)
+    assert proof.vertices[0].atom is atom and goal.atoms == (atom,)
+    assert proof_to_json(proof, goal) == text
+    kb = parse_document(EX1_TEXT).kb
+    ok, problems = validate_proof(proof, kb, goal, "sk")
+    assert not ok and "is not a fact or rule" in problems[0]
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert cli.main(["export", str(path), "-o",
+                     str(tmp_path / "deep.dot")]) == 0
+    kb_path = tmp_path / "ex1.kb"
+    kb_path.write_text(EX1_TEXT)
+    for to in ("cq", "sk"):
+        assert cli.main(["convert", str(path), "--kb", str(kb_path),
+                         "--to", to]) == 65
+        assert "is not a fact or rule" in capsys.readouterr().err

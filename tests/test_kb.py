@@ -370,3 +370,28 @@ def test_threads_building_one_value_get_one_object():
     assert all(len(out) == n_values for out in results)
     for built in zip(*results):
         assert all(b is built[0] for b in built)
+
+
+def test_format_term_stops_at_a_known_term():
+    inner = SkolemTerm("g", Const("a"))
+    term = SkolemTerm("f", inner)
+    texts = {inner: "known"}
+    assert kb_module.format_term(term, texts) == "f(known)"
+    assert texts == {inner: "known", term: "f(known)"}
+    assert kb_module.format_term(term) == repr(term) == "f(g(a))"
+    assert kb_module.format_term(SkolemTerm("f", Var("x"))) == "f(?x)"
+
+
+def test_terms_nested_5000_deep_need_no_recursion():
+    """Formatting, ordering and substituting walk a term iteratively."""
+    a, x = Const("a"), Var("x")
+    deep, pattern = a, x
+    for i in range(5000):
+        deep = SkolemTerm(f"f_{i % 2}", deep)
+        pattern = SkolemTerm(f"f_{i % 2}", pattern)
+    text = kb_module.format_term(deep)
+    assert text.startswith("f_1(f_0(") and text.endswith("(a" + ")" * 5000)
+    assert kb_module.term_key(deep) == (1, "f_1", 1, "f_0") * 2500 + (0, "a")
+    assert kb_module.substitute_term(pattern, {x: a}) is deep
+    assert format_atom(substitute_atom(ConceptAtom("A", pattern), {x: a})) \
+        == f"A({text})"

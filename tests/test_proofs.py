@@ -4,15 +4,19 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hornexplain.kb import BooleanCQ, ConceptAtom, Const
-from hornexplain.proofs import (AtomLabel, Measure, ProofEdge,
-                                ProofGraph, Schema, check_proof_shape,
-                                domain_size, format_json, inference_steps,
-                                measure, proof_from_json, proof_size,
-                                proof_to_dot, proof_to_json, sub_derivation,
-                                tree_size, tree_unravel, validate_proof)
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom,
+                            NormalForm, RoleAtom, Rule, SkolemRule,
+                            SkolemTerm, Var, atom_vars)
+from hornexplain.kb import format_term as _format_term
+from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, Measure,
+                                ProofEdge, ProofGraph, RuleLabel, Schema,
+                                TautRule, check_proof_shape, domain_size,
+                                inference_steps, measure, proof_from_json,
+                                proof_size, proof_to_dot, proof_to_json,
+                                sub_derivation, tree_size, tree_unravel,
+                                validate_proof)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -199,33 +203,194 @@ def test_schema_tags_are_deriver_specific(ex1, ex1_reference_proof):
     assert any("not available" in m for m in problems)
 
 
-_JSON_SCALARS = (st.none() | st.booleans()
-                 | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
-                 | st.text(alphabet=st.characters(), max_size=8)
-                 | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é",
-                                    "\U0001f600", " "]))
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=4), inner,
-                                     max_size=4)),
-    max_leaves=20)
+# ---------------------------------------------------------------------------
+# Reference: the proof document as a dict, frozen as it was before the
+# writer wrote the JSON text straight from the labels; its json.dumps with
+# indent=2 and sorted keys is the proof JSON
+# ---------------------------------------------------------------------------
+
+def _reference_label(label, text) -> dict:
+    if isinstance(label, AtomLabel):
+        atom = text(label.atom)
+        return {"kind": "atom", "atom": atom, "label": atom}
+    if isinstance(label, ConjLabel):
+        atoms = list(map(text, label.atoms))
+        return {"kind": "conjunction", "atoms": atoms,
+                "label": ", ".join(atoms)}
+    if isinstance(label, CQLabel):
+        atoms = list(map(text, label.cq.atoms))
+        evars = [v.name for v in label.cq.existential_vars]
+        shown = ", ".join(atoms)
+        if evars:
+            shown = f"exists {', '.join(evars)}. {shown}"
+        return {"kind": "cq", "atoms": atoms, "evars": evars,
+                "label": shown}
+    rule = label.rule
+    body = list(map(text, rule.body))
+    head = list(map(text, rule.head))
+    evars = [v.name for v in getattr(rule, "existential_vars", ())]
+    shown = f"{', '.join(body)} -> "
+    if evars:
+        shown += f"exists {', '.join(evars)}. "
+    base = {"body": body, "head": head, "label": shown + ", ".join(head)}
+    if isinstance(rule, SkolemRule):
+        return {"kind": "skolem_rule", "index": rule.index,
+                "form": rule.normal_form.value, "fn": rule.fn, **base}
+    if isinstance(rule, TautRule):
+        return {"kind": "taut_rule", "evars": evars, **base}
+    return {"kind": "rule", "form": rule.normal_form.value, "evars": evars,
+            **base}
 
 
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_json_writer_matches_the_stdlib(value):
-    assert format_json(value) == json.dumps(value, indent=2, sort_keys=True)
+def _reference_document(p, goal=None) -> dict:
+    vertices = []
+    for v, lab in sorted(p.vertices.items()):
+        obj = _reference_label(lab, _reference_atom)
+        obj["id"] = v
+        vertices.append(obj)
+    edges = [{"premises": list(e.premises), "conclusion": e.conclusion,
+              "schema": e.schema.value}
+             for e in sorted(p.edges,
+                             key=lambda e: (e.conclusion, e.premises))]
+    doc = {"schema_version": 1, "deriver": p.deriver(),
+           "vertices": vertices, "edges": edges}
+    if goal is not None:
+        obj = _reference_label(CQLabel(goal), _reference_atom)
+        del obj["label"]
+        doc["goal"] = obj
+    return doc
+
+
+def _reference_term(t) -> str:
+    if isinstance(t, Const):
+        return t.name
+    if isinstance(t, Var):
+        return f"?{t.name}"
+    return f"{t.fn}({_reference_term(t.arg)})"
+
+
+def _reference_atom(a) -> str:
+    if isinstance(a, ConceptAtom):
+        return f"{a.concept}({_reference_term(a.term)})"
+    if isinstance(a, RoleAtom):
+        return f"{a.role}({_reference_term(a.subj)},{_reference_term(a.obj)})"
+    return f"{_reference_term(a.lhs)} = {_reference_term(a.rhs)}"
+
+
+def _reference_json(p, goal=None, extra=None) -> str:
+    return json.dumps({**_reference_document(p, goal), **(extra or {})},
+                      indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Generated proofs: every label kind, equalities, ?x variables, empty lists
+# ---------------------------------------------------------------------------
+
+_NAMES = st.sampled_from(["a", "b", "x", "f_0", "é", "_u", 'q"', "s\\t",
+                          "\U0001f600", ""])
+_TERMS = st.recursive(
+    st.builds(Const, _NAMES) | st.builds(Var, _NAMES),
+    lambda inner: st.builds(SkolemTerm, _NAMES, inner), max_leaves=4)
+_ATOMS = (st.builds(ConceptAtom, _NAMES, _TERMS)
+          | st.builds(RoleAtom, _NAMES, _TERMS, _TERMS)
+          | st.builds(EqAtom, _TERMS, _TERMS))
+_ATOM_TUPLES = st.lists(_ATOMS, max_size=3).map(tuple)
+_VARS = st.lists(st.builds(Var, _NAMES), max_size=2).map(tuple)
+
+
+@st.composite
+def _cqs(draw):
+    atoms = draw(_ATOM_TUPLES)
+    used = set().union(*map(atom_vars, atoms))
+    evars = sorted(used | set(draw(_VARS)), key=lambda v: v.name)
+    return BooleanCQ(atoms, tuple(draw(st.permutations(evars))))
+
+
+_LABELS = st.one_of(
+    st.builds(AtomLabel, _ATOMS),
+    st.builds(ConjLabel, _ATOM_TUPLES),
+    st.builds(CQLabel, _cqs()),
+    st.builds(lambda b, h, form, index, fn: RuleLabel(
+        SkolemRule(b, h, form, index, fn)), _ATOM_TUPLES, _ATOM_TUPLES,
+        st.sampled_from(NormalForm), st.integers(-3, 2 ** 40),
+        st.none() | _NAMES),
+    st.builds(lambda b, h, e: RuleLabel(TautRule(b, h, e)), _ATOM_TUPLES,
+              _ATOM_TUPLES, _VARS),
+    st.builds(lambda b, h, e, form: RuleLabel(Rule(b, h, e, form,
+                                                   frozenset())),
+              _ATOM_TUPLES, _ATOM_TUPLES, _VARS, st.sampled_from(NormalForm)))
+
+
+@st.composite
+def _proofs(draw):
+    ids = draw(st.lists(st.integers(-5, 10 ** 6), unique=True, max_size=6))
+    vertices = {v: draw(_LABELS) for v in ids}
+    edges = [ProofEdge(tuple(draw(st.lists(st.sampled_from(ids),
+                                           max_size=3))),
+                       draw(st.sampled_from(ids)),
+                       draw(st.sampled_from(Schema)))
+             for _ in range(draw(st.integers(0, 4)) if ids else 0)]
+    goal = draw(st.none() | _cqs())
+    extra = draw(st.dictionaries(
+        st.sampled_from(["measure", "value", "algorithm", "complete", "é"]),
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+        max_size=3))
+    return ProofGraph(vertices, edges), goal, extra
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_proofs())
+def test_json_writer_matches_the_stdlib(case):
+    """The writer against json.dumps of the frozen document."""
+    p, goal, extra = case
+    assert proof_to_json(p, goal, extra) == _reference_json(p, goal, extra)
 
 
 def test_json_writer_reproduces_every_golden_file():
     for path in sorted(GOLDEN.glob("*.json")):
         text = path.read_text()
-        assert format_json(json.loads(text)) + "\n" == text, path.name
+        doc = json.loads(text)
+        p, goal = proof_from_json(text)
+        extra = {key: value for key, value in doc.items()
+                 if key in ("measure", "value", "algorithm", "complete")}
+        written = proof_to_json(p, goal, extra)
+        assert written + "\n" == text, path.name
+        assert written == _reference_json(p, goal, extra), path.name
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {2}},
                                    [object()]])
 def test_json_writer_rejects_other_types(value):
+    """A top-level value is a JSON scalar the document's own keys use."""
+    p = ProofGraph({0: AtomLabel(ConceptAtom("A", Const("a")))}, [])
     with pytest.raises(TypeError):
-        format_json(value)
+        proof_to_json(p, None, {"value": value})
+
+
+def test_the_writer_formats_each_distinct_term_once(monkeypatch):
+    """Every atom below repeats the whole Skolem chain under it, yet the
+    writer walks each Skolem application once: a term's text is built
+    from its argument's."""
+    from hornexplain import kb
+    steps = []
+
+    def format_term(t, texts=None):
+        steps.append(sum(1 for _ in _chain_to(t, texts or {})))
+        return _format_term(t, texts)
+
+    monkeypatch.setattr(kb, "format_term", format_term)
+    terms = [Const("a")]
+    for i in range(50):
+        terms.append(SkolemTerm(f"f_{i % 3}", terms[-1]))
+    p = ProofGraph({i: AtomLabel(RoleAtom("r", s, t)) for i, (s, t)
+                    in enumerate(zip(terms, terms[1:]))}, [])
+    assert proof_to_json(p) == _reference_json(p)
+    assert sum(steps) == len(terms) - 1
+
+
+def _chain_to(t, known):
+    """The Skolem applications from ``t`` down to the first known term."""
+    while isinstance(t, SkolemTerm) and t not in known:
+        yield t
+        t = t.arg

@@ -3,6 +3,7 @@ name, and output depends neither on the process's hash seed nor on where
 objects sit in memory."""
 
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
@@ -153,3 +154,19 @@ def test_cli_output_matches_the_golden_files(tmp_path):
     changed = [name for name, text in outputs.items()
                if (GOLDEN / name).read_text(encoding="utf-8") != text]
     assert not changed, changed
+
+
+def test_the_el_tree_10_proof_is_pinned(tmp_path):
+    """No golden file nests Skolem terms this deep (9 levels, in 4,140
+    vertices): the proof JSON of ``gen el-tree 10`` under ``explain --algo
+    poly --measure tree`` is pinned by its sha256 instead of a 1.4 MB
+    file."""
+    kb = tmp_path / "el-tree-10.kb"
+    command = [sys.executable, "-m", "hornexplain.cli"]
+    subprocess.run([*command, "gen", "el-tree", "10", "-o", str(kb)],
+                   check=True)
+    proc = subprocess.run([*command, "explain", str(kb), "--algo", "poly",
+                           "--measure", "tree", "--format", "json"],
+                          capture_output=True, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "55be7de9daf84cd6d3ae56e2aa1e19a58819206b5d0aff7f22771af500f99fb2")
