@@ -158,6 +158,8 @@ def term_key(t: Term):
         return (0, t.name)
     if isinstance(t, Var):
         return (2, t.name)
+    if not isinstance(t.arg, SkolemTerm):       # f(x), as most terms are
+        return (1, t.fn) + term_key(t.arg)
     key: list = []
     while isinstance(t, SkolemTerm):
         key += (1, t.fn)
@@ -169,8 +171,8 @@ def format_term(t: Term, texts: Optional[dict[Term, str]] = None) -> str:
     """The term's label text.  A Skolem term's text is kept in ``texts``,
     and the walk down its chain stops at the first term kept there: a
     caller that passes one dict writes each Skolem application once."""
-    if isinstance(t, Const):
-        return t.name
+    if not isinstance(t, SkolemTerm):
+        return t.name if isinstance(t, Const) else f"?{t.name}"
     texts = {} if texts is None else texts
     fns, s = [], t
     while s not in texts and isinstance(s, SkolemTerm):

@@ -22,8 +22,9 @@ from typing import Iterable, Optional
 
 from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                  KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term, Var,
-                 atom_terms, atom_vars, format_term, make_kb, make_rule,
-                 map_atom_terms, subterms, RESERVED_CONCEPTS)
+                 atom_pred, atom_terms, atom_vars, format_atom, format_term,
+                 make_kb, make_rule, map_atom_terms, subterms,
+                 RESERVED_CONCEPTS)
 
 
 class KBSyntaxError(KBError):
@@ -43,10 +44,8 @@ _TOKEN = re.compile(r"->|[-(),.=?:]|\w+|\S")
 # Every line with a lexical error matches: a character no token may hold, a
 # '>' outside an arrow, a word starting with a digit, or any non-ASCII
 # character (a word must start with a letter or '_', which only
-# ``str.isalpha`` tells for non-ASCII numerics such as '²' or 'Ⅻ').  The
-# lookahead passes over the characters no alternative matches at.
-_SUSPECT = re.compile(r"(?=[^A-Za-z_\t-\r\x1c-\x20(),.=?:-])"
-                      r"(?:[^\w\s(),.=?:>-]|(?<!-)>|\b\d|[^\x00-\x7f])")
+# ``str.isalpha`` tells for non-ASCII numerics such as '²' or 'Ⅻ').
+_SUSPECT = re.compile(r"[^\w\s(),.=?:>-]|(?<!-)>|\b\d|[^\x00-\x7f]")
 # The symbol tokens, and "" for the end of the line; every other token is
 # a name.
 _PUNCT = frozenset({"(", ")", ",", ".", "=", "?", ":", "-", "->", ""})
@@ -103,9 +102,6 @@ def _parse_term(toks: list[str], i: int,
     fns = []
     while True:
         t = toks[i]
-        if type(t) is not str:      # a term read already, see LabelAtoms
-            term, i = t, i + 1
-            break
         if t == "?":
             if toks[i + 1] in _PUNCT:
                 raise _expected("name", toks, i + 1)
@@ -284,17 +280,11 @@ def _parse_query_statement(toks: list[str], i: int) -> BooleanCQ:
 
 def _scan_reserved(atoms: Iterable[Atom], lineno: int) -> None:
     for a in atoms:
-        names = []
-        if isinstance(a, ConceptAtom):
-            names.append(a.concept)
-        elif isinstance(a, RoleAtom):
-            names.append(a.role)
-        for t in atom_terms(a):
-            for s in subterms(t):
-                if isinstance(s, Const):
-                    names.append(s.name)
-                elif isinstance(s, SkolemTerm):
-                    names.append(s.fn)
+        # the predicate ('=' for an equality), then each term's names
+        names = [atom_pred(a)[-1]] + [
+            s.fn if isinstance(s, SkolemTerm) else s.name
+            for t in atom_terms(a) for s in subterms(t)
+            if not isinstance(s, Var)]
         for name in names:
             if name == "bot":
                 raise KBSyntaxError("'bot' cannot occur (KBs are assumed "
@@ -406,117 +396,36 @@ def parse_atom_text(text: str) -> Atom:
     return atom
 
 
-_TERM_START = re.compile(r"[(,]")
-
-
-class LabelAtoms(dict):
-    """Atom text -> the atom ``parse_atom_text`` reads from it (or raises),
-    for one proof document: each distinct atom and Skolem term text is
-    parsed once.  A new text goes through the grammar above, but each span
-    spelling a term that an earlier atom had as an argument reaches
-    ``_parse_term`` as that term, one token.  The span starts after '(' or
-    ',' and ends with ')': whole tokens, which ``_parse_term`` would read,
-    all and no more, into that term.  Whatever this cannot read goes to
-    ``parse_atom_text``, which words every error."""
-
-    def __init__(self):
-        super().__init__()
-        self.terms: dict[str, Term] = {}    # an argument's text -> the term
-        self.texts: dict[Term, str] = {}    # and back
-        self.lengths: set[int] = set()      # of the texts in self.terms
-
-    def __missing__(self, text: str) -> Atom:
-        if text.count("(") < 2 or "#" in text:      # no Skolem term
-            atom = self[text] = parse_atom_text(text)
-            return atom
-        try:
-            atom = self._read_known_terms(text)
-        except (_Stop, KBSyntaxError):
-            atom = None
-        atom = self[text] = atom or parse_atom_text(text)
-        for t in atom_terms(atom):
-            if isinstance(t, SkolemTerm) and t not in self.texts:
-                shown = format_term(t, self.texts)
-                self.terms[shown] = t
-                self.lengths.add(len(shown))
-        return atom
-
-    def _read_known_terms(self, text: str) -> Optional[Atom]:
-        """The atom, read with each known term's text as one token; None
-        when the text holds none."""
-        toks: list = []
-        done = close = last = 0     # toks holds text[:done]
-        m = _TERM_START.search(text)
-        while m is not None:
-            start = m.end()
-            # a Skolem term from here closes one ')' per '(' before the
-            # first ')'; each stretch of the text is scanned once
-            if start > close:
-                close = text.find(")", start)
-                if close < 0:
-                    break
-                nested = text.count("(", start, close)
-            else:
-                nested -= text.count("(", last, start)
-            last = start
-            end = close + nested
-            term = (self.terms.get(text[start:end])
-                    if nested and end - start in self.lengths else None)
-            if term is not None:
-                toks += _tokenize(text[done:start], 0)[:-1]
-                toks.append(term)
-                done = start = end
-            m = _TERM_START.search(text, start)
-        if not toks:
-            return None
-        toks += _tokenize(text[done:], 0)
-        atom, i = _parse_atom(toks, 0, variables=None)
-        _expect_end(toks, i)
-        return atom
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 def format_term_surface(t: Term) -> str:
-    """KB surface syntax: variables print bare (binding context disambiguates)."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, SkolemTerm):
-        return f"{t.fn}({format_term_surface(t.arg)})"
-    return t.name
-
-
-def format_atom_surface(a: Atom) -> str:
-    if isinstance(a, ConceptAtom):
-        return f"{a.concept}({format_term_surface(a.term)})"
-    if isinstance(a, RoleAtom):
-        return (f"{a.role}({format_term_surface(a.subj)},"
-                f"{format_term_surface(a.obj)})")
-    return f"{format_term_surface(a.lhs)} = {format_term_surface(a.rhs)}"
+    """KB surface syntax: variables print bare (binding context
+    disambiguates), as in the label syntax without its '?'."""
+    return format_term(t).replace("?", "")
 
 
 def format_rule(rule: Rule) -> str:
-    body = ", ".join(format_atom_surface(a) for a in rule.body)
-    head = ", ".join(format_atom_surface(a) for a in rule.head)
+    body = ", ".join(map(format_atom, rule.body))
+    head = ", ".join(map(format_atom, rule.head))
     if rule.existential_vars:
         names = ", ".join(v.name for v in rule.existential_vars)
-        return f"rule: {body} -> exists {names}. {head}"
-    return f"rule: {body} -> {head}"
+        head = f"exists {names}. {head}"
+    return f"rule: {body} -> {head}".replace("?", "")
 
 
 def format_query(q: BooleanCQ) -> str:
-    atoms = ", ".join(format_atom_surface(a) for a in q.atoms)
+    atoms = ", ".join(map(format_atom, q.atoms))
     if q.existential_vars:
         names = ", ".join(v.name for v in q.existential_vars)
-        return f"query: exists {names}. {atoms}"
-    return f"query: {atoms}"
+        atoms = f"exists {names}. {atoms}"
+    return f"query: {atoms}".replace("?", "")
 
 
 def serialize_document(kb: KnowledgeBase, queries: Iterable[BooleanCQ] = ()) -> str:
     lines = [format_rule(r) for r in kb.tbox]
-    lines += [f"fact: {format_atom_surface(a)}" for a in kb.abox]
+    lines += [f"fact: {format_atom(a)}" for a in kb.abox]     # ground
     lines += [format_query(q) for q in queries]
     return "\n".join(lines) + "\n"
 

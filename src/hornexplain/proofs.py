@@ -175,13 +175,6 @@ class ProofGraph:
         """Vertices ordered premises before conclusions; raises on cycles."""
         return list(_postorder(self.incoming(), sorted(self.vertices)))
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-            return True
-        except ValueError:
-            return False
-
     def deriver(self) -> str:
         if any(e.schema in CQ_SCHEMAS for e in self.edges):
             return "cq"
@@ -248,19 +241,10 @@ def ground_terms_of_label(label: Label) -> set[Term]:
     """Ground terms, nested subterms included; rule labels contribute none."""
     if isinstance(label, RuleLabel):
         return set()
-    if isinstance(label, AtomLabel):
-        atoms: Iterable[Atom] = [label.atom]
-    elif isinstance(label, ConjLabel):
-        atoms = label.atoms
-    else:
-        atoms = label.cq.atoms
-    out: set[Term] = set()
-    for a in atoms:
-        for t in atom_terms(a):
-            for s in subterms(t):
-                if term_is_ground(s):
-                    out.add(s)
-    return out
+    atoms = ((label.atom,) if isinstance(label, AtomLabel) else
+             label.atoms if isinstance(label, ConjLabel) else label.cq.atoms)
+    return {s for a in atoms for t in atom_terms(a) for s in subterms(t)
+            if term_is_ground(s)}
 
 
 def domain_size(p: ProofGraph) -> int:
@@ -350,7 +334,9 @@ def check_proof_shape(p: ProofGraph) -> tuple[bool, list[str]]:
     for v, es in sorted(inc.items()):
         if len(es) > 1:
             problems.append(f"vertex {v} has {len(es)} incoming hyperedges")
-    if not p.is_acyclic():
+    try:
+        p.topological_order()
+    except ValueError:
         problems.append("acyclicity violated")
     for e in p.edges:
         ends = set(e.premises) | {e.conclusion}
@@ -451,17 +437,14 @@ def format_label(label: Label, text=format_atom) -> str:
     if isinstance(label, ConjLabel):
         return ", ".join(map(text, label.atoms))
     if isinstance(label, CQLabel):
-        shown = ", ".join(map(text, label.cq.atoms))
-        evars = label.cq.existential_vars
-        if evars:
-            shown = f"exists {', '.join(v.name for v in evars)}. {shown}"
-        return shown
-    rule = label.rule
-    shown = f"{', '.join(map(text, rule.body))} -> "
-    evars = getattr(rule, "existential_vars", ())
+        shown, evars, atoms = "", label.cq.existential_vars, label.cq.atoms
+    else:
+        rule = label.rule
+        shown = f"{', '.join(map(text, rule.body))} -> "
+        evars, atoms = getattr(rule, "existential_vars", ()), rule.head
     if evars:
         shown += f"exists {', '.join(v.name for v in evars)}. "
-    return shown + ", ".join(map(text, rule.head))
+    return shown + ", ".join(map(text, atoms))
 
 
 def _json_list(items: list[str], nl: str) -> str:
@@ -617,7 +600,7 @@ def _label_from_json(obj, atom) -> Label:
 def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
     """Read a proof document; a malformed one raises KBError naming the
     first problem found."""
-    from .parser import KBSyntaxError, LabelAtoms
+    from .parser import KBSyntaxError, parse_atom_text
 
     try:
         doc = json.loads(text)
@@ -630,15 +613,19 @@ def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
         raise KBError(f"unsupported proof schema version "
                       f"{doc.get('schema_version')!r}, expected "
                       f"{SCHEMA_VERSION}")
-    atoms = LabelAtoms()
+    # atom texts repeat across labels: each distinct one is read once
+    atoms: dict[str, Atom] = {}
 
     def atom(text) -> Atom:
         if type(text) is not str:
             raise KBError(f"an atom must be a string, not {text!r}")
-        try:
-            return atoms[text]
-        except KBSyntaxError as exc:
-            raise KBError(f"atom {text!r}: {exc}") from None
+        a = atoms.get(text)
+        if a is None:
+            try:
+                a = atoms[text] = parse_atom_text(text)
+            except KBSyntaxError as exc:
+                raise KBError(f"atom {text!r}: {exc}") from None
+        return a
 
     vertex_list, edge_list = doc.get("vertices"), doc.get("edges")
     if not isinstance(vertex_list, list) or not isinstance(edge_list, list):
