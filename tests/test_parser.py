@@ -3,7 +3,9 @@ tokenizer and cursor descent it replaced: on generated lines both give the
 same result, or the same exception with the same message, line and
 column."""
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -17,6 +19,9 @@ from hornexplain.kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom,
 from hornexplain.parser import (Document, KBSyntaxError, _check_name_spaces,
                                 _scan_reserved, format_rule, normalize_rules)
 from hornexplain import parser
+from hornexplain.proofs import ConjLabel, proof_from_json
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +469,58 @@ def test_a_name_starts_with_a_letter(char):
         parser.parse_atom_text(f"A({char}a)")
     assert (err.value.col, err.value.args[0].endswith(repr(char))) \
         == (3, True)
+
+
+# ---------------------------------------------------------------------------
+# The proof reader reads label atoms with the one grammar
+# ---------------------------------------------------------------------------
+
+def _read_label_atoms(texts):
+    """The atoms ``proof_from_json`` reads from a document with one atom
+    vertex per text."""
+    doc = {"schema_version": 1, "edges": [],
+           "vertices": [{"id": i, "kind": "atom", "atom": text}
+                        for i, text in enumerate(texts)]}
+    proof, _ = proof_from_json(json.dumps(doc))
+    return [proof.vertices[i].atom for i in range(len(texts))]
+
+
+@_SETTINGS
+@given(st.lists(_lines(), min_size=1, max_size=6))
+def test_the_proof_reader_reads_atoms_as_parse_atom_text(lines):
+    """The same interned atom, however the texts repeat in a document, or
+    the parser's error under the vertex's and the atom's names."""
+    texts = [t for line in lines for t in (line, line.split(":", 1)[-1])]
+    read = []
+    for text in texts:
+        try:
+            read.append((text, parser.parse_atom_text(text)))
+        except KBSyntaxError as exc:
+            with pytest.raises(KBError) as err:
+                _read_label_atoms([text])
+            assert str(err.value) == f"vertex 0: atom {text!r}: {exc}"
+    atoms = _read_label_atoms([text for text, _ in read])
+    assert all(a is want for a, (_, want) in zip(atoms, read)), read
+
+
+def test_the_proof_reader_reads_every_golden_atom_as_parse_atom_text():
+    read = 0
+    for path in sorted(_GOLDEN.glob("*.json")):
+        text = path.read_text()
+        proof, goal = proof_from_json(text)
+        for v in json.loads(text)["vertices"]:
+            label = proof.vertices[v["id"]]
+            if "atom" in v:
+                texts, atoms = [v["atom"]], [label.atom]
+            elif "atoms" in v:
+                texts = v["atoms"]
+                atoms = list(label.atoms if isinstance(label, ConjLabel)
+                             else label.cq.atoms)
+            else:
+                texts = v["body"] + v["head"]
+                atoms = list(label.rule.body + label.rule.head)
+            assert len(atoms) == len(texts), (path.name, v["id"])
+            for t, a in zip(texts, atoms):
+                assert a is parser.parse_atom_text(t), (path.name, t)
+            read += len(atoms)
+    assert read > 100
