@@ -461,6 +461,26 @@ def test_statements_the_old_descent_crashed_on_are_syntax_errors(text):
     assert err.value.line == 1 and err.value.col == 7 + text.startswith("q")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("fact: A(a)\nfact: A(top)", (2, "'top' is reserved")),
+    ("rule: top(x,y) -> B(x)", (1, "'top' is reserved")),
+    ("query: A(f(top))", (1, "'top' is reserved")),
+    ("rule: A(x) -> bot(x)", (1, "'bot' cannot occur")),
+    ("fact: A(a)\nquery: A(bot(a))", (2, "'bot' cannot occur")),
+    ("query: exists top. A(top)", None),
+])
+def test_reserved_names_are_refused_where_they_name_something(text, error):
+    """A predicate, an individual or a Skolem function may not be 'top' or
+    'bot'; a variable may."""
+    try:
+        parser.parse_document(text)
+    except KBSyntaxError as exc:
+        assert (exc.line, exc.args[0].split(": ", 1)[1][:len(error[1])]) \
+            == error
+    else:
+        assert error is None
+
+
 @pytest.mark.parametrize("char", ["²", "Ⅻ", "٣", "1"])
 def test_a_name_starts_with_a_letter(char):
     assert parser.parse_atom_text(f"A(a{char})") == ConceptAtom(
