@@ -35,10 +35,16 @@ class ChaseState:
 def _resolve(merges: dict[Term, Const], t: Term) -> Term:
     """The term with every merged term, nested ones included, replaced by
     its constant, following chains of merges."""
-    if isinstance(t, SkolemTerm):
-        t = SkolemTerm(t.fn, _resolve(merges, t.arg))
+    fns = []
+    while isinstance(t, SkolemTerm):
+        fns.append(t.fn)
+        t = t.arg
     while t in merges:
         t = merges[t]
+    for fn in reversed(fns):
+        t = SkolemTerm(fn, t)
+        while t in merges:
+            t = merges[t]
     return t
 
 

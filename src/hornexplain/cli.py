@@ -5,9 +5,10 @@ Subcommands: ``answer`` (entailment with a witness match), ``explain``
 (benchmark families), ``convert`` (between the two proof formats),
 ``export`` (proof DOT), ``normalize`` (thin rule rewriter), and ``bench``
 (CSV sweeps).  Exit codes: 0 found/success, 1 definitive negative,
-2 resource limit or unknown, 64 usage errors, 65 bad input data (a proof
-file included), 70 internal errors (a crash, or a proof produced, or
-converted from a valid one, that fails validation).
+2 resource limit or unknown, 64 usage errors (a path that cannot be
+opened included), 65 bad input data (a proof file included), 70 internal
+errors (a crash, or a proof produced, or converted from a valid one, that
+fails validation).
 """
 
 from __future__ import annotations
@@ -387,6 +388,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except OSError as exc:
+        if exc.filename is None:
+            print(f"internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return INTERNAL_ERROR
+        # an input or output path the command cannot open
+        print(f"error: cannot open {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

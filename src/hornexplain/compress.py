@@ -40,7 +40,26 @@ class DecompressError(KBError):
 class CompressedStructure:
     structure: FiniteStructure
     variant: str                      # "dllite" | "el"
-    fresh_consts: frozenset[str]      # placeholder individual names
+    # Skolem function -> the placeholder individual its terms fold onto
+    placeholders: dict[str, Const]
+
+    @property
+    def fresh_consts(self) -> frozenset[str]:
+        """The placeholder individuals' names."""
+        return frozenset(c.name for c in self.placeholders.values())
+
+    def fold_query(self, q: BooleanCQ) -> BooleanCQ:
+        """The query with each Skolem term ``f(t)`` read as f's placeholder,
+        as the structure reads the universal model: a match of the query
+        there maps onto a match of this query here.  A term of a function
+        no rule has stays, and matches nothing."""
+        def fold_term(t: Term) -> Term:
+            if isinstance(t, SkolemTerm):
+                return self.placeholders.get(t.fn, t)
+            return t
+
+        return BooleanCQ(tuple(map_atom_terms(a, fold_term) for a in q.atoms),
+                         q.existential_vars)
 
 
 def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
@@ -48,6 +67,7 @@ def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
               ) -> CompressedStructure:
     taken = set(kb.signature.individual_names)
     fresh: dict[str, Const] = {}
+    placeholders: dict[str, Const] = {}
     compressed: list[SkolemRule] = []
     for rule in skolemize(kb.tbox):
         if rule.fn is None:
@@ -59,14 +79,14 @@ def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
                 name = "_" + name
             taken.add(name)
             fresh[base] = Const(name)
+        placeholders[rule.fn] = fresh[base]
         head = tuple(map_atom_terms(a, lambda t: fresh[base] if isinstance(
             t, SkolemTerm) else t) for a in rule.head)
         compressed.append(SkolemRule(rule.body, head, rule.normal_form,
                                      rule.index, rule.fn))
     structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
                          max_atoms=max_atoms, deadline=deadline)
-    return CompressedStructure(structure, variant,
-                               frozenset(c.name for c in fresh.values()))
+    return CompressedStructure(structure, variant, placeholders)
 
 
 def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
@@ -109,8 +129,8 @@ def compress_el(kb: KnowledgeBase, deadline: Optional[float] = None
 
 def equality_free_fold(kb: KnowledgeBase, deadline: Optional[float] = None,
                        max_atoms: Optional[int] = None
-                       ) -> Optional[FiniteStructure]:
-    """The fold's structure, or None when it holds an equality atom.
+                       ) -> Optional[CompressedStructure]:
+    """The fold, or None when it holds an equality atom.
 
     Without one, the universal model holds none either (the fold maps each
     of its atoms onto one of the fold's), so its proofs are rule
@@ -120,19 +140,22 @@ def equality_free_fold(kb: KnowledgeBase, deadline: Optional[float] = None,
     size, least-tree-size) vertex folding onto it; its premises fold onto
     labels that are kept lower, so the result is acyclic.  The fold's
     optimum bounds every real proof from below, and a query without a
-    match in the fold is not entailed.  An equality replacement need not
-    survive the folding (its two sides can fold onto an equality oriented
-    the other way), so a fold with an equality atom bounds nothing.
+    match in the fold is not entailed.  Both read the query as the fold
+    reads the model (:meth:`CompressedStructure.fold_query`).  An equality
+    replacement need not survive the folding (its two sides can fold onto
+    an equality oriented the other way), so a fold with an equality atom
+    bounds nothing.
     """
-    structure = fold(kb, deadline, max_atoms).structure
-    return None if structure.index.bucket(("=",)) else structure
+    folded = fold(kb, deadline, max_atoms)
+    return None if folded.structure.index.bucket(("=",)) else folded
 
 
-def refutes(folded: Optional[FiniteStructure], q: BooleanCQ) -> bool:
+def refutes(folded: Optional[CompressedStructure], q: BooleanCQ) -> bool:
     """Whether the equality-free fold has no match of the query, which
     proves the query unentailed."""
     return folded is not None and next(
-        match_conjunction(q.atoms, folded.index), None) is None
+        match_conjunction(folded.fold_query(q).atoms,
+                          folded.structure.index), None) is None
 
 
 # ---------------------------------------------------------------------------

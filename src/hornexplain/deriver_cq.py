@@ -37,18 +37,6 @@ class TransformError(KBError):
 # Schema applications
 # ---------------------------------------------------------------------------
 
-def _close_cq(atoms: Sequence[Atom]) -> BooleanCQ:
-    """Existentially close every variable, in first-occurrence order."""
-    seen: dict[Var, None] = {}
-    for a in atoms:
-        for t in atom_terms(a):
-            while isinstance(t, SkolemTerm):
-                t = t.arg
-            if isinstance(t, Var):
-                seen[t] = None
-    return BooleanCQ(tuple(atoms), tuple(seen))
-
-
 def fresh_vars(count: int, taken: set[str], prefix: str = "u") -> list[Var]:
     out: list[Var] = []
     i = 1
@@ -93,7 +81,7 @@ def mpe_apply(cq: BooleanCQ, rule, pi: dict[Var, Term],
         a = substitute_atom(rule.head[i], subst)
         if a not in result:
             result.append(a)
-    return _close_cq(result)
+    return BooleanCQ.closed(result)
 
 
 def te_rule(pattern: Sequence[Atom], vars_to_duplicate: Iterable[Var],
@@ -149,15 +137,19 @@ def ee_apply(cq: BooleanCQ, equality: EqAtom) -> BooleanCQ:
     for a in rewritten:
         if a not in deduped:
             deduped.append(a)
-    return _close_cq(deduped)
+    return BooleanCQ.closed(deduped)
 
 
 def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
     def fix(t: Term) -> Term:
+        fns = []
+        while t != src and isinstance(t, SkolemTerm):
+            fns.append(t.fn)
+            t = t.arg
         if t == src:
-            return dst
-        if isinstance(t, SkolemTerm):
-            return SkolemTerm(t.fn, fix(t.arg))
+            t = dst
+        for fn in reversed(fns):
+            t = SkolemTerm(fn, t)
         return t
 
     return map_atom_terms(atom, fix)
@@ -192,6 +184,15 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
     Returns (pi, head_assignment) where pi matches the rule body into the
     premise and head_assignment interprets the rule's existential variables,
     or None when no choice of replaced/kept subsets produces the conclusion.
+
+    pi must map some body atom onto each removed atom.  When the body's
+    predicates are distinct, a removed atom can only be the image of the
+    body atom of its predicate, so the removed atoms seed pi.  With every
+    body atom pinned the seed is the only candidate; with one left free,
+    the candidates differ only in its image, taken in ``atom_key`` order,
+    the order the matcher meets them in over the whole premise.  (With two
+    free atoms it could meet them in another order, so the body is then
+    matched whole.)
     """
     removed = premise.atom_set - conclusion.atom_set
     new = conclusion.atom_set - premise.atom_set
@@ -200,39 +201,48 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
     evars = tuple(getattr(rule, "existential_vars", ()))
     # a tautology may copy a variable onto its own pi-image
     taken = None if isinstance(rule, TautRule) else premise.variables()
-    pool = AtomIndex(_body_pool(premise, rule.body, removed))
-    for pi in match_conjunction(rule.body, pool):
-        if removed and not removed <= {substitute_atom(b, pi)
-                                       for b in rule.body}:
+    body = rule.body
+    by_pred = {atom_pred(b): b for b in body}
+    if len(by_pred) == len(body):
+        images: dict[tuple, Atom] = {}
+        for a in removed:
+            pred = atom_pred(a)
+            if pred not in by_pred or pred in images:
+                # no body atom can be its image, or two would need one
+                return None
+            images[pred] = a
+        seed: Optional[dict[Var, Term]] = {}
+        free: list[Atom] = []
+        for pred, b in by_pred.items():
+            if pred in images:
+                seed = unify_atom(b, images[pred], seed)
+                if seed is None:
+                    return None
+            else:
+                free.append(b)
+        if len(free) < 2:
+            if free:
+                pred = atom_pred(free[0])
+                candidates = (unify_atom(free[0], a, seed) for a in sorted(
+                    (a for a in premise.atom_set if atom_pred(a) == pred),
+                    key=atom_key))
+            else:
+                candidates = (seed,)
+            for pi in candidates:
+                if pi is None:
+                    continue
+                assignment = _match_added(added, rule.head, pi, evars, taken)
+                if assignment is not None:
+                    return pi, assignment
+            return None
+    pool = AtomIndex([a for a in premise.atoms if atom_pred(a) in by_pred])
+    for pi in match_conjunction(body, pool):
+        if removed and not removed <= {substitute_atom(b, pi) for b in body}:
             continue
         assignment = _match_added(added, rule.head, pi, evars, taken)
         if assignment is not None:
             return pi, assignment
     return None
-
-
-def _body_pool(premise: BooleanCQ, body: Sequence[Atom],
-               removed: frozenset[Atom]) -> list[Atom]:
-    """The premise atoms to match the body into, when the match must cover
-    the ``removed`` atoms.
-
-    Only atoms of the body's predicates can be images.  When the body's
-    predicates are distinct, a removed atom can only be the image of the
-    body atom of its predicate.  If that pins every body atom but at most
-    one, the covering matches differ only in the free atom's image, so over
-    any pool that holds them they come in the ``atom_key`` order of that
-    image, which is the order over the whole premise.  (With two free atoms
-    the matcher could meet them in another order.)
-    """
-    preds = {atom_pred(b) for b in body}
-    if len(preds) == len(body):
-        free = preds.difference(atom_pred(a) for a in removed)
-        if not free:
-            return list(removed)
-        if len(free) == 1:
-            return list(removed) + [a for a in premise.atoms
-                                    if atom_pred(a) in free]
-    return [a for a in premise.atoms if atom_pred(a) in preds]
 
 
 def _match_added(added: list[Atom], head: tuple[Atom, ...],
@@ -247,6 +257,13 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
     the head's pi-image stay rigid (each binds only to itself), or an added
     atom could be matched to the wrong terms.
     """
+    if not evars:
+        # the head's pi-image is fixed: each added atom must be in it, and
+        # binds its variables to themselves
+        image = {substitute_atom(h, pi) for h in head}
+        if not image.issuperset(added):
+            return None
+        return {v: v for a in added for v in atom_vars(a)}
     # unify_atom rejects every pattern of another predicate
     rigid = {**pi, **{v: v for v in evars}}
     patterns: dict[tuple, list[Atom]] = {}
@@ -287,7 +304,7 @@ def _check_mpe(premises, conclusion, kb) -> Optional[str]:
     if isinstance(rule, SkolemRule):
         return "query-level proofs use original rules, not Skolemized ones"
     if isinstance(rule, Rule):
-        if rule not in kb.tbox:
+        if rule not in kb.rule_index:
             return "rule is not from the TBox"
     else:
         err = _taut_shape_error(rule)
@@ -667,11 +684,16 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
         naming[t] = v
 
     def fix_term(t: Term) -> Term:
-        if t in naming:
-            return naming[t]
-        if isinstance(t, SkolemTerm):
-            rebuilt = SkolemTerm(t.fn, fix_term(t.arg))
-            return naming.get(rebuilt, rebuilt)
+        # a named term is replaced whole; below it, each rebuilt level is
+        # looked up again
+        fns = []
+        while t not in naming and isinstance(t, SkolemTerm):
+            fns.append(t.fn)
+            t = t.arg
+        t = naming.get(t, t)
+        for fn in reversed(fns):
+            t = SkolemTerm(fn, t)
+            t = naming.get(t, t)
         return t
 
     for key, a in fixed.items():
@@ -679,7 +701,8 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
 
     def fix_label(label: Label) -> Label:
         if isinstance(label, (ConjLabel, CQLabel)):
-            return CQLabel(_close_cq([fixed[id(a)] for a in atoms_of(label)]))
+            return CQLabel(BooleanCQ.closed(fixed[id(a)]
+                                            for a in atoms_of(label)))
         if isinstance(label, RuleLabel) and isinstance(label.rule, SkolemRule):
             return RuleLabel(kb.tbox[label.rule.index])
         if isinstance(label, RuleLabel) and isinstance(label.rule, TautRule):
@@ -712,12 +735,9 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     re-derived backward from the goal instance.
     """
     sk_rules = skolemize(kb.tbox)
-    rule_index: dict[Rule, int] = {}
-    for i, r in enumerate(kb.tbox):
-        rule_index.setdefault(r, i)
     inc = p.incoming()
     grounding: dict[int, dict[Var, Term]] = {}
-    ground_sets: dict[int, list[Atom]] = {}
+    ground_sets = _GroundSets(p, grounding)
     producer: dict[Atom, tuple] = {}
     for v in p.topological_order():
         label = p.vertices[v]
@@ -729,13 +749,12 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                     or len(label.cq.atoms) != 1:
                 raise TransformError("query-proof leaves must be single facts")
             grounding[v] = {}
-            ground_sets[v] = list(label.cq.atoms)
             producer.setdefault(label.cq.atoms[0], ("fact",))
             continue
         edge = edges[0]
         if edge.schema is Schema.MPe:
-            _ground_mpe(p, rule_index, sk_rules, edge, v, grounding,
-                        ground_sets, producer)
+            _ground_mpe(p, kb.rule_index, sk_rules, edge, v, grounding,
+                        producer)
         elif edge.schema is Schema.Ee:
             _ground_ee(p, edge, v, grounding, ground_sets, producer)
         elif edge.schema is Schema.Ce:
@@ -829,8 +848,23 @@ def _step_analysis(p: ProofGraph, edge, v: int):
     return found
 
 
-def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
-                producer):
+class _GroundSets(dict):
+    """The ground atoms of each query vertex, in label order.  A Ce, Ge or
+    Ee step stores its own; a leaf's or an MPe conclusion's are grounded
+    with the vertex's grounding when first read."""
+
+    def __init__(self, p: ProofGraph, grounding: dict[int, dict[Var, Term]]):
+        super().__init__()
+        self.vertices, self.grounding = p.vertices, grounding
+
+    def __missing__(self, v: int) -> list[Atom]:
+        gamma = self.grounding[v]
+        atoms = self[v] = [ground_atom(gamma, a)
+                           for a in self.vertices[v].cq.atoms]
+        return atoms
+
+
+def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, producer):
     phi_vid = edge.premises[0]
     rule_label = p.vertices[edge.premises[1]]
     assert isinstance(rule_label, RuleLabel)
@@ -878,7 +912,6 @@ def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, ground_sets,
                          for h in sk_rule.head}
 
     grounding[v] = gamma_new
-    ground_sets[v] = [ground_atom(gamma_new, a) for a in concl_label.cq.atoms]
     for atom, entry in new_producers.items():
         producer.setdefault(atom, entry)
 

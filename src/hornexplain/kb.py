@@ -656,6 +656,14 @@ class KnowledgeBase:
     signature: Signature = field(compare=False)
     fragment: Fragment = field(compare=False)
 
+    @cached_property
+    def rule_index(self) -> dict[Rule, int]:
+        """Each TBox rule's position; a repeated rule's first one."""
+        index: dict[Rule, int] = {}
+        for i, rule in enumerate(self.tbox):
+            index.setdefault(rule, i)
+        return index
+
 
 def make_kb(tbox: Iterable[Rule], abox: Iterable[Atom]) -> KnowledgeBase:
     tbox_t, abox_t = tuple(tbox), tuple(abox)
@@ -668,6 +676,19 @@ def make_kb(tbox: Iterable[Rule], abox: Iterable[Atom]) -> KnowledgeBase:
     return KnowledgeBase(tbox_t, abox_t, sig, detect_fragment(tbox_t))
 
 
+def _variables_of(atoms: Iterable[Atom]) -> dict[Var, None]:
+    """The atoms' variables, nested ones included, in first-occurrence
+    order."""
+    used: dict[Var, None] = {}
+    for a in atoms:
+        for t in atom_terms(a):
+            while isinstance(t, SkolemTerm):    # Skolem terms are unary
+                t = t.arg
+            if isinstance(t, Var):
+                used[t] = None
+    return used
+
+
 @dataclass(frozen=True)
 class BooleanCQ:
     """Existentially closed conjunction of concept and role atoms."""
@@ -678,19 +699,27 @@ class BooleanCQ:
     def __post_init__(self):
         # equality conjuncts are legal inside derived queries; user-facing
         # query statements reject them at parse time
-        used = set()
-        for a in self.atoms:
-            for t in atom_terms(a):
-                while isinstance(t, SkolemTerm):    # Skolem terms are unary
-                    t = t.arg
-                if isinstance(t, Var):
-                    used.add(t)
-        undeclared = used.difference(self.existential_vars)
+        used = _variables_of(self.atoms)
+        undeclared = used.keys() - set(self.existential_vars)
         if undeclared:
             missing = sorted(v.name for v in undeclared)
             raise KBError(f"undeclared query variables: {missing}")
         # the atoms are immutable, so their variables are collected once
         object.__setattr__(self, "_variables", frozenset(used))
+
+    @classmethod
+    def closed(cls, atoms: Iterable[Atom]) -> BooleanCQ:
+        """The conjunction with every variable existentially quantified, in
+        first-occurrence order."""
+        atoms = tuple(atoms)
+        used = _variables_of(atoms)
+        # every variable is declared: __post_init__ would only walk the
+        # atoms again
+        cq = object.__new__(cls)
+        object.__setattr__(cq, "atoms", atoms)
+        object.__setattr__(cq, "existential_vars", tuple(used))
+        object.__setattr__(cq, "_variables", frozenset(used))
+        return cq
 
     def variables(self) -> frozenset[Var]:
         return self._variables

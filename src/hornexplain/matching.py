@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .kb import (Atom, SkolemTerm, Term, Var, atom_key, atom_pred,
-                 atom_terms)
+                 atom_terms, substitute_term)
 
 
 def _insert(entry: tuple[list[Atom], list[tuple]], atom: Atom,
@@ -152,10 +152,14 @@ def _resolve(t: Term, subst: Mapping[Var, Term]) -> Optional[Term]:
     """The term ``t`` denotes under subst; None while a variable is unbound."""
     if isinstance(t, Var):
         return subst.get(t)
-    if isinstance(t, SkolemTerm):
-        arg = _resolve(t.arg, subst)
-        return None if arg is None else SkolemTerm(t.fn, arg)
-    return t
+    if not isinstance(t, SkolemTerm):
+        return t
+    inner = t.arg
+    while isinstance(inner, SkolemTerm):
+        inner = inner.arg
+    if isinstance(inner, Var) and inner not in subst:
+        return None
+    return substitute_term(t, subst)
 
 
 # A check is (position, ground value or None, pattern term): a ground value

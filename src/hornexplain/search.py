@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chase import _chase_verdict
-from .compress import (CompressError, DecompressError, add_goal_tail,
-                       dllite_query_min_size, dp_min_tree, edge_key,
-                       el_cq_min_treesize, equality_free_fold, extract_witness,
-                       goal_tail_size, min_heights, refutes,
+from .compress import (CompressError, CompressedStructure, DecompressError,
+                       add_goal_tail, dllite_query_min_size, dp_min_tree,
+                       edge_key, el_cq_min_treesize, equality_free_fold,
+                       extract_witness, goal_tail_size, min_heights, refutes,
                        tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
 from .deriver_sk import (BudgetExceeded, FiniteStructure,
@@ -231,10 +231,10 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     max_atoms = max(1000, budget.max_nodes // 4)
     # the equality-free fold, built at most once, when first asked, and the
     # value of its one search
-    fold: list[Optional[FiniteStructure]] = []
+    fold: list[Optional[CompressedStructure]] = []
     fold_value: Optional[int | float] = None
 
-    def folded() -> Optional[FiniteStructure]:
+    def folded() -> Optional[CompressedStructure]:
         if not fold:
             try:
                 fold.append(equality_free_fold(kb, ticker.deadline,
@@ -336,7 +336,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
 
 
 def _fold_value(q: BooleanCQ, budget: SearchBudget,
-                folded: Optional[FiniteStructure], strict_cg: bool,
+                folded: Optional[CompressedStructure], strict_cg: bool,
                 ticker: _Ticker, target: int | float) -> int | float:
     """A lower bound on every proof's cost, from one search over the
     equality-free fold (:func:`compress.equality_free_fold`) below
@@ -349,8 +349,9 @@ def _fold_value(q: BooleanCQ, budget: SearchBudget,
     """
     if folded is None:
         return 0
-    value, _, _, _, tripped = _search_at_depth(q, budget, folded, strict_cg,
-                                               ticker, target)
+    value, _, _, _, tripped = _search_at_depth(
+        folded.fold_query(q), budget, folded.structure, strict_cg, ticker,
+        target)
     return 0 if tripped else value
 
 

@@ -283,6 +283,61 @@ def test_a_query_without_a_match_in_the_fold_is_refuted(tmp_path, measure):
     assert run_cli("answer", str(path), expect=1).stdout.strip() == "no"
 
 
+_DEEP_CHAIN = "rule: A(x) -> exists y. r(x,y), A(y)\nfact: A(a)\n"
+
+
+def _skolem_chain(depth):
+    return "f_0(" * depth + "a" + ")" * depth
+
+
+def test_the_fold_does_not_refute_a_query_naming_a_skolem_term(tmp_path):
+    """f_0(...(a)) 5 deep is derived at depth 5; the fold reads it as its
+    placeholder c_f_0, so below that depth the run is left undecided."""
+    path = tmp_path / "deep.kb"
+    path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(5)})\n")
+    proc = run_cli("answer", str(path), "--depth-ceiling", "3", expect=2)
+    assert proc.stdout == "unknown\n"
+    proc = run_cli("explain", str(path), "--measure", "size",
+                   "--depth-ceiling", "3", expect=2)
+    assert proc.stdout == "exhausted\n"
+    # under a bound, the fold's optimum is asked for as a certificate
+    for measure in ("size", "tree", "domain"):
+        proc = run_cli("explain", str(path), "--measure", measure,
+                       "--algo", "exact", "--bound", "9", "--depth-ceiling",
+                       "3", expect=2)
+        assert proc.stdout == "exhausted\n"
+    proc = run_cli("answer", str(path), "--depth-ceiling", "8", expect=0)
+    assert proc.stdout == "yes, depth 5\n"
+    proc = run_cli("explain", str(path), "--measure", "size",
+                   "--depth-ceiling", "8", expect=0)
+    assert proc.stdout.splitlines()[0] == "size = 7 (exact)"
+    # a Skolem function no rule has names no element: still refuted
+    path.write_text(_DEEP_CHAIN + "query: A(f_1(a))\n")
+    assert run_cli("answer", str(path), "--depth-ceiling", "3",
+                   expect=1).stdout == "no\n"
+    assert run_cli("explain", str(path), "--depth-ceiling", "3",
+                   expect=1).stdout == "none\n"
+
+
+def test_a_query_naming_a_deep_skolem_term_does_not_crash(tmp_path):
+    path = tmp_path / "deep.kb"
+    path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(1100)})\n")
+    run_cli("answer", str(path), "--depth-ceiling", "3", expect=2)
+    run_cli("explain", str(path), "--depth-ceiling", "3", expect=2)
+
+
+def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, ex1_file):
+    missing = str(tmp_path / "missing.json")
+    for args in (("explain", missing), ("convert", missing, "--kb", ex1_file,
+                                        "--to", "cq"), ("export", missing)):
+        proc = run_cli(*args, expect=64)
+        assert proc.stderr == (f"error: cannot open {missing}: "
+                               "No such file or directory\n")
+    out = str(tmp_path / "no-such-dir" / "out.txt")
+    proc = run_cli("explain", ex1_file, "-o", out, expect=64)
+    assert out in proc.stderr
+
+
 def test_explain_json_marks_an_uncertified_optimum(tmp_path, ex1_file):
     path = tmp_path / "counter.kb"
     run_cli("gen", "hornalc-counter", "2", "-o", str(path), expect=0)

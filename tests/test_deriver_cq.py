@@ -1,5 +1,7 @@
 """Query-level schemas and the translations between proof formats."""
 
+import collections
+import hashlib
 import inspect
 import random
 import sys
@@ -7,23 +9,23 @@ import sys
 import pytest
 
 from conftest import EX1_TEXT
-from hornexplain.deriver_cq import (TransformError, _close_cq, _collect_steps,
-                                    _match_added, _Step, analyze_mpe,
-                                    check_edge_labels, conjunction_chain,
-                                    ee_apply, mpe_apply, te_rule,
-                                    transform_cq_to_sk, transform_sk_to_cq)
+from hornexplain.deriver_cq import (TransformError, _collect_steps, _Step,
+                                    analyze_mpe, check_edge_labels,
+                                    conjunction_chain, ee_apply, mpe_apply,
+                                    te_rule, transform_cq_to_sk,
+                                    transform_sk_to_cq)
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
-                                    gen_el_tree, gen_hornalc_counter)
+                                    gen_el_tree, gen_hornalc_counter,
+                                    gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
-                            RoleAtom, Var, atom_key, atom_vars,
+                            RoleAtom, Var, atom_key, atom_pred, atom_vars,
                             cq_equivalent, substitute_atom)
-from hornexplain.matching import AtomIndex, match_conjunction
+from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofBuilder,
                                 ProofEdge, ProofGraph, RuleLabel, Schema,
-                                TautRule,
-                                proof_size, tree_size, tree_unravel,
-                                validate_proof)
+                                TautRule, proof_size, proof_to_json,
+                                tree_size, tree_unravel, validate_proof)
 from hornexplain.search import RunConfig, explain
 
 A_ = Const("a")
@@ -321,10 +323,39 @@ def _reference_analyze_mpe(premise, rule, conclusion):
     for pi in match_conjunction(rule.body, AtomIndex(premise.atoms)):
         if not removed <= {substitute_atom(b, pi) for b in rule.body}:
             continue
-        assignment = _match_added(added, rule.head, pi, evars, taken)
+        assignment = _reference_match_added(added, rule.head, pi, evars,
+                                            taken)
         if assignment is not None:
             return pi, assignment
     return None
+
+
+def _reference_match_added(added, head, pi, evars, taken):
+    """Unify each added atom with a head atom's pi-image, backtracking, the
+    query's variables rigid and the existential ones bound to variables."""
+    rigid = {**pi, **{v: v for v in evars}}
+    patterns = [substitute_atom(h, rigid) for h in head]
+
+    def admissible(ext):
+        images = [t for k, t in ext.items() if k in evars]
+        if taken is not None and (len(set(images)) < len(images)
+                                  or not taken.isdisjoint(images)):
+            return False
+        return all(isinstance(t, Var) if k in evars else t == k
+                   for k, t in ext.items())
+
+    def backtrack(i, assignment):
+        if i == len(added):
+            return assignment
+        for pattern in patterns:
+            ext = unify_atom(pattern, added[i], assignment)
+            if ext is not None and admissible(ext):
+                result = backtrack(i + 1, ext)
+                if result is not None:
+                    return result
+        return None
+
+    return backtrack(0, {})
 
 
 def test_rule_application_cannot_rebind_query_variables():
@@ -399,9 +430,26 @@ def _random_atoms(rng, terms, count):
     return atoms
 
 
+def _seeding_case(premise, rule, conclusion):
+    """Which way analyze_mpe takes: the removed atoms seed the body match
+    only when the body's predicates are distinct."""
+    preds = [atom_pred(b) for b in rule.body]
+    if len(set(preds)) < len(preds):
+        return "repeated body predicates"
+    removed = [atom_pred(a) for a in premise.atom_set - conclusion.atom_set]
+    if not set(removed) <= set(preds):
+        return "removed atom outside the body's predicates"
+    if len(set(removed)) < len(removed):
+        return "two removed atoms of one predicate"
+    free = len(preds) - len(removed)
+    return ("all body atoms pinned", "one free")[free] if free < 2 \
+        else "two or more free"
+
+
 def test_analyze_mpe_agrees_with_matching_into_the_whole_premise():
-    """The narrowed match pool gives the same first (pi, assignment) as the
-    whole premise, on rule applications and on random conclusions."""
+    """Seeding the body match from the removed atoms gives the same first
+    (pi, assignment) as matching into the whole premise, on rule
+    applications and on random conclusions, in every seeding case."""
     rules = parse_kb(_POOL_RULES).tbox
     joined = te_rule((RoleAtom("r", X, Y), RoleAtom("s", Z, Y),
                       ConceptAtom("B", X)), [Y, Z])
@@ -411,7 +459,7 @@ def test_analyze_mpe_agrees_with_matching_into_the_whole_premise():
     b = Const("b")
     # B(a) is replaced and r, s stay free: the whole premise meets s(z, y)
     # first, a pool without the other B atoms meets B(x) and then r(a, y)
-    premise = _close_cq([
+    premise = BooleanCQ.closed([
         RoleAtom("r", A_, u[1]), RoleAtom("r", A_, u[2]),
         RoleAtom("r", b, u[3]), RoleAtom("r", b, A_),
         RoleAtom("s", b, u[1]), RoleAtom("s", A_, u[2]),
@@ -423,10 +471,12 @@ def test_analyze_mpe_agrees_with_matching_into_the_whole_premise():
     expected = _reference_analyze_mpe(premise, joined, conclusion)
     assert expected[0] == {X: A_, Y: u[2], Z: A_}
     assert analyze_mpe(premise, joined, conclusion) == expected
+    assert _seeding_case(premise, joined, conclusion) == "two or more free"
 
     terms = [A_, b] + u[1:4]
     rng = random.Random(20220830)
     outcomes = set()
+    cases = collections.Counter()
     for _ in range(3000):
         rule = rng.choice(rules)
         atoms = _random_atoms(rng, terms, rng.randint(0, 4))
@@ -435,7 +485,7 @@ def test_analyze_mpe_agrees_with_matching_into_the_whole_premise():
                      for v in atom_vars(a)}
             atoms += [substitute_atom(a, sigma) for a in rule.body]
         rng.shuffle(atoms)
-        premise = _close_cq(list(dict.fromkeys(atoms)))
+        premise = BooleanCQ.closed(list(dict.fromkeys(atoms)))
         if rng.random() < 0.8:
             pi = rng.choice(list(match_conjunction(
                 rule.body, AtomIndex(premise.atoms))))
@@ -445,12 +495,62 @@ def test_analyze_mpe_agrees_with_matching_into_the_whole_premise():
             keep = [i for i in range(len(rule.head)) if rng.random() < 0.8]
             conclusion = mpe_apply(premise, rule, pi, replace, keep)
         else:
-            conclusion = _close_cq(list(dict.fromkeys(
+            conclusion = BooleanCQ.closed(list(dict.fromkeys(
                 _random_atoms(rng, terms + u[4:], rng.randint(1, 6)))))
         expected = _reference_analyze_mpe(premise, rule, conclusion)
         assert analyze_mpe(premise, rule, conclusion) == expected
         outcomes.add(expected is None)
+        cases[_seeding_case(premise, rule, conclusion)] += 1
     assert outcomes == {True, False}
+    assert set(cases) == {
+        "all body atoms pinned", "one free", "two or more free",
+        "repeated body predicates",
+        "removed atom outside the body's predicates",
+        "two removed atoms of one predicate"}, cases
+
+
+_SAT_CQ = gen_sat_cq([[1, -2], [2, 3], [-1, -3]])
+
+# sha256 of the JSON of each translation and of its translation back
+_TRANSLATION_PINS = [
+    (gen_el_tree(4), Measure.SIZE, None, "sk", None,
+     "2be309d69a710282ee3680f77432ee0c554d5ba56c8594999d3e93ee38e26b53",
+     "ec130b1fd2fcb18a86ee6c9ae7cc459ffda7aabb7414ffc82821ac3ed4522b41"),
+    (gen_dllite_chain(20), Measure.SIZE, None, "sk", None,
+     "4e5158d3d166721660a35de28051931cd3fe189da1078062aa92819dc7f73792",
+     "a4ad4f2285a0c559e6e1615e1f79593ab932b9cfab57d2c2f73c7276033c2d7e"),
+    (gen_el_abox(10), Measure.DOMAIN_SIZE, None, "sk", None,
+     "e22c9207666203db5c0dbd496ba3440eb5997e2e8ed27b72a377b6c5e81e589f",
+     "5267f91b201d0167e3e244bf81d365a9bdb3bfad014beafe17ec077c23b07330"),
+    (gen_hornalc_counter(1), Measure.TREE_SIZE, 3, "sk", None,
+     "e1633e3e682e8c1b47a231fa559fc2b79d8478bd5e6bfed88a6c8af5b0459414",
+     "c7d7985ada07f75505618ec7f59a6b281a1ecfa9cb65d88e63290f0b5b804eac"),
+    (_SAT_CQ, Measure.TREE_SIZE, None, "cq", _SAT_CQ.bounds["cq_tree"],
+     "800b923333016ca76957dc9809f923b4a42e5b8e2237c8272737d27c41ef0229",
+     "f4ee476593c3d075ad9253b7db669b8622479c360c92f3beb4ba428b5d54c1b7"),
+]
+
+
+@pytest.mark.parametrize("inst,measure,ceiling,deriver,bound,there,back",
+                         _TRANSLATION_PINS,
+                         ids=["el-tree-4-size", "dllite-chain-20-size",
+                              "el-abox-10-domain", "counter-1-tree-c3",
+                              "sat-cq"])
+def test_translations_are_byte_identical_to_the_pinned_ones(
+        inst, measure, ceiling, deriver, bound, there, back):
+    result = explain(inst.kb, inst.query, RunConfig(
+        measure=measure, algo="exact" if deriver == "sk" else "auto",
+        deriver=deriver, depth_ceiling=ceiling, bound=bound))
+    assert result.status == "found"
+    steps = [transform_sk_to_cq, transform_cq_to_sk]
+    if deriver == "cq":
+        steps.reverse()
+    proof, digests = result.proof, []
+    for transform in steps:
+        proof = transform(proof, inst.kb)
+        text = proof_to_json(proof, inst.query)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == [there, back]
 
 
 # ---------------------------------------------------------------------------
