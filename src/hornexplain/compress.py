@@ -49,17 +49,17 @@ class CompressedStructure:
         return frozenset(c.name for c in self.placeholders.values())
 
     def fold_query(self, q: BooleanCQ) -> BooleanCQ:
-        """The query with each Skolem term ``f(t)`` read as f's placeholder,
-        as the structure reads the universal model: a match of the query
-        there maps onto a match of this query here.  A term of a function
-        no rule has stays, and matches nothing."""
-        def fold_term(t: Term) -> Term:
-            if isinstance(t, SkolemTerm):
-                return self.placeholders.get(t.fn, t)
-            return t
+        """The query read as the structure reads the universal model: a
+        match of the query there maps onto a match of this query here.  A
+        term of a function no rule has stays, and matches nothing."""
+        return BooleanCQ(tuple(_fold_atom(a, self.placeholders)
+                               for a in q.atoms), q.existential_vars)
 
-        return BooleanCQ(tuple(map_atom_terms(a, fold_term) for a in q.atoms),
-                         q.existential_vars)
+
+def _fold_atom(a: Atom, placeholders: dict[str, Const]) -> Atom:
+    """The atom with each Skolem term ``f(t)`` read as f's placeholder."""
+    return map_atom_terms(a, lambda t: placeholders.get(t.fn, t)
+                          if isinstance(t, SkolemTerm) else t)
 
 
 def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
@@ -80,8 +80,7 @@ def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
             taken.add(name)
             fresh[base] = Const(name)
         placeholders[rule.fn] = fresh[base]
-        head = tuple(map_atom_terms(a, lambda t: fresh[base] if isinstance(
-            t, SkolemTerm) else t) for a in rule.head)
+        head = tuple(_fold_atom(a, placeholders) for a in rule.head)
         compressed.append(SkolemRule(rule.body, head, rule.normal_form,
                                      rule.index, rule.fn))
     structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
