@@ -16,7 +16,7 @@ from .compress import equality_free_fold, refutes
 from .deriver_sk import BudgetExceeded, default_depth_ceiling, saturate_kb
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, SkolemTerm,
                  Term, Var, atom_key, map_atom_terms, orient_equality,
-                 skolemize, substitute_atom, term_key)
+                 substitute_atom, term_key)
 from .matching import AtomIndex, match_conjunction
 from .proofs import AtomLabel
 
@@ -83,7 +83,7 @@ def chase(kb: KnowledgeBase, depth_bound: int,
     closed = all(
         concl.lhs == concl.rhs if isinstance(concl, EqAtom)
         else concl in atoms
-        for rule in skolemize(kb.tbox)
+        for rule in kb.skolem_rules
         for subst in match_conjunction(rule.body, index)
         for concl in (map_atom_terms(substitute_atom(h, subst), resolve)
                       for h in rule.head))

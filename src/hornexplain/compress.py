@@ -2,13 +2,14 @@
 built on them.
 
 Anonymous chase elements are folded into finitely many placeholder
-individuals: one per (possibly inverse) role for the DL-Lite variant, one
-per Skolem function for the EL variant.  Proofs found over the compressed
-structure are unfolded onto real Skolem terms from the goal down
-(:func:`decompress`); an optimum that conflates witnesses of different
-origins has no unfolding and is rejected rather than silently accepted.
-The EL variant (the fold) also bounds the exact search from below, for any
-fragment: see :func:`equality_free_fold`.
+individuals, one per Skolem function (:func:`fold`).  Two polynomial
+routes read the fold: the cost-graph algorithm for tree-shaped queries over
+DL-Lite (:func:`cost_graph`) and the cheapest-match enumeration for EL and
+DL-Lite (:func:`el_cq_min_treesize`).  Proofs found over the fold are
+unfolded onto real Skolem terms from the goal down (:func:`decompress`); an
+optimum that conflates witnesses of different origins has no unfolding and
+is rejected rather than silently accepted.  The fold also bounds the exact
+search from below, for any fragment: see :func:`equality_free_fold`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
-                 RoleAtom, SkolemRule, SkolemTerm, Term, Var, atom_pred,
-                 atom_terms, gaifman_graph, is_tree_shaped, map_atom_terms,
-                 skolemize, substitute_atom, term_key)
+                 SkolemRule, SkolemTerm, Term, Var, atom_pred, atom_terms,
+                 gaifman_graph, is_tree_shaped, map_atom_terms,
+                 substitute_atom, term_key)
 from .matching import match_conjunction
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
@@ -39,7 +40,6 @@ class DecompressError(KBError):
 @dataclass
 class CompressedStructure:
     structure: FiniteStructure
-    variant: str                      # "dllite" | "el"
     # Skolem function -> the placeholder individual its terms fold onto
     placeholders: dict[str, Const]
 
@@ -62,49 +62,6 @@ def _fold_atom(a: Atom, placeholders: dict[str, Const]) -> Atom:
                           if isinstance(t, SkolemTerm) else t)
 
 
-def _compress(kb: KnowledgeBase, name_for_rule, variant: str,
-              deadline: Optional[float], max_atoms: Optional[int] = None
-              ) -> CompressedStructure:
-    taken = set(kb.signature.individual_names)
-    fresh: dict[str, Const] = {}
-    placeholders: dict[str, Const] = {}
-    compressed: list[SkolemRule] = []
-    for rule in skolemize(kb.tbox):
-        if rule.fn is None:
-            compressed.append(rule)
-            continue
-        base = name = name_for_rule(rule)
-        if base not in fresh:
-            while name in taken:
-                name = "_" + name
-            taken.add(name)
-            fresh[base] = Const(name)
-        placeholders[rule.fn] = fresh[base]
-        head = tuple(_fold_atom(a, placeholders) for a in rule.head)
-        compressed.append(SkolemRule(rule.body, head, rule.normal_form,
-                                     rule.index, rule.fn))
-    structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
-                         max_atoms=max_atoms, deadline=deadline)
-    return CompressedStructure(structure, variant, placeholders)
-
-
-def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
-                    ) -> CompressedStructure:
-    """Placeholder pool: one individual per (possibly inverse) role."""
-    if kb.fragment != Fragment.DLLiteR:
-        raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
-                            "this construction needs dl-lite-r")
-
-    def name_for_rule(rule: SkolemRule) -> str:
-        role_atom = next(a for a in rule.head if isinstance(a, RoleAtom))
-        # the placeholder stands for the witness object of the head role atom
-        if isinstance(role_atom.obj, SkolemTerm):
-            return f"b_ex_{role_atom.role}_inv"
-        return f"b_ex_{role_atom.role}"
-
-    return _compress(kb, name_for_rule, "dllite", deadline)
-
-
 def fold(kb: KnowledgeBase, deadline: Optional[float] = None,
          max_atoms: Optional[int] = None) -> CompressedStructure:
     """Placeholder pool: one individual ``c_f`` per Skolem function ``f``,
@@ -113,8 +70,33 @@ def fold(kb: KnowledgeBase, deadline: Optional[float] = None,
     Reading every term ``f(t)`` as ``c_f`` maps each rule application of
     the universal model onto one of the fold's.
     """
-    return _compress(kb, lambda rule: f"c_{rule.fn}", "el", deadline,
-                     max_atoms)
+    taken = set(kb.signature.individual_names)
+    placeholders: dict[str, Const] = {}
+    compressed: list[SkolemRule] = []
+    for rule in kb.skolem_rules:
+        if rule.fn is None:
+            compressed.append(rule)
+            continue
+        name = f"c_{rule.fn}"
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        placeholders[rule.fn] = Const(name)
+        head = tuple(_fold_atom(a, placeholders) for a in rule.head)
+        compressed.append(SkolemRule(rule.body, head, rule.normal_form,
+                                     rule.index, rule.fn))
+    structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
+                         max_atoms=max_atoms, deadline=deadline)
+    return CompressedStructure(structure, placeholders)
+
+
+def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
+                    ) -> CompressedStructure:
+    """The fold of a DL-Lite knowledge base."""
+    if kb.fragment != Fragment.DLLiteR:
+        raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
+                            "this construction needs dl-lite-r")
+    return fold(kb, deadline)
 
 
 def compress_el(kb: KnowledgeBase, deadline: Optional[float] = None
@@ -196,7 +178,7 @@ class _Unfold:
                  deadline: Optional[float]):
         self.structure, self.fresh = comp.structure, comp.fresh_consts
         self.values, self.chosen, self.deadline = values, chosen, deadline
-        self.rules = skolemize(kb.tbox)
+        self.rules = kb.skolem_rules
         self.bodies = [list(map(atom_terms, r.body)) for r in self.rules]
         self.heads = [{atom_pred(h): h for h in r.head} for r in self.rules]
         self.memo: dict[tuple, tuple | bool] = {}
@@ -517,18 +499,12 @@ def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
 
 @dataclass
 class CostGraph:
-    """Assignment graph over a tree-shaped query.
-
-    Nodes map query terms to constants of the compressed structure; an edge
-    connects assignments of Gaifman-adjacent terms, oriented from the root
-    toward the leaves, and costs the atoms living on that term pair.
-    """
+    """The cheapest assignment of a tree-shaped query's terms to constants
+    of the compressed structure, over the query's Gaifman tree."""
 
     root: Term
     order: list[Term]                      # root first
     children: dict[Term, list[Term]]
-    node_cost: dict[tuple[Term, Const], float]
-    edge_cost: dict[tuple[tuple[Term, Const], tuple[Term, Const]], float]
     chosen: dict[Term, Const] = field(default_factory=dict)
     total: float = _INF
 
@@ -551,101 +527,83 @@ def _gaifman_tree(q: BooleanCQ) -> tuple[Term, list[Term], dict[Term, list[Term]
     return root, order, children
 
 
-def build_cost_graph(comp: CompressedStructure, q: BooleanCQ,
-                     values: dict[int, float]) -> CostGraph:
-    """Per-atom minimal proof costs aggregated over term assignments.
+def cost_graph(comp: CompressedStructure, q: BooleanCQ,
+               values: dict[int, int | float]) -> CostGraph:
+    """The assignment of least summed tree-size value, in one leaf-up pass
+    over the Gaifman tree (the cost-graph algorithm).
 
-    Unary atoms (and atoms whose two positions carry the same term) are
-    charged to the node of their term; binary atoms are charged to the edge
-    of their term pair.
+    Each term keeps, per constant, the least cost of its subtree.  A unary
+    atom (or one whose two positions carry the same term) is priced with
+    its term, a binary atom with the child of its term pair, each when it
+    is needed.  Ties go to the least constant per child and, at the root,
+    to the least cost, then :func:`term_key`.
     """
     root, order, children = _gaifman_tree(q)
     constants = sorted({t for a in comp.structure.index.atoms
                         for t in atom_terms(a)}, key=term_key)
+    label_ids = comp.structure.label_ids
+    on: dict[frozenset[Term], list[Atom]] = {}
+    for a in q.atoms:
+        on.setdefault(frozenset(atom_terms(a)), []).append(a)
 
-    def atom_cost(atom: Atom, assignment: dict[Term, Const]) -> float:
-        subst = {t: c for t, c in assignment.items() if isinstance(t, Var)}
-        ground = substitute_atom(atom, subst)
-        vid = comp.structure.label_ids.get(AtomLabel(ground))
-        if vid is None:
-            return _INF
-        return values[vid]
+    def cost(terms: frozenset[Term], sigma: dict[Term, Const]) -> int | float:
+        total = 0
+        for a in on.get(terms, ()):
+            vid = label_ids.get(AtomLabel(substitute_atom(a, sigma)))
+            if vid is None:
+                return _INF
+            total += values[vid]
+        return total
 
-    def candidates(term: Term) -> list[Const]:
-        if isinstance(term, Const):
-            return [term]
-        return constants
+    # term -> constant -> least finite cost of the term's subtree, in
+    # term_key order of the constants
+    below: dict[Term, dict[Const, int]] = {}
 
-    node_cost: dict[tuple[Term, Const], float] = {}
-    for t in order:
-        own_atoms = [a for a in q.atoms if set(atom_terms(a)) == {t}]
-        for c in candidates(t):
-            node_cost[(t, c)] = sum(atom_cost(a, {t: c}) for a in own_atoms)
+    def best_child(t: Term, c: Const, child: Term
+                   ) -> tuple[int | float, Optional[Const]]:
+        best, pick = _INF, None
+        pair = frozenset((t, child))
+        for cc, rest in below[child].items():
+            if rest < best:
+                got = rest + cost(pair, {t: c, child: cc})
+                if got < best:
+                    best, pick = got, cc
+        return best, pick
 
-    edge_cost: dict[tuple[tuple[Term, Const], tuple[Term, Const]], float] = {}
-    for t in order:
-        for child in children[t]:
-            pair_atoms = [a for a in q.atoms
-                          if set(atom_terms(a)) == {t, child}]
-            for c1 in candidates(t):
-                for c2 in candidates(child):
-                    cost = sum(atom_cost(a, {t: c1, child: c2})
-                               for a in pair_atoms)
-                    edge_cost[((t, c1), (child, c2))] = cost
-    return CostGraph(root, order, children, node_cost, edge_cost)
-
-
-def eliminate_cost_graph(graph: CostGraph) -> CostGraph:
-    """Leaf-up elimination keeping one minimal edge per (assignment, child
-    term); ties go to the lexicographically least constant."""
-    below: dict[tuple[Term, Const], float] = {}
-    best_child: dict[tuple[Term, Const, Term], Const] = {}
-
-    def cands(term: Term) -> list[Const]:
-        return sorted({c for (t, c) in graph.node_cost if t == term},
-                      key=term_key)
-
-    for t in reversed(graph.order):
-        for c in cands(t):
-            total = graph.node_cost[(t, c)]
-            for child in graph.children[t]:
-                best = _INF
-                best_c = None
-                for cc in cands(child):
-                    e = graph.edge_cost.get(((t, c), (child, cc)), _INF)
-                    combined = e + below[(child, cc)]
-                    if combined < best:
-                        best, best_c = combined, cc
-                if best_c is None or best == _INF:
-                    total = _INF
+    for t in reversed(order):
+        own = frozenset((t,))
+        row = below[t] = {}
+        for c in [t] if isinstance(t, Const) else constants:
+            total = cost(own, {t: c})
+            for child in children[t]:
+                if total == _INF:
                     break
-                total += best
-                best_child[(t, c, child)] = best_c
-            below[(t, c)] = total
+                total += best_child(t, c, child)[0]
+            if total < _INF:
+                row[c] = total
 
-    root_cands = cands(graph.root)
-    if not root_cands:
-        graph.total = _INF
-        return graph
-    best_root = min(root_cands, key=lambda c: (below[(graph.root, c)],
-                                               term_key(c)))
-    graph.total = below[(graph.root, best_root)]
-    if graph.total == _INF:
-        return graph
-    graph.chosen = {graph.root: best_root}
-    queue = [graph.root]
-    while queue:
-        t = queue.pop(0)
-        for child in graph.children[t]:
-            graph.chosen[child] = best_child[(t, graph.chosen[t], child)]
-            queue.append(child)
+    graph = CostGraph(root, order, children)
+    if below[root]:
+        best_root = min(below[root], key=below[root].__getitem__)
+        graph.total = below[root][best_root]
+        graph.chosen = {root: best_root}
+        for t in order:
+            for child in children[t]:
+                graph.chosen[child] = best_child(t, graph.chosen[t], child)[1]
     return graph
+
+
+def _reject_skolem_terms(q: BooleanCQ) -> None:
+    """The routes match the query against placeholders, where no Skolem
+    term survives: a query naming one is left to the exact search."""
+    if any(isinstance(t, SkolemTerm) for a in q.atoms for t in atom_terms(a)):
+        raise CompressError("query names a Skolem term, which the "
+                            "compressed structure folds away")
 
 
 def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                             strict_cg: bool = False,
-                            deadline: Optional[float] = None
-                            ) -> tuple[ProofGraph, CostGraph]:
+                            deadline: Optional[float] = None) -> ProofGraph:
     """Minimal-tree-size proof for a tree-shaped query over DL-Lite.
 
     It is the size route as well (``dllite_query_min_size``): per-atom
@@ -654,15 +612,16 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
+    _reject_skolem_terms(q)
     comp = compress_dllite(kb, deadline)
     values, chosen = dp_min_tree(comp.structure)
-    graph = eliminate_cost_graph(build_cost_graph(comp, q, values))
+    graph = cost_graph(comp, q, values)
     if graph.total == _INF:
         raise CompressError("query is not entailed: no assignment is "
                             "derivable in the compressed structure")
     assignment = {t: c for t, c in graph.chosen.items() if isinstance(t, Var)}
     return decompress(comp, kb, q, values, chosen, [assignment], strict_cg,
-                      deadline), graph
+                      deadline)
 
 
 dllite_query_min_size = tree_query_min_treesize
@@ -679,6 +638,7 @@ def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     compressed structure that unfolds (:func:`decompress`).  When none
     does, DecompressError: the compressed value then lies below every real
     proof, and the exact search has to settle the optimum."""
+    _reject_skolem_terms(q)
     comp = compress_el(kb, deadline)
     values, chosen = dp_min_tree(comp.structure)
     ranked = rank_matches(comp.structure, values, q)

@@ -21,8 +21,7 @@ from .deriver_sk import _replace_top_level
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
                  Rule, SkolemRule, SkolemTerm, Term, Var, atom_key, atom_pred,
                  atom_terms, atom_vars, cq_equivalent, map_atom_terms,
-                 skolemize, substitute_atom, subterms, term_is_ground,
-                 term_key)
+                 substitute_atom, subterms, term_is_ground, term_key)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
@@ -734,7 +733,7 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     grounding), tautology applications collapse, and the needed atoms are
     re-derived backward from the goal instance.
     """
-    sk_rules = skolemize(kb.tbox)
+    sk_rules = kb.skolem_rules
     inc = p.incoming()
     grounding: dict[int, dict[Var, Term]] = {}
     ground_sets = _GroundSets(p, grounding)

@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule, Term,
                  atom_is_ground, atom_key, atom_pred, atom_terms,
-                 map_atom_terms, orient_equality, skolemize, substitute_atom,
-                 term_depth)
+                 map_atom_terms, orient_equality, substitute_atom, term_depth)
 from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
                      RuleLabel, Schema)
@@ -53,7 +52,7 @@ def _replacements(eqs: Iterable[Atom],
 
 def leaf_labels(kb: KnowledgeBase) -> set[Label]:
     out: set[Label] = {AtomLabel(a) for a in kb.abox}
-    out |= {RuleLabel(r) for r in skolemize(kb.tbox)}
+    out |= {RuleLabel(r) for r in kb.skolem_rules}
     return out
 
 
@@ -81,7 +80,7 @@ def _check_mp(premises, conclusion, kb) -> Optional[str]:
     rule = premises[-1].rule
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
-    sk_rules = skolemize(kb.tbox)
+    sk_rules = kb.skolem_rules
     if not (0 <= rule.index < len(sk_rules) and sk_rules[rule.index] == rule):
         return "rule is not from the TBox"
     atom_premises = premises[:-1]
@@ -331,10 +330,12 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
 def saturate_kb(kb: KnowledgeBase, depth_bound: int,
                 max_atoms: Optional[int] = None,
                 deadline: Optional[float] = None) -> FiniteStructure:
-    return saturate(kb.abox, skolemize(kb.tbox), depth_bound,
+    return saturate(kb.abox, kb.skolem_rules, depth_bound,
                     max_atoms=max_atoms, deadline=deadline)
 
 
 def default_depth_ceiling(kb: KnowledgeBase, q: BooleanCQ) -> int:
-    # polynomial in the TBox and query; enough slack for the small families
-    return max(4, len(kb.tbox) * (len(q.atoms) + 1) + 2)
+    # polynomial in the TBox and query; enough slack for the small families,
+    # and never below the depth of a Skolem term the query names
+    return max(4, len(kb.tbox) * (len(q.atoms) + 1) + 2,
+               *(term_depth(t) for a in q.atoms for t in atom_terms(a)))

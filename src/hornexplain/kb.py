@@ -575,18 +575,8 @@ def skolem_fn_name(rule_index: int) -> str:
     return f"f_{rule_index}"
 
 
-# id(tbox) -> (tbox, its Skolem rules).  Keyed by identity: hashing a TBox
-# hashes every rule again.  Holding the tbox keeps its id from being reused.
-_SKOLEMIZE_CACHE: dict[int, tuple[tuple[Rule, ...],
-                                  tuple[SkolemRule, ...]]] = {}
-
-
 def skolemize(tbox: Iterable[Rule]) -> tuple[SkolemRule, ...]:
     """One Skolem rule per rule; functions are named by rule position."""
-    tbox = tuple(tbox)
-    cached = _SKOLEMIZE_CACHE.get(id(tbox))
-    if cached is not None:
-        return cached[1]
     out = []
     for i, rule in enumerate(tbox):
         if rule.existential_vars:
@@ -597,11 +587,7 @@ def skolemize(tbox: Iterable[Rule]) -> tuple[SkolemRule, ...]:
             out.append(SkolemRule(rule.body, head, rule.normal_form, i, fn))
         else:
             out.append(SkolemRule(rule.body, rule.head, rule.normal_form, i))
-    if len(_SKOLEMIZE_CACHE) > 256:
-        _SKOLEMIZE_CACHE.clear()
-    result = tuple(out)
-    _SKOLEMIZE_CACHE[id(tbox)] = (tbox, result)
-    return result
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +649,11 @@ class KnowledgeBase:
         for i, rule in enumerate(self.tbox):
             index.setdefault(rule, i)
         return index
+
+    @cached_property
+    def skolem_rules(self) -> tuple[SkolemRule, ...]:
+        """The TBox's Skolem rules (:func:`skolemize`)."""
+        return skolemize(self.tbox)
 
 
 def make_kb(tbox: Iterable[Rule], abox: Iterable[Atom]) -> KnowledgeBase:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .chase import _chase_verdict
 from .compress import (CompressError, CompressedStructure, DecompressError,
@@ -223,7 +223,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     to the structural bounds.
     """
     if deriver == "cq":
-        return bounded_search_cq(kb, q, budget, strict_cg=strict_cg)
+        return bounded_search_cq(kb, q, budget)
     if deriver != "sk":
         raise ValueError(f"unknown deriver {deriver!r}")
 
@@ -519,8 +519,8 @@ def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
 # Query-level search (no domain size here)
 # ---------------------------------------------------------------------------
 
-def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
-                      strict_cg: bool = False) -> ExplainResult:
+def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
+                      ) -> ExplainResult:
     """Bounded search over whole-query proofs.
 
     Exact for rule-free knowledge bases, where every proof collects facts
@@ -724,27 +724,20 @@ class RunConfig:
                             self.max_seconds)
 
 
-
-def _poly_applicable(kb: KnowledgeBase, q: BooleanCQ, m: Measure) -> bool:
+def _poly_route(kb: KnowledgeBase, q: BooleanCQ, m: Measure
+                ) -> Optional[tuple[Callable[..., ProofGraph], str]]:
+    """The polynomial route for the fragment, query shape and measure, and
+    its algorithm name; None where there is none."""
     if m is Measure.DOMAIN_SIZE:
-        return False
+        return None
     if kb.fragment == Fragment.DLLiteR and is_tree_shaped(q):
-        return True
-    return m is Measure.TREE_SIZE and kb.fragment in (Fragment.EL,
-                                                      Fragment.DLLiteR)
-
-
-def _run_poly(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
-              deadline: float) -> tuple[ProofGraph, str]:
-    if kb.fragment == Fragment.DLLiteR and is_tree_shaped(q):
-        if config.measure is Measure.SIZE:
-            proof, _ = dllite_query_min_size(kb, q, config.strict_cg,
-                                             deadline)
-            return proof, "poly-dllite-size"
-        proof, _ = tree_query_min_treesize(kb, q, config.strict_cg, deadline)
-        return proof, "poly-dllite-tree"
-    proof = el_cq_min_treesize(kb, q, config.strict_cg, deadline)
-    return proof, "poly-el-tree"
+        if m is Measure.SIZE:
+            return dllite_query_min_size, "poly-dllite-size"
+        return tree_query_min_treesize, "poly-dllite-tree"
+    if m is Measure.TREE_SIZE and kb.fragment in (Fragment.EL,
+                                                  Fragment.DLLiteR):
+        return el_cq_min_treesize, "poly-el-tree"
+    return None
 
 
 def explain(kb: KnowledgeBase, q: BooleanCQ,
@@ -756,23 +749,24 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
     if config.deriver == "cq" and config.measure is Measure.DOMAIN_SIZE:
         raise ValueError("domain size is not defined for query-level proofs")
 
-    use_poly = False
+    route = None
     if config.deriver == "sk" and config.algo == "poly":
-        use_poly = _poly_applicable(kb, q, config.measure)
-        if not use_poly:
+        route = _poly_route(kb, q, config.measure)
+        if route is None:
             warnings.append("polynomial algorithm preconditions not met "
                             "(fragment, query shape, or measure); falling "
                             "back to exact search")
-    elif config.deriver == "sk" and config.algo == "auto":
+    elif config.deriver == "sk" and config.algo == "auto" \
+            and config.measure is Measure.TREE_SIZE:
         # tree size has dedicated polynomial routes; size and domain size
         # default to the exact search
-        use_poly = (config.measure is Measure.TREE_SIZE
-                    and _poly_applicable(kb, q, config.measure))
+        route = _poly_route(kb, q, config.measure)
 
-    if use_poly:
+    if route is not None:
+        run, algo = route
         try:
-            proof, algo = _run_poly(kb, q, config,
-                                    time.monotonic() + config.max_seconds)
+            proof = run(kb, q, config.strict_cg,
+                        time.monotonic() + config.max_seconds)
             value = measure(proof, config.measure).value
             # the size route minimizes tree size: where premises are shared,
             # a smaller proof can exist, so its value only bounds the

@@ -89,7 +89,7 @@ def test_criterion_2_oracle_equivalence():
     checked = 0
     for inst in _criterion2_instances():
         if inst.family.startswith("dllite"):
-            poly_tree, _ = tree_query_min_treesize(inst.kb, inst.query)
+            poly_tree = tree_query_min_treesize(inst.kb, inst.query)
             exact_tree = bounded_search(inst.kb, inst.query,
                                         SearchBudget(Measure.TREE_SIZE))
             assert exact_tree.status == "found"
@@ -97,7 +97,7 @@ def test_criterion_2_oracle_equivalence():
             ok, problems = validate_proof(poly_tree, inst.kb, inst.query, "sk")
             assert ok, (inst.family, problems)
 
-            poly_size, _ = dllite_query_min_size(inst.kb, inst.query)
+            poly_size = dllite_query_min_size(inst.kb, inst.query)
             exact_size = bounded_search(inst.kb, inst.query,
                                         SearchBudget(Measure.SIZE))
             assert proof_size(poly_size) == exact_size.value, inst.family
@@ -198,7 +198,7 @@ def test_criterion_4_growth_classes():
     for shape in ("path", "unary"):
         for n in range(2, 9):
             inst = gen_dllite_chain(n, shape)
-            proof, _ = tree_query_min_treesize(inst.kb, inst.query)
+            proof = tree_query_min_treesize(inst.kb, inst.query)
             assert tree_size(proof) <= 4 * n ** 3, (shape, n)
 
     # qualified-existential towers: at least 1.8x per level

@@ -319,6 +319,33 @@ def test_the_fold_does_not_refute_a_query_naming_a_skolem_term(tmp_path):
                    expect=1).stdout == "none\n"
 
 
+def test_a_query_naming_a_skolem_term_is_answered_without_a_ceiling(
+        tmp_path, capsys):
+    """The default depth ceiling reaches the query's own term depth, and
+    the polynomial routes, which would read f_0(...) as a placeholder,
+    leave the query to the exact search instead of calling it unentailed."""
+    from hornexplain import cli
+
+    path = tmp_path / "deep.kb"
+    path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(5)})\n")
+    assert cli.main(["answer", str(path)]) == 0
+    assert capsys.readouterr().out == "yes, depth 5\n"
+    for measure, value in (("size", 7), ("tree", 11), ("domain", 6)):
+        assert cli.main(["explain", str(path), "--measure", measure]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[0] == f"{measure} = {value} (exact)"
+        assert out.err == ("" if measure != "tree" else
+                           "warning: query names a Skolem term, which the "
+                           "compressed structure folds away\n")
+    assert cli.main(["explain", str(path), "--measure", "tree", "--algo",
+                     "poly"]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[0] == "tree = 11 (exact)"
+    assert out.err == ("warning: polynomial algorithm failed: query names "
+                       "a Skolem term, which the compressed structure folds "
+                       "away; falling back to exact search\n")
+
+
 def test_a_query_naming_a_deep_skolem_term_does_not_crash(tmp_path):
     path = tmp_path / "deep.kb"
     path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(1100)})\n")

@@ -9,18 +9,19 @@ import pytest
 from hornexplain.chase import chase, entails
 from hornexplain.compress import (CompressError, DecompressError,
                                   add_goal_tail, compress_dllite, compress_el,
-                                  decompress, dllite_query_min_size,
+                                  cost_graph, decompress, dllite_query_min_size,
                                   dp_min_tree, el_cq_min_treesize,
                                   equality_free_fold, extract_witness,
                                   goal_tail_size, rank_matches, refutes,
                                   tree_query_min_treesize)
 from hornexplain.deriver_sk import default_depth_ceiling, saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
-                                    gen_el_abox, gen_el_tree,
-                                    gen_hornalc_counter, gen_sat, gen_sat_cq)
+                                    gen_dllite_tree_query, gen_el_abox,
+                                    gen_el_tree, gen_hornalc_counter,
+                                    gen_sat, gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment,
                             RoleAtom, SkolemTerm, Var, atom_terms,
-                            substitute_atom)
+                            is_tree_shaped, substitute_atom)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
@@ -241,8 +242,8 @@ def test_compress_dllite_bullet_rules():
                   "rule: P(x,y) -> C(x)\n"
                   "fact: A(a)\nfact: P(a,b)\n")
     comp = compress_dllite(kb)
-    assert comp.variant == "dllite"
-    witness_obj = Const("b_ex_P_inv")
+    assert comp.placeholders == {"f_0": Const("c_f_0")}
+    witness_obj = Const("c_f_0")
     assert comp.structure.has_atom(RoleAtom("P", Const("a"), witness_obj))
     assert comp.structure.has_atom(RoleAtom("Q", Const("a"), Const("b")))
     assert comp.structure.has_atom(ConceptAtom("C", Const("a")))
@@ -310,10 +311,15 @@ def test_decompress_without_fresh_names_is_identity_shaped():
         == {str(l) for l in witness.vertices.values()}
 
 
+def _cost_graph(kb, q):
+    comp = compress_dllite(kb)
+    return cost_graph(comp, q, dp_min_tree(comp.structure)[0])
+
+
 def test_tree_query_optimum_matches_brute_force():
     for n in (0, 1, 2, 3):
         inst = gen_dllite_chain(n)
-        proof, graph = tree_query_min_treesize(inst.kb, inst.query)
+        proof = tree_query_min_treesize(inst.kb, inst.query)
         ok, problems = validate_proof(proof, inst.kb, inst.query, "sk")
         assert ok, problems
         out = bounded_search(inst.kb, inst.query,
@@ -323,8 +329,8 @@ def test_tree_query_optimum_matches_brute_force():
 
 def test_tree_query_single_atom_reduces_to_plain_minimum():
     inst = gen_dllite_chain(2, "unary")
-    proof, graph = tree_query_min_treesize(inst.kb, inst.query)
-    assert len(graph.order) == 1
+    proof = tree_query_min_treesize(inst.kb, inst.query)
+    assert len(_cost_graph(inst.kb, inst.query).order) == 1
     out = bounded_search(inst.kb, inst.query, SearchBudget(Measure.TREE_SIZE))
     assert tree_size(proof) == out.value
 
@@ -334,8 +340,9 @@ def test_tree_query_tie_break_is_deterministic():
                   "fact: A_0(c1)\nfact: A_0(c2)\n")
     doc = parse_document("fact: A_0(c1)\nquery: exists x. A(x)\n")
     q = doc.queries[0]
-    proof1, graph1 = tree_query_min_treesize(kb, q)
-    proof2, graph2 = tree_query_min_treesize(kb, q)
+    proof1 = tree_query_min_treesize(kb, q)
+    proof2 = tree_query_min_treesize(kb, q)
+    graph1, graph2 = _cost_graph(kb, q), _cost_graph(kb, q)
     assert graph1.chosen == graph2.chosen
     assert graph1.chosen[Var("x")] == Const("c1")  # lexicographic tie-break
     assert tree_size(proof1) == tree_size(proof2)
@@ -351,9 +358,105 @@ def test_tree_query_rejects_cyclic_queries():
 def test_dllite_size_route_agrees_with_exact():
     for n in (0, 1, 2):
         inst = gen_dllite_chain(n)
-        proof, _ = dllite_query_min_size(inst.kb, inst.query)
+        proof = dllite_query_min_size(inst.kb, inst.query)
         out = bounded_search(inst.kb, inst.query, SearchBudget(Measure.SIZE))
         assert proof_size(proof) == out.value
+
+
+def test_the_two_polynomial_routes_give_the_same_proof():
+    """Over DL-Lite, the cost graph and the cheapest-match enumeration read
+    the same fold and unfold the same assignment."""
+    cases = [gen_dllite_chain(n, shape) for n in range(9)
+             for shape in ("path", "unary")]
+    cases += [gen_dllite_tree_query(k, seed) for k in (3, 5, 8)
+              for seed in range(40)]
+    for inst in cases:
+        kb, q = inst.kb, inst.query
+        assert proof_to_json(tree_query_min_treesize(kb, q), q) \
+            == proof_to_json(el_cq_min_treesize(kb, q), q), \
+            (inst.family, inst.parameter)
+
+
+DLLITE_TEMPLATES = [
+    "rule: {A}(x) -> {B}(x)",
+    "rule: {A}(x) -> exists y. {r}(x,y)",
+    "rule: {A}(x) -> exists y. {r}(y,x)",
+    "rule: {r}(x,y) -> {A}(x)",
+    "rule: {r}(x,y) -> {A}(y)",
+    "rule: {r}(x,y) -> {s}(x,y)",
+    "rule: {r}(x,y) -> {s}(y,x)",
+]
+
+
+def _random_dllite_kb(rng):
+    """Rules over P, Q, R and u, v, existential ones included, and facts
+    over d and e."""
+    lines = [rng.choice(DLLITE_TEMPLATES).format(
+        A=rng.choice("PQR"), B=rng.choice("PQR"), r=rng.choice("uv"),
+        s=rng.choice("uv")) for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            lines.append(f"fact: {rng.choice('PQR')}({rng.choice('de')})")
+        else:
+            lines.append(f"fact: {rng.choice('uv')}"
+                         f"({rng.choice('de')},{rng.choice('de')})")
+    return parse_kb("\n".join(dict.fromkeys(lines)) + "\n")
+
+
+def test_the_cost_graph_total_is_the_least_match_total():
+    """On random DL-Lite knowledge bases and tree-shaped queries, with and
+    without a match in the fold."""
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 200:
+        kb = _random_dllite_kb(rng)
+        comp = compress_dllite(kb)
+        q = _query_into(rng, comp.structure) if checked % 2 \
+            else _random_query(rng)
+        if not is_tree_shaped(q):
+            continue
+        values, _ = dp_min_tree(comp.structure)
+        ranked = rank_matches(comp.structure, values, q)
+        assert cost_graph(comp, q, values).total \
+            == (ranked[0][0] if ranked else _INF), (kb, q)
+        checked += 1
+
+
+def _star(k):
+    """r(a,y_i), C(y_i) for i < k, where each y_i has 8 candidates and the
+    cheapest is not the least constant."""
+    text = "rule: D(x) -> E(x)\nrule: E(x) -> C(x)\nrule: s(x,y) -> r(x,y)\n"
+    text += "".join(f"fact: s(a,b{j})\nfact: D(b{j})\n" for j in range(6))
+    text += "".join(f"fact: r(a,b{j})\nfact: C(b{j})\n" for j in (6, 7))
+    atoms = ", ".join(f"r(a,y{i}), C(y{i})" for i in range(k))
+    ys = ", ".join(f"y{i}" for i in range(k))
+    doc = parse_document(text + f"query: exists {ys}. {atoms}\n")
+    return doc.kb, doc.queries[0]
+
+
+def test_the_cost_graph_stays_polynomial_on_a_star(monkeypatch):
+    for k in range(1, 5):
+        kb, q = _star(k)
+        assert proof_to_json(tree_query_min_treesize(kb, q), q) \
+            == proof_to_json(el_cq_min_treesize(kb, q), q), k
+    # at k = 10 a match enumeration would visit 8^10 matches
+    kb, q = _star(10)
+
+    def enumerate_matches(*args):
+        raise AssertionError("the cost graph enumerated matches")
+
+    monkeypatch.setattr("hornexplain.compress.rank_matches",
+                        enumerate_matches)
+    monkeypatch.setattr("hornexplain.compress.match_conjunction",
+                        enumerate_matches)
+    proof = tree_query_min_treesize(kb, q)
+    ok, problems = validate_proof(proof, kb, q, "sk")
+    assert ok, problems
+    # every y_i goes to b6: r(a,b6) and C(b6) are facts
+    assert tree_size(proof) == 2 * 10 + goal_tail_size(q)
+    assert _cost_graph(kb, q).chosen == {
+        Const("a"): Const("a"), **{Var(f"y{i}"): Const("b6")
+                                   for i in range(10)}}
 
 
 def test_el_cq_assignment_through_fresh_names():
@@ -419,9 +522,8 @@ def test_the_unfolding_agrees_with_the_realization_and_the_search():
             cases.append((kb, _query_into(rng, saturate_kb(
                 kb, rng.randint(0, 2)))))
     for case, (kb, q) in enumerate(cases):
-        proof, _ = search_module._run_poly(
-            kb, q, RunConfig(measure=Measure.TREE_SIZE),
-            time.monotonic() + 60)
+        run, _ = search_module._poly_route(kb, q, Measure.TREE_SIZE)
+        proof = run(kb, q, False, time.monotonic() + 60)
         realized = _realized_witness(kb, q)
         for p in (proof, realized):
             ok, problems = validate_proof(p, kb, q, "sk")
