@@ -14,11 +14,10 @@ from typing import Optional
 
 from .compress import equality_free_fold, refutes
 from .deriver_sk import BudgetExceeded, default_depth_ceiling, saturate_kb
-from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, SkolemTerm,
-                 Term, Var, atom_key, map_atom_terms, orient_equality,
-                 substitute_atom, term_key)
+from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, NormalForm,
+                 SkolemTerm, Term, Var, atom_key, atom_terms, map_atom_terms,
+                 orient_equality, substitute_atom, term_depth, term_key)
 from .matching import AtomIndex, match_conjunction
-from .proofs import AtomLabel
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,9 @@ def chase(kb: KnowledgeBase, depth_bound: int,
     if depth_bound < 0:
         raise ValueError("depth bound must be non-negative")
     structure = saturate_kb(kb, depth_bound, max_atoms=max_atoms)
-    label_ids = structure.label_ids
     merges: dict[Term, Const] = {}
     for eq in sorted(structure.index.bucket(("=",)),
-                     key=lambda a: label_ids[AtomLabel(a)]):
+                     key=structure.atom_ids.__getitem__):
         pair = orient_equality(_resolve(merges, eq.lhs),
                                _resolve(merges, eq.rhs))
         if pair is not None:
@@ -163,7 +161,12 @@ def _chase_verdict(kb: KnowledgeBase, q: BooleanCQ, ceiling: Optional[int],
     """The verdict of the deepening alone, without the fold's refutation."""
     if ceiling is None:
         ceiling = default_depth_ceiling(kb, q)
-    for depth in range(ceiling + 1):
+    # without nominal rules nothing merges: no fragment shallower than the
+    # query's deepest term matches, and one closed there is closed at it
+    start = 0 if any(r.normal_form is NormalForm.VI for r in kb.tbox) \
+        else min(ceiling, max((term_depth(t) for a in q.atoms
+                               for t in atom_terms(a)), default=0))
+    for depth in range(start, ceiling + 1):
         try:
             state = chase(kb, depth, max_atoms=max_atoms)
         except BudgetExceeded:

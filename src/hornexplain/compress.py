@@ -188,7 +188,7 @@ class _Unfold:
         unfolding generators run on an explicit stack, each one yielding
         the key it needs next and being sent that key's entry."""
         vertices = self.structure.vertices
-        vids = [self.structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+        vids = [self.structure.atom_ids[substitute_atom(a, sigma)]
                 for a in q.atoms]
         terms = [atom_terms(a) for a in q.atoms]
         # individuals stand for themselves, as do the query's constants
@@ -440,8 +440,8 @@ def rank_matches(structure: FiniteStructure, values: dict[int, int | float],
     """
     scored = []
     for subst in match_conjunction(q.atoms, structure.index):
-        total = sum(values[structure.label_ids[AtomLabel(
-            substitute_atom(atom, subst))]] for atom in q.atoms)
+        total = sum(values[structure.atom_ids[substitute_atom(atom, subst)]]
+                    for atom in q.atoms)
         if total < _INF:
             scored.append((total, tuple(sorted(
                 (v.name, term_key(t)) for v, t in subst.items())), subst))
@@ -541,7 +541,7 @@ def cost_graph(comp: CompressedStructure, q: BooleanCQ,
     root, order, children = _gaifman_tree(q)
     constants = sorted({t for a in comp.structure.index.atoms
                         for t in atom_terms(a)}, key=term_key)
-    label_ids = comp.structure.label_ids
+    atom_ids = comp.structure.atom_ids
     on: dict[frozenset[Term], list[Atom]] = {}
     for a in q.atoms:
         on.setdefault(frozenset(atom_terms(a)), []).append(a)
@@ -549,7 +549,7 @@ def cost_graph(comp: CompressedStructure, q: BooleanCQ,
     def cost(terms: frozenset[Term], sigma: dict[Term, Const]) -> int | float:
         total = 0
         for a in on.get(terms, ()):
-            vid = label_ids.get(AtomLabel(substitute_atom(a, sigma)))
+            vid = atom_ids.get(substitute_atom(a, sigma))
             if vid is None:
                 return _INF
             total += values[vid]

@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule, Term,
                  atom_is_ground, atom_key, atom_pred, atom_terms,
                  map_atom_terms, orient_equality, substitute_atom, term_depth)
-from .matching import AtomIndex, match_conjunction, match_positionally, unify_atom
+from .matching import (AtomIndex, match_conjunction, match_positionally,
+                       unifiers, unify_atom)
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
                      RuleLabel, Schema)
 
@@ -174,6 +175,8 @@ class FiniteStructure:
 
     vertices: dict[int, Label] = field(default_factory=dict)
     label_ids: dict[Label, int] = field(default_factory=dict)
+    # the atom vertices by their atom, looked up without an AtomLabel
+    atom_ids: dict[Atom, int] = field(default_factory=dict)
     edges: list[ProofEdge] = field(default_factory=list)
     in_edges: dict[int, list[int]] = field(default_factory=dict)
     leaf_ids: set[int] = field(default_factory=set)
@@ -190,6 +193,8 @@ class FiniteStructure:
             self.vertices[vid] = label
             self.label_ids[label] = vid
             self.in_edges[vid] = []
+            if isinstance(label, AtomLabel):
+                self.atom_ids[label.atom] = vid
         return vid
 
     def add_edge(self, premises: tuple[int, ...], conclusion: int,
@@ -199,7 +204,7 @@ class FiniteStructure:
         self.in_edges[conclusion].append(idx)
 
     def has_atom(self, atom: Atom) -> bool:
-        return AtomLabel(atom) in self.label_ids
+        return atom in self.atom_ids
 
 
 def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
@@ -212,50 +217,103 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     atoms, visits only the rules whose body predicates they carry, and
     pairs an equality with an atom only when one of the two is new, so
     work is proportional to what actually changed.
+
+    The normal form caps bodies at two atoms, so a step seeded by one
+    frontier atom needs no general match: a one-atom body's match is the
+    seed's unifier, and the other atom of a two-atom body is unified
+    against its list in the index under the seed (:func:`unifiers`).
+    On the first round a one-atom body is unified against its list too.
+    Each list is read before the step records its first conclusion, which
+    is when :func:`match_conjunction` reads it, so vertex ids and edge
+    order, which proof ids follow, are those of matching bodies whole.
+    The matcher itself runs only on the first round's two-atom bodies and
+    on longer bodies built in code.
     """
     import time as _time
 
     structure = FiniteStructure(depth_bound=depth_bound)
-    index = structure.index
-    label_ids = structure.label_ids
-    for f in sorted(facts, key=atom_key):
-        vid = structure.vertex_for(AtomLabel(f))
-        structure.leaf_ids.add(vid)
-        index.add(f)
+    index, atom_ids = structure.index, structure.atom_ids
+    new_atoms: dict[Atom, tuple] = {}    # this round's, with their atom_key
+
+    def add_atom(atom: Atom, key: tuple) -> int:
+        new_atoms[atom] = key
+        index.add(atom, key)
+        return structure.vertex_for(AtomLabel(atom))
+
+    keys = {f: atom_key(f) for f in facts}
+    for f in sorted(keys, key=keys.__getitem__):
+        structure.leaf_ids.add(add_atom(f, keys[f]))
     rule_ids = []
     for r in rules:
         vid = structure.vertex_for(RuleLabel(r))
         structure.leaf_ids.add(vid)
         rule_ids.append(vid)
 
-    seen_edges: set[tuple] = set()
+    # MP premises end with a rule vertex and E premises do not, so the
+    # premises and the conclusion identify an edge
+    seen_edges: set[tuple[tuple[int, ...], Atom]] = set()
 
     def record(schema: Schema, premise_ids: tuple[int, ...],
-               concl_atom: Atom) -> bool:
-        """Returns True when the conclusion atom is new.  The premises are
-        atoms of the index (or rules), so they already have vertices."""
+               concl_atom: Atom) -> None:
+        """Add the edge unless it is known; a new conclusion atom joins the
+        next frontier.  The premises are atoms of the index (or rules), so
+        they already have vertices."""
         if max(term_depth(t) for t in atom_terms(concl_atom)) > depth_bound:
             structure.complete = False
             structure.frontier.add(premise_ids)
-            return False
-        key = (schema, premise_ids, concl_atom)
+            return
+        key = (premise_ids, concl_atom)
         if key in seen_edges:
-            return False
+            return
         seen_edges.add(key)
-        fresh = concl_atom not in index
-        if fresh:
+        vid = atom_ids.get(concl_atom)
+        if vid is None:
             if max_atoms is not None and len(index) >= max_atoms:
                 structure.complete = False
                 raise BudgetExceeded(f"saturation exceeded {max_atoms} atoms")
-            index.add(concl_atom)
-        structure.add_edge(premise_ids,
-                           structure.vertex_for(AtomLabel(concl_atom)), schema)
-        return fresh
+            vid = add_atom(concl_atom, atom_key(concl_atom))
+        structure.add_edge(premise_ids, vid, schema)
 
     def check_deadline() -> None:
         if deadline is not None and _time.monotonic() > deadline:
             structure.complete = False
             raise BudgetExceeded("saturation deadline")
+
+    def body_matches(body: Sequence[Atom], seeds_by_pred: Optional[dict]
+                     ) -> Iterator[tuple[tuple[int, ...], dict]]:
+        """The body atoms' vertex ids and the substitution of each match:
+        all matches without seeds, else each seed's, in the matcher's
+        order (a match seeded twice comes twice)."""
+        if seeds_by_pred is None and len(body) == 1:
+            check_deadline()
+            for g, ext in unifiers(body[0], index, {}):
+                yield (atom_ids[g],), ext
+        elif seeds_by_pred is None or len(body) > 2:
+            # a body predicate without atoms leaves nothing to match
+            if not all(index.bucket(atom_pred(b)) for b in body):
+                return
+            for seed in [{}] if seeds_by_pred is None else [
+                    seed for b in body
+                    for fa in seeds_by_pred.get(atom_pred(b), ())
+                    if (seed := unify_atom(b, fa, {})) is not None]:
+                check_deadline()
+                for subst in match_conjunction(body, index, seed):
+                    yield tuple(atom_ids[substitute_atom(b, subst)]
+                                for b in body), subst
+        else:
+            for pos, pattern in enumerate(body):
+                for fa in seeds_by_pred.get(atom_pred(pattern), ()):
+                    seed = unify_atom(pattern, fa, {})
+                    if seed is None:
+                        continue
+                    check_deadline()
+                    fid = atom_ids[fa]
+                    if len(body) == 1:
+                        yield (fid,), seed
+                        continue
+                    for g, ext in unifiers(body[1 - pos], index, seed):
+                        ids = (fid, atom_ids[g])
+                        yield (ids if pos == 0 else ids[::-1]), ext
 
     # a rule can fire anew only when a body predicate has a frontier atom
     rules_by_pred: dict[tuple, list[int]] = {}
@@ -263,12 +321,11 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
         for pattern in rule.body:
             rules_by_pred.setdefault(atom_pred(pattern), []).append(i)
 
-    frontier = sorted(index.atoms, key=atom_key)
     first_round = True
-    while frontier:
+    while new_atoms:
         check_deadline()
-        new_atoms: set[Atom] = set()
-        frontier_set = set(frontier)
+        current, new_atoms = new_atoms, {}
+        frontier = sorted(current, key=current.__getitem__)
         frontier_by_pred: dict[tuple, list[Atom]] = {}
         for fa in frontier:
             frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)
@@ -279,30 +336,15 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                              for i in rules_by_pred.get(pred, ())})
         for i in active:
             rule, rule_id = rules[i], rule_ids[i]
-            seeds: list[dict] = []
-            if first_round:
-                seeds.append({})
-            else:
-                for pattern in rule.body:
-                    for fa in frontier_by_pred.get(atom_pred(pattern), ()):
-                        ext = unify_atom(pattern, fa, {})
-                        if ext is not None:
-                            seeds.append(ext)
-            seen_subst: set[tuple] = set()
-            for seed in seeds:
-                check_deadline()
-                for subst in match_conjunction(rule.body, index, seed):
-                    key = tuple(sorted((v.name, subst[v]) for v in subst))
-                    if key in seen_subst:
-                        continue
-                    seen_subst.add(key)
-                    premise_ids = tuple(
-                        label_ids[AtomLabel(substitute_atom(b, subst))]
-                        for b in rule.body) + (rule_id,)
-                    for h in rule.head:
-                        concl = substitute_atom(h, subst)
-                        if record(Schema.MP, premise_ids, concl):
-                            new_atoms.add(concl)
+            seen: set[tuple[int, ...]] = set()
+            for body_ids, subst in body_matches(
+                    rule.body, None if first_round else frontier_by_pred):
+                if body_ids in seen:
+                    continue
+                seen.add(body_ids)
+                premise_ids = body_ids + (rule_id,)
+                for h in rule.head:
+                    record(Schema.MP, premise_ids, substitute_atom(h, subst))
         eqs = index.bucket(("=",))
         if eqs:
             # only instances with a frontier premise are new: a frontier
@@ -316,14 +358,11 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
                 for t in set(atom_terms(fa)):
                     by_term.setdefault(t, []).append(fa)
             steps = list(_replacements(
-                eqs, lambda eq, src: pool if first_round or eq in frontier_set
+                eqs, lambda eq, src: pool if first_round or eq in current
                 else by_term.get(src, ())))
             for atom, eq, concl in steps:
-                if record(Schema.E, (label_ids[AtomLabel(atom)],
-                                     label_ids[AtomLabel(eq)]), concl):
-                    new_atoms.add(concl)
+                record(Schema.E, (atom_ids[atom], atom_ids[eq]), concl)
         first_round = False
-        frontier = sorted(new_atoms, key=atom_key)
     return structure
 
 

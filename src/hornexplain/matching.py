@@ -71,10 +71,11 @@ class AtomIndex:
         self.atoms.add(atom)
         return len(self.atoms) > n
 
-    def add(self, atom: Atom) -> bool:
+    def add(self, atom: Atom, key: Optional[tuple] = None) -> bool:
+        """Index the atom unless it is; ``key`` is its ``atom_key`` if known."""
         if not self._new(atom):
             return False
-        self._add(atom, atom_key(atom))
+        self._add(atom, atom_key(atom) if key is None else key)
         return True
 
     def _add(self, atom: Atom, key: tuple) -> None:
@@ -304,6 +305,22 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
             matched[pos] = None
 
     yield from extend(prepared, [None] * len(prepared), len(atoms), base)
+
+
+def unifiers(pattern: Atom, index: AtomIndex, subst: Mapping[Var, Term]
+             ) -> list[tuple[Atom, dict[Var, Term]]]:
+    """The indexed atoms the pattern maps onto under subst, each with its
+    extension of subst, as :func:`match_conjunction` reads them for a lone
+    pattern: from its plan's list, in full and in order, so atoms added
+    later are not among them."""
+    source, checks, _, _ = _plan(atom_pred(pattern), atom_terms(pattern),
+                                 index, subst)
+    hits = []
+    for ground in source:
+        new: dict[Var, Term] = {}
+        if _accepts(checks, ground, subst, new):
+            hits.append((ground, {**subst, **new}))
+    return hits
 
 
 def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom],

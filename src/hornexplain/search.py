@@ -437,12 +437,12 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
         elif budget.measure is Measure.DOMAIN_SIZE:
             lower = len(set().union(*map(terms_of, atoms)))
         else:
-            lower = tail_count + sum(map(tree_value_of, atoms))
+            ids = structure.atom_ids
+            lower = tail_count + sum(tree_values[ids[a]] for a in atoms)
         return lower >= cap
 
-    # per-atom parts of the bounds, each computed once per depth
+    # each atom's terms, computed once per depth
     terms_memo: dict[Atom, set[Term]] = {}
-    tree_memo: dict[Atom, int | float] = {}
 
     def terms_of(a: Atom) -> set[Term]:
         terms = terms_memo.get(a)
@@ -450,23 +450,14 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
             terms = terms_memo[a] = ground_terms_of_label(AtomLabel(a))
         return terms
 
-    def tree_value_of(a: Atom) -> int | float:
-        value = tree_memo.get(a)
-        if value is None:
-            value = tree_memo[a] = tree_values[
-                structure.label_ids[AtomLabel(a)]]
-        return value
-
     try:
         for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
             if budget.measure is Measure.TREE_SIZE and tree_values is None:
                 # only a depth with a match needs the values
                 tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
             ticker.tick()
-            targets = []
-            for atom in q.atoms:
-                ground = substitute_atom(atom, sigma)
-                targets.append(structure.label_ids[AtomLabel(ground)])
+            targets = [structure.atom_ids[substitute_atom(atom, sigma)]
+                       for atom in q.atoms]
             cap = min(limit, best_value)
             if budget.measure is Measure.TREE_SIZE:
                 total = tail_count + sum(tree_values[vid] for vid in targets)
@@ -495,7 +486,7 @@ def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
                  strict_cg: bool) -> ProofGraph:
     """Materialize the search's choice: the tree-size DP's chosen edges, or
     the cover's chosen vertices, renumbered in vertex-id order."""
-    targets = [structure.label_ids[AtomLabel(substitute_atom(atom, sigma))]
+    targets = [structure.atom_ids[substitute_atom(atom, sigma)]
                for atom in q.atoms]
     if kind is Measure.TREE_SIZE:
         vertices, edges = extract_witness(structure, choice, targets)

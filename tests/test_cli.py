@@ -353,6 +353,37 @@ def test_a_query_naming_a_deep_skolem_term_does_not_crash(tmp_path):
     run_cli("explain", str(path), "--depth-ceiling", "3", expect=2)
 
 
+def test_answer_deepens_from_the_query_s_own_term_depth(
+        tmp_path, capsys, monkeypatch):
+    """Without nominal rules nothing merges, so no fragment shallower than
+    the query's deepest term can match it: one chase, at that depth."""
+    import importlib
+
+    from hornexplain import cli
+
+    chase = importlib.import_module("hornexplain.chase")
+    depths = []
+    real = chase.chase
+
+    def counted(kb, depth, **kwargs):
+        depths.append(depth)
+        return real(kb, depth, **kwargs)
+
+    monkeypatch.setattr(chase, "chase", counted)
+    path = tmp_path / "deep.kb"
+    path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(1100)})\n")
+    assert cli.main(["answer", str(path)]) == 0
+    assert capsys.readouterr().out == "yes, depth 1100\n"
+    assert depths == [1100]
+    # a nominal rule can merge a deep term into a constant: from depth 0
+    depths.clear()
+    path.write_text(_DEEP_CHAIN + "rule: A(x) -> x = a\n"
+                    f"query: A({_skolem_chain(3)})\n")
+    assert cli.main(["answer", str(path)]) == 0
+    assert capsys.readouterr().out == "yes, depth 1\n"
+    assert depths == [0, 1]
+
+
 def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, ex1_file):
     missing = str(tmp_path / "missing.json")
     for args in (("explain", missing), ("convert", missing, "--kb", ex1_file,

@@ -3,19 +3,28 @@ soundness."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from hornexplain import deriver_sk
 from hornexplain.chase import chase
 from hornexplain.compress import add_goal_tail, dp_min_tree, extract_witness
-from hornexplain.deriver_sk import check_edge_labels, saturate, saturate_kb
+from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure,
+                                    _replacements, check_edge_labels,
+                                    saturate, saturate_kb)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
-                            RoleAtom, SkolemTerm, Var, atom_terms, make_kb,
+                            NormalForm, RoleAtom, SkolemRule, SkolemTerm, Var,
+                            atom_key, atom_pred, atom_terms, make_kb,
                             skolemize, substitute_atom, term_depth)
-from hornexplain.generators import gen_el_abox, gen_hornalc_counter
+from hornexplain.generators import (gen_dllite_chain, gen_el_abox, gen_el_tree,
+                                    gen_hornalc_counter)
+from hornexplain.matching import match_conjunction, unify_atom
 from hornexplain.parser import parse_kb, serialize_document
 from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, RuleLabel,
                                 Schema, format_label)
+
+from test_chase import _random_kb
 
 A_ = Const("a")
 F0A = SkolemTerm("f_0", A_)
@@ -246,3 +255,181 @@ def test_saturated_structures_are_pinned(kb, depth, replaces, expected):
     structure = saturate_kb(kb, depth)
     assert _structure_digest(structure) == expected
     assert any(e.schema is Schema.E for e in structure.edges) == replaces
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the saturation loop that matched every rule step with
+# the general matcher, before seeded steps went without it
+# ---------------------------------------------------------------------------
+
+def _reference_saturate(facts, rules, depth_bound, max_atoms=None):
+    structure = FiniteStructure(depth_bound=depth_bound)
+    index = structure.index
+    label_ids = structure.label_ids
+    for f in sorted(facts, key=atom_key):
+        vid = structure.vertex_for(AtomLabel(f))
+        structure.leaf_ids.add(vid)
+        index.add(f)
+    rule_ids = []
+    for r in rules:
+        vid = structure.vertex_for(RuleLabel(r))
+        structure.leaf_ids.add(vid)
+        rule_ids.append(vid)
+    seen_edges = set()
+
+    def record(schema, premise_ids, concl_atom):
+        if max(term_depth(t) for t in atom_terms(concl_atom)) > depth_bound:
+            structure.complete = False
+            structure.frontier.add(premise_ids)
+            return False
+        key = (schema, premise_ids, concl_atom)
+        if key in seen_edges:
+            return False
+        seen_edges.add(key)
+        fresh = concl_atom not in index
+        if fresh:
+            if max_atoms is not None and len(index) >= max_atoms:
+                structure.complete = False
+                raise BudgetExceeded(f"saturation exceeded {max_atoms} atoms")
+            index.add(concl_atom)
+        structure.add_edge(premise_ids,
+                           structure.vertex_for(AtomLabel(concl_atom)), schema)
+        return fresh
+
+    rules_by_pred = {}
+    for i, rule in enumerate(rules):
+        for pattern in rule.body:
+            rules_by_pred.setdefault(atom_pred(pattern), []).append(i)
+    frontier = sorted(index.atoms, key=atom_key)
+    first_round = True
+    while frontier:
+        new_atoms = set()
+        frontier_set = set(frontier)
+        frontier_by_pred = {}
+        for fa in frontier:
+            frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)
+        if first_round:
+            active = range(len(rules))
+        else:
+            active = sorted({i for pred in frontier_by_pred
+                             for i in rules_by_pred.get(pred, ())})
+        for i in active:
+            rule, rule_id = rules[i], rule_ids[i]
+            seeds = []
+            if first_round:
+                seeds.append({})
+            else:
+                for pattern in rule.body:
+                    for fa in frontier_by_pred.get(atom_pred(pattern), ()):
+                        ext = unify_atom(pattern, fa, {})
+                        if ext is not None:
+                            seeds.append(ext)
+            seen_subst = set()
+            for seed in seeds:
+                for subst in match_conjunction(rule.body, index, seed):
+                    key = tuple(sorted((v.name, subst[v]) for v in subst))
+                    if key in seen_subst:
+                        continue
+                    seen_subst.add(key)
+                    premise_ids = tuple(
+                        label_ids[AtomLabel(substitute_atom(b, subst))]
+                        for b in rule.body) + (rule_id,)
+                    for h in rule.head:
+                        concl = substitute_atom(h, subst)
+                        if record(Schema.MP, premise_ids, concl):
+                            new_atoms.add(concl)
+        eqs = index.bucket(("=",))
+        if eqs:
+            pool = sorted(index.atoms, key=atom_key) \
+                if first_round or ("=",) in frontier_by_pred else []
+            by_term = {}
+            for fa in frontier:
+                for t in set(atom_terms(fa)):
+                    by_term.setdefault(t, []).append(fa)
+            steps = list(_replacements(
+                eqs, lambda eq, src: pool if first_round or eq in frontier_set
+                else by_term.get(src, ())))
+            for atom, eq, concl in steps:
+                if record(Schema.E, (label_ids[AtomLabel(atom)],
+                                     label_ids[AtomLabel(eq)]), concl):
+                    new_atoms.add(concl)
+        first_round = False
+        frontier = sorted(new_atoms, key=atom_key)
+    return structure
+
+
+def _saturation_outcome(saturator, facts, rules, depth, max_atoms):
+    """Vertices and edges in order, the frontier and ``complete``; or the
+    budget error."""
+    try:
+        s = saturator(facts, rules, depth, max_atoms=max_atoms)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return (list(s.vertices.items()), s.edges,
+            s.frontier, s.complete, s.leaf_ids)
+
+
+def _random_role_rule(rng, index):
+    """A rule of one or two role atoms over x, y, z, each head atom over
+    the body's variables."""
+    names = [Var(n) for n in "xyz"]
+    body = tuple(RoleAtom(rng.choice("rs"), rng.choice(names),
+                          rng.choice(names))
+                 for _ in range(rng.randint(1, 2)))
+    used = [t for a in body for t in atom_terms(a)]
+    head = tuple(RoleAtom(rng.choice("rs"), rng.choice(used), rng.choice(used))
+                 for _ in range(rng.randint(1, 2)))
+    return SkolemRule(body, head, NormalForm.VII, index)
+
+
+def test_saturate_agrees_with_the_frozen_matcher_loop():
+    """Proof ids follow structure ids, so seeded rule steps must build the
+    structure the general matcher built, atom caps that trip mid-round
+    included."""
+    rng = random.Random(20261019)
+    tripped = 0
+    for _ in range(1500):
+        kb = _random_kb(rng)
+        case = (kb.abox, kb.skolem_rules, rng.randint(0, 3),
+                rng.choice([None, 5, 12, 30]))
+        got = _saturation_outcome(saturate, *case)
+        assert got == _saturation_outcome(_reference_saturate, *case), case
+        tripped += isinstance(got, str)
+    assert tripped > 20
+    # rules built in code, outside the normal form: conclusions that land
+    # in the very list a seeded step reads, repeated variables, joins on
+    # either position
+    for _ in range(300):
+        rules = tuple(_random_role_rule(rng, i)
+                      for i in range(rng.randint(1, 3)))
+        facts = [RoleAtom(rng.choice("rs"), Const(rng.choice("abcd")),
+                          Const(rng.choice("abcd")))
+                 for _ in range(rng.randint(1, 6))]
+        case = (facts, rules, 0, rng.choice([None, 12]))
+        assert _saturation_outcome(saturate, *case) \
+            == _saturation_outcome(_reference_saturate, *case), case
+    for kb, depth in ((gen_hornalc_counter(1).kb, 6), (gen_el_tree(5).kb, 2),
+                      (gen_dllite_chain(40).kb, 3)):
+        case = (kb.abox, kb.skolem_rules, depth, None)
+        assert _saturation_outcome(saturate, *case) \
+            == _saturation_outcome(_reference_saturate, *case)
+
+
+@pytest.mark.parametrize("kb, depth", [
+    (gen_el_abox(40).kb, 0), (gen_hornalc_counter(1).kb, 4)],
+    ids=["el-abox-40", "hornalc-counter-1"])
+def test_saturate_matches_rule_bodies_only_on_the_first_round(
+        monkeypatch, kb, depth):
+    """After the first round a rule step is seeded by a frontier atom and
+    needs at most one index lookup, not the general matcher."""
+    calls = []
+    match = deriver_sk.match_conjunction
+
+    def counted(patterns, *args, **kwargs):
+        calls.append(patterns)
+        return match(patterns, *args, **kwargs)
+
+    monkeypatch.setattr(deriver_sk, "match_conjunction", counted)
+    structure = saturate_kb(kb, depth)
+    assert len(calls) <= len(kb.skolem_rules)
+    assert len(structure.edges) > len(kb.skolem_rules)
