@@ -9,7 +9,7 @@ everywhere, nested occurrences included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .compress import equality_free_fold, refutes
@@ -26,6 +26,9 @@ class ChaseState:
     equalities: tuple[tuple[Term, Const], ...]  # oriented: replaced -> constant
     depth_bound: int
     saturated_at_bound: bool
+    # the atoms indexed, when the saturation's own index holds just them
+    index: Optional[AtomIndex] = field(default=None, compare=False,
+                                       repr=False)
 
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self.atoms, key=atom_key)
@@ -69,7 +72,9 @@ def chase(kb: KnowledgeBase, depth_bound: int,
     facts = [a for a in structure.index.atoms if not isinstance(a, EqAtom)]
     if not merges:
         return ChaseState(frozenset(facts), (), depth_bound,
-                          structure.complete)
+                          structure.complete,
+                          structure.index
+                          if len(facts) == len(structure.index) else None)
 
     def resolve(t: Term) -> Term:
         return _resolve(merges, t)
@@ -108,7 +113,7 @@ def match_query(q: BooleanCQ, state: ChaseState,
     merges = dict(state.equalities)
     patterns = [map_atom_terms(a, lambda t: _resolve(merges, t))
                 for a in q.atoms]
-    index = AtomIndex(state.atoms)
+    index = state.index if state.index is not None else AtomIndex(state.atoms)
     out: list[QueryMatch] = []
     seen: set[tuple] = set()
     for subst in match_conjunction(patterns, index):

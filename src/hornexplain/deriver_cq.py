@@ -21,8 +21,9 @@ from .deriver_sk import _replace_top_level
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
                  Rule, SkolemRule, SkolemTerm, Term, Var, atom_key, atom_pred,
                  atom_terms, atom_vars, cq_equivalent, map_atom_terms,
-                 substitute_atom, subterms, term_is_ground, term_key)
-from .matching import (AtomIndex, match_conjunction, match_positionally,
+                 substitute_atom, subterms, term_is_ground, term_key,
+                 variables_of)
+from .matching import (bind_term, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
                      ProofGraph, RuleLabel, Schema, TautRule)
@@ -154,12 +155,6 @@ def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
     return map_atom_terms(atom, fix)
 
 
-def leaf_labels(kb: KnowledgeBase) -> set[Label]:
-    out: set[Label] = {CQLabel(BooleanCQ((a,), ())) for a in kb.abox}
-    out |= {RuleLabel(r) for r in kb.tbox}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Edge admissibility
 # ---------------------------------------------------------------------------
@@ -234,8 +229,7 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
                 if assignment is not None:
                     return pi, assignment
             return None
-    pool = AtomIndex([a for a in premise.atoms if atom_pred(a) in by_pred])
-    for pi in match_conjunction(body, pool):
+    for pi in match_conjunction(body, premise.index):
         if removed and not removed <= {substitute_atom(b, pi) for b in body}:
             continue
         assignment = _match_added(added, rule.head, pi, evars, taken)
@@ -263,36 +257,59 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
         if not image.issuperset(added):
             return None
         return {v: v for a in added for v in atom_vars(a)}
-    # unify_atom rejects every pattern of another predicate
+    # only a pattern of its predicate can map onto an added atom
     rigid = {**pi, **{v: v for v in evars}}
     patterns: dict[tuple, list[Atom]] = {}
     for h in head:
         pattern = substitute_atom(h, rigid)
         patterns.setdefault(atom_pred(pattern), []).append(pattern)
 
-    def admissible(ext: dict[Var, Term]) -> bool:
-        images = [t for k, t in ext.items() if k in evars]
-        if taken is not None and (len(set(images)) < len(images)
-                                  or not taken.isdisjoint(images)):
-            return False
-        return all(isinstance(t, Var) if k in evars else t == k
-                   for k, t in ext.items())
+    flexible = frozenset(evars)
+    assignment: dict[Var, Term] = {}
+    # the existential variables' images, kept apart unless taken is None
+    images: set[Term] = set()
 
-    def backtrack(i: int, assignment: dict[Var, Term]
-                  ) -> Optional[dict[Var, Term]]:
+    def bind(pattern: Atom, target: Atom
+             ) -> Optional[tuple[dict[Var, Term], set[Term]]]:
+        """The bindings that mapping the pattern onto the target adds to
+        the assignment, with the existential variables' images among them,
+        or None when it cannot or they are inadmissible.  Only they are
+        checked: the assignment's own are admissible."""
+        new: dict[Var, Term] = {}
+        for p, g in zip(atom_terms(pattern), atom_terms(target)):
+            if not bind_term(p, g, assignment, new):
+                return None
+        fresh: set[Term] = set()
+        for k, t in new.items():
+            if k not in flexible:
+                if t != k:
+                    return None
+                continue
+            if not isinstance(t, Var) or taken is not None and (
+                    t in fresh or t in images or t in taken):
+                return None
+            fresh.add(t)
+        return new, fresh
+
+    def backtrack(i: int) -> bool:
         if i == len(added):
-            return assignment
+            return True
         target = added[i]
         for pattern in patterns.get(atom_pred(target), ()):
-            ext = unify_atom(pattern, target, assignment)
-            if ext is None or not admissible(ext):
+            bound = bind(pattern, target)
+            if bound is None:
                 continue
-            result = backtrack(i + 1, ext)
-            if result is not None:
-                return result
-        return None
+            new, fresh = bound
+            assignment.update(new)
+            images.update(fresh)
+            if backtrack(i + 1):
+                return True
+            for k in new:
+                del assignment[k]
+            images.difference_update(fresh)
+        return False
 
-    return backtrack(0, {})
+    return assignment if backtrack(0) else None
 
 
 def _check_mpe(premises, conclusion, kb) -> Optional[str]:
@@ -695,13 +712,19 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
             t = naming.get(t, t)
         return t
 
+    # each atom fixed once, with its variables in first-occurrence order,
+    # so that closing a label does not walk its atoms' terms again
+    closing: dict[int, tuple[Atom, tuple[Var, ...]]] = {}
     for key, a in fixed.items():
-        fixed[key] = map_atom_terms(a, fix_term)
+        b = map_atom_terms(a, fix_term)
+        closing[key] = b, tuple(variables_of((b,)))
 
     def fix_label(label: Label) -> Label:
         if isinstance(label, (ConjLabel, CQLabel)):
-            return CQLabel(BooleanCQ.closed(fixed[id(a)]
-                                            for a in atoms_of(label)))
+            pairs = [closing[id(a)] for a in atoms_of(label)]
+            return CQLabel(BooleanCQ.closed(
+                [b for b, _ in pairs],
+                dict.fromkeys(v for _, vs in pairs for v in vs)))
         if isinstance(label, RuleLabel) and isinstance(label.rule, SkolemRule):
             return RuleLabel(kb.tbox[label.rule.index])
         if isinstance(label, RuleLabel) and isinstance(label.rule, TautRule):

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule, Term,
-                 atom_is_ground, atom_key, atom_pred, atom_terms,
-                 map_atom_terms, orient_equality, substitute_atom, term_depth)
+from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule,
+                 SkolemTerm, Term, atom_is_ground, atom_key, atom_pred,
+                 atom_terms, map_atom_terms, orient_equality, substitute_atom,
+                 substitute_term, term_depth)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unifiers, unify_atom)
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
@@ -51,12 +52,6 @@ def _replacements(eqs: Iterable[Atom],
                 yield atom, eq, replaced
 
 
-def leaf_labels(kb: KnowledgeBase) -> set[Label]:
-    out: set[Label] = {AtomLabel(a) for a in kb.abox}
-    out |= {RuleLabel(r) for r in kb.skolem_rules}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Edge admissibility
 # ---------------------------------------------------------------------------
@@ -76,27 +71,36 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
 
 
 def _check_mp(premises, conclusion, kb) -> Optional[str]:
+    """The rule body is bound to the premise atoms position by position,
+    and the conclusion must be one of its head atoms under that binding;
+    no substitution is taken from elsewhere."""
     if not premises or not isinstance(premises[-1], RuleLabel):
         return "the last premise must be a rule"
     rule = premises[-1].rule
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
     sk_rules = kb.skolem_rules
-    if not (0 <= rule.index < len(sk_rules) and sk_rules[rule.index] == rule):
+    if not (0 <= rule.index < len(sk_rules)
+            and (sk_rules[rule.index] is rule or sk_rules[rule.index] == rule)):
         return "rule is not from the TBox"
-    atom_premises = premises[:-1]
-    for lab in atom_premises:
+    atoms = []
+    for lab in premises[:-1]:
         if not isinstance(lab, AtomLabel) or not atom_is_ground(lab.atom):
             return "rule premises must be ground atoms"
-    subst = match_positionally(rule.body, [lab.atom for lab in atom_premises])
+        atoms.append(lab.atom)
+    subst = match_positionally(rule.body, atoms)
     if subst is None:
         return "premises do not instantiate the rule body"
     if not isinstance(conclusion, AtomLabel):
         return "conclusion must be a ground atom"
-    heads = {substitute_atom(h, subst) for h in rule.head}
-    if conclusion.atom not in heads:
-        return "conclusion is not an instantiated head atom"
-    return None
+    pred, terms = atom_pred(conclusion.atom), atom_terms(conclusion.atom)
+    for h in rule.head:
+        # the head atom under subst, compared term by term, not built
+        if atom_pred(h) == pred and all(
+                substitute_term(t, subst) is s
+                for t, s in zip(atom_terms(h), terms)):
+            return None
+    return "conclusion is not an instantiated head atom"
 
 
 def _check_e(premises, conclusion) -> Optional[str]:
@@ -252,13 +256,24 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     # MP premises end with a rule vertex and E premises do not, so the
     # premises and the conclusion identify an edge
     seen_edges: set[tuple[tuple[int, ...], Atom]] = set()
+    # each term's depth, once: a conclusion's terms are premise terms,
+    # constants and Skolem applications to premise terms, so a term's
+    # depth is mostly its argument's plus one
+    depths: dict[Term, int] = {}
+
+    def depth(t: Term) -> int:
+        d = depths.get(t)
+        if d is None:
+            inner = depths.get(t.arg) if isinstance(t, SkolemTerm) else -1
+            d = depths[t] = term_depth(t) if inner is None else inner + 1
+        return d
 
     def record(schema: Schema, premise_ids: tuple[int, ...],
                concl_atom: Atom) -> None:
         """Add the edge unless it is known; a new conclusion atom joins the
         next frontier.  The premises are atoms of the index (or rules), so
         they already have vertices."""
-        if max(term_depth(t) for t in atom_terms(concl_atom)) > depth_bound:
+        if max(map(depth, atom_terms(concl_atom))) > depth_bound:
             structure.complete = False
             structure.frontier.add(premise_ids)
             return

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -252,7 +253,7 @@ def atom_vars(a: Atom) -> set[Var]:
 
 
 def atom_is_ground(a: Atom) -> bool:
-    return all(term_is_ground(t) for t in atom_terms(a))
+    return all(map(term_is_ground, atom_terms(a)))
 
 
 def atom_pred(a: Atom) -> tuple:
@@ -655,6 +656,20 @@ class KnowledgeBase:
         """The TBox's Skolem rules (:func:`skolemize`)."""
         return skolemize(self.tbox)
 
+    @cached_property
+    def sk_leaf_labels(self) -> frozenset:
+        """A ground-atom proof's leaf labels: facts and Skolem rules."""
+        from .proofs import AtomLabel, RuleLabel
+        return frozenset([*map(AtomLabel, self.abox),
+                          *map(RuleLabel, self.skolem_rules)])
+
+    @cached_property
+    def cq_leaf_labels(self) -> frozenset:
+        """A query-level proof's leaf labels: facts as queries, and rules."""
+        from .proofs import CQLabel, RuleLabel
+        return frozenset([*(CQLabel(BooleanCQ((a,), ())) for a in self.abox),
+                          *map(RuleLabel, self.tbox)])
+
 
 def make_kb(tbox: Iterable[Rule], abox: Iterable[Atom]) -> KnowledgeBase:
     tbox_t, abox_t = tuple(tbox), tuple(abox)
@@ -667,7 +682,7 @@ def make_kb(tbox: Iterable[Rule], abox: Iterable[Atom]) -> KnowledgeBase:
     return KnowledgeBase(tbox_t, abox_t, sig, detect_fragment(tbox_t))
 
 
-def _variables_of(atoms: Iterable[Atom]) -> dict[Var, None]:
+def variables_of(atoms: Iterable[Atom]) -> dict[Var, None]:
     """The atoms' variables, nested ones included, in first-occurrence
     order."""
     used: dict[Var, None] = {}
@@ -690,7 +705,7 @@ class BooleanCQ:
     def __post_init__(self):
         # equality conjuncts are legal inside derived queries; user-facing
         # query statements reject them at parse time
-        used = _variables_of(self.atoms)
+        used = variables_of(self.atoms)
         undeclared = used.keys() - set(self.existential_vars)
         if undeclared:
             missing = sorted(v.name for v in undeclared)
@@ -699,16 +714,18 @@ class BooleanCQ:
         object.__setattr__(self, "_variables", frozenset(used))
 
     @classmethod
-    def closed(cls, atoms: Iterable[Atom]) -> BooleanCQ:
+    def closed(cls, atoms: Iterable[Atom],
+               variables: Optional[Iterable[Var]] = None) -> BooleanCQ:
         """The conjunction with every variable existentially quantified, in
-        first-occurrence order."""
+        first-occurrence order; a caller that has collected those variables
+        passes them as ``variables``."""
         atoms = tuple(atoms)
-        used = _variables_of(atoms)
+        used = tuple(variables_of(atoms) if variables is None else variables)
         # every variable is declared: __post_init__ would only walk the
         # atoms again
         cq = object.__new__(cls)
         object.__setattr__(cq, "atoms", atoms)
-        object.__setattr__(cq, "existential_vars", tuple(used))
+        object.__setattr__(cq, "existential_vars", used)
         object.__setattr__(cq, "_variables", frozenset(used))
         return cq
 
@@ -718,6 +735,13 @@ class BooleanCQ:
     @cached_property
     def atom_set(self) -> frozenset[Atom]:
         return frozenset(self.atoms)
+
+    @cached_property
+    def index(self):
+        """The atoms as a :class:`hornexplain.matching.AtomIndex`, built on
+        first use; every step that matches into this query reads it."""
+        from .matching import AtomIndex
+        return AtomIndex(self.atoms)
 
     def terms(self) -> list[Term]:
         seen, out = set(), []
@@ -731,7 +755,8 @@ class BooleanCQ:
 
 def cq_equivalent(a: BooleanCQ, b: BooleanCQ) -> bool:
     """Same atom multiset and same quantified variables (names included)."""
-    return (sorted(a.atoms, key=atom_key) == sorted(b.atoms, key=atom_key)
+    return (len(a.atoms) == len(b.atoms)
+            and Counter(a.atoms) == Counter(b.atoms)
             and set(a.existential_vars) == set(b.existential_vars))
 
 

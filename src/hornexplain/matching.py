@@ -113,8 +113,8 @@ class AtomIndex:
         return len(self.atoms)
 
 
-def _bind(pattern: Term, ground: Term, subst: Mapping[Var, Term],
-          new: dict[Var, Term]) -> bool:
+def bind_term(pattern: Term, ground: Term, subst: Mapping[Var, Term],
+              new: dict[Var, Term]) -> bool:
     """Whether pattern maps onto ground under subst; the variables it binds
     afresh go into ``new``, in the order they occur."""
     while isinstance(pattern, SkolemTerm):
@@ -140,7 +140,7 @@ def unify_atom(pattern: Atom, ground: Atom,
         return None
     new: dict[Var, Term] = {}
     for p, g in zip(atom_terms(pattern), atom_terms(ground)):
-        if not _bind(p, g, subst, new):
+        if not bind_term(p, g, subst, new):
             return None
     if not new:
         return subst
@@ -217,7 +217,7 @@ def _accepts(checks: list[_Check], ground: Atom, subst: Mapping[Var, Term],
         if value is not None:
             if gterms[pos] != value:
                 return False
-        elif not _bind(pattern, gterms[pos], subst, new):
+        elif not bind_term(pattern, gterms[pos], subst, new):
             return False
     return True
 
@@ -326,13 +326,15 @@ def unifiers(pattern: Atom, index: AtomIndex, subst: Mapping[Var, Term]
 def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom],
                        subst: Optional[dict[Var, Term]] = None
                        ) -> Optional[dict[Var, Term]]:
-    """One substitution mapping pattern i onto ground i, or None."""
+    """One substitution mapping pattern i onto ground i, or None.  The
+    terms are bound position by position into one dict."""
     if len(patterns) != len(grounds):
         return None
     current = dict(subst) if subst else {}
     for p, g in zip(patterns, grounds):
-        nxt = unify_atom(p, g, current)
-        if nxt is None:
+        if atom_pred(p) != atom_pred(g):
             return None
-        current = nxt
+        for s, t in zip(atom_terms(p), atom_terms(g)):
+            if not bind_term(s, t, current, current):
+                return None
     return current

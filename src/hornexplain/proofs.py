@@ -9,6 +9,7 @@ of the two derivers (ground-atom level or whole-query level).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
@@ -145,31 +146,18 @@ class ProofGraph:
     edges: list[ProofEdge]
 
     def incoming(self) -> dict[int, list[ProofEdge]]:
+        """Incoming edges by vertex, and by each unknown id one concludes."""
         inc: dict[int, list[ProofEdge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            inc[e.conclusion].append(e)
+            inc.setdefault(e.conclusion, []).append(e)
         return inc
 
-    def premise_occurrences(self) -> dict[int, int]:
-        used: dict[int, int] = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            for p in e.premises:
-                used[p] += 1
-        return used
-
-    def sinks(self) -> list[int]:
-        used = self.premise_occurrences()
-        return sorted(v for v, n in used.items() if n == 0)
-
     def sink(self) -> int:
-        sinks = self.sinks()
+        premises = {q for e in self.edges for q in e.premises}
+        sinks = [v for v in self.vertices if v not in premises]
         if len(sinks) != 1:
             raise ValueError(f"expected exactly one sink, found {len(sinks)}")
         return sinks[0]
-
-    def leaves(self) -> list[int]:
-        inc = self.incoming()
-        return sorted(v for v, es in inc.items() if not es)
 
     def topological_order(self) -> list[int]:
         """Vertices ordered premises before conclusions; raises on cycles."""
@@ -322,27 +310,38 @@ def sub_derivation(p: ProofGraph, vid: int) -> ProofGraph:
 # Validation
 # ---------------------------------------------------------------------------
 
-def check_proof_shape(p: ProofGraph) -> tuple[bool, list[str]]:
-    """The deriver-independent proof conditions."""
-    problems: list[str] = []
+def _walk(p: ProofGraph) -> tuple[list[int], list[int], list[str]]:
+    """The sinks, the leaves and the shape problems of the proof, from one
+    incoming map, one premise set and one postorder over every vertex."""
     if not p.vertices:
-        return False, ["proof has no vertices"]
-    sinks = p.sinks()
-    if len(sinks) != 1:
-        problems.append(f"expected exactly one sink, found {len(sinks)}")
+        return [], [], ["proof has no vertices"]
+    ids = sorted(p.vertices)
     inc = p.incoming()
-    for v, es in sorted(inc.items()):
-        if len(es) > 1:
-            problems.append(f"vertex {v} has {len(es)} incoming hyperedges")
+    premises = {q for e in p.edges for q in e.premises}
+    sinks = [v for v in ids if v not in premises]
+    problems = ([] if len(sinks) == 1
+                else [f"expected exactly one sink, found {len(sinks)}"])
+    problems += [f"vertex {v} has {len(inc[v])} incoming hyperedges"
+                 for v in ids if len(inc[v]) > 1]
+    for q in premises.difference(p.vertices):
+        inc.setdefault(q, [])       # not a vertex: a leaf of the walk
     try:
-        p.topological_order()
+        for _ in _postorder(inc, ids):
+            pass
     except ValueError:
         problems.append("acyclicity violated")
-    for e in p.edges:
-        ends = set(e.premises) | {e.conclusion}
-        missing = [v for v in ends if v not in p.vertices]
-        if missing:
-            problems.append(f"edge references unknown vertices {missing}")
+    if len(inc) > len(ids):         # an edge names an id that is no vertex
+        for e in p.edges:
+            missing = sorted({*e.premises, e.conclusion}
+                             .difference(p.vertices))
+            if missing:
+                problems.append(f"edge references unknown vertices {missing}")
+    return sinks, [v for v in ids if not inc[v]], problems
+
+
+def check_proof_shape(p: ProofGraph) -> tuple[bool, list[str]]:
+    """The deriver-independent proof conditions."""
+    problems = _walk(p)[2]
     return not problems, problems
 
 
@@ -354,8 +353,7 @@ def label_matches_goal(label: Label, goal: BooleanCQ) -> bool:
                 and goal.atoms[0] == label.atom)
     if isinstance(label, ConjLabel):
         return (not goal.existential_vars
-                and sorted(label.atoms, key=atom_key)
-                == sorted(goal.atoms, key=atom_key))
+                and Counter(label.atoms) == Counter(goal.atoms))
     return False
 
 
@@ -364,8 +362,8 @@ def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
     """Full admissibility check against the KB and the goal query."""
     from . import deriver_cq, deriver_sk
 
-    ok, problems = check_proof_shape(p)
-    if not ok:
+    sinks, leaves, problems = _walk(p)
+    if problems:
         return False, problems
 
     allowed = SK_SCHEMAS if deriver == "sk" else CQ_SCHEMAS
@@ -376,16 +374,16 @@ def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
     if problems:
         return False, problems
 
-    if not label_matches_goal(p.vertices[p.sink()], goal):
+    if not label_matches_goal(p.vertices[sinks[0]], goal):
         problems.append("sink label does not match the goal query")
 
     if deriver == "sk":
-        leaf_ok = deriver_sk.leaf_labels(kb)
+        leaf_ok = kb.sk_leaf_labels
         checker = deriver_sk.check_edge_labels
     else:
-        leaf_ok = deriver_cq.leaf_labels(kb)
+        leaf_ok = kb.cq_leaf_labels
         checker = deriver_cq.check_edge_labels
-    for v in p.leaves():
+    for v in leaves:
         if p.vertices[v] not in leaf_ok:
             problems.append(f"leaf {v} ({format_label(p.vertices[v])}) is not "
                             "a fact or rule of the knowledge base")

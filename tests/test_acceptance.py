@@ -5,6 +5,7 @@ transformation and structural criteria further down, so the file relies on
 pytest's in-order execution within a module.
 """
 
+import collections
 import random
 import time
 
@@ -279,7 +280,8 @@ def test_criterion_6_structural_properties():
     for kb, q, proof, deriver in _PROOFS:
         s, t = proof_size(proof), tree_size(proof)
         assert s <= t
-        shared = any(n > 1 for n in proof.premise_occurrences().values())
+        uses = collections.Counter(q for e in proof.edges for q in e.premises)
+        shared = any(n > 1 for n in uses.values())
         assert (s == t) == (not shared)
         unraveled = tree_unravel(proof)
         assert proof_size(unraveled) == t

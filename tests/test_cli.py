@@ -384,6 +384,37 @@ def test_answer_deepens_from_the_query_s_own_term_depth(
     assert depths == [0, 1]
 
 
+def test_answer_on_a_deep_chain_keys_and_measures_each_atom_once(
+        tmp_path, capsys, monkeypatch):
+    """A machine-independent count on the 1,100-deep chain: the saturation
+    computes each of its 2,201 atoms' keys once and the query is matched
+    into its index, and a conclusion's depth is its premise term's plus
+    one.  A fresh index for the match and a walk down every conclusion
+    term made 4,402 atom_key and 3,305 term_depth calls here; the two
+    left are the query's own depth, read for the ceiling and the start."""
+    import sys
+
+    from hornexplain import cli, kb
+
+    calls = {"atom_key": 0, "term_depth": 0}
+    for name in calls:
+        real = getattr(kb, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in [m for n, m in sys.modules.items()
+                       if n.startswith("hornexplain")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "deep.kb"
+    path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(1100)})\n")
+    assert cli.main(["answer", str(path)]) == 0
+    assert capsys.readouterr().out == "yes, depth 1100\n"
+    assert calls == {"atom_key": 2201, "term_depth": 2}
+
+
 def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, ex1_file):
     missing = str(tmp_path / "missing.json")
     for args in (("explain", missing), ("convert", missing, "--kb", ex1_file,

@@ -1,5 +1,6 @@
 """Proof hypergraphs: validation, measures, unraveling, JSON."""
 
+import collections
 import json
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def test_unravel_is_a_tree_of_tree_size(ex1_reference_proof):
     assert tree_size(t) == tree_size(p)
     assert domain_size(t) == domain_size(p)
     # every vertex of a tree has at most one use as a premise
-    uses = t.premise_occurrences()
+    uses = collections.Counter(q for e in t.edges for q in e.premises)
     assert all(n <= 1 for n in uses.values())
     # and the canonical map back onto the original exists
     assert _homomorphism(t, p) is not None
