@@ -26,9 +26,8 @@ class ChaseState:
     equalities: tuple[tuple[Term, Const], ...]  # oriented: replaced -> constant
     depth_bound: int
     saturated_at_bound: bool
-    # the atoms indexed, when the saturation's own index holds just them
-    index: Optional[AtomIndex] = field(default=None, compare=False,
-                                       repr=False)
+    # the atoms indexed, for matching queries into them
+    index: AtomIndex = field(compare=False, repr=False)
 
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self.atoms, key=atom_key)
@@ -71,10 +70,11 @@ def chase(kb: KnowledgeBase, depth_bound: int,
             merges[pair[0]] = pair[1]
     facts = [a for a in structure.index.atoms if not isinstance(a, EqAtom)]
     if not merges:
+        # the saturation's own index, unless it holds unmerged equalities
         return ChaseState(frozenset(facts), (), depth_bound,
                           structure.complete,
-                          structure.index
-                          if len(facts) == len(structure.index) else None)
+                          structure.index if len(facts) == len(structure.index)
+                          else AtomIndex(facts))
 
     def resolve(t: Term) -> Term:
         return _resolve(merges, t)
@@ -92,7 +92,7 @@ def chase(kb: KnowledgeBase, depth_bound: int,
                       for h in rule.head))
     equalities = tuple(sorted(merges.items(),
                               key=lambda p: (term_key(p[0]), term_key(p[1]))))
-    return ChaseState(atoms, equalities, depth_bound, closed)
+    return ChaseState(atoms, equalities, depth_bound, closed, index)
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,9 @@ def match_query(q: BooleanCQ, state: ChaseState,
     merges = dict(state.equalities)
     patterns = [map_atom_terms(a, lambda t: _resolve(merges, t))
                 for a in q.atoms]
-    index = state.index if state.index is not None else AtomIndex(state.atoms)
     out: list[QueryMatch] = []
     seen: set[tuple] = set()
-    for subst in match_conjunction(patterns, index):
+    for subst in match_conjunction(patterns, state.index):
         pairs = tuple(sorted(((v, t) for v, t in subst.items()),
                              key=lambda p: p[0].name))
         if pairs in seen:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule,
                  SkolemTerm, Term, atom_is_ground, atom_key, atom_pred,
                  atom_terms, map_atom_terms, orient_equality, substitute_atom,
-                 substitute_term, term_depth)
+                 term_depth)
 from .matching import (AtomIndex, match_conjunction, match_positionally,
                        unifiers, unify_atom)
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
@@ -71,36 +71,28 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
 
 
 def _check_mp(premises, conclusion, kb) -> Optional[str]:
-    """The rule body is bound to the premise atoms position by position,
-    and the conclusion must be one of its head atoms under that binding;
-    no substitution is taken from elsewhere."""
+    """The rule body bound to the premises position by position; no
+    recorded substitution is trusted."""
     if not premises or not isinstance(premises[-1], RuleLabel):
         return "the last premise must be a rule"
     rule = premises[-1].rule
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
     sk_rules = kb.skolem_rules
-    if not (0 <= rule.index < len(sk_rules)
-            and (sk_rules[rule.index] is rule or sk_rules[rule.index] == rule)):
+    if not (0 <= rule.index < len(sk_rules) and sk_rules[rule.index] == rule):
         return "rule is not from the TBox"
-    atoms = []
-    for lab in premises[:-1]:
+    atom_premises = premises[:-1]
+    for lab in atom_premises:
         if not isinstance(lab, AtomLabel) or not atom_is_ground(lab.atom):
             return "rule premises must be ground atoms"
-        atoms.append(lab.atom)
-    subst = match_positionally(rule.body, atoms)
+    subst = match_positionally(rule.body, [lab.atom for lab in atom_premises])
     if subst is None:
         return "premises do not instantiate the rule body"
     if not isinstance(conclusion, AtomLabel):
         return "conclusion must be a ground atom"
-    pred, terms = atom_pred(conclusion.atom), atom_terms(conclusion.atom)
-    for h in rule.head:
-        # the head atom under subst, compared term by term, not built
-        if atom_pred(h) == pred and all(
-                substitute_term(t, subst) is s
-                for t, s in zip(atom_terms(h), terms)):
-            return None
-    return "conclusion is not an instantiated head atom"
+    if conclusion.atom not in {substitute_atom(h, subst) for h in rule.head}:
+        return "conclusion is not an instantiated head atom"
+    return None
 
 
 def _check_e(premises, conclusion) -> Optional[str]:

@@ -717,8 +717,9 @@ class BooleanCQ:
     def closed(cls, atoms: Iterable[Atom],
                variables: Optional[Iterable[Var]] = None) -> BooleanCQ:
         """The conjunction with every variable existentially quantified, in
-        first-occurrence order; a caller that has collected those variables
-        passes them as ``variables``."""
+        first-occurrence order.  A caller that has collected those variables
+        may pass them as ``variables``; they must be exactly
+        ``variables_of(atoms)``, in its order, and are not checked."""
         atoms = tuple(atoms)
         used = tuple(variables_of(atoms) if variables is None else variables)
         # every variable is declared: __post_init__ would only walk the
@@ -755,8 +756,7 @@ class BooleanCQ:
 
 def cq_equivalent(a: BooleanCQ, b: BooleanCQ) -> bool:
     """Same atom multiset and same quantified variables (names included)."""
-    return (len(a.atoms) == len(b.atoms)
-            and Counter(a.atoms) == Counter(b.atoms)
+    return (Counter(a.atoms) == Counter(b.atoms)
             and set(a.existential_vars) == set(b.existential_vars))
 
 

@@ -326,8 +326,7 @@ def unifiers(pattern: Atom, index: AtomIndex, subst: Mapping[Var, Term]
 def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom],
                        subst: Optional[dict[Var, Term]] = None
                        ) -> Optional[dict[Var, Term]]:
-    """One substitution mapping pattern i onto ground i, or None.  The
-    terms are bound position by position into one dict."""
+    """One substitution mapping pattern i onto ground i, or None."""
     if len(patterns) != len(grounds):
         return None
     current = dict(subst) if subst else {}

@@ -311,8 +311,7 @@ def sub_derivation(p: ProofGraph, vid: int) -> ProofGraph:
 # ---------------------------------------------------------------------------
 
 def _walk(p: ProofGraph) -> tuple[list[int], list[int], list[str]]:
-    """The sinks, the leaves and the shape problems of the proof, from one
-    incoming map, one premise set and one postorder over every vertex."""
+    """The sinks, the leaves and the shape problems, from one walk."""
     if not p.vertices:
         return [], [], ["proof has no vertices"]
     ids = sorted(p.vertices)
@@ -326,8 +325,7 @@ def _walk(p: ProofGraph) -> tuple[list[int], list[int], list[str]]:
     for q in premises.difference(p.vertices):
         inc.setdefault(q, [])       # not a vertex: a leaf of the walk
     try:
-        for _ in _postorder(inc, ids):
-            pass
+        list(_postorder(inc, ids))
     except ValueError:
         problems.append("acyclicity violated")
     if len(inc) > len(ids):         # an edge names an id that is no vertex
@@ -367,10 +365,8 @@ def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
         return False, problems
 
     allowed = SK_SCHEMAS if deriver == "sk" else CQ_SCHEMAS
-    for e in p.edges:
-        if e.schema not in allowed:
-            problems.append(f"schema {e.schema.value} not available in the "
-                            f"{deriver} deriver")
+    problems = [f"schema {e.schema.value} not available in the {deriver} "
+                "deriver" for e in p.edges if e.schema not in allowed]
     if problems:
         return False, problems
 

@@ -340,7 +340,7 @@ def _reference_chase(kb, depth_bound):
     equalities = tuple(sorted(
         equalities, key=lambda p: (term_key(p[0]), term_key(p[1]))))
     return ChaseState(frozenset(atoms), equalities, depth_bound,
-                      not suppressed)
+                      not suppressed, AtomIndex(atoms))
 
 
 def _reference_match(q, state):

@@ -19,7 +19,7 @@ from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
                                     gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                             RoleAtom, Var, atom_key, atom_pred, atom_vars,
-                            cq_equivalent, substitute_atom)
+                            cq_equivalent, substitute_atom, variables_of)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofBuilder,
@@ -548,6 +548,10 @@ def test_translations_are_byte_identical_to_the_pinned_ones(
     proof, digests = result.proof, []
     for transform in steps:
         proof = transform(proof, inst.kb)
+        # sk->cq closes its labels from precollected variables
+        assert all(tuple(variables_of(lab.cq.atoms)) == lab.cq.existential_vars
+                   for lab in proof.vertices.values()
+                   if isinstance(lab, CQLabel))
         text = proof_to_json(proof, inst.query)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert digests == [there, back]
