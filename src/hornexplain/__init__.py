@@ -19,9 +19,9 @@ from .proofs import (Measure, MeasureValue, ProofGraph, Schema, TautRule,
                      proof_to_dot, proof_to_json, tree_size, tree_unravel,
                      validate_proof)
 from .deriver_sk import saturate_kb
-from .compress import (CompressedStructure, CostGraph, compress_dllite,
-                       compress_el, decompress, dllite_query_min_size,
-                       el_cq_min_treesize, tree_query_min_treesize)
+from .compress import (CompressedStructure, compress_dllite, compress_el,
+                       decompress, dllite_query_min_size, el_cq_min_treesize,
+                       tree_query_min_treesize)
 from .deriver_cq import (ee_apply, mpe_apply, te_rule, transform_cq_to_sk,
                          transform_sk_to_cq)
 from .search import (ExplainResult, RunConfig, SearchBudget,

@@ -99,9 +99,6 @@ def chase(kb: KnowledgeBase, depth_bound: int,
 class QueryMatch:
     substitution: tuple[tuple[Var, Term], ...]
 
-    def as_dict(self) -> dict[Var, Term]:
-        return dict(self.substitution)
-
 
 def match_query(q: BooleanCQ, state: ChaseState,
                 limit: int = 1) -> list[QueryMatch]:

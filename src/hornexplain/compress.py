@@ -3,27 +3,29 @@ built on them.
 
 Anonymous chase elements are folded into finitely many placeholder
 individuals, one per Skolem function (:func:`fold`).  Two polynomial
-routes read the fold: the cost-graph algorithm for tree-shaped queries over
-DL-Lite (:func:`cost_graph`) and the cheapest-match enumeration for EL and
-DL-Lite (:func:`el_cq_min_treesize`).  Proofs found over the fold are
-unfolded onto real Skolem terms from the goal down (:func:`decompress`); an
-optimum that conflates witnesses of different origins has no unfolding and
-is rejected rather than silently accepted.  The fold also bounds the exact
+routes read the fold, one for tree-shaped queries over DL-Lite
+(:func:`tree_query_min_treesize`) and one for any query over EL and DL-Lite
+(:func:`el_cq_min_treesize`); both take the least matches by min-sum
+variable elimination (:func:`least_matches`).  Proofs found over the fold
+are unfolded onto real Skolem terms from the goal down (:func:`decompress`);
+an optimum that conflates witnesses of different origins has no unfolding
+and is rejected rather than silently accepted.  The fold also bounds the exact
 search from below, for any fragment: see :func:`equality_free_fold`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  SkolemRule, SkolemTerm, Term, Var, atom_pred, atom_terms,
-                 gaifman_graph, is_tree_shaped, map_atom_terms,
-                 substitute_atom, term_key)
-from .matching import match_conjunction
+                 is_tree_shaped, map_atom_terms, substitute_atom, term_key,
+                 variables_of)
+from .matching import match_conjunction, unifiers
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
 from .deriver_sk import BudgetExceeded, FiniteStructure, saturate
@@ -431,22 +433,104 @@ def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
     return vertices, edges
 
 
-def rank_matches(structure: FiniteStructure, values: dict[int, int | float],
-                 q: BooleanCQ) -> list[tuple[int, dict[Var, Term]]]:
-    """Matches of the query into the structure, cheapest first.
+def least_matches(structure: FiniteStructure, values: dict[int, int | float],
+                  q: BooleanCQ) -> Iterator[dict[Var, Term]]:
+    """The matches of the query into the structure whose summed tree-size
+    value is least, least assignment first, without enumerating matches.
 
-    A match costs the sum of its atoms' tree-size values; ties go to the
-    least assignment.  Matches with an underivable atom are left out.
+    A match costs the sum of its atoms' values; matches with an underivable
+    atom are left out.  Each query atom gives one table, its matches' values
+    by the atom's variables; min-sum variable elimination over the tables
+    (bucket elimination) gives the least total, in time polynomial for a
+    query of bounded treewidth.  The ties come in assignment order, as by
+    self-reduction: the variables in name order, each fixed to its least
+    term (:func:`term_key`) that keeps the optimum, read off one elimination
+    that keeps that variable last.
     """
-    scored = []
-    for subst in match_conjunction(q.atoms, structure.index):
-        total = sum(values[structure.atom_ids[substitute_atom(atom, subst)]]
-                    for atom in q.atoms)
-        if total < _INF:
-            scored.append((total, tuple(sorted(
-                (v.name, term_key(t)) for v, t in subst.items())), subst))
-    return [(total, subst) for total, _, subst in sorted(
-        scored, key=lambda s: s[:2])]
+    names = sorted(variables_of(q.atoms), key=lambda v: v.name)
+    tables = []
+    for a in q.atoms:
+        scope = tuple(variables_of((a,)))
+        rows = {}
+        for ground, sigma in unifiers(a, structure.index, {}):
+            value = values[structure.atom_ids[ground]]
+            if value < _INF:
+                rows[tuple(sigma[v] for v in scope)] = value
+        tables.append((scope, rows))
+    best = min(_min_sum(tables, None).values(), default=_INF)
+    stack = [({}, tables)] if best < _INF else []
+    while stack:
+        fixed, tables = stack.pop()
+        if fixed:       # the parent's tables, the last variable now fixed
+            var = names[len(fixed) - 1]
+            tables = [_fix(t, var, fixed[var]) for t in tables]
+        if len(fixed) == len(names):
+            yield fixed
+            continue
+        var = names[len(fixed)]
+        tied = sorted((row[0] for row, total in _min_sum(tables, var).items()
+                       if total == best), key=term_key, reverse=True)
+        stack.extend(({**fixed, var: t}, tables) for t in tied)
+
+
+_Table = tuple[tuple[Var, ...], dict[tuple[Term, ...], int]]
+
+
+def _min_sum(tables: list[_Table], keep: Optional[Var]
+             ) -> dict[tuple[Term, ...], int]:
+    """The least summed value of the tables' rows that agree, per term of
+    ``keep`` (per () when None): every other variable is eliminated, the
+    one with the fewest neighbours first."""
+    tables = list(tables)
+    while True:
+        near: dict[Var, set[Var]] = {}
+        for scope, _ in tables:
+            for v in scope:
+                near.setdefault(v, set()).update(scope)
+        near.pop(keep, None)
+        if not near:
+            break
+        var = min(near, key=lambda v: (len(near[v]), v.name))
+        joined = functools.reduce(_join, [t for t in tables if var in t[0]])
+        tables = [t for t in tables if var not in t[0]]
+        scope, rows = joined
+        i = scope.index(var)
+        out: dict[tuple[Term, ...], int] = {}
+        for row, total in rows.items():
+            key = row[:i] + row[i + 1:]
+            if total < out.get(key, _INF):
+                out[key] = total
+        tables.append((scope[:i] + scope[i + 1:], out))
+    return functools.reduce(_join, tables, ((), {(): 0}))[1]
+
+
+def _join(left: _Table, right: _Table) -> _Table:
+    """The rows of both tables that agree on their shared variables, with
+    their values summed."""
+    (lscope, lrows), (rscope, rrows) = left, right
+    shared = [i for i, v in enumerate(rscope) if v in lscope]
+    at = [lscope.index(rscope[i]) for i in shared]
+    extra = [i for i, v in enumerate(rscope) if v not in lscope]
+    by: dict[tuple, list] = {}
+    for row, total in rrows.items():
+        by.setdefault(tuple(row[i] for i in shared), []).append(
+            (tuple(row[i] for i in extra), total))
+    rows = {}
+    for row, total in lrows.items():
+        for rest, more in by.get(tuple(row[i] for i in at), ()):
+            rows[row + rest] = total + more
+    return lscope + tuple(rscope[i] for i in extra), rows
+
+
+def _fix(table: _Table, var: Var, term: Term) -> _Table:
+    """The table's rows that give ``var`` the term, without that column."""
+    scope, rows = table
+    if var not in scope:
+        return table
+    i = scope.index(var)
+    return scope[:i] + scope[i + 1:], {row[:i] + row[i + 1:]: total
+                                       for row, total in rows.items()
+                                       if row[i] == term}
 
 
 # ---------------------------------------------------------------------------
@@ -494,112 +578,8 @@ def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
 
 
 # ---------------------------------------------------------------------------
-# Tree-shaped queries over DL-Lite: the cost-graph algorithm
+# The polynomial routes: the least match over the fold, unfolded
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CostGraph:
-    """The cheapest assignment of a tree-shaped query's terms to constants
-    of the compressed structure, over the query's Gaifman tree."""
-
-    root: Term
-    order: list[Term]                      # root first
-    children: dict[Term, list[Term]]
-    chosen: dict[Term, Const] = field(default_factory=dict)
-    total: float = _INF
-
-
-def _gaifman_tree(q: BooleanCQ) -> tuple[Term, list[Term], dict[Term, list[Term]]]:
-    adj = gaifman_graph(q)
-    root = min(adj, key=term_key)
-    order = [root]
-    children: dict[Term, list[Term]] = {t: [] for t in adj}
-    seen = {root}
-    queue = [root]
-    while queue:
-        t = queue.pop(0)
-        for nxt in sorted(adj[t], key=term_key):
-            if nxt not in seen:
-                seen.add(nxt)
-                children[t].append(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return root, order, children
-
-
-def cost_graph(comp: CompressedStructure, q: BooleanCQ,
-               values: dict[int, int | float]) -> CostGraph:
-    """The assignment of least summed tree-size value, in one leaf-up pass
-    over the Gaifman tree (the cost-graph algorithm).
-
-    Each term keeps, per constant, the least cost of its subtree.  A unary
-    atom (or one whose two positions carry the same term) is priced with
-    its term, a binary atom with the child of its term pair, each when it
-    is needed.  Ties go to the least constant per child and, at the root,
-    to the least cost, then :func:`term_key`.
-    """
-    root, order, children = _gaifman_tree(q)
-    constants = sorted({t for a in comp.structure.index.atoms
-                        for t in atom_terms(a)}, key=term_key)
-    atom_ids = comp.structure.atom_ids
-    on: dict[frozenset[Term], list[Atom]] = {}
-    for a in q.atoms:
-        on.setdefault(frozenset(atom_terms(a)), []).append(a)
-
-    def cost(terms: frozenset[Term], sigma: dict[Term, Const]) -> int | float:
-        total = 0
-        for a in on.get(terms, ()):
-            vid = atom_ids.get(substitute_atom(a, sigma))
-            if vid is None:
-                return _INF
-            total += values[vid]
-        return total
-
-    # term -> constant -> least finite cost of the term's subtree, in
-    # term_key order of the constants
-    below: dict[Term, dict[Const, int]] = {}
-
-    def best_child(t: Term, c: Const, child: Term
-                   ) -> tuple[int | float, Optional[Const]]:
-        best, pick = _INF, None
-        pair = frozenset((t, child))
-        for cc, rest in below[child].items():
-            if rest < best:
-                got = rest + cost(pair, {t: c, child: cc})
-                if got < best:
-                    best, pick = got, cc
-        return best, pick
-
-    for t in reversed(order):
-        own = frozenset((t,))
-        row = below[t] = {}
-        for c in [t] if isinstance(t, Const) else constants:
-            total = cost(own, {t: c})
-            for child in children[t]:
-                if total == _INF:
-                    break
-                total += best_child(t, c, child)[0]
-            if total < _INF:
-                row[c] = total
-
-    graph = CostGraph(root, order, children)
-    if below[root]:
-        best_root = min(below[root], key=below[root].__getitem__)
-        graph.total = below[root][best_root]
-        graph.chosen = {root: best_root}
-        for t in order:
-            for child in children[t]:
-                graph.chosen[child] = best_child(t, graph.chosen[t], child)[1]
-    return graph
-
-
-def _reject_skolem_terms(q: BooleanCQ) -> None:
-    """The routes match the query against placeholders, where no Skolem
-    term survives: a query naming one is left to the exact search."""
-    if any(isinstance(t, SkolemTerm) for a in q.atoms for t in atom_terms(a)):
-        raise CompressError("query names a Skolem term, which the "
-                            "compressed structure folds away")
-
 
 def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                             strict_cg: bool = False,
@@ -612,38 +592,36 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
-    _reject_skolem_terms(q)
-    comp = compress_dllite(kb, deadline)
-    values, chosen = dp_min_tree(comp.structure)
-    graph = cost_graph(comp, q, values)
-    if graph.total == _INF:
-        raise CompressError("query is not entailed: no assignment is "
-                            "derivable in the compressed structure")
-    assignment = {t: c for t, c in graph.chosen.items() if isinstance(t, Var)}
-    return decompress(comp, kb, q, values, chosen, [assignment], strict_cg,
-                      deadline)
+    return _least_proof(compress_dllite, kb, q, strict_cg, deadline)
 
 
 dllite_query_min_size = tree_query_min_treesize
 
 
-# ---------------------------------------------------------------------------
-# EL queries: assignment enumeration over the compressed structure
-# ---------------------------------------------------------------------------
-
 def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                        strict_cg: bool = False,
                        deadline: Optional[float] = None) -> ProofGraph:
-    """Minimal-tree-size proof: the first of the cheapest matches into the
-    compressed structure that unfolds (:func:`decompress`).  When none
-    does, DecompressError: the compressed value then lies below every real
-    proof, and the exact search has to settle the optimum."""
-    _reject_skolem_terms(q)
-    comp = compress_el(kb, deadline)
+    """Minimal-tree-size proof over EL or DL-Lite, for any query shape."""
+    return _least_proof(compress_el, kb, q, strict_cg, deadline)
+
+
+def _least_proof(compress: Callable[..., CompressedStructure],
+                 kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool,
+                 deadline: Optional[float]) -> ProofGraph:
+    """The first of the least matches into the fold that unfolds
+    (:func:`decompress`).  When none does, DecompressError: the fold's value
+    then lies below every real proof, and the exact search has to settle
+    the optimum.  The fold has placeholders where the universal model has
+    Skolem terms, so a query naming one is left to the exact search."""
+    if any(isinstance(t, SkolemTerm) for a in q.atoms for t in atom_terms(a)):
+        raise CompressError("query names a Skolem term, which the "
+                            "compressed structure folds away")
+    comp = compress(kb, deadline)
     values, chosen = dp_min_tree(comp.structure)
-    ranked = rank_matches(comp.structure, values, q)
-    if not ranked:
+    tied = least_matches(comp.structure, values, q)
+    first = next(tied, None)
+    if first is None:
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
-    tied = [subst for total, subst in ranked if total == ranked[0][0]]
-    return decompress(comp, kb, q, values, chosen, tied, strict_cg, deadline)
+    return decompress(comp, kb, q, values, chosen,
+                      itertools.chain([first], tied), strict_cg, deadline)

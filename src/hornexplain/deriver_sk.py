@@ -199,9 +199,6 @@ class FiniteStructure:
         self.edges.append(ProofEdge(premises, conclusion, schema))
         self.in_edges[conclusion].append(idx)
 
-    def has_atom(self, atom: Atom) -> bool:
-        return atom in self.atom_ids
-
 
 def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
              depth_bound: int, max_atoms: Optional[int] = None,

@@ -741,12 +741,14 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
         raise ValueError("domain size is not defined for query-level proofs")
 
     route = None
-    if config.deriver == "sk" and config.algo == "poly":
-        route = _poly_route(kb, q, config.measure)
+    if config.algo == "poly":
+        # the polynomial routes build ground-atom (sk) proofs only
+        if config.deriver == "sk":
+            route = _poly_route(kb, q, config.measure)
         if route is None:
             warnings.append("polynomial algorithm preconditions not met "
-                            "(fragment, query shape, or measure); falling "
-                            "back to exact search")
+                            "(fragment, query shape, measure, or deriver); "
+                            "falling back to exact search")
     elif config.deriver == "sk" and config.algo == "auto" \
             and config.measure is Measure.TREE_SIZE:
         # tree size has dedicated polynomial routes; size and domain size

@@ -45,7 +45,7 @@ def test_criterion_1_running_example(ex1):
 
     result = entails(kb, q)
     assert result.verdict == "yes" and result.at_depth == 2
-    witness = result.witness.as_dict()
+    witness = dict(result.witness.substitution)
     assert witness[Var("xp")] == Const("a")
     assert witness[Var("y")] == SkolemTerm("f_0", Const("a"))
 

@@ -107,7 +107,7 @@ def test_match_query_finds_the_published_assignment(ex1):
     state = chase(kb, 2)
     matches = match_query(q, state, limit=5)
     assert matches
-    first = matches[0].as_dict()
+    first = dict(matches[0].substitution)
     assert first[Var("xp")] == Const("a")
     assert first[Var("y")] == SkolemTerm("f_0", Const("a"))
 
@@ -124,7 +124,7 @@ def test_match_query_variables_may_collide():
     state = chase(doc.kb, 0)
     matches = match_query(doc.queries[0], state, limit=3)
     assert len(matches) == 1
-    got = matches[0].as_dict()
+    got = dict(matches[0].substitution)
     assert got == {Var("x"): Const("a"), Var("z"): Const("a"),
                    Var("y"): Const("b")}
 

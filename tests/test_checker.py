@@ -22,14 +22,15 @@ from hornexplain.deriver_cq import (TransformError, analyze_mpe,
                                     transform_sk_to_cq, _taut_shape_error)
 from hornexplain.deriver_sk import check_edge_labels as sk_check_edge
 from hornexplain.deriver_sk import saturate_kb
-from hornexplain.generators import gen_dllite_chain, gen_el_tree
+from hornexplain.generators import (gen_dllite_chain, gen_dllite_tree_query,
+                                    gen_el_tree)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom,
                             NormalForm, RoleAtom, Rule, SkolemRule,
                             SkolemTerm, Var, atom_is_ground, atom_key,
                             atom_pred, atom_vars, substitute_atom)
 from hornexplain.matching import (AtomIndex, match_conjunction,
                                   match_positionally, unify_atom)
-from hornexplain.parser import parse_kb
+from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, AtomLabel, CQLabel,
                                 ConjLabel, Measure, ProofEdge, ProofGraph,
                                 RuleLabel, Schema, TautRule, _postorder,
@@ -38,6 +39,7 @@ from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, AtomLabel, CQLabel,
 from hornexplain.search import RunConfig, explain
 
 from test_chase import _query_into, _random_kb
+from test_tooling import _EL_TIES
 from test_deriver_cq import _POOL_RULES, _random_atoms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -387,6 +389,10 @@ def _golden_kb(name):
         return parse_kb((GOLDEN / "sat.kb").read_text(encoding="utf-8"))
     if name.startswith("el-tree-3-"):
         return gen_el_tree(3).kb
+    if name.startswith("el-ties-"):
+        return parse_document(_EL_TIES).kb
+    if name.startswith("dllite-tree-query-4-10-"):
+        return gen_dllite_tree_query(4, 10).kb
     assert name.startswith("dllite-chain-5-"), name
     return gen_dllite_chain(5).kb
 
@@ -400,7 +406,7 @@ def test_the_checker_agrees_with_its_frozen_copy_on_the_golden_files():
         for step in _mpe_steps(p):
             assert _same_analysis(*step) is not None
         names.append(path.name)
-    assert len(names) == 11
+    assert len(names) == 13
 
 
 def _load_workloads():

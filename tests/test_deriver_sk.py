@@ -207,7 +207,7 @@ def test_saturation_covers_the_chase(ex1):
     state = chase(kb, 2)
     structure = saturate_kb(kb, 2)
     for atom in state.atoms:
-        assert structure.has_atom(atom)
+        assert atom in structure.atom_ids
 
 
 _NOMINAL_KB = """\

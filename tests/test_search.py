@@ -1,5 +1,5 @@
 """Minimal-proof machinery: dynamic programs, compressed structures,
-the cost-graph algorithm, and the exact bounded search."""
+the least-match step, and the exact bounded search."""
 
 import random
 import time
@@ -9,10 +9,10 @@ import pytest
 from hornexplain.chase import chase, entails
 from hornexplain.compress import (CompressError, DecompressError,
                                   add_goal_tail, compress_dllite, compress_el,
-                                  cost_graph, decompress, dllite_query_min_size,
+                                  decompress, dllite_query_min_size,
                                   dp_min_tree, el_cq_min_treesize,
-                                  equality_free_fold, extract_witness,
-                                  goal_tail_size, rank_matches, refutes,
+                                  equality_free_fold, extract_witness, fold,
+                                  goal_tail_size, least_matches, refutes,
                                   tree_query_min_treesize)
 from hornexplain.deriver_sk import default_depth_ceiling, saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
@@ -21,7 +21,7 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_sat, gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment,
                             RoleAtom, SkolemTerm, Var, atom_terms,
-                            is_tree_shaped, substitute_atom)
+                            is_tree_shaped, substitute_atom, term_key)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
@@ -233,7 +233,7 @@ def test_compressed_structure_covers_constant_chase_atoms():
         comp = compress_el(inst.kb)
         for atom in state.atoms:
             if all(isinstance(t, C_) for t in terms_of(atom)):
-                assert comp.structure.has_atom(atom), atom
+                assert atom in comp.structure.atom_ids, atom
 
 
 def test_compress_dllite_bullet_rules():
@@ -244,11 +244,11 @@ def test_compress_dllite_bullet_rules():
     comp = compress_dllite(kb)
     assert comp.placeholders == {"f_0": Const("c_f_0")}
     witness_obj = Const("c_f_0")
-    assert comp.structure.has_atom(RoleAtom("P", Const("a"), witness_obj))
-    assert comp.structure.has_atom(RoleAtom("Q", Const("a"), Const("b")))
-    assert comp.structure.has_atom(ConceptAtom("C", Const("a")))
+    assert RoleAtom("P", Const("a"), witness_obj) in comp.structure.atom_ids
+    assert RoleAtom("Q", Const("a"), Const("b")) in comp.structure.atom_ids
+    assert ConceptAtom("C", Const("a")) in comp.structure.atom_ids
     # saturation continues through the fresh individuals
-    assert comp.structure.has_atom(RoleAtom("Q", Const("a"), witness_obj))
+    assert RoleAtom("Q", Const("a"), witness_obj) in comp.structure.atom_ids
 
 
 def test_compress_dllite_empty_abox_has_only_leaves():
@@ -270,8 +270,8 @@ def test_compress_el_replaces_skolem_terms(ex1):
     kb2 = parse_kb("rule: A(x) -> exists y. r(x,y), B(y)\nfact: A(a)\n")
     comp = compress_el(kb2)
     cf = Const("c_f_0")
-    assert comp.structure.has_atom(RoleAtom("r", Const("a"), cf))
-    assert comp.structure.has_atom(ConceptAtom("B", cf))
+    assert RoleAtom("r", Const("a"), cf) in comp.structure.atom_ids
+    assert ConceptAtom("B", cf) in comp.structure.atom_ids
 
 
 def test_compress_el_without_existentials_has_no_fresh_names():
@@ -311,9 +311,25 @@ def test_decompress_without_fresh_names_is_identity_shaped():
         == {str(l) for l in witness.vertices.values()}
 
 
-def _cost_graph(kb, q):
-    comp = compress_dllite(kb)
-    return cost_graph(comp, q, dp_min_tree(comp.structure)[0])
+def _rank_matches(structure, values, q):
+    """Frozen reference: every match of the query into the structure,
+    cheapest first, ties in assignment order, as the EL route ranked them
+    before the least-match step replaced the ranking."""
+    scored = []
+    for subst in match_conjunction(q.atoms, structure.index):
+        total = sum(values[structure.atom_ids[substitute_atom(atom, subst)]]
+                    for atom in q.atoms)
+        if total < _INF:
+            scored.append((total, tuple(sorted(
+                (v.name, term_key(t)) for v, t in subst.items())), subst))
+    return [(total, subst) for total, _, subst in sorted(
+        scored, key=lambda s: s[:2])]
+
+
+def _least_matches(kb, q):
+    comp = compress_el(kb)
+    return list(least_matches(comp.structure,
+                              dp_min_tree(comp.structure)[0], q))
 
 
 def test_tree_query_optimum_matches_brute_force():
@@ -330,7 +346,6 @@ def test_tree_query_optimum_matches_brute_force():
 def test_tree_query_single_atom_reduces_to_plain_minimum():
     inst = gen_dllite_chain(2, "unary")
     proof = tree_query_min_treesize(inst.kb, inst.query)
-    assert len(_cost_graph(inst.kb, inst.query).order) == 1
     out = bounded_search(inst.kb, inst.query, SearchBudget(Measure.TREE_SIZE))
     assert tree_size(proof) == out.value
 
@@ -342,10 +357,11 @@ def test_tree_query_tie_break_is_deterministic():
     q = doc.queries[0]
     proof1 = tree_query_min_treesize(kb, q)
     proof2 = tree_query_min_treesize(kb, q)
-    graph1, graph2 = _cost_graph(kb, q), _cost_graph(kb, q)
-    assert graph1.chosen == graph2.chosen
-    assert graph1.chosen[Var("x")] == Const("c1")  # lexicographic tie-break
-    assert tree_size(proof1) == tree_size(proof2)
+    # both individuals tie; the least comes first
+    assert _least_matches(kb, q) == [{Var("x"): Const("c1")},
+                                     {Var("x"): Const("c2")}]
+    assert proof_to_json(proof1, q) == proof_to_json(proof2, q)
+    assert AtomLabel(ConceptAtom("A", Const("c1"))) in proof1.vertices.values()
 
 
 def test_tree_query_rejects_cyclic_queries():
@@ -364,8 +380,8 @@ def test_dllite_size_route_agrees_with_exact():
 
 
 def test_the_two_polynomial_routes_give_the_same_proof():
-    """Over DL-Lite, the cost graph and the cheapest-match enumeration read
-    the same fold and unfold the same assignment."""
+    """Over DL-Lite, the tree-query route and the EL route read the same
+    fold and unfold the same assignment."""
     cases = [gen_dllite_chain(n, shape) for n in range(9)
              for shape in ("path", "unary")]
     cases += [gen_dllite_tree_query(k, seed) for k in (3, 5, 8)
@@ -403,23 +419,24 @@ def _random_dllite_kb(rng):
     return parse_kb("\n".join(dict.fromkeys(lines)) + "\n")
 
 
-def test_the_cost_graph_total_is_the_least_match_total():
-    """On random DL-Lite knowledge bases and tree-shaped queries, with and
-    without a match in the fold."""
+def test_least_matches_are_the_ranked_ties():
+    """On the folds of random knowledge bases, with tree-shaped and other
+    queries, with and without a match: the least matches are the frozen
+    ranking's tied head, in its order."""
     rng = random.Random(20261019)
-    checked = 0
-    while checked < 200:
-        kb = _random_dllite_kb(rng)
-        comp = compress_dllite(kb)
-        q = _query_into(rng, comp.structure) if checked % 2 \
-            else _random_query(rng)
-        if not is_tree_shaped(q):
-            continue
-        values, _ = dp_min_tree(comp.structure)
-        ranked = rank_matches(comp.structure, values, q)
-        assert cost_graph(comp, q, values).total \
-            == (ranked[0][0] if ranked else _INF), (kb, q)
-        checked += 1
+    shapes = {True: 0, False: 0}
+    empty = 0
+    for case in range(600):
+        kb = _random_dllite_kb(rng) if case % 2 else _random_kb(rng)
+        structure = fold(kb).structure
+        q = _query_into(rng, structure) if case % 3 else _random_query(rng)
+        values, _ = dp_min_tree(structure)
+        ranked = _rank_matches(structure, values, q)
+        tied = [subst for total, subst in ranked if total == ranked[0][0]]
+        assert list(least_matches(structure, values, q)) == tied, (kb, q)
+        shapes[is_tree_shaped(q)] += 1
+        empty += not tied
+    assert min(shapes.values()) > 100 and empty > 50, (shapes, empty)
 
 
 def _star(k):
@@ -434,7 +451,7 @@ def _star(k):
     return doc.kb, doc.queries[0]
 
 
-def test_the_cost_graph_stays_polynomial_on_a_star(monkeypatch):
+def test_least_matches_stay_polynomial_on_a_star(monkeypatch):
     for k in range(1, 5):
         kb, q = _star(k)
         assert proof_to_json(tree_query_min_treesize(kb, q), q) \
@@ -443,20 +460,57 @@ def test_the_cost_graph_stays_polynomial_on_a_star(monkeypatch):
     kb, q = _star(10)
 
     def enumerate_matches(*args):
-        raise AssertionError("the cost graph enumerated matches")
+        raise AssertionError("a polynomial route enumerated matches")
 
-    monkeypatch.setattr("hornexplain.compress.rank_matches",
-                        enumerate_matches)
     monkeypatch.setattr("hornexplain.compress.match_conjunction",
                         enumerate_matches)
-    proof = tree_query_min_treesize(kb, q)
+    # r(a,b6), C(b6), r(a,b7) and C(b7) are facts: each y_i takes b6 or
+    # b7, b6 first
+    tied = _least_matches(kb, q)
+    assert len(tied) == 2 ** 10
+    assert [set(sigma.values()) for sigma in (tied[0], tied[-1])] \
+        == [{Const("b6")}, {Const("b7")}]
+    proofs = [run(kb, q) for run in (tree_query_min_treesize,
+                                     el_cq_min_treesize)]
+    for proof in proofs:
+        ok, problems = validate_proof(proof, kb, q, "sk")
+        assert ok, problems
+        assert tree_size(proof) == 2 * 10 + goal_tail_size(q)
+    assert proof_to_json(proofs[0], q) == proof_to_json(proofs[1], q)
+
+
+def test_least_matches_answer_a_four_cycle_without_enumerating(monkeypatch):
+    """r(x,y), r(y,z), r(z,w), r(w,x) and P on each, over eight individuals
+    pairwise joined by r, each P set by an inclusion chain of its own
+    length: 2,408 matches, treewidth 2.  The least-match step agrees with
+    the frozen ranking, and the EL route answers without enumerating."""
+    lines = ["rule: Q2(x) -> Q1(x)", "rule: Q1(x) -> P(x)",
+             "rule: A(x), B(x) -> D(x)"]           # EL, not DL-Lite
+    for i in range(8):
+        lines.append(f"fact: {('P', 'Q1', 'Q2')[i % 3]}(c{i})")
+        lines += [f"fact: r(c{i},c{j})" for j in range(8) if j != i]
+    doc = parse_document("\n".join(lines) + "\nquery: exists w, x, y, z. "
+                         "r(x,y), r(y,z), r(z,w), r(w,x), "
+                         "P(w), P(x), P(y), P(z)\n")
+    kb, q = doc.kb, doc.queries[0]
+    assert kb.fragment is Fragment.EL and not is_tree_shaped(q)
+    comp = compress_el(kb)
+    values, _ = dp_min_tree(comp.structure)
+    ranked = _rank_matches(comp.structure, values, q)
+    tied = [subst for total, subst in ranked if total == ranked[0][0]]
+    # closed walks of length 4: over all eight, over c0, c3 and c6
+    assert (len(ranked), len(tied)) == (7 ** 4 + 7, 2 ** 4 + 2)
+    assert list(least_matches(comp.structure, values, q)) == tied
+
+    def enumerate_matches(*args):
+        raise AssertionError("the EL route enumerated matches")
+
+    monkeypatch.setattr("hornexplain.compress.match_conjunction",
+                        enumerate_matches)
+    proof = el_cq_min_treesize(kb, q)
     ok, problems = validate_proof(proof, kb, q, "sk")
     assert ok, problems
-    # every y_i goes to b6: r(a,b6) and C(b6) are facts
-    assert tree_size(proof) == 2 * 10 + goal_tail_size(q)
-    assert _cost_graph(kb, q).chosen == {
-        Const("a"): Const("a"), **{Var(f"y{i}"): Const("b6")
-                                   for i in range(10)}}
+    assert tree_size(proof) == ranked[0][0] + goal_tail_size(q)
 
 
 def test_el_cq_assignment_through_fresh_names():
@@ -500,7 +554,7 @@ def _realized_witness(kb, q):
     structure = saturate_kb(kb, default_depth_ceiling(kb, q),
                             max_atoms=500_000)
     values, chosen = dp_min_tree(structure)
-    sigma = rank_matches(structure, values, q)[0][1]
+    sigma = _rank_matches(structure, values, q)[0][1]
     targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
                for a in q.atoms]
     return add_goal_tail(*extract_witness(structure, chosen, targets),
@@ -545,7 +599,7 @@ def test_the_el_route_leaves_an_underestimating_fold_to_the_search():
     kb, q = doc.kb, doc.queries[0]
     comp = compress_el(kb)
     values, _ = dp_min_tree(comp.structure)
-    assert rank_matches(comp.structure, values, q)[0][0] == 10
+    assert _rank_matches(comp.structure, values, q)[0][0] == 10
     with pytest.raises(DecompressError):
         el_cq_min_treesize(kb, q)
     result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE))
@@ -781,6 +835,16 @@ def test_explain_routes_and_falls_back(ex1):
     exact = explain(inst.kb, inst.query,
                     RunConfig(measure=Measure.TREE_SIZE, algo="exact"))
     assert poly.value == exact.value
+
+
+def test_poly_for_the_cq_deriver_warns_before_the_exact_search():
+    """The polynomial routes build sk proofs: with the cq deriver, --algo
+    poly falls back as it does where a route's preconditions fail."""
+    inst = gen_dllite_chain(1)
+    result = explain(inst.kb, inst.query, RunConfig(
+        measure=Measure.TREE_SIZE, algo="poly", deriver="cq"))
+    assert result.algorithm == "exact"
+    assert any("preconditions not met" in w for w in result.warnings)
 
 
 def test_explain_reports_value_equal_to_measure(ex1):

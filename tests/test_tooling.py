@@ -73,13 +73,33 @@ runpy.run_module("hornexplain.cli", run_name="__main__", alter_sys=True)
 """
 
 
+# An EL knowledge base whose query has two equally cheap matches in the
+# fold, z=b, x=a and z=a, x=b: the route takes the least assignment with the
+# variables in name order, so x=a, although z comes first in the query
+_EL_TIES = """\
+rule: A(x) -> exists y. r(x,y), B(y)
+rule: A(x), E(x) -> F(x)
+rule: s(x,y), F(y) -> G(x)
+fact: A(a)
+fact: A(b)
+fact: E(a)
+fact: E(b)
+fact: s(c,a)
+fact: s(c,b)
+fact: t(a,b)
+fact: t(b,a)
+query: exists u, x, y, z. G(u), s(u,z), t(z,x), r(x,y), B(y)
+"""
+
+
 def _cli_outputs(hash_seed: str, workdir: Path,
                  shift_addresses: bool = False) -> dict[str, str]:
     """Outputs of a fixed set of CLI runs, by the name of their golden file.
 
     They cover the three measures on the running example, the sk->cq->sk
     round trip, the polynomial routes (el-tree 3 unfolds vertices with
-    several real images) and the cq search.  With ``shift_addresses`` each run uses the
+    several real images; ``_EL_TIES`` pins the order of equally cheap
+    matches) and the cq search.  With ``shift_addresses`` each run uses the
     system allocator and interns unrelated values first.
     """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
@@ -111,6 +131,11 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     run("gen", "el-tree", "3", "-o", str(tree))
     chain = workdir / f"dllite-chain-{hash_seed}.kb"
     run("gen", "dllite-chain", "5", "-o", str(chain))
+    tree_query = workdir / f"dllite-tree-query-{hash_seed}.kb"
+    run("gen", "dllite-tree-query", "4", "--seed", "10", "-o",
+        str(tree_query))
+    el_ties = workdir / f"el-ties-{hash_seed}.kb"
+    el_ties.write_text(_EL_TIES, encoding="utf-8")
     demo = ROOT / "demo.kb"
     for m in ("size", "tree", "domain"):
         explain(f"demo-{m}.json", demo, "--measure", m)
@@ -126,6 +151,9 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     explain("dllite-chain-5-tree.json", chain, "--measure", "tree")
     explain("dllite-chain-5-size-poly.json", chain, "--measure", "size",
             "--algo", "poly")
+    explain("dllite-tree-query-4-10-tree.json", tree_query,
+            "--measure", "tree")
+    explain("el-ties-tree.json", el_ties, "--measure", "tree")
     return out
 
 
