@@ -205,6 +205,11 @@ def _parse_clauses(text: str) -> list[list[int]]:
     return clauses
 
 
+def _check_family(name: str, choices: list[str]) -> None:
+    if name not in choices:
+        raise KBError(f"unknown family {name!r}; choose from {choices}")
+
+
 def cmd_gen(args) -> int:
     if args.family in ("sat", "sat-cq"):
         if not args.clauses:
@@ -213,11 +218,9 @@ def cmd_gen(args) -> int:
         clauses = _parse_clauses(args.clauses)
         inst = gen_sat(clauses) if args.family == "sat" \
             else gen_sat_cq(clauses)
-    elif args.family in FAMILIES:
-        inst = FAMILIES[args.family](args.n, seed=args.seed)
     else:
-        raise KBError(f"unknown family {args.family!r}; choose from "
-                      f"{sorted(FAMILIES) + ['sat', 'sat-cq']}")
+        _check_family(args.family, sorted(FAMILIES) + ["sat", "sat-cq"])
+        inst = FAMILIES[args.family](args.n, seed=args.seed)
     text = serialize_document(inst.kb, [inst.query])
     meta = {"schema_version": 1, "family": inst.family,
             "parameter": inst.parameter, "predicted": inst.predicted,
@@ -278,6 +281,8 @@ def cmd_normalize(args) -> int:
 
 def cmd_bench(args) -> int:
     families = args.families.split(",")
+    for fam in families:
+        _check_family(fam, sorted(FAMILIES))
     params = [int(x) for x in args.params.split(",")]
     jobs = [(fam, n) for fam in families for n in params]
 

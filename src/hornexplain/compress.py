@@ -434,7 +434,8 @@ def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
 
 
 def least_matches(structure: FiniteStructure, values: dict[int, int | float],
-                  q: BooleanCQ) -> Iterator[dict[Var, Term]]:
+                  q: BooleanCQ, tick: Optional[Callable[[], None]] = None
+                  ) -> Iterator[dict[Var, Term]]:
     """The matches of the query into the structure whose summed tree-size
     value is least, least assignment first, without enumerating matches.
 
@@ -445,8 +446,10 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
     query of bounded treewidth.  The ties come in assignment order, as by
     self-reduction: the variables in name order, each fixed to its least
     term (:func:`term_key`) that keeps the optimum, read off one elimination
-    that keeps that variable last.
+    that keeps that variable last.  ``tick`` is called once per table row
+    built or joined, so a caller can hold the step to a budget.
     """
+    tick = tick or (lambda: None)
     names = sorted(variables_of(q.atoms), key=lambda v: v.name)
     tables = []
     for a in q.atoms:
@@ -455,9 +458,10 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
         for ground, sigma in unifiers(a, structure.index, {}):
             value = values[structure.atom_ids[ground]]
             if value < _INF:
+                tick()
                 rows[tuple(sigma[v] for v in scope)] = value
         tables.append((scope, rows))
-    best = min(_min_sum(tables, None).values(), default=_INF)
+    best = min(_min_sum(tables, None, tick).values(), default=_INF)
     stack = [({}, tables)] if best < _INF else []
     while stack:
         fixed, tables = stack.pop()
@@ -468,7 +472,8 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
             yield fixed
             continue
         var = names[len(fixed)]
-        tied = sorted((row[0] for row, total in _min_sum(tables, var).items()
+        tied = sorted((row[0] for row, total
+                       in _min_sum(tables, var, tick).items()
                        if total == best), key=term_key, reverse=True)
         stack.extend(({**fixed, var: t}, tables) for t in tied)
 
@@ -476,12 +481,13 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
 _Table = tuple[tuple[Var, ...], dict[tuple[Term, ...], int]]
 
 
-def _min_sum(tables: list[_Table], keep: Optional[Var]
-             ) -> dict[tuple[Term, ...], int]:
+def _min_sum(tables: list[_Table], keep: Optional[Var],
+             tick: Callable[[], None]) -> dict[tuple[Term, ...], int]:
     """The least summed value of the tables' rows that agree, per term of
     ``keep`` (per () when None): every other variable is eliminated, the
     one with the fewest neighbours first."""
     tables = list(tables)
+    join = functools.partial(_join, tick=tick)
     while True:
         near: dict[Var, set[Var]] = {}
         for scope, _ in tables:
@@ -491,7 +497,7 @@ def _min_sum(tables: list[_Table], keep: Optional[Var]
         if not near:
             break
         var = min(near, key=lambda v: (len(near[v]), v.name))
-        joined = functools.reduce(_join, [t for t in tables if var in t[0]])
+        joined = functools.reduce(join, [t for t in tables if var in t[0]])
         tables = [t for t in tables if var not in t[0]]
         scope, rows = joined
         i = scope.index(var)
@@ -501,12 +507,12 @@ def _min_sum(tables: list[_Table], keep: Optional[Var]
             if total < out.get(key, _INF):
                 out[key] = total
         tables.append((scope[:i] + scope[i + 1:], out))
-    return functools.reduce(_join, tables, ((), {(): 0}))[1]
+    return functools.reduce(join, tables, ((), {(): 0}))[1]
 
 
-def _join(left: _Table, right: _Table) -> _Table:
+def _join(left: _Table, right: _Table, tick: Callable[[], None]) -> _Table:
     """The rows of both tables that agree on their shared variables, with
-    their values summed."""
+    their values summed; ``tick`` is called once per row."""
     (lscope, lrows), (rscope, rrows) = left, right
     shared = [i for i, v in enumerate(rscope) if v in lscope]
     at = [lscope.index(rscope[i]) for i in shared]
@@ -518,6 +524,7 @@ def _join(left: _Table, right: _Table) -> _Table:
     rows = {}
     for row, total in lrows.items():
         for rest, more in by.get(tuple(row[i] for i in at), ()):
+            tick()
             rows[row + rest] = total + more
     return lscope + tuple(rscope[i] for i in extra), rows
 
@@ -583,7 +590,9 @@ def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
 
 def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                             strict_cg: bool = False,
-                            deadline: Optional[float] = None) -> ProofGraph:
+                            deadline: Optional[float] = None,
+                            tick: Optional[Callable[[], None]] = None
+                            ) -> ProofGraph:
     """Minimal-tree-size proof for a tree-shaped query over DL-Lite.
 
     It is the size route as well (``dllite_query_min_size``): per-atom
@@ -592,7 +601,7 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
-    return _least_proof(compress_dllite, kb, q, strict_cg, deadline)
+    return _least_proof(compress_dllite, kb, q, strict_cg, deadline, tick)
 
 
 dllite_query_min_size = tree_query_min_treesize
@@ -600,25 +609,30 @@ dllite_query_min_size = tree_query_min_treesize
 
 def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                        strict_cg: bool = False,
-                       deadline: Optional[float] = None) -> ProofGraph:
+                       deadline: Optional[float] = None,
+                       tick: Optional[Callable[[], None]] = None
+                       ) -> ProofGraph:
     """Minimal-tree-size proof over EL or DL-Lite, for any query shape."""
-    return _least_proof(compress_el, kb, q, strict_cg, deadline)
+    return _least_proof(compress_el, kb, q, strict_cg, deadline, tick)
 
 
 def _least_proof(compress: Callable[..., CompressedStructure],
                  kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool,
-                 deadline: Optional[float]) -> ProofGraph:
+                 deadline: Optional[float],
+                 tick: Optional[Callable[[], None]]) -> ProofGraph:
     """The first of the least matches into the fold that unfolds
     (:func:`decompress`).  When none does, DecompressError: the fold's value
     then lies below every real proof, and the exact search has to settle
     the optimum.  The fold has placeholders where the universal model has
-    Skolem terms, so a query naming one is left to the exact search."""
+    Skolem terms, so a query naming one is left to the exact search.  The
+    tree-size values and the least step call ``tick`` (see
+    :func:`dp_min_tree` and :func:`least_matches`)."""
     if any(isinstance(t, SkolemTerm) for a in q.atoms for t in atom_terms(a)):
         raise CompressError("query names a Skolem term, which the "
                             "compressed structure folds away")
     comp = compress(kb, deadline)
-    values, chosen = dp_min_tree(comp.structure)
-    tied = least_matches(comp.structure, values, q)
+    values, chosen = dp_min_tree(comp.structure, tick)
+    tied = least_matches(comp.structure, values, q, tick)
     first = next(tied, None)
     if first is None:
         raise CompressError("query is not entailed: no match in the "

@@ -1,11 +1,13 @@
 """Exact bounded proof search and the algorithm router.
 
 Proofs use one vertex per atom label.  Tree-size minima come from the value
-iteration in :mod:`hornexplain.compress`, and size / domain-size minima
-from branch-and-bound over explicit derivation choices.  Outcomes
-are exact relative to the structural bounds in force (term-depth ceiling,
-node and time budgets); ``none`` means the whole space within those bounds
-was exhausted, ``exhausted`` that a resource limit cut the search short.
+iteration and the least-match step in :mod:`hornexplain.compress`, and
+size / domain-size minima from branch-and-bound over explicit derivation
+choices.  Outcomes are exact relative to the structural bounds in force
+(term-depth ceiling, node and time budgets); ``none`` means the whole space
+within those bounds was exhausted, ``exhausted`` that a resource limit cut
+the search short (or, in the query-level search with rules, that its moves
+ran out).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .chase import _chase_verdict
 from .compress import (CompressError, CompressedStructure, DecompressError,
                        add_goal_tail, dllite_query_min_size, dp_min_tree,
                        edge_key, el_cq_min_treesize, equality_free_fold,
-                       extract_witness, goal_tail_size, min_heights, refutes,
-                       tree_query_min_treesize, _INF)
+                       extract_witness, goal_tail_size, least_matches,
+                       min_heights, refutes, tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
 from .deriver_sk import (BudgetExceeded, FiniteStructure,
                          default_depth_ceiling, saturate_kb)
@@ -416,29 +418,42 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     best_value = incoming_best
     best_sigma: Optional[dict[Var, Term]] = None
     best_choice = None
-    tree_values: Optional[dict[int, int | float]] = None
-    tree_chosen: Optional[dict[int, int]] = None
     tripped = False
+
+    if budget.measure is Measure.TREE_SIZE:
+        # the least match (least assignment first); only a depth where the
+        # matcher finds one pays for the values, and that first match stays
+        # if the least step runs out of budget
+        sigma = values = chosen = None
+        try:
+            first = next(match_conjunction(q.atoms, structure.index), None)
+            if first is not None:
+                values, chosen = dp_min_tree(structure, ticker.tick)
+                sigma = first
+                sigma = next(least_matches(structure, values, q,
+                                           ticker.tick), first)
+        except BudgetExceeded:
+            tripped = True
+        total = _INF if sigma is None else tail_count + sum(
+            values[structure.atom_ids[substitute_atom(a, sigma)]]
+            for a in q.atoms)
+        if total < min(limit, best_value):
+            best_value, best_sigma, best_choice = total, sigma, chosen
+        return best_value, best_sigma, best_choice, values, tripped
 
     # branch-and-bound over the matches: each matched atom adds cost that
     # no later choice removes, so a partial match whose lower bound reaches
     # the cap holds no match that could replace the best
     def prune(matched: list[Optional[Atom]]) -> bool:
         cap = min(limit, best_value)
-        # tree size is bounded only by the DP's values, which exist from the
-        # first match on
-        if cap == _INF or (budget.measure is Measure.TREE_SIZE
-                           and tree_values is None):
+        if cap == _INF:
             return False
         ticker.tick()
         atoms = [a for a in matched if a is not None]
         if budget.measure is Measure.SIZE:
             lower = tail_count + len(set(atoms))
-        elif budget.measure is Measure.DOMAIN_SIZE:
-            lower = len(set().union(*map(terms_of, atoms)))
         else:
-            ids = structure.atom_ids
-            lower = tail_count + sum(tree_values[ids[a]] for a in atoms)
+            lower = len(set().union(*map(terms_of, atoms)))
         return lower >= cap
 
     # each atom's terms, computed once per depth
@@ -452,33 +467,18 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
 
     try:
         for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
-            if budget.measure is Measure.TREE_SIZE and tree_values is None:
-                # only a depth with a match needs the values
-                tree_values, tree_chosen = dp_min_tree(structure, ticker.tick)
             ticker.tick()
             targets = [structure.atom_ids[substitute_atom(atom, sigma)]
                        for atom in q.atoms]
-            cap = min(limit, best_value)
-            if budget.measure is Measure.TREE_SIZE:
-                total = tail_count + sum(tree_values[vid] for vid in targets)
-                if total < cap:
-                    best_value, best_sigma = total, sigma
-                    best_choice = tree_chosen
-            else:
-                res = _cover_min(structure, targets, budget.measure,
-                                 cap - (tail_count if budget.measure
-                                        is Measure.SIZE else 0),
-                                 ticker)
-                if res is not None:
-                    value, choice = res
-                    total = value + (tail_count if budget.measure
-                                     is Measure.SIZE else 0)
-                    if total < best_value:
-                        best_value, best_sigma = total, sigma
-                        best_choice = choice
+            tail = tail_count if budget.measure is Measure.SIZE else 0
+            res = _cover_min(structure, targets, budget.measure,
+                             min(limit, best_value) - tail, ticker)
+            if res is not None:
+                best_value, best_sigma = res[0] + tail, sigma
+                best_choice = res[1]
     except BudgetExceeded:
         tripped = True
-    return best_value, best_sigma, best_choice, tree_values, tripped
+    return best_value, best_sigma, best_choice, None, tripped
 
 
 def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
@@ -568,7 +568,12 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
             else proof_size(proof)
         return ticker.result("found", proof, got)
     if best is None and kb.tbox:
-        return ticker.result("exhausted")
+        # ``none`` needs a certificate, which the incomplete moves are not
+        result = ticker.result("exhausted")
+        result.warnings.append(
+            "query-level search ran out of moves, not budget: it never "
+            "conjoins two queries, so a proof it cannot build may exist")
+        return result
     if best is None:
         return ticker.result("none", complete=True)
     value, sigma, use_taut = best
@@ -603,10 +608,11 @@ def _canon_cq(cq: BooleanCQ) -> tuple:
 
 def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
                        ticker: _Ticker) -> Optional[tuple[int, ProofGraph]]:
-    """Node-capped closure over query labels: rule applications on derived
-    queries, conjunction with facts, and a final generalization or
-    tautology step.  Cheapest-first, so the first goal hit is the minimum
-    over the enumerated moves (intermediate tautologies are not explored).
+    """Node-capped closure over query labels: rule applications on each
+    fact and on the queries derived from it, never conjoining two, and a
+    final generalization or tautology step.  Cheapest-first, so the first
+    goal hit is the minimum over the enumerated moves (intermediate
+    tautologies are not explored).
     """
     builder = ProofBuilder()
     max_atoms = max(len(q.atoms), 2) + 2
@@ -757,9 +763,9 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
 
     if route is not None:
         run, algo = route
+        ticker = _Ticker(budget)
         try:
-            proof = run(kb, q, config.strict_cg,
-                        time.monotonic() + config.max_seconds)
+            proof = run(kb, q, config.strict_cg, ticker.deadline, ticker.tick)
             value = measure(proof, config.measure).value
             # the size route minimizes tree size: where premises are shared,
             # a smaller proof can exist, so its value only bounds the
@@ -791,6 +797,7 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
     result = bounded_search(kb, q, budget, deriver=config.deriver,
                             strict_cg=config.strict_cg,
                             depth_ceiling=config.depth_ceiling)
+    warnings += result.warnings
     if not result.complete and result.status in ("found", "none"):
         warnings.append("search space was cut by the depth ceiling or "
                         "resource limits; result is relative to those bounds")

@@ -193,6 +193,13 @@ def test_gen_unknown_family_fails():
     assert run_cli("gen", "made-up-family").returncode == 65
 
 
+def test_bench_unknown_family_fails():
+    proc = run_cli("bench", "--families", "dllite-chain,nope")
+    assert proc.returncode == 65
+    assert "unknown family 'nope'; choose from" in proc.stderr
+    assert "internal error" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     proc = run_cli("explain")  # missing the kb argument
     assert proc.returncode == 64

@@ -14,7 +14,8 @@ from hornexplain.compress import (CompressError, DecompressError,
                                   equality_free_fold, extract_witness, fold,
                                   goal_tail_size, least_matches, refutes,
                                   tree_query_min_treesize)
-from hornexplain.deriver_sk import default_depth_ceiling, saturate_kb
+from hornexplain.deriver_sk import (BudgetExceeded, default_depth_ceiling,
+                                    saturate_kb)
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter,
@@ -326,6 +327,46 @@ def _rank_matches(structure, values, q):
         scored, key=lambda s: s[:2])]
 
 
+_search_at_depth = search_module._search_at_depth
+
+
+def _enumerated_at_depth(q, budget, structure, strict_cg, ticker,
+                         incoming_best):
+    """Frozen reference: the exact search's depth step under tree size as
+    it was before the least-match step replaced it, branch-and-bound over
+    the matcher's matches that keeps the first least one in matcher
+    order.  Other measures run the search's own step."""
+    if budget.measure is not Measure.TREE_SIZE:
+        return _search_at_depth(q, budget, structure, strict_cg, ticker,
+                                incoming_best)
+    tail = goal_tail_size(q, strict_cg)
+    limit = budget.bound + 1 if budget.bound is not None else _INF
+    ids = structure.atom_ids
+    best = [incoming_best, None, None]
+    values = chosen = None
+
+    def prune(matched):
+        cap = min(limit, best[0])
+        if cap == _INF or values is None:
+            return False
+        ticker.tick()
+        return tail + sum(values[ids[a]] for a in matched
+                          if a is not None) >= cap
+
+    try:
+        for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
+            if values is None:
+                values, chosen = dp_min_tree(structure, ticker.tick)
+            ticker.tick()
+            total = tail + sum(values[ids[substitute_atom(a, sigma)]]
+                               for a in q.atoms)
+            if total < min(limit, best[0]):
+                best = [total, sigma, chosen]
+    except BudgetExceeded:
+        return (*best, values, True)
+    return (*best, values, False)
+
+
 def _least_matches(kb, q):
     comp = compress_el(kb)
     return list(least_matches(comp.structure,
@@ -451,6 +492,19 @@ def _star(k):
     return doc.kb, doc.queries[0]
 
 
+def _clique(n):
+    """r(x_i,x_j) for i < j < 6 over n individuals whose s facts pair every
+    two of them, with s(x,y) -> r(x,y): treewidth 5, so the least step
+    builds tables of about n^5 rows."""
+    text = "rule: s(x,y) -> r(x,y)\n" + "".join(
+        f"fact: s(c{i},c{j})\n" for i in range(n) for j in range(n) if i != j)
+    atoms = ", ".join(f"r(x{i},x{j})" for i in range(6)
+                      for j in range(i + 1, 6))
+    doc = parse_document(text + "query: exists x0, x1, x2, x3, x4, x5. "
+                         f"{atoms}\n")
+    return doc.kb, doc.queries[0]
+
+
 def test_least_matches_stay_polynomial_on_a_star(monkeypatch):
     for k in range(1, 5):
         kb, q = _star(k)
@@ -477,6 +531,48 @@ def test_least_matches_stay_polynomial_on_a_star(monkeypatch):
         assert ok, problems
         assert tree_size(proof) == 2 * 10 + goal_tail_size(q)
     assert proof_to_json(proofs[0], q) == proof_to_json(proofs[1], q)
+
+
+def test_the_exact_search_takes_the_least_match_on_a_star():
+    """At k = 12 the matcher would enumerate 8^12 matches: the exact search
+    takes the least match from the least-match step and certifies it."""
+    kb, q = _star(12)
+    result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE,
+                                      algo="exact"))
+    assert (result.status, result.value, result.complete) == \
+        ("found", 2 * 12 + goal_tail_size(q), True)
+    assert result.nodes < 5000
+    ok, problems = validate_proof(result.proof, kb, q, "sk")
+    assert ok, problems
+
+
+def test_a_tripped_least_step_keeps_the_first_match():
+    """A node budget that runs out in the least step leaves the matcher's
+    first match as an uncertified proof."""
+    kb, q = _clique(8)
+    result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE,
+                                      algo="exact", max_nodes=3000))
+    assert (result.status, result.complete) == ("found", False)
+    ok, problems = validate_proof(result.proof, kb, q, "sk")
+    assert ok, problems
+    assert tree_size(result.proof) == result.value
+
+
+def test_the_run_budget_bounds_the_least_step_of_the_polynomial_route():
+    """The least step of a treewidth-5 query is charged to --max-nodes and
+    --max-seconds (at n = 10 it takes about 4 s unbounded)."""
+    kb, q = _clique(10)
+    assert search_module._poly_route(kb, q, Measure.TREE_SIZE)[1] \
+        == "poly-el-tree"
+    for limits, cause in (({"max_nodes": 3000}, "node limit"),
+                          ({"max_seconds": 0.3, "max_nodes": 10 ** 9},
+                           "time limit")):
+        start = time.monotonic()
+        result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE,
+                                          **limits))
+        assert time.monotonic() - start < 0.3 + 1.5
+        assert (result.status, result.complete) == ("exhausted", False)
+        assert result.warnings == [f"polynomial algorithm stopped: {cause}"]
 
 
 def test_least_matches_answer_a_four_cycle_without_enumerating(monkeypatch):
@@ -811,6 +907,20 @@ def test_bounded_search_cq_explores_rule_applications(ex1):
     assert not out.complete   # move enumeration is capped with rules present
 
 
+def test_the_cq_search_says_when_its_moves_run_out():
+    """The forward closure never conjoins two queries, so it misses the
+    proofs of dllite-chain 1 (tree size 17 in the sk search) without
+    reaching a limit: the answer stays ``exhausted``, with that cause."""
+    inst = gen_dllite_chain(1)
+    result = explain(inst.kb, inst.query, RunConfig(
+        measure=Measure.TREE_SIZE, algo="poly", deriver="cq"))
+    assert (result.status, result.complete) == ("exhausted", False)
+    assert result.nodes < 1000
+    assert len(result.warnings) == 2
+    assert "preconditions not met" in result.warnings[0]
+    assert "ran out of moves, not budget" in result.warnings[1]
+
+
 def test_bounded_search_cq_rejects_domain_size():
     sat = gen_sat_cq([[1]])
     with pytest.raises(ValueError, match="domain"):
@@ -958,7 +1068,9 @@ def _random_cnf(rng):
 def test_match_level_cut_changes_no_answer(monkeypatch):
     """Branch-and-bound over query matches against the plain enumeration:
     the same status, value and proof bytes on random KBs and on the SAT
-    reductions, whose verdicts at the stated bounds follow satisfiability."""
+    reductions, whose verdicts at the stated bounds follow satisfiability.
+    Under tree size the sk search enumerates no matches (see
+    ``test_the_least_step_changes_no_answer``); the cq search still cuts."""
     rng = random.Random(20261020)
     cases = []
     for _ in range(300):
@@ -1002,6 +1114,53 @@ def test_match_level_cut_changes_no_answer(monkeypatch):
             assert proof_to_json(got.proof, q) == proof_to_json(want.proof, q)
         if verdict is not None:
             assert got.status == ("found" if verdict else "none"), case
+
+
+def test_the_least_step_changes_no_answer(monkeypatch):
+    """The exact search's least-match step against the frozen enumeration
+    under tree size, on random KBs with and without a bound and on the
+    generators: the same status, value and certificate, and proofs of the
+    same tree size that validate.  Their JSON differs only on ties where
+    the least assignment (variables in name order) is not the matcher's
+    first match: once here, v(x1,x0) over the facts v(d,e) and v(e,d),
+    where x0 = d comes first."""
+    rng = random.Random(23)
+    cases = []
+    for case in range(1500):
+        kb = _random_dllite_kb(rng) if case % 2 else _random_kb(rng)
+        ceiling = rng.randint(1, 4)
+        q = _query_into(rng, saturate_kb(kb, rng.randint(0, ceiling))) \
+            if case % 5 else _random_query(rng)
+        bound = rng.choice([None, None, rng.randint(2, 12)])
+        cases.append((kb, q, bound, ceiling))
+    for inst in ([gen_el_tree(n) for n in (1, 2, 3)]
+                 + [gen_el_abox(n) for n in (1, 4)]
+                 + [gen_dllite_chain(n) for n in (0, 3)]
+                 + [gen_dllite_tree_query(4, seed) for seed in range(6)]
+                 + [gen_hornalc_counter(1)]):
+        cases += [(inst.kb, inst.query, None, None),
+                  (inst.kb, inst.query, 20, None)]
+    statuses = {}
+    ties = []
+    for case, (kb, q, bound, ceiling) in enumerate(cases):
+        budget = SearchBudget(Measure.TREE_SIZE, bound)
+        monkeypatch.undo()
+        got = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        monkeypatch.setattr("hornexplain.search._search_at_depth",
+                            _enumerated_at_depth)
+        want = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        assert (got.status, got.value, got.complete) == \
+            (want.status, want.value, want.complete), case
+        statuses[got.status] = statuses.get(got.status, 0) + 1
+        if got.proof is None:
+            continue
+        ok, problems = validate_proof(got.proof, kb, q, "sk")
+        assert ok, (case, problems)
+        assert tree_size(got.proof) == tree_size(want.proof) == got.value
+        if proof_to_json(got.proof, q) != proof_to_json(want.proof, q):
+            ties.append(case)
+    assert min(statuses.values()) > 0 and len(statuses) == 3, statuses
+    assert len(ties) == 1, ties
 
 
 def test_match_level_cut_fires_on_an_unsatisfiable_formula(monkeypatch):

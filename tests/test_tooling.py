@@ -99,8 +99,9 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     They cover the three measures on the running example, the sk->cq->sk
     round trip, the polynomial routes (el-tree 3 unfolds vertices with
     several real images; ``_EL_TIES`` pins the order of equally cheap
-    matches) and the cq search.  With ``shift_addresses`` each run uses the
-    system allocator and interns unrelated values first.
+    matches, on the EL route and in the exact search) and the cq search.
+    With ``shift_addresses`` each run uses the system allocator and interns
+    unrelated values first.
     """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     command = [sys.executable, "-m", "hornexplain.cli"]
@@ -154,6 +155,8 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     explain("dllite-tree-query-4-10-tree.json", tree_query,
             "--measure", "tree")
     explain("el-ties-tree.json", el_ties, "--measure", "tree")
+    explain("el-ties-tree-exact.json", el_ties, "--measure", "tree",
+            "--algo", "exact")
     return out
 
 
@@ -182,6 +185,23 @@ def test_cli_output_matches_the_golden_files(tmp_path):
     changed = [name for name, text in outputs.items()
                if (GOLDEN / name).read_text(encoding="utf-8") != text]
     assert not changed, changed
+
+
+def test_the_exact_search_breaks_ties_as_the_el_route_does(tmp_path):
+    """Both take the least of ``_EL_TIES``' two equally cheap matches, so
+    their text output differs only in the algorithm's name."""
+    kb = tmp_path / "el-ties.kb"
+    kb.write_text(_EL_TIES, encoding="utf-8")
+
+    def text(algo: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-m", "hornexplain.cli", "explain", str(kb),
+             "--measure", "tree", "--algo", algo], capture_output=True,
+            text=True, check=True).stdout
+
+    poly, exact = text("poly"), text("exact")
+    assert "(poly-el-tree)" in poly and "r(a,f_0(a))" in poly
+    assert exact == poly.replace("(poly-el-tree)", "(exact)")
 
 
 def test_the_el_tree_10_proof_is_pinned(tmp_path):
