@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .compress import equality_free_fold, refutes
-from .deriver_sk import BudgetExceeded, default_depth_ceiling, saturate_kb
+from .deriver_sk import (BudgetExceeded, Ticker, default_depth_ceiling,
+                         saturate_kb)
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KnowledgeBase, NormalForm,
                  SkolemTerm, Term, Var, atom_key, atom_terms, map_atom_terms,
                  orient_equality, substitute_atom, term_depth, term_key)
@@ -50,17 +51,18 @@ def _resolve(merges: dict[Term, Const], t: Term) -> Term:
 
 
 def chase(kb: KnowledgeBase, depth_bound: int,
-          max_atoms: Optional[int] = None) -> ChaseState:
+          ticker: Optional[Ticker] = None) -> ChaseState:
     """The model fragment within the term-depth bound.
 
     ``saturated_at_bound`` says that the fragment is closed: no rule
     application is cut off by the bound and no equality is left to merge.
-    Raises :class:`BudgetExceeded` when the saturation passes ``max_atoms``
-    atoms.
+    Raises :class:`BudgetExceeded` when the saturation passes the ticker's
+    atom cap, or the saturation or the merging its clock.
     """
     if depth_bound < 0:
         raise ValueError("depth bound must be non-negative")
-    structure = saturate_kb(kb, depth_bound, max_atoms=max_atoms)
+    ticker = ticker or Ticker()
+    structure = saturate_kb(kb, depth_bound, ticker)
     merges: dict[Term, Const] = {}
     for eq in sorted(structure.index.bucket(("=",)),
                      key=structure.atom_ids.__getitem__):
@@ -77,6 +79,7 @@ def chase(kb: KnowledgeBase, depth_bound: int,
                           else AtomIndex(facts))
 
     def resolve(t: Term) -> Term:
+        ticker.charge()
         return _resolve(merges, t)
 
     atoms = frozenset(map_atom_terms(a, resolve) for a in facts)
@@ -137,29 +140,31 @@ class EntailmentResult:
 
 def entails(kb: KnowledgeBase, q: BooleanCQ,
             ceiling: Optional[int] = None,
-            max_atoms: Optional[int] = 200_000) -> EntailmentResult:
+            ticker: Optional[Ticker] = None) -> EntailmentResult:
     """Iteratively deepen the chase until the query matches or nothing can.
 
     Where the deepening stops short, a query without a match in the
     equality-free fold (:func:`hornexplain.compress.equality_free_fold`) is
     still refuted.  ``unknown`` is an honest outcome: the ceiling was
     reached while rule applications were still being cut off by the depth
-    bound, or the saturation passed ``max_atoms`` atoms, and the fold
-    refuted nothing.
+    bound, or the saturation ran out of the ticker's budget (by default a
+    cap of 200,000 atoms), and the fold refuted nothing.
     """
-    result = _chase_verdict(kb, q, ceiling, max_atoms)
+    ticker = ticker or Ticker(max_atoms=200_000)
+    result = _chase_verdict(kb, q, ceiling, ticker)
     if result.verdict != "unknown":
         return result
     try:
-        refuted = refutes(equality_free_fold(kb, max_atoms=max_atoms), q)
+        refuted = refutes(equality_free_fold(kb, ticker), q)
     except BudgetExceeded:
         refuted = False
     return EntailmentResult("no", result.at_depth) if refuted else result
 
 
 def _chase_verdict(kb: KnowledgeBase, q: BooleanCQ, ceiling: Optional[int],
-                   max_atoms: Optional[int] = 200_000) -> EntailmentResult:
-    """The verdict of the deepening alone, without the fold's refutation."""
+                   ticker: Ticker) -> EntailmentResult:
+    """The verdict of the deepening alone, without the fold's refutation;
+    ``unknown`` where the ticker's budget runs out."""
     if ceiling is None:
         ceiling = default_depth_ceiling(kb, q)
     # without nominal rules nothing merges: no fragment shallower than the
@@ -169,7 +174,7 @@ def _chase_verdict(kb: KnowledgeBase, q: BooleanCQ, ceiling: Optional[int],
                                for t in atom_terms(a)), default=0))
     for depth in range(start, ceiling + 1):
         try:
-            state = chase(kb, depth, max_atoms=max_atoms)
+            state = chase(kb, depth, ticker=ticker)
         except BudgetExceeded:
             return EntailmentResult("unknown", depth)
         matches = match_query(q, state, limit=1)

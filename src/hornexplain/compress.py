@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -28,7 +27,7 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
 from .matching import match_conjunction, unifiers
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
                      ProofGraph, RuleLabel, Schema, label_key)
-from .deriver_sk import BudgetExceeded, FiniteStructure, saturate
+from .deriver_sk import FiniteStructure, Ticker, saturate
 
 
 class CompressError(KBError):
@@ -64,8 +63,8 @@ def _fold_atom(a: Atom, placeholders: dict[str, Const]) -> Atom:
                           if isinstance(t, SkolemTerm) else t)
 
 
-def fold(kb: KnowledgeBase, deadline: Optional[float] = None,
-         max_atoms: Optional[int] = None) -> CompressedStructure:
+def fold(kb: KnowledgeBase, ticker: Optional[Ticker] = None
+         ) -> CompressedStructure:
     """Placeholder pool: one individual ``c_f`` per Skolem function ``f``,
     for a knowledge base of any fragment.
 
@@ -87,31 +86,29 @@ def fold(kb: KnowledgeBase, deadline: Optional[float] = None,
         head = tuple(_fold_atom(a, placeholders) for a in rule.head)
         compressed.append(SkolemRule(rule.body, head, rule.normal_form,
                                      rule.index, rule.fn))
-    structure = saturate(kb.abox, tuple(compressed), depth_bound=0,
-                         max_atoms=max_atoms, deadline=deadline)
+    structure = saturate(kb.abox, tuple(compressed), 0, ticker)
     return CompressedStructure(structure, placeholders)
 
 
-def compress_dllite(kb: KnowledgeBase, deadline: Optional[float] = None
+def compress_dllite(kb: KnowledgeBase, ticker: Optional[Ticker] = None
                     ) -> CompressedStructure:
     """The fold of a DL-Lite knowledge base."""
     if kb.fragment != Fragment.DLLiteR:
         raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
                             "this construction needs dl-lite-r")
-    return fold(kb, deadline)
+    return fold(kb, ticker)
 
 
-def compress_el(kb: KnowledgeBase, deadline: Optional[float] = None
+def compress_el(kb: KnowledgeBase, ticker: Optional[Ticker] = None
                 ) -> CompressedStructure:
     """The fold of an EL or DL-Lite knowledge base."""
     if kb.fragment not in (Fragment.EL, Fragment.DLLiteR):
         raise CompressError(f"fragment mismatch: {kb.fragment.value} input, "
                             "this construction needs el or dl-lite-r")
-    return fold(kb, deadline)
+    return fold(kb, ticker)
 
 
-def equality_free_fold(kb: KnowledgeBase, deadline: Optional[float] = None,
-                       max_atoms: Optional[int] = None
+def equality_free_fold(kb: KnowledgeBase, ticker: Optional[Ticker] = None
                        ) -> Optional[CompressedStructure]:
     """The fold, or None when it holds an equality atom.
 
@@ -129,7 +126,7 @@ def equality_free_fold(kb: KnowledgeBase, deadline: Optional[float] = None,
     an equality oriented the other way), so a fold with an equality atom
     bounds nothing.
     """
-    folded = fold(kb, deadline, max_atoms)
+    folded = fold(kb, ticker)
     return None if folded.structure.index.bucket(("=",)) else folded
 
 
@@ -148,7 +145,7 @@ def refutes(folded: Optional[CompressedStructure], q: BooleanCQ) -> bool:
 def decompress(comp: CompressedStructure, kb: KnowledgeBase, q: BooleanCQ,
                values: dict[int, int | float], chosen: dict[int, int],
                assignments: Iterable[dict[Var, Term]],
-               strict_cg: bool = False, deadline: Optional[float] = None
+               strict_cg: bool = False, ticker: Optional[Ticker] = None
                ) -> ProofGraph:
     """The real proof of the first of the equally cheap query matches that
     unfolds onto Skolem terms; DecompressError when none does.
@@ -159,8 +156,9 @@ def decompress(comp: CompressedStructure, kb: KnowledgeBase, q: BooleanCQ,
     the same tree size in :func:`edge_key` order.  Only optimal edges are
     used, so the proof has the match's value, which bounds every real
     proof from below.  A vertex keeps its id for its first real image.
+    Each unfolding step and proof entry is charged to the ticker.
     """
-    unfold = _Unfold(comp, kb, values, chosen, deadline)
+    unfold = _Unfold(comp, kb, values, chosen, ticker or Ticker())
     for sigma in assignments:
         targets = unfold.match(q, sigma)
         if targets:
@@ -177,9 +175,9 @@ class _Unfold:
 
     def __init__(self, comp: CompressedStructure, kb: KnowledgeBase,
                  values: dict[int, int | float], chosen: dict[int, int],
-                 deadline: Optional[float]):
+                 ticker: Ticker):
         self.structure, self.fresh = comp.structure, comp.fresh_consts
-        self.values, self.chosen, self.deadline = values, chosen, deadline
+        self.values, self.chosen, self.ticker = values, chosen, ticker
         self.rules = kb.skolem_rules
         self.bodies = [list(map(atom_terms, r.body)) for r in self.rules]
         self.heads = [{atom_pred(h): h for h in r.head} for r in self.rules]
@@ -198,7 +196,7 @@ class _Unfold:
                  for t, c in zip(ts, atom_terms(vertices[v].atom))
                  if isinstance(t, Const) or c.name not in self.fresh}
         stack = [self._unfold(None, [(None, None, terms, vids, known)])]
-        reply, pushed = None, 0
+        reply, charge = None, self.ticker.charge
         while True:
             try:
                 key = stack[-1].send(reply)
@@ -208,10 +206,7 @@ class _Unfold:
                     return stop.value
                 reply = stop.value
                 continue
-            pushed += 1
-            if self.deadline is not None and pushed % 256 == 0 \
-                    and time.monotonic() > self.deadline:
-                raise BudgetExceeded("decompression deadline")
+            charge()
             stack.append(self._unfold(key, self._steps(key[0])))
             reply = None
 
@@ -283,13 +278,14 @@ class _Unfold:
                                             list[ProofEdge], list[int]]:
         """The proof below the target entries, one vertex per real atom,
         and the targets' vertex ids."""
-        structure = self.structure
+        structure, charge = self.structure, self.ticker.charge
         ids: dict[Atom, int] = {}
         derived: list[tuple] = []
         fresh = itertools.count(len(structure.vertices))
         taken: set[int] = set()
         stack = targets[::-1]
         while stack:
+            charge()
             entry = stack.pop()
             if entry[0] not in ids:
                 ids[entry[0]] = next(fresh) if entry[1] in taken \
@@ -301,6 +297,7 @@ class _Unfold:
         vertices: dict[int, Label] = {}
         edges: list[ProofEdge] = []
         for atom, vid, idx, premises in derived:
+            charge()
             label = structure.vertices[vid]
             vertices[ids[atom]] = label if label.atom is atom \
                 else AtomLabel(atom)
@@ -346,35 +343,36 @@ def edge_key(structure: FiniteStructure, idx: int):
             tuple(label_key(structure.vertices[q]) for q in e.premises))
 
 
-def dp_min_tree(structure: FiniteStructure,
-                tick: Optional[Callable[[], None]] = None
+def dp_min_tree(structure: FiniteStructure, ticker: Optional[Ticker] = None
                 ) -> tuple[dict[int, int | float], dict[int, int]]:
     """Minimal tree size per vertex plus the chosen incoming edge.
 
     Label-correcting fixpoint of ``1 + sum over premises`` on exact
     integers (``_INF`` marks underivable vertices); ties are broken on
     :func:`edge_key`, so results do not depend on edge insertion order.
-    ``tick`` is called once per edge visit, so a caller can charge the
-    iteration to a budget.
+    Each edge visit ticks one node of the ticker.
     """
     chosen: dict[int, int] = {}
-    return _least_fixpoint(structure, sum, tick, chosen), chosen
+    return _least_fixpoint(structure, sum, (ticker or Ticker()).tick,
+                           chosen), chosen
 
 
-def min_heights(structure: FiniteStructure,
-                tick: Optional[Callable[[], None]] = None
+def min_heights(structure: FiniteStructure, ticker: Optional[Ticker] = None
                 ) -> dict[int, int | float]:
     """Least number of vertices on a longest path of a derivation, per
-    vertex: a lower bound on the size of every derivation of it."""
-    return _least_fixpoint(structure, max, tick, None)
+    vertex: a lower bound on the size of every derivation of it.  Each
+    edge visit is charged to the ticker."""
+    return _least_fixpoint(structure, max, (ticker or Ticker()).charge,
+                           None)
 
 
 def _least_fixpoint(structure: FiniteStructure, combine,
-                    tick: Optional[Callable[[], None]],
+                    step: Callable[[], None],
                     chosen: Optional[dict[int, int]]
                     ) -> dict[int, int | float]:
     """Label-correcting fixpoint of ``1 + combine(premise values)`` with
-    leaves at 1; records each vertex's least edge in ``chosen`` if given."""
+    leaves at 1; records each vertex's least edge in ``chosen`` if given,
+    and calls ``step`` once per edge visit."""
     values: dict[int, int | float] = {v: _INF for v in structure.vertices}
     for leaf in structure.leaf_ids:
         values[leaf] = 1
@@ -391,8 +389,7 @@ def _least_fixpoint(structure: FiniteStructure, combine,
     while changed:
         changed = False
         for idx, e in enumerate(structure.edges):
-            if tick is not None:
-                tick()
+            step()
             # _INF absorbs under both sum and max
             total = 1 + combine([values[q] for q in e.premises])
             cur = values[e.conclusion]
@@ -434,7 +431,7 @@ def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
 
 
 def least_matches(structure: FiniteStructure, values: dict[int, int | float],
-                  q: BooleanCQ, tick: Optional[Callable[[], None]] = None
+                  q: BooleanCQ, ticker: Optional[Ticker] = None
                   ) -> Iterator[dict[Var, Term]]:
     """The matches of the query into the structure whose summed tree-size
     value is least, least assignment first, without enumerating matches.
@@ -446,10 +443,10 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
     query of bounded treewidth.  The ties come in assignment order, as by
     self-reduction: the variables in name order, each fixed to its least
     term (:func:`term_key`) that keeps the optimum, read off one elimination
-    that keeps that variable last.  ``tick`` is called once per table row
-    built or joined, so a caller can hold the step to a budget.
+    that keeps that variable last.  Each table row built or joined ticks
+    one node of the ticker.
     """
-    tick = tick or (lambda: None)
+    ticker = ticker or Ticker()
     names = sorted(variables_of(q.atoms), key=lambda v: v.name)
     tables = []
     for a in q.atoms:
@@ -458,10 +455,12 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
         for ground, sigma in unifiers(a, structure.index, {}):
             value = values[structure.atom_ids[ground]]
             if value < _INF:
-                tick()
+                ticker.tick()
                 rows[tuple(sigma[v] for v in scope)] = value
         tables.append((scope, rows))
-    best = min(_min_sum(tables, None, tick).values(), default=_INF)
+    # the first variable's elimination gives the least total as well
+    first = _min_sum(tables, names[0] if names else None, ticker)
+    best = min(first.values(), default=_INF)
     stack = [({}, tables)] if best < _INF else []
     while stack:
         fixed, tables = stack.pop()
@@ -472,8 +471,8 @@ def least_matches(structure: FiniteStructure, values: dict[int, int | float],
             yield fixed
             continue
         var = names[len(fixed)]
-        tied = sorted((row[0] for row, total
-                       in _min_sum(tables, var, tick).items()
+        totals = _min_sum(tables, var, ticker) if fixed else first
+        tied = sorted((row[0] for row, total in totals.items()
                        if total == best), key=term_key, reverse=True)
         stack.extend(({**fixed, var: t}, tables) for t in tied)
 
@@ -482,12 +481,12 @@ _Table = tuple[tuple[Var, ...], dict[tuple[Term, ...], int]]
 
 
 def _min_sum(tables: list[_Table], keep: Optional[Var],
-             tick: Callable[[], None]) -> dict[tuple[Term, ...], int]:
+             ticker: Ticker) -> dict[tuple[Term, ...], int]:
     """The least summed value of the tables' rows that agree, per term of
     ``keep`` (per () when None): every other variable is eliminated, the
     one with the fewest neighbours first."""
     tables = list(tables)
-    join = functools.partial(_join, tick=tick)
+    join = functools.partial(_join, ticker=ticker)
     while True:
         near: dict[Var, set[Var]] = {}
         for scope, _ in tables:
@@ -510,9 +509,9 @@ def _min_sum(tables: list[_Table], keep: Optional[Var],
     return functools.reduce(join, tables, ((), {(): 0}))[1]
 
 
-def _join(left: _Table, right: _Table, tick: Callable[[], None]) -> _Table:
+def _join(left: _Table, right: _Table, ticker: Ticker) -> _Table:
     """The rows of both tables that agree on their shared variables, with
-    their values summed; ``tick`` is called once per row."""
+    their values summed; each row ticks one node."""
     (lscope, lrows), (rscope, rrows) = left, right
     shared = [i for i, v in enumerate(rscope) if v in lscope]
     at = [lscope.index(rscope[i]) for i in shared]
@@ -524,7 +523,7 @@ def _join(left: _Table, right: _Table, tick: Callable[[], None]) -> _Table:
     rows = {}
     for row, total in lrows.items():
         for rest, more in by.get(tuple(row[i] for i in at), ()):
-            tick()
+            ticker.tick()
             rows[row + rest] = total + more
     return lscope + tuple(rscope[i] for i in extra), rows
 
@@ -590,8 +589,7 @@ def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
 
 def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                             strict_cg: bool = False,
-                            deadline: Optional[float] = None,
-                            tick: Optional[Callable[[], None]] = None
+                            ticker: Optional[Ticker] = None
                             ) -> ProofGraph:
     """Minimal-tree-size proof for a tree-shaped query over DL-Lite.
 
@@ -601,7 +599,7 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
-    return _least_proof(compress_dllite, kb, q, strict_cg, deadline, tick)
+    return _least_proof(compress_dllite, kb, q, strict_cg, ticker)
 
 
 dllite_query_min_size = tree_query_min_treesize
@@ -609,33 +607,31 @@ dllite_query_min_size = tree_query_min_treesize
 
 def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                        strict_cg: bool = False,
-                       deadline: Optional[float] = None,
-                       tick: Optional[Callable[[], None]] = None
+                       ticker: Optional[Ticker] = None
                        ) -> ProofGraph:
     """Minimal-tree-size proof over EL or DL-Lite, for any query shape."""
-    return _least_proof(compress_el, kb, q, strict_cg, deadline, tick)
+    return _least_proof(compress_el, kb, q, strict_cg, ticker)
 
 
 def _least_proof(compress: Callable[..., CompressedStructure],
                  kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool,
-                 deadline: Optional[float],
-                 tick: Optional[Callable[[], None]]) -> ProofGraph:
+                 ticker: Optional[Ticker]) -> ProofGraph:
     """The first of the least matches into the fold that unfolds
     (:func:`decompress`).  When none does, DecompressError: the fold's value
     then lies below every real proof, and the exact search has to settle
     the optimum.  The fold has placeholders where the universal model has
     Skolem terms, so a query naming one is left to the exact search.  The
-    tree-size values and the least step call ``tick`` (see
-    :func:`dp_min_tree` and :func:`least_matches`)."""
+    tree-size values and the least step tick the ticker's nodes, and the
+    fold and the unfolding charge its clock."""
     if any(isinstance(t, SkolemTerm) for a in q.atoms for t in atom_terms(a)):
         raise CompressError("query names a Skolem term, which the "
                             "compressed structure folds away")
-    comp = compress(kb, deadline)
-    values, chosen = dp_min_tree(comp.structure, tick)
-    tied = least_matches(comp.structure, values, q, tick)
+    comp = compress(kb, ticker)
+    values, chosen = dp_min_tree(comp.structure, ticker)
+    tied = least_matches(comp.structure, values, q, ticker)
     first = next(tied, None)
     if first is None:
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
     return decompress(comp, kb, q, values, chosen,
-                      itertools.chain([first], tied), strict_cg, deadline)
+                      itertools.chain([first], tied), strict_cg, ticker)

@@ -21,8 +21,8 @@ from .deriver_sk import _replace_top_level
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
                  Rule, SkolemRule, SkolemTerm, Term, Var, atom_key, atom_pred,
                  atom_terms, atom_vars, cq_equivalent, map_atom_terms,
-                 substitute_atom, subterms, term_is_ground, term_key,
-                 variables_of)
+                 rewrite_term, substitute_atom, subterms, term_is_ground,
+                 term_key, variables_of)
 from .matching import (bind_term, match_conjunction, match_positionally,
                        unify_atom)
 from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
@@ -141,18 +141,8 @@ def ee_apply(cq: BooleanCQ, equality: EqAtom) -> BooleanCQ:
 
 
 def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
-    def fix(t: Term) -> Term:
-        fns = []
-        while t != src and isinstance(t, SkolemTerm):
-            fns.append(t.fn)
-            t = t.arg
-        if t == src:
-            t = dst
-        for fn in reversed(fns):
-            t = SkolemTerm(fn, t)
-        return t
-
-    return map_atom_terms(atom, fix)
+    mapping = {src: dst}
+    return map_atom_terms(atom, lambda t: rewrite_term(t, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +690,8 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
         naming[t] = v
 
     def fix_term(t: Term) -> Term:
-        # a named term is replaced whole; below it, each rebuilt level is
-        # looked up again
-        fns = []
-        while t not in naming and isinstance(t, SkolemTerm):
-            fns.append(t.fn)
-            t = t.arg
-        t = naming.get(t, t)
-        for fn in reversed(fns):
-            t = SkolemTerm(fn, t)
-            t = naming.get(t, t)
-        return t
+        # the highest named subterm is replaced whole
+        return rewrite_term(t, naming)
 
     # each atom fixed once, with its variables in first-occurrence order,
     # so that closing a label does not walk its atoms' terms again

@@ -10,6 +10,7 @@ admissibility is checked separately, schema by schema, in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -165,6 +166,37 @@ class BudgetExceeded(Exception):
     pass
 
 
+class Ticker:
+    """A run's budget, which every phase of the run is held to: the nodes
+    its searches count (:meth:`tick`), the clock that all other work is
+    charged to (:meth:`charge`) and the atom cap of its saturations.  Both
+    read the clock on their first call and on every 4,096th after it."""
+
+    def __init__(self, max_nodes: float = float("inf"),
+                 max_seconds: float = float("inf"),
+                 max_atoms: Optional[int] = None):
+        self.count = self.work = 0
+        self.max_nodes, self.max_atoms = max_nodes, max_atoms
+        self.deadline = time.monotonic() + max_seconds
+
+    def tick(self) -> None:
+        """One search node, counted against the node limit."""
+        self.count += 1
+        if self.count > self.max_nodes:
+            raise BudgetExceeded("node limit")
+        if self.count % 4096 == 1 and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time limit")
+
+    def charge(self) -> None:
+        """Work outside the search proper: held to the clock only."""
+        self.work += 1
+        if self.work % 4096 == 1 and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time limit")
+
+    def seconds_left(self) -> float:
+        return max(0.0, self.deadline - time.monotonic())
+
+
 @dataclass
 class FiniteStructure:
     """Derivation structure restricted to a term-depth bound."""
@@ -201,8 +233,8 @@ class FiniteStructure:
 
 
 def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
-             depth_bound: int, max_atoms: Optional[int] = None,
-             deadline: Optional[float] = None) -> FiniteStructure:
+             depth_bound: int, ticker: Optional[Ticker] = None
+             ) -> FiniteStructure:
     """Materialize every rule application and equality replacement whose
     conclusion stays within the depth bound.
 
@@ -219,11 +251,12 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     Each list is read before the step records its first conclusion, which
     is when :func:`match_conjunction` reads it, so vertex ids and edge
     order, which proof ids follow, are those of matching bodies whole.
-    The matcher itself runs only on the first round's two-atom bodies and
-    on longer bodies built in code.
+    The matcher itself runs only on the first round's two-atom bodies.
+    Each seed, conclusion and replacement candidate is charged to the
+    ticker, whose atom cap bounds the structure.
     """
-    import time as _time
-
+    ticker = ticker or Ticker()
+    charge, max_atoms = ticker.charge, ticker.max_atoms
     structure = FiniteStructure(depth_bound=depth_bound)
     index, atom_ids = structure.index, structure.atom_ids
     new_atoms: dict[Atom, tuple] = {}    # this round's, with their atom_key
@@ -278,39 +311,28 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             vid = add_atom(concl_atom, atom_key(concl_atom))
         structure.add_edge(premise_ids, vid, schema)
 
-    def check_deadline() -> None:
-        if deadline is not None and _time.monotonic() > deadline:
-            structure.complete = False
-            raise BudgetExceeded("saturation deadline")
-
     def body_matches(body: Sequence[Atom], seeds_by_pred: Optional[dict]
                      ) -> Iterator[tuple[tuple[int, ...], dict]]:
         """The body atoms' vertex ids and the substitution of each match:
         all matches without seeds, else each seed's, in the matcher's
         order (a match seeded twice comes twice)."""
         if seeds_by_pred is None and len(body) == 1:
-            check_deadline()
             for g, ext in unifiers(body[0], index, {}):
                 yield (atom_ids[g],), ext
-        elif seeds_by_pred is None or len(body) > 2:
+        elif seeds_by_pred is None:
             # a body predicate without atoms leaves nothing to match
             if not all(index.bucket(atom_pred(b)) for b in body):
                 return
-            for seed in [{}] if seeds_by_pred is None else [
-                    seed for b in body
-                    for fa in seeds_by_pred.get(atom_pred(b), ())
-                    if (seed := unify_atom(b, fa, {})) is not None]:
-                check_deadline()
-                for subst in match_conjunction(body, index, seed):
-                    yield tuple(atom_ids[substitute_atom(b, subst)]
-                                for b in body), subst
+            for subst in match_conjunction(body, index):
+                yield tuple(atom_ids[substitute_atom(b, subst)]
+                            for b in body), subst
         else:
             for pos, pattern in enumerate(body):
                 for fa in seeds_by_pred.get(atom_pred(pattern), ()):
                     seed = unify_atom(pattern, fa, {})
                     if seed is None:
                         continue
-                    check_deadline()
+                    charge()
                     fid = atom_ids[fa]
                     if len(body) == 1:
                         yield (fid,), seed
@@ -327,7 +349,7 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
 
     first_round = True
     while new_atoms:
-        check_deadline()
+        charge()
         current, new_atoms = new_atoms, {}
         frontier = sorted(current, key=current.__getitem__)
         frontier_by_pred: dict[tuple, list[Atom]] = {}
@@ -361,9 +383,14 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             for fa in frontier:
                 for t in set(atom_terms(fa)):
                     by_term.setdefault(t, []).append(fa)
-            steps = list(_replacements(
-                eqs, lambda eq, src: pool if first_round or eq in current
-                else by_term.get(src, ())))
+
+            def candidates(eq: Atom, src: Term) -> Iterator[Atom]:
+                for atom in pool if first_round or eq in current \
+                        else by_term.get(src, ()):
+                    charge()
+                    yield atom
+
+            steps = list(_replacements(eqs, candidates))
             for atom, eq, concl in steps:
                 record(Schema.E, (atom_ids[atom], atom_ids[eq]), concl)
         first_round = False
@@ -371,10 +398,8 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
 
 
 def saturate_kb(kb: KnowledgeBase, depth_bound: int,
-                max_atoms: Optional[int] = None,
-                deadline: Optional[float] = None) -> FiniteStructure:
-    return saturate(kb.abox, kb.skolem_rules, depth_bound,
-                    max_atoms=max_atoms, deadline=deadline)
+                ticker: Optional[Ticker] = None) -> FiniteStructure:
+    return saturate(kb.abox, kb.skolem_rules, depth_bound, ticker)
 
 
 def default_depth_ceiling(kb: KnowledgeBase, q: BooleanCQ) -> int:

@@ -279,19 +279,25 @@ def format_atom(a: Atom, texts: Optional[dict[Term, str]] = None) -> str:
     return f"{format_term(a.lhs, texts)} = {format_term(a.rhs, texts)}"
 
 
+def rewrite_term(t: Term, mapping: Mapping[Term, Term]) -> Term:
+    """The term with its highest subterm that ``mapping`` holds replaced by
+    that subterm's image, and the Skolem chain above it rebuilt."""
+    fns = []
+    while t not in mapping and isinstance(t, SkolemTerm):
+        fns.append(t.fn)
+        t = t.arg
+    t = mapping.get(t, t)
+    for fn in reversed(fns):
+        t = SkolemTerm(fn, t)
+    return t
+
+
 def substitute_term(t: Term, subst: Mapping[Var, Term]) -> Term:
     if not isinstance(t, SkolemTerm):
         return subst.get(t, t)
     if not isinstance(t.arg, SkolemTerm):       # f(x), as rule heads have
         return SkolemTerm(t.fn, subst.get(t.arg, t.arg))
-    fns = []
-    while isinstance(t, SkolemTerm):
-        fns.append(t.fn)
-        t = t.arg
-    t = subst.get(t, t)
-    for fn in reversed(fns):
-        t = SkolemTerm(fn, t)
-    return t
+    return rewrite_term(t, subst)
 
 
 def substitute_atom(a: Atom, subst: Mapping[Var, Term]) -> Atom:

@@ -13,8 +13,7 @@ ran out).
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .chase import _chase_verdict
@@ -24,7 +23,7 @@ from .compress import (CompressError, CompressedStructure, DecompressError,
                        extract_witness, goal_tail_size, least_matches,
                        min_heights, refutes, tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
-from .deriver_sk import (BudgetExceeded, FiniteStructure,
+from .deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
                          default_depth_ceiling, saturate_kb)
 from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
                  KnowledgeBase, NormalForm, Term, Var, atom_pred, atom_terms,
@@ -48,6 +47,12 @@ class SearchBudget:
         if self.bound is not None and self.bound <= 1:
             raise ValueError("bounds are natural numbers greater than 1")
 
+    def ticker(self) -> Ticker:
+        """A run's budget: these nodes and seconds, and an atom cap for its
+        saturations that grows with the nodes."""
+        return Ticker(self.max_nodes, self.max_seconds,
+                      max(1000, self.max_nodes // 4))
+
 
 @dataclass
 class ExplainResult:
@@ -65,35 +70,11 @@ class ExplainResult:
         return {"found": 0, "none": 1, "exhausted": 2}[self.status]
 
 
-class _Ticker:
-    """A search's node count and budget, and its results."""
-
-    def __init__(self, budget: SearchBudget):
-        self.count = 0
-        self.work = 0
-        self.measure = budget.measure
-        self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds
-
-    def tick(self, k: int = 1) -> None:
-        self.count += k
-        if self.count > self.max_nodes:
-            raise BudgetExceeded("node limit")
-        if self.count % 4096 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExceeded("time limit")
-
-    def charge(self) -> None:
-        """Work outside the search proper: held to the deadline, not counted
-        as search nodes."""
-        self.work += 1
-        if self.work % 4096 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExceeded("time limit")
-
-    def result(self, status: str, proof: Optional[ProofGraph] = None,
-               value: Optional[int] = None, complete: bool = False
-               ) -> ExplainResult:
-        return ExplainResult(status, proof, value, self.measure,
-                             nodes=self.count, complete=complete)
+def _result(budget: SearchBudget, ticker: Ticker, status: str,
+            proof: Optional[ProofGraph] = None, value: Optional[int] = None,
+            complete: bool = False) -> ExplainResult:
+    return ExplainResult(status, proof, value, budget.measure,
+                         nodes=ticker.count, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +107,7 @@ def _reaches(arcs, start, goal) -> bool:
 
 
 def _cover_min(structure: FiniteStructure, targets: list[int],
-               kind: Measure, limit: int | float, ticker: _Ticker
+               kind: Measure, limit: int | float, ticker: Ticker
                ) -> Optional[tuple[int, dict[int, Optional[int]]]]:
     """Exact minimum over derivation choices for the target set, one proof
     vertex per atom label.
@@ -229,8 +210,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     if deriver != "sk":
         raise ValueError(f"unknown deriver {deriver!r}")
 
-    ticker = _Ticker(budget)
-    max_atoms = max(1000, budget.max_nodes // 4)
+    ticker = budget.ticker()
     # the equality-free fold, built at most once, when first asked, and the
     # value of its one search
     fold: list[Optional[CompressedStructure]] = []
@@ -239,8 +219,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     def folded() -> Optional[CompressedStructure]:
         if not fold:
             try:
-                fold.append(equality_free_fold(kb, ticker.deadline,
-                                               max_atoms))
+                fold.append(equality_free_fold(kb, ticker))
             except BudgetExceeded:
                 fold.append(None)
         return fold[0]
@@ -266,8 +245,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     # every other
     while True:
         try:
-            structure = saturate_kb(kb, depth, max_atoms=max_atoms,
-                                    deadline=ticker.deadline)
+            structure = saturate_kb(kb, depth, ticker=ticker)
         except BudgetExceeded:
             tripped = True
             structure = None
@@ -308,9 +286,9 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             # certificate: read modulo its merges, a saturation can be
             # closed where merged witnesses keep it growing
             ask_chase = False
-            verdict = _chase_verdict(kb, q, depth_ceiling).verdict
+            verdict = _chase_verdict(kb, q, depth_ceiling, ticker).verdict
             if verdict == "no":
-                return ticker.result("none", complete=True)
+                return _result(budget, ticker, "none", complete=True)
             if verdict == "unknown" and budget.bound is None:
                 # the chase is the saturation read modulo its merges: none
                 # up to the ceiling matches
@@ -325,7 +303,8 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         proof = _assemble_sk(best_structure, q, best_sigma, budget.measure,
                              best_choice, strict_cg)
         complete = not tripped and (budget.bound is not None or certified)
-        return ticker.result("found", proof, int(best_value), complete)
+        return _result(budget, ticker, "found", proof, int(best_value),
+                       complete)
     # ``none`` needs a certificate: a complete structure, the frontier or
     # fold bound above the bound, the chase's (asked in the loop), or a
     # query without a match in the fold
@@ -333,13 +312,13 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         and not _names_replaced_constant(q, structure)
     if not complete and best_sigma is None:
         complete = refutes(folded(), q)
-    return ticker.result("none" if complete else "exhausted",
-                         complete=complete)
+    return _result(budget, ticker, "none" if complete else "exhausted",
+                   complete=complete)
 
 
 def _fold_value(q: BooleanCQ, budget: SearchBudget,
                 folded: Optional[CompressedStructure], strict_cg: bool,
-                ticker: _Ticker, target: int | float) -> int | float:
+                ticker: Ticker, target: int | float) -> int | float:
     """A lower bound on every proof's cost, from one search over the
     equality-free fold (:func:`compress.equality_free_fold`) below
     ``target``: the fold's optimum if below it, and a value at or above it
@@ -360,7 +339,7 @@ def _fold_value(q: BooleanCQ, budget: SearchBudget,
 def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,
                     strict_cg: bool,
                     tree_values: Optional[dict[int, int | float]],
-                    ticker: _Ticker) -> int | float:
+                    ticker: Ticker) -> int | float:
     """A lower bound on the measure of every proof of ``q`` that uses a term
     deeper than the structure's depth bound d.
 
@@ -382,7 +361,7 @@ def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,
         below = min(sum(tree_values[p] for p in premises)
                     for premises in structure.frontier)
     else:
-        heights = min_heights(structure, ticker.charge)
+        heights = min_heights(structure, ticker)
         below = min(max(max(heights[p] for p in premises),
                         len(set(premises)))
                     for premises in structure.frontier)
@@ -406,7 +385,7 @@ def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
 
 def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                      structure: FiniteStructure, strict_cg: bool,
-                     ticker: _Ticker,
+                     ticker: Ticker,
                      incoming_best: int | float
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
                                 Optional[dict], bool]:
@@ -428,10 +407,10 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
         try:
             first = next(match_conjunction(q.atoms, structure.index), None)
             if first is not None:
-                values, chosen = dp_min_tree(structure, ticker.tick)
+                values, chosen = dp_min_tree(structure, ticker)
                 sigma = first
-                sigma = next(least_matches(structure, values, q,
-                                           ticker.tick), first)
+                sigma = next(least_matches(structure, values, q, ticker),
+                             first)
         except BudgetExceeded:
             tripped = True
         total = _INF if sigma is None else tail_count + sum(
@@ -521,7 +500,7 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
     """
     if budget.measure is Measure.DOMAIN_SIZE:
         raise ValueError("domain size is not defined for query-level proofs")
-    ticker = _Ticker(budget)
+    ticker = budget.ticker()
     index = AtomIndex(kb.abox)
     best: Optional[tuple[int, dict[Var, Term], bool]] = None
     limit = budget.bound + 1 if budget.bound is not None else _INF
@@ -551,7 +530,7 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
             if value < (best[0] if best else limit) and value < limit:
                 best = (value, sigma, use_taut)
     except BudgetExceeded:
-        return ticker.result("exhausted")
+        return _result(budget, ticker, "exhausted")
 
     complete = not kb.tbox
     forward: Optional[tuple[int, ProofGraph]] = None
@@ -561,26 +540,26 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
             forward = _forward_cq_search(kb, q, cap, ticker)
         except BudgetExceeded:
             if best is None:
-                return ticker.result("exhausted")
+                return _result(budget, ticker, "exhausted")
     if forward is not None and (best is None or forward[0] < best[0]):
         value, proof = forward
         got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
             else proof_size(proof)
-        return ticker.result("found", proof, got)
+        return _result(budget, ticker, "found", proof, got)
     if best is None and kb.tbox:
         # ``none`` needs a certificate, which the incomplete moves are not
-        result = ticker.result("exhausted")
+        result = _result(budget, ticker, "exhausted")
         result.warnings.append(
             "query-level search ran out of moves, not budget: it never "
             "conjoins two queries, so a proof it cannot build may exist")
         return result
     if best is None:
-        return ticker.result("none", complete=True)
+        return _result(budget, ticker, "none", complete=True)
     value, sigma, use_taut = best
     proof = _assemble_cq(q, sigma, use_taut)
     got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
         else proof_size(proof)
-    return ticker.result("found", proof, got, complete)
+    return _result(budget, ticker, "found", proof, got, complete)
 
 
 def _canon_cq(cq: BooleanCQ) -> tuple:
@@ -607,7 +586,7 @@ def _canon_cq(cq: BooleanCQ) -> tuple:
 
 
 def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
-                       ticker: _Ticker) -> Optional[tuple[int, ProofGraph]]:
+                       ticker: Ticker) -> Optional[tuple[int, ProofGraph]]:
     """Node-capped closure over query labels: rule applications on each
     fact and on the queries derived from it, never conjoining two, and a
     final generalization or tautology step.  Cheapest-first, so the first
@@ -761,11 +740,12 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
         # default to the exact search
         route = _poly_route(kb, q, config.measure)
 
+    spent = 0         # the polynomial route's nodes
     if route is not None:
         run, algo = route
-        ticker = _Ticker(budget)
+        ticker = budget.ticker()
         try:
-            proof = run(kb, q, config.strict_cg, ticker.deadline, ticker.tick)
+            proof = run(kb, q, config.strict_cg, ticker)
             value = measure(proof, config.measure).value
             # the size route minimizes tree size: where premises are shared,
             # a smaller proof can exist, so its value only bounds the
@@ -773,30 +753,35 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             exact = config.measure is Measure.TREE_SIZE
             if config.bound is None or value <= config.bound:
                 return ExplainResult("found", proof, value, config.measure,
-                                     algo, 0, warnings,
+                                     algo, ticker.count, warnings,
                                      complete=exact or config.bound is not None)
             if exact:
                 return ExplainResult("none", None, value, config.measure,
-                                     algo, 0, warnings)
+                                     algo, ticker.count, warnings)
             # above the bound, the size route leaves the bound to the search
             warnings.append(f"polynomial size value {value} exceeds the "
                             "bound but only bounds the optimum from above; "
                             "falling back to exact search")
         except BudgetExceeded as exc:
-            # the run's time is spent: no budget is left for a fallback
+            # the run's budget is spent: none is left for a fallback
             warnings.append(f"polynomial algorithm stopped: {exc}")
             return ExplainResult("exhausted", None, None, config.measure,
-                                 "poly", 0, warnings, complete=False)
+                                 algo, ticker.count, warnings, complete=False)
         except (CompressError, DecompressError) as exc:
             if config.algo == "poly":
                 warnings.append(f"polynomial algorithm failed: {exc}; "
                                 "falling back to exact search")
             else:
                 warnings.append(str(exc))
+        # the search gets what the route left of the run's budget
+        spent = ticker.count
+        budget = replace(budget, max_nodes=budget.max_nodes - spent,
+                         max_seconds=ticker.seconds_left())
 
     result = bounded_search(kb, q, budget, deriver=config.deriver,
                             strict_cg=config.strict_cg,
                             depth_ceiling=config.depth_ceiling)
+    result.nodes += spent
     warnings += result.warnings
     if not result.complete and result.status in ("found", "none"):
         warnings.append("search space was cut by the depth ceiling or "

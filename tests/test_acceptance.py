@@ -13,7 +13,7 @@ from hornexplain.chase import chase, default_depth_ceiling, entails
 from hornexplain.compress import (dllite_query_min_size, el_cq_min_treesize,
                                   tree_query_min_treesize)
 from hornexplain.deriver_cq import transform_cq_to_sk, transform_sk_to_cq
-from hornexplain.deriver_sk import saturate_kb
+from hornexplain.deriver_sk import Ticker, saturate_kb
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter, gen_sat,
@@ -347,8 +347,8 @@ def test_criterion_6_structural_properties():
     for case in range(500):
         kb = _random_kb(rng)
         d = rng.randint(0, 2)
-        lo = chase(kb, d, max_atoms=2000)
-        hi = chase(kb, d + 1, max_atoms=2000)
+        lo = chase(kb, d, Ticker(max_atoms=2000))
+        hi = chase(kb, d + 1, Ticker(max_atoms=2000))
         for atom in lo.atoms:
             assert max(term_depth(t2) for t2 in atom_terms(atom)) <= d
         if not hi.equalities:

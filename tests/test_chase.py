@@ -5,7 +5,7 @@ import random
 import re
 
 from hornexplain.chase import ChaseState, chase, entails, match_query
-from hornexplain.deriver_sk import saturate_kb
+from hornexplain.deriver_sk import Ticker, saturate_kb
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
                             SkolemTerm, Var, atom_key, atom_terms,
                             map_atom_terms, orient_equality, skolemize,
@@ -205,8 +205,8 @@ def test_chase_fuzz_monotone_depth_and_orientation():
     for case in range(120):
         kb = _random_kb(rng)
         d = rng.randint(0, 2)
-        lo = chase(kb, d, max_atoms=3000)
-        hi = chase(kb, d + 1, max_atoms=3000)
+        lo = chase(kb, d, Ticker(max_atoms=3000))
+        hi = chase(kb, d + 1, Ticker(max_atoms=3000))
         for atom in lo.atoms:
             assert max(term_depth(t) for t in atom_terms(atom)) <= d
         # monotone modulo equalities discovered at the deeper bound

@@ -462,6 +462,8 @@ def test_bench_csv(tmp_path):
     assert lines[0] == "family,parameter,measure,optimum,search_nodes,wall_ms"
     assert len(lines) == 3
     assert lines[1].startswith("dllite-chain,1,tree,17,")
+    # the polynomial route's tree-size values and least step count nodes
+    assert all(int(line.split(",")[4]) > 0 for line in lines[1:]), lines
 
 
 @pytest.fixture(scope="module")

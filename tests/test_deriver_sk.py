@@ -10,7 +10,7 @@ import pytest
 from hornexplain import deriver_sk
 from hornexplain.chase import chase
 from hornexplain.compress import add_goal_tail, dp_min_tree, extract_witness
-from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure,
+from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
                                     _replacements, check_edge_labels,
                                     saturate, saturate_kb)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
@@ -262,7 +262,8 @@ def test_saturated_structures_are_pinned(kb, depth, replaces, expected):
 # the general matcher, before seeded steps went without it
 # ---------------------------------------------------------------------------
 
-def _reference_saturate(facts, rules, depth_bound, max_atoms=None):
+def _reference_saturate(facts, rules, depth_bound, ticker):
+    max_atoms = ticker.max_atoms
     structure = FiniteStructure(depth_bound=depth_bound)
     index = structure.index
     label_ids = structure.label_ids
@@ -362,7 +363,7 @@ def _saturation_outcome(saturator, facts, rules, depth, max_atoms):
     """Vertices and edges in order, the frontier and ``complete``; or the
     budget error."""
     try:
-        s = saturator(facts, rules, depth, max_atoms=max_atoms)
+        s = saturator(facts, rules, depth, Ticker(max_atoms=max_atoms))
     except BudgetExceeded as exc:
         return str(exc)
     return (list(s.vertices.items()), s.edges,

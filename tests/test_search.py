@@ -6,16 +6,16 @@ import time
 
 import pytest
 
-from hornexplain.chase import chase, entails
-from hornexplain.compress import (CompressError, DecompressError,
+from hornexplain.chase import _chase_verdict, chase, entails
+from hornexplain.compress import (CompressError, DecompressError, _Unfold,
                                   add_goal_tail, compress_dllite, compress_el,
                                   decompress, dllite_query_min_size,
                                   dp_min_tree, el_cq_min_treesize,
                                   equality_free_fold, extract_witness, fold,
                                   goal_tail_size, least_matches, refutes,
                                   tree_query_min_treesize)
-from hornexplain.deriver_sk import (BudgetExceeded, default_depth_ceiling,
-                                    saturate_kb)
+from hornexplain.deriver_sk import (BudgetExceeded, Ticker,
+                                    default_depth_ceiling, saturate_kb)
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter,
@@ -356,7 +356,7 @@ def _enumerated_at_depth(q, budget, structure, strict_cg, ticker,
     try:
         for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
             if values is None:
-                values, chosen = dp_min_tree(structure, ticker.tick)
+                values, chosen = dp_min_tree(structure, ticker)
             ticker.tick()
             total = tail + sum(values[ids[substitute_atom(a, sigma)]]
                                for a in q.atoms)
@@ -573,6 +573,10 @@ def test_the_run_budget_bounds_the_least_step_of_the_polynomial_route():
         assert time.monotonic() - start < 0.3 + 1.5
         assert (result.status, result.complete) == ("exhausted", False)
         assert result.warnings == [f"polynomial algorithm stopped: {cause}"]
+        # a stopped route reports its name and the nodes it spent
+        assert result.algorithm == "poly-el-tree" and result.nodes > 0
+        if cause == "node limit":
+            assert result.nodes == 3000 + 1
 
 
 def test_least_matches_answer_a_four_cycle_without_enumerating(monkeypatch):
@@ -648,7 +652,7 @@ def _realized_witness(kb, q):
     structure at the default depth ceiling, as the EL route rebuilt it
     before the unfolding replaced the rebuild."""
     structure = saturate_kb(kb, default_depth_ceiling(kb, q),
-                            max_atoms=500_000)
+                            Ticker(max_atoms=500_000))
     values, chosen = dp_min_tree(structure)
     sigma = _rank_matches(structure, values, q)[0][1]
     targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
@@ -673,7 +677,7 @@ def test_the_unfolding_agrees_with_the_realization_and_the_search():
                 kb, rng.randint(0, 2)))))
     for case, (kb, q) in enumerate(cases):
         run, _ = search_module._poly_route(kb, q, Measure.TREE_SIZE)
-        proof = run(kb, q, False, time.monotonic() + 60)
+        proof = run(kb, q, False, Ticker(max_seconds=60))
         realized = _realized_witness(kb, q)
         for p in (proof, realized):
             ok, problems = validate_proof(p, kb, q, "sk")
@@ -683,15 +687,18 @@ def test_the_unfolding_agrees_with_the_realization_and_the_search():
         assert tree_size(proof) == tree_size(realized) == exact.value, case
 
 
-def test_the_el_route_leaves_an_underestimating_fold_to_the_search():
-    """b's witness for r needs its own B, which costs more than a's: the
-    fold's cheapest match (10 before the goal tail) has no unfolding, and
-    the exact search finds the real optimum."""
-    doc = parse_document("rule: A(x) -> exists y. r(x,y), B(y)\n"
+_UNDERESTIMATING_FOLD = ("rule: A(x) -> exists y. r(x,y), B(y)\n"
                          "rule: C(x) -> A(x)\n"
                          "rule: D(x) -> C(x)\n"
                          "fact: A(a)\nfact: D(b)\n"
                          "query: exists y. r(b,y), B(y)\n")
+
+
+def test_the_el_route_leaves_an_underestimating_fold_to_the_search():
+    """b's witness for r needs its own B, which costs more than a's: the
+    fold's cheapest match (10 before the goal tail) has no unfolding, and
+    the exact search finds the real optimum."""
+    doc = parse_document(_UNDERESTIMATING_FOLD)
     kb, q = doc.kb, doc.queries[0]
     comp = compress_el(kb)
     values, _ = dp_min_tree(comp.structure)
@@ -704,6 +711,24 @@ def test_the_el_route_leaves_an_underestimating_fold_to_the_search():
     assert result.warnings
     ok, problems = validate_proof(result.proof, kb, q, "sk")
     assert ok, problems
+
+
+def test_the_fallback_search_spends_what_the_route_left():
+    """The search after a route without an unfolding gets the nodes the
+    route left, and the result counts both."""
+    doc = parse_document(_UNDERESTIMATING_FOLD)
+    kb, q = doc.kb, doc.queries[0]
+    route = Ticker()
+    with pytest.raises(DecompressError):
+        el_cq_min_treesize(kb, q, False, route)
+    search = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
+    assert route.count > 0 and search.nodes > 1
+    result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE))
+    assert result.nodes == route.count + search.nodes
+    tight = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE,
+                                     max_nodes=route.count + 1))
+    assert (tight.status, tight.complete) == ("exhausted", False)
+    assert tight.nodes == route.count + 2
 
 
 def test_a_query_constant_named_like_a_placeholder_is_not_its_witness():
@@ -1282,7 +1307,7 @@ def test_the_fold_changes_no_answer(monkeypatch):
 
 
 def test_max_seconds_bounds_the_polynomial_route():
-    # the unfolding reaches el-tree 12 in about 0.7 s; 16 takes about 12 s
+    # the unfolding reaches el-tree 12 in about 0.7 s; 16 takes 7 to 11 s
     inst = gen_el_tree(16)
     start = time.monotonic()
     result = explain(inst.kb, inst.query,
@@ -1291,3 +1316,53 @@ def test_max_seconds_bounds_the_polynomial_route():
     assert time.monotonic() - start < 0.5 + 1.5
     assert result.status == "exhausted" and not result.complete
     assert any("stopped" in w for w in result.warnings)
+
+
+def _expired() -> Ticker:
+    """A budget whose clock ran out before it was handed over."""
+    return Ticker(max_seconds=-1.0)
+
+
+def test_every_phase_stops_at_an_expired_clock():
+    """Each phase reads the run's clock on its first charge, so an expired
+    budget stops it at once: the saturation, the fold, the unfolding, the
+    proof it assembles, and the chase."""
+    inst = gen_el_tree(3)
+    kb, q = inst.kb, inst.query
+    comp = compress_el(kb)
+    values, chosen = dp_min_tree(comp.structure)
+    sigma = next(least_matches(comp.structure, values, q))
+    unfold = _Unfold(comp, kb, values, chosen, Ticker())
+    targets = unfold.match(q, sigma)
+    assert targets
+    unfold.ticker = _expired()
+    for phase in (lambda: saturate_kb(kb, 2, _expired()),
+                  lambda: compress_el(kb, _expired()),
+                  lambda: decompress(comp, kb, q, values, chosen, [sigma],
+                                     ticker=_expired()),
+                  lambda: unfold.graph(targets),
+                  lambda: chase(kb, 1, _expired())):
+        with pytest.raises(BudgetExceeded, match="time limit"):
+            phase()
+
+
+def test_the_chase_certificate_spends_the_run_budget(monkeypatch):
+    """The search asks the chase under its own ticker: the run's clock,
+    nodes and atom cap; an expired one certifies nothing."""
+    doc = parse_document("rule: Q(x) -> exists y. u(x,y), Q(y)\n"
+                         "rule: Q(x) -> x = e\n"
+                         "fact: Q(d)\n"
+                         "query: exists x. P(x), Q(x)\n")
+    kb, q = doc.kb, doc.queries[0]
+    assert _chase_verdict(kb, q, None, _expired()).verdict == "unknown"
+    asked = []
+
+    def spy(kb, q, ceiling, ticker):
+        asked.append(ticker)
+        return _chase_verdict(kb, q, ceiling, ticker)
+
+    monkeypatch.setattr("hornexplain.search._chase_verdict", spy)
+    out = bounded_search(kb, q, SearchBudget(Measure.SIZE, max_nodes=8000))
+    assert (out.status, out.complete) == ("none", True)
+    [ticker] = asked
+    assert ticker.max_atoms == 8000 // 4 and ticker.count == out.nodes

@@ -60,6 +60,39 @@ def test_no_two_functions_in_a_module_share_a_body():
     assert not _function_clashes(ROOT / "src" / "hornexplain")
 
 
+def _budget_bypasses(src: Path) -> list[str]:
+    """Outside the run's budget itself (``deriver_sk.Ticker``): clock reads
+    other than the bench command's wall time, and parameters that hand a
+    phase a piece of the budget (a deadline, a tick callable, an atom cap)
+    instead of the ticker; by top-level definition."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            if owner == "deriver_sk.Ticker":
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "monotonic"
+                        or isinstance(node, ast.ImportFrom)
+                        and node.module == "time") \
+                        and owner != "cli.cmd_bench":
+                    found.append(f"{owner} reads the clock")
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    args = node.args
+                    found += [f"{owner} takes {a.arg}" for a in
+                              args.posonlyargs + args.args + args.kwonlyargs
+                              if a.arg in ("deadline", "tick", "max_atoms")]
+    return found
+
+
+def test_one_budget_reaches_every_phase():
+    """Every phase is held to the run's budget through one object, which
+    alone reads the clock."""
+    assert not _budget_bypasses(ROOT / "src" / "hornexplain")
+
+
 # Runs the CLI after interning a few thousand unrelated terms and atoms, so
 # that every value the run builds sits at another address
 _SHIFTED_CLI = """\
