@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  SkolemRule, SkolemTerm, Term, Var, atom_pred, atom_terms,
@@ -155,14 +155,14 @@ def decompress(comp: CompressedStructure, kb: KnowledgeBase, q: BooleanCQ,
     or, where that one does not fold onto the binding, by its next edge of
     the same tree size in :func:`edge_key` order.  Only optimal edges are
     used, so the proof has the match's value, which bounds every real
-    proof from below.  A vertex keeps its id for its first real image.
-    Each unfolding step and proof entry is charged to the ticker.
+    proof from below.  Each unfolding step and proof vertex is charged to
+    the ticker.
     """
     unfold = _Unfold(comp, kb, values, chosen, ticker or Ticker())
     for sigma in assignments:
         targets = unfold.match(q, sigma)
         if targets:
-            return add_goal_tail(*unfold.graph(targets), q, strict_cg)
+            return unfold.proof(targets, q, strict_cg)
     raise DecompressError("no equally cheap match unfolds: the compressed "
                           "optimum conflates witnesses of different origins")
 
@@ -274,44 +274,41 @@ class _Unfold:
                 memo.setdefault((key[0], atom_terms(entry[0])), entry)
         return entry
 
-    def graph(self, targets: list) -> tuple[dict[int, Label],
-                                            list[ProofEdge], list[int]]:
-        """The proof below the target entries, one vertex per real atom,
-        and the targets' vertex ids."""
-        structure, charge = self.structure, self.ticker.charge
-        ids: dict[Atom, int] = {}
-        derived: list[tuple] = []
-        fresh = itertools.count(len(structure.vertices))
-        taken: set[int] = set()
-        stack = targets[::-1]
-        while stack:
+    def proof(self, targets: list, q: BooleanCQ,
+              strict_cg: bool) -> ProofGraph:
+        """The proof of the goal below the target entries, one vertex per
+        real atom, derived by the entry the atom is first reached as.
+        ``derive`` files each premise's entry under its atom when it
+        derives the vertex naming it, and the walk derives a premise as
+        soon as it reaches it, so no vertex derived in between has filed
+        another entry for that atom: it would have reached the atom
+        first."""
+        structure, rules = self.structure, self.rules
+        vertices, edges, charge = structure.vertices, structure.edges, \
+            self.ticker.charge
+        entry_of: dict[Atom, tuple] = {}
+        for t in targets:
+            entry_of.setdefault(t[0], t)
+
+        def derive(node):
             charge()
-            entry = stack.pop()
-            if entry[0] not in ids:
-                ids[entry[0]] = next(fresh) if entry[1] in taken \
-                    else entry[1]
-                taken.add(entry[1])
-                derived.append(entry)
-                stack.extend(reversed(entry[3]))
-        renamed = len(taken) < len(ids)
-        vertices: dict[int, Label] = {}
-        edges: list[ProofEdge] = []
-        for atom, vid, idx, premises in derived:
-            charge()
-            label = structure.vertices[vid]
-            vertices[ids[atom]] = label if label.atom is atom \
-                else AtomLabel(atom)
+            entry = entry_of.get(node)
+            if entry is None:           # the rule vertex of a fold edge
+                return RuleLabel(rules[vertices[node].rule.index]), (), None
+            atom, vid, idx, premises = entry
+            label = vertices[vid]
+            if label.atom is not atom:
+                label = AtomLabel(atom)
             if idx is None:
-                continue
-            e = structure.edges[idx]
-            if e.premises[-1] not in vertices:
-                vertices[e.premises[-1]] = RuleLabel(
-                    self.rules[structure.vertices[e.premises[-1]].rule.index])
-            if renamed:
-                e = ProofEdge(tuple(ids[p[0]] for p in premises)
-                              + e.premises[-1:], ids[atom], Schema.MP)
-            edges.append(e)
-        return vertices, edges, [ids[t[0]] for t in targets]
+                return label, (), None
+            names = []
+            for p in premises:
+                entry_of[p[0]] = p
+                names.append(p[0])
+            names.append(edges[idx].premises[-1])
+            return label, names, Schema.MP
+
+        return assemble_proof([t[0] for t in targets], derive, q, strict_cg)
 
 
 def _bind(pattern: tuple, real: tuple, rsub: dict) -> bool:
@@ -388,46 +385,43 @@ def _least_fixpoint(structure: FiniteStructure, combine,
     changed = True
     while changed:
         changed = False
-        for idx, e in enumerate(structure.edges):
+        for idx, (premises, conclusion, _) in enumerate(structure.edges):
             step()
             # _INF absorbs under both sum and max
-            total = 1 + combine([values[q] for q in e.premises])
-            cur = values[e.conclusion]
+            total = 1 + combine([values[q] for q in premises])
+            cur = values[conclusion]
             if total < cur:
-                values[e.conclusion] = total
+                values[conclusion] = total
                 if chosen is not None:
-                    chosen[e.conclusion] = idx
+                    chosen[conclusion] = idx
                 changed = True
             elif chosen is not None and total == cur \
-                    and chosen.get(e.conclusion, idx) != idx \
-                    and key_of(idx) < key_of(chosen[e.conclusion]):
-                chosen[e.conclusion] = idx
+                    and chosen.get(conclusion, idx) != idx \
+                    and key_of(idx) < key_of(chosen[conclusion]):
+                chosen[conclusion] = idx
                 changed = True
     return values
 
 
 def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
-                    targets: Iterable[int]) -> tuple[dict[int, Label],
-                                                     list[ProofEdge]]:
-    """The chosen-edge subgraph below the targets (vertices shared)."""
-    keep: set[int] = set()
-    edges: list[ProofEdge] = []
-    stack = sorted(set(targets))
-    while stack:
-        v = stack.pop()
-        if v in keep:
-            continue
-        keep.add(v)
+                    targets: Iterable[int], goal: Optional[BooleanCQ] = None,
+                    strict_cg: bool = False) -> ProofGraph:
+    """The proof of the goal from the chosen edges below the targets
+    (vertices shared), by :func:`assemble_proof`; ``chosen`` may map a
+    leaf to None."""
+    vertices, edges, leaves = structure.vertices, structure.edges, \
+        structure.leaf_ids
+
+    def derive(v: int):
         idx = chosen.get(v)
         if idx is None:
-            if v not in structure.leaf_ids:
+            if v not in leaves:
                 raise KBError("target is not derivable in the structure")
-            continue
-        e = structure.edges[idx]
-        edges.append(e)
-        stack.extend(e.premises)
-    vertices = {v: structure.vertices[v] for v in keep}
-    return vertices, edges
+            return vertices[v], (), None
+        e = edges[idx]
+        return vertices[v], e.premises, e.schema
+
+    return assemble_proof(targets, derive, goal, strict_cg)
 
 
 def least_matches(structure: FiniteStructure, values: dict[int, int | float],
@@ -540,8 +534,63 @@ def _fix(table: _Table, var: Var, term: Term) -> _Table:
 
 
 # ---------------------------------------------------------------------------
-# Goal tails: conjunction and generalization steps
+# Proof assembly: the numbering, and the conjunction and generalization tail
 # ---------------------------------------------------------------------------
+
+def assemble_proof(targets: Iterable[Hashable],
+                   derive: Callable[[Hashable], tuple[Label, Sequence,
+                                                      Optional[Schema]]],
+                   goal: Optional[BooleanCQ] = None,
+                   strict_cg: bool = False) -> ProofGraph:
+    """The proof below the target nodes, with the goal tail when a goal is
+    given (:func:`add_goal_tail`).
+
+    ``derive(node)`` gives a node's label, its premises (nodes) and the
+    schema of the edge from them, None for a leaf.  Each node is derived
+    once, when the walk first reaches it, and one vertex is made per node.
+    The walk runs in postorder from the targets, premises in edge order,
+    and numbers a vertex and builds its edge when the vertex is done.  So
+    the ids are read off the proof itself, whatever it was found in, and
+    with the tail numbered last the proof is in postorder from its sink.
+    KBError on a cyclic derivation.
+    """
+    ids: dict = {}                  # a node on the walk's stack maps to -1
+    vertices: dict[int, Label] = {}
+    edges: list[ProofEdge] = []
+    targets = list(targets)
+    for root in targets:
+        if root in ids:
+            continue
+        ids[root] = -1
+        label, premises, schema = derive(root)
+        stack = [(root, label, premises, schema, iter(premises))]
+        while stack:
+            for node in stack[-1][4]:
+                vid = ids.get(node)
+                if vid is None:
+                    label, premises, schema = derive(node)
+                    if schema is None:      # a leaf is done at once
+                        ids[node] = vid = len(vertices)
+                        vertices[vid] = label
+                        continue
+                    ids[node] = -1
+                    stack.append((node, label, premises, schema,
+                                  iter(premises)))
+                    break
+                if vid < 0:
+                    raise KBError("the derivation is cyclic")
+            else:
+                node, label, premises, schema, _ = stack.pop()
+                vid = ids[node] = len(vertices)
+                vertices[vid] = label
+                if schema is not None:
+                    edges.append(ProofEdge(tuple([ids[p] for p in premises]),
+                                           vid, schema))
+    target_ids = [ids[t] for t in targets]
+    if goal is None:
+        return ProofGraph(vertices, edges)
+    return add_goal_tail(vertices, edges, target_ids, goal, strict_cg)
+
 
 def _tail_steps(goal: BooleanCQ, strict_cg: bool) -> tuple[bool, bool]:
     """Whether the goal tail has a conjunction and a generalization step;

@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .compress import add_goal_tail
+from .compress import assemble_proof
 from .deriver_sk import _replace_top_level
 from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
                  Rule, SkolemRule, SkolemTerm, Term, Var, atom_key, atom_pred,
@@ -776,52 +776,24 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     gamma = grounding[sink]
     targets = [ground_atom(gamma, a) for a in goal.atoms]
 
-    builder = ProofBuilder()
-
-    def reach(atom: Atom) -> tuple[int, Optional[list]]:
-        """The atom's vertex, numbered when first reached, and the frame
-        [vertex, premise atoms, their vertices, rule or None, schema] of
-        its derivation if that is still to be built."""
-        label = AtomLabel(atom)
-        if builder.has_label(label):
-            return builder.vertex_for(label), None
-        vid = builder.vertex_for(label)
-        entry = producer.get(atom)
+    def derive(node: Atom | int):
+        """An atom's label, premises and schema from its recorded
+        derivation; a rule's index gives the rule's vertex."""
+        if type(node) is int:
+            return RuleLabel(sk_rules[node]), (), None
+        entry = producer.get(node)
         if entry is None:
-            raise TransformError(f"no derivation recorded for {atom}")
+            raise TransformError(f"no derivation recorded for {node}")
         if entry[0] == "fact":
-            return vid, None
+            return AtomLabel(node), (), None
         if entry[0] == "mp":
             _, idx, pi_hat = entry
-            rule = sk_rules[idx]
-            body = [substitute_atom(b, pi_hat) for b in rule.body]
-            return vid, [vid, body, [], rule, Schema.MP]
-        return vid, [vid, list(entry[1:]), [], None, Schema.E]
+            return AtomLabel(node), [substitute_atom(b, pi_hat)
+                                     for b in sk_rules[idx].body] + [idx], \
+                Schema.MP
+        return AtomLabel(node), entry[1:], Schema.E
 
-    def need(atom: Atom) -> int:
-        """Derive the atom and its premises depth-first, iteratively."""
-        vid, frame = reach(atom)
-        stack = [frame] if frame else []
-        while stack:
-            top, atoms, ids, rule, schema = stack[-1]
-            if len(ids) < len(atoms):
-                child_vid, child = reach(atoms[len(ids)])
-                if child is None:
-                    ids.append(child_vid)
-                else:
-                    stack.append(child)
-                continue
-            stack.pop()
-            if rule is not None:
-                ids.append(builder.vertex_for(RuleLabel(rule)))
-            builder.add_edge(tuple(ids), top, schema)
-            if stack:
-                stack[-1][2].append(top)
-        return vid
-
-    target_ids = [need(a) for a in targets]
-    graph = builder.build()
-    return add_goal_tail(graph.vertices, graph.edges, target_ids, goal)
+    return assemble_proof(targets, derive, goal)
 
 
 def ground_term(gamma: dict[Var, Term], t: Term) -> Term:

@@ -18,8 +18,7 @@ from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule,
                  SkolemTerm, Term, atom_is_ground, atom_key, atom_pred,
                  atom_terms, map_atom_terms, orient_equality, substitute_atom,
                  term_depth)
-from .matching import (AtomIndex, match_conjunction, match_positionally,
-                       unifiers, unify_atom)
+from .matching import AtomIndex, match_positionally, unifiers, unify_atom
 from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
                      RuleLabel, Schema)
 
@@ -243,17 +242,19 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     pairs an equality with an atom only when one of the two is new, so
     work is proportional to what actually changed.
 
-    The normal form caps bodies at two atoms, so a step seeded by one
-    frontier atom needs no general match: a one-atom body's match is the
-    seed's unifier, and the other atom of a two-atom body is unified
-    against its list in the index under the seed (:func:`unifiers`).
-    On the first round a one-atom body is unified against its list too.
-    Each list is read before the step records its first conclusion, which
-    is when :func:`match_conjunction` reads it, so vertex ids and edge
-    order, which proof ids follow, are those of matching bodies whole.
-    The matcher itself runs only on the first round's two-atom bodies.
-    Each seed, conclusion and replacement candidate is charged to the
-    ticker, whose atom cap bounds the structure.
+    The first round's frontier is every fact.  The normal form caps bodies
+    at two atoms, so a step seeded by one frontier atom needs no general
+    match: a one-atom body's match is the seed's unifier, and the other
+    atom of a two-atom body is unified against its list in the index under
+    the seed (:func:`unifiers`).  Where both body atoms have seeds, the
+    side with more seeds is skipped when the other side's predicate has no
+    atom older than the round, as every match it would find comes from the
+    other side too; on the first round only the side with fewer facts is
+    seeded.  Vertex ids are the order atoms come in; proofs are not
+    numbered by them but by their own shape
+    (:func:`hornexplain.compress.assemble_proof`).  Each seed, conclusion
+    and replacement candidate is charged to the ticker, whose atom cap
+    bounds the structure.
     """
     ticker = ticker or Ticker()
     charge, max_atoms = ticker.charge, ticker.max_atoms
@@ -311,35 +312,32 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             vid = add_atom(concl_atom, atom_key(concl_atom))
         structure.add_edge(premise_ids, vid, schema)
 
-    def body_matches(body: Sequence[Atom], seeds_by_pred: Optional[dict]
+    def body_matches(body: Sequence[Atom], seeds_by_pred: dict
                      ) -> Iterator[tuple[tuple[int, ...], dict]]:
-        """The body atoms' vertex ids and the substitution of each match:
-        all matches without seeds, else each seed's, in the matcher's
-        order (a match seeded twice comes twice)."""
-        if seeds_by_pred is None and len(body) == 1:
-            for g, ext in unifiers(body[0], index, {}):
-                yield (atom_ids[g],), ext
-        elif seeds_by_pred is None:
-            # a body predicate without atoms leaves nothing to match
-            if not all(index.bucket(atom_pred(b)) for b in body):
-                return
-            for subst in match_conjunction(body, index):
-                yield tuple(atom_ids[substitute_atom(b, subst)]
-                            for b in body), subst
-        else:
-            for pos, pattern in enumerate(body):
-                for fa in seeds_by_pred.get(atom_pred(pattern), ()):
-                    seed = unify_atom(pattern, fa, {})
-                    if seed is None:
-                        continue
-                    charge()
-                    fid = atom_ids[fa]
-                    if len(body) == 1:
-                        yield (fid,), seed
-                        continue
-                    for g, ext in unifiers(body[1 - pos], index, seed):
-                        ids = (fid, atom_ids[g])
-                        yield (ids if pos == 0 else ids[::-1]), ext
+        """The body atoms' vertex ids and the substitution of each match
+        with a seed in a body position (a match seeded twice comes
+        twice)."""
+        seeds = [seeds_by_pred.get(atom_pred(b), ()) for b in body]
+        if len(body) == 2 and seeds[0] and seeds[1]:
+            # a match of two seeds comes from either side, so the side with
+            # more seeds is needed only for a partner older than the round
+            few = int(len(seeds[1]) < len(seeds[0]))
+            if all(a in current or a in new_atoms
+                   for a in index.bucket(atom_pred(body[few]))):
+                seeds[1 - few] = ()
+        for pos, pattern in enumerate(body):
+            for fa in seeds[pos]:
+                seed = unify_atom(pattern, fa, {})
+                if seed is None:
+                    continue
+                charge()
+                fid = atom_ids[fa]
+                if len(body) == 1:
+                    yield (fid,), seed
+                    continue
+                for g, ext in unifiers(body[1 - pos], index, seed):
+                    ids = (fid, atom_ids[g])
+                    yield (ids if pos == 0 else ids[::-1]), ext
 
     # a rule can fire anew only when a body predicate has a frontier atom
     rules_by_pred: dict[tuple, list[int]] = {}
@@ -347,7 +345,6 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
         for pattern in rule.body:
             rules_by_pred.setdefault(atom_pred(pattern), []).append(i)
 
-    first_round = True
     while new_atoms:
         charge()
         current, new_atoms = new_atoms, {}
@@ -355,16 +352,11 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
         frontier_by_pred: dict[tuple, list[Atom]] = {}
         for fa in frontier:
             frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)
-        if first_round:
-            active = range(len(rules))
-        else:
-            active = sorted({i for pred in frontier_by_pred
-                             for i in rules_by_pred.get(pred, ())})
-        for i in active:
+        for i in sorted({i for pred in frontier_by_pred
+                         for i in rules_by_pred.get(pred, ())}):
             rule, rule_id = rules[i], rule_ids[i]
             seen: set[tuple[int, ...]] = set()
-            for body_ids, subst in body_matches(
-                    rule.body, None if first_round else frontier_by_pred):
+            for body_ids, subst in body_matches(rule.body, frontier_by_pred):
                 if body_ids in seen:
                     continue
                 seen.add(body_ids)
@@ -378,22 +370,20 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             # with its replaced term at the top level (both in atom_key
             # order)
             pool = sorted(index.atoms, key=atom_key) \
-                if first_round or ("=",) in frontier_by_pred else []
+                if ("=",) in frontier_by_pred else []
             by_term: dict[Term, list[Atom]] = {}
             for fa in frontier:
                 for t in set(atom_terms(fa)):
                     by_term.setdefault(t, []).append(fa)
 
             def candidates(eq: Atom, src: Term) -> Iterator[Atom]:
-                for atom in pool if first_round or eq in current \
-                        else by_term.get(src, ()):
+                for atom in pool if eq in current else by_term.get(src, ()):
                     charge()
                     yield atom
 
             steps = list(_replacements(eqs, candidates))
             for atom, eq, concl in steps:
                 record(Schema.E, (atom_ids[atom], atom_ids[eq]), concl)
-        first_round = False
     return structure
 
 

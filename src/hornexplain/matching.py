@@ -4,8 +4,9 @@ Used for rule application, query answering, and inference checking.
 
 :class:`AtomIndex` keeps every atom in one list per predicate and in one
 list per (predicate, argument position, term), all in ``atom_key`` order.
-An atom added while a :func:`match_conjunction` generator is suspended is
-seen by every later step of that generator.
+No caller adds to an index while a :func:`match_conjunction` generator over
+it is suspended, and the matcher relies on that: the plans it hands down
+would go stale.
 
 At each step the search picks the most constrained pattern atom: the one
 with the fewest unifiers under the current bindings, ties going to the
@@ -23,8 +24,8 @@ A step re-plans only the patterns it touches.  A pattern's plan (its list,
 checks and score) depends on the bindings only through its unbound
 variables: the top-level ones and the innermost variable of each Skolem
 term over an unbound variable.  So a plan stays valid until a step binds
-one of them or the index grows, and every other plan is handed down to the
-next step as it is.
+one of them, and every other plan is handed down to the next step as it
+is.
 """
 
 from __future__ import annotations
@@ -241,18 +242,13 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                 for pos, p in enumerate(patterns)]
     matched: list[Optional[Atom]] = \
         [None] * len(patterns) if prune is not None else []
-    atoms = index.atoms            # its size tells when the index grew
 
     def extend(remaining: list[tuple[int, tuple, tuple[Term, ...]]],
-               kept: list[Optional[_Plan]], size: int,
-               current: dict[Var, Term]) -> Iterator[dict[Var, Term]]:
+               kept: list[Optional[_Plan]], current: dict[Var, Term]
+               ) -> Iterator[dict[Var, Term]]:
         if not remaining:
             yield current
             return
-        if size != len(atoms):
-            # the index grew while the generator was suspended
-            size = len(atoms)
-            kept = [None] * len(remaining)
         # most constrained first: fewest unifiers under current bindings
         plans: list[_Plan] = []
         best = None
@@ -271,8 +267,6 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
             if best is None or plan[0] < best[0]:
                 best, idx = plan, i
         _, source, checks, free = best
-        # unify the chosen candidates now: atoms added to the index while
-        # this generator is suspended are seen only by deeper steps
         hits = []
         for ground in source:
             new: dict[Var, Term] = {}
@@ -298,13 +292,13 @@ def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
             ext = dict(current)
             ext.update(new)
             if rest:
-                yield from extend(rest, plans, size, ext)
+                yield from extend(rest, plans, ext)
             else:
                 yield ext
         if ask:
             matched[pos] = None
 
-    yield from extend(prepared, [None] * len(prepared), len(atoms), base)
+    yield from extend(prepared, [None] * len(prepared), base)
 
 
 def unifiers(pattern: Atom, index: AtomIndex, subst: Mapping[Var, Term]

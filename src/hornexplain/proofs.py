@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .kb import (Atom, BooleanCQ, KBError, KnowledgeBase, NormalForm, Rule,
                  SkolemRule, Term, Var, atom_key, atom_terms, cq_equivalent,
@@ -133,8 +133,10 @@ def _postorder(inc: dict[int, list[ProofEdge]],
                 yield v
 
 
-@dataclass(frozen=True)
-class ProofEdge:
+class ProofEdge(NamedTuple):
+    """A hyperedge; a named tuple, which costs half a frozen dataclass to
+    build, as every saturation and proof builds one per edge."""
+
     premises: tuple[int, ...]
     conclusion: int
     schema: Schema
@@ -176,7 +178,6 @@ class ProofGraph:
 class ProofBuilder:
     def __init__(self):
         self._vertices: dict[int, Label] = {}
-        self._by_label: dict[Label, int] = {}
         self._edges: list[ProofEdge] = []
         self._next = 0
 
@@ -185,15 +186,6 @@ class ProofBuilder:
         self._next += 1
         self._vertices[vid] = label
         return vid
-
-    def vertex_for(self, label: Label) -> int:
-        """Shared vertex per label (for subproof-style graphs)."""
-        if label not in self._by_label:
-            self._by_label[label] = self.add_vertex(label)
-        return self._by_label[label]
-
-    def has_label(self, label: Label) -> bool:
-        return label in self._by_label
 
     def add_edge(self, premises: Iterable[int], conclusion: int,
                  schema: Schema) -> None:

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 from .chase import _chase_verdict
 from .compress import (CompressError, CompressedStructure, DecompressError,
-                       add_goal_tail, dllite_query_min_size, dp_min_tree,
-                       edge_key, el_cq_min_treesize, equality_free_fold,
+                       dllite_query_min_size, dp_min_tree, edge_key,
+                       el_cq_min_treesize, equality_free_fold,
                        extract_witness, goal_tail_size, least_matches,
                        min_heights, refutes, tree_query_min_treesize, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
@@ -30,10 +30,9 @@ from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
                  cq_equivalent, is_tree_shaped, orient_equality,
                  substitute_atom)
 from .matching import AtomIndex, match_conjunction
-from .proofs import (AtomLabel, CQLabel, Label, Measure, ProofBuilder,
-                     ProofEdge, ProofGraph, RuleLabel, Schema,
-                     ground_terms_of_label, label_key, measure, proof_size,
-                     sub_derivation, tree_size)
+from .proofs import (AtomLabel, CQLabel, Measure, ProofBuilder, ProofGraph,
+                     RuleLabel, Schema, ground_terms_of_label, label_key,
+                     measure, proof_size, sub_derivation, tree_size)
 
 
 @dataclass
@@ -88,7 +87,6 @@ class _CoverState:
     # premise -> the vertices it derives; the sets are shared between
     # states and replaced, never changed
     arcs: dict[int, frozenset[int]]
-    size_count: int
     terms: set[Term]
 
 
@@ -127,7 +125,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
     best: list = [limit, None]          # value, choice
     keys: dict[int, tuple] = {}        # see _cover_children
     stack = [iter((_CoverState(init_members, init_pending, {},
-                               len(init_members), init_terms),))]
+                               init_terms),))]
     while stack:
         state = next(stack[-1], None)
         if state is None:
@@ -147,7 +145,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
 
 
 def _cover_value(state: _CoverState, kind: Measure) -> int:
-    return state.size_count if kind is Measure.SIZE else len(state.terms)
+    return len(state.members) if kind is Measure.SIZE else len(state.terms)
 
 
 def _cover_children(structure: FiniteStructure, state: _CoverState,
@@ -164,7 +162,7 @@ def _cover_children(structure: FiniteStructure, state: _CoverState,
     vid = state.pending.pop()
     for eidx in keys[vid][1]:
         nxt = _CoverState(dict(state.members), list(state.pending),
-                          dict(state.arcs), state.size_count, state.terms)
+                          dict(state.arcs), state.terms)
         nxt.members[vid] = eidx
         ok = True
         for p in structure.edges[eidx].premises:
@@ -176,7 +174,6 @@ def _cover_children(structure: FiniteStructure, state: _CoverState,
             nxt.arcs[p] = nxt.arcs.get(p, frozenset()) | {vid}
             if p not in nxt.members:
                 nxt.members[p] = None
-                nxt.size_count += 1
                 if kind is Measure.DOMAIN_SIZE:
                     nxt.terms = nxt.terms | ground_terms_of_label(
                         structure.vertices[p])
@@ -300,8 +297,11 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     if best_sigma is not None and (budget.bound is None
                                    or best_value <= budget.bound):
         assert best_structure is not None
-        proof = _assemble_sk(best_structure, q, best_sigma, budget.measure,
-                             best_choice, strict_cg)
+        # the tree-size DP's chosen edges, or the cover's chosen vertices
+        targets = [best_structure.atom_ids[substitute_atom(a, best_sigma)]
+                   for a in q.atoms]
+        proof = extract_witness(best_structure, best_choice, targets, q,
+                                strict_cg)
         complete = not tripped and (budget.bound is not None or certified)
         return _result(budget, ticker, "found", proof, int(best_value),
                        complete)
@@ -458,31 +458,6 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     except BudgetExceeded:
         tripped = True
     return best_value, best_sigma, best_choice, None, tripped
-
-
-def _assemble_sk(structure: FiniteStructure, q: BooleanCQ,
-                 sigma: dict[Var, Term], kind: Measure, choice,
-                 strict_cg: bool) -> ProofGraph:
-    """Materialize the search's choice: the tree-size DP's chosen edges, or
-    the cover's chosen vertices, renumbered in vertex-id order."""
-    targets = [structure.atom_ids[substitute_atom(atom, sigma)]
-               for atom in q.atoms]
-    if kind is Measure.TREE_SIZE:
-        vertices, edges = extract_witness(structure, choice, targets)
-        return add_goal_tail(vertices, edges, targets, q, strict_cg)
-    id_of = {vid: i for i, vid in enumerate(sorted(choice))}
-    vertices: dict[int, Label] = {i: structure.vertices[vid]
-                                  for vid, i in id_of.items()}
-    edges = []
-    for vid, i in id_of.items():
-        eidx = choice[vid]
-        if eidx is None:
-            continue
-        e = structure.edges[eidx]
-        edges.append(ProofEdge(tuple(id_of[p] for p in e.premises), i,
-                               e.schema))
-    target_ids = [id_of[vid] for vid in targets]
-    return add_goal_tail(vertices, edges, target_ids, q, strict_cg)
 
 
 # ---------------------------------------------------------------------------

@@ -515,16 +515,16 @@ _SAT_CQ = gen_sat_cq([[1, -2], [2, 3], [-1, -3]])
 _TRANSLATION_PINS = [
     (gen_el_tree(4), Measure.SIZE, None, "sk", None,
      "2be309d69a710282ee3680f77432ee0c554d5ba56c8594999d3e93ee38e26b53",
-     "ec130b1fd2fcb18a86ee6c9ae7cc459ffda7aabb7414ffc82821ac3ed4522b41"),
+     "26a4f040119a26e34c979c1f531d34add8712d0afab57ec5004d9de9fc65734a"),
     (gen_dllite_chain(20), Measure.SIZE, None, "sk", None,
      "4e5158d3d166721660a35de28051931cd3fe189da1078062aa92819dc7f73792",
-     "a4ad4f2285a0c559e6e1615e1f79593ab932b9cfab57d2c2f73c7276033c2d7e"),
+     "d98ebde47b747168ff091d2e0fe5b437e369725e5d458b56039b663d411eb977"),
     (gen_el_abox(10), Measure.DOMAIN_SIZE, None, "sk", None,
      "e22c9207666203db5c0dbd496ba3440eb5997e2e8ed27b72a377b6c5e81e589f",
-     "5267f91b201d0167e3e244bf81d365a9bdb3bfad014beafe17ec077c23b07330"),
+     "b715f5d9f9020c17afe82ed40d3e2a8f075e8978f299590056df6453195cc22f"),
     (gen_hornalc_counter(1), Measure.TREE_SIZE, 3, "sk", None,
      "e1633e3e682e8c1b47a231fa559fc2b79d8478bd5e6bfed88a6c8af5b0459414",
-     "c7d7985ada07f75505618ec7f59a6b281a1ecfa9cb65d88e63290f0b5b804eac"),
+     "35ebbea46be86e4a1069cf5baa639b9cb0c52ee46d3bf644f0137214f07e83f2"),
     (_SAT_CQ, Measure.TREE_SIZE, None, "cq", _SAT_CQ.bounds["cq_tree"],
      "800b923333016ca76957dc9809f923b4a42e5b8e2237c8272737d27c41ef0229",
      "f4ee476593c3d075ad9253b7db669b8622479c360c92f3beb4ba428b5d54c1b7"),

@@ -89,8 +89,8 @@ def _atoms(terms):
 
 @st.composite
 def _cases(draw):
-    """Patterns, facts holding some instances of them plus noise, a seed
-    substitution, and atoms to add while the matcher runs."""
+    """Patterns, facts holding some instances of them plus noise, and a
+    seed substitution."""
     patterns = draw(st.lists(_atoms(_PATTERN_TERM), min_size=1, max_size=4))
     assignments = st.fixed_dictionaries({v: _GROUND for v in _VARS})
 
@@ -103,18 +103,15 @@ def _cases(draw):
 
     facts = pool(6, 10)
     seed = draw(st.dictionaries(st.sampled_from(_VARS), _GROUND, max_size=1))
-    later = draw(st.permutations(pool(2, 4)))
-    return patterns, facts, seed, later
+    return patterns, facts, seed
 
 
 @settings(max_examples=300, deadline=None)
 @given(_cases())
 def test_indexed_matcher_agrees_with_the_bucket_scan(case):
-    patterns, facts, seed, later = case
-    index, scan = AtomIndex(facts), _ScanIndex(facts)
-    got = match_conjunction(patterns, index, seed)
-    want = _scan_match(patterns, scan, seed)
-    pending = iter(later)
+    patterns, facts, seed = case
+    got = match_conjunction(patterns, AtomIndex(facts), seed)
+    want = _scan_match(patterns, _ScanIndex(facts), seed)
     for _ in range(500):
         g, w = next(got, None), next(want, None)
         # same substitutions in the same order, bindings in the same order
@@ -123,11 +120,6 @@ def test_indexed_matcher_agrees_with_the_bucket_scan(case):
         if g is None:
             break
         assert g is not seed
-        # as saturation does: grow the index while the matcher is suspended
-        atom = next(pending, None)
-        if atom is not None:
-            index.add(atom)
-            scan.add(atom)
 
 
 def test_every_pair_of_small_patterns_agrees_with_the_bucket_scan():
@@ -205,7 +197,7 @@ def _keyed_cut(salt, modulus):
 @given(_cases(), st.integers(0, 1000), st.integers(1, 4))
 def test_prune_cuts_exactly_the_branches_the_bucket_scan_cuts(
         case, salt, modulus):
-    patterns, facts, _, _ = case
+    patterns, facts, _ = case
     cut = _keyed_cut(salt, modulus)
     asked = []
 
@@ -235,8 +227,8 @@ _LONG_GROUND = st.sampled_from([Const("a"), Const("b"), Const("c"),
 @st.composite
 def _long_cases(draw):
     """5-12 patterns, chain- or SAT-shaped, some of whose arguments are
-    Skolem terms over variables (``f(x)``); facts holding instances of them
-    plus noise; and atoms to add while the matcher runs."""
+    Skolem terms over variables (``f(x)``), and facts holding instances of
+    them plus noise."""
     def term(v):
         return SkolemTerm("f", v) if draw(st.integers(0, 3)) == 0 else v
 
@@ -272,15 +264,12 @@ def _long_cases(draw):
         return [substitute_atom(p, sigma) for sigma in sigmas
                 for p in patterns] + noise
 
-    facts = pool(3, 12)
-    later = draw(st.permutations(pool(1, 6)))
-    return patterns, facts, later
+    return patterns, pool(3, 12)
 
 
-def _agree_with_growth(patterns, facts, later, cut):
-    """The first 200 substitutions of the matcher and the bucket scan, with
-    one atom added to both indexes after each; with ``cut``, the prune
-    questions too."""
+def _agree(patterns, facts, cut):
+    """The first 200 substitutions of the matcher and the bucket scan; with
+    ``cut``, the prune questions too."""
     index, scan = AtomIndex(facts), _ScanIndex(facts)
     asked, want_asked = [], []
     if cut is None:
@@ -292,7 +281,6 @@ def _agree_with_growth(patterns, facts, later, cut):
             return cut(matched)
         got = match_conjunction(patterns, index, prune=prune)
         want = _scan_pruned(patterns, scan, cut, want_asked)
-    pending = iter(later)
     for _ in range(200):
         g, w = next(got, None), next(want, None)
         assert (None if g is None else list(g.items())) == \
@@ -300,23 +288,19 @@ def _agree_with_growth(patterns, facts, later, cut):
         assert asked == want_asked
         if g is None:
             break
-        atom = next(pending, None)
-        if atom is not None:
-            index.add(atom)
-            scan.add(atom)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_long_cases())
 def test_long_conjunctions_agree_with_the_bucket_scan(case):
-    _agree_with_growth(*case, None)
+    _agree(*case, None)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_long_cases(), st.integers(0, 1000), st.integers(2, 4))
 def test_prune_on_long_conjunctions_asks_what_the_bucket_scan_asks(
         case, salt, modulus):
-    _agree_with_growth(*case, _keyed_cut(salt, modulus))
+    _agree(*case, _keyed_cut(salt, modulus))
 
 
 @pytest.mark.parametrize("clauses, measure, plans, status, value", [

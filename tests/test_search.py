@@ -1,19 +1,23 @@
 """Minimal-proof machinery: dynamic programs, compressed structures,
 the least-match step, and the exact bounded search."""
 
+import functools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from hornexplain.chase import _chase_verdict, chase, entails
 from hornexplain.compress import (CompressError, DecompressError, _Unfold,
-                                  add_goal_tail, compress_dllite, compress_el,
+                                  add_goal_tail, assemble_proof,
+                                  compress_dllite, compress_el,
                                   decompress, dllite_query_min_size,
                                   dp_min_tree, el_cq_min_treesize,
                                   equality_free_fold, extract_witness, fold,
                                   goal_tail_size, least_matches, refutes,
                                   tree_query_min_treesize)
+from hornexplain.deriver_cq import transform_cq_to_sk, transform_sk_to_cq
 from hornexplain.deriver_sk import (BudgetExceeded, Ticker,
                                     default_depth_ceiling, saturate_kb)
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
@@ -25,8 +29,9 @@ from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment,
                             is_tree_shaped, substitute_atom, term_key)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (AtomLabel, Measure, ProofGraph, RuleLabel,
-                                domain_size, ground_terms_of_label,
+from hornexplain.proofs import (AtomLabel, Measure, ProofEdge, ProofGraph,
+                                RuleLabel, _postorder, domain_size,
+                                ground_terms_of_label, proof_from_json,
                                 proof_size, proof_to_json, tree_size,
                                 validate_proof)
 from hornexplain import search as search_module
@@ -42,7 +47,7 @@ def _min_tree(structure, goal_label):
     """The tree-size DP's value for one label and its chosen-edge witness."""
     values, chosen = dp_min_tree(structure)
     vid = structure.label_ids[goal_label]
-    return values[vid], ProofGraph(*extract_witness(structure, chosen, [vid]))
+    return values[vid], extract_witness(structure, chosen, [vid])
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +662,7 @@ def _realized_witness(kb, q):
     sigma = _rank_matches(structure, values, q)[0][1]
     targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
                for a in q.atoms]
-    return add_goal_tail(*extract_witness(structure, chosen, targets),
-                         targets, q)
+    return extract_witness(structure, chosen, targets, q)
 
 
 def test_the_unfolding_agrees_with_the_realization_and_the_search():
@@ -1340,7 +1344,7 @@ def test_every_phase_stops_at_an_expired_clock():
                   lambda: compress_el(kb, _expired()),
                   lambda: decompress(comp, kb, q, values, chosen, [sigma],
                                      ticker=_expired()),
-                  lambda: unfold.graph(targets),
+                  lambda: unfold.proof(targets, q, False),
                   lambda: chase(kb, 1, _expired())):
         with pytest.raises(BudgetExceeded, match="time limit"):
             phase()
@@ -1366,3 +1370,105 @@ def test_the_chase_certificate_spends_the_run_budget(monkeypatch):
     assert (out.status, out.complete) == ("none", True)
     [ticker] = asked
     assert ticker.max_atoms == 8000 // 4 and ticker.count == out.nodes
+
+
+# ---------------------------------------------------------------------------
+# Proof numbering: ids read off the proof, in postorder from its sink
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _in_postorder(p) -> bool:
+    """Whether the vertices are numbered 0, 1, ... in postorder from the
+    sink, premises in edge order."""
+    return list(_postorder(p.incoming(), [p.sink()])) \
+        == list(range(len(p.vertices)))
+
+
+def _shuffled(p, rng):
+    """The proof with its ids drawn at random and its edges reordered."""
+    ids = dict(zip(p.vertices, rng.sample(range(10 * len(p.vertices)),
+                                          len(p.vertices))))
+    vertices = list(p.vertices.items())
+    rng.shuffle(vertices)
+    edges = [ProofEdge(tuple(ids[q] for q in e.premises), ids[e.conclusion],
+                       e.schema) for e in p.edges]
+    rng.shuffle(edges)
+    return ProofGraph({ids[v]: label for v, label in vertices}, edges)
+
+
+def _reassembled(p):
+    """The proof numbered afresh by the one assembler, from its sink."""
+    derived = {e.conclusion: e for e in p.edges}
+
+    def derive(v):
+        e = derived.get(v)
+        if e is None:
+            return p.vertices[v], (), None
+        return p.vertices[v], e.premises, e.schema
+
+    return assemble_proof([p.sink()], derive)
+
+
+@functools.cache
+def _emitted_sk_proofs():
+    """(label, proof, goal) of the sk proofs that the exact search, the
+    polynomial routes and the cq->sk translation emit on random KBs and on
+    each generator."""
+    rng = random.Random(20261019)
+    cases = []
+    for case in range(500):
+        kb = _random_kb(rng)
+        q = _query_into(rng, saturate_kb(kb, rng.randint(0, 2))) \
+            if case % 2 else _random_query(rng)
+        cases.append((f"random-{case}", kb, q,
+                      rng.choice(list(Measure)),
+                      rng.choice(["auto", "exact", "poly"])))
+    for name, inst in (("el-tree-3", gen_el_tree(3)),
+                       ("dllite-chain-6", gen_dllite_chain(6)),
+                       ("el-abox-8", gen_el_abox(8)),
+                       ("counter-1", gen_hornalc_counter(1)),
+                       ("tree-query-4", gen_dllite_tree_query(4, seed=10))):
+        for m in Measure:
+            for algo in ("exact", "poly"):
+                cases.append((name, inst.kb, inst.query, m, algo))
+    out = []
+    for name, kb, q, m, algo in cases:
+        result = explain(kb, q, RunConfig(measure=m, algo=algo,
+                                          max_nodes=20_000, max_seconds=5))
+        if result.status != "found":
+            continue
+        label = f"{name} {m.value} {result.algorithm}"
+        out.append((label, result.proof, q))
+        if len(out) % 4 == 0:
+            cq = transform_sk_to_cq(result.proof, kb)
+            out.append((label + " cq->sk", transform_cq_to_sk(cq, kb), q))
+    return out
+
+
+def test_emitted_sk_proofs_are_numbered_in_postorder_from_their_sink():
+    proofs = _emitted_sk_proofs()
+    kinds = {label.split(" ", 2)[2] for label, _, _ in proofs}
+    assert {"exact", "poly-el-tree", "poly-dllite-tree", "poly-dllite-size",
+            "exact cq->sk"} <= kinds, kinds
+    assert len(proofs) > 300
+    for label, p, _ in proofs:
+        assert _in_postorder(p), label
+
+
+def test_a_proof_with_shuffled_ids_reassembles_to_the_same_json():
+    rng = random.Random(20261020)
+    for label, p, q in _emitted_sk_proofs():
+        assert proof_to_json(_reassembled(_shuffled(p, rng)), q) \
+            == proof_to_json(p, q), label
+
+
+def test_the_golden_sk_proofs_are_numbered_in_postorder_from_their_sink():
+    checked = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        p, _ = proof_from_json(path.read_text(encoding="utf-8"))
+        if p.deriver() == "sk":
+            assert _in_postorder(p), path.name
+            checked += 1
+    assert checked >= 10

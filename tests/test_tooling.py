@@ -250,4 +250,4 @@ def test_the_el_tree_10_proof_is_pinned(tmp_path):
                            "--measure", "tree", "--format", "json"],
                           capture_output=True, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "55be7de9daf84cd6d3ae56e2aa1e19a58819206b5d0aff7f22771af500f99fb2")
+        "0b34f302ac66fc17e29848d25992c11ee1ceb2fa913809e214c88a8941515d83")
