@@ -6,10 +6,11 @@ individuals, one per Skolem function (:func:`fold`).  Two polynomial
 routes read the fold, one for tree-shaped queries over DL-Lite
 (:func:`tree_query_min_treesize`) and one for any query over EL and DL-Lite
 (:func:`el_cq_min_treesize`); both take the least matches by min-sum
-variable elimination (:func:`least_matches`).  Proofs found over the fold
-are unfolded onto real Skolem terms from the goal down (:func:`decompress`);
-an optimum that conflates witnesses of different origins has no unfolding
-and is rejected rather than silently accepted.  The fold also bounds the exact
+variable elimination (:func:`least_matches`).  A proof found over a fold
+with placeholders is unfolded onto real Skolem terms from the goal down, and
+one over a fold without any is the real proof (:func:`decompress`); an
+optimum that conflates witnesses of different origins has no unfolding and
+is rejected rather than silently accepted.  The fold also bounds the exact
 search from below, for any fragment: see :func:`equality_free_fold`.
 """
 
@@ -150,16 +151,24 @@ def decompress(comp: CompressedStructure, kb: KnowledgeBase, q: BooleanCQ,
     """The real proof of the first of the equally cheap query matches that
     unfolds onto Skolem terms; DecompressError when none does.
 
-    From the match down, each compressed atom vertex becomes one real atom
-    per binding of its placeholders, derived by the vertex's chosen edge
-    or, where that one does not fold onto the binding, by its next edge of
-    the same tree size in :func:`edge_key` order.  Only optimal edges are
-    used, so the proof has the match's value, which bounds every real
-    proof from below.  Each unfolding step and proof vertex is charged to
-    the ticker.
+    The unfolding runs only where the fold has a placeholder: without one,
+    every compressed rule is the knowledge base's own, and the first match's
+    chosen edges (:func:`extract_witness`) are the real proof.  Otherwise,
+    from the match down, each compressed atom vertex becomes one real atom
+    per binding of its placeholders, derived by the vertex's chosen edge or,
+    where that one does not fold onto the binding, by its next edge of the
+    same tree size in :func:`edge_key` order (:meth:`_Unfold.match`).  Only
+    optimal edges are used, so the proof has the match's value, which bounds
+    every real proof from below.  Each unfolding step and proof vertex is
+    charged to the ticker.
     """
-    unfold = _Unfold(comp, kb, values, chosen, ticker or Ticker())
+    ticker = ticker or Ticker()
+    unfold = comp.placeholders and _Unfold(comp, kb, values, chosen, ticker)
     for sigma in assignments:
+        if not unfold:          # no placeholder: the chosen edges are real
+            return extract_witness(comp.structure, chosen, [
+                comp.structure.atom_ids[substitute_atom(a, sigma)]
+                for a in q.atoms], q, strict_cg, ticker)
         targets = unfold.match(q, sigma)
         if targets:
             return unfold.proof(targets, q, strict_cg)
@@ -179,100 +188,102 @@ class _Unfold:
         self.structure, self.fresh = comp.structure, comp.fresh_consts
         self.values, self.chosen, self.ticker = values, chosen, ticker
         self.rules = kb.skolem_rules
-        self.bodies = [list(map(atom_terms, r.body)) for r in self.rules]
         self.heads = [{atom_pred(h): h for h in r.head} for r in self.rules]
         self.memo: dict[tuple, tuple | bool] = {}
 
     def match(self, q: BooleanCQ, sigma: dict[Var, Term]) -> list | bool:
-        """The entries of the query's atoms under the match, or False; the
-        unfolding generators run on an explicit stack, each one yielding
-        the key it needs next and being sent that key's entry."""
-        vertices = self.structure.vertices
-        vids = [self.structure.atom_ids[substitute_atom(a, sigma)]
-                for a in q.atoms]
-        terms = [atom_terms(a) for a in q.atoms]
+        """The entries of the query's atoms under the match, or False.  A
+        key takes its vertex's chosen edge, else the next of :meth:`_rest`;
+        a step binds its head to the known terms, then its premises one at a
+        time, the least share of unknown terms first (a role atom on a tie),
+        unfolding one without an entry on an explicit stack of steps."""
+        structure, memo, chosen = self.structure, self.memo, self.chosen
+        vertices, leaves = structure.vertices, structure.leaf_ids
+        step, rests = functools.cache(self._step), functools.cache(self._rest)
+        charge = self.ticker.charge
+        premises = [structure.atom_ids[substitute_atom(a, sigma)]
+                    for a in q.atoms]
+        body = [atom_terms(a) for a in q.atoms]
         # individuals stand for themselves, as do the query's constants
-        known = {t: c for ts, v in zip(terms, vids)
-                 for t, c in zip(ts, atom_terms(vertices[v].atom))
-                 if isinstance(t, Const) or c.name not in self.fresh}
-        stack = [self._unfold(None, [(None, None, terms, vids, known)])]
-        reply, charge = None, self.ticker.charge
+        rsub = {t: c for ts, v in zip(body, premises)
+                for t, c in zip(ts, atom_terms(vertices[v].atom))
+                if isinstance(t, Const) or c.name not in self.fresh}
+        # the step under way (the goal's key is None): key, edge, later edges
+        # (None until listed), head, body, premises, real terms, entries, and
+        # the premises left (None once it fails)
+        key, idx, rest, head = None, -1, iter(()), None
+        entries, left = [None] * len(premises), list(range(len(premises)))
+        stack: list[tuple] = []
         while True:
-            try:
-                key = stack[-1].send(reply)
-            except StopIteration as stop:
-                stack.pop()
-                if not stack:
-                    return stop.value
-                reply = stop.value
-                continue
-            charge()
-            stack.append(self._unfold(key, self._steps(key[0])))
-            reply = None
-
-    def _steps(self, vid: int):
-        """The rule applications behind the vertex's chosen in-edge, then
-        behind its other edges of the same value, in edge_key order."""
-        first = self.chosen[vid]
-        yield self._step(first)
-        edges, values = self.structure.edges, self.values
-        rest = [i for i in self.structure.in_edges[vid] if i != first
-                and 1 + sum(values[p] for p in edges[i].premises)
-                == values[vid]]
-        for i in sorted(rest, key=lambda i: edge_key(self.structure, i)):
-            yield self._step(i)
-
-    def _step(self, idx: int) -> tuple:
-        """The edge, the real head atom of its conclusion, the body's
-        terms, the premise vertices and no known terms."""
-        vertices = self.structure.vertices
-        e = self.structure.edges[idx]
-        rule = vertices[e.premises[-1]].rule.index
-        head = self.heads[rule][atom_pred(vertices[e.conclusion].atom)]
-        return idx, head, self.bodies[rule], e.premises[:-1], {}
-
-    def _unfold(self, key, steps):
-        """Unfold ``key`` by the first of ``steps`` that folds onto it.
-
-        The premises go one at a time, the one with the least share of
-        unknown terms first (a role atom on a tie), and hand the real terms
-        they bind to the rest.  The goal comes as key None with one step
-        without a head; its entry is its premises' entries."""
-        known = key[1] if key is not None else ()
-        structure, memo = self.structure, self.memo
-        entry = False
-        for idx, head, terms, premises, rsub in steps:
-            rsub = dict(rsub)
-            if head is not None and not _bind(atom_terms(head), known, rsub):
-                continue
-            entries: list = [None] * len(premises)
-            left = list(range(len(premises)))
-            while left:
+            if left is None:            # the next edge, if any
+                if idx is None:
+                    idx = chosen[key[0]]
+                else:
+                    rest = rest or iter(rests(key[0]))
+                    idx = next(rest, None)
+                if idx is not None:
+                    head, hterms, body, premises, slots = step(idx)
+                    rsub = {}
+                    if _bind(hterms, key[1], rsub):
+                        entries, left = [None] * len(slots), list(slots)
+                    continue
+                entry = False
+            elif left:
                 j = left[0] if len(left) == 1 else min(left, key=lambda j: (
-                    sum(t not in rsub for t in terms[j]) / len(terms[j]),
-                    -len(terms[j])))
+                    sum(t not in rsub for t in body[j]) / len(body[j]),
+                    -len(body[j])))
                 left.remove(j)
-                pkey = (premises[j], tuple(map(rsub.get, terms[j])))
+                pkey = (premises[j], tuple(map(rsub.get, body[j])))
                 got = memo.get(pkey)
                 if got is None:
-                    if premises[j] in structure.leaf_ids:
-                        got = memo[pkey] = (
-                            structure.vertices[premises[j]].atom,
-                            premises[j], None, ())
-                    else:
-                        got = yield pkey
-                if not got or not _bind(terms[j], atom_terms(got[0]), rsub):
-                    break
-                entries[j] = got
+                    if premises[j] not in leaves:
+                        charge()
+                        stack.append((key, idx, rest, head, body, premises,
+                                      rsub, entries, left, j))
+                        key, idx, rest, left = pkey, None, None, None
+                        continue
+                    got = memo[pkey] = (vertices[premises[j]].atom,
+                                        premises[j], None, ())
+                if got and _bind(body[j], atom_terms(got[0]), rsub):
+                    entries[j] = got
+                else:
+                    left = None
+                continue
             else:
-                entry = entries if head is None else \
+                entry = entries if key is None else \
                     (substitute_atom(head, rsub), key[0], idx, entries)
-                break
-        if key is not None:
+            if key is None:
+                return entry
             memo[key] = entry
-            if entry:     # the same atom asked for with every term known
-                memo.setdefault((key[0], atom_terms(entry[0])), entry)
-        return entry
+            # every term known: the key is its atom's own and binds nothing
+            real = entry and None in key[1] and atom_terms(entry[0])
+            if real:      # filed for the same atom asked with every term known
+                memo.setdefault((key[0], real), entry)
+            key, idx, rest, head, body, premises, rsub, entries, left, j = \
+                stack.pop()
+            if not entry or real and not _bind(body[j], real, rsub):
+                left = None
+            else:
+                entries[j] = entry
+
+    def _step(self, idx: int) -> tuple:
+        """The edge's rule head for its conclusion, the head's terms, the
+        body's terms, the premise vertices and their positions."""
+        vertices, e = self.structure.vertices, self.structure.edges[idx]
+        rule = vertices[e.premises[-1]].rule.index
+        head = self.heads[rule][atom_pred(vertices[e.conclusion].atom)]
+        return (head, atom_terms(head), list(map(atom_terms, self.rules[
+            rule].body)), e.premises[:-1], tuple(range(len(e.premises) - 1)))
+
+    def _rest(self, vid: int) -> list[int]:
+        """The vertex's other in-edges of its value, in edge_key order: the
+        ones a key tries, listed only once its chosen edge does not fold."""
+        edges, values, first = self.structure.edges, self.values, \
+            self.chosen[vid]
+        return sorted((i for i in self.structure.in_edges[vid] if i != first
+                       and 1 + sum(values[p] for p in edges[i].premises)
+                       == values[vid]),
+                      key=lambda i: edge_key(self.structure, i))
 
     def proof(self, targets: list, q: BooleanCQ,
               strict_cg: bool) -> ProofGraph:
@@ -314,14 +325,15 @@ class _Unfold:
 def _bind(pattern: tuple, real: tuple, rsub: dict) -> bool:
     """Extend ``rsub`` so that the pattern terms give the real ones where
     these are known (not None); False on a clash."""
-    for t, r in zip(pattern, real):
+    for i, t in enumerate(pattern):     # no zip: it costs more here
+        r = real[i]
         if r is None:
             continue
         if isinstance(t, SkolemTerm):
             if not isinstance(r, SkolemTerm) or r.fn != t.fn:
                 return False
             t, r = t.arg, r.arg
-        if rsub.setdefault(t, r) != r:
+        if rsub.setdefault(t, r) is not r:
             return False
     return True
 
@@ -405,14 +417,17 @@ def _least_fixpoint(structure: FiniteStructure, combine,
 
 def extract_witness(structure: FiniteStructure, chosen: dict[int, int],
                     targets: Iterable[int], goal: Optional[BooleanCQ] = None,
-                    strict_cg: bool = False) -> ProofGraph:
+                    strict_cg: bool = False, ticker: Optional[Ticker] = None
+                    ) -> ProofGraph:
     """The proof of the goal from the chosen edges below the targets
     (vertices shared), by :func:`assemble_proof`; ``chosen`` may map a
-    leaf to None."""
+    leaf to None.  Each proof vertex is charged to the ticker."""
     vertices, edges, leaves = structure.vertices, structure.edges, \
         structure.leaf_ids
+    charge = (ticker or Ticker()).charge
 
     def derive(v: int):
+        charge()
         idx = chosen.get(v)
         if idx is None:
             if v not in leaves:

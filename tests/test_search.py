@@ -13,7 +13,7 @@ from hornexplain.compress import (CompressError, DecompressError, _Unfold,
                                   add_goal_tail, assemble_proof,
                                   compress_dllite, compress_el,
                                   decompress, dllite_query_min_size,
-                                  dp_min_tree, el_cq_min_treesize,
+                                  dp_min_tree, edge_key, el_cq_min_treesize,
                                   equality_free_fold, extract_witness, fold,
                                   goal_tail_size, least_matches, refutes,
                                   tree_query_min_treesize)
@@ -25,7 +25,7 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_el_tree, gen_hornalc_counter,
                                     gen_sat, gen_sat_cq)
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment,
-                            RoleAtom, SkolemTerm, Var, atom_terms,
+                            RoleAtom, SkolemTerm, Var, atom_pred, atom_terms,
                             is_tree_shaped, substitute_atom, term_key)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb
@@ -748,6 +748,196 @@ def test_a_query_constant_named_like_a_placeholder_is_not_its_witness():
     assert (result.status, result.complete) == ("none", True)
 
 
+# ---------------------------------------------------------------------------
+# Frozen reference: the unfolding as one generator per memo key, as it ran
+# before the single loop replaced it
+# ---------------------------------------------------------------------------
+
+def _reference_bind(pattern, real, rsub):
+    for t, r in zip(pattern, real):
+        if r is None:
+            continue
+        if isinstance(t, SkolemTerm):
+            if not isinstance(r, SkolemTerm) or r.fn != t.fn:
+                return False
+            t, r = t.arg, r.arg
+        if rsub.setdefault(t, r) != r:
+            return False
+    return True
+
+
+class _ReferenceUnfold(_Unfold):
+    """``_Unfold`` with its match frozen: one generator per memo key on an
+    explicit stack, each yielding the key it needs next; the proof is
+    inherited."""
+
+    def __init__(self, comp, kb, values, chosen, ticker):
+        super().__init__(comp, kb, values, chosen, ticker)
+        self.bodies = [list(map(atom_terms, r.body)) for r in self.rules]
+        self.heads = [{atom_pred(h): h for h in r.head} for r in self.rules]
+
+    def match(self, q, sigma):
+        vertices = self.structure.vertices
+        vids = [self.structure.atom_ids[substitute_atom(a, sigma)]
+                for a in q.atoms]
+        terms = [atom_terms(a) for a in q.atoms]
+        known = {t: c for ts, v in zip(terms, vids)
+                 for t, c in zip(ts, atom_terms(vertices[v].atom))
+                 if isinstance(t, Const) or c.name not in self.fresh}
+        stack = [self._unfold(None, [(None, None, terms, vids, known)])]
+        reply, charge = None, self.ticker.charge
+        while True:
+            try:
+                key = stack[-1].send(reply)
+            except StopIteration as stop:
+                stack.pop()
+                if not stack:
+                    return stop.value
+                reply = stop.value
+                continue
+            charge()
+            stack.append(self._unfold(key, self._steps(key[0])))
+            reply = None
+
+    def _steps(self, vid):
+        first = self.chosen[vid]
+        yield self._reference_step(first)
+        edges, values = self.structure.edges, self.values
+        rest = [i for i in self.structure.in_edges[vid] if i != first
+                and 1 + sum(values[p] for p in edges[i].premises)
+                == values[vid]]
+        for i in sorted(rest, key=lambda i: edge_key(self.structure, i)):
+            yield self._reference_step(i)
+
+    def _reference_step(self, idx):
+        vertices = self.structure.vertices
+        e = self.structure.edges[idx]
+        rule = vertices[e.premises[-1]].rule.index
+        head = self.heads[rule][atom_pred(vertices[e.conclusion].atom)]
+        return idx, head, self.bodies[rule], e.premises[:-1], {}
+
+    def _unfold(self, key, steps):
+        known = key[1] if key is not None else ()
+        structure, memo = self.structure, self.memo
+        entry = False
+        for idx, head, terms, premises, rsub in steps:
+            rsub = dict(rsub)
+            if head is not None and not _reference_bind(atom_terms(head),
+                                                        known, rsub):
+                continue
+            entries = [None] * len(premises)
+            left = list(range(len(premises)))
+            while left:
+                j = left[0] if len(left) == 1 else min(left, key=lambda j: (
+                    sum(t not in rsub for t in terms[j]) / len(terms[j]),
+                    -len(terms[j])))
+                left.remove(j)
+                pkey = (premises[j], tuple(map(rsub.get, terms[j])))
+                got = memo.get(pkey)
+                if got is None:
+                    if premises[j] in structure.leaf_ids:
+                        got = memo[pkey] = (
+                            structure.vertices[premises[j]].atom,
+                            premises[j], None, ())
+                    else:
+                        got = yield pkey
+                if not got or not _reference_bind(terms[j],
+                                                  atom_terms(got[0]), rsub):
+                    break
+                entries[j] = got
+            else:
+                entry = entries if head is None else \
+                    (substitute_atom(head, rsub), key[0], idx, entries)
+                break
+        if key is not None:
+            memo[key] = entry
+            if entry:
+                memo.setdefault((key[0], atom_terms(entry[0])), entry)
+        return entry
+
+
+def _unfolded(unfold_class, comp, kb, q, values, chosen, tied):
+    """Per tied match in order, over one memo: the proof JSON, or None where
+    the match does not unfold; and the ticker's charges."""
+    ticker = Ticker()
+    unfold = unfold_class(comp, kb, values, chosen, ticker)
+    out = []
+    for sigma in tied:
+        targets = unfold.match(q, sigma)
+        out.append(proof_to_json(unfold.proof(targets, q, False))
+                   if targets else None)
+    return out, ticker.work
+
+
+def _random_el_cases(rng, count, existential):
+    """Random EL and DL-Lite knowledge bases whose fold has (or has no)
+    placeholder, each with a query that has a match."""
+    cases = []
+    while len(cases) < count:
+        kb = _random_kb(rng)
+        if kb.fragment in (Fragment.EL, Fragment.DLLiteR) \
+                and bool(fold(kb).placeholders) == existential:
+            cases.append((kb, _query_into(rng, saturate_kb(
+                kb, rng.randint(0, 2)))))
+    return cases
+
+
+def test_the_unfolding_agrees_with_its_frozen_generators():
+    """Every tied least match of the fold unfolds to the same proof JSON,
+    or fails to unfold, as under the frozen generators, with the same
+    charges to the ticker; on el-tree, the underestimating fold, the
+    placeholder-named constant and random knowledge bases with an
+    existential rule."""
+    cases = [(inst.kb, inst.query)
+             for inst in map(gen_el_tree, range(1, 11))]
+    for text in (_UNDERESTIMATING_FOLD, "rule: A(x) -> exists y. r(x,y), "
+                 "B(y)\nfact: A(a)\nquery: B(c_f_0)\n"):
+        doc = parse_document(text)
+        cases.append((doc.kb, doc.queries[0]))
+    cases += _random_el_cases(random.Random(20261020), 300, True)
+    unfolded = failed = 0
+    for case, (kb, q) in enumerate(cases):
+        comp = compress_el(kb)
+        values, chosen = dp_min_tree(comp.structure)
+        tied = list(least_matches(comp.structure, values, q))
+        got = _unfolded(_Unfold, comp, kb, q, values, chosen, tied)
+        assert got == _unfolded(_ReferenceUnfold, comp, kb, q, values,
+                                chosen, tied), case
+        unfolded += sum(p is not None for p in got[0])
+        failed += sum(p is None for p in got[0])
+    assert unfolded > 300 and failed > 0
+
+
+def test_a_fold_without_placeholders_is_read_off_its_chosen_edges():
+    """Without a placeholder, decompress gives the proof that the unfolding
+    gives, and the polynomial route the exact search's proof and nodes; on
+    el-abox, dllite-chain, the tree-query seeds without a witness branch
+    and random knowledge bases without an existential rule."""
+    insts = [gen_el_abox(n) for n in (1, 3, 6, 20)]
+    insts += [gen_dllite_chain(n) for n in (0, 2, 5, 50)]
+    insts += [inst for inst in (gen_dllite_tree_query(1 + s % 3, s)
+                                for s in range(40))
+              if not fold(inst.kb).placeholders]
+    assert len(insts) > 20
+    cases = [(inst.kb, inst.query) for inst in insts]
+    cases += _random_el_cases(random.Random(20261021), 200, False)
+    for case, (kb, q) in enumerate(cases):
+        comp = compress_el(kb)
+        values, chosen = dp_min_tree(comp.structure)
+        tied = list(least_matches(comp.structure, values, q))
+        proof = decompress(comp, kb, q, values, chosen, iter(tied))
+        assert proof_to_json(proof) == _unfolded(
+            _Unfold, comp, kb, q, values, chosen, tied[:1])[0][0], case
+        with pytest.raises(DecompressError):
+            decompress(comp, kb, q, values, chosen, [])
+        auto, exact = (explain(kb, q, RunConfig(measure=Measure.TREE_SIZE,
+                                                algo=algo))
+                       for algo in ("auto", "exact"))
+        assert auto.algorithm.startswith("poly"), case
+        assert (proof_to_json(auto.proof), auto.nodes, auto.value) \
+            == (proof_to_json(exact.proof), exact.nodes, exact.value), case
+
+
 def test_bounded_search_three_valued():
     inst = gen_sat([[1], [-1]])
     bound = inst.bounds["size"]
@@ -1311,7 +1501,7 @@ def test_the_fold_changes_no_answer(monkeypatch):
 
 
 def test_max_seconds_bounds_the_polynomial_route():
-    # the unfolding reaches el-tree 12 in about 0.7 s; 16 takes 7 to 11 s
+    # the poly route runs el-tree 12 in about 0.3 s; 16 takes about 7 s
     inst = gen_el_tree(16)
     start = time.monotonic()
     result = explain(inst.kb, inst.query,
@@ -1330,7 +1520,8 @@ def _expired() -> Ticker:
 def test_every_phase_stops_at_an_expired_clock():
     """Each phase reads the run's clock on its first charge, so an expired
     budget stops it at once: the saturation, the fold, the unfolding, the
-    proof it assembles, and the chase."""
+    proof it assembles, the proof read off a fold without placeholders,
+    and the chase."""
     inst = gen_el_tree(3)
     kb, q = inst.kb, inst.query
     comp = compress_el(kb)
@@ -1340,11 +1531,19 @@ def test_every_phase_stops_at_an_expired_clock():
     targets = unfold.match(q, sigma)
     assert targets
     unfold.ticker = _expired()
+    abox = gen_el_abox(3)
+    flat = compress_el(abox.kb)
+    assert not flat.placeholders
+    flat_values, flat_chosen = dp_min_tree(flat.structure)
+    flat_sigma = next(least_matches(flat.structure, flat_values, abox.query))
     for phase in (lambda: saturate_kb(kb, 2, _expired()),
                   lambda: compress_el(kb, _expired()),
                   lambda: decompress(comp, kb, q, values, chosen, [sigma],
                                      ticker=_expired()),
                   lambda: unfold.proof(targets, q, False),
+                  lambda: decompress(flat, abox.kb, abox.query, flat_values,
+                                     flat_chosen, [flat_sigma],
+                                     ticker=_expired()),
                   lambda: chase(kb, 1, _expired())):
         with pytest.raises(BudgetExceeded, match="time limit"):
             phase()
