@@ -26,8 +26,7 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  is_tree_shaped, map_atom_terms, substitute_atom, term_key,
                  variables_of)
 from .matching import match_conjunction, unifiers
-from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofEdge,
-                     ProofGraph, RuleLabel, Schema, label_key)
+from .proofs import Label, ProofEdge, ProofGraph, Schema, label_key
 from .deriver_sk import FiniteStructure, Ticker, saturate
 
 
@@ -206,7 +205,7 @@ class _Unfold:
         body = [atom_terms(a) for a in q.atoms]
         # individuals stand for themselves, as do the query's constants
         rsub = {t: c for ts, v in zip(body, premises)
-                for t, c in zip(ts, atom_terms(vertices[v].atom))
+                for t, c in zip(ts, atom_terms(vertices[v]))
                 if isinstance(t, Const) or c.name not in self.fresh}
         # the step under way (the goal's key is None): key, edge, later edges
         # (None until listed), head, body, premises, real terms, entries, and
@@ -242,7 +241,7 @@ class _Unfold:
                                       rsub, entries, left, j))
                         key, idx, rest, left = pkey, None, None, None
                         continue
-                    got = memo[pkey] = (vertices[premises[j]].atom,
+                    got = memo[pkey] = (vertices[premises[j]],
                                         premises[j], None, ())
                 if got and _bind(body[j], atom_terms(got[0]), rsub):
                     entries[j] = got
@@ -270,8 +269,8 @@ class _Unfold:
         """The edge's rule head for its conclusion, the head's terms, the
         body's terms, the premise vertices and their positions."""
         vertices, e = self.structure.vertices, self.structure.edges[idx]
-        rule = vertices[e.premises[-1]].rule.index
-        head = self.heads[rule][atom_pred(vertices[e.conclusion].atom)]
+        rule = vertices[e.premises[-1]].index
+        head = self.heads[rule][atom_pred(vertices[e.conclusion])]
         return (head, atom_terms(head), list(map(atom_terms, self.rules[
             rule].body)), e.premises[:-1], tuple(range(len(e.premises) - 1)))
 
@@ -305,19 +304,16 @@ class _Unfold:
             charge()
             entry = entry_of.get(node)
             if entry is None:           # the rule vertex of a fold edge
-                return RuleLabel(rules[vertices[node].rule.index]), (), None
-            atom, vid, idx, premises = entry
-            label = vertices[vid]
-            if label.atom is not atom:
-                label = AtomLabel(atom)
+                return rules[vertices[node].index], (), None
+            atom, _, idx, premises = entry
             if idx is None:
-                return label, (), None
+                return atom, (), None
             names = []
             for p in premises:
                 entry_of[p[0]] = p
                 names.append(p[0])
             names.append(edges[idx].premises[-1])
-            return label, names, Schema.MP
+            return atom, names, Schema.MP
 
         return assemble_proof([t[0] for t in targets], derive, q, strict_cg)
 
@@ -629,20 +625,13 @@ def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
     edges = list(edges)
     next_id = max(vertices) + 1 if vertices else 0
     if conj:
-        if gen:
-            atoms = []
-            for t in targets:
-                lab = vertices[t]
-                assert isinstance(lab, AtomLabel)
-                atoms.append(lab.atom)
-            vertices[next_id] = ConjLabel(tuple(atoms))
-        else:
-            vertices[next_id] = CQLabel(goal)
+        vertices[next_id] = tuple(vertices[t] for t in targets) if gen \
+            else goal
         edges.append(ProofEdge(tuple(targets), next_id, Schema.C))
         targets = [next_id]
         next_id += 1
     if gen:
-        vertices[next_id] = CQLabel(goal)
+        vertices[next_id] = goal
         edges.append(ProofEdge((targets[0],), next_id, Schema.G))
     return ProofGraph(vertices, edges)
 
@@ -663,7 +652,7 @@ def tree_query_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
     """
     if not is_tree_shaped(q):
         raise CompressError("query is not tree-shaped")
-    return _least_proof(compress_dllite, kb, q, strict_cg, ticker)
+    return least_proof(compress_dllite, kb, q, strict_cg, ticker)[0]
 
 
 dllite_query_min_size = tree_query_min_treesize
@@ -674,19 +663,20 @@ def el_cq_min_treesize(kb: KnowledgeBase, q: BooleanCQ,
                        ticker: Optional[Ticker] = None
                        ) -> ProofGraph:
     """Minimal-tree-size proof over EL or DL-Lite, for any query shape."""
-    return _least_proof(compress_el, kb, q, strict_cg, ticker)
+    return least_proof(compress_el, kb, q, strict_cg, ticker)[0]
 
 
-def _least_proof(compress: Callable[..., CompressedStructure],
-                 kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool,
-                 ticker: Optional[Ticker]) -> ProofGraph:
-    """The first of the least matches into the fold that unfolds
-    (:func:`decompress`).  When none does, DecompressError: the fold's value
-    then lies below every real proof, and the exact search has to settle
-    the optimum.  The fold has placeholders where the universal model has
-    Skolem terms, so a query naming one is left to the exact search.  The
-    tree-size values and the least step tick the ticker's nodes, and the
-    fold and the unfolding charge its clock."""
+def least_proof(compress: Callable[..., CompressedStructure],
+                kb: KnowledgeBase, q: BooleanCQ, strict_cg: bool,
+                ticker: Optional[Ticker]) -> tuple[ProofGraph, int]:
+    """The proof of the first of the least matches into the fold that
+    unfolds (:func:`decompress`), and its tree size: the match's summed
+    tree-size values plus the goal tail.  When none unfolds,
+    DecompressError: the fold's value then lies below every real proof, and
+    the exact search has to settle the optimum.  The fold has placeholders
+    where the universal model has Skolem terms, so a query naming one is
+    left to the exact search.  The tree-size values and the least step tick
+    the ticker's nodes, and the fold and the unfolding charge its clock."""
     if any(isinstance(t, SkolemTerm) for a in q.atoms for t in atom_terms(a)):
         raise CompressError("query names a Skolem term, which the "
                             "compressed structure folds away")
@@ -697,5 +687,9 @@ def _least_proof(compress: Callable[..., CompressedStructure],
     if first is None:
         raise CompressError("query is not entailed: no match in the "
                             "compressed structure")
+    value = goal_tail_size(q, strict_cg) + sum(
+        values[comp.structure.atom_ids[substitute_atom(a, first)]]
+        for a in q.atoms)
     return decompress(comp, kb, q, values, chosen,
-                      itertools.chain([first], tied), strict_cg, ticker)
+                      itertools.chain([first], tied), strict_cg,
+                      ticker), value

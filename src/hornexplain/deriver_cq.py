@@ -18,15 +18,15 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .compress import assemble_proof
 from .deriver_sk import _replace_top_level
-from .kb import (Atom, BooleanCQ, Const, EqAtom, KBError, KnowledgeBase,
-                 Rule, SkolemRule, SkolemTerm, Term, Var, atom_key, atom_pred,
-                 atom_terms, atom_vars, cq_equivalent, map_atom_terms,
-                 rewrite_term, substitute_atom, subterms, term_is_ground,
-                 term_key, variables_of)
+from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
+                 KnowledgeBase, Rule, SkolemRule, SkolemTerm, Term, Var,
+                 atom_key, atom_pred, atom_terms, atom_vars, cq_equivalent,
+                 map_atom_terms, rewrite_term, substitute_atom, subterms,
+                 term_is_ground, term_key, variables_of)
 from .matching import (bind_term, match_conjunction, match_positionally,
                        unify_atom)
-from .proofs import (AtomLabel, CQLabel, ConjLabel, Label, ProofBuilder,
-                     ProofGraph, RuleLabel, Schema, TautRule)
+from .proofs import (RULE_TYPES, Label, ProofBuilder, ProofGraph, Schema,
+                     TautRule, _postorder)
 
 
 class TransformError(KBError):
@@ -118,10 +118,9 @@ def tautology_finish(builder: ProofBuilder, current: int,
     """Derive the goal from the vertex ``current`` with the tautology over
     the goal's atoms (Te) and its application (MPe).  Returns the goal's
     vertex."""
-    taut = builder.add_vertex(RuleLabel(te_rule(goal.atoms,
-                                                goal.existential_vars)))
+    taut = builder.add_vertex(te_rule(goal.atoms, goal.existential_vars))
     builder.add_edge((), taut, Schema.Te)
-    goal_vid = builder.add_vertex(CQLabel(goal))
+    goal_vid = builder.add_vertex(goal)
     builder.add_edge((current, taut), goal_vid, Schema.MPe)
     return goal_vid
 
@@ -303,10 +302,10 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
 
 
 def _check_mpe(premises, conclusion, kb) -> Optional[str]:
-    if len(premises) != 2 or not isinstance(premises[0], CQLabel) \
-            or not isinstance(premises[1], RuleLabel):
+    if len(premises) != 2 or not isinstance(premises[0], BooleanCQ) \
+            or not isinstance(premises[1], RULE_TYPES):
         return "rule application takes a query and a rule"
-    rule = premises[1].rule
+    rule = premises[1]
     if isinstance(rule, SkolemRule):
         return "query-level proofs use original rules, not Skolemized ones"
     if isinstance(rule, Rule):
@@ -316,9 +315,9 @@ def _check_mpe(premises, conclusion, kb) -> Optional[str]:
         err = _taut_shape_error(rule)
         if err:
             return err
-    if not isinstance(conclusion, CQLabel):
+    if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    if analyze_mpe(premises[0].cq, rule, conclusion.cq) is None:
+    if analyze_mpe(premises[0], rule, conclusion) is None:
         return "no substitution and replaced/kept choice yields the conclusion"
     return None
 
@@ -349,10 +348,9 @@ def _taut_shape_error(rule: TautRule) -> Optional[str]:
 def _check_te(premises, conclusion) -> Optional[str]:
     if premises:
         return "tautology introduction takes no premises"
-    if not isinstance(conclusion, RuleLabel) \
-            or not isinstance(conclusion.rule, TautRule):
+    if not isinstance(conclusion, TautRule):
         return "conclusion must be a tautological rule"
-    return _taut_shape_error(conclusion.rule)
+    return _taut_shape_error(conclusion)
 
 
 # An analysis returns what a valid step is made of, or the reason it is
@@ -360,15 +358,15 @@ def _check_te(premises, conclusion) -> Optional[str]:
 
 def _analyze_ee(premises, conclusion) -> EqAtom | str:
     """The equality conjunct the step eliminates."""
-    if len(premises) != 1 or not isinstance(premises[0], CQLabel):
+    if len(premises) != 1 or not isinstance(premises[0], BooleanCQ):
         return "equality elimination takes a single query premise"
-    if not isinstance(conclusion, CQLabel):
+    if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    cq = premises[0].cq
+    cq = premises[0]
     for eq in cq.atoms:
         if isinstance(eq, EqAtom):
             try:
-                if cq_equivalent(ee_apply(cq, eq), conclusion.cq):
+                if cq_equivalent(ee_apply(cq, eq), conclusion):
                     return eq
             except KBError:
                 continue
@@ -377,13 +375,13 @@ def _analyze_ee(premises, conclusion) -> EqAtom | str:
 
 def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
     """The renaming of the second premise into the conclusion's tail."""
-    if len(premises) != 2 or not all(isinstance(p, CQLabel)
+    if len(premises) != 2 or not all(isinstance(p, BooleanCQ)
                                      for p in premises):
         return "conjunction takes two query premises"
-    if not isinstance(conclusion, CQLabel):
+    if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    cq1, cq2 = premises[0].cq, premises[1].cq
-    concl_atoms = list(conclusion.cq.atoms)
+    cq1, cq2 = premises
+    concl_atoms = list(conclusion.atoms)
     if len(concl_atoms) != len(cq1.atoms) + len(cq2.atoms):
         # conjuncts may collapse only if the renaming makes them equal,
         # which an injective renaming of disjoint variables cannot
@@ -412,11 +410,11 @@ def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
 
 def _analyze_ge(premises, conclusion) -> dict[Var, Term] | str:
     """The match of the conclusion onto the premise."""
-    if len(premises) != 1 or not isinstance(premises[0], CQLabel):
+    if len(premises) != 1 or not isinstance(premises[0], BooleanCQ):
         return "generalization takes a single query premise"
-    if not isinstance(conclusion, CQLabel):
+    if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    prem, concl = premises[0].cq, conclusion.cq
+    prem, concl = premises[0], conclusion
     if len(prem.atoms) != len(concl.atoms):
         return "generalization keeps the number of atoms"
     mapping = match_positionally(list(concl.atoms), list(prem.atoms))
@@ -446,13 +444,13 @@ def _goal_and_targets(p: ProofGraph) -> tuple[BooleanCQ, list[Atom]]:
     sink = p.sink()
     label = p.vertices[sink]
     inc = p.incoming()
-    if isinstance(label, AtomLabel):
-        return BooleanCQ((label.atom,), ()), [label.atom]
-    if isinstance(label, ConjLabel):
-        return BooleanCQ(label.atoms, ()), list(label.atoms)
-    if not isinstance(label, CQLabel):
+    if isinstance(label, ATOM_TYPES):
+        return BooleanCQ((label,), ()), [label]
+    if isinstance(label, tuple):
+        return BooleanCQ(label, ()), list(label)
+    if not isinstance(label, BooleanCQ):
         raise TransformError("sink must be an atom, conjunction, or query")
-    goal = label.cq
+    goal = label
     edges = inc[sink]
     if not edges:
         raise TransformError("query-labeled sink must be derived")
@@ -461,17 +459,17 @@ def _goal_and_targets(p: ProofGraph) -> tuple[BooleanCQ, list[Atom]]:
         targets = [_atom_of(p, v) for v in edge.premises]
         return goal, targets
     premise = p.vertices[edge.premises[0]]
-    if isinstance(premise, AtomLabel):
-        return goal, [premise.atom]
-    assert isinstance(premise, ConjLabel)
-    return goal, list(premise.atoms)
+    if isinstance(premise, ATOM_TYPES):
+        return goal, [premise]
+    assert isinstance(premise, tuple)
+    return goal, list(premise)
 
 
 def _atom_of(p: ProofGraph, vid: int) -> Atom:
     label = p.vertices[vid]
-    if not isinstance(label, AtomLabel):
+    if not isinstance(label, ATOM_TYPES):
         raise TransformError("expected a ground atom vertex")
-    return label.atom
+    return label
 
 
 @dataclass
@@ -483,28 +481,27 @@ class _Step:
     equality: Optional[EqAtom] = None
 
 
-def _collect_steps(p: ProofGraph) -> tuple[list[_Step], list[Atom]]:
+def _collect_steps(p: ProofGraph) -> tuple[list[_Step], dict[Atom, None]]:
     """Atom-level inference steps of a ground proof, dependency-ordered,
-    with rule applications sharing premises aggregated into one step."""
+    with rule applications sharing premises aggregated into one step, and
+    the facts it rests on.  Both are read in postorder from the sink, so
+    they do not depend on the vertex ids."""
     inc = p.incoming()
     mp_groups: dict[tuple, _Step] = {}
     e_groups: dict[tuple, _Step] = {}
-    facts: list[Atom] = []
-    for v in p.topological_order():
+    facts: dict[Atom, None] = {}
+    for v in _postorder(inc, [p.sink()]):
         label = p.vertices[v]
         edges = inc[v]
         if not edges:
-            if isinstance(label, AtomLabel):
-                if label.atom not in facts:
-                    facts.append(label.atom)
+            if isinstance(label, ATOM_TYPES):
+                facts[label] = None
             continue
         e = edges[0]
         if e.schema in (Schema.C, Schema.G):
             continue
         if e.schema is Schema.MP:
-            rule_label = p.vertices[e.premises[-1]]
-            assert isinstance(rule_label, RuleLabel)
-            rule = rule_label.rule
+            rule = p.vertices[e.premises[-1]]
             assert isinstance(rule, SkolemRule)
             body = tuple(_atom_of(p, q) for q in e.premises[:-1])
             key = (rule.index, body)
@@ -541,12 +538,11 @@ def _collect_steps(p: ProofGraph) -> tuple[list[_Step], list[Atom]]:
     for i, s in enumerate(steps):
         for c in s.conclusions:
             produced_by.setdefault(c, i)
-    fact_set = set(facts)
     unmet = [0] * len(steps)
     waiting: list[list[int]] = [[] for _ in steps]
     for i, s in enumerate(steps):
         for a in s.premises:
-            if a not in fact_set:
+            if a not in facts:
                 unmet[i] += 1       # stays unmet if no step produces it
                 if a in produced_by:
                     waiting[produced_by[a]].append(i)
@@ -599,7 +595,7 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     # the collected queries are ground conjunctions until _deskolemize
     # closes them
     builder = ProofBuilder()
-    current = conjunction_chain(builder, used_facts, ConjLabel)
+    current = conjunction_chain(builder, used_facts, tuple)
     running = list(used_facts)
 
     eliminated: set[EqAtom] = set()
@@ -613,8 +609,8 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
             for c in step.conclusions:
                 if c not in new_running:
                     new_running.append(c)
-            rule_vertex = builder.add_vertex(RuleLabel(step.rule))
-            nxt = builder.add_vertex(ConjLabel(tuple(new_running)))
+            rule_vertex = builder.add_vertex(step.rule)
+            nxt = builder.add_vertex(tuple(new_running))
             builder.add_edge((current, rule_vertex), nxt, Schema.MPe)
             current, running = nxt, new_running
         else:
@@ -640,7 +636,7 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                 b = _replace_everywhere(a, eq.lhs, eq.rhs)
                 if b not in new_running:
                     new_running.append(b)
-            nxt = builder.add_vertex(ConjLabel(tuple(new_running)))
+            nxt = builder.add_vertex(tuple(new_running))
             builder.add_edge((current,), nxt, Schema.Ee)
             current, running = nxt, new_running
 
@@ -648,8 +644,7 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     if not goal.existential_vars and running == list(goal.atoms):
         pass  # the collected query already is the goal
     elif len(goal.atoms) == 1 and len(running) == 1 and goal.existential_vars:
-        builder.add_edge((current,), builder.add_vertex(CQLabel(goal)),
-                         Schema.Ge)
+        builder.add_edge((current,), builder.add_vertex(goal), Schema.Ge)
     else:
         tautology_finish(builder, current, goal)
     return _deskolemize(builder.build(), kb, goal, target_atoms)
@@ -664,9 +659,9 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
     """Replace ground Skolem terms by variables throughout the proof and
     close every collected conjunction into a query."""
     def atoms_of(label: Label) -> tuple[Atom, ...]:
-        if isinstance(label, ConjLabel):
-            return label.atoms
-        return label.cq.atoms if isinstance(label, CQLabel) else ()
+        if isinstance(label, tuple):
+            return label
+        return label.atoms if isinstance(label, BooleanCQ) else ()
 
     # consecutive query labels share most atom objects: each is mapped
     # once, found by identity (hashing a nested Skolem term walks it)
@@ -684,7 +679,7 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
                 naming[t] = v
     taken = {v.name for v in naming.values()} | {
         v.name for label in graph.vertices.values()
-        if isinstance(label, CQLabel) for v in label.cq.existential_vars}
+        if isinstance(label, BooleanCQ) for v in label.existential_vars}
     rest = sorted((t for t in skolem_terms if t not in naming), key=term_key)
     for t, v in zip(rest, fresh_vars(len(rest), taken)):
         naming[t] = v
@@ -701,19 +696,18 @@ def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
         closing[key] = b, tuple(variables_of((b,)))
 
     def fix_label(label: Label) -> Label:
-        if isinstance(label, (ConjLabel, CQLabel)):
+        if isinstance(label, (tuple, BooleanCQ)):
             pairs = [closing[id(a)] for a in atoms_of(label)]
-            return CQLabel(BooleanCQ.closed(
+            return BooleanCQ.closed(
                 [b for b, _ in pairs],
-                dict.fromkeys(v for _, vs in pairs for v in vs)))
-        if isinstance(label, RuleLabel) and isinstance(label.rule, SkolemRule):
-            return RuleLabel(kb.tbox[label.rule.index])
-        if isinstance(label, RuleLabel) and isinstance(label.rule, TautRule):
-            rule = label.rule
-            return RuleLabel(TautRule(
-                tuple(map_atom_terms(a, fix_term) for a in rule.body),
-                tuple(map_atom_terms(a, fix_term) for a in rule.head),
-                rule.existential_vars))
+                dict.fromkeys(v for _, vs in pairs for v in vs))
+        if isinstance(label, SkolemRule):
+            return kb.tbox[label.index]
+        if isinstance(label, TautRule):
+            return TautRule(
+                tuple(map_atom_terms(a, fix_term) for a in label.body),
+                tuple(map_atom_terms(a, fix_term) for a in label.head),
+                label.existential_vars)
         return label
 
     return graph.relabel(fix_label)
@@ -745,14 +739,14 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     for v in p.topological_order():
         label = p.vertices[v]
         edges = inc[v]
-        if isinstance(label, RuleLabel):
+        if isinstance(label, RULE_TYPES):
             continue
         if not edges:
-            if not isinstance(label, CQLabel) or label.cq.existential_vars \
-                    or len(label.cq.atoms) != 1:
+            if not isinstance(label, BooleanCQ) or label.existential_vars \
+                    or len(label.atoms) != 1:
                 raise TransformError("query-proof leaves must be single facts")
             grounding[v] = {}
-            producer.setdefault(label.cq.atoms[0], ("fact",))
+            producer.setdefault(label.atoms[0], ("fact",))
             continue
         edge = edges[0]
         if edge.schema is Schema.MPe:
@@ -769,10 +763,9 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                                  "a query-level proof")
 
     sink = p.sink()
-    goal_label = p.vertices[sink]
-    if not isinstance(goal_label, CQLabel):
+    goal = p.vertices[sink]
+    if not isinstance(goal, BooleanCQ):
         raise TransformError("query-proof sinks carry queries")
-    goal = goal_label.cq
     gamma = grounding[sink]
     targets = [ground_atom(gamma, a) for a in goal.atoms]
 
@@ -780,18 +773,17 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         """An atom's label, premises and schema from its recorded
         derivation; a rule's index gives the rule's vertex."""
         if type(node) is int:
-            return RuleLabel(sk_rules[node]), (), None
+            return sk_rules[node], (), None
         entry = producer.get(node)
         if entry is None:
             raise TransformError(f"no derivation recorded for {node}")
         if entry[0] == "fact":
-            return AtomLabel(node), (), None
+            return node, (), None
         if entry[0] == "mp":
             _, idx, pi_hat = entry
-            return AtomLabel(node), [substitute_atom(b, pi_hat)
-                                     for b in sk_rules[idx].body] + [idx], \
-                Schema.MP
-        return AtomLabel(node), entry[1:], Schema.E
+            return node, [substitute_atom(b, pi_hat)
+                          for b in sk_rules[idx].body] + [idx], Schema.MP
+        return node, entry[1:], Schema.E
 
     return assemble_proof(targets, derive, goal)
 
@@ -835,20 +827,19 @@ class _GroundSets(dict):
     def __missing__(self, v: int) -> list[Atom]:
         gamma = self.grounding[v]
         atoms = self[v] = [ground_atom(gamma, a)
-                           for a in self.vertices[v].cq.atoms]
+                           for a in self.vertices[v].atoms]
         return atoms
 
 
 def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, producer):
     phi_vid = edge.premises[0]
-    rule_label = p.vertices[edge.premises[1]]
-    assert isinstance(rule_label, RuleLabel)
-    rule = rule_label.rule
-    concl_label = p.vertices[v]
-    assert isinstance(concl_label, CQLabel)
-    phi_label = p.vertices[phi_vid]
-    assert isinstance(phi_label, CQLabel)
-    analysis = analyze_mpe(phi_label.cq, rule, concl_label.cq)
+    rule = p.vertices[edge.premises[1]]
+    assert isinstance(rule, RULE_TYPES)
+    concl = p.vertices[v]
+    assert isinstance(concl, BooleanCQ)
+    phi = p.vertices[phi_vid]
+    assert isinstance(phi, BooleanCQ)
+    analysis = analyze_mpe(phi, rule, concl)
     if analysis is None:
         raise TransformError("invalid rule application step")
     pi, head_assign = analysis
@@ -856,7 +847,7 @@ def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, producer):
     pi_hat = {var: ground_term(gamma_phi, t) for var, t in pi.items()}
 
     gamma_new: dict[Var, Term] = {}
-    for var in concl_label.cq.variables():
+    for var in concl.variables():
         if var in gamma_phi:
             gamma_new[var] = gamma_phi[var]
 

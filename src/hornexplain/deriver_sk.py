@@ -3,9 +3,12 @@ replacement (E), conjunction (C), and generalization (G).
 
 The full derivation structure over a knowledge base is infinite (Skolem
 terms nest arbitrarily deep), so it is only ever materialized up to a term
-depth bound, as a :class:`FiniteStructure`, by :func:`saturate`.  Edge
-admissibility is checked separately, schema by schema, in
-:func:`check_edge_labels`.
+depth bound, as a :class:`FiniteStructure`, by :func:`saturate`, whose
+vertices are labeled by the atoms and Skolem rules themselves, each atom's
+vertex found through ``atom_ids``.  Edge admissibility is checked
+separately, schema by schema, in :func:`check_edge_labels`, on the labels
+of the premises and the conclusion: atoms, ground conjunctions (tuples of
+atoms), queries and rules.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .kb import (Atom, BooleanCQ, EqAtom, KnowledgeBase, SkolemRule,
-                 SkolemTerm, Term, atom_is_ground, atom_key, atom_pred,
-                 atom_terms, map_atom_terms, orient_equality, substitute_atom,
-                 term_depth)
+from .kb import (ATOM_TYPES, Atom, BooleanCQ, EqAtom, KnowledgeBase,
+                 SkolemRule, SkolemTerm, Term, atom_is_ground, atom_key,
+                 atom_pred, atom_terms, map_atom_terms, orient_equality,
+                 substitute_atom, term_depth)
 from .matching import AtomIndex, match_positionally, unifiers, unify_atom
-from .proofs import (AtomLabel, ConjLabel, CQLabel, Label, ProofEdge,
-                     RuleLabel, Schema)
+from .proofs import RULE_TYPES, Label, ProofEdge, Schema
 
 
 def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
@@ -73,9 +75,9 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
 def _check_mp(premises, conclusion, kb) -> Optional[str]:
     """The rule body bound to the premises position by position; no
     recorded substitution is trusted."""
-    if not premises or not isinstance(premises[-1], RuleLabel):
+    if not premises or not isinstance(premises[-1], RULE_TYPES):
         return "the last premise must be a rule"
-    rule = premises[-1].rule
+    rule = premises[-1]
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
     sk_rules = kb.skolem_rules
@@ -83,55 +85,53 @@ def _check_mp(premises, conclusion, kb) -> Optional[str]:
         return "rule is not from the TBox"
     atom_premises = premises[:-1]
     for lab in atom_premises:
-        if not isinstance(lab, AtomLabel) or not atom_is_ground(lab.atom):
+        if not isinstance(lab, ATOM_TYPES) or not atom_is_ground(lab):
             return "rule premises must be ground atoms"
-    subst = match_positionally(rule.body, [lab.atom for lab in atom_premises])
+    subst = match_positionally(rule.body, atom_premises)
     if subst is None:
         return "premises do not instantiate the rule body"
-    if not isinstance(conclusion, AtomLabel):
+    if not isinstance(conclusion, ATOM_TYPES):
         return "conclusion must be a ground atom"
-    if conclusion.atom not in {substitute_atom(h, subst) for h in rule.head}:
+    if conclusion not in {substitute_atom(h, subst) for h in rule.head}:
         return "conclusion is not an instantiated head atom"
     return None
 
 
 def _check_e(premises, conclusion) -> Optional[str]:
-    if len(premises) != 2 or not all(isinstance(p, AtomLabel)
+    if len(premises) != 2 or not all(isinstance(p, ATOM_TYPES)
                                      for p in premises):
         return "equality replacement takes an atom and an equality"
-    atom_lab, eq_lab = premises
-    if not isinstance(eq_lab.atom, EqAtom):
+    atom, eq = premises
+    if not isinstance(eq, EqAtom):
         return "second premise must be an equality"
     try:
-        oriented = orient_equality(eq_lab.atom.lhs, eq_lab.atom.rhs)
+        oriented = orient_equality(eq.lhs, eq.rhs)
     except ValueError:
         return "equality cannot be oriented toward a constant"
     if oriented is None:
         return "equality is trivial"
     src, dst = oriented
-    if atom_lab.atom == eq_lab.atom:
+    if atom == eq:
         return "equality cannot rewrite itself"
-    replaced = _replace_top_level(atom_lab.atom, src, dst)
+    replaced = _replace_top_level(atom, src, dst)
     if replaced is None:
         return "replaced term does not occur at the top level of the atom"
-    if not isinstance(conclusion, AtomLabel) or conclusion.atom != replaced:
+    if conclusion != replaced:
         return "conclusion does not match the replacement result"
     return None
 
 
 def _check_c(premises, conclusion) -> Optional[str]:
-    atoms = []
     for lab in premises:
-        if not isinstance(lab, AtomLabel) or not atom_is_ground(lab.atom):
+        if not isinstance(lab, ATOM_TYPES) or not atom_is_ground(lab):
             return "conjunction premises must be ground atoms"
-        atoms.append(lab.atom)
-    if isinstance(conclusion, ConjLabel):
+    if isinstance(conclusion, tuple):
+        got = conclusion
+    elif isinstance(conclusion, BooleanCQ) and not conclusion.existential_vars:
         got = conclusion.atoms
-    elif isinstance(conclusion, CQLabel) and not conclusion.cq.existential_vars:
-        got = conclusion.cq.atoms
     else:
         return "conclusion must be the ground conjunction of the premises"
-    if tuple(atoms) != got:
+    if tuple(premises) != got:
         return "conclusion atoms differ from the premises (order matters)"
     return None
 
@@ -139,16 +139,14 @@ def _check_c(premises, conclusion) -> Optional[str]:
 def _check_g(premises, conclusion) -> Optional[str]:
     if len(premises) != 1:
         return "generalization takes a single conjunction premise"
-    lab = premises[0]
-    if isinstance(lab, ConjLabel):
-        ground = lab.atoms
-    elif isinstance(lab, AtomLabel):
-        ground = (lab.atom,)
-    else:
+    ground = premises[0]
+    if isinstance(ground, ATOM_TYPES):
+        ground = (ground,)
+    elif not isinstance(ground, tuple):
         return "premise must be a ground conjunction or atom"
-    if not isinstance(conclusion, CQLabel):
+    if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    cq = conclusion.cq
+    cq = conclusion
     if len(cq.atoms) != len(ground):
         return "query and conjunction have different lengths"
     subst = match_positionally(list(cq.atoms), list(ground))
@@ -201,9 +199,7 @@ class FiniteStructure:
     """Derivation structure restricted to a term-depth bound."""
 
     vertices: dict[int, Label] = field(default_factory=dict)
-    label_ids: dict[Label, int] = field(default_factory=dict)
-    # the atom vertices by their atom, looked up without an AtomLabel
-    atom_ids: dict[Atom, int] = field(default_factory=dict)
+    atom_ids: dict[Atom, int] = field(default_factory=dict)   # atom vertices
     edges: list[ProofEdge] = field(default_factory=list)
     in_edges: dict[int, list[int]] = field(default_factory=dict)
     leaf_ids: set[int] = field(default_factory=set)
@@ -213,15 +209,13 @@ class FiniteStructure:
     # premise ids of the rule applications cut off by the depth bound
     frontier: set[tuple[int, ...]] = field(default_factory=set)
 
-    def vertex_for(self, label: Label) -> int:
-        vid = self.label_ids.get(label)
-        if vid is None:
-            vid = len(self.vertices)
-            self.vertices[vid] = label
-            self.label_ids[label] = vid
-            self.in_edges[vid] = []
-            if isinstance(label, AtomLabel):
-                self.atom_ids[label.atom] = vid
+    def add_vertex(self, label: Label) -> int:
+        """A new vertex; an atom's is filed in ``atom_ids``."""
+        vid = len(self.vertices)
+        self.vertices[vid] = label
+        self.in_edges[vid] = []
+        if isinstance(label, ATOM_TYPES):
+            self.atom_ids[label] = vid
         return vid
 
     def add_edge(self, premises: tuple[int, ...], conclusion: int,
@@ -265,14 +259,14 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     def add_atom(atom: Atom, key: tuple) -> int:
         new_atoms[atom] = key
         index.add(atom, key)
-        return structure.vertex_for(AtomLabel(atom))
+        return structure.add_vertex(atom)
 
     keys = {f: atom_key(f) for f in facts}
     for f in sorted(keys, key=keys.__getitem__):
         structure.leaf_ids.add(add_atom(f, keys[f]))
     rule_ids = []
     for r in rules:
-        vid = structure.vertex_for(RuleLabel(r))
+        vid = structure.add_vertex(r)
         structure.leaf_ids.add(vid)
         rule_ids.append(vid)
 

@@ -209,6 +209,7 @@ class EqAtom(_Interned):
 
 
 Atom = Union[ConceptAtom, RoleAtom, EqAtom]
+ATOM_TYPES = (ConceptAtom, RoleAtom, EqAtom)    # for isinstance
 
 
 def atom_terms(a: Atom) -> tuple[Term, ...]:
@@ -665,16 +666,13 @@ class KnowledgeBase:
     @cached_property
     def sk_leaf_labels(self) -> frozenset:
         """A ground-atom proof's leaf labels: facts and Skolem rules."""
-        from .proofs import AtomLabel, RuleLabel
-        return frozenset([*map(AtomLabel, self.abox),
-                          *map(RuleLabel, self.skolem_rules)])
+        return frozenset([*self.abox, *self.skolem_rules])
 
     @cached_property
     def cq_leaf_labels(self) -> frozenset:
         """A query-level proof's leaf labels: facts as queries, and rules."""
-        from .proofs import CQLabel, RuleLabel
-        return frozenset([*(CQLabel(BooleanCQ((a,), ())) for a in self.abox),
-                          *map(RuleLabel, self.tbox)])
+        return frozenset([*(BooleanCQ((a,), ()) for a in self.abox),
+                          *self.tbox])
 
 
 def make_kb(tbox: Iterable[Rule], abox: Iterable[Atom]) -> KnowledgeBase:

@@ -3,7 +3,11 @@
 A proof is a finite acyclic labeled hypergraph with exactly one sink and at
 most one incoming hyperedge per vertex, whose leaves are facts or rules of
 the knowledge base and whose edges instantiate the inference schemas of one
-of the two derivers (ground-atom level or whole-query level).
+of the two derivers (ground-atom level or whole-query level).  A vertex's
+label is the value it labels, with no wrapper: an atom, a ground
+conjunction as a tuple of atoms, a :class:`~hornexplain.kb.BooleanCQ`, or a
+rule (:class:`~hornexplain.kb.Rule`, :class:`~hornexplain.kb.SkolemRule` or
+:class:`TautRule`); code tells them apart by type.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .kb import (Atom, BooleanCQ, KBError, KnowledgeBase, NormalForm, Rule,
-                 SkolemRule, Term, Var, atom_key, atom_terms, cq_equivalent,
-                 format_atom, make_rule, subterms, term_is_ground)
+from .kb import (ATOM_TYPES, Atom, BooleanCQ, KBError, KnowledgeBase,
+                 NormalForm, Rule, SkolemRule, Term, Var, atom_key, atom_terms,
+                 cq_equivalent, format_atom, make_rule, subterms,
+                 term_is_ground)
 
 
 class Schema(Enum):
@@ -61,45 +66,25 @@ class TautRule:
     existential_vars: tuple[Var, ...]
 
 
-@dataclass(frozen=True)
-class AtomLabel:
-    atom: Atom
+RULE_TYPES = (Rule, SkolemRule, TautRule)    # for isinstance
 
-
-@dataclass(frozen=True)
-class ConjLabel:
-    """Ground conjunction; duplicates are meaningful and order is kept."""
-
-    atoms: tuple[Atom, ...]
-
-
-@dataclass(frozen=True)
-class CQLabel:
-    cq: BooleanCQ
-
-
-@dataclass(frozen=True)
-class RuleLabel:
-    rule: Union[Rule, SkolemRule, TautRule]
-
-
-Label = Union[AtomLabel, ConjLabel, CQLabel, RuleLabel]
+# a ground conjunction's duplicates are meaningful and its order is kept
+Label = Union[Atom, tuple[Atom, ...], BooleanCQ, Rule, SkolemRule, TautRule]
 
 
 def label_key(label: Label):
-    if isinstance(label, AtomLabel):
-        return (0, atom_key(label.atom))
-    if isinstance(label, ConjLabel):
-        return (1,) + tuple(atom_key(a) for a in label.atoms)
-    if isinstance(label, CQLabel):
-        return ((2,) + tuple(atom_key(a) for a in label.cq.atoms)
-                + tuple(sorted(v.name for v in label.cq.existential_vars)))
-    rule = label.rule
-    if isinstance(rule, SkolemRule):
-        return (3, 0, rule.index)
-    if isinstance(rule, Rule):
-        return (3, 1, tuple(atom_key(a) for a in rule.body + rule.head))
-    return (3, 2, tuple(atom_key(a) for a in rule.body + rule.head))
+    if isinstance(label, ATOM_TYPES):
+        return (0, atom_key(label))
+    if isinstance(label, tuple):
+        return (1,) + tuple(atom_key(a) for a in label)
+    if isinstance(label, BooleanCQ):
+        return ((2,) + tuple(atom_key(a) for a in label.atoms)
+                + tuple(sorted(v.name for v in label.existential_vars)))
+    if isinstance(label, SkolemRule):
+        return (3, 0, label.index)
+    if isinstance(label, Rule):
+        return (3, 1, tuple(atom_key(a) for a in label.body + label.head))
+    return (3, 2, tuple(atom_key(a) for a in label.body + label.head))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +204,10 @@ def tree_size(p: ProofGraph) -> int:
 
 def ground_terms_of_label(label: Label) -> set[Term]:
     """Ground terms, nested subterms included; rule labels contribute none."""
-    if isinstance(label, RuleLabel):
+    if isinstance(label, RULE_TYPES):
         return set()
-    atoms = ((label.atom,) if isinstance(label, AtomLabel) else
-             label.atoms if isinstance(label, ConjLabel) else label.cq.atoms)
+    atoms = ((label,) if isinstance(label, ATOM_TYPES) else
+             label if isinstance(label, tuple) else label.atoms)
     return {s for a in atoms for t in atom_terms(a) for s in subterms(t)
             if term_is_ground(s)}
 
@@ -336,14 +321,14 @@ def check_proof_shape(p: ProofGraph) -> tuple[bool, list[str]]:
 
 
 def label_matches_goal(label: Label, goal: BooleanCQ) -> bool:
-    if isinstance(label, CQLabel):
-        return cq_equivalent(label.cq, goal)
-    if isinstance(label, AtomLabel):
+    if isinstance(label, BooleanCQ):
+        return cq_equivalent(label, goal)
+    if isinstance(label, ATOM_TYPES):
         return (not goal.existential_vars and len(goal.atoms) == 1
-                and goal.atoms[0] == label.atom)
-    if isinstance(label, ConjLabel):
+                and goal.atoms[0] == label)
+    if isinstance(label, tuple):
         return (not goal.existential_vars
-                and Counter(label.atoms) == Counter(goal.atoms))
+                and Counter(label) == Counter(goal.atoms))
     return False
 
 
@@ -418,16 +403,16 @@ _SCALAR_TYPES = (str, int, bool, type(None))
 
 def format_label(label: Label, text=format_atom) -> str:
     """The label's display text; ``text`` formats an atom."""
-    if isinstance(label, AtomLabel):
-        return text(label.atom)
-    if isinstance(label, ConjLabel):
-        return ", ".join(map(text, label.atoms))
-    if isinstance(label, CQLabel):
-        shown, evars, atoms = "", label.cq.existential_vars, label.cq.atoms
+    if isinstance(label, ATOM_TYPES):
+        return text(label)
+    if isinstance(label, tuple):
+        return ", ".join(map(text, label))
+    if isinstance(label, BooleanCQ):
+        shown, evars, atoms = "", label.existential_vars, label.atoms
     else:
-        rule = label.rule
-        shown = f"{', '.join(map(text, rule.body))} -> "
-        evars, atoms = getattr(rule, "existential_vars", ()), rule.head
+        shown = f"{', '.join(map(text, label.body))} -> "
+        evars = getattr(label, "existential_vars", ())
+        atoms = label.head
     if evars:
         shown += f"exists {', '.join(v.name for v in evars)}. "
     return shown + ", ".join(map(text, atoms))
@@ -448,16 +433,16 @@ def _fields(label: Label, text, quote, nl: str) -> tuple[str, str]:
     ``text`` formats an atom and ``quote`` writes its JSON string."""
     sep = "," + nl
     shown = _quote(format_label(label, text))
-    if isinstance(label, ConjLabel):
-        return (f'"atoms": {_json_list(list(map(quote, label.atoms)), nl)}',
+    if isinstance(label, tuple):
+        return (f'"atoms": {_json_list(list(map(quote, label)), nl)}',
                 f'"kind": "conjunction"{sep}"label": {shown}')
-    if isinstance(label, CQLabel):
-        atoms = _json_list(list(map(quote, label.cq.atoms)), nl)
+    if isinstance(label, BooleanCQ):
+        atoms = _json_list(list(map(quote, label.atoms)), nl)
         evars = _json_list([_quote(v.name)
-                            for v in label.cq.existential_vars], nl)
+                            for v in label.existential_vars], nl)
         return (f'"atoms": {atoms}{sep}"evars": {evars}',
                 f'"kind": "cq"{sep}"label": {shown}')
-    rule = label.rule
+    rule = label
     body = _json_list(list(map(quote, rule.body)), nl)
     head = _json_list(list(map(quote, rule.head)), nl)
     if isinstance(rule, SkolemRule):
@@ -510,8 +495,8 @@ def proof_to_json(p: ProofGraph, goal: Optional[BooleanCQ] = None,
     nl = "\n      "
     vertices = []
     for v, lab in sorted(p.vertices.items()):
-        if type(lab) is AtomLabel:
-            shown = quote(lab.atom)
+        if isinstance(lab, ATOM_TYPES):
+            shown = quote(lab)
             vertices.append(_ATOM_VERTEX % (shown, v, shown))
         else:
             before, after = _fields(lab, text, quote, nl)
@@ -525,7 +510,7 @@ def proof_to_json(p: ProofGraph, goal: Optional[BooleanCQ] = None,
            "vertices": _json_list(vertices, "\n  ")}
     if goal is not None:
         nl = "\n    "
-        doc["goal"] = (f"{{{nl}{_fields(CQLabel(goal), text, quote, nl)[0]},"
+        doc["goal"] = (f"{{{nl}{_fields(goal, text, quote, nl)[0]},"
                        f'{nl}"kind": "cq"\n  }}')
     for key, value in (extra or {}).items():
         if type(value) not in _SCALAR_TYPES:
@@ -553,20 +538,18 @@ def _label_from_json(obj, atom) -> Label:
         raise KBError("a label must be a JSON object")
     kind = obj.get("kind")
     if kind == "atom":
-        return AtomLabel(atom(obj.get("atom")))
+        return atom(obj.get("atom"))
     if kind in ("conjunction", "cq"):
         atoms = tuple(map(atom, _strings(obj, "atoms")))
         if kind == "conjunction":
-            return ConjLabel(atoms)
-        evars = tuple(map(Var, _strings(obj, "evars")))
-        return CQLabel(BooleanCQ(atoms, evars))
+            return atoms
+        return BooleanCQ(atoms, tuple(map(Var, _strings(obj, "evars"))))
     if kind not in ("skolem_rule", "taut_rule", "rule"):
         raise KBError(f"unknown label kind {kind!r}")
     body = tuple(map(atom, _strings(obj, "body")))
     head = tuple(map(atom, _strings(obj, "head")))
     if kind == "taut_rule":
-        return RuleLabel(TautRule(body, head,
-                                  tuple(map(Var, _strings(obj, "evars")))))
+        return TautRule(body, head, tuple(map(Var, _strings(obj, "evars"))))
     form = obj.get("form")
     if type(form) is not str or form not in _FORM_NAMES:
         raise KBError(f"unknown rule form {form!r}")
@@ -575,12 +558,12 @@ def _label_from_json(obj, atom) -> Label:
         if rule.normal_form is not _FORM_NAMES[form]:
             raise KBError(f"rule form {form!r} does not match the rule's "
                           f"shape ({rule.normal_form.value})")
-        return RuleLabel(rule)
+        return rule
     index, fn = obj.get("index"), obj.get("fn")
     if type(index) is not int or not (fn is None or type(fn) is str):
         raise KBError("a Skolem rule needs an integer 'index' and a string "
                       "or null 'fn'")
-    return RuleLabel(SkolemRule(body, head, _FORM_NAMES[form], index, fn))
+    return SkolemRule(body, head, _FORM_NAMES[form], index, fn)
 
 
 def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
@@ -650,9 +633,9 @@ def proof_from_json(text: str) -> tuple[ProofGraph, Optional[BooleanCQ]]:
             lab = _label_from_json(doc["goal"], atom)
         except KBError as exc:
             raise KBError(f"goal: {exc}") from None
-        if not isinstance(lab, CQLabel):
+        if not isinstance(lab, BooleanCQ):
             raise KBError("the goal must be a 'cq' label")
-        goal = lab.cq
+        goal = lab
     return ProofGraph(vertices, edges), goal
 
 
@@ -667,7 +650,7 @@ def proof_to_dot(p: ProofGraph) -> str:
     sink = p.sink()
     for v, lab in sorted(p.vertices.items()):
         attrs = [f"label={_dot_quote(format_label(lab))}"]
-        if isinstance(lab, RuleLabel):
+        if isinstance(lab, RULE_TYPES):
             attrs.append('color=gray')
             attrs.append('fontcolor=gray')
         if v == sink:

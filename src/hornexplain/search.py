@@ -18,21 +18,19 @@ from typing import Callable, Optional
 
 from .chase import _chase_verdict
 from .compress import (CompressError, CompressedStructure, DecompressError,
-                       dllite_query_min_size, dp_min_tree, edge_key,
-                       el_cq_min_treesize, equality_free_fold,
-                       extract_witness, goal_tail_size, least_matches,
-                       min_heights, refutes, tree_query_min_treesize, _INF)
+                       compress_dllite, compress_el, dp_min_tree, edge_key,
+                       equality_free_fold, extract_witness, goal_tail_size,
+                       least_matches, least_proof, min_heights, refutes, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
 from .deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
                          default_depth_ceiling, saturate_kb)
-from .kb import (Atom, BooleanCQ, Const, EqAtom, Fragment, KBError,
-                 KnowledgeBase, NormalForm, Term, Var, atom_pred, atom_terms,
-                 cq_equivalent, is_tree_shaped, orient_equality,
-                 substitute_atom)
+from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
+                 NormalForm, Term, Var, atom_pred, atom_terms, cq_equivalent,
+                 is_tree_shaped, orient_equality, substitute_atom)
 from .matching import AtomIndex, match_conjunction
-from .proofs import (AtomLabel, CQLabel, Measure, ProofBuilder, ProofGraph,
-                     RuleLabel, Schema, ground_terms_of_label, label_key,
-                     measure, proof_size, sub_derivation, tree_size)
+from .proofs import (Measure, ProofBuilder, ProofGraph, Schema,
+                     ground_terms_of_label, label_key, proof_size,
+                     sub_derivation, tree_size)
 
 
 @dataclass
@@ -374,9 +372,8 @@ def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
     query entailed modulo the merge can have no proof, and the absence of
     one certifies nothing."""
     named = {t for a in q.atoms for t in atom_terms(a) if isinstance(t, Const)}
-    for a in structure.index.atoms if named else ():
-        if isinstance(a, EqAtom) and isinstance(a.lhs, Const) \
-                and isinstance(a.rhs, Const):
+    for a in structure.index.bucket(("=",)) if named else ():
+        if isinstance(a.lhs, Const) and isinstance(a.rhs, Const):
             pair = orient_equality(a.lhs, a.rhs)
             if pair is not None and pair[0] in named:
                 return True
@@ -441,7 +438,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     def terms_of(a: Atom) -> set[Term]:
         terms = terms_memo.get(a)
         if terms is None:
-            terms = terms_memo[a] = ground_terms_of_label(AtomLabel(a))
+            terms = terms_memo[a] = ground_terms_of_label(a)
         return terms
 
     try:
@@ -575,7 +572,7 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
     counter = 0
     for fact in sorted(kb.abox, key=lambda a: str(a)):
         cq = BooleanCQ((fact,), ())
-        vid = builder.add_vertex(CQLabel(cq))
+        vid = builder.add_vertex(cq)
         heapq.heappush(heap, (1, counter, cq, vid))
         counter += 1
 
@@ -617,8 +614,8 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
                         nkey = _canon_cq(new_cq)
                         if seen.get(nkey, _INF) <= new_cost:
                             continue
-                        rule_vid = builder.add_vertex(RuleLabel(rule))
-                        new_vid = builder.add_vertex(CQLabel(new_cq))
+                        rule_vid = builder.add_vertex(rule)
+                        new_vid = builder.add_vertex(new_cq)
                         builder.add_edge((vid, rule_vid), new_vid, Schema.MPe)
                         heapq.heappush(heap,
                                        (new_cost, counter, new_cq, new_vid))
@@ -646,12 +643,11 @@ def _assemble_cq(q: BooleanCQ, sigma: dict[Var, Term],
     grounds = [substitute_atom(a, sigma) for a in q.atoms]
     builder = ProofBuilder()
     current = conjunction_chain(builder, list(dict.fromkeys(grounds)),
-                                lambda atoms: CQLabel(BooleanCQ(atoms, ())))
+                                lambda atoms: BooleanCQ(atoms, ()))
     if use_taut:
         tautology_finish(builder, current, q)
     elif q.existential_vars:
-        builder.add_edge((current,), builder.add_vertex(CQLabel(q)),
-                         Schema.Ge)
+        builder.add_edge((current,), builder.add_vertex(q), Schema.Ge)
     return builder.build()
 
 
@@ -676,18 +672,18 @@ class RunConfig:
 
 
 def _poly_route(kb: KnowledgeBase, q: BooleanCQ, m: Measure
-                ) -> Optional[tuple[Callable[..., ProofGraph], str]]:
-    """The polynomial route for the fragment, query shape and measure, and
-    its algorithm name; None where there is none."""
+                ) -> Optional[tuple[Callable[..., CompressedStructure], str]]:
+    """The fold that the polynomial route for the fragment, query shape and
+    measure reads (by :func:`least_proof`), and the route's algorithm name;
+    None where there is no such route."""
     if m is Measure.DOMAIN_SIZE:
         return None
     if kb.fragment == Fragment.DLLiteR and is_tree_shaped(q):
-        if m is Measure.SIZE:
-            return dllite_query_min_size, "poly-dllite-size"
-        return tree_query_min_treesize, "poly-dllite-tree"
+        return compress_dllite, ("poly-dllite-size" if m is Measure.SIZE
+                                 else "poly-dllite-tree")
     if m is Measure.TREE_SIZE and kb.fragment in (Fragment.EL,
                                                   Fragment.DLLiteR):
-        return el_cq_min_treesize, "poly-el-tree"
+        return compress_el, "poly-el-tree"
     return None
 
 
@@ -717,15 +713,17 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
 
     spent = 0         # the polynomial route's nodes
     if route is not None:
-        run, algo = route
+        compress, algo = route
         ticker = budget.ticker()
         try:
-            proof = run(kb, q, config.strict_cg, ticker)
-            value = measure(proof, config.measure).value
+            proof, value = least_proof(compress, kb, q, config.strict_cg,
+                                       ticker)
             # the size route minimizes tree size: where premises are shared,
             # a smaller proof can exist, so its value only bounds the
             # optimum from above
             exact = config.measure is Measure.TREE_SIZE
+            if not exact:
+                value = len(proof.vertices)
             if config.bound is None or value <= config.bound:
                 return ExplainResult("found", proof, value, config.measure,
                                      algo, ticker.count, warnings,

@@ -5,8 +5,7 @@ import pytest
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
                             SkolemTerm, Var, skolemize)
 from hornexplain.parser import parse_document
-from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, ProofEdge,
-                                ProofGraph, RuleLabel, Schema, TautRule)
+from hornexplain.proofs import ProofEdge, ProofGraph, Schema, TautRule
 
 EX1_TEXT = """\
 # running example: four rules, one fact, one query
@@ -44,18 +43,18 @@ def ex1_reference_proof(ex1):
     e_atom = ConceptAtom("E", f0a)
     d_atom = ConceptAtom("D", fa)
     vertices = {
-        0: AtomLabel(ConceptAtom("A", fa)),
-        1: RuleLabel(sk[0]),
-        2: AtomLabel(r_atom),
-        3: AtomLabel(b_atom),
-        4: RuleLabel(sk[1]),
-        5: AtomLabel(s_atom),
-        6: RuleLabel(sk[2]),
-        7: AtomLabel(e_atom),
-        8: RuleLabel(sk[3]),
-        9: AtomLabel(d_atom),
-        10: ConjLabel((r_atom, r_atom, d_atom)),
-        11: CQLabel(q),
+        0: ConceptAtom("A", fa),
+        1: sk[0],
+        2: r_atom,
+        3: b_atom,
+        4: sk[1],
+        5: s_atom,
+        6: sk[2],
+        7: e_atom,
+        8: sk[3],
+        9: d_atom,
+        10: (r_atom, r_atom, d_atom),
+        11: q,
     }
     edges = [
         ProofEdge((0, 1), 2, Schema.MP),
@@ -80,22 +79,22 @@ def ex1_reference_cq_proof(ex1):
     kb, q = ex1
     xp, y, u = Var("xp"), Var("y"), Var("u1")
     ca = Const("a")
-    cq = lambda atoms, evars: CQLabel(BooleanCQ(tuple(atoms), tuple(evars)))
+    cq = lambda atoms, evars: BooleanCQ(tuple(atoms), tuple(evars))
     taut = TautRule(
         (RoleAtom("r", Var("x2"), Var("y2")), ConceptAtom("D", Var("x2"))),
         (RoleAtom("r", Var("xp"), Var("y2")), ConceptAtom("D", Var("xp"))),
         (Var("xp"),))
     vertices = {
         0: cq([ConceptAtom("A", ca)], []),
-        1: RuleLabel(kb.tbox[0]),
+        1: kb.tbox[0],
         2: cq([RoleAtom("r", ca, y), ConceptAtom("B", y)], [y]),
-        3: RuleLabel(kb.tbox[1]),
+        3: kb.tbox[1],
         4: cq([RoleAtom("r", ca, y), RoleAtom("s", y, u)], [y, u]),
-        5: RuleLabel(kb.tbox[2]),
+        5: kb.tbox[2],
         6: cq([RoleAtom("r", ca, y), ConceptAtom("E", y)], [y]),
-        7: RuleLabel(kb.tbox[3]),
+        7: kb.tbox[3],
         8: cq([RoleAtom("r", ca, y), ConceptAtom("D", ca)], [y]),
-        9: RuleLabel(taut),
+        9: taut,
         10: cq([RoleAtom("r", ca, y), RoleAtom("r", xp, y),
                 ConceptAtom("D", xp)], [y, xp]),
     }

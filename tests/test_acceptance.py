@@ -18,9 +18,10 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter, gen_sat,
                                     gen_sat_cq)
-from hornexplain.kb import (ConceptAtom, Const, RoleAtom, SkolemTerm, Var,
-                            atom_terms, cq_equivalent, make_kb, term_depth)
-from hornexplain.proofs import (CQLabel, Measure, Schema, domain_size,
+from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
+                            SkolemTerm, Var, atom_terms, cq_equivalent,
+                            make_kb, term_depth)
+from hornexplain.proofs import (Measure, Schema, domain_size,
                                 inference_steps, proof_size, tree_size,
                                 tree_unravel, validate_proof)
 from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
@@ -257,8 +258,8 @@ def test_criterion_5_transformations():
             ok, problems = validate_proof(back, kb, q, "sk")
             assert ok, problems
             back_label = back.vertices[back.sink()]
-            if isinstance(back_label, CQLabel):
-                assert cq_equivalent(back_label.cq, q)
+            if isinstance(back_label, BooleanCQ):
+                assert cq_equivalent(back_label, q)
         else:
             out = transform_cq_to_sk(proof, kb)
             ok, problems = validate_proof(out, kb, q, "sk")
@@ -309,19 +310,18 @@ def test_criterion_6_structural_properties():
         for e in structure.edges:
             if e.schema is not Schema.MP:
                 continue
-            premise_atoms = [structure.vertices[p].atom
-                             for p in e.premises[:-1]]
+            premise_atoms = [structure.vertices[p] for p in e.premises[:-1]]
             if any(isinstance(t2, SkolemTerm) for a in premise_atoms
                    for t2 in atom_terms(a)):
                 continue  # not expressible as facts
-            idx = structure.vertices[e.premises[-1]].rule.index
+            idx = structure.vertices[e.premises[-1]].index
             rule = kb.tbox[idx]
             little = make_kb([rule], premise_atoms)
             depth = 1 + max((term_depth(t2) for a in premise_atoms
                              for t2 in atom_terms(a)), default=0)
             deeper = chase(little, depth)
             # the mini knowledge base numbers its one rule 0
-            concl = structure.vertices[e.conclusion].atom
+            concl = structure.vertices[e.conclusion]
             old, new = skolem_fn_name(idx), skolem_fn_name(0)
             if isinstance(concl, ConceptAtom):
                 concl = ConceptAtom(concl.concept,

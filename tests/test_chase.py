@@ -13,7 +13,6 @@ from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb, parse_query_text
 from hornexplain.generators import gen_el_tree
-from hornexplain.proofs import AtomLabel
 
 # the package exports the function ``chase`` under the module's name
 chase_module = importlib.import_module("hornexplain.chase")
@@ -258,7 +257,7 @@ def _query_into(rng, structure):
     atoms = sorted((a for a in structure.index.atoms
                     if not isinstance(a, EqAtom)), key=atom_key)
     derived = [a for a in atoms
-               if structure.label_ids[AtomLabel(a)] not in structure.leaf_ids]
+               if structure.atom_ids[a] not in structure.leaf_ids]
     atoms = derived or atoms
     picked = list(dict.fromkeys(rng.choice(atoms)
                                 for _ in range(rng.randint(1, 3))))

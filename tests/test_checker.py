@@ -24,17 +24,16 @@ from hornexplain.deriver_sk import check_edge_labels as sk_check_edge
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (gen_dllite_chain, gen_dllite_tree_query,
                                     gen_el_tree)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom,
-                            NormalForm, RoleAtom, Rule, SkolemRule,
-                            SkolemTerm, Var, atom_is_ground, atom_key,
-                            atom_pred, atom_vars, substitute_atom)
+from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
+                            NormalForm, RoleAtom, Rule, SkolemRule, SkolemTerm,
+                            Var, atom_is_ground, atom_key, atom_pred,
+                            atom_vars, substitute_atom)
 from hornexplain.matching import (AtomIndex, match_conjunction,
                                   match_positionally, unify_atom)
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, AtomLabel, CQLabel,
-                                ConjLabel, Measure, ProofEdge, ProofGraph,
-                                RuleLabel, Schema, TautRule, _postorder,
-                                check_proof_shape, format_label,
+from hornexplain.proofs import (CQ_SCHEMAS, RULE_TYPES, SK_SCHEMAS, Measure,
+                                ProofEdge, ProofGraph, Schema, TautRule,
+                                _postorder, check_proof_shape, format_label,
                                 proof_from_json, validate_proof)
 from hornexplain.search import RunConfig, explain
 
@@ -96,16 +95,16 @@ def _ref_same_atoms(xs, ys):
 
 
 def _ref_label_matches_goal(label, goal):
-    if isinstance(label, CQLabel):
-        return (_ref_same_atoms(label.cq.atoms, goal.atoms)
-                and set(label.cq.existential_vars)
+    if isinstance(label, BooleanCQ):
+        return (_ref_same_atoms(label.atoms, goal.atoms)
+                and set(label.existential_vars)
                 == set(goal.existential_vars))
-    if isinstance(label, AtomLabel):
+    if isinstance(label, ATOM_TYPES):
         return (not goal.existential_vars and len(goal.atoms) == 1
-                and goal.atoms[0] == label.atom)
-    if isinstance(label, ConjLabel):
+                and goal.atoms[0] == label)
+    if isinstance(label, tuple):
         return (not goal.existential_vars
-                and _ref_same_atoms(label.atoms, goal.atoms))
+                and _ref_same_atoms(label, goal.atoms))
     return False
 
 
@@ -121,9 +120,9 @@ def _ref_match_positionally(patterns, grounds):
 
 
 def _ref_check_mp(premises, conclusion, kb):
-    if not premises or not isinstance(premises[-1], RuleLabel):
+    if not premises or not isinstance(premises[-1], RULE_TYPES):
         return "the last premise must be a rule"
-    rule = premises[-1].rule
+    rule = premises[-1]
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
     sk_rules = kb.skolem_rules
@@ -131,16 +130,16 @@ def _ref_check_mp(premises, conclusion, kb):
         return "rule is not from the TBox"
     atom_premises = premises[:-1]
     for lab in atom_premises:
-        if not isinstance(lab, AtomLabel) or not atom_is_ground(lab.atom):
+        if not isinstance(lab, ATOM_TYPES) or not atom_is_ground(lab):
             return "rule premises must be ground atoms"
     subst = _ref_match_positionally(rule.body,
-                                    [lab.atom for lab in atom_premises])
+                                    list(atom_premises))
     if subst is None:
         return "premises do not instantiate the rule body"
-    if not isinstance(conclusion, AtomLabel):
+    if not isinstance(conclusion, ATOM_TYPES):
         return "conclusion must be a ground atom"
     heads = {substitute_atom(h, subst) for h in rule.head}
-    if conclusion.atom not in heads:
+    if conclusion not in heads:
         return "conclusion is not an instantiated head atom"
     return None
 
@@ -233,10 +232,10 @@ def _ref_match_added(added, head, pi, evars, taken):
 
 
 def _ref_check_mpe(premises, conclusion, kb):
-    if len(premises) != 2 or not isinstance(premises[0], CQLabel) \
-            or not isinstance(premises[1], RuleLabel):
+    if len(premises) != 2 or not isinstance(premises[0], BooleanCQ) \
+            or not isinstance(premises[1], RULE_TYPES):
         return "rule application takes a query and a rule"
-    rule = premises[1].rule
+    rule = premises[1]
     if isinstance(rule, SkolemRule):
         return "query-level proofs use original rules, not Skolemized ones"
     if isinstance(rule, Rule):
@@ -246,9 +245,9 @@ def _ref_check_mpe(premises, conclusion, kb):
         err = _taut_shape_error(rule)
         if err:
             return err
-    if not isinstance(conclusion, CQLabel):
+    if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    if _ref_analyze_mpe(premises[0].cq, rule, conclusion.cq) is None:
+    if _ref_analyze_mpe(premises[0], rule, conclusion) is None:
         return "no substitution and replaced/kept choice yields the conclusion"
     return None
 
@@ -270,12 +269,10 @@ def _ref_validate_proof(p, kb, goal, deriver="sk"):
     if not _ref_label_matches_goal(p.vertices[_ref_sinks(p)[0]], goal):
         problems.append("sink label does not match the goal query")
     if deriver == "sk":
-        leaf_ok = {AtomLabel(a) for a in kb.abox} | {
-            RuleLabel(r) for r in kb.skolem_rules}
+        leaf_ok = set(kb.abox) | set(kb.skolem_rules)
         frozen, checker = (Schema.MP, _ref_check_mp), sk_check_edge
     else:
-        leaf_ok = {CQLabel(BooleanCQ((a,), ())) for a in kb.abox} | {
-            RuleLabel(r) for r in kb.tbox}
+        leaf_ok = {BooleanCQ((a,), ()) for a in kb.abox} | set(kb.tbox)
         frozen, checker = (Schema.MPe, _ref_check_mpe), cq_check_edge
     for v in sorted(v for v, es in _ref_incoming(p).items() if not es):
         if p.vertices[v] not in leaf_ok:
@@ -316,7 +313,7 @@ def _mpe_steps(p):
     for e in p.edges:
         if e.schema is Schema.MPe:
             premise, rule = (p.vertices[q] for q in e.premises)
-            yield premise.cq, rule.rule, p.vertices[e.conclusion].cq
+            yield premise, rule, p.vertices[e.conclusion]
 
 
 def _same_analysis(premise, rule, conclusion):
@@ -346,7 +343,7 @@ def _same_analysis(premise, rule, conclusion):
 ], ids=["premise", "conclusion", "both"])
 def test_an_edge_naming_an_unknown_vertex_is_reported(ex1, edge, expected):
     kb, q = ex1
-    p = ProofGraph({0: AtomLabel(ConceptAtom("A", Const("a")))}, [edge])
+    p = ProofGraph({0: ConceptAtom("A", Const("a"))}, [edge])
     assert check_proof_shape(p) == (False, expected)
     assert validate_proof(p, kb, q, "sk") == (False, expected)
     with pytest.raises(KeyError):
@@ -473,20 +470,18 @@ def _edit(rng, label, kb, labels):
     """Another label: a neighbour's, or this one slightly changed."""
     if rng.random() < 0.4:
         return rng.choice(labels)
-    if isinstance(label, AtomLabel):
-        facts = [a for a in kb.abox if a is not label.atom]
-        return AtomLabel(rng.choice(facts)) if facts else \
-            AtomLabel(ConceptAtom("Z", Const("d")))
-    if isinstance(label, ConjLabel):
-        return ConjLabel(label.atoms[::-1] + label.atoms[:1])
-    if isinstance(label, CQLabel):
-        atoms = label.cq.atoms
-        return CQLabel(BooleanCQ.closed(atoms[1:] + atoms[:1]
-                                        if rng.random() < 0.5
-                                        else atoms + atoms[-1:]))
-    rules = kb.skolem_rules if isinstance(label.rule, SkolemRule) \
-        else kb.tbox
-    return RuleLabel(rng.choice(rules))
+    if isinstance(label, ATOM_TYPES):
+        facts = [a for a in kb.abox if a is not label]
+        return rng.choice(facts) if facts else ConceptAtom("Z", Const("d"))
+    if isinstance(label, tuple):
+        return label[::-1] + label[:1]
+    if isinstance(label, BooleanCQ):
+        atoms = label.atoms
+        return BooleanCQ.closed(atoms[1:] + atoms[:1]
+                                if rng.random() < 0.5
+                                else atoms + atoms[-1:])
+    rules = kb.skolem_rules if isinstance(label, SkolemRule) else kb.tbox
+    return rng.choice(rules)
 
 
 def _mutants(rng, p, kb):

@@ -640,17 +640,17 @@ def test_a_term_nested_5000_deep_is_read_written_and_refused(tmp_path,
     from hornexplain import cli
     from hornexplain.kb import BooleanCQ, ConceptAtom, Const, SkolemTerm
     from hornexplain.parser import parse_document
-    from hornexplain.proofs import (AtomLabel, ProofGraph, proof_from_json,
+    from hornexplain.proofs import (ProofGraph, proof_from_json,
                                     proof_to_json, validate_proof)
     term = Const("a")
     for _ in range(5000):
         term = SkolemTerm("f", term)
     atom = ConceptAtom("A", term)
-    text = proof_to_json(ProofGraph({0: AtomLabel(atom)}, []),
+    text = proof_to_json(ProofGraph({0: atom}, []),
                          BooleanCQ((atom,), ()))
     assert len(text) > 2 * 5000 * len("f()")
     proof, goal = proof_from_json(text)
-    assert proof.vertices[0].atom is atom and goal.atoms == (atom,)
+    assert proof.vertices[0] is atom and goal.atoms == (atom,)
     assert proof_to_json(proof, goal) == text
     kb = parse_document(EX1_TEXT).kb
     ok, problems = validate_proof(proof, kb, goal, "sk")

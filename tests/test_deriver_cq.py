@@ -17,14 +17,14 @@ from hornexplain.deriver_cq import (TransformError, _collect_steps, _Step,
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter,
                                     gen_sat_cq)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
-                            RoleAtom, Var, atom_key, atom_pred, atom_vars,
-                            cq_equivalent, substitute_atom, variables_of)
+from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
+                            KBError, RoleAtom, Var, atom_key, atom_pred,
+                            atom_vars, cq_equivalent, substitute_atom,
+                            variables_of)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (AtomLabel, CQLabel, Measure, ProofBuilder,
-                                ProofEdge, ProofGraph, RuleLabel, Schema,
-                                TautRule, proof_size, proof_to_json,
+from hornexplain.proofs import (Measure, ProofBuilder, ProofEdge, ProofGraph,
+                                Schema, TautRule, proof_size, proof_to_json,
                                 tree_size, tree_unravel, validate_proof)
 from hornexplain.search import RunConfig, explain
 
@@ -87,7 +87,7 @@ def test_te_rule_shapes():
 
 
 def _cq(atoms, evars=()):
-    return CQLabel(BooleanCQ(tuple(atoms), tuple(evars)))
+    return BooleanCQ(tuple(atoms), tuple(evars))
 
 
 def test_ce_apply_renames_apart(ex1):
@@ -170,14 +170,13 @@ def test_transform_round_trip_preserves_goal(ex1, ex1_reference_proof):
     ok, problems = validate_proof(back, kb, q, "sk")
     assert ok, problems
     sink = back.vertices[back.sink()]
-    assert isinstance(sink, CQLabel) and cq_equivalent(sink.cq, q)
+    assert isinstance(sink, BooleanCQ) and cq_equivalent(sink, q)
 
 
 def test_fact_only_proof_transforms_are_small():
     kb = parse_kb("fact: A(a)\n")
     q = BooleanCQ((ConceptAtom("A", A_),), ())
-    from hornexplain.proofs import AtomLabel
-    p = ProofGraph({0: AtomLabel(ConceptAtom("A", A_))}, [])
+    p = ProofGraph({0: ConceptAtom("A", A_)}, [])
     cq = transform_sk_to_cq(p, kb)
     ok, problems = validate_proof(cq, kb, q, "cq")
     assert ok, problems
@@ -197,8 +196,7 @@ def test_ground_tautology_subproofs_collapse(ex1):
     taut = TautRule((fact,), (fact,), ())
     from hornexplain.proofs import ProofEdge
     p = ProofGraph(
-        {0: CQLabel(BooleanCQ((fact,), ())), 1: RuleLabel(taut),
-         2: CQLabel(goal)},
+        {0: BooleanCQ((fact,), ()), 1: taut, 2: goal},
         [ProofEdge((), 1, Schema.Te), ProofEdge((0, 1), 2, Schema.MPe)])
     ok, problems = validate_proof(p, kb, goal, "cq")
     assert ok, problems
@@ -211,9 +209,9 @@ def test_ground_tautology_subproofs_collapse(ex1):
 def test_check_edge_te_zero_premises(ex1):
     kb, _ = ex1
     taut = te_rule((RoleAtom("P", X, Z),), [Z], rename={Z: Var("zp")})
-    assert check_edge_labels(Schema.Te, (), RuleLabel(taut), kb) is None
-    assert check_edge_labels(Schema.Te, (), CQLabel(
-        BooleanCQ((ConceptAtom("A", A_),), ())), kb) is not None
+    assert check_edge_labels(Schema.Te, (), taut, kb) is None
+    assert check_edge_labels(Schema.Te, (), BooleanCQ(
+        (ConceptAtom("A", A_),), ()), kb) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +227,21 @@ def _reference_collect_steps(p):
         label = p.vertices[v]
         edges = inc[v]
         if not edges:
-            if isinstance(label, AtomLabel) and label.atom not in facts:
-                facts.append(label.atom)
+            if isinstance(label, ATOM_TYPES) and label not in facts:
+                facts.append(label)
             continue
         e = edges[0]
         if e.schema in (Schema.C, Schema.G):
             continue
-        concl = p.vertices[v].atom
+        concl = p.vertices[v]
         if e.schema is Schema.MP:
-            rule = p.vertices[e.premises[-1]].rule
-            body = tuple(p.vertices[q].atom for q in e.premises[:-1])
+            rule = p.vertices[e.premises[-1]]
+            body = tuple(p.vertices[q] for q in e.premises[:-1])
             step = mp_groups.setdefault((rule.index, body),
                                         _Step("mp", body, (), rule=rule))
         else:
-            alpha = p.vertices[e.premises[0]].atom
-            eq = p.vertices[e.premises[1]].atom
+            alpha = p.vertices[e.premises[0]]
+            eq = p.vertices[e.premises[1]]
             step = e_groups.setdefault(eq, _Step("e", (eq,), (), equality=eq))
             if alpha not in step.premises:
                 step.premises += (alpha,)
@@ -304,7 +302,7 @@ def test_collect_steps_keeps_the_scan_and_sort_order():
     kinds = set()
     for _, _, proof in _ground_proofs():
         steps, facts = _collect_steps(proof)
-        assert (steps, facts) == _reference_collect_steps(proof)
+        assert (steps, list(facts)) == _reference_collect_steps(proof)
         kinds |= {s.kind for s in steps}
     assert kinds == {"mp", "e"}
 
@@ -366,33 +364,33 @@ def test_rule_application_cannot_rebind_query_variables():
                         (u1, u2))
 
     def step(added):
-        return (Schema.MPe, (CQLabel(premise), RuleLabel(rule)),
-                CQLabel(BooleanCQ(premise.atoms + (added,), (u1, u2, u3))),
+        return (Schema.MPe, (premise, rule),
+                BooleanCQ(premise.atoms + (added,), (u1, u2, u3)),
                 kb)
 
     assert check_edge_labels(*step(RoleAtom("r", u1, u3))) is None
     # r(u2, u3) is not an instance of r(u1, y): u1 cannot become u2
     assert check_edge_labels(*step(RoleAtom("r", u2, u3))) is not None
     forged = step(RoleAtom("r", u2, u3))
-    assert analyze_mpe(forged[1][0].cq, rule, forged[2].cq) is None
+    assert analyze_mpe(forged[1][0], rule, forged[2]) is None
     # the witness y is a new element: it cannot be u2, which the premise has
     reused = BooleanCQ(premise.atoms + (RoleAtom("r", u1, u2),), (u1, u2))
-    assert check_edge_labels(Schema.MPe, (CQLabel(premise), RuleLabel(rule)),
-                             CQLabel(reused), kb) is not None
+    assert check_edge_labels(Schema.MPe, (premise, rule), reused,
+                             kb) is not None
     assert analyze_mpe(premise, rule, reused) is None
 
 
 def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
     kb = parse_kb("fact: A(a)\nfact: B(a)\nfact: C(a)\n")
     a, b, c = (ConceptAtom(n, A_) for n in "ABC")
-    leaves = {0: CQLabel(BooleanCQ((a,), ())), 1: CQLabel(BooleanCQ((b,), ()))}
+    leaves = {0: BooleanCQ((a,), ()), 1: BooleanCQ((b,), ())}
     # the conclusion of a conjunction starts with the first premise's atoms
-    bad_ce = ProofGraph({**leaves, 2: CQLabel(BooleanCQ((c, b), ()))},
+    bad_ce = ProofGraph({**leaves, 2: BooleanCQ((c, b), ())},
                         [ProofEdge((0, 1), 2, Schema.Ce)])
     # generalization abstracts ground terms, not the premise's variables
     bad_ge = ProofGraph(
-        {0: leaves[0], 1: CQLabel(BooleanCQ((ConceptAtom("A", X),), (X,))),
-         2: CQLabel(BooleanCQ((ConceptAtom("A", Y),), (Y,)))},
+        {0: leaves[0], 1: BooleanCQ((ConceptAtom("A", X),), (X,)),
+         2: BooleanCQ((ConceptAtom("A", Y),), (Y,))},
         [ProofEdge((0,), 1, Schema.Ge), ProofEdge((1,), 2, Schema.Ge)])
     for proof in (bad_ce, bad_ge):
         assert check_edge_labels(proof.edges[-1].schema,
@@ -549,9 +547,9 @@ def test_translations_are_byte_identical_to_the_pinned_ones(
     for transform in steps:
         proof = transform(proof, inst.kb)
         # sk->cq closes its labels from precollected variables
-        assert all(tuple(variables_of(lab.cq.atoms)) == lab.cq.existential_vars
+        assert all(tuple(variables_of(lab.atoms)) == lab.existential_vars
                    for lab in proof.vertices.values()
-                   if isinstance(lab, CQLabel))
+                   if isinstance(lab, BooleanCQ))
         text = proof_to_json(proof, inst.query)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert digests == [there, back]

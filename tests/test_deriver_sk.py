@@ -13,16 +13,15 @@ from hornexplain.compress import dp_min_tree, extract_witness
 from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
                                     _replacements, check_edge_labels,
                                     saturate, saturate_kb)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
-                            NormalForm, RoleAtom, SkolemRule, SkolemTerm, Var,
-                            atom_key, atom_pred, atom_terms, make_kb,
-                            skolemize, substitute_atom, term_depth)
+from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
+                            KBError, NormalForm, RoleAtom, SkolemRule,
+                            SkolemTerm, Var, atom_key, atom_pred, atom_terms,
+                            make_kb, skolemize, substitute_atom, term_depth)
 from hornexplain.generators import (gen_dllite_chain, gen_el_abox, gen_el_tree,
                                     gen_hornalc_counter)
 from hornexplain.matching import match_conjunction, unify_atom
 from hornexplain.parser import parse_kb, serialize_document
-from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, RuleLabel,
-                                Schema, format_label)
+from hornexplain.proofs import Schema, format_label
 
 from test_chase import _random_kb
 
@@ -48,15 +47,15 @@ def _steps(structure, schema, kb=None):
 
 def _within(labels, depth):
     return all(term_depth(t) <= depth for lab in labels
-               if isinstance(lab, AtomLabel) for t in atom_terms(lab.atom))
+               if isinstance(lab, ATOM_TYPES) for t in atom_terms(lab))
 
 
 def test_mp_instances_first_rule(ex1):
     kb, _ = ex1
     sk = skolemize(kb.tbox)
-    premises = (AtomLabel(ConceptAtom("A", A_)), RuleLabel(sk[0]))
+    premises = (ConceptAtom("A", A_), sk[0])
     steps = _steps(saturate_kb(kb, 1), Schema.MP, kb)
-    assert {c.atom for p, c in steps if p == premises} \
+    assert {c for p, c in steps if p == premises} \
         == {RoleAtom("r", A_, F0A), ConceptAtom("B", F0A)}
 
 
@@ -65,7 +64,7 @@ def test_mp_instances_two_role_body(ex1):
     sk = skolemize(kb.tbox)
     atoms = [RoleAtom("s", F0A, F1F0A), RoleAtom("r", A_, F0A)]
     steps = _steps(saturate(atoms, [sk[2]], 2), Schema.MP)
-    assert [c.atom for _, c in steps] == [ConceptAtom("E", F0A)]
+    assert [c for _, c in steps] == [ConceptAtom("E", F0A)]
 
 
 def test_mp_instances_empty_pool(ex1):
@@ -76,8 +75,8 @@ def test_mp_instances_empty_pool(ex1):
 def test_e_instances_replace_top_level():
     eq = EqAtom(F0A, Const("b"))
     steps = _steps(saturate([eq, ConceptAtom("A", F0A)], [], 1), Schema.E)
-    assert steps == [((AtomLabel(ConceptAtom("A", F0A)), AtomLabel(eq)),
-                      AtomLabel(ConceptAtom("A", Const("b"))))]
+    assert steps == [((ConceptAtom("A", F0A), eq),
+                      ConceptAtom("A", Const("b")))]
 
 
 def test_e_instances_ignore_nested_occurrences():
@@ -92,7 +91,7 @@ def test_e_instances_empty():
 
 def _goal_tail(structure, q, sigma, strict_cg=False):
     """The C and G steps of the witness of ``q`` under ``sigma``."""
-    targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+    targets = [structure.atom_ids[substitute_atom(a, sigma)]
                for a in q.atoms]
     proof = extract_witness(structure, dp_min_tree(structure)[1], targets,
                             q, strict_cg)
@@ -105,10 +104,10 @@ def test_cg_instances_example_sigma(ex1):
     kb, q = ex1
     tail = _goal_tail(saturate_kb(kb, 2), q, {Var("xp"): A_, Var("y"): F0A})
     c_premises, conj = tail[Schema.C]
-    assert isinstance(conj, ConjLabel)
-    assert conj.atoms == (RoleAtom("r", A_, F0A), RoleAtom("r", A_, F0A),
-                          ConceptAtom("D", A_))
-    assert tail[Schema.G] == ((conj,), CQLabel(q))
+    assert isinstance(conj, tuple)
+    assert conj == (RoleAtom("r", A_, F0A), RoleAtom("r", A_, F0A),
+                    ConceptAtom("D", A_))
+    assert tail[Schema.G] == ((conj,), q)
     for schema, (premises, conclusion) in tail.items():
         assert check_edge_labels(schema, premises, conclusion, kb) is None
 
@@ -118,15 +117,15 @@ def test_cg_instances_degenerate_single_atom():
     q = BooleanCQ((ConceptAtom("A", A_),), ())
     tail = _goal_tail(saturate_kb(kb, 0), q, {}, strict_cg=True)
     (c_premises, conj), (g_premises, goal) = tail[Schema.C], tail[Schema.G]
-    assert conj.atoms == (ConceptAtom("A", A_),) and len(c_premises) == 1
-    assert goal.cq.existential_vars == ()
+    assert conj == (ConceptAtom("A", A_),) and len(c_premises) == 1
+    assert goal.existential_vars == ()
     for schema, (premises, conclusion) in tail.items():
         assert check_edge_labels(schema, premises, conclusion, kb) is None
 
 
 def test_cg_instances_unmatched_goal_raises():
     structure = saturate_kb(parse_kb("rule: B(x) -> A(x)\nfact: B(a)\n"), 0)
-    goal = structure.label_ids[AtomLabel(ConceptAtom("A", A_))]
+    goal = structure.atom_ids[ConceptAtom("A", A_)]
     with pytest.raises(KBError, match="not derivable"):
         extract_witness(structure, {}, [goal])
 
@@ -144,19 +143,17 @@ def test_check_edge_rejects_inconsistent_substitution(ex1):
     kb, _ = ex1
     sk = skolemize(kb.tbox)
     # rule 3 body is E(x), r(y,x): premises below disagree on x
-    premises = (AtomLabel(ConceptAtom("E", F0A)),
-                AtomLabel(RoleAtom("r", A_, A_)),
-                RuleLabel(sk[3]))
+    premises = (ConceptAtom("E", F0A), RoleAtom("r", A_, A_), sk[3])
     assert check_edge_labels(Schema.MP, premises,
-                             AtomLabel(ConceptAtom("D", A_)), kb) is not None
+                             ConceptAtom("D", A_), kb) is not None
 
 
 def test_check_edge_rejects_generalizing_into_wrong_constant(ex1):
     kb, q = ex1
-    wrong = ConjLabel((RoleAtom("r", Const("b"), F0A),
-                       RoleAtom("r", A_, F0A), ConceptAtom("D", A_)))
+    wrong = (RoleAtom("r", Const("b"), F0A), RoleAtom("r", A_, F0A),
+             ConceptAtom("D", A_))
     # the first query atom fixes the constant a, not b
-    assert check_edge_labels(Schema.G, (wrong,), CQLabel(q), kb) is not None
+    assert check_edge_labels(Schema.G, (wrong,), q, kb) is not None
 
 
 def test_mp_soundness_against_the_chase(ex1):
@@ -167,15 +164,15 @@ def test_mp_soundness_against_the_chase(ex1):
     for premises, conclusion in _steps(saturate_kb(kb, 3), Schema.MP, kb):
         if not _within(premises, 2):
             continue
-        premise_atoms = [lab.atom for lab in premises[:-1]]
+        premise_atoms = list(premises[:-1])
         if not all(all(not isinstance(t, SkolemTerm) for t in atom_terms(a))
                    for a in premise_atoms):
             continue  # premises with Skolem terms are not legal facts
         # chase the premises alone under just that rule
-        little = make_kb([kb.tbox[premises[-1].rule.index]], premise_atoms)
+        little = make_kb([kb.tbox[premises[-1].index]], premise_atoms)
         deeper = chase(little, 1 + max(
             term_depth(t) for a in premise_atoms for t in atom_terms(a)))
-        assert conclusion.atom in deeper.atoms
+        assert conclusion in deeper.atoms
 
 
 def test_mp_changes_depth_by_at_most_one(ex1):
@@ -184,8 +181,8 @@ def test_mp_changes_depth_by_at_most_one(ex1):
         if not _within(premises, 3):
             continue
         premise_depth = max((term_depth(t) for lab in premises[:-1]
-                             for t in atom_terms(lab.atom)), default=0)
-        concl_depth = max(term_depth(t) for t in atom_terms(conclusion.atom))
+                             for t in atom_terms(lab)), default=0)
+        concl_depth = max(term_depth(t) for t in atom_terms(conclusion))
         assert abs(concl_depth - premise_depth) <= 1
 
 
@@ -195,8 +192,8 @@ def test_e_never_increases_depth():
     steps = _steps(saturate(atoms, [], 2), Schema.E)
     assert steps
     for premises, conclusion in steps:
-        before = max(term_depth(t) for t in atom_terms(premises[0].atom))
-        after = max(term_depth(t) for t in atom_terms(conclusion.atom))
+        before = max(term_depth(t) for t in atom_terms(premises[0]))
+        after = max(term_depth(t) for t in atom_terms(conclusion))
         assert after <= before
 
 
@@ -276,14 +273,19 @@ def _reference_saturate(facts, rules, depth_bound, ticker):
     max_atoms = ticker.max_atoms
     structure = FiniteStructure(depth_bound=depth_bound)
     index = structure.index
-    label_ids = structure.label_ids
+    atom_ids = structure.atom_ids
+
+    def vertex_for(atom):
+        vid = atom_ids.get(atom)
+        return structure.add_vertex(atom) if vid is None else vid
+
     for f in sorted(facts, key=atom_key):
-        vid = structure.vertex_for(AtomLabel(f))
+        vid = vertex_for(f)
         structure.leaf_ids.add(vid)
         index.add(f)
     rule_ids = []
     for r in rules:
-        vid = structure.vertex_for(RuleLabel(r))
+        vid = structure.add_vertex(r)
         structure.leaf_ids.add(vid)
         rule_ids.append(vid)
     seen_edges = set()
@@ -303,8 +305,7 @@ def _reference_saturate(facts, rules, depth_bound, ticker):
                 structure.complete = False
                 raise BudgetExceeded(f"saturation exceeded {max_atoms} atoms")
             index.add(concl_atom)
-        structure.add_edge(premise_ids,
-                           structure.vertex_for(AtomLabel(concl_atom)), schema)
+        structure.add_edge(premise_ids, vertex_for(concl_atom), schema)
         return fresh
 
     rules_by_pred = {}
@@ -344,7 +345,7 @@ def _reference_saturate(facts, rules, depth_bound, ticker):
                         continue
                     seen_subst.add(key)
                     premise_ids = tuple(
-                        label_ids[AtomLabel(substitute_atom(b, subst))]
+                        atom_ids[substitute_atom(b, subst)]
                         for b in rule.body) + (rule_id,)
                     for h in rule.head:
                         concl = substitute_atom(h, subst)
@@ -362,8 +363,7 @@ def _reference_saturate(facts, rules, depth_bound, ticker):
                 eqs, lambda eq, src: pool if first_round or eq in frontier_set
                 else by_term.get(src, ())))
             for atom, eq, concl in steps:
-                if record(Schema.E, (label_ids[AtomLabel(atom)],
-                                     label_ids[AtomLabel(eq)]), concl):
+                if record(Schema.E, (atom_ids[atom], atom_ids[eq]), concl):
                     new_atoms.add(concl)
         first_round = False
         frontier = sorted(new_atoms, key=atom_key)

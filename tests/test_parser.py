@@ -19,7 +19,7 @@ from hornexplain.kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom,
 from hornexplain.parser import (Document, KBSyntaxError, _check_name_spaces,
                                 _scan_reserved, format_rule, normalize_rules)
 from hornexplain import parser
-from hornexplain.proofs import ConjLabel, proof_from_json
+from hornexplain.proofs import proof_from_json
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -502,7 +502,7 @@ def _read_label_atoms(texts):
            "vertices": [{"id": i, "kind": "atom", "atom": text}
                         for i, text in enumerate(texts)]}
     proof, _ = proof_from_json(json.dumps(doc))
-    return [proof.vertices[i].atom for i in range(len(texts))]
+    return [proof.vertices[i] for i in range(len(texts))]
 
 
 @_SETTINGS
@@ -531,14 +531,14 @@ def test_the_proof_reader_reads_every_golden_atom_as_parse_atom_text():
         for v in json.loads(text)["vertices"]:
             label = proof.vertices[v["id"]]
             if "atom" in v:
-                texts, atoms = [v["atom"]], [label.atom]
+                texts, atoms = [v["atom"]], [label]
             elif "atoms" in v:
                 texts = v["atoms"]
-                atoms = list(label.atoms if isinstance(label, ConjLabel)
-                             else label.cq.atoms)
+                atoms = list(label if isinstance(label, tuple)
+                             else label.atoms)
             else:
                 texts = v["body"] + v["head"]
-                atoms = list(label.rule.body + label.rule.head)
+                atoms = list(label.body + label.head)
             assert len(atoms) == len(texts), (path.name, v["id"])
             for t, a in zip(texts, atoms):
                 assert a is parser.parse_atom_text(t), (path.name, t)

@@ -7,17 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom,
-                            NormalForm, RoleAtom, Rule, SkolemRule,
-                            SkolemTerm, Var, atom_vars)
+from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
+                            NormalForm, RoleAtom, Rule, SkolemRule, SkolemTerm,
+                            Var, atom_vars)
 from hornexplain.kb import format_term as _format_term
-from hornexplain.proofs import (AtomLabel, CQLabel, ConjLabel, Measure,
-                                ProofEdge, ProofGraph, RuleLabel, Schema,
+from hornexplain.proofs import (Measure, ProofEdge, ProofGraph, Schema,
                                 TautRule, check_proof_shape, domain_size,
-                                inference_steps, measure, proof_from_json,
-                                proof_size, proof_to_dot, proof_to_json,
-                                sub_derivation, tree_size, tree_unravel,
-                                validate_proof)
+                                format_label, inference_steps, label_key,
+                                measure, proof_from_json, proof_size,
+                                proof_to_dot, proof_to_json, sub_derivation,
+                                tree_size, tree_unravel, validate_proof)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -41,8 +40,8 @@ def test_deleting_an_edge_orphans_a_leaf(ex1, ex1_reference_proof):
 
 def test_cycles_are_rejected(ex1):
     kb, q = ex1
-    a1 = AtomLabel(ConceptAtom("A", Const("a")))
-    a2 = AtomLabel(ConceptAtom("B", Const("a")))
+    a1 = ConceptAtom("A", Const("a"))
+    a2 = ConceptAtom("B", Const("a"))
     p = ProofGraph({0: a1, 1: a2},
                    [ProofEdge((0,), 1, Schema.MP),
                     ProofEdge((1,), 0, Schema.MP)])
@@ -78,7 +77,7 @@ def test_measures_of_the_reference_proof(ex1_reference_proof):
 
 
 def test_single_fact_proof_measures():
-    p = ProofGraph({0: AtomLabel(ConceptAtom("A", Const("a")))}, [])
+    p = ProofGraph({0: ConceptAtom("A", Const("a"))}, [])
     assert proof_size(p) == tree_size(p) == 1
     assert domain_size(p) == 1
 
@@ -128,8 +127,8 @@ def test_unravel_is_a_tree_of_tree_size(ex1_reference_proof):
 
 
 def test_unravel_of_a_tree_is_an_isomorphic_copy():
-    fact = AtomLabel(ConceptAtom("A", Const("a")))
-    mid = AtomLabel(ConceptAtom("B", Const("a")))
+    fact = ConceptAtom("A", Const("a"))
+    mid = ConceptAtom("B", Const("a"))
     p = ProofGraph({0: fact, 1: mid}, [ProofEdge((0,), 1, Schema.MP)])
     t = tree_unravel(p)
     assert proof_size(t) == proof_size(p)
@@ -137,10 +136,10 @@ def test_unravel_of_a_tree_is_an_isomorphic_copy():
 
 
 def test_unravel_duplicates_shared_premises():
-    fact = AtomLabel(ConceptAtom("A", Const("a")))
-    mid1 = AtomLabel(ConceptAtom("B", Const("a")))
-    mid2 = AtomLabel(ConceptAtom("C", Const("a")))
-    top = AtomLabel(ConceptAtom("D", Const("a")))
+    fact = ConceptAtom("A", Const("a"))
+    mid1 = ConceptAtom("B", Const("a"))
+    mid2 = ConceptAtom("C", Const("a"))
+    top = ConceptAtom("D", Const("a"))
     p = ProofGraph({0: fact, 1: mid1, 2: mid2, 3: top},
                    [ProofEdge((0,), 1, Schema.MP),
                     ProofEdge((0,), 2, Schema.MP),
@@ -204,6 +203,101 @@ def test_schema_tags_are_deriver_specific(ex1, ex1_reference_proof):
     assert any("not available" in m for m in problems)
 
 
+def test_each_kind_of_label_is_the_value_it_labels():
+    """One label of each kind, with no wrapper around it, through the label
+    key, the display text, the JSON round trip, the knowledge base's leaf
+    labels and each checker's test of a premise's or conclusion's kind."""
+    from hornexplain.deriver_cq import check_edge_labels as cq_check
+    from hornexplain.deriver_cq import te_rule
+    from hornexplain.deriver_sk import check_edge_labels as sk_check
+    from hornexplain.parser import parse_kb
+
+    kb = parse_kb("rule: A(x) -> exists y. r(x,y), B(y)\nfact: A(a)\n")
+    a, y = Const("a"), Var("y")
+    fa = SkolemTerm("f_0", a)
+    cq = BooleanCQ((RoleAtom("r", a, y), ConceptAtom("B", y)), (y,))
+    labels = {
+        "concept": ConceptAtom("A", a),
+        "role": RoleAtom("r", a, fa),
+        "equality": EqAtom(fa, a),
+        "conjunction": (ConceptAtom("A", a), RoleAtom("r", a, fa)),
+        "cq": cq,
+        "rule": kb.tbox[0],
+        "skolem_rule": kb.skolem_rules[0],
+        "taut_rule": te_rule(cq.atoms, (y,)),
+    }
+    assert [key[0] if key[0] < 3 else key[:2]
+            for key in map(label_key, labels.values())] \
+        == [0, 0, 0, 1, 2, (3, 1), (3, 0), (3, 2)]
+    assert [format_label(lab) for lab in labels.values()] == [
+        "A(a)", "r(a,f_0(a))", "f_0(a) = a", "A(a), r(a,f_0(a))",
+        "exists y. r(a,?y), B(?y)", "A(?x) -> exists y. r(?x,?y), B(?y)",
+        "A(?x) -> r(?x,f_0(?x)), B(f_0(?x))",
+        "r(a,?y), B(?y) -> exists y. r(a,?y), B(?y)"]
+
+    p = ProofGraph(dict(enumerate(labels.values())), [])
+    text = proof_to_json(p)
+    assert [v["kind"] for v in json.loads(text)["vertices"]] == [
+        "atom", "atom", "atom", "conjunction", "cq", "rule", "skolem_rule",
+        "taut_rule"]
+    back, goal = proof_from_json(text)
+    assert goal is None and back.vertices == p.vertices
+    assert [type(lab) for lab in back.vertices.values()] \
+        == [type(lab) for lab in labels.values()]
+    assert all(back.vertices[v] is lab for v, lab in p.vertices.items()
+               if isinstance(lab, ATOM_TYPES))
+    assert proof_to_json(back) == text
+
+    fact = labels["concept"]
+    assert kb.sk_leaf_labels == {fact, kb.skolem_rules[0]}
+    assert kb.cq_leaf_labels == {BooleanCQ((fact,), ()), kb.tbox[0]}
+    for lab in labels.values():
+        assert (lab in kb.sk_leaf_labels) \
+            == (lab is fact or lab is kb.skolem_rules[0])
+        assert (lab in kb.cq_leaf_labels) == (lab is kb.tbox[0])
+
+    # (checker, schema, premises, conclusion) with one place for a label,
+    # the kinds that may stand there, and the diagnostic of any other kind
+    atoms = {"concept", "role", "equality"}
+    b_fa = ConceptAtom("B", fa)
+    sk_cases = [
+        (lambda x: (fact, x), b_fa, Schema.MP, {"skolem_rule"},
+         {"the last premise must be a rule",
+          "rule premise must be Skolemized"}),
+        (lambda x: (x, kb.skolem_rules[0]), b_fa, Schema.MP, atoms,
+         {"rule premises must be ground atoms"}),
+        (lambda x: (x, labels["equality"]), None, Schema.E, atoms,
+         {"equality replacement takes an atom and an equality"}),
+        (lambda x: (x,), None, Schema.C, atoms,
+         {"conjunction premises must be ground atoms"}),
+        (lambda x: (x,), None, Schema.G, atoms | {"conjunction"},
+         {"premise must be a ground conjunction or atom"}),
+    ]
+    cq_cases = [
+        (lambda x: (x, kb.tbox[0]), None, Schema.MPe, {"cq"},
+         {"rule application takes a query and a rule"}),
+        (lambda x: (x,), None, Schema.Ee, {"cq"},
+         {"equality elimination takes a single query premise"}),
+        (lambda x: (x, cq), None, Schema.Ce, {"cq"},
+         {"conjunction takes two query premises"}),
+        (lambda x: (x,), None, Schema.Ge, {"cq"},
+         {"generalization takes a single query premise"}),
+    ]
+    for check, cases in ((sk_check, sk_cases), (cq_check, cq_cases)):
+        for premises, conclusion, schema, kinds, errors in cases:
+            for kind, lab in labels.items():
+                err = check(schema, premises(lab), conclusion or cq, kb)
+                if kind in kinds:
+                    assert err not in errors, (schema, kind, err)
+                else:
+                    assert err in errors, (schema, kind, err)
+    for kind, lab in labels.items():
+        err = cq_check(Schema.Te, (), lab, kb)
+        assert (err is None) == (kind == "taut_rule"), (kind, err)
+        assert kind == "taut_rule" \
+            or err == "conclusion must be a tautological rule"
+
+
 # ---------------------------------------------------------------------------
 # Reference: the proof document as a dict, frozen as it was before the
 # writer wrote the JSON text straight from the labels; its json.dumps with
@@ -211,22 +305,22 @@ def test_schema_tags_are_deriver_specific(ex1, ex1_reference_proof):
 # ---------------------------------------------------------------------------
 
 def _reference_label(label, text) -> dict:
-    if isinstance(label, AtomLabel):
-        atom = text(label.atom)
+    if isinstance(label, ATOM_TYPES):
+        atom = text(label)
         return {"kind": "atom", "atom": atom, "label": atom}
-    if isinstance(label, ConjLabel):
-        atoms = list(map(text, label.atoms))
+    if isinstance(label, tuple):
+        atoms = list(map(text, label))
         return {"kind": "conjunction", "atoms": atoms,
                 "label": ", ".join(atoms)}
-    if isinstance(label, CQLabel):
-        atoms = list(map(text, label.cq.atoms))
-        evars = [v.name for v in label.cq.existential_vars]
+    if isinstance(label, BooleanCQ):
+        atoms = list(map(text, label.atoms))
+        evars = [v.name for v in label.existential_vars]
         shown = ", ".join(atoms)
         if evars:
             shown = f"exists {', '.join(evars)}. {shown}"
         return {"kind": "cq", "atoms": atoms, "evars": evars,
                 "label": shown}
-    rule = label.rule
+    rule = label
     body = list(map(text, rule.body))
     head = list(map(text, rule.head))
     evars = [v.name for v in getattr(rule, "existential_vars", ())]
@@ -256,7 +350,7 @@ def _reference_document(p, goal=None) -> dict:
     doc = {"schema_version": 1, "deriver": p.deriver(),
            "vertices": vertices, "edges": edges}
     if goal is not None:
-        obj = _reference_label(CQLabel(goal), _reference_atom)
+        obj = _reference_label(goal, _reference_atom)
         del obj["label"]
         doc["goal"] = obj
     return doc
@@ -308,17 +402,14 @@ def _cqs(draw):
 
 
 _LABELS = st.one_of(
-    st.builds(AtomLabel, _ATOMS),
-    st.builds(ConjLabel, _ATOM_TUPLES),
-    st.builds(CQLabel, _cqs()),
-    st.builds(lambda b, h, form, index, fn: RuleLabel(
-        SkolemRule(b, h, form, index, fn)), _ATOM_TUPLES, _ATOM_TUPLES,
-        st.sampled_from(NormalForm), st.integers(-3, 2 ** 40),
-        st.none() | _NAMES),
-    st.builds(lambda b, h, e: RuleLabel(TautRule(b, h, e)), _ATOM_TUPLES,
-              _ATOM_TUPLES, _VARS),
-    st.builds(lambda b, h, e, form: RuleLabel(Rule(b, h, e, form,
-                                                   frozenset())),
+    _ATOMS,
+    _ATOM_TUPLES,
+    _cqs(),
+    st.builds(SkolemRule, _ATOM_TUPLES, _ATOM_TUPLES,
+              st.sampled_from(NormalForm), st.integers(-3, 2 ** 40),
+              st.none() | _NAMES),
+    st.builds(TautRule, _ATOM_TUPLES, _ATOM_TUPLES, _VARS),
+    st.builds(lambda b, h, e, form: Rule(b, h, e, form, frozenset()),
               _ATOM_TUPLES, _ATOM_TUPLES, _VARS, st.sampled_from(NormalForm)))
 
 
@@ -364,7 +455,7 @@ def test_json_writer_reproduces_every_golden_file():
                                    [object()]])
 def test_json_writer_rejects_other_types(value):
     """A top-level value is a JSON scalar the document's own keys use."""
-    p = ProofGraph({0: AtomLabel(ConceptAtom("A", Const("a")))}, [])
+    p = ProofGraph({0: ConceptAtom("A", Const("a"))}, [])
     with pytest.raises(TypeError):
         proof_to_json(p, None, {"value": value})
 
@@ -384,7 +475,7 @@ def test_the_writer_formats_each_distinct_term_once(monkeypatch):
     terms = [Const("a")]
     for i in range(50):
         terms.append(SkolemTerm(f"f_{i % 3}", terms[-1]))
-    p = ProofGraph({i: AtomLabel(RoleAtom("r", s, t)) for i, (s, t)
+    p = ProofGraph({i: RoleAtom("r", s, t) for i, (s, t)
                     in enumerate(zip(terms, terms[1:]))}, [])
     assert proof_to_json(p) == _reference_json(p)
     assert sum(steps) == len(terms) - 1

@@ -2,6 +2,7 @@
 the least-match step, and the exact bounded search."""
 
 import functools
+import json
 import random
 import time
 from pathlib import Path
@@ -15,8 +16,8 @@ from hornexplain.compress import (CompressError, DecompressError, _Unfold,
                                   decompress, dllite_query_min_size,
                                   dp_min_tree, edge_key, el_cq_min_treesize,
                                   equality_free_fold, extract_witness, fold,
-                                  goal_tail_size, least_matches, refutes,
-                                  tree_query_min_treesize)
+                                  goal_tail_size, least_matches, least_proof,
+                                  refutes, tree_query_min_treesize)
 from hornexplain.deriver_cq import transform_cq_to_sk, transform_sk_to_cq
 from hornexplain.deriver_sk import (BudgetExceeded, Ticker,
                                     default_depth_ceiling, saturate_kb)
@@ -24,20 +25,22 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter,
                                     gen_sat, gen_sat_cq)
-from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, Fragment,
-                            RoleAtom, SkolemTerm, Var, atom_pred, atom_terms,
-                            is_tree_shaped, substitute_atom, term_key)
+from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const,
+                            Fragment, RoleAtom, SkolemTerm, Var, atom_pred,
+                            atom_terms, is_tree_shaped, substitute_atom,
+                            term_key)
 from hornexplain.matching import match_conjunction
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (AtomLabel, Measure, ProofEdge, ProofGraph,
-                                RuleLabel, _postorder, domain_size,
-                                ground_terms_of_label, proof_from_json,
-                                proof_size, proof_to_json, tree_size,
-                                validate_proof)
+from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
+                                _postorder, domain_size,
+                                ground_terms_of_label, measure,
+                                proof_from_json, proof_size, proof_to_json,
+                                tree_size, validate_proof)
 from hornexplain import search as search_module
 from hornexplain.search import (RunConfig, SearchBudget, _reaches,
                                 bounded_search, bounded_search_cq, explain)
 from test_chase import _query_into, _random_kb, _random_query
+from test_tooling import _EL_TIES
 
 
 _INF = float("inf")
@@ -46,7 +49,7 @@ _INF = float("inf")
 def _min_tree(structure, goal_label):
     """The tree-size DP's value for one label and its chosen-edge witness."""
     values, chosen = dp_min_tree(structure)
-    vid = structure.label_ids[goal_label]
+    vid = structure.atom_ids[goal_label]
     return values[vid], extract_witness(structure, chosen, [vid])
 
 
@@ -81,7 +84,7 @@ def _premise_combos(structure, premises, members):
     atom vertex: a copy already in the proof, or the next new one."""
     combos = [()]
     for vid in premises:
-        if isinstance(structure.vertices[vid], RuleLabel):
+        if isinstance(structure.vertices[vid], RULE_TYPES):
             opts = [(vid, 0)]
         else:
             opts = [(vid, k) for k in range(2) if (vid, k) in members]
@@ -139,7 +142,7 @@ def _duplicate_tolerant_min(structure, q, kind, strict_cg=False):
         else 0
     best = _INF
     for sigma in match_conjunction(q.atoms, structure.index):
-        targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+        targets = [structure.atom_ids[substitute_atom(a, sigma)]
                    for a in q.atoms]
         total = tail
         if kind is Measure.TREE_SIZE:
@@ -169,7 +172,7 @@ def test_min_size_on_an_inclusion_chain():
     for n in (1, 2, 3, 4):
         kb = _chain_kb(n)
         structure = saturate_kb(kb, 0)
-        goal = AtomLabel(ConceptAtom(f"P_{n}", Const("c")))
+        goal = ConceptAtom(f"P_{n}", Const("c"))
         _, witness = _min_tree(structure, goal)
         assert proof_size(witness) == 2 * n + 1
         # brute force agreement
@@ -181,7 +184,7 @@ def test_min_size_on_an_inclusion_chain():
 def test_min_size_of_a_leaf_is_one():
     kb = _chain_kb(1)
     structure = saturate_kb(kb, 0)
-    goal = AtomLabel(ConceptAtom("P_0", Const("c")))
+    goal = ConceptAtom("P_0", Const("c"))
     _, witness = _min_tree(structure, goal)
     assert proof_size(witness) == 1
 
@@ -192,7 +195,7 @@ def test_min_size_prefers_the_short_route():
                   "rule: M(x) -> B(x)\n"
                   "fact: A(a)\n")
     structure = saturate_kb(kb, 0)
-    goal = AtomLabel(ConceptAtom("B", Const("a")))
+    goal = ConceptAtom("B", Const("a"))
     _, witness = _min_tree(structure, goal)
     assert proof_size(witness) == 3  # fact, one rule, one derived atom
 
@@ -203,7 +206,7 @@ def test_min_tree_size_counts_shared_premises_twice():
                   "rule: L(x), R(x) -> B(x)\n"
                   "fact: A(a)\n")
     structure = saturate_kb(kb, 0)
-    goal = AtomLabel(ConceptAtom("B", Const("a")))
+    goal = ConceptAtom("B", Const("a"))
     value, witness = _min_tree(structure, goal)
     assert value == tree_size(witness) == 8
     assert proof_size(witness) == 7  # the shared fact is one vertex
@@ -215,7 +218,7 @@ def test_min_tree_size_doubles_on_the_fact_chain():
     for n in (1, 2, 3, 60, 300):
         inst = gen_el_abox(n)
         structure = saturate_kb(inst.kb, 0)
-        goal = AtomLabel(inst.query.atoms[0])
+        goal = inst.query.atoms[0]
         value, witness = _min_tree(structure, goal)
         assert value == 9 * 2 ** n - 8
         assert tree_size(witness) == value
@@ -224,7 +227,7 @@ def test_min_tree_size_doubles_on_the_fact_chain():
 def test_min_tree_size_of_a_leaf_is_one():
     kb = _chain_kb(1)
     structure = saturate_kb(kb, 0)
-    goal = AtomLabel(ConceptAtom("P_0", Const("c")))
+    goal = ConceptAtom("P_0", Const("c"))
     value, witness = _min_tree(structure, goal)
     assert value == 1 and proof_size(witness) == 1
 
@@ -293,13 +296,13 @@ def test_decompress_chain_of_witnesses():
     q = BooleanCQ((ConceptAtom("C", Var("y")),), (Var("y"),))
     comp = compress_el(kb)
     values, chosen = dp_min_tree(comp.structure)
-    goal = AtomLabel(ConceptAtom("C", Const("c_f_0")))
+    goal = ConceptAtom("C", Const("c_f_0"))
     value, witness = _min_tree(comp.structure, goal)
     real = decompress(comp, kb, q, values, chosen,
                       [{Var("y"): Const("c_f_0")}])
     ok, problems = validate_proof(real, kb, q, "sk")
     assert ok, problems
-    assert AtomLabel(ConceptAtom("C", SkolemTerm("f_0", Const("a")))) \
+    assert ConceptAtom("C", SkolemTerm("f_0", Const("a"))) \
         in real.vertices.values()
     assert proof_size(real) == proof_size(witness) + goal_tail_size(q)
     assert tree_size(real) == tree_size(witness) + goal_tail_size(q) \
@@ -310,7 +313,7 @@ def test_decompress_without_fresh_names_is_identity_shaped():
     inst = gen_el_abox(1)
     comp = compress_el(inst.kb)
     values, chosen = dp_min_tree(comp.structure)
-    goal = AtomLabel(inst.query.atoms[0])
+    goal = inst.query.atoms[0]
     _, witness = _min_tree(comp.structure, goal)
     real = decompress(comp, inst.kb, inst.query, values, chosen, [{}])
     assert {str(l) for l in real.vertices.values()} \
@@ -407,7 +410,7 @@ def test_tree_query_tie_break_is_deterministic():
     assert _least_matches(kb, q) == [{Var("x"): Const("c1")},
                                      {Var("x"): Const("c2")}]
     assert proof_to_json(proof1, q) == proof_to_json(proof2, q)
-    assert AtomLabel(ConceptAtom("A", Const("c1"))) in proof1.vertices.values()
+    assert ConceptAtom("A", Const("c1")) in proof1.vertices.values()
 
 
 def test_tree_query_rejects_cyclic_queries():
@@ -635,7 +638,7 @@ def test_el_cq_iq_reduces_to_the_dp():
     inst = gen_el_tree(2)
     proof = el_cq_min_treesize(inst.kb, inst.query)
     comp = compress_el(inst.kb)
-    goal = AtomLabel(inst.query.atoms[0])
+    goal = inst.query.atoms[0]
     value, _ = _min_tree(comp.structure, goal)
     assert tree_size(proof) == value == 32
 
@@ -660,7 +663,7 @@ def _realized_witness(kb, q):
                             Ticker(max_atoms=500_000))
     values, chosen = dp_min_tree(structure)
     sigma = _rank_matches(structure, values, q)[0][1]
-    targets = [structure.label_ids[AtomLabel(substitute_atom(a, sigma))]
+    targets = [structure.atom_ids[substitute_atom(a, sigma)]
                for a in q.atoms]
     return extract_witness(structure, chosen, targets, q)
 
@@ -668,7 +671,8 @@ def _realized_witness(kb, q):
 def test_the_unfolding_agrees_with_the_realization_and_the_search():
     """The polynomial routes' tree size equals the frozen realization's and
     the exact search's, on the generators and on random EL and DL-Lite
-    knowledge bases, and every proof validates."""
+    knowledge bases, every proof validates, and the value the route gives
+    is its proof's tree size."""
     cases = [gen_el_tree(n) for n in range(1, 9)]
     cases += [gen_el_abox(n) for n in (1, 3, 6)]
     cases += [gen_dllite_chain(n) for n in (0, 2, 5)]
@@ -680,15 +684,17 @@ def test_the_unfolding_agrees_with_the_realization_and_the_search():
             cases.append((kb, _query_into(rng, saturate_kb(
                 kb, rng.randint(0, 2)))))
     for case, (kb, q) in enumerate(cases):
-        run, _ = search_module._poly_route(kb, q, Measure.TREE_SIZE)
-        proof = run(kb, q, False, Ticker(max_seconds=60))
+        compress, _ = search_module._poly_route(kb, q, Measure.TREE_SIZE)
+        proof, value = least_proof(compress, kb, q, False,
+                                   Ticker(max_seconds=60))
         realized = _realized_witness(kb, q)
         for p in (proof, realized):
             ok, problems = validate_proof(p, kb, q, "sk")
             assert ok, (case, problems)
         exact = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
         assert exact.complete, case
-        assert tree_size(proof) == tree_size(realized) == exact.value, case
+        assert value == tree_size(proof) == tree_size(realized) \
+            == exact.value, case
 
 
 _UNDERESTIMATING_FOLD = ("rule: A(x) -> exists y. r(x,y), B(y)\n"
@@ -715,6 +721,47 @@ def test_the_el_route_leaves_an_underestimating_fold_to_the_search():
     assert result.warnings
     ok, problems = validate_proof(result.proof, kb, q, "sk")
     assert ok, problems
+
+
+def test_a_polynomial_routes_value_is_its_proofs_measure():
+    """explain takes a polynomial route's value from the route: under tree
+    size the least match's total plus the goal tail, under size the proof's
+    vertex count.  It is the proof's measure, on each family of the
+    benchmark's poly-tree deck (with the DL-Lite size route) and on every
+    golden file a route wrote, whose value it gives again."""
+    tree, size = Measure.TREE_SIZE, Measure.SIZE
+    cases = [(gen_dllite_chain(n), m) for n in (1, 5, 50) for m in (tree,
+                                                                   size)]
+    cases += [(gen_dllite_tree_query(1 + s % 3, s), m) for s in range(9)
+              for m in (tree, size)]
+    cases += [(gen_el_abox(n), tree) for n in (1, 20, 60)]
+    cases += [(gen_el_tree(n), tree) for n in (1, 5, 8)]
+    for inst, m in cases:
+        result = explain(inst.kb, inst.query, RunConfig(measure=m,
+                                                        algo="poly"))
+        assert result.algorithm.startswith("poly"), result.warnings
+        assert result.value == measure(result.proof, m).value
+
+    kbs = {"dllite-chain-5-": gen_dllite_chain(5).kb,
+           "dllite-tree-query-4-10-": gen_dllite_tree_query(4, 10).kb,
+           "el-ties-": parse_document(_EL_TIES).kb,
+           "el-tree-3-": gen_el_tree(3).kb}
+    checked = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        if not doc.get("algorithm", "").startswith("poly"):
+            continue
+        [kb] = [kb for prefix, kb in kbs.items()
+                if path.name.startswith(prefix)]
+        _, goal = proof_from_json(text)
+        m = Measure(doc["measure"])
+        result = explain(kb, goal, RunConfig(measure=m, algo="poly"))
+        assert (result.algorithm, result.value) \
+            == (doc["algorithm"], doc["value"]), path.name
+        assert result.value == measure(result.proof, m).value, path.name
+        checked += 1
+    assert checked == 5
 
 
 def test_the_fallback_search_spends_what_the_route_left():
@@ -782,7 +829,7 @@ class _ReferenceUnfold(_Unfold):
                 for a in q.atoms]
         terms = [atom_terms(a) for a in q.atoms]
         known = {t: c for ts, v in zip(terms, vids)
-                 for t, c in zip(ts, atom_terms(vertices[v].atom))
+                 for t, c in zip(ts, atom_terms(vertices[v]))
                  if isinstance(t, Const) or c.name not in self.fresh}
         stack = [self._unfold(None, [(None, None, terms, vids, known)])]
         reply, charge = None, self.ticker.charge
@@ -812,8 +859,8 @@ class _ReferenceUnfold(_Unfold):
     def _reference_step(self, idx):
         vertices = self.structure.vertices
         e = self.structure.edges[idx]
-        rule = vertices[e.premises[-1]].rule.index
-        head = self.heads[rule][atom_pred(vertices[e.conclusion].atom)]
+        rule = vertices[e.premises[-1]].index
+        head = self.heads[rule][atom_pred(vertices[e.conclusion])]
         return idx, head, self.bodies[rule], e.premises[:-1], {}
 
     def _unfold(self, key, steps):
@@ -837,7 +884,7 @@ class _ReferenceUnfold(_Unfold):
                 if got is None:
                     if premises[j] in structure.leaf_ids:
                         got = memo[pkey] = (
-                            structure.vertices[premises[j]].atom,
+                            structure.vertices[premises[j]],
                             premises[j], None, ())
                     else:
                         got = yield pkey
@@ -1210,7 +1257,7 @@ def test_strict_cg_adds_the_identity_tail():
 def test_goal_tail_size_counts_the_vertices_add_goal_tail_adds():
     a, b, x = ConceptAtom("A", Const("a")), ConceptAtom("B", Const("a")), \
         Var("x")
-    vertices = {0: AtomLabel(a), 1: AtomLabel(b)}
+    vertices = {0: a, 1: b}
     for goal in (BooleanCQ((a,), ()), BooleanCQ((a, b), ()),
                  BooleanCQ((ConceptAtom("A", x),), (x,)),
                  BooleanCQ((ConceptAtom("A", x), b), (x,))):
@@ -1235,7 +1282,7 @@ def test_saturation_keeps_the_cut_rule_applications_as_its_frontier(ex1):
     for premises in shallow.frontier:
         *atoms, rule = premises
         assert rule in shallow.leaf_ids
-        assert all(isinstance(shallow.vertices[p], AtomLabel) for p in atoms)
+        assert all(isinstance(shallow.vertices[p], ATOM_TYPES) for p in atoms)
     chain = saturate_kb(_chain_kb(3), 0)
     assert chain.complete and not chain.frontier
 
@@ -1661,6 +1708,33 @@ def test_a_proof_with_shuffled_ids_reassembles_to_the_same_json():
     for label, p, q in _emitted_sk_proofs():
         assert proof_to_json(_reassembled(_shuffled(p, rng)), q) \
             == proof_to_json(p, q), label
+
+
+def test_a_proof_with_shuffled_ids_translates_to_the_same_cq_json():
+    """The sk->cq translation reads a proof from its sink, so its cq proof
+    depends on neither the vertex ids nor the edge order."""
+    rng = random.Random(20261021)
+    cases = [(inst.kb, inst.query) for inst in (
+        gen_el_tree(3), gen_dllite_chain(6), gen_el_abox(8),
+        gen_hornalc_counter(1), gen_dllite_tree_query(4, seed=10))]
+    while len(cases) < 150:
+        kb = _random_kb(rng)
+        cases.append((kb, _query_into(rng, saturate_kb(kb,
+                                                       rng.randint(0, 2)))))
+    translated = 0
+    for case, (kb, q) in enumerate(cases):
+        for m in (Measure.SIZE, Measure.TREE_SIZE):
+            result = explain(kb, q, RunConfig(measure=m, max_nodes=20_000,
+                                              max_seconds=5))
+            if result.status != "found":
+                continue
+            cq = proof_to_json(transform_sk_to_cq(result.proof, kb), q)
+            for _ in range(3):
+                shuffled = _shuffled(result.proof, rng)
+                assert proof_to_json(transform_sk_to_cq(shuffled, kb), q) \
+                    == cq, (case, m)
+            translated += 1
+    assert translated >= 150
 
 
 def test_the_golden_sk_proofs_are_numbered_in_postorder_from_their_sink():
