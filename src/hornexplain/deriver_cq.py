@@ -179,8 +179,9 @@ def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
     """
     removed = premise.atom_set - conclusion.atom_set
     new = conclusion.atom_set - premise.atom_set
-    added = list(new) if len(new) < 2 else [a for a in conclusion.atoms
-                                            if a in new]
+    # each atom once: a head pattern covers only one (see _match_added)
+    added = list(new) if len(new) < 2 else [
+        a for a in dict.fromkeys(conclusion.atoms) if a in new]
     evars = tuple(getattr(rule, "existential_vars", ()))
     # a tautology may copy a variable onto its own pi-image
     taken = None if isinstance(rule, TautRule) else premise.variables()
@@ -248,7 +249,7 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
         return {v: v for a in added for v in atom_vars(a)}
     # only a pattern of its predicate can map onto an added atom
     rigid = {**pi, **{v: v for v in evars}}
-    patterns: dict[tuple, list[Atom]] = {}
+    patterns: dict[tuple, list[Optional[Atom]]] = {}
     for h in head:
         pattern = substitute_atom(h, rigid)
         patterns.setdefault(atom_pred(pattern), []).append(pattern)
@@ -258,47 +259,58 @@ def _match_added(added: list[Atom], head: tuple[Atom, ...],
     # the existential variables' images, kept apart unless taken is None
     images: set[Term] = set()
 
-    def bind(pattern: Atom, target: Atom
-             ) -> Optional[tuple[dict[Var, Term], set[Term]]]:
-        """The bindings that mapping the pattern onto the target adds to
-        the assignment, with the existential variables' images among them,
-        or None when it cannot or they are inadmissible.  Only they are
-        checked: the assignment's own are admissible."""
-        new: dict[Var, Term] = {}
-        for p, g in zip(atom_terms(pattern), atom_terms(target)):
-            if not bind_term(p, g, assignment, new):
-                return None
-        fresh: set[Term] = set()
-        for k, t in new.items():
-            if k not in flexible:
-                if t != k:
-                    return None
-                continue
-            if not isinstance(t, Var) or taken is not None and (
-                    t in fresh or t in images or t in taken):
-                return None
-            fresh.add(t)
-        return new, fresh
-
     def backtrack(i: int) -> bool:
         if i == len(added):
             return True
         target = added[i]
-        for pattern in patterns.get(atom_pred(target), ()):
-            bound = bind(pattern, target)
+        candidates = patterns.get(atom_pred(target), [])
+        for j, pattern in enumerate(candidates):
+            if pattern is None:
+                continue
+            bound = _bind_head(pattern, target, assignment, images,
+                               flexible, taken)
             if bound is None:
                 continue
             new, fresh = bound
             assignment.update(new)
             images.update(fresh)
+            # a pattern that covers an atom maps onto that atom only, so no
+            # later added atom tries it
+            candidates[j] = None
             if backtrack(i + 1):
                 return True
+            candidates[j] = pattern
             for k in new:
                 del assignment[k]
             images.difference_update(fresh)
         return False
 
     return assignment if backtrack(0) else None
+
+
+def _bind_head(pattern: Atom, target: Atom, assignment: dict[Var, Term],
+               images: set[Term], flexible: frozenset[Var],
+               taken: Optional[frozenset[Var]]
+               ) -> Optional[tuple[dict[Var, Term], set[Term]]]:
+    """The bindings that mapping the head pattern onto the added atom adds
+    to the assignment, with the existential variables' images among them,
+    or None when it cannot or they are inadmissible.  Only they are
+    checked: the assignment's own are admissible."""
+    new: dict[Var, Term] = {}
+    for p, g in zip(atom_terms(pattern), atom_terms(target)):
+        if not bind_term(p, g, assignment, new):
+            return None
+    fresh: set[Term] = set()
+    for k, t in new.items():
+        if k not in flexible:
+            if t != k:
+                return None
+            continue
+        if not isinstance(t, Var) or taken is not None and (
+                t in fresh or t in images or t in taken):
+            return None
+        fresh.add(t)
+    return new, fresh
 
 
 def _check_mpe(premises, conclusion, kb) -> Optional[str]:

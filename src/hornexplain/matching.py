@@ -20,22 +20,28 @@ into substitutions, in list order, so results come out in a fixed order.
 A caller's ``prune`` callback can cut a branch after any step; the search
 uses it for branch-and-bound over query matches.
 
-A step re-plans only the patterns it touches.  A pattern's plan (its list,
-checks and score) depends on the bindings only through its unbound
-variables: the top-level ones and the innermost variable of each Skolem
-term over an unbound variable.  So a plan stays valid until a step binds
-one of them, and every other plan is handed down to the next step as it
-is.
+A step visits only the patterns that share a variable it binds.  A
+pattern's plan (its list, checks and score) depends on the bindings only
+through its unbound variables: the top-level ones and the innermost
+variable of each Skolem term over an unbound variable.  So a plan stays
+valid until a step binds one of them.  Each call indexes the patterns by
+their variables once; below a step, only the patterns the index lists
+under the variables the step binds are re-planned, and the best pattern
+is one ``min`` over a list of scores.  The bindings, plans and scores are
+one mutable state: a step keeps on a trail the plans it lets its children
+replace and puts them back when it is done, and each match is yielded as
+a copy of the bindings.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .kb import (Atom, SkolemTerm, Term, Var, atom_key, atom_pred,
-                 atom_terms, substitute_term)
+                 atom_terms, atom_vars, substitute_term)
 
 
 def _insert(entry: tuple[list[Atom], list[tuple]], atom: Atom,
@@ -167,8 +173,8 @@ def _resolve(t: Term, subst: Mapping[Var, Term]) -> Optional[Term]:
 # A check is (position, ground value or None, pattern term): a ground value
 # is compared, otherwise the pattern term is bound against the candidate.
 _Check = tuple[int, Optional[Term], Term]
-# A plan is (score, candidate list, checks, unbound variables).
-_Plan = tuple[int, Sequence[Atom], list[_Check], list[Var]]
+# the score of a matched pattern, above every other
+_DONE = sys.maxsize
 
 
 def _plan(pred: tuple, terms: tuple[Term, ...], index: AtomIndex,
@@ -225,80 +231,97 @@ def _accepts(checks: list[_Check], ground: Atom, subst: Mapping[Var, Term],
 
 def match_conjunction(patterns: Sequence[Atom], index: AtomIndex,
                       subst: Optional[Mapping[Var, Term]] = None,
-                      prune: Optional[Callable[[list[Optional[Atom]]], bool]]
-                      = None) -> Iterator[dict[Var, Term]]:
+                      prune: Optional[Callable[[list[Optional[Atom]],
+                                                list[int]], bool]] = None
+                      ) -> Iterator[dict[Var, Term]]:
     """All homomorphisms of the pattern conjunction into the indexed atoms.
 
     Each yielded substitution is a fresh dict extending ``subst``.
 
     ``prune`` is asked after each step that binds a pattern while patterns
     remain, with the ground atoms matched so far by pattern position
-    (``None`` where a pattern is unmatched); a true answer cuts that branch.
-    The other branches yield what they would without ``prune``, in the same
-    order.
+    (``None`` where a pattern is unmatched) and the positions in the order
+    the steps matched them; a true answer cuts that branch.  Both lists are
+    the matcher's own and change as it goes on.  The other branches yield
+    what they would without ``prune``, in the same order.
     """
-    base = dict(subst) if subst else {}
-    prepared = [(pos, atom_pred(p), atom_terms(p))
-                for pos, p in enumerate(patterns)]
-    matched: list[Optional[Atom]] = \
-        [None] * len(patterns) if prune is not None else []
+    current = dict(subst) if subst else {}
+    n = len(patterns)
+    if not n:
+        yield current
+        return
+    preds = [atom_pred(p) for p in patterns]
+    terms = [atom_terms(p) for p in patterns]
+    # each variable's patterns, by position
+    sharing: dict[Var, list[int]] = {}
+    for pos, p in enumerate(patterns):
+        for v in atom_vars(p):
+            sharing.setdefault(v, []).append(pos)
+    # each unmatched pattern's plan (candidates, checks, unbound variables)
+    # and score; a matched one scores _DONE
+    plans: list = [None] * n
+    scores = [0] * n
+    matched: list[Optional[Atom]] = [None] * n if prune is not None else []
+    order: list[int] = []
 
-    def extend(remaining: list[tuple[int, tuple, tuple[Term, ...]]],
-               kept: list[Optional[_Plan]], current: dict[Var, Term]
-               ) -> Iterator[dict[Var, Term]]:
-        if not remaining:
-            yield current
-            return
-        # most constrained first: fewest unifiers under current bindings
-        plans: list[_Plan] = []
-        best = None
-        for i, (_, pred, terms) in enumerate(remaining):
-            plan = kept[i]
-            if plan is None:
-                source, checks, exact, free = _plan(pred, terms, index,
-                                                    current)
-                score = len(source) if exact else sum(
-                    1 for ground in source
-                    if _accepts(checks, ground, current, {}))
-                if score == 0:
-                    return
-                plan = (score, source, checks, free)
-            plans.append(plan)
-            if best is None or plan[0] < best[0]:
-                best, idx = plan, i
-        _, source, checks, free = best
+    def extend(stale: Sequence[int], left: int) -> Iterator[dict[Var, Term]]:
+        for pos in stale:
+            source, checks, exact, free = _plan(preds[pos], terms[pos], index,
+                                                current)
+            score = len(source) if exact else sum(
+                1 for ground in source
+                if _accepts(checks, ground, current, {}))
+            if score == 0:
+                return
+            plans[pos] = (source, checks, free)
+            scores[pos] = score
+        # most constrained first: fewest unifiers, then lowest position
+        pos = scores.index(min(scores))
+        source, checks, free = plans[pos]
         hits = []
         for ground in source:
             new: dict[Var, Term] = {}
             if _accepts(checks, ground, current, new):
                 hits.append((ground, new))
-        pos = remaining[idx][0]
-        rest = remaining[:idx] + remaining[idx + 1:]
-        if rest:
-            # every hit binds exactly ``free``: the plans that mention none
-            # of those variables are the same under each extension; the
-            # children only read this list
-            del plans[idx]
-            if free:
-                bound = set(free)
-                plans = [p if bound.isdisjoint(p[3]) else None
-                         for p in plans]
-        ask = prune is not None and bool(rest)
+        left -= 1
+        if not left:
+            for _, new in hits:
+                yield {**current, **new}
+            return
+        # every hit binds exactly ``free``, so below this step only the
+        # patterns that share one of those variables are re-planned; the
+        # trail keeps their plans here for the steps above
+        score, scores[pos] = scores[pos], _DONE
+        if len(free) == 1:
+            touched = [p for p in sharing[free[0]] if p != pos]
+        else:
+            touched = sorted({p for v in free for p in sharing[v]} - {pos})
+        trail = [(p, plans[p], scores[p]) for p in touched]
+        if prune is not None:
+            order.append(pos)
         for ground, new in hits:
-            if ask:
+            if prune is not None:
                 matched[pos] = ground
-                if prune(matched):
+                if prune(matched, order):
                     continue
-            ext = dict(current)
-            ext.update(new)
-            if rest:
-                yield from extend(rest, plans, ext)
-            else:
-                yield ext
-        if ask:
+            current.update(new)
+            yield from extend(touched, left)
+            for v in new:
+                del current[v]
+        if prune is not None:
             matched[pos] = None
+            order.pop()
+        for p, plan, s in trail:
+            plans[p] = plan
+            scores[p] = s
+        scores[pos] = score
 
-    yield from extend(prepared, [None] * len(prepared), base)
+    try:
+        yield from extend(range(n), n)
+    finally:
+        # ``extend`` refers to itself: drop it here, so that its state goes
+        # when the match ends and not at the cyclic collector's next pass
+        del extend
 
 
 def unifiers(pattern: Atom, index: AtomIndex, subst: Mapping[Var, Term]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .chase import _chase_verdict
 from .compress import (CompressError, CompressedStructure, DecompressError,
@@ -380,6 +380,35 @@ def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
     return False
 
 
+def _path_tally(items: Callable[[Atom], Iterable]
+                ) -> Callable[[list[Optional[Atom]], list[int]], int]:
+    """For the matcher's ``prune`` questions, the number of distinct items
+    of the atoms on its current path: each step's items are counted in
+    when it is asked about and out when the matcher has left it."""
+    counts: dict = {}
+    path: list = []      # the items of each step's atom, in step order
+
+    def tally(matched: list[Optional[Atom]], order: list[int]) -> int:
+        depth = len(order)
+        while len(path) >= depth:
+            for x in path.pop():
+                c = counts[x]
+                if c == 1:
+                    del counts[x]
+                else:
+                    counts[x] = c - 1
+        # the steps not asked about yet: the newest, and at the first
+        # question its ancestors too
+        while len(path) < depth:
+            xs = items(matched[order[len(path)]])
+            for x in xs:
+                counts[x] = counts.get(x, 0) + 1
+            path.append(xs)
+        return len(counts)
+
+    return tally
+
+
 def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
                      structure: FiniteStructure, strict_cg: bool,
                      ticker: Ticker,
@@ -420,26 +449,25 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     # branch-and-bound over the matches: each matched atom adds cost that
     # no later choice removes, so a partial match whose lower bound reaches
     # the cap holds no match that could replace the best
-    def prune(matched: list[Optional[Atom]]) -> bool:
+    if budget.measure is Measure.SIZE:
+        tally, floor = _path_tally(lambda a: (a,)), tail_count
+    else:
+        # each atom's terms, computed once per depth
+        terms_memo: dict[Atom, set[Term]] = {}
+
+        def terms_of(a: Atom) -> set[Term]:
+            terms = terms_memo.get(a)
+            if terms is None:
+                terms = terms_memo[a] = ground_terms_of_label(a)
+            return terms
+        tally, floor = _path_tally(terms_of), 0
+
+    def prune(matched: list[Optional[Atom]], order: list[int]) -> bool:
         cap = min(limit, best_value)
         if cap == _INF:
             return False
         ticker.tick()
-        atoms = [a for a in matched if a is not None]
-        if budget.measure is Measure.SIZE:
-            lower = tail_count + len(set(atoms))
-        else:
-            lower = len(set().union(*map(terms_of, atoms)))
-        return lower >= cap
-
-    # each atom's terms, computed once per depth
-    terms_memo: dict[Atom, set[Term]] = {}
-
-    def terms_of(a: Atom) -> set[Term]:
-        terms = terms_memo.get(a)
-        if terms is None:
-            terms = terms_memo[a] = ground_terms_of_label(a)
-        return terms
+        return floor + tally(matched, order) >= cap
 
     try:
         for sigma in match_conjunction(q.atoms, structure.index, prune=prune):
@@ -478,15 +506,19 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
     limit = budget.bound + 1 if budget.bound is not None else _INF
     tail = 1 if q.existential_vars else 0
 
-    def prune(matched: list[Optional[Atom]]) -> bool:
+    tally = _path_tally(lambda a: (a,))
+
+    def prune(matched: list[Optional[Atom]], order: list[int]) -> bool:
         # the Ce chain over the distinct atoms matched so far, and a final
-        # step whenever the goal has variables
+        # step whenever the goal has variables: the tautology's two once an
+        # atom repeats, since the whole match then repeats it too
         cap = min(best[0], limit) if best else limit
         if cap == _INF:
             return False
         ticker.tick()
-        distinct = len({a for a in matched if a is not None})
-        return 2 * distinct - 1 + tail >= cap
+        distinct = tally(matched, order)
+        return 2 * distinct - 1 + (
+            2 if distinct < len(order) else tail) >= cap
 
     try:
         for sigma in match_conjunction(q.atoms, index, prune=prune):

@@ -403,7 +403,7 @@ def test_the_checker_agrees_with_its_frozen_copy_on_the_golden_files():
         for step in _mpe_steps(p):
             assert _same_analysis(*step) is not None
         names.append(path.name)
-    assert len(names) == 14
+    assert len(names) == 18
 
 
 def _load_workloads():

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import EX1_TEXT
+from hornexplain import deriver_cq
 from hornexplain.deriver_cq import (TransformError, _collect_steps, _Step,
                                     analyze_mpe, check_edge_labels,
                                     conjunction_chain, ee_apply, mpe_apply,
@@ -505,6 +506,46 @@ def test_analyze_mpe_agrees_with_matching_into_the_whole_premise():
         "repeated body predicates",
         "removed atom outside the body's predicates",
         "two removed atoms of one predicate"}, cases
+
+
+
+def test_a_tautology_step_tries_one_head_pattern_per_added_atom(
+        monkeypatch):
+    """The tautology step of a SAT-cq proof adds every goal atom, and none
+    of them backtracks: each tries only the head pattern it binds, through
+    the checker and through the translation to the sk calculus.  A head
+    pattern that covers an added atom maps onto that atom only, and trying
+    it again for each later atom of its predicate made the number of
+    attempts grow with the square of the goal's length."""
+    calls = collections.Counter()
+    bind, analyze = deriver_cq._bind_head, deriver_cq.analyze_mpe
+
+    def counted_bind(*args):
+        calls["attempts"] += 1
+        return bind(*args)
+
+    def counted_analyze(premise, rule, conclusion):
+        calls["added"] += len(conclusion.atom_set - premise.atom_set)
+        return analyze(premise, rule, conclusion)
+
+    monkeypatch.setattr(deriver_cq, "_bind_head", counted_bind)
+    monkeypatch.setattr(deriver_cq, "analyze_mpe", counted_analyze)
+    for clauses in ([[1, -2], [2, 3], [-1, -3]],
+                    [[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]]):
+        inst = gen_sat_cq(clauses)
+        result = explain(inst.kb, inst.query,
+                         RunConfig(measure=Measure.TREE_SIZE,
+                                   bound=inst.bounds["cq_tree"],
+                                   deriver="cq"))
+        assert any(isinstance(v, TautRule)
+                   for v in result.proof.vertices.values())
+        for run in (lambda: validate_proof(result.proof, inst.kb,
+                                           inst.query, "cq")[0],
+                    lambda: transform_cq_to_sk(result.proof, inst.kb)):
+            calls.clear()
+            assert run()
+            assert calls["attempts"] == calls["added"] == \
+                len(inst.query.atoms)
 
 
 _SAT_CQ = gen_sat_cq([[1, -2], [2, 3], [-1, -3]])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hornexplain import matching
-from hornexplain.generators import gen_sat
+from hornexplain.generators import gen_sat, gen_sat_cq
 from hornexplain.kb import (ConceptAtom, Const, EqAtom, RoleAtom, SkolemTerm,
                             Var, atom_key, atom_pred, atom_vars,
                             substitute_atom)
@@ -162,8 +162,8 @@ def test_index_lists_stay_in_key_order():
 def _scan_pruned(patterns, index, cut, calls):
     """The bucket-scan reference that asks ``cut`` after each step that
     leaves a pattern unmatched, with the atoms bound on the path to it, and
-    records each question in ``calls``."""
-    def extend(remaining, current, path):
+    records each question in ``calls`` with the positions in step order."""
+    def extend(remaining, current, path, steps):
         if not remaining:
             yield current
             return
@@ -177,12 +177,13 @@ def _scan_pruned(patterns, index, cut, calls):
             here = list(path)
             here[pos] = ground
             if rest:
-                calls.append(here)
+                calls.append((here, steps + [pos]))
                 if cut(here):
                     continue
-            yield from extend(rest, ext, here)
+            yield from extend(rest, ext, here, steps + [pos])
 
-    yield from extend(list(enumerate(patterns)), {}, [None] * len(patterns))
+    yield from extend(list(enumerate(patterns)), {}, [None] * len(patterns),
+                      [])
 
 
 def _keyed_cut(salt, modulus):
@@ -201,8 +202,8 @@ def test_prune_cuts_exactly_the_branches_the_bucket_scan_cuts(
     cut = _keyed_cut(salt, modulus)
     asked = []
 
-    def prune(matched):
-        asked.append(list(matched))
+    def prune(matched, order):
+        asked.append((list(matched), list(order)))
         return cut(matched)
 
     want_asked = []
@@ -269,15 +270,17 @@ def _long_cases(draw):
 
 def _agree(patterns, facts, cut):
     """The first 200 substitutions of the matcher and the bucket scan; with
-    ``cut``, the prune questions too."""
+    ``cut``, the prune questions too.  Each substitution the matcher yields
+    is then overwritten and grown, so a binding that it shared with the
+    matcher's own state would show in what comes after."""
     index, scan = AtomIndex(facts), _ScanIndex(facts)
     asked, want_asked = [], []
     if cut is None:
         got = match_conjunction(patterns, index)
         want = _scan_match(patterns, scan)
     else:
-        def prune(matched):
-            asked.append(list(matched))
+        def prune(matched, order):
+            asked.append((list(matched), list(order)))
             return cut(matched)
         got = match_conjunction(patterns, index, prune=prune)
         want = _scan_pruned(patterns, scan, cut, want_asked)
@@ -288,6 +291,9 @@ def _agree(patterns, facts, cut):
         assert asked == want_asked
         if g is None:
             break
+        for v in list(g):
+            g[v] = Const("mutated")
+        g[Var("mutated")] = Const("mutated")
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,4 +338,32 @@ def test_sat_search_plans_each_pattern_once_per_binding(
                      RunConfig(measure=measure, bound=inst.bounds[key],
                                algo="exact"))
     assert (result.status, result.value) == (status, value)
+    assert len(calls) == plans
+
+
+@pytest.mark.parametrize("clauses, status, value, nodes, plans", [
+    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], "found", 39, 557, 260),
+    ([[1, 2], [-1, 2], [1, -2], [-1, -2]], "none", None, 210, 151),
+])
+def test_sat_cq_search_counts_its_nodes_and_plans(
+        monkeypatch, clauses, status, value, nodes, plans):
+    """The query-level search on the SAT reduction at its stated tree-size
+    bound.  Before its bound counted the tautology finish of a partial
+    match that repeats an atom, it took 940 / 210 nodes and made 391 / 151
+    plans here; a change to these counts must say why."""
+    calls = []
+    plan = matching._plan
+
+    def counted(*args):
+        calls.append(None)
+        return plan(*args)
+
+    monkeypatch.setattr(matching, "_plan", counted)
+    inst = gen_sat_cq(clauses)
+    result = explain(inst.kb, inst.query,
+                     RunConfig(measure=Measure.TREE_SIZE,
+                               bound=inst.bounds["cq_tree"], algo="exact",
+                               deriver="cq"))
+    assert (result.status, result.value, result.nodes) == \
+        (status, value, nodes)
     assert len(calls) == plans

@@ -29,7 +29,7 @@ from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const,
                             Fragment, RoleAtom, SkolemTerm, Var, atom_pred,
                             atom_terms, is_tree_shaped, substitute_atom,
                             term_key)
-from hornexplain.matching import match_conjunction
+from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
                                 _postorder, domain_size,
@@ -353,7 +353,7 @@ def _enumerated_at_depth(q, budget, structure, strict_cg, ticker,
     best = [incoming_best, None, None]
     values = chosen = None
 
-    def prune(matched):
+    def prune(matched, order):
         cap = min(limit, best[0])
         if cap == _INF or values is None:
             return False
@@ -1745,3 +1745,108 @@ def test_the_golden_sk_proofs_are_numbered_in_postorder_from_their_sink():
             assert _in_postorder(p), path.name
             checked += 1
     assert checked >= 10
+
+
+def _frozen_bounded_search_cq(kb, q, budget):
+    """Frozen reference: ``bounded_search_cq`` on a rule-free knowledge base
+    as it was before its bound counted the tautology finish, with one final
+    step after the Ce chain whatever the partial match repeats."""
+    ticker = budget.ticker()
+    index = AtomIndex(kb.abox)
+    best = None
+    limit = budget.bound + 1 if budget.bound is not None else _INF
+    tail = 1 if q.existential_vars else 0
+
+    def prune(matched, order):
+        cap = min(best[0], limit) if best else limit
+        if cap == _INF:
+            return False
+        ticker.tick()
+        distinct = len({a for a in matched if a is not None})
+        return 2 * distinct - 1 + tail >= cap
+
+    for sigma in match_conjunction(q.atoms, index, prune=prune):
+        ticker.tick()
+        grounds = [substitute_atom(a, sigma) for a in q.atoms]
+        distinct = list(dict.fromkeys(grounds))
+        use_taut = len(distinct) < len(grounds)
+        value = 2 * len(distinct) - 1 + (
+            2 if use_taut else bool(q.existential_vars))
+        if value < (best[0] if best else limit) and value < limit:
+            best = (value, sigma, use_taut)
+    if best is None:
+        return search_module._result(budget, ticker, "none", complete=True)
+    value, sigma, use_taut = best
+    proof = search_module._assemble_cq(q, sigma, use_taut)
+    got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
+        else proof_size(proof)
+    return search_module._result(budget, ticker, "found", proof, got, True)
+
+
+def _repeating_query_case(rng):
+    """A rule-free knowledge base over a, b and c, and a query of 2-5 atoms
+    over A, B and r, so that matches often repeat an atom."""
+    terms = ["a", "b", "c"]
+    lines = []
+    for _ in range(rng.randint(1, 7)):
+        if rng.random() < 0.4:
+            lines.append(f"fact: {rng.choice('AB')}({rng.choice(terms)})")
+        else:
+            lines.append(f"fact: r({rng.choice(terms)},{rng.choice(terms)})")
+    names = ["x", "y", "z"][:rng.randint(1, 3)]
+    pool = names * 2 + [rng.choice(terms)]
+    atoms = [f"{rng.choice('AB')}({rng.choice(pool)})" if rng.random() < 0.4
+             else f"r({rng.choice(pool)},{rng.choice(pool)})"
+             for _ in range(rng.randint(2, 5))]
+    used = [v for v in names if any(f"({v}" in a or f",{v})" in a
+                                    for a in atoms)]
+    prefix = f"exists {', '.join(used)}. " if used else ""
+    doc = parse_document("\n".join(dict.fromkeys(lines)) +
+                         f"\nquery: {prefix}{', '.join(atoms)}\n")
+    return doc.kb, doc.queries[0]
+
+
+def test_the_repeat_bound_changes_no_answer_and_adds_no_node():
+    """The query-level search's bound counts a tautology finish once a
+    partial match repeats an atom; against the frozen search without that,
+    on the SAT reduction over 3-4 variables (satisfiable and not) and on
+    random rule-free knowledge bases whose queries repeat predicates, with
+    and without a bound: the same status, value and proof bytes, and never
+    more nodes."""
+    rng = random.Random(20261028)
+    cases = []
+    # twelve satisfiable formulas and twelve unsatisfiable ones
+    left = {True: 12, False: 12}
+    while any(left.values()):
+        k = rng.randint(3, 4)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, k)
+                    for _ in range(rng.randint(1, 3))]
+                   for _ in range(rng.randint(2, 4))]
+        inst = gen_sat_cq(clauses)
+        verdict = brute_force_sat(map(frozenset, inst.bounds["clauses"]),
+                                  inst.bounds["k"])
+        if left[verdict]:
+            left[verdict] -= 1
+            cases.append((inst.kb, inst.query, inst.bounds["cq_tree"],
+                          verdict))
+    for _ in range(300):
+        kb, q = _repeating_query_case(rng)
+        cases.append((kb, q, rng.randint(2, 14), None))
+    fewer = 0
+    for case, (kb, q, bound, verdict) in enumerate(cases):
+        for m in (Measure.TREE_SIZE, Measure.SIZE):
+            for b in (None, bound):
+                budget = SearchBudget(m, b)
+                got = bounded_search_cq(kb, q, budget)
+                want = _frozen_bounded_search_cq(kb, q, budget)
+                assert (got.status, got.value, got.complete) == \
+                    (want.status, want.value, want.complete), case
+                if got.proof is not None:
+                    assert proof_to_json(got.proof, q) == \
+                        proof_to_json(want.proof, q), case
+                assert got.nodes <= want.nodes, case
+                fewer += got.nodes < want.nodes
+                if verdict is not None and b is not None \
+                        and m is Measure.TREE_SIZE:
+                    assert got.status == ("found" if verdict else "none")
+    assert fewer

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hornexplain.generators import gen_sat, gen_sat_cq
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -106,6 +108,10 @@ runpy.run_module("hornexplain.cli", run_name="__main__", alter_sys=True)
 """
 
 
+# The clauses of the SAT reduction's golden files
+_SAT_CLAUSES = [[1, -2], [2, 3], [-1, -3]]
+
+
 # An EL knowledge base whose query has two equally cheap matches in the
 # fold, z=b, x=a and z=a, x=b: the route takes the least assignment with the
 # variables in name order, so x=a, although z comes first in the query
@@ -132,7 +138,8 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     They cover the three measures on the running example, the sk->cq->sk
     round trip, the polynomial routes (el-tree 3 unfolds vertices with
     several real images; ``_EL_TIES`` pins the order of equally cheap
-    matches, on the EL route and in the exact search) and the cq search.
+    matches, on the EL route and in the exact search), the cq search, and
+    decision mode on the SAT reduction.
     With ``shift_addresses`` each run uses the system allocator and interns
     unrelated values first.
     """
@@ -157,7 +164,8 @@ def _cli_outputs(hash_seed: str, workdir: Path,
 
     out: dict[str, str] = {}
     sat = workdir / f"sat-{hash_seed}.kb"
-    run("gen", "sat", "3", "--clauses", "1 -2, 2 3, -1 -3", "-o", str(sat))
+    run("gen", "sat", "3", "--clauses",
+        ", ".join(" ".join(map(str, c)) for c in _SAT_CLAUSES), "-o", str(sat))
     out["sat.kb"] = sat.read_text()
     # el-tree has many equal-valued choices: an enumeration that followed
     # set order would pick a different one under another hash seed
@@ -180,6 +188,15 @@ def _cli_outputs(hash_seed: str, workdir: Path,
         "--to", "sk")
     explain("sat-size.json", sat, "--measure", "size")
     explain("sat-cq-tree.json", sat, "--deriver", "cq", "--measure", "tree")
+    # decision mode at the reductions' bounds and 3 above them: a loose
+    # bound still gets the least proof the search finds at its depth
+    for name, bound, args in (
+            ("sat-size", gen_sat(_SAT_CLAUSES).bounds["size"],
+             ("--measure", "size")),
+            ("sat-cq-tree", gen_sat_cq(_SAT_CLAUSES).bounds["cq_tree"],
+             ("--deriver", "cq", "--measure", "tree"))):
+        for b in (bound, bound + 3):
+            explain(f"{name}-bound-{b}.json", sat, *args, "--bound", str(b))
     explain("el-tree-3-size.json", tree, "--measure", "size")
     explain("el-tree-3-tree.json", tree, "--measure", "tree")
     explain("dllite-chain-5-tree.json", chain, "--measure", "tree")
