@@ -14,18 +14,17 @@ from .parser import (Document, KBSyntaxError, parse_document, parse_kb,
                      serialize_document)
 from .chase import (ChaseState, EntailmentResult, QueryMatch, chase,
                     entails, match_query)
-from .proofs import (Measure, MeasureValue, ProofGraph, Schema, TautRule,
-                     domain_size, measure, proof_from_json, proof_size,
-                     proof_to_dot, proof_to_json, tree_size, tree_unravel,
-                     validate_proof)
+from .proofs import (Measure, ProofGraph, Schema, TautRule, domain_size,
+                     measure, proof_from_json, proof_size, proof_to_dot,
+                     proof_to_json, tree_size, tree_unravel, validate_proof)
 from .deriver_sk import saturate_kb
 from .compress import (CompressedStructure, compress_dllite, compress_el,
                        decompress, dllite_query_min_size, el_cq_min_treesize,
                        tree_query_min_treesize)
 from .deriver_cq import (ee_apply, mpe_apply, te_rule, transform_cq_to_sk,
                          transform_sk_to_cq)
-from .search import (ExplainResult, RunConfig, SearchBudget,
-                     bounded_search, bounded_search_cq, explain)
+from .search import (ExplainResult, RunConfig, bounded_search,
+                     bounded_search_cq, explain)
 from .generators import (GeneratedInstance, brute_force_sat, gen_dllite_chain,
                          gen_dllite_tree_query, gen_el_abox, gen_el_tree,
                          gen_hornalc_counter, gen_sat, gen_sat_cq)

@@ -190,9 +190,6 @@ class Ticker:
         if self.work % 4096 == 1 and time.monotonic() > self.deadline:
             raise BudgetExceeded("time limit")
 
-    def seconds_left(self) -> float:
-        return max(0.0, self.deadline - time.monotonic())
-
 
 @dataclass
 class FiniteStructure:

@@ -47,12 +47,6 @@ class Measure(Enum):
     DOMAIN_SIZE = "domain"
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    measure: Measure
-    value: int
-
-
 # ---------------------------------------------------------------------------
 # Vertex labels
 # ---------------------------------------------------------------------------
@@ -219,14 +213,14 @@ def domain_size(p: ProofGraph) -> int:
     return len(terms)
 
 
-def measure(p: ProofGraph, m: Measure) -> MeasureValue:
+def measure(p: ProofGraph, m: Measure) -> int:
     if m is Measure.DOMAIN_SIZE and p.deriver() == "cq":
         raise ValueError("domain size is not defined for query-level proofs")
     if m is Measure.SIZE:
-        return MeasureValue(m, proof_size(p))
+        return proof_size(p)
     if m is Measure.TREE_SIZE:
-        return MeasureValue(m, tree_size(p))
-    return MeasureValue(m, domain_size(p))
+        return tree_size(p)
+    return domain_size(p)
 
 
 # ---------------------------------------------------------------------------

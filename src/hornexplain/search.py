@@ -13,7 +13,7 @@ ran out).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .chase import _chase_verdict
@@ -34,15 +34,27 @@ from .proofs import (Measure, ProofBuilder, ProofGraph, Schema,
 
 
 @dataclass
-class SearchBudget:
-    measure: Measure
+class RunConfig:
+    """Everything that configures one run; its budget is :meth:`ticker`."""
+    measure: Measure = Measure.SIZE
     bound: Optional[int] = None          # None: minimize
+    algo: str = "auto"                   # auto | poly | exact
+    deriver: str = "sk"                  # sk | cq
+    depth_ceiling: Optional[int] = None
     max_nodes: int = 1_000_000
     max_seconds: float = 60.0
+    strict_cg: bool = False
 
     def __post_init__(self):
         if self.bound is not None and self.bound <= 1:
             raise ValueError("bounds are natural numbers greater than 1")
+        if self.algo not in ("auto", "poly", "exact"):
+            raise ValueError(f"unknown algorithm {self.algo!r}")
+        if self.deriver not in ("sk", "cq"):
+            raise ValueError(f"unknown deriver {self.deriver!r}")
+        if self.deriver == "cq" and self.measure is Measure.DOMAIN_SIZE:
+            raise ValueError("domain size is not defined for query-level "
+                             "proofs")
 
     def ticker(self) -> Ticker:
         """A run's budget: these nodes and seconds, and an atom cap for its
@@ -67,11 +79,12 @@ class ExplainResult:
         return {"found": 0, "none": 1, "exhausted": 2}[self.status]
 
 
-def _result(budget: SearchBudget, ticker: Ticker, status: str,
+def _result(config: RunConfig, ticker: Ticker, status: str,
             proof: Optional[ProofGraph] = None, value: Optional[int] = None,
-            complete: bool = False) -> ExplainResult:
-    return ExplainResult(status, proof, value, budget.measure,
-                         nodes=ticker.count, complete=complete)
+            complete: bool = False, algorithm: str = "exact",
+            warnings: Iterable[str] = ()) -> ExplainResult:
+    return ExplainResult(status, proof, value, config.measure, algorithm,
+                         ticker.count, list(warnings), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +201,8 @@ def _cover_children(structure: FiniteStructure, state: _CoverState,
 # The bounded search proper
 # ---------------------------------------------------------------------------
 
-def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
-                   deriver: str = "sk", strict_cg: bool = False,
-                   depth_ceiling: Optional[int] = None) -> ExplainResult:
+def bounded_search(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
+                   ticker: Optional[Ticker] = None) -> ExplainResult:
     """Decide whether a proof within the measure bound exists (or minimize).
 
     Saturates the derivation structure at term depth 0, 1, ... up to a cap
@@ -198,14 +210,14 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
     query matches and derivation choices of each, until a complete
     structure, the frontier bound or the fold (:func:`_fold_value`)
     certifies the result.  Three-valued outcome; ``none`` is exact relative
-    to the structural bounds.
+    to the structural bounds.  ``ticker`` is the run's budget where the run
+    spent some of it before the search (default: ``config.ticker()``).
     """
-    if deriver == "cq":
-        return bounded_search_cq(kb, q, budget)
-    if deriver != "sk":
-        raise ValueError(f"unknown deriver {deriver!r}")
+    if config.deriver == "cq":
+        return bounded_search_cq(kb, q, config, ticker)
 
-    ticker = budget.ticker()
+    ticker = ticker or config.ticker()
+    bound, ceiling = config.bound, config.depth_ceiling
     # the equality-free fold, built at most once, when first asked, and the
     # value of its one search
     fold: list[Optional[CompressedStructure]] = []
@@ -219,9 +231,9 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
                 fold.append(None)
         return fold[0]
 
-    explicit_ceiling = depth_ceiling is not None
-    hard = depth_ceiling if explicit_ceiling else default_depth_ceiling(kb, q)
-    depth_want = min(budget.bound, hard) if budget.bound is not None else hard
+    explicit_ceiling = ceiling is not None
+    hard = ceiling if explicit_ceiling else default_depth_ceiling(kb, q)
+    depth_want = min(bound, hard) if bound is not None else hard
     depth = 0
     # the chase can certify ``none`` beyond the saturation only where nominals
     # merge existential witnesses; elsewhere its atoms are the saturation's
@@ -246,32 +258,29 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             structure = None
             break
         value, sigma, choice, tree_values, tripped = _search_at_depth(
-            q, budget, structure, strict_cg, ticker, best_value)
+            q, config, structure, ticker, best_value)
         if value < best_value:
             best_value, best_sigma, best_choice = value, sigma, choice
             best_structure = structure
         if tripped:
             break
-        if budget.bound is not None and best_value <= budget.bound:
+        if bound is not None and best_value <= bound:
             break  # existence settled
         # a proof is certified optimal at best, and absent within the bound
         # at bound + 1
-        target = best_value if budget.bound is None \
-            else min(best_value, budget.bound + 1)
+        target = best_value if bound is None else min(best_value, bound + 1)
         try:
             certified = structure.complete or (
                 target < _INF and _frontier_bound(
-                    structure, q, budget.measure, strict_cg, tree_values,
-                    ticker) >= target)
+                    structure, q, config, tree_values, ticker) >= target)
         except BudgetExceeded:
             tripped = True
             break
         if not certified and target < _INF:
             if fold_value is None:
-                fold_value = _fold_value(q, budget, folded(), strict_cg,
-                                         ticker, target)
+                fold_value = _fold_value(q, config, folded(), ticker, target)
             certified = fold_value >= target
-        if budget.bound is None and best_value < _INF and not explicit_ceiling:
+        if bound is None and best_value < _INF and not explicit_ceiling:
             # certifying optimality may need terms deeper than the default
             # entailment ceiling; the node and time budgets still apply
             depth_want = max(depth_want, int(best_value) - 1)
@@ -281,10 +290,10 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             # certificate: read modulo its merges, a saturation can be
             # closed where merged witnesses keep it growing
             ask_chase = False
-            verdict = _chase_verdict(kb, q, depth_ceiling, ticker).verdict
+            verdict = _chase_verdict(kb, q, ceiling, ticker).verdict
             if verdict == "no":
-                return _result(budget, ticker, "none", complete=True)
-            if verdict == "unknown" and budget.bound is None:
+                return _result(config, ticker, "none", complete=True)
+            if verdict == "unknown" and bound is None:
                 # the chase is the saturation read modulo its merges: none
                 # up to the ceiling matches
                 break
@@ -292,16 +301,15 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
             break
         depth = min(depth_want, depth + 1)
 
-    if best_sigma is not None and (budget.bound is None
-                                   or best_value <= budget.bound):
+    if best_sigma is not None and (bound is None or best_value <= bound):
         assert best_structure is not None
         # the tree-size DP's chosen edges, or the cover's chosen vertices
         targets = [best_structure.atom_ids[substitute_atom(a, best_sigma)]
                    for a in q.atoms]
         proof = extract_witness(best_structure, best_choice, targets, q,
-                                strict_cg)
-        complete = not tripped and (budget.bound is not None or certified)
-        return _result(budget, ticker, "found", proof, int(best_value),
+                                config.strict_cg)
+        complete = not tripped and (bound is not None or certified)
+        return _result(config, ticker, "found", proof, int(best_value),
                        complete)
     # ``none`` needs a certificate: a complete structure, the frontier or
     # fold bound above the bound, the chase's (asked in the loop), or a
@@ -310,13 +318,13 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget,
         and not _names_replaced_constant(q, structure)
     if not complete and best_sigma is None:
         complete = refutes(folded(), q)
-    return _result(budget, ticker, "none" if complete else "exhausted",
+    return _result(config, ticker, "none" if complete else "exhausted",
                    complete=complete)
 
 
-def _fold_value(q: BooleanCQ, budget: SearchBudget,
-                folded: Optional[CompressedStructure], strict_cg: bool,
-                ticker: Ticker, target: int | float) -> int | float:
+def _fold_value(q: BooleanCQ, config: RunConfig,
+                folded: Optional[CompressedStructure], ticker: Ticker,
+                target: int | float) -> int | float:
     """A lower bound on every proof's cost, from one search over the
     equality-free fold (:func:`compress.equality_free_fold`) below
     ``target``: the fold's optimum if below it, and a value at or above it
@@ -329,13 +337,12 @@ def _fold_value(q: BooleanCQ, budget: SearchBudget,
     if folded is None:
         return 0
     value, _, _, _, tripped = _search_at_depth(
-        folded.fold_query(q), budget, folded.structure, strict_cg, ticker,
-        target)
+        folded.fold_query(q), config, folded.structure, ticker, target)
     return 0 if tripped else value
 
 
-def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,
-                    strict_cg: bool,
+def _frontier_bound(structure: FiniteStructure, q: BooleanCQ,
+                    config: RunConfig,
                     tree_values: Optional[dict[int, int | float]],
                     ticker: Ticker) -> int | float:
     """A lower bound on the measure of every proof of ``q`` that uses a term
@@ -351,6 +358,7 @@ def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,
     1 + the larger of the premises' least heights and their number.
     """
     floor = structure.depth_bound + 2
+    kind = config.measure
     if not structure.frontier or kind is Measure.DOMAIN_SIZE:
         return floor
     if kind is Measure.TREE_SIZE:
@@ -363,7 +371,7 @@ def _frontier_bound(structure: FiniteStructure, q: BooleanCQ, kind: Measure,
         below = min(max(max(heights[p] for p in premises),
                         len(set(premises)))
                     for premises in structure.frontier)
-    return max(floor, goal_tail_size(q, strict_cg) + 1 + below)
+    return max(floor, goal_tail_size(q, config.strict_cg) + 1 + below)
 
 
 def _names_replaced_constant(q: BooleanCQ, structure: FiniteStructure) -> bool:
@@ -409,23 +417,22 @@ def _path_tally(items: Callable[[Atom], Iterable]
     return tally
 
 
-def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
-                     structure: FiniteStructure, strict_cg: bool,
-                     ticker: Ticker,
+def _search_at_depth(q: BooleanCQ, config: RunConfig,
+                     structure: FiniteStructure, ticker: Ticker,
                      incoming_best: int | float
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
                                 Optional[dict], bool]:
     """The best match and derivation choice at one depth below
     ``incoming_best``, and the tree-size values if they were computed."""
-    tail_count = goal_tail_size(q, strict_cg)
-    limit = budget.bound + 1 if budget.bound is not None else _INF
+    tail_count = goal_tail_size(q, config.strict_cg)
+    limit = config.bound + 1 if config.bound is not None else _INF
 
     best_value = incoming_best
     best_sigma: Optional[dict[Var, Term]] = None
     best_choice = None
     tripped = False
 
-    if budget.measure is Measure.TREE_SIZE:
+    if config.measure is Measure.TREE_SIZE:
         # the least match (least assignment first); only a depth where the
         # matcher finds one pays for the values, and that first match stays
         # if the least step runs out of budget
@@ -449,7 +456,7 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
     # branch-and-bound over the matches: each matched atom adds cost that
     # no later choice removes, so a partial match whose lower bound reaches
     # the cap holds no match that could replace the best
-    if budget.measure is Measure.SIZE:
+    if config.measure is Measure.SIZE:
         tally, floor = _path_tally(lambda a: (a,)), tail_count
     else:
         # each atom's terms, computed once per depth
@@ -474,8 +481,8 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
             ticker.tick()
             targets = [structure.atom_ids[substitute_atom(atom, sigma)]
                        for atom in q.atoms]
-            tail = tail_count if budget.measure is Measure.SIZE else 0
-            res = _cover_min(structure, targets, budget.measure,
+            tail = tail_count if config.measure is Measure.SIZE else 0
+            res = _cover_min(structure, targets, config.measure,
                              min(limit, best_value) - tail, ticker)
             if res is not None:
                 best_value, best_sigma = res[0] + tail, sigma
@@ -489,8 +496,8 @@ def _search_at_depth(q: BooleanCQ, budget: SearchBudget,
 # Query-level search (no domain size here)
 # ---------------------------------------------------------------------------
 
-def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
-                      ) -> ExplainResult:
+def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
+                      ticker: Optional[Ticker] = None) -> ExplainResult:
     """Bounded search over whole-query proofs.
 
     Exact for rule-free knowledge bases, where every proof collects facts
@@ -498,12 +505,12 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
     one tautology application; with rules, a node-capped forward closure is
     attempted and ``none`` is never claimed.
     """
-    if budget.measure is Measure.DOMAIN_SIZE:
+    if config.measure is Measure.DOMAIN_SIZE:
         raise ValueError("domain size is not defined for query-level proofs")
-    ticker = budget.ticker()
+    ticker = ticker or config.ticker()
     index = AtomIndex(kb.abox)
     best: Optional[tuple[int, dict[Var, Term], bool]] = None
-    limit = budget.bound + 1 if budget.bound is not None else _INF
+    limit = config.bound + 1 if config.bound is not None else _INF
     tail = 1 if q.existential_vars else 0
 
     tally = _path_tally(lambda a: (a,))
@@ -534,7 +541,7 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
             if value < (best[0] if best else limit) and value < limit:
                 best = (value, sigma, use_taut)
     except BudgetExceeded:
-        return _result(budget, ticker, "exhausted")
+        return _result(config, ticker, "exhausted")
 
     complete = not kb.tbox
     forward: Optional[tuple[int, ProofGraph]] = None
@@ -544,26 +551,26 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, budget: SearchBudget
             forward = _forward_cq_search(kb, q, cap, ticker)
         except BudgetExceeded:
             if best is None:
-                return _result(budget, ticker, "exhausted")
+                return _result(config, ticker, "exhausted")
     if forward is not None and (best is None or forward[0] < best[0]):
         value, proof = forward
-        got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
+        got = tree_size(proof) if config.measure is Measure.TREE_SIZE \
             else proof_size(proof)
-        return _result(budget, ticker, "found", proof, got)
+        return _result(config, ticker, "found", proof, got)
     if best is None and kb.tbox:
         # ``none`` needs a certificate, which the incomplete moves are not
-        result = _result(budget, ticker, "exhausted")
+        result = _result(config, ticker, "exhausted")
         result.warnings.append(
             "query-level search ran out of moves, not budget: it never "
             "conjoins two queries, so a proof it cannot build may exist")
         return result
     if best is None:
-        return _result(budget, ticker, "none", complete=True)
+        return _result(config, ticker, "none", complete=True)
     value, sigma, use_taut = best
     proof = _assemble_cq(q, sigma, use_taut)
-    got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
+    got = tree_size(proof) if config.measure is Measure.TREE_SIZE \
         else proof_size(proof)
-    return _result(budget, ticker, "found", proof, got, complete)
+    return _result(config, ticker, "found", proof, got, complete)
 
 
 def _canon_cq(cq: BooleanCQ) -> tuple:
@@ -687,22 +694,6 @@ def _assemble_cq(q: BooleanCQ, sigma: dict[Var, Term],
 # Algorithm routing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    measure: Measure = Measure.SIZE
-    bound: Optional[int] = None
-    algo: str = "auto"                   # auto | poly | exact
-    deriver: str = "sk"
-    depth_ceiling: Optional[int] = None
-    max_nodes: int = 1_000_000
-    max_seconds: float = 60.0
-    strict_cg: bool = False
-
-    def budget(self) -> SearchBudget:
-        return SearchBudget(self.measure, self.bound, self.max_nodes,
-                            self.max_seconds)
-
-
 def _poly_route(kb: KnowledgeBase, q: BooleanCQ, m: Measure
                 ) -> Optional[tuple[Callable[..., CompressedStructure], str]]:
     """The fold that the polynomial route for the fragment, query shape and
@@ -723,10 +714,8 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             config: Optional[RunConfig] = None) -> ExplainResult:
     """Find an optimal proof (or one within the configured bound)."""
     config = config or RunConfig()
-    budget = config.budget()
+    ticker = config.ticker()
     warnings: list[str] = []
-    if config.deriver == "cq" and config.measure is Measure.DOMAIN_SIZE:
-        raise ValueError("domain size is not defined for query-level proofs")
 
     route = None
     if config.algo == "poly":
@@ -743,10 +732,8 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
         # default to the exact search
         route = _poly_route(kb, q, config.measure)
 
-    spent = 0         # the polynomial route's nodes
     if route is not None:
         compress, algo = route
-        ticker = budget.ticker()
         try:
             proof, value = least_proof(compress, kb, q, config.strict_cg,
                                        ticker)
@@ -757,12 +744,12 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
             if not exact:
                 value = len(proof.vertices)
             if config.bound is None or value <= config.bound:
-                return ExplainResult("found", proof, value, config.measure,
-                                     algo, ticker.count, warnings,
-                                     complete=exact or config.bound is not None)
+                return _result(config, ticker, "found", proof, value,
+                               exact or config.bound is not None, algo,
+                               warnings)
             if exact:
-                return ExplainResult("none", None, value, config.measure,
-                                     algo, ticker.count, warnings)
+                return _result(config, ticker, "none", None, value, True,
+                               algo, warnings)
             # above the bound, the size route leaves the bound to the search
             warnings.append(f"polynomial size value {value} exceeds the "
                             "bound but only bounds the optimum from above; "
@@ -770,23 +757,17 @@ def explain(kb: KnowledgeBase, q: BooleanCQ,
         except BudgetExceeded as exc:
             # the run's budget is spent: none is left for a fallback
             warnings.append(f"polynomial algorithm stopped: {exc}")
-            return ExplainResult("exhausted", None, None, config.measure,
-                                 algo, ticker.count, warnings, complete=False)
+            return _result(config, ticker, "exhausted", algorithm=algo,
+                           warnings=warnings)
         except (CompressError, DecompressError) as exc:
             if config.algo == "poly":
                 warnings.append(f"polynomial algorithm failed: {exc}; "
                                 "falling back to exact search")
             else:
                 warnings.append(str(exc))
-        # the search gets what the route left of the run's budget
-        spent = ticker.count
-        budget = replace(budget, max_nodes=budget.max_nodes - spent,
-                         max_seconds=ticker.seconds_left())
 
-    result = bounded_search(kb, q, budget, deriver=config.deriver,
-                            strict_cg=config.strict_cg,
-                            depth_ceiling=config.depth_ceiling)
-    result.nodes += spent
+    # the search spends what the route left of the run's budget
+    result = bounded_search(kb, q, config, ticker)
     warnings += result.warnings
     if not result.complete and result.status in ("found", "none"):
         warnings.append("search space was cut by the depth ceiling or "

@@ -24,8 +24,8 @@ from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, RoleAtom,
 from hornexplain.proofs import (Measure, Schema, domain_size,
                                 inference_steps, proof_size, tree_size,
                                 tree_unravel, validate_proof)
-from hornexplain.search import (RunConfig, SearchBudget, bounded_search,
-                                bounded_search_cq, explain)
+from hornexplain.search import (RunConfig, bounded_search, bounded_search_cq,
+                                explain)
 
 from test_chase import _random_kb
 from test_search import _duplicate_tolerant_min
@@ -93,7 +93,7 @@ def test_criterion_2_oracle_equivalence():
         if inst.family.startswith("dllite"):
             poly_tree = tree_query_min_treesize(inst.kb, inst.query)
             exact_tree = bounded_search(inst.kb, inst.query,
-                                        SearchBudget(Measure.TREE_SIZE))
+                                        RunConfig(Measure.TREE_SIZE))
             assert exact_tree.status == "found"
             assert tree_size(poly_tree) == exact_tree.value, inst.family
             ok, problems = validate_proof(poly_tree, inst.kb, inst.query, "sk")
@@ -101,7 +101,7 @@ def test_criterion_2_oracle_equivalence():
 
             poly_size = dllite_query_min_size(inst.kb, inst.query)
             exact_size = bounded_search(inst.kb, inst.query,
-                                        SearchBudget(Measure.SIZE))
+                                        RunConfig(Measure.SIZE))
             assert proof_size(poly_size) == exact_size.value, inst.family
             ok, problems = validate_proof(poly_size, inst.kb, inst.query, "sk")
             assert ok, (inst.family, problems)
@@ -113,7 +113,7 @@ def test_criterion_2_oracle_equivalence():
         else:
             poly = el_cq_min_treesize(inst.kb, inst.query)
             exact = bounded_search(inst.kb, inst.query,
-                                   SearchBudget(Measure.TREE_SIZE))
+                                   RunConfig(Measure.TREE_SIZE))
             assert exact.status == "found"
             assert tree_size(poly) == exact.value, inst.family
             ok, problems = validate_proof(poly, inst.kb, inst.query, "sk")
@@ -171,16 +171,16 @@ def test_criterion_3_sat_reductions():
         assert inst.bounds["size"] == 2 + m + (m - 1) + k
         assert inst.bounds["domain"] == m + k
         by_size = bounded_search(inst.kb, inst.query,
-                                 SearchBudget(Measure.SIZE,
-                                              bound=inst.bounds["size"]))
+                                 RunConfig(Measure.SIZE,
+                                           bound=inst.bounds["size"]))
         by_domain = bounded_search(inst.kb, inst.query,
-                                   SearchBudget(Measure.DOMAIN_SIZE,
-                                                bound=inst.bounds["domain"]))
+                                   RunConfig(Measure.DOMAIN_SIZE,
+                                             bound=inst.bounds["domain"]))
         cq_inst = gen_sat_cq(clauses)
         assert cq_inst.bounds["cq_tree"] == 4 * m + 2 * k - 1
         by_cq = bounded_search_cq(cq_inst.kb, cq_inst.query,
-                                  SearchBudget(Measure.TREE_SIZE,
-                                               bound=cq_inst.bounds["cq_tree"]))
+                                  RunConfig(Measure.TREE_SIZE,
+                                            bound=cq_inst.bounds["cq_tree"]))
         for outcome in (by_size, by_domain, by_cq):
             assert outcome.status == ("found" if truth else "none"), \
                 (clauses, outcome.status, truth)
@@ -216,9 +216,9 @@ def test_criterion_4_growth_classes():
     for n in range(2, 5):
         inst = gen_el_abox(n)
         sizes[n] = bounded_search(inst.kb, inst.query,
-                                  SearchBudget(Measure.SIZE)).value
+                                  RunConfig(Measure.SIZE)).value
         trees[n] = bounded_search(inst.kb, inst.query,
-                                  SearchBudget(Measure.TREE_SIZE)).value
+                                  RunConfig(Measure.TREE_SIZE)).value
     slope = sizes[3] - sizes[2]
     intercept = sizes[2] - slope * 2
     for n in range(2, 5):
@@ -229,13 +229,13 @@ def test_criterion_4_growth_classes():
     # binary counter: solvable at width one, may exhaust at width two
     counter1 = gen_hornalc_counter(1)
     out1 = bounded_search(counter1.kb, counter1.query,
-                          SearchBudget(Measure.TREE_SIZE, max_nodes=200_000,
-                                       max_seconds=30.0), depth_ceiling=3)
+                          RunConfig(Measure.TREE_SIZE, depth_ceiling=3,
+                                    max_nodes=200_000, max_seconds=30.0))
     assert out1.status == "found" and out1.value == 60
     counter2 = gen_hornalc_counter(2)
     out2 = bounded_search(counter2.kb, counter2.query,
-                          SearchBudget(Measure.TREE_SIZE, max_nodes=20_000,
-                                       max_seconds=10.0), depth_ceiling=5)
+                          RunConfig(Measure.TREE_SIZE, depth_ceiling=5,
+                                    max_nodes=20_000, max_seconds=10.0))
     assert out2.status in ("found", "exhausted")
     elapsed = time.monotonic() - start
     print(f"\nCRITERION 4: PASS (cubic / 1.8x / linear+doubling envelopes, "

@@ -9,7 +9,7 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_sat_cq)
 from hornexplain.kb import ConceptAtom, Fragment, KBError, is_tree_shaped
 from hornexplain.proofs import Measure, validate_proof
-from hornexplain.search import SearchBudget, bounded_search
+from hornexplain.search import RunConfig, bounded_search
 
 
 def test_dllite_chain_shapes():
@@ -23,7 +23,7 @@ def test_dllite_chain_shapes():
 def test_dllite_chain_min_size_frozen():
     # single-predicate goal over a length-3 chain, from the exact search
     inst = gen_dllite_chain(3, "unary")
-    out = bounded_search(inst.kb, inst.query, SearchBudget(Measure.SIZE))
+    out = bounded_search(inst.kb, inst.query, RunConfig(Measure.SIZE))
     assert out.value == 2 * (3 + 1) + 1 + 1  # chain plus the final step
 
 
@@ -58,7 +58,7 @@ def test_el_abox_fact_count_and_bounds():
     for n in (1, 2, 3):
         inst = gen_el_abox(n)
         out = bounded_search(inst.kb, inst.query,
-                             SearchBudget(Measure.SIZE))
+                             RunConfig(Measure.SIZE))
         assert out.value == inst.bounds["size"] == 5 * n + 4
 
 
@@ -67,8 +67,8 @@ def test_hornalc_counter_level_one():
     result = entails(inst.kb, inst.query, ceiling=4)
     assert result.verdict == "yes"
     out = bounded_search(inst.kb, inst.query,
-                         SearchBudget(Measure.TREE_SIZE, max_nodes=200_000,
-                                      max_seconds=30.0), depth_ceiling=3)
+                         RunConfig(Measure.TREE_SIZE, depth_ceiling=3,
+                                   max_nodes=200_000, max_seconds=30.0))
     assert out.status == "found"
     assert out.value == 60  # frozen from this exact search
     ok, problems = validate_proof(out.proof, inst.kb, inst.query, "sk")

@@ -73,7 +73,7 @@ def test_measures_of_the_reference_proof(ex1_reference_proof):
     assert proof_size(p) == 12
     assert tree_size(p) == 23      # the shared role atom is paid three times
     assert domain_size(p) == 3     # a, f_0(a), f_1(f_0(a))
-    assert measure(p, Measure.DOMAIN_SIZE).value == 3
+    assert measure(p, Measure.DOMAIN_SIZE) == 3
 
 
 def test_single_fact_proof_measures():

@@ -5,6 +5,7 @@ import functools
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, validate_proof)
 from hornexplain import search as search_module
-from hornexplain.search import (RunConfig, SearchBudget, _reaches,
+from hornexplain.search import (RunConfig, _reaches,
                                 bounded_search, bounded_search_cq, explain)
 from test_chase import _query_into, _random_kb, _random_query
 from test_tooling import _EL_TIES
@@ -177,7 +178,7 @@ def test_min_size_on_an_inclusion_chain():
         assert proof_size(witness) == 2 * n + 1
         # brute force agreement
         q = BooleanCQ((ConceptAtom(f"P_{n}", Const("c")),), ())
-        out = bounded_search(kb, q, SearchBudget(Measure.SIZE))
+        out = bounded_search(kb, q, RunConfig(Measure.SIZE))
         assert out.value == 2 * n + 1
 
 
@@ -338,17 +339,15 @@ def _rank_matches(structure, values, q):
 _search_at_depth = search_module._search_at_depth
 
 
-def _enumerated_at_depth(q, budget, structure, strict_cg, ticker,
-                         incoming_best):
+def _enumerated_at_depth(q, config, structure, ticker, incoming_best):
     """Frozen reference: the exact search's depth step under tree size as
     it was before the least-match step replaced it, branch-and-bound over
     the matcher's matches that keeps the first least one in matcher
     order.  Other measures run the search's own step."""
-    if budget.measure is not Measure.TREE_SIZE:
-        return _search_at_depth(q, budget, structure, strict_cg, ticker,
-                                incoming_best)
-    tail = goal_tail_size(q, strict_cg)
-    limit = budget.bound + 1 if budget.bound is not None else _INF
+    if config.measure is not Measure.TREE_SIZE:
+        return _search_at_depth(q, config, structure, ticker, incoming_best)
+    tail = goal_tail_size(q, config.strict_cg)
+    limit = config.bound + 1 if config.bound is not None else _INF
     ids = structure.atom_ids
     best = [incoming_best, None, None]
     values = chosen = None
@@ -388,14 +387,14 @@ def test_tree_query_optimum_matches_brute_force():
         ok, problems = validate_proof(proof, inst.kb, inst.query, "sk")
         assert ok, problems
         out = bounded_search(inst.kb, inst.query,
-                             SearchBudget(Measure.TREE_SIZE))
+                             RunConfig(Measure.TREE_SIZE))
         assert tree_size(proof) == out.value == 6 * n + 11
 
 
 def test_tree_query_single_atom_reduces_to_plain_minimum():
     inst = gen_dllite_chain(2, "unary")
     proof = tree_query_min_treesize(inst.kb, inst.query)
-    out = bounded_search(inst.kb, inst.query, SearchBudget(Measure.TREE_SIZE))
+    out = bounded_search(inst.kb, inst.query, RunConfig(Measure.TREE_SIZE))
     assert tree_size(proof) == out.value
 
 
@@ -424,7 +423,7 @@ def test_dllite_size_route_agrees_with_exact():
     for n in (0, 1, 2):
         inst = gen_dllite_chain(n)
         proof = dllite_query_min_size(inst.kb, inst.query)
-        out = bounded_search(inst.kb, inst.query, SearchBudget(Measure.SIZE))
+        out = bounded_search(inst.kb, inst.query, RunConfig(Measure.SIZE))
         assert proof_size(proof) == out.value
 
 
@@ -651,7 +650,7 @@ def test_el_tree_frozen_optima():
         proof = el_cq_min_treesize(inst.kb, inst.query)
         assert tree_size(proof) == value
         out = bounded_search(inst.kb, inst.query,
-                             SearchBudget(Measure.TREE_SIZE))
+                             RunConfig(Measure.TREE_SIZE))
         assert out.value == value
 
 
@@ -691,7 +690,7 @@ def test_the_unfolding_agrees_with_the_realization_and_the_search():
         for p in (proof, realized):
             ok, problems = validate_proof(p, kb, q, "sk")
             assert ok, (case, problems)
-        exact = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
+        exact = bounded_search(kb, q, RunConfig(Measure.TREE_SIZE))
         assert exact.complete, case
         assert value == tree_size(proof) == tree_size(realized) \
             == exact.value, case
@@ -740,7 +739,7 @@ def test_a_polynomial_routes_value_is_its_proofs_measure():
         result = explain(inst.kb, inst.query, RunConfig(measure=m,
                                                         algo="poly"))
         assert result.algorithm.startswith("poly"), result.warnings
-        assert result.value == measure(result.proof, m).value
+        assert result.value == measure(result.proof, m)
 
     kbs = {"dllite-chain-5-": gen_dllite_chain(5).kb,
            "dllite-tree-query-4-10-": gen_dllite_tree_query(4, 10).kb,
@@ -759,7 +758,7 @@ def test_a_polynomial_routes_value_is_its_proofs_measure():
         result = explain(kb, goal, RunConfig(measure=m, algo="poly"))
         assert (result.algorithm, result.value) \
             == (doc["algorithm"], doc["value"]), path.name
-        assert result.value == measure(result.proof, m).value, path.name
+        assert result.value == measure(result.proof, m), path.name
         checked += 1
     assert checked == 5
 
@@ -772,7 +771,7 @@ def test_the_fallback_search_spends_what_the_route_left():
     route = Ticker()
     with pytest.raises(DecompressError):
         el_cq_min_treesize(kb, q, False, route)
-    search = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
+    search = bounded_search(kb, q, RunConfig(Measure.TREE_SIZE))
     assert route.count > 0 and search.nodes > 1
     result = explain(kb, q, RunConfig(measure=Measure.TREE_SIZE))
     assert result.nodes == route.count + search.nodes
@@ -989,12 +988,11 @@ def test_bounded_search_three_valued():
     inst = gen_sat([[1], [-1]])
     bound = inst.bounds["size"]
     yes = bounded_search(inst.kb, inst.query,
-                         SearchBudget(Measure.SIZE, bound=bound + 1))
+                         RunConfig(Measure.SIZE, bound=bound + 1))
     no = bounded_search(inst.kb, inst.query,
-                        SearchBudget(Measure.SIZE, bound=bound))
+                        RunConfig(Measure.SIZE, bound=bound))
     tiny = bounded_search(inst.kb, inst.query,
-                          SearchBudget(Measure.SIZE, bound=bound,
-                                       max_nodes=3))
+                          RunConfig(Measure.SIZE, bound=bound, max_nodes=3))
     assert yes.status == "found" and yes.value == bound + 1
     assert no.status == "none"
     assert tiny.status == "exhausted"
@@ -1002,7 +1000,7 @@ def test_bounded_search_three_valued():
 
 def test_bounded_search_monotone_in_the_bound(ex1):
     kb, q = ex1
-    outcomes = [bounded_search(kb, q, SearchBudget(Measure.SIZE, bound=n)
+    outcomes = [bounded_search(kb, q, RunConfig(Measure.SIZE, bound=n)
                                ).status for n in range(2, 15)]
     first_yes = outcomes.index("found")
     assert all(s == "found" for s in outcomes[first_yes:])
@@ -1016,7 +1014,7 @@ def test_none_is_certified_by_the_chase_where_saturation_keeps_growing():
                          "rule: Q(x) -> x = e\n"
                          "fact: Q(d)\n"
                          "query: exists x. P(x), Q(x)\n")
-    out = bounded_search(doc.kb, doc.queries[0], SearchBudget(Measure.SIZE))
+    out = bounded_search(doc.kb, doc.queries[0], RunConfig(Measure.SIZE))
     assert out.status == "none" and out.complete
 
 
@@ -1037,7 +1035,7 @@ def test_chase_certifies_none_before_the_search_deepens(monkeypatch):
     for m in Measure:
         depths.clear()
         out = bounded_search(doc.kb, doc.queries[0],
-                             SearchBudget(m, max_seconds=10.0))
+                             RunConfig(m, max_seconds=10.0))
         assert out.status == "none" and out.complete, m
         assert depths == [0], (m, depths)
 
@@ -1047,9 +1045,9 @@ def test_no_none_for_a_query_naming_a_replaced_constant():
     is entailed but has no sk proof, so nothing certifies ``none``."""
     doc = parse_document("rule: P(x) -> x = e\nfact: P(d)\nfact: v(e,e)\n"
                          "query: v(e,d)\n")
-    for budget in (SearchBudget(Measure.SIZE), SearchBudget(Measure.SIZE, 5)):
-        out = bounded_search(doc.kb, doc.queries[0], budget)
-        assert out.status == "exhausted" and not out.complete, budget
+    for config in (RunConfig(Measure.SIZE), RunConfig(Measure.SIZE, 5)):
+        out = bounded_search(doc.kb, doc.queries[0], config)
+        assert out.status == "exhausted" and not out.complete, config
     assert entails(doc.kb, doc.queries[0]).verdict == "yes"
 
 
@@ -1088,7 +1086,7 @@ def test_search_verdicts_agree_with_the_chase():
         q = _query_into(rng, saturate_kb(kb, rng.randint(0, ceiling)))
         cases.append((kb, q, rng.choice(list(Measure)), ceiling))
     for case, (kb, q, m, ceiling) in enumerate(cases):
-        out = bounded_search(kb, q, SearchBudget(m), depth_ceiling=ceiling)
+        out = bounded_search(kb, q, RunConfig(m, depth_ceiling=ceiling))
         verdict = entails(kb, q, ceiling=ceiling).verdict
         if out.status == "found":
             ok, problems = validate_proof(out.proof, kb, q)
@@ -1104,8 +1102,12 @@ def test_search_verdicts_agree_with_the_chase():
 
 
 def test_bounded_search_rejects_trivial_bounds():
-    with pytest.raises(ValueError):
-        SearchBudget(Measure.SIZE, bound=1)
+    # and the settings no run has: an unknown algorithm or deriver, and
+    # domain size for query-level proofs
+    for settings in ({"bound": 1}, {"algo": "Exact"}, {"deriver": "ck"},
+                     {"measure": Measure.DOMAIN_SIZE, "deriver": "cq"}):
+        with pytest.raises(ValueError):
+            RunConfig(**settings)
     # on every route, the polynomial ones included
     inst = gen_dllite_chain(5)
     for algo in ("auto", "poly", "exact"):
@@ -1125,8 +1127,7 @@ def test_unique_label_restriction_changes_nothing(ex1):
     for ceiling in range(5):
         structure = saturate_kb(kb, ceiling)
         for m in Measure:
-            got = bounded_search(kb, q, SearchBudget(m),
-                                 depth_ceiling=ceiling)
+            got = bounded_search(kb, q, RunConfig(m, depth_ceiling=ceiling))
             assert _value_or_inf(got) == \
                 _duplicate_tolerant_min(structure, q, m), (ceiling, m)
 
@@ -1139,8 +1140,7 @@ def test_unique_label_restriction_changes_nothing_on_random_kbs():
         structure = saturate_kb(kb, ceiling)
         q = _query_into(rng, structure)
         for m in Measure:
-            got = bounded_search(kb, q, SearchBudget(m),
-                                 depth_ceiling=ceiling)
+            got = bounded_search(kb, q, RunConfig(m, depth_ceiling=ceiling))
             assert _value_or_inf(got) == \
                 _duplicate_tolerant_min(structure, q, m), (case, m)
 
@@ -1149,23 +1149,23 @@ def test_bounded_search_cq_sat_family():
     sat = gen_sat_cq([[1, -2], [2]])
     bound = sat.bounds["cq_tree"]
     found = bounded_search_cq(sat.kb, sat.query,
-                              SearchBudget(Measure.TREE_SIZE, bound=bound))
+                              RunConfig(Measure.TREE_SIZE, bound=bound))
     assert found.status == "found"
     assert found.value <= bound
     ok, problems = validate_proof(found.proof, sat.kb, sat.query, "cq")
     assert ok, problems
     unsat = gen_sat_cq([[1], [-1]])
     none = bounded_search_cq(unsat.kb, unsat.query,
-                             SearchBudget(Measure.TREE_SIZE,
-                                          bound=unsat.bounds["cq_tree"]))
+                             RunConfig(Measure.TREE_SIZE,
+                                       bound=unsat.bounds["cq_tree"]))
     assert none.status == "none"
 
 
 def test_bounded_search_cq_explores_rule_applications(ex1):
     kb, q = ex1
-    out = bounded_search_cq(kb, q, SearchBudget(Measure.TREE_SIZE,
-                                                max_nodes=300_000,
-                                                max_seconds=30.0))
+    out = bounded_search_cq(kb, q, RunConfig(Measure.TREE_SIZE,
+                                             max_nodes=300_000,
+                                             max_seconds=30.0))
     assert out.status == "found"
     assert out.value == 11    # four rewrites, one tautology, the goal
     ok, problems = validate_proof(out.proof, kb, q, "cq")
@@ -1191,7 +1191,7 @@ def test_bounded_search_cq_rejects_domain_size():
     sat = gen_sat_cq([[1]])
     with pytest.raises(ValueError, match="domain"):
         bounded_search_cq(sat.kb, sat.query,
-                          SearchBudget(Measure.DOMAIN_SIZE, bound=5))
+                          RunConfig(Measure.DOMAIN_SIZE, bound=5))
 
 
 def test_explain_routes_and_falls_back(ex1):
@@ -1300,18 +1300,19 @@ def test_frontier_bound_changes_no_answer(monkeypatch):
     for case in range(1500):
         kb = _random_kb(rng)
         q = _random_query(rng)
-        budget = SearchBudget(rng.choice(list(Measure)),
-                              rng.choice([None] + list(range(2, 13))))
-        ceiling = rng.choice([None, 1, 2, 3, 4, 5, 6])
+        config = RunConfig(rng.choice(list(Measure)),
+                           rng.choice([None] + list(range(2, 13))),
+                           depth_ceiling=rng.choice([None, 1, 2, 3, 4, 5, 6]))
         monkeypatch.undo()
-        got = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        got = bounded_search(kb, q, config)
         monkeypatch.setattr("hornexplain.search._frontier_bound", _floor_only)
-        want = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        want = bounded_search(kb, q, config)
         assert got.nodes <= want.nodes, case
         assert got.complete or not want.complete, case
         if (got.status, want.status) == ("none", "exhausted"):
-            assert got.complete and budget.bound is not None, case
-            deep = bounded_search(kb, q, budget, depth_ceiling=budget.bound)
+            assert got.complete and config.bound is not None, case
+            deep = bounded_search(kb, q, replace(
+                config, depth_ceiling=config.bound))
             assert deep.status == "none", case
             continue
         assert (got.status, got.value) == (want.status, want.value), case
@@ -1340,9 +1341,9 @@ def test_match_level_cut_changes_no_answer(monkeypatch):
     rng = random.Random(20261020)
     cases = []
     for _ in range(300):
-        budget = SearchBudget(rng.choice(list(Measure)),
-                              rng.choice([None] + list(range(2, 13))))
-        cases.append((_random_kb(rng), _random_query(rng), budget, "sk",
+        config = RunConfig(rng.choice(list(Measure)),
+                           rng.choice([None] + list(range(2, 13))))
+        cases.append((_random_kb(rng), _random_query(rng), config, "sk",
                       rng.choice([None, 1, 2, 3, 4]), None))
     for _ in range(30):
         clauses = _random_cnf(rng)
@@ -1354,10 +1355,10 @@ def test_match_level_cut_changes_no_answer(monkeypatch):
                 (sat, Measure.DOMAIN_SIZE, "domain", "sk"),
                 (sat_cq, Measure.TREE_SIZE, "cq_tree", "cq")):
             bound = inst.bounds[key]
-            cases.append((inst.kb, inst.query, SearchBudget(m, bound),
+            cases.append((inst.kb, inst.query, RunConfig(m, bound),
                           deriver, None, verdict))
             cases.append((inst.kb, inst.query,
-                          SearchBudget(m, rng.choice([None, bound - 1])),
+                          RunConfig(m, rng.choice([None, bound - 1])),
                           deriver, None, None))
     # two matches whose tree sizes differ by one, the cheaper one second
     doc = parse_document("rule: A(x), E(x) -> C(x)\nrule: B(x) -> C(x)\n"
@@ -1365,15 +1366,14 @@ def test_match_level_cut_changes_no_answer(monkeypatch):
                          "fact: r(b,b)\nquery: exists x. C(x), r(x,x)\n")
     for m in Measure:
         for bound in (None, 5, 6):
-            cases.append((doc.kb, doc.queries[0], SearchBudget(m, bound),
+            cases.append((doc.kb, doc.queries[0], RunConfig(m, bound),
                           "sk", None, None))
-    for case, (kb, q, budget, deriver, ceiling, verdict) in enumerate(cases):
+    for case, (kb, q, config, deriver, ceiling, verdict) in enumerate(cases):
+        config = replace(config, deriver=deriver, depth_ceiling=ceiling)
         monkeypatch.undo()
-        got = bounded_search(kb, q, budget, deriver=deriver,
-                             depth_ceiling=ceiling)
+        got = bounded_search(kb, q, config)
         monkeypatch.setattr("hornexplain.search.match_conjunction", _uncut)
-        want = bounded_search(kb, q, budget, deriver=deriver,
-                              depth_ceiling=ceiling)
+        want = bounded_search(kb, q, config)
         assert (got.status, got.value, got.complete) == \
             (want.status, want.value, want.complete), case
         if got.proof is not None:
@@ -1409,12 +1409,12 @@ def test_the_least_step_changes_no_answer(monkeypatch):
     statuses = {}
     ties = []
     for case, (kb, q, bound, ceiling) in enumerate(cases):
-        budget = SearchBudget(Measure.TREE_SIZE, bound)
+        config = RunConfig(Measure.TREE_SIZE, bound, depth_ceiling=ceiling)
         monkeypatch.undo()
-        got = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        got = bounded_search(kb, q, config)
         monkeypatch.setattr("hornexplain.search._search_at_depth",
                             _enumerated_at_depth)
-        want = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        want = bounded_search(kb, q, config)
         assert (got.status, got.value, got.complete) == \
             (want.status, want.value, want.complete), case
         statuses[got.status] = statuses.get(got.status, 0) + 1
@@ -1444,7 +1444,7 @@ def test_match_level_cut_fires_on_an_unsatisfiable_formula(monkeypatch):
 
     monkeypatch.setattr("hornexplain.search._cover_min", counting)
     out = bounded_search(inst.kb, inst.query,
-                         SearchBudget(Measure.SIZE, inst.bounds["size"]))
+                         RunConfig(Measure.SIZE, inst.bounds["size"]))
     assert out.status == "none" and out.complete
     assert len(calls) < matches
 
@@ -1467,7 +1467,7 @@ def test_running_example_tree_size_stops_at_the_frontier(ex1, monkeypatch):
         return real(kb, depth, **kwargs)
 
     monkeypatch.setattr("hornexplain.search.saturate_kb", counting)
-    result = bounded_search(kb, q, SearchBudget(Measure.TREE_SIZE))
+    result = bounded_search(kb, q, RunConfig(Measure.TREE_SIZE))
     assert (result.status, result.value, result.complete) == ("found", 23,
                                                              True)
     # the fold's optimum is 23 as well: certified at depth 2, which finds it
@@ -1515,14 +1515,15 @@ def test_the_fold_changes_no_answer(monkeypatch):
             if case % 3 else _random_query(rng)
         for m in Measure:
             for bound in (None, rng.randint(2, 12)):
-                cases.append((kb, q, SearchBudget(m, bound), ceiling))
+                cases.append((kb, q, RunConfig(m, bound,
+                                               depth_ceiling=ceiling)))
     changed = settled = 0
-    for case, (kb, q, budget, ceiling) in enumerate(cases):
+    for case, (kb, q, config) in enumerate(cases):
         monkeypatch.undo()
-        got = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        got = bounded_search(kb, q, config)
         monkeypatch.setattr("hornexplain.search.equality_free_fold",
                             _no_fold)
-        want = bounded_search(kb, q, budget, depth_ceiling=ceiling)
+        want = bounded_search(kb, q, config)
         assert got.complete or not want.complete, case
         if got.status != want.status:
             assert (want.status, got.status) == ("exhausted", "none"), case
@@ -1532,15 +1533,14 @@ def test_the_fold_changes_no_answer(monkeypatch):
         assert got.value == want.value, case
         if got.proof is not None:
             assert proof_to_json(got.proof, q) == proof_to_json(want.proof, q)
-        if budget.bound is None:
+        if config.bound is None:
             continue
-        first = bounded_search(kb, q, budget, depth_ceiling=0)
+        first = bounded_search(kb, q, replace(config, depth_ceiling=0))
         if first.status == "found":
             # no node left for a fold search
-            tight = SearchBudget(budget.measure, budget.bound,
-                                 max_nodes=first.nodes)
+            tight = replace(config, max_nodes=first.nodes)
             monkeypatch.undo()
-            got = bounded_search(kb, q, tight, depth_ceiling=ceiling)
+            got = bounded_search(kb, q, tight)
             assert (got.status, got.value, got.complete) == \
                 ("found", first.value, True), case
             settled += 1
@@ -1612,7 +1612,7 @@ def test_the_chase_certificate_spends_the_run_budget(monkeypatch):
         return _chase_verdict(kb, q, ceiling, ticker)
 
     monkeypatch.setattr("hornexplain.search._chase_verdict", spy)
-    out = bounded_search(kb, q, SearchBudget(Measure.SIZE, max_nodes=8000))
+    out = bounded_search(kb, q, RunConfig(Measure.SIZE, max_nodes=8000))
     assert (out.status, out.complete) == ("none", True)
     [ticker] = asked
     assert ticker.max_atoms == 8000 // 4 and ticker.count == out.nodes
@@ -1747,14 +1747,14 @@ def test_the_golden_sk_proofs_are_numbered_in_postorder_from_their_sink():
     assert checked >= 10
 
 
-def _frozen_bounded_search_cq(kb, q, budget):
+def _frozen_bounded_search_cq(kb, q, config):
     """Frozen reference: ``bounded_search_cq`` on a rule-free knowledge base
     as it was before its bound counted the tautology finish, with one final
     step after the Ce chain whatever the partial match repeats."""
-    ticker = budget.ticker()
+    ticker = config.ticker()
     index = AtomIndex(kb.abox)
     best = None
-    limit = budget.bound + 1 if budget.bound is not None else _INF
+    limit = config.bound + 1 if config.bound is not None else _INF
     tail = 1 if q.existential_vars else 0
 
     def prune(matched, order):
@@ -1775,12 +1775,12 @@ def _frozen_bounded_search_cq(kb, q, budget):
         if value < (best[0] if best else limit) and value < limit:
             best = (value, sigma, use_taut)
     if best is None:
-        return search_module._result(budget, ticker, "none", complete=True)
+        return search_module._result(config, ticker, "none", complete=True)
     value, sigma, use_taut = best
     proof = search_module._assemble_cq(q, sigma, use_taut)
-    got = tree_size(proof) if budget.measure is Measure.TREE_SIZE \
+    got = tree_size(proof) if config.measure is Measure.TREE_SIZE \
         else proof_size(proof)
-    return search_module._result(budget, ticker, "found", proof, got, True)
+    return search_module._result(config, ticker, "found", proof, got, True)
 
 
 def _repeating_query_case(rng):
@@ -1836,9 +1836,9 @@ def test_the_repeat_bound_changes_no_answer_and_adds_no_node():
     for case, (kb, q, bound, verdict) in enumerate(cases):
         for m in (Measure.TREE_SIZE, Measure.SIZE):
             for b in (None, bound):
-                budget = SearchBudget(m, b)
-                got = bounded_search_cq(kb, q, budget)
-                want = _frozen_bounded_search_cq(kb, q, budget)
+                config = RunConfig(m, b)
+                got = bounded_search_cq(kb, q, config)
+                want = _frozen_bounded_search_cq(kb, q, config)
                 assert (got.status, got.value, got.complete) == \
                     (want.status, want.value, want.complete), case
                 if got.proof is not None:

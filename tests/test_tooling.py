@@ -64,9 +64,12 @@ def test_no_two_functions_in_a_module_share_a_body():
 
 def _budget_bypasses(src: Path) -> list[str]:
     """Outside the run's budget itself (``deriver_sk.Ticker``): clock reads
-    other than the bench command's wall time, and parameters that hand a
-    phase a piece of the budget (a deadline, a tick callable, an atom cap)
-    instead of the ticker; by top-level definition."""
+    other than the bench command's wall time, reads of the time a ticker
+    has left, parameters that hand a phase a piece of the budget (a
+    deadline, a tick callable, an atom cap) instead of the ticker, and
+    tickers built with limits other than the run's (``RunConfig.ticker``)
+    and the chase's own (``chase.entails``); by top-level definition, and
+    by method for the tickers."""
     found = []
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -80,12 +83,27 @@ def _budget_bypasses(src: Path) -> list[str]:
                         and node.module == "time") \
                         and owner != "cli.cmd_bench":
                     found.append(f"{owner} reads the clock")
+                if isinstance(node, ast.Attribute) \
+                        and node.attr == "seconds_left":
+                    found.append(f"{owner} reads the time left")
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.Lambda)):
                     args = node.args
                     found += [f"{owner} takes {a.arg}" for a in
                               args.posonlyargs + args.args + args.kwonlyargs
                               if a.arg in ("deadline", "tick", "max_atoms")]
+            parts = top.body if isinstance(top, ast.ClassDef) else [top]
+            for part in parts:
+                where = owner if part is top \
+                    else f"{owner}.{getattr(part, 'name', part.lineno)}"
+                if where in ("search.RunConfig.ticker", "chase.entails"):
+                    continue
+                found += [f"{where} builds a ticker with limits"
+                          for node in ast.walk(part)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)
+                          and node.func.id == "Ticker"
+                          and (node.args or node.keywords)]
     return found
 
 
