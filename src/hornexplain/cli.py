@@ -50,10 +50,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _read(path: str) -> str:
+    """An input file's text, without a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        return handle.read()
+
+
 def _load(path: str, query: Optional[str], query_index: int
           ) -> tuple[KnowledgeBase, BooleanCQ]:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = parse_document(handle.read())
+    doc = parse_document(_read(path))
     if query is not None:
         from .parser import parse_query_text
         return doc.kb, parse_query_text(query)
@@ -155,8 +160,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_chase(args) -> int:
-    with open(args.kb, "r", encoding="utf-8") as handle:
-        doc = parse_document(handle.read())
+    doc = parse_document(_read(args.kb))
     state = chase(doc.kb, args.depth)
     if args.format == "dot":
         _emit(_chase_dot(state), args.out)
@@ -237,10 +241,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    with open(args.proof, "r", encoding="utf-8") as handle:
-        proof, goal = proof_from_json(handle.read())
-    with open(args.kb, "r", encoding="utf-8") as handle:
-        kb = parse_document(handle.read()).kb
+    proof, goal = proof_from_json(_read(args.proof))
+    kb = parse_document(_read(args.kb)).kb
     if goal is None:
         raise KBError("proof file carries no goal, cannot convert safely")
     from .deriver_cq import transform_cq_to_sk, transform_sk_to_cq
@@ -263,8 +265,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_export(args) -> int:
-    with open(args.proof, "r", encoding="utf-8") as handle:
-        proof, _ = proof_from_json(handle.read())
+    proof, _ = proof_from_json(_read(args.proof))
     ok, problems = check_proof_shape(proof)
     if not ok:
         raise KBError("the proof file does not hold a proof: "
@@ -274,8 +275,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    with open(args.kb, "r", encoding="utf-8") as handle:
-        _emit(normalize_document_text(handle.read()), args.out)
+    _emit(normalize_document_text(_read(args.kb)), args.out)
     return 0
 
 

@@ -11,14 +11,19 @@ One statement per line::
 rule body are variables; everything else is an individual name.  ``r-``
 denotes the inverse of ``r`` and is canonicalized away while parsing.
 Proof labels use an explicit ``?x`` marker for variables instead, since
-they carry no binding context of their own.
+they carry no binding context of their own.  ``exists(`` opens an atom.
+
+A regex scanner reads the shapes the serializer writes, a label atom with
+nested Skolem terms or a statement over flat atoms, without the tokenizer;
+the grammar reads everything else and alone reports errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
                  KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term, Var,
@@ -186,8 +191,9 @@ def _parse_atom_list(toks: list[str], i: int, variables: Optional[set[str]]
 
 
 def _parse_exists_prefix(toks: list[str], i: int) -> tuple[list[str], int]:
-    """Consume ``exists v1, v2.`` if present; returns declared names."""
-    if toks[i] != "exists":
+    """Consume ``exists v1, v2.`` if present; returns declared names.
+    ``exists(`` opens an atom of the predicate ``exists``."""
+    if toks[i] != "exists" or toks[i + 1] == "(":
         return [], i
     names = []
     sep = ","
@@ -278,6 +284,88 @@ def _parse_query_statement(toks: list[str], i: int) -> BooleanCQ:
     return BooleanCQ(tuple(atoms), tuple(Var(n) for n in evar_names))
 
 
+# ---------------------------------------------------------------------------
+# Scanner (the canonical shapes at one regex match each; None otherwise)
+# ---------------------------------------------------------------------------
+
+_NAME = r"[A-Za-z_]\w*"
+# a label term: unary Skolem applications around a name or ?name;
+# _scan_term checks that its parentheses balance
+_TERM = rf"(?:{_NAME}\()*\??{_NAME}\)*"
+_LABEL_ATOM = re.compile(rf"({_NAME})\(({_TERM})(?:,({_TERM}))?\)", re.ASCII)
+_FLAT_ATOM = re.compile(rf"({_NAME})\(({_NAME})(?:,({_NAME}))?\)", re.ASCII)
+_FLAT = rf"{_NAME}\({_NAME}(?:,{_NAME})?\)"
+_ATOMS = rf"({_FLAT}(?:, *{_FLAT})*)"
+_EXISTS = rf"(?:exists +({_NAME}(?:, *{_NAME})*)\. *)?"
+_STATEMENT = re.compile(rf"rule: *{_ATOMS} *-> *{_EXISTS}{_ATOMS}"
+                        rf"|fact: *({_FLAT})|query: *{_EXISTS}{_ATOMS}",
+                        re.ASCII)
+# the argument names in a flat atom list, and the names of an exists list
+_ARG, _WORD = re.compile(r"\w+(?=[,)])"), re.compile(r"\w+")
+# a reserved name is a whole word of its line
+_RESERVED_WORD = re.compile(rf"\b(?:{'|'.join(RESERVED_CONCEPTS)})\b")
+
+
+def _scan_term(text: str) -> Optional[Term]:
+    """The term of a ``_TERM`` match, built without recursion; None when
+    its ``)`` do not match its ``(``."""
+    fns = text.split("(")
+    inner = fns.pop()
+    name = inner.rstrip(")")
+    if len(inner) - len(name) != len(fns):
+        return None
+    term: Term = Var(name[1:]) if name[0] == "?" else Const(name)
+    for fn in reversed(fns):
+        term = SkolemTerm(fn, term)
+    return term
+
+
+def _scan_atom(text: str) -> Optional[Atom]:
+    m = _LABEL_ATOM.fullmatch(text)
+    if m is None:
+        return None
+    terms = [_scan_term(t) for t in m.groups()[1:] if t is not None]
+    if None in terms:
+        return None
+    return (ConceptAtom if len(terms) == 1 else RoleAtom)(m[1], *terms)
+
+
+def _scan_atoms(text: str, variables) -> list[Atom]:
+    """The flat atoms of an ``_ATOMS`` match; names in ``variables`` are
+    variables, the others individual names."""
+    atoms: list[Atom] = []
+    for pred, s, t in _FLAT_ATOM.findall(text):
+        subj = Var(s) if s in variables else Const(s)
+        atoms.append(RoleAtom(pred, subj, Var(t) if t in variables else
+                              Const(t)) if t else ConceptAtom(pred, subj))
+    return atoms
+
+
+def _scan_statement(raw: str) -> Optional[tuple]:
+    """The line read as ``_parse_statement`` reads it, or None: the line is
+    not a canonical statement over flat atoms, an existential variable
+    shadows a body name, or ``make_rule`` refuses the rule."""
+    m = _STATEMENT.fullmatch(raw)
+    if m is None:
+        return None
+    body, rule_evars, head, fact, query_evars, query = m.groups()
+    if fact is not None:
+        return "fact", _scan_atoms(fact, ())[0]
+    evars = _WORD.findall(rule_evars or query_evars or "")
+    if body is None:
+        return "query", BooleanCQ(tuple(_scan_atoms(query, evars)),
+                                  tuple(map(Var, evars)))
+    body_vars = set(_ARG.findall(body))     # every body name is a variable
+    if body_vars.intersection(evars):
+        return None
+    try:
+        return "rule", make_rule(_scan_atoms(body, body_vars),
+                                 _scan_atoms(head, body_vars.union(evars)),
+                                 map(Var, evars))
+    except KBError:
+        return None
+
+
 def _scan_reserved(atoms: Iterable[Atom], lineno: int) -> None:
     for a in atoms:
         # the predicate ('=' for an equality), then each term's names
@@ -299,36 +387,45 @@ class Document:
     queries: tuple[BooleanCQ, ...]
 
 
+def _parse_statement(raw: str, lineno: int) -> Optional[tuple]:
+    """The grammar's reading of one line: ``(kind, value)`` with a Rule, an
+    Atom or a BooleanCQ, or None for a blank line."""
+    toks = _tokenize(raw, lineno)
+    if len(toks) == 1:
+        return None
+    try:
+        kind = toks[0]
+        if kind in _PUNCT:
+            raise _expected("name", toks, 0)
+        if kind not in ("rule", "fact", "query"):
+            raise _Stop(f"unknown statement kind {kind!r}", 0)
+        if toks[1] != ":":
+            raise _expected(":", toks, 1)
+        if kind == "rule":
+            return kind, _parse_rule_statement(toks, 2, lineno)
+        if kind == "fact":
+            return kind, _parse_fact_statement(toks, 2)
+        return kind, _parse_query_statement(toks, 2)
+    except _Stop as stop:
+        raise _syntax_error(stop, raw, lineno) from None
+
+
 def parse_document(text: str) -> Document:
     rules: list[tuple[int, Rule]] = []
     facts: list[tuple[int, Atom]] = []
     queries: list[BooleanCQ] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno)
-        if len(toks) == 1:
+        statement = _scan_statement(raw) or _parse_statement(raw, lineno)
+        if statement is None:
             continue
-        try:
-            kind = toks[0]
-            if kind in _PUNCT:
-                raise _expected("name", toks, 0)
-            if kind not in ("rule", "fact", "query"):
-                raise _Stop(f"unknown statement kind {kind!r}", 0)
-            if toks[1] != ":":
-                raise _expected(":", toks, 1)
-            if kind == "rule":
-                rule = _parse_rule_statement(toks, 2, lineno)
-                _scan_reserved(rule.body + rule.head, lineno)
-                rules.append((lineno, rule))
-            elif kind == "fact":
-                atom = _parse_fact_statement(toks, 2)
-                _scan_reserved([atom], lineno)
-                facts.append((lineno, atom))
-            else:
-                query = _parse_query_statement(toks, 2)
-                _scan_reserved(query.atoms, lineno)
-                queries.append(query)
-        except _Stop as stop:
-            raise _syntax_error(stop, raw, lineno) from None
+        kind, value = statement
+        if _RESERVED_WORD.search(raw):
+            _scan_reserved(value.body + value.head if kind == "rule" else
+                           value.atoms if kind == "query" else [value], lineno)
+        if kind == "query":
+            queries.append(value)
+        else:
+            (rules if kind == "rule" else facts).append((lineno, value))
 
     _check_name_spaces(rules, facts, queries)
     try:
@@ -387,6 +484,11 @@ def parse_kb(text: str) -> KnowledgeBase:
 # ---------------------------------------------------------------------------
 
 def parse_atom_text(text: str) -> Atom:
+    return _scan_atom(text) or _parse_label_atom(text)
+
+
+def _parse_label_atom(text: str) -> Atom:
+    """The grammar's reading of a label atom."""
     toks = _tokenize(text, 0)
     try:
         atom, i = _parse_atom(toks, 0, variables=None)
@@ -434,20 +536,6 @@ def serialize_document(kb: KnowledgeBase, queries: Iterable[BooleanCQ] = ()) -> 
 # Thin normalizer (CLI convenience)
 # ---------------------------------------------------------------------------
 
-class _FreshNames:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-        self.counter = 0
-
-    def next(self) -> str:
-        while True:
-            self.counter += 1
-            name = f"N{self.counter}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
-
-
 def normalize_rules(raw_rules: Iterable[tuple[tuple[Atom, ...],
                                               tuple[Atom, ...],
                                               tuple[Var, ...]]],
@@ -457,7 +545,9 @@ def normalize_rules(raw_rules: Iterable[tuple[tuple[Atom, ...],
     Introduces fresh concept names for qualified branches in bodies and for
     conjunctive existential fillers; anything stranger is rejected.
     """
-    fresh = _FreshNames(taken_names)
+    taken = set(taken_names)
+    fresh = (n for n in map("N{}".format, itertools.count(1))
+             if n not in taken)
     out: list[Rule] = []
     pending = [(tuple(b), tuple(h), tuple(e)) for b, h, e in raw_rules]
     for body, head, evars in pending:
@@ -478,7 +568,7 @@ def _normalize_one(body, head, evars, fresh) -> list[Rule]:
         concepts = [a for a in head if isinstance(a, ConceptAtom)]
         roles = [a for a in head if isinstance(a, RoleAtom)]
         if len(roles) == 1 and len(concepts) > 1:
-            filler = fresh.next()
+            filler = next(fresh)
             y = evars[0]
             produced.extend(_normalize_one(
                 body, (roles[0], ConceptAtom(filler, y)), evars, fresh))
@@ -494,7 +584,7 @@ def _normalize_one(body, head, evars, fresh) -> list[Rule]:
     return produced
 
 
-def _flatten_body(body, produced: list[Rule], fresh: _FreshNames):
+def _flatten_body(body, produced: list[Rule], fresh: Iterator[str]):
     """Reduce a wide body to at most two atoms over one anchor variable."""
     if len(body) <= 2:
         return body
@@ -525,12 +615,12 @@ def _flatten_body(body, produced: list[Rule], fresh: _FreshNames):
                     and counts.get(other, 0) == 2:
                 j, b = qualifier
                 used[i] = used[j] = True
-                name = fresh.next()
+                name = next(fresh)
                 produced.append(make_rule([a, b], [ConceptAtom(name, anchor)]))
                 features.append(ConceptAtom(name, anchor))
             elif isinstance(other, Var) and counts.get(other, 0) == 1:
                 used[i] = True
-                name = fresh.next()
+                name = next(fresh)
                 produced.append(make_rule([a], [ConceptAtom(name, anchor)]))
                 features.append(ConceptAtom(name, anchor))
             else:
@@ -541,7 +631,7 @@ def _flatten_body(body, produced: list[Rule], fresh: _FreshNames):
                           "features on one variable")
     while len(features) > 2:
         a, b = features[0], features[1]
-        name = fresh.next()
+        name = next(fresh)
         produced.append(make_rule([a, b], [ConceptAtom(name, anchor)]))
         features = [ConceptAtom(name, anchor)] + features[2:]
     return tuple(features)

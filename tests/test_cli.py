@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, formats."""
 
+import codecs
 import json
 import subprocess
 import sys
@@ -665,3 +666,25 @@ def test_a_term_nested_5000_deep_is_read_written_and_refused(tmp_path,
         assert cli.main(["convert", str(path), "--kb", str(kb_path),
                          "--to", to]) == 65
         assert "is not a fact or rule" in capsys.readouterr().err
+
+
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path, ex1_proof_text,
+                                                 capsys):
+    """Every command that reads a KB or a proof file reads one that starts
+    with a UTF-8 byte-order mark; what they write starts with none."""
+    from hornexplain import cli
+    kb = tmp_path / "ex1.kb"
+    kb.write_bytes(codecs.BOM_UTF8 + EX1_TEXT.encode())
+    assert cli.main(["answer", str(kb)]) == 0
+    assert capsys.readouterr().out == "yes, depth 2, xp -> a, y -> f_0(a)\n"
+    for args in (["chase", str(kb), "--depth", "1"], ["normalize", str(kb)]):
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.startswith(("A(a)", "rule: "))
+    proof = tmp_path / "p.json"
+    proof.write_bytes(codecs.BOM_UTF8 + ex1_proof_text.encode())
+    out = tmp_path / "cq.json"
+    assert cli.main(["convert", str(proof), "--kb", str(kb), "--to", "cq",
+                     "-o", str(out)]) == 0
+    assert out.read_bytes().startswith(b"{")
+    assert cli.main(["export", str(proof)]) == 0
+    assert capsys.readouterr().out.startswith("digraph proof {")

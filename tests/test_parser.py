@@ -1,7 +1,8 @@
 """The string-token parser against a frozen copy of the token-object
 tokenizer and cursor descent it replaced: on generated lines both give the
 same result, or the same exception with the same message, line and
-column."""
+column, but for the differences ``_assert_same`` allows.  The regex scanner
+in front of the grammar against the grammar: the same value, or None."""
 
 import json
 from dataclasses import dataclass
@@ -415,8 +416,34 @@ _READ_PAST_END = ("facts cannot be equalities",
                   "queries cannot contain equality atoms")
 
 
+_FROZEN_EXISTS_PREFIX = _parse_exists_prefix
+
+
+def _exists_as_predicate(cur: _Cursor) -> list[str]:
+    """The frozen prefix reader with the one fix made since: ``exists``
+    followed by ``(`` opens an atom, not the quantifier."""
+    if cur.peek().text == "exists" and cur.toks[cur.pos + 1].text == "(":
+        return []
+    return _FROZEN_EXISTS_PREFIX(cur)
+
+
+def _with_exists_predicate(reference):
+    def run(text):
+        global _parse_exists_prefix
+        _parse_exists_prefix = _exists_as_predicate
+        try:
+            return reference(text)
+        finally:
+            _parse_exists_prefix = _FROZEN_EXISTS_PREFIX
+    return run
+
+
 def _assert_same(fn, reference, text):
     got, want = _outcome(fn, text), _outcome(reference, text)
+    if want[0] == "syntax" and want[1].endswith("expected 'name', found ("):
+        # the reference read ``exists(`` after a rule's arrow or a query's
+        # marker as the quantifier; it is a predicate now
+        want = _outcome(_with_exists_predicate(reference), text)
     if want[0] == "raised" and want[1] is IndexError:
         assert got[0] == "syntax" and got[1].endswith(_READ_PAST_END), got
     elif want[0] == "ok" and isinstance(want[1], (ConceptAtom, RoleAtom,
@@ -544,3 +571,131 @@ def test_the_proof_reader_reads_every_golden_atom_as_parse_atom_text():
                 assert a is parser.parse_atom_text(t), (path.name, t)
             read += len(atoms)
     assert read > 100
+
+
+# ---------------------------------------------------------------------------
+# The scanner in front of the grammar reads what the grammar reads, or
+# nothing
+# ---------------------------------------------------------------------------
+
+_SCAN_NAMES = ["a", "b", "x", "y", "A", "B", "r", "f_0", "_u", "exists",
+               "rule", "fact", "query", "top", "bot"]
+# terms and atoms outside the scanner's statements, most of them malformed
+_ODD_TERMS = ["f(a)", "f(g(?x))", "?x", "f(a))", "f((a)", "é", "aé", "x²",
+              "1a", " a", "a b"]
+_ODD_ATOMS = ["A(f(a)))", "A( a)", "A (a)", "r(a, b)", "r-(a,b)", "a = b",
+              "f(a) = b", "A(a) # c", "exists (a)", "A(a))", "A()"]
+
+# the normal forms, so that many drawn rules are accepted
+_RULE_SHAPES = ["rule: {P}({x}) -> {Q}({x})",
+                "rule: {P}({x}), {Q}({x}) -> {P}({x})",
+                "rule: {p}({x},{y}), {P}({y}) -> {Q}({x})",
+                "rule: {P}({x}) -> exists {y}. {p}({x},{y}), {Q}({y})",
+                "rule: {P}({x}), {p}({x},{y}) -> {Q}({y})",
+                "rule: {p}({x},{y}) -> {q}({x},{y})",
+                "rule: {p}({x},{y}) -> {q}({y},{x})"]
+
+
+@st.composite
+def _statement_lines(draw, odd):
+    """A statement in the serializer's spacing over the scanner's names
+    or, with ``odd``, with odd terms, atoms and line ends mixed in."""
+    terms = _SCAN_NAMES + _ODD_TERMS * odd
+
+    def atoms(most=3):
+        out = []
+        for _ in range(draw(st.integers(1, most))):
+            if odd and draw(st.integers(0, 3)) == 0:
+                out.append(draw(st.sampled_from(_ODD_ATOMS)))
+                continue
+            args = draw(st.lists(st.sampled_from(terms), min_size=1,
+                                 max_size=2))
+            out.append(f"{draw(st.sampled_from(_SCAN_NAMES))}"
+                       f"({','.join(args)})")
+        return draw(st.sampled_from([", ", ","])).join(out)
+
+    def exists():
+        names = draw(st.lists(st.sampled_from(_SCAN_NAMES), max_size=2))
+        return f"exists {', '.join(names)}. " if names else ""
+
+    kind = draw(st.sampled_from(["shape", "rule", "fact", "query"]))
+    if kind == "shape":
+        line = draw(st.sampled_from(_RULE_SHAPES)).format(
+            **{k: draw(st.sampled_from(_SCAN_NAMES)) for k in "PQpqxy"})
+    elif kind == "rule":
+        line = f"rule: {atoms()} -> {exists()}{atoms()}"
+    elif kind == "fact":
+        line = f"fact: {atoms(3 if odd else 1)}"
+    else:
+        line = f"query: {exists()}{atoms()}"
+    return line + (draw(st.sampled_from(["", " ", "  # c"])) if odd else "")
+
+
+_LABEL_TERMS = st.recursive(
+    st.sampled_from(_SCAN_NAMES + ["?x", "?top", "?exists"]),
+    lambda inner: st.builds("{}({})".format,
+                            st.sampled_from(["f_0", "g", "exists", "top"]),
+                            inner),
+    max_leaves=4)
+
+
+@st.composite
+def _label_atoms(draw, odd):
+    """A label atom as ``format_atom`` writes it or, with ``odd``, with
+    odd terms and atoms mixed in."""
+    terms = st.one_of(_LABEL_TERMS, st.sampled_from(_ODD_TERMS)) if odd \
+        else _LABEL_TERMS
+    if odd and draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(_ODD_ATOMS))
+    args = draw(st.lists(terms, min_size=1, max_size=2))
+    return f"{draw(st.sampled_from(_SCAN_NAMES))}({','.join(args)})"
+
+
+def _grammar(read, text):
+    """What the grammar alone reads from ``text``, or KBError."""
+    try:
+        return read(text)
+    except KBError:
+        return KBError
+
+
+@_SETTINGS
+@given(st.one_of(_lines(), _statement_lines(True), _statement_lines(False),
+                 _label_atoms(True), _label_atoms(False)))
+@example("query: exists(a)")
+@example("rule: A(x) -> exists(x)")
+@example("rule: A(x) -> exists x. B(x)")
+@example("A(f(a)))")
+def test_the_scanner_reads_what_the_grammar_reads_or_nothing(line):
+    """Whenever the grammar raises, the scanner returns None."""
+    body = line.split(":", 1)[1].lstrip() if ":" in line else line
+    for text in (line, body):
+        scanned = parser._scan_statement(text)
+        want = _grammar(lambda t: parser._parse_statement(t, 1), text)
+        assert scanned is None or (want is not KBError
+                                   and scanned == want), (scanned, want)
+        scanned = parser._scan_atom(text)
+        want = _grammar(parser._parse_label_atom, text)
+        assert scanned is None or scanned is want, (scanned, want)
+
+
+@_SETTINGS
+@given(_statement_lines(False), _label_atoms(False))
+def test_the_scanner_reads_every_canonical_text_the_grammar_accepts(line,
+                                                                    label):
+    want = _grammar(lambda t: parser._parse_statement(t, 1), line)
+    if want is not KBError:
+        assert parser._scan_statement(line) == want
+    assert parser._scan_atom(label) is parser._parse_label_atom(label)
+
+
+def test_a_predicate_named_exists_reads_back():
+    """``exists(`` after a rule's arrow or a query's marker opens an atom,
+    so the serializer's lines for such a KB read back."""
+    text = "rule: A(x) -> exists(x)\nfact: A(a)\nquery: exists(a)\n"
+    doc = parser.parse_document(text)
+    assert parser.serialize_document(doc.kb, doc.queries) == text
+    assert parser._parse_statement("query: exists(a)", 1)[1].atoms == (
+        ConceptAtom("exists", Const("a")),)
+    assert parser._parse_statement("rule: A(x) -> exists(x)", 1)[1].head \
+        == (ConceptAtom("exists", Var("x")),)

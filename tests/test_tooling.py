@@ -5,12 +5,19 @@ objects sit in memory."""
 import ast
 import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from hornexplain.generators import gen_sat, gen_sat_cq
+from hornexplain import parser
+from hornexplain.generators import (gen_dllite_chain, gen_dllite_tree_query,
+                                    gen_el_abox, gen_el_tree,
+                                    gen_hornalc_counter, gen_sat, gen_sat_cq)
+from hornexplain.kb import ConceptAtom, Const, SkolemTerm, format_term
+
+from conftest import EX1_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -286,3 +293,36 @@ def test_the_el_tree_10_proof_is_pinned(tmp_path):
                           capture_output=True, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "0b34f302ac66fc17e29848d25992c11ee1ceb2fa913809e214c88a8941515d83")
+
+
+def test_the_scanner_reads_what_the_tool_writes():
+    """The regex scanner in front of the grammar, not the grammar, reads
+    every statement line the serializer writes for each generator and the
+    running example, every atom text of the golden proofs, and a term
+    nested 5,000 deep: a scanner edit that sends these to the slow path
+    fails here."""
+    instances = [gen_el_tree(4), gen_el_abox(6), gen_dllite_chain(5),
+                 gen_dllite_tree_query(4, 10), gen_hornalc_counter(2),
+                 gen_sat(_SAT_CLAUSES), gen_sat_cq(_SAT_CLAUSES)]
+    docs = [(i.kb, [i.query]) for i in instances]
+    ex1 = parser.parse_document(EX1_TEXT)
+    docs.append((ex1.kb, ex1.queries))
+    lines = [line for kb, queries in docs
+             for line in parser.serialize_document(kb, queries).splitlines()]
+    assert len(lines) > 150
+    assert [line for line in lines if not parser._scan_statement(line)] \
+        == []
+    texts = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for label in doc["vertices"] + [doc.get("goal", {})]:
+            texts += [label["atom"]] if "atom" in label else []
+            texts += [t for key in ("atoms", "body", "head")
+                      for t in label.get(key, [])]
+    assert len(texts) > 1000
+    assert [t for t in texts if parser._scan_atom(t) is None] == []
+    deep = Const("a")
+    for i in range(5000):
+        deep = SkolemTerm(f"f_{i % 2}", deep)
+    assert parser._scan_atom(f"A({format_term(deep)})") \
+        is ConceptAtom("A", deep)
