@@ -150,13 +150,11 @@ def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
 
 def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
                       conclusion: Label, kb: KnowledgeBase) -> Optional[str]:
-    if schema is Schema.MPe:
-        return _check_mpe(premises, conclusion, kb)
-    if schema is Schema.Te:
-        return _check_te(premises, conclusion)
-    if schema not in _STEP_ANALYSES:
+    """None when the edge instantiates its schema, else a diagnostic."""
+    analyze = ANALYSES.get(schema)
+    if analyze is None:
         return f"schema {schema.value} does not belong to this deriver"
-    found = _STEP_ANALYSES[schema](premises, conclusion)
+    found = analyze(premises, conclusion, kb)
     return found if isinstance(found, str) else None
 
 
@@ -313,7 +311,12 @@ def _bind_head(pattern: Atom, target: Atom, assignment: dict[Var, Term],
     return new, fresh
 
 
-def _check_mpe(premises, conclusion, kb) -> Optional[str]:
+# An analysis returns what a valid step is made of, or the reason it is
+# invalid as a string; the checker and the cq->sk grounding share it.
+
+def _analyze_mpe_step(premises, conclusion, kb
+                      ) -> tuple[dict[Var, Term], dict[Var, Term]] | str:
+    """The rule's body match and head assignment (:func:`analyze_mpe`)."""
     if len(premises) != 2 or not isinstance(premises[0], BooleanCQ) \
             or not isinstance(premises[1], RULE_TYPES):
         return "rule application takes a query and a rule"
@@ -323,52 +326,24 @@ def _check_mpe(premises, conclusion, kb) -> Optional[str]:
     if isinstance(rule, Rule):
         if rule not in kb.rule_index:
             return "rule is not from the TBox"
-    else:
-        err = _taut_shape_error(rule)
-        if err:
-            return err
+    elif rule.shape_error:
+        return rule.shape_error
     if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
-    if analyze_mpe(premises[0], rule, conclusion) is None:
-        return "no substitution and replaced/kept choice yields the conclusion"
-    return None
+    return analyze_mpe(premises[0], rule, conclusion) or \
+        "no substitution and replaced/kept choice yields the conclusion"
 
 
-def _taut_shape_error(rule: TautRule) -> Optional[str]:
-    if len(rule.body) != len(rule.head):
-        return "tautology head must repeat the pattern"
-    mapping = match_positionally(list(rule.body), list(rule.head))
-    if mapping is None:
-        return "tautology head must be a variable renaming of the pattern"
-    image_evars = set(rule.existential_vars)
-    seen: dict[Term, Var] = {}
-    for v, t in mapping.items():
-        if not isinstance(t, Var):
-            return "tautologies only rename variables"
-        if t in seen.values() and seen.get(t) != v:
-            return "tautology renaming must be injective"
-        seen[t] = v
-        if t != v and t not in image_evars:
-            return "renamed variables must be re-quantified"
-    for v in image_evars:
-        if v not in mapping.values() and v not in {x for a in rule.head
-                                                   for x in atom_vars(a)}:
-            return "existential variables must occur in the head"
-    return None
-
-
-def _check_te(premises, conclusion) -> Optional[str]:
+def _analyze_te(premises, conclusion, kb) -> TautRule | str:
+    """The tautology the step introduces."""
     if premises:
         return "tautology introduction takes no premises"
     if not isinstance(conclusion, TautRule):
         return "conclusion must be a tautological rule"
-    return _taut_shape_error(conclusion)
+    return conclusion.shape_error or conclusion
 
 
-# An analysis returns what a valid step is made of, or the reason it is
-# invalid as a string; the checker and the cq->sk grounding share it.
-
-def _analyze_ee(premises, conclusion) -> EqAtom | str:
+def _analyze_ee(premises, conclusion, kb) -> EqAtom | str:
     """The equality conjunct the step eliminates."""
     if len(premises) != 1 or not isinstance(premises[0], BooleanCQ):
         return "equality elimination takes a single query premise"
@@ -385,7 +360,7 @@ def _analyze_ee(premises, conclusion) -> EqAtom | str:
     return "no equality conjunct produces the conclusion"
 
 
-def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
+def _analyze_ce(premises, conclusion, kb) -> dict[Var, Term] | str:
     """The renaming of the second premise into the conclusion's tail."""
     if len(premises) != 2 or not all(isinstance(p, BooleanCQ)
                                      for p in premises):
@@ -420,7 +395,7 @@ def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
     return mapping
 
 
-def _analyze_ge(premises, conclusion) -> dict[Var, Term] | str:
+def _analyze_ge(premises, conclusion, kb) -> dict[Var, Term] | str:
     """The match of the conclusion onto the premise."""
     if len(premises) != 1 or not isinstance(premises[0], BooleanCQ):
         return "generalization takes a single query premise"
@@ -442,8 +417,10 @@ def _analyze_ge(premises, conclusion) -> dict[Var, Term] | str:
     return mapping
 
 
-_STEP_ANALYSES = {Schema.Ee: _analyze_ee, Schema.Ce: _analyze_ce,
-                  Schema.Ge: _analyze_ge}
+# each schema's one definition, read by the checker and the grounding
+ANALYSES = {Schema.MPe: _analyze_mpe_step, Schema.Te: _analyze_te,
+            Schema.Ee: _analyze_ee, Schema.Ce: _analyze_ce,
+            Schema.Ge: _analyze_ge}
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +718,11 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
 
     Generalization steps are deferred (their conclusions keep the premise's
     grounding), tautology applications collapse, and the needed atoms are
-    re-derived backward from the goal instance.
+    re-derived backward from the goal instance.  Each step is grounded from
+    the checker's analysis of it; TransformError when the step is invalid.
     """
-    sk_rules = kb.skolem_rules
     inc = p.incoming()
-    grounding: dict[int, dict[Var, Term]] = {}
-    ground_sets = _GroundSets(p, grounding)
-    producer: dict[Atom, tuple] = {}
+    g = _Grounding(p, kb)
     for v in p.topological_order():
         label = p.vertices[v]
         edges = inc[v]
@@ -757,29 +732,27 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
             if not isinstance(label, BooleanCQ) or label.existential_vars \
                     or len(label.atoms) != 1:
                 raise TransformError("query-proof leaves must be single facts")
-            grounding[v] = {}
-            producer.setdefault(label.atoms[0], ("fact",))
+            g.gamma[v] = {}
+            g.producer.setdefault(label.atoms[0], (None, ()))
             continue
         edge = edges[0]
-        if edge.schema is Schema.MPe:
-            _ground_mpe(p, kb.rule_index, sk_rules, edge, v, grounding,
-                        producer)
-        elif edge.schema is Schema.Ee:
-            _ground_ee(p, edge, v, grounding, ground_sets, producer)
-        elif edge.schema is Schema.Ce:
-            _ground_ce(p, edge, v, grounding, ground_sets)
-        elif edge.schema is Schema.Ge:
-            _ground_ge(p, edge, v, grounding, ground_sets)
-        else:
+        ground = GROUNDINGS.get(edge.schema)
+        if ground is None:
             raise TransformError(f"unexpected schema {edge.schema.value} in "
                                  "a query-level proof")
+        found = ANALYSES[edge.schema](
+            tuple(p.vertices[q] for q in edge.premises), label, kb)
+        if isinstance(found, str):
+            raise TransformError(f"invalid {edge.schema.value} step: {found}")
+        ground(g, edge, v, found)
 
     sink = p.sink()
     goal = p.vertices[sink]
     if not isinstance(goal, BooleanCQ):
         raise TransformError("query-proof sinks carry queries")
-    gamma = grounding[sink]
+    gamma = g.gamma[sink]
     targets = [ground_atom(gamma, a) for a in goal.atoms]
+    sk_rules, producer = kb.skolem_rules, g.producer
 
     def derive(node: Atom | int):
         """An atom's label, premises and schema from its recorded
@@ -789,13 +762,7 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         entry = producer.get(node)
         if entry is None:
             raise TransformError(f"no derivation recorded for {node}")
-        if entry[0] == "fact":
-            return node, (), None
-        if entry[0] == "mp":
-            _, idx, pi_hat = entry
-            return node, [substitute_atom(b, pi_hat)
-                          for b in sk_rules[idx].body] + [idx], Schema.MP
-        return node, entry[1:], Schema.E
+        return node, entry[1], entry[0]
 
     return assemble_proof(targets, derive, goal)
 
@@ -817,127 +784,105 @@ def ground_atom(gamma: dict[Var, Term], a: Atom) -> Atom:
     return map_atom_terms(a, lambda t: ground_term(gamma, t))
 
 
-def _step_analysis(p: ProofGraph, edge, v: int):
-    """The checker's analysis of a Ce, Ge or Ee step; TransformError when
-    the step is invalid."""
-    found = _STEP_ANALYSES[edge.schema](
-        tuple(p.vertices[q] for q in edge.premises), p.vertices[v])
-    if isinstance(found, str):
-        raise TransformError(f"invalid {edge.schema.value} step: {found}")
-    return found
+class _Grounding(dict):
+    """A query proof's grounding as it is built.  ``gamma`` holds each query
+    vertex's grounding of its variables, and ``producer`` each ground
+    atom's derivation as the (schema, premises) pair that
+    :func:`assemble_proof` takes, (None, ()) for a fact.  The dict holds
+    the ground atoms of each query vertex, in label order: a Ce, Ge or Ee
+    step stores its own; a leaf's or an MPe conclusion's are grounded with
+    the vertex's grounding when first read."""
 
-
-class _GroundSets(dict):
-    """The ground atoms of each query vertex, in label order.  A Ce, Ge or
-    Ee step stores its own; a leaf's or an MPe conclusion's are grounded
-    with the vertex's grounding when first read."""
-
-    def __init__(self, p: ProofGraph, grounding: dict[int, dict[Var, Term]]):
+    def __init__(self, p: ProofGraph, kb: KnowledgeBase):
         super().__init__()
-        self.vertices, self.grounding = p.vertices, grounding
+        self.vertices, self.kb = p.vertices, kb
+        self.gamma: dict[int, dict[Var, Term]] = {}
+        self.producer: dict[Atom, tuple[Optional[Schema], tuple]] = {}
 
     def __missing__(self, v: int) -> list[Atom]:
-        gamma = self.grounding[v]
+        gamma = self.gamma[v]
         atoms = self[v] = [ground_atom(gamma, a)
                            for a in self.vertices[v].atoms]
         return atoms
 
 
-def _ground_mpe(p, rule_index, sk_rules, edge, v, grounding, producer):
+# Each grounding takes the grounding so far, the step's edge, its
+# conclusion's vertex and the step's analysis (ANALYSES).
+
+def _ground_mpe(g: _Grounding, edge, v: int, found) -> None:
+    pi, head_assign = found
     phi_vid = edge.premises[0]
-    rule = p.vertices[edge.premises[1]]
-    assert isinstance(rule, RULE_TYPES)
-    concl = p.vertices[v]
-    assert isinstance(concl, BooleanCQ)
-    phi = p.vertices[phi_vid]
-    assert isinstance(phi, BooleanCQ)
-    analysis = analyze_mpe(phi, rule, concl)
-    if analysis is None:
-        raise TransformError("invalid rule application step")
-    pi, head_assign = analysis
-    gamma_phi = grounding[phi_vid]
+    rule = g.vertices[edge.premises[1]]
+    gamma_phi = g.gamma[phi_vid]
     pi_hat = {var: ground_term(gamma_phi, t) for var, t in pi.items()}
-
-    gamma_new: dict[Var, Term] = {}
-    for var in concl.variables():
-        if var in gamma_phi:
-            gamma_new[var] = gamma_phi[var]
-
+    gamma_new = g.gamma[v] = {var: gamma_phi[var]
+                              for var in g.vertices[v].variables()
+                              if var in gamma_phi}
     if isinstance(rule, TautRule):
         # copies collapse on ground queries: interpret duplicated variables
         # by the terms of the originals they renamed
         mapping = match_positionally(list(rule.body), list(rule.head))
-        assert mapping is not None
         for body_var, head_term in mapping.items():
             if isinstance(head_term, Var):
                 w = head_assign.get(head_term)
                 if isinstance(w, Var):
                     gamma_new[w] = pi_hat[body_var]
-        new_producers = {}
-    else:
-        idx = rule_index.get(rule)
-        if idx is None:
-            raise TransformError("rule is not from the TBox")
-        sk_rule = sk_rules[idx]
-        witness = {}
-        for evar in rule.existential_vars:
-            frontier = rule.body[0].term
-            witness[evar] = SkolemTerm(sk_rule.fn, pi_hat[frontier])
-        for evar, w in head_assign.items():
-            if isinstance(w, Var) and evar in witness:
-                gamma_new[w] = witness[evar]
-        new_producers = {substitute_atom(h, pi_hat): ("mp", idx, dict(pi_hat))
-                         for h in sk_rule.head}
-
-    grounding[v] = gamma_new
-    for atom, entry in new_producers.items():
-        producer.setdefault(atom, entry)
+        return
+    idx = g.kb.rule_index[rule]
+    sk_rule = g.kb.skolem_rules[idx]
+    for evar, w in head_assign.items():
+        if isinstance(w, Var) and evar in rule.existential_vars:
+            gamma_new[w] = SkolemTerm(sk_rule.fn, pi_hat[rule.body[0].term])
+    step = (Schema.MP, tuple(substitute_atom(b, pi_hat)
+                             for b in sk_rule.body) + (idx,))
+    for h in sk_rule.head:
+        g.producer.setdefault(substitute_atom(h, pi_hat), step)
 
 
-def _ground_ee(p, edge, v, grounding, ground_sets, producer):
-    equality = _step_analysis(p, edge, v)
+def _ground_ee(g: _Grounding, edge, v: int, equality: EqAtom) -> None:
     phi_vid = edge.premises[0]
-    gamma_phi = grounding[phi_vid]
+    gamma_phi = g.gamma[phi_vid]
     eq_hat = ground_atom(gamma_phi, equality)
-    assert isinstance(eq_hat, EqAtom)
     src, dst = eq_hat.lhs, eq_hat.rhs
-
-    gamma_new = {var: (dst if val == src else val)
-                 for var, val in gamma_phi.items()}
-    grounding[v] = gamma_new
+    g.gamma[v] = {var: (dst if val == src else val)
+                  for var, val in gamma_phi.items()}
     new_set = []
-    for a in ground_sets[phi_vid]:
+    for a in g[phi_vid]:
         if a == eq_hat:
             continue
         b = _replace_top_level(a, src, dst)
         rewritten = b if b is not None else a
         new_set.append(rewritten)
         if rewritten != a:
-            producer.setdefault(rewritten, ("e", a, eq_hat))
-    ground_sets[v] = new_set
+            g.producer.setdefault(rewritten, (Schema.E, (a, eq_hat)))
+    g[v] = new_set
 
 
-def _ground_ce(p, edge, v, grounding, ground_sets):
-    mapping = _step_analysis(p, edge, v)
+def _ground_ce(g: _Grounding, edge, v: int, mapping: dict[Var, Term]
+               ) -> None:
     left_vid, right_vid = edge.premises
-    gamma = dict(grounding[left_vid])
-    gamma_right = grounding[right_vid]
+    gamma = dict(g.gamma[left_vid])
+    gamma_right = g.gamma[right_vid]
     for var, target in mapping.items():
         if isinstance(target, Var):
             gamma[target] = gamma_right[var]
-    grounding[v] = gamma
-    ground_sets[v] = list(dict.fromkeys(ground_sets[left_vid]
-                                        + ground_sets[right_vid]))
+    g.gamma[v] = gamma
+    g[v] = list(dict.fromkeys(g[left_vid] + g[right_vid]))
 
 
-def _ground_ge(p, edge, v, grounding, ground_sets):
-    mapping = _step_analysis(p, edge, v)
+def _ground_ge(g: _Grounding, edge, v: int, mapping: dict[Var, Term]
+               ) -> None:
     phi_vid = edge.premises[0]
-    gamma = dict(grounding[phi_vid])
+    gamma = dict(g.gamma[phi_vid])
     for var, target in mapping.items():
         if isinstance(target, Var):
-            gamma[var] = grounding[phi_vid][target]
+            gamma[var] = g.gamma[phi_vid][target]
         else:
             gamma[var] = target
-    grounding[v] = gamma
-    ground_sets[v] = list(ground_sets[phi_vid])
+    g.gamma[v] = gamma
+    g[v] = list(g[phi_vid])
+
+
+# every query-level schema but Te, whose conclusion is a rule
+GROUNDINGS = {Schema.MPe: _ground_mpe, Schema.Ee: _ground_ee,
+              Schema.Ce: _ground_ce, Schema.Ge: _ground_ge}

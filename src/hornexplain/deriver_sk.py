@@ -6,9 +6,9 @@ terms nest arbitrarily deep), so it is only ever materialized up to a term
 depth bound, as a :class:`FiniteStructure`, by :func:`saturate`, whose
 vertices are labeled by the atoms and Skolem rules themselves, each atom's
 vertex found through ``atom_ids``.  Edge admissibility is checked
-separately, schema by schema, in :func:`check_edge_labels`, on the labels
-of the premises and the conclusion: atoms, ground conjunctions (tuples of
-atoms), queries and rules.
+separately, by each schema's entry in ``CHECKS`` (:func:`check_edge_labels`),
+on the labels of the premises and the conclusion: atoms, ground
+conjunctions (tuples of atoms), queries and rules.
 """
 
 from __future__ import annotations
@@ -61,15 +61,10 @@ def _replacements(eqs: Iterable[Atom],
 def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
                       conclusion: Label, kb: KnowledgeBase) -> Optional[str]:
     """None when the edge instantiates its schema, else a diagnostic."""
-    if schema is Schema.MP:
-        return _check_mp(premises, conclusion, kb)
-    if schema is Schema.E:
-        return _check_e(premises, conclusion)
-    if schema is Schema.C:
-        return _check_c(premises, conclusion)
-    if schema is Schema.G:
-        return _check_g(premises, conclusion)
-    return f"schema {schema.value} does not belong to this deriver"
+    check = CHECKS.get(schema)
+    if check is None:
+        return f"schema {schema.value} does not belong to this deriver"
+    return check(premises, conclusion, kb)
 
 
 def _check_mp(premises, conclusion, kb) -> Optional[str]:
@@ -97,7 +92,7 @@ def _check_mp(premises, conclusion, kb) -> Optional[str]:
     return None
 
 
-def _check_e(premises, conclusion) -> Optional[str]:
+def _check_e(premises, conclusion, kb) -> Optional[str]:
     if len(premises) != 2 or not all(isinstance(p, ATOM_TYPES)
                                      for p in premises):
         return "equality replacement takes an atom and an equality"
@@ -121,7 +116,7 @@ def _check_e(premises, conclusion) -> Optional[str]:
     return None
 
 
-def _check_c(premises, conclusion) -> Optional[str]:
+def _check_c(premises, conclusion, kb) -> Optional[str]:
     for lab in premises:
         if not isinstance(lab, ATOM_TYPES) or not atom_is_ground(lab):
             return "conjunction premises must be ground atoms"
@@ -136,7 +131,7 @@ def _check_c(premises, conclusion) -> Optional[str]:
     return None
 
 
-def _check_g(premises, conclusion) -> Optional[str]:
+def _check_g(premises, conclusion, kb) -> Optional[str]:
     if len(premises) != 1:
         return "generalization takes a single conjunction premise"
     ground = premises[0]
@@ -153,6 +148,12 @@ def _check_g(premises, conclusion) -> Optional[str]:
     if subst is None:
         return "conjunction is not an instance of the query"
     return None
+
+
+# each schema's one definition: None when a step instantiates it, else why
+# not (all of them on the premise and conclusion labels and the KB)
+CHECKS = {Schema.MP: _check_mp, Schema.E: _check_e, Schema.C: _check_c,
+          Schema.G: _check_g}
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .kb import (Atom, BooleanCQ, ConceptAtom, Const, EqAtom, KBError,
-                 KnowledgeBase, RoleAtom, Rule, SkolemTerm, Term, Var,
-                 atom_pred, atom_terms, atom_vars, format_atom, format_term,
-                 make_kb, make_rule, map_atom_terms, subterms,
-                 RESERVED_CONCEPTS)
+                 KnowledgeBase, RoleAtom, Rule, Signature, SkolemTerm, Term,
+                 Var, atom_pred, atom_terms, atom_vars, format_atom,
+                 format_term, make_kb, make_rule, map_atom_terms,
+                 signature_of, subterms, RESERVED_CONCEPTS)
 
 
 class KBSyntaxError(KBError):
@@ -427,10 +427,16 @@ def parse_document(text: str) -> Document:
         else:
             (rules if kind == "rule" else facts).append((lineno, value))
 
-    _check_name_spaces(rules, facts, queries)
     try:
         kb = make_kb([r for _, r in rules], [a for _, a in facts])
+        # the KB's signature is checked for clashes; the queries' names
+        # must not clash with it either, but stay out of it
+        s = kb.signature
+        q = signature_of((), [a for query in queries for a in query.atoms])
+        Signature(s.concept_names | q.concept_names, s.role_names
+                  | q.role_names, s.individual_names | q.individual_names)
     except KBError as exc:
+        _check_name_spaces(rules, facts, queries)   # a clash, with its line
         raise KBSyntaxError(str(exc), 0, 0) from exc
     return Document(kb, tuple(queries))
 

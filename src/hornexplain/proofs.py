@@ -16,12 +16,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .kb import (ATOM_TYPES, Atom, BooleanCQ, KBError, KnowledgeBase,
                  NormalForm, Rule, SkolemRule, Term, Var, atom_key, atom_terms,
-                 cq_equivalent, format_atom, make_rule, subterms,
+                 atom_vars, cq_equivalent, format_atom, make_rule, subterms,
                  term_is_ground)
+from .matching import match_positionally
 
 
 class Schema(Enum):
@@ -58,6 +60,36 @@ class TautRule:
     body: tuple[Atom, ...]
     head: tuple[Atom, ...]
     existential_vars: tuple[Var, ...]
+
+    @cached_property
+    def shape_error(self) -> Optional[str]:
+        """Why this is no tautology, or None; judged once per rule, so the
+        Te step that introduces it and every step that applies it share
+        the verdict."""
+        return _taut_shape_error(self)
+
+
+def _taut_shape_error(rule: TautRule) -> Optional[str]:
+    if len(rule.body) != len(rule.head):
+        return "tautology head must repeat the pattern"
+    mapping = match_positionally(list(rule.body), list(rule.head))
+    if mapping is None:
+        return "tautology head must be a variable renaming of the pattern"
+    image_evars = set(rule.existential_vars)
+    seen: dict[Term, Var] = {}
+    for v, t in mapping.items():
+        if not isinstance(t, Var):
+            return "tautologies only rename variables"
+        if t in seen.values() and seen.get(t) != v:
+            return "tautology renaming must be injective"
+        seen[t] = v
+        if t != v and t not in image_evars:
+            return "renamed variables must be re-quantified"
+    for v in image_evars:
+        if v not in mapping.values() and v not in {x for a in rule.head
+                                                   for x in atom_vars(a)}:
+            return "existential variables must occur in the head"
+    return None
 
 
 RULE_TYPES = (Rule, SkolemRule, TautRule)    # for isinstance

@@ -29,8 +29,8 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  is_tree_shaped, orient_equality, substitute_atom)
 from .matching import AtomIndex, match_conjunction
 from .proofs import (Measure, ProofBuilder, ProofGraph, Schema,
-                     ground_terms_of_label, label_key, proof_size,
-                     sub_derivation, tree_size)
+                     ground_terms_of_label, label_key, measure,
+                     sub_derivation)
 
 
 @dataclass
@@ -48,6 +48,8 @@ class RunConfig:
     def __post_init__(self):
         if self.bound is not None and self.bound <= 1:
             raise ValueError("bounds are natural numbers greater than 1")
+        if self.depth_ceiling is not None and self.depth_ceiling < 0:
+            raise ValueError("depth bound must be non-negative")
         if self.algo not in ("auto", "poly", "exact"):
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.deriver not in ("sk", "cq"):
@@ -553,10 +555,9 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
             if best is None:
                 return _result(config, ticker, "exhausted")
     if forward is not None and (best is None or forward[0] < best[0]):
-        value, proof = forward
-        got = tree_size(proof) if config.measure is Measure.TREE_SIZE \
-            else proof_size(proof)
-        return _result(config, ticker, "found", proof, got)
+        proof = forward[1]
+        return _result(config, ticker, "found", proof,
+                       measure(proof, config.measure))
     if best is None and kb.tbox:
         # ``none`` needs a certificate, which the incomplete moves are not
         result = _result(config, ticker, "exhausted")
@@ -566,11 +567,10 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
         return result
     if best is None:
         return _result(config, ticker, "none", complete=True)
-    value, sigma, use_taut = best
+    _, sigma, use_taut = best
     proof = _assemble_cq(q, sigma, use_taut)
-    got = tree_size(proof) if config.measure is Measure.TREE_SIZE \
-        else proof_size(proof)
-    return _result(config, ticker, "found", proof, got, complete)
+    return _result(config, ticker, "found", proof,
+                   measure(proof, config.measure), complete)
 
 
 def _canon_cq(cq: BooleanCQ) -> tuple:

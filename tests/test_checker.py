@@ -19,7 +19,7 @@ import hornexplain
 from hornexplain.deriver_cq import (TransformError, analyze_mpe,
                                     check_edge_labels as cq_check_edge,
                                     mpe_apply, te_rule, transform_cq_to_sk,
-                                    transform_sk_to_cq, _taut_shape_error)
+                                    transform_sk_to_cq)
 from hornexplain.deriver_sk import check_edge_labels as sk_check_edge
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (gen_dllite_chain, gen_dllite_tree_query,
@@ -33,7 +33,8 @@ from hornexplain.matching import (AtomIndex, match_conjunction,
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (CQ_SCHEMAS, RULE_TYPES, SK_SCHEMAS, Measure,
                                 ProofEdge, ProofGraph, Schema, TautRule,
-                                _postorder, check_proof_shape, format_label,
+                                _postorder, _taut_shape_error,
+                                check_proof_shape, format_label,
                                 proof_from_json, validate_proof)
 from hornexplain.search import RunConfig, explain
 

@@ -142,6 +142,16 @@ def test_bound_one_is_a_usage_error_on_every_route(tmp_path, algo):
     assert "greater than 1" in proc.stderr
 
 
+def test_a_negative_depth_ceiling_is_a_usage_error(tmp_path):
+    path = tmp_path / "one.kb"
+    path.write_text("rule: A(x) -> B(x)\nfact: A(a)\nquery: B(a)\n")
+    for args in (("explain", str(path), "--depth-ceiling", "-1"),
+                 ("answer", str(path), "--depth-ceiling", "-1"),
+                 ("chase", str(path), "--depth", "-1")):
+        proc = run_cli(*args, expect=64)
+        assert proc.stderr == "error: depth bound must be non-negative\n"
+
+
 def test_explain_poly_fallback_warns(ex1_file):
     proc = run_cli("explain", ex1_file, "--measure", "tree",
                    "--algo", "poly", expect=0)

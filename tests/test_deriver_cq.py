@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import EX1_TEXT
-from hornexplain import deriver_cq
+from hornexplain import deriver_cq, deriver_sk, proofs
 from hornexplain.deriver_cq import (TransformError, _collect_steps, _Step,
                                     analyze_mpe, check_edge_labels,
                                     conjunction_chain, ee_apply, mpe_apply,
@@ -24,8 +24,9 @@ from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
                             variables_of)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (Measure, ProofBuilder, ProofEdge, ProofGraph,
-                                Schema, TautRule, proof_size, proof_to_json,
+from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, Measure, ProofBuilder,
+                                ProofEdge, ProofGraph, Schema, TautRule,
+                                proof_from_json, proof_size, proof_to_json,
                                 tree_size, tree_unravel, validate_proof)
 from hornexplain.search import RunConfig, explain
 
@@ -382,7 +383,8 @@ def test_rule_application_cannot_rebind_query_variables():
 
 
 def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
-    kb = parse_kb("fact: A(a)\nfact: B(a)\nfact: C(a)\n")
+    kb = parse_kb("rule: A(x) -> B(x)\nfact: A(a)\nfact: B(a)\n"
+                  "fact: C(a)\n")
     a, b, c = (ConceptAtom(n, A_) for n in "ABC")
     leaves = {0: BooleanCQ((a,), ()), 1: BooleanCQ((b,), ())}
     # the conclusion of a conjunction starts with the first premise's atoms
@@ -393,13 +395,85 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
         {0: leaves[0], 1: BooleanCQ((ConceptAtom("A", X),), (X,)),
          2: BooleanCQ((ConceptAtom("A", Y),), (Y,))},
         [ProofEdge((0,), 1, Schema.Ge), ProofEdge((1,), 2, Schema.Ge)])
-    for proof in (bad_ce, bad_ge):
-        assert check_edge_labels(proof.edges[-1].schema,
+
+    def bad_mpe(rule, conclusion, premises=(0, 1)):
+        return ProofGraph({0: leaves[0], 1: rule,
+                           2: BooleanCQ(conclusion, ())},
+                          [ProofEdge(premises, 2, Schema.MPe)])
+
+    cases = [
+        (bad_ce, "conclusion must start with the first premise's atoms"),
+        (bad_ge, "new variables must abstract ground terms"),
+        # a tautology A(?x) -> A(?x), B(?x)
+        (bad_mpe(TautRule((ConceptAtom("A", X),), (ConceptAtom("A", X),
+                                                   ConceptAtom("B", X)), ()),
+                 (a, b)), "tautology head must repeat the pattern"),
+        (bad_mpe(kb.tbox[0], (b,), premises=(1, 0)),
+         "rule application takes a query and a rule"),
+        (bad_mpe(kb.skolem_rules[0], (b,)),
+         "query-level proofs use original rules, not Skolemized ones"),
+        (bad_mpe(parse_kb("rule: A(x) -> C(x)\n").tbox[0], (c,)),
+         "rule is not from the TBox"),
+    ]
+    for proof, reason in cases:
+        edge = proof.edges[-1]
+        assert check_edge_labels(edge.schema,
                                  tuple(proof.vertices[v]
-                                       for v in proof.edges[-1].premises),
-                                 proof.vertices[2], kb) is not None
-        with pytest.raises(TransformError, match="invalid"):
+                                       for v in edge.premises),
+                                 proof.vertices[edge.conclusion],
+                                 kb) == reason
+        with pytest.raises(TransformError) as raised:
             transform_cq_to_sk(proof, kb)
+        assert str(raised.value) == \
+            f"invalid {edge.schema.value} step: {reason}"
+
+
+def test_a_tautology_shape_is_judged_once_per_rule(monkeypatch):
+    """Validation (the Te step and the MPe step that applies it) and the
+    translation to ground atoms share one verdict per tautology vertex."""
+    calls = collections.Counter()
+    judge = proofs._taut_shape_error
+
+    def counted(rule):
+        calls[id(rule)] += 1
+        return judge(rule)
+
+    monkeypatch.setattr(proofs, "_taut_shape_error", counted)
+    kb = parse_kb("fact: A(a)\n")
+    fact = BooleanCQ((ConceptAtom("A", A_),), ())
+    # two equal tautologies, each its own vertex and its own verdict
+    twice = ProofGraph(
+        {0: fact, 1: TautRule(fact.atoms, fact.atoms, ()), 2: fact,
+         3: TautRule(fact.atoms, fact.atoms, ()), 4: fact},
+        [ProofEdge((), 1, Schema.Te), ProofEdge((0, 1), 2, Schema.MPe),
+         ProofEdge((), 3, Schema.Te), ProofEdge((2, 3), 4, Schema.MPe)])
+    inst = gen_sat_cq([[1, -2], [2, 3], [-1, -3]])
+    found = explain(inst.kb, inst.query,
+                    RunConfig(measure=Measure.TREE_SIZE,
+                              bound=inst.bounds["cq_tree"], deriver="cq"))
+    # read back, so that no verdict is kept on its tautology yet
+    sat, _ = proof_from_json(proof_to_json(found.proof, inst.query))
+    for p, kb, goal in ((twice, kb, fact), (sat, inst.kb, inst.query)):
+        tautologies = [v for v in p.vertices.values()
+                       if isinstance(v, TautRule)]
+        calls.clear()
+        assert validate_proof(p, kb, goal, "cq")[0]
+        assert validate_proof(transform_cq_to_sk(p, kb), kb, goal, "sk")[0]
+        assert calls == {id(t): 1 for t in tautologies}
+    assert twice.vertices[1] == twice.vertices[3] \
+        and twice.vertices[1] is not twice.vertices[3]
+
+
+def test_each_schema_is_defined_in_one_table():
+    """A schema added to a calculus and missing from a table fails here."""
+    assert set(deriver_sk.CHECKS) == SK_SCHEMAS
+    assert set(deriver_cq.ANALYSES) == CQ_SCHEMAS
+    # a Te step concludes a rule, which grounds to nothing
+    assert set(deriver_cq.GROUNDINGS) == CQ_SCHEMAS - {Schema.Te}
+    for table, arity in ((deriver_sk.CHECKS, 3), (deriver_cq.ANALYSES, 3),
+                         (deriver_cq.GROUNDINGS, 4)):
+        assert all(len(inspect.signature(f).parameters) == arity
+                   for f in table.values())
 
 
 _POOL_RULES = """\

@@ -1105,7 +1105,8 @@ def test_bounded_search_rejects_trivial_bounds():
     # and the settings no run has: an unknown algorithm or deriver, and
     # domain size for query-level proofs
     for settings in ({"bound": 1}, {"algo": "Exact"}, {"deriver": "ck"},
-                     {"measure": Measure.DOMAIN_SIZE, "deriver": "cq"}):
+                     {"measure": Measure.DOMAIN_SIZE, "deriver": "cq"},
+                     {"depth_ceiling": -1}):
         with pytest.raises(ValueError):
             RunConfig(**settings)
     # on every route, the polynomial ones included
