@@ -167,6 +167,8 @@ def _chase_verdict(kb: KnowledgeBase, q: BooleanCQ, ceiling: Optional[int],
     ``unknown`` where the ticker's budget runs out."""
     if ceiling is None:
         ceiling = default_depth_ceiling(kb, q)
+    elif ceiling < 0:
+        raise ValueError("depth bound must be non-negative")
     # without nominal rules nothing merges: no fragment shallower than the
     # query's deepest term matches, and one closed there is closed at it
     start = 0 if any(r.normal_form is NormalForm.VI for r in kb.tbox) \

@@ -26,7 +26,7 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  is_tree_shaped, map_atom_terms, substitute_atom, term_key,
                  variables_of)
 from .matching import match_conjunction, unifiers
-from .proofs import Label, ProofEdge, ProofGraph, Schema, label_key
+from .proofs import Label, ProofEdge, ProofGraph, Schema
 from .deriver_sk import FiniteStructure, Ticker, saturate
 
 
@@ -155,11 +155,11 @@ def decompress(comp: CompressedStructure, kb: KnowledgeBase, q: BooleanCQ,
     chosen edges (:func:`extract_witness`) are the real proof.  Otherwise,
     from the match down, each compressed atom vertex becomes one real atom
     per binding of its placeholders, derived by the vertex's chosen edge or,
-    where that one does not fold onto the binding, by its next edge of the
-    same tree size in :func:`edge_key` order (:meth:`_Unfold.match`).  Only
-    optimal edges are used, so the proof has the match's value, which bounds
-    every real proof from below.  Each unfolding step and proof vertex is
-    charged to the ticker.
+    where that one does not fold onto the binding, by its next in-edge of
+    the same tree size (:meth:`_Unfold.match`).  Only optimal edges are
+    used, so the proof has the match's value, which bounds every real proof
+    from below.  Each unfolding step and proof vertex is charged to the
+    ticker.
     """
     ticker = ticker or Ticker()
     unfold = comp.placeholders and _Unfold(comp, kb, values, chosen, ticker)
@@ -275,14 +275,14 @@ class _Unfold:
             rule].body)), e.premises[:-1], tuple(range(len(e.premises) - 1)))
 
     def _rest(self, vid: int) -> list[int]:
-        """The vertex's other in-edges of its value, in edge_key order: the
-        ones a key tries, listed only once its chosen edge does not fold."""
-        edges, values, first = self.structure.edges, self.values, \
-            self.chosen[vid]
-        return sorted((i for i in self.structure.in_edges[vid] if i != first
-                       and 1 + sum(values[p] for p in edges[i].premises)
-                       == values[vid]),
-                      key=lambda i: edge_key(self.structure, i))
+        """The vertex's in-edges of its value after its chosen one, in
+        order: the ones a key tries, listed only once its chosen edge does
+        not fold."""
+        edges, values = self.structure.edges, self.values
+        ins = self.structure.in_edges[vid]
+        return [i for i in ins[ins.index(self.chosen[vid]) + 1:]
+                if 1 + sum(values[p] for p in edges[i].premises)
+                == values[vid]]
 
     def proof(self, targets: list, q: BooleanCQ,
               strict_cg: bool) -> ProofGraph:
@@ -341,25 +341,23 @@ def _bind(pattern: tuple, real: tuple, rsub: dict) -> bool:
 _INF = float("inf")
 
 
-def edge_key(structure: FiniteStructure, idx: int):
-    """Deterministic tie-break between derivations of one vertex."""
-    e = structure.edges[idx]
-    return (e.schema.value,
-            tuple(label_key(structure.vertices[q]) for q in e.premises))
-
-
 def dp_min_tree(structure: FiniteStructure, ticker: Optional[Ticker] = None
                 ) -> tuple[dict[int, int | float], dict[int, int]]:
     """Minimal tree size per vertex plus the chosen incoming edge.
 
     Label-correcting fixpoint of ``1 + sum over premises`` on exact
-    integers (``_INF`` marks underivable vertices); ties are broken on
-    :func:`edge_key`, so results do not depend on edge insertion order.
-    Each edge visit ticks one node of the ticker.
+    integers (``_INF`` marks underivable vertices).  A derivable vertex
+    chooses its first in-edge of its value: the least in the structure's
+    tie order, so results do not depend on edge insertion order.  Each
+    edge visit of the fixpoint ticks one node of the ticker.
     """
-    chosen: dict[int, int] = {}
-    return _least_fixpoint(structure, sum, (ticker or Ticker()).tick,
-                           chosen), chosen
+    values = _least_fixpoint(structure, sum, (ticker or Ticker()).tick)
+    leaves, edges, chosen = structure.leaf_ids, structure.edges, {}
+    for vid, ins in structure.in_edges.items():
+        if vid not in leaves and values[vid] < _INF:
+            chosen[vid] = next(i for i in ins if 1 + sum(
+                values[p] for p in edges[i].premises) == values[vid])
+    return values, chosen
 
 
 def min_heights(structure: FiniteStructure, ticker: Optional[Ticker] = None
@@ -367,46 +365,25 @@ def min_heights(structure: FiniteStructure, ticker: Optional[Ticker] = None
     """Least number of vertices on a longest path of a derivation, per
     vertex: a lower bound on the size of every derivation of it.  Each
     edge visit is charged to the ticker."""
-    return _least_fixpoint(structure, max, (ticker or Ticker()).charge,
-                           None)
+    return _least_fixpoint(structure, max, (ticker or Ticker()).charge)
 
 
 def _least_fixpoint(structure: FiniteStructure, combine,
-                    step: Callable[[], None],
-                    chosen: Optional[dict[int, int]]
-                    ) -> dict[int, int | float]:
+                    step: Callable[[], None]) -> dict[int, int | float]:
     """Label-correcting fixpoint of ``1 + combine(premise values)`` with
-    leaves at 1; records each vertex's least edge in ``chosen`` if given,
-    and calls ``step`` once per edge visit."""
+    leaves at 1; calls ``step`` once per edge visit."""
     values: dict[int, int | float] = {v: _INF for v in structure.vertices}
     for leaf in structure.leaf_ids:
         values[leaf] = 1
-
-    keys: dict[int, tuple] = {}     # edge_key per edge, computed once
-
-    def key_of(idx: int) -> tuple:
-        key = keys.get(idx)
-        if key is None:
-            key = keys[idx] = edge_key(structure, idx)
-        return key
-
     changed = True
     while changed:
         changed = False
-        for idx, (premises, conclusion, _) in enumerate(structure.edges):
+        for premises, conclusion, _ in structure.edges:
             step()
             # _INF absorbs under both sum and max
             total = 1 + combine([values[q] for q in premises])
-            cur = values[conclusion]
-            if total < cur:
+            if total < values[conclusion]:
                 values[conclusion] = total
-                if chosen is not None:
-                    chosen[conclusion] = idx
-                changed = True
-            elif chosen is not None and total == cur \
-                    and chosen.get(conclusion, idx) != idx \
-                    and key_of(idx) < key_of(chosen[conclusion]):
-                chosen[conclusion] = idx
                 changed = True
     return values
 

@@ -23,8 +23,8 @@ from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
                  atom_key, atom_pred, atom_terms, atom_vars, cq_equivalent,
                  map_atom_terms, rewrite_term, substitute_atom, subterms,
                  term_is_ground, term_key, variables_of)
-from .matching import (bind_term, match_conjunction, match_positionally,
-                       unify_atom)
+from .matching import (AtomIndex, bind_term, match_conjunction,
+                       match_positionally, unify_atom)
 from .proofs import (RULE_TYPES, Label, ProofBuilder, ProofGraph, Schema,
                      TautRule, _postorder)
 
@@ -37,11 +37,11 @@ class TransformError(KBError):
 # Schema applications
 # ---------------------------------------------------------------------------
 
-def fresh_vars(count: int, taken: set[str], prefix: str = "u") -> list[Var]:
+def fresh_vars(count: int, taken: set[str]) -> list[Var]:
     out: list[Var] = []
     i = 1
     while len(out) < count:
-        name = f"{prefix}{i}"
+        name = f"u{i}"
         i += 1
         if name not in taken:
             taken.add(name)
@@ -129,19 +129,10 @@ def ee_apply(cq: BooleanCQ, equality: EqAtom) -> BooleanCQ:
     """Drop an equality conjunct and substitute through the query."""
     if equality not in cq.atoms:
         raise KBError("equality conjunct is not part of the query")
-    rest = [a for a in cq.atoms if a != equality]
-    rewritten = [_replace_everywhere(a, equality.lhs, equality.rhs)
-                 for a in rest]
-    deduped: list[Atom] = []
-    for a in rewritten:
-        if a not in deduped:
-            deduped.append(a)
-    return BooleanCQ.closed(deduped)
-
-
-def _replace_everywhere(atom: Atom, src: Term, dst: Term) -> Atom:
-    mapping = {src: dst}
-    return map_atom_terms(atom, lambda t: rewrite_term(t, mapping))
+    mapping = {equality.lhs: equality.rhs}
+    return BooleanCQ.closed(dict.fromkeys(
+        map_atom_terms(a, lambda t: rewrite_term(t, mapping))
+        for a in cq.atoms if a != equality))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +613,7 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
             for a in running:
                 if a == eq:
                     continue
-                b = _replace_everywhere(a, eq.lhs, eq.rhs)
+                b = _replace_top_level(a, eq.lhs, eq.rhs) or a
                 if b not in new_running:
                     new_running.append(b)
             nxt = builder.add_vertex(tuple(new_running))
@@ -821,12 +812,20 @@ def _ground_mpe(g: _Grounding, edge, v: int, found) -> None:
     if isinstance(rule, TautRule):
         # copies collapse on ground queries: interpret duplicated variables
         # by the terms of the originals they renamed
+        shared = dict(gamma_new)
         mapping = match_positionally(list(rule.body), list(rule.head))
         for body_var, head_term in mapping.items():
             if isinstance(head_term, Var):
                 w = head_assign.get(head_term)
                 if isinstance(w, Var):
                     gamma_new[w] = pi_hat[body_var]
+        # head_assign covers the added atoms only and can take the wrong
+        # copy of a pattern; then the conclusion's first match grounds it
+        conclusion, ground = g.vertices[v], set(g[phi_vid])
+        if not (conclusion.variables() <= gamma_new.keys() and all(
+                ground_atom(gamma_new, a) in ground for a in conclusion.atoms)):
+            g.gamma[v] = next(match_conjunction(
+                conclusion.atoms, AtomIndex(ground), shared), gamma_new)
         return
     idx = g.kb.rule_index[rule]
     sk_rule = g.kb.skolem_rules[idx]

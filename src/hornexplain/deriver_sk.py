@@ -14,6 +14,7 @@ conjunctions (tuples of atoms), queries and rules.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -22,7 +23,7 @@ from .kb import (ATOM_TYPES, Atom, BooleanCQ, EqAtom, KnowledgeBase,
                  atom_pred, atom_terms, map_atom_terms, orient_equality,
                  substitute_atom, term_depth)
 from .matching import AtomIndex, match_positionally, unifiers, unify_atom
-from .proofs import RULE_TYPES, Label, ProofEdge, Schema
+from .proofs import RULE_TYPES, Label, ProofEdge, Schema, label_key
 
 
 def _replace_top_level(atom: Atom, src: Term, dst: Term) -> Optional[Atom]:
@@ -194,9 +195,12 @@ class Ticker:
 
 @dataclass
 class FiniteStructure:
-    """Derivation structure restricted to a term-depth bound."""
+    """Derivation structure restricted to a term-depth bound.  A vertex's
+    in-edges are kept in :func:`edge_key` order, the tie order that every
+    search and unfolding reads."""
 
     vertices: dict[int, Label] = field(default_factory=dict)
+    keys: list = field(default_factory=list)    # label_key per vertex
     atom_ids: dict[Atom, int] = field(default_factory=dict)   # atom vertices
     edges: list[ProofEdge] = field(default_factory=list)
     in_edges: dict[int, list[int]] = field(default_factory=dict)
@@ -207,10 +211,12 @@ class FiniteStructure:
     # premise ids of the rule applications cut off by the depth bound
     frontier: set[tuple[int, ...]] = field(default_factory=set)
 
-    def add_vertex(self, label: Label) -> int:
-        """A new vertex; an atom's is filed in ``atom_ids``."""
+    def add_vertex(self, label: Label, key: Optional[tuple] = None) -> int:
+        """A new vertex; an atom's is filed in ``atom_ids``.  ``key`` is
+        the label's ``label_key`` where the caller has it."""
         vid = len(self.vertices)
         self.vertices[vid] = label
+        self.keys.append(label_key(label) if key is None else key)
         self.in_edges[vid] = []
         if isinstance(label, ATOM_TYPES):
             self.atom_ids[label] = vid
@@ -220,7 +226,18 @@ class FiniteStructure:
                  schema: Schema) -> None:
         idx = len(self.edges)
         self.edges.append(ProofEdge(premises, conclusion, schema))
-        self.in_edges[conclusion].append(idx)
+        ins = self.in_edges[conclusion]
+        if ins:
+            insort(ins, idx, key=lambda i: edge_key(self, i))
+        else:
+            ins.append(idx)
+
+
+def edge_key(structure: FiniteStructure, idx: int) -> tuple:
+    """The tie order between derivations of one vertex: by schema, then by
+    the premises' labels.  No two in-edges of a vertex share a key."""
+    e = structure.edges[idx]
+    return e.schema.value, tuple(map(structure.keys.__getitem__, e.premises))
 
 
 def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
@@ -257,7 +274,7 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     def add_atom(atom: Atom, key: tuple) -> int:
         new_atoms[atom] = key
         index.add(atom, key)
-        return structure.add_vertex(atom)
+        return structure.add_vertex(atom, (0, key))
 
     keys = {f: atom_key(f) for f in facts}
     for f in sorted(keys, key=keys.__getitem__):

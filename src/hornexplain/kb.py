@@ -348,12 +348,6 @@ class Rule:
     # as the normal form
     fragments: frozenset[Fragment] = field(compare=False, repr=False)
 
-    def variables(self) -> set[Var]:
-        out = set()
-        for a in self.body + self.head:
-            out |= atom_vars(a)
-        return out
-
 
 def _solo_vars(atoms: Iterable[Atom]) -> set[Var]:
     """Variables occurring exactly once across the given atoms."""

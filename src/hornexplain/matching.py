@@ -340,13 +340,12 @@ def unifiers(pattern: Atom, index: AtomIndex, subst: Mapping[Var, Term]
     return hits
 
 
-def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom],
-                       subst: Optional[dict[Var, Term]] = None
+def match_positionally(patterns: Sequence[Atom], grounds: Sequence[Atom]
                        ) -> Optional[dict[Var, Term]]:
     """One substitution mapping pattern i onto ground i, or None."""
     if len(patterns) != len(grounds):
         return None
-    current = dict(subst) if subst else {}
+    current: dict[Var, Term] = {}
     for p, g in zip(patterns, grounds):
         if atom_pred(p) != atom_pred(g):
             return None

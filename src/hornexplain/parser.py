@@ -410,18 +410,26 @@ def _parse_statement(raw: str, lineno: int) -> Optional[tuple]:
         raise _syntax_error(stop, raw, lineno) from None
 
 
+def _read_statement(raw: str, lineno: int) -> Optional[tuple]:
+    """The line's ``(kind, value)`` (None for a blank line), by the scanner
+    or else the grammar, with no reserved name in it."""
+    statement = _scan_statement(raw) or _parse_statement(raw, lineno)
+    if statement is not None and _RESERVED_WORD.search(raw):
+        kind, value = statement
+        _scan_reserved(value.body + value.head if kind == "rule" else
+                       value.atoms if kind == "query" else [value], lineno)
+    return statement
+
+
 def parse_document(text: str) -> Document:
     rules: list[tuple[int, Rule]] = []
     facts: list[tuple[int, Atom]] = []
     queries: list[BooleanCQ] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        statement = _scan_statement(raw) or _parse_statement(raw, lineno)
+        statement = _read_statement(raw, lineno)
         if statement is None:
             continue
         kind, value = statement
-        if _RESERVED_WORD.search(raw):
-            _scan_reserved(value.body + value.head if kind == "rule" else
-                           value.atoms if kind == "query" else [value], lineno)
         if kind == "query":
             queries.append(value)
         else:
@@ -645,7 +653,7 @@ def _flatten_body(body, produced: list[Rule], fresh: Iterator[str]):
 
 def normalize_document_text(text: str) -> str:
     """Split each rule as the parser does, normalize the rules, and re-emit
-    the document."""
+    the document, its fact and query lines read and then kept as written."""
     raw_rules = []
     other_lines = []
     taken: set[str] = set()
@@ -661,9 +669,11 @@ def normalize_document_text(text: str) -> str:
             kind = toks[0]
             if kind == "rule":
                 raw_rules.append(_split_rule(toks, 2))
+                _scan_reserved(raw_rules[-1][0] + raw_rules[-1][1], lineno)
         except _Stop as stop:
             raise _syntax_error(stop, raw, lineno) from None
         if kind in ("fact", "query"):
+            _read_statement(raw, lineno)        # as parse_document reads it
             other_lines.append(raw.split("#", 1)[0].strip())
         elif kind != "rule":
             raise KBSyntaxError(f"unknown statement kind {kind!r}", lineno, 1)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from .chase import _chase_verdict
 from .compress import (CompressError, CompressedStructure, DecompressError,
-                       compress_dllite, compress_el, dp_min_tree, edge_key,
+                       compress_dllite, compress_el, dp_min_tree,
                        equality_free_fold, extract_witness, goal_tail_size,
                        least_matches, least_proof, min_heights, refutes, _INF)
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
@@ -29,7 +29,7 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  is_tree_shaped, orient_equality, substitute_atom)
 from .matching import AtomIndex, match_conjunction
 from .proofs import (Measure, ProofBuilder, ProofGraph, Schema,
-                     ground_terms_of_label, label_key, measure,
+                     ground_terms_of_label, measure,
                      sub_derivation)
 
 
@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError("bounds are natural numbers greater than 1")
         if self.depth_ceiling is not None and self.depth_ceiling < 0:
             raise ValueError("depth bound must be non-negative")
+        if not (self.max_nodes >= 0 and self.max_seconds >= 0):
+            raise ValueError("node and time budgets must be non-negative")
         if self.algo not in ("auto", "poly", "exact"):
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.deriver not in ("sk", "cq"):
@@ -136,7 +138,6 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         if vid not in structure.leaf_ids:
             init_pending.append(vid)
     best: list = [limit, None]          # value, choice
-    keys: dict[int, tuple] = {}        # see _cover_children
     stack = [iter((_CoverState(init_members, init_pending, {},
                                init_terms),))]
     while stack:
@@ -149,7 +150,7 @@ def _cover_min(structure: FiniteStructure, targets: list[int],
         if value >= best[0]:
             continue
         if state.pending:
-            stack.append(_cover_children(structure, state, kind, best, keys))
+            stack.append(_cover_children(structure, state, kind, best))
         else:
             best[:] = value, state.members
     if best[1] is None:
@@ -162,18 +163,13 @@ def _cover_value(state: _CoverState, kind: Measure) -> int:
 
 
 def _cover_children(structure: FiniteStructure, state: _CoverState,
-                    kind: Measure, best: list, keys: dict[int, tuple]):
-    """The states that derive the least pending vertex: one per incoming
-    edge, built as they are asked for and left out once they reach
-    ``best[0]``.  ``keys`` keeps, per vertex, its label_key and its
-    in-edges in edge_key order."""
-    for v in state.pending:
-        if v not in keys:
-            keys[v] = (label_key(structure.vertices[v]), sorted(
-                structure.in_edges[v], key=lambda i: edge_key(structure, i)))
-    state.pending.sort(key=keys.__getitem__, reverse=True)
+                    kind: Measure, best: list):
+    """The states that derive the least pending vertex (by label key): one
+    per incoming edge, in the structure's order, built as they are asked
+    for and left out once they reach ``best[0]``."""
+    state.pending.sort(key=structure.keys.__getitem__, reverse=True)
     vid = state.pending.pop()
-    for eidx in keys[vid][1]:
+    for eidx in structure.in_edges[vid]:
         nxt = _CoverState(dict(state.members), list(state.pending),
                           dict(state.arcs), state.terms)
         nxt.members[vid] = eidx

@@ -143,13 +143,26 @@ def test_bound_one_is_a_usage_error_on_every_route(tmp_path, algo):
 
 
 def test_a_negative_depth_ceiling_is_a_usage_error(tmp_path):
+    """So is a negative node or time budget; a zero one runs out."""
     path = tmp_path / "one.kb"
     path.write_text("rule: A(x) -> B(x)\nfact: A(a)\nquery: B(a)\n")
+    nominal = tmp_path / "nominal.kb"
+    nominal.write_text("rule: A(x) -> B(x)\nrule: B(x) -> x = a\n"
+                       "fact: A(a)\nquery: B(a)\n")
     for args in (("explain", str(path), "--depth-ceiling", "-1"),
                  ("answer", str(path), "--depth-ceiling", "-1"),
+                 ("answer", str(nominal), "--depth-ceiling", "-1"),
                  ("chase", str(path), "--depth", "-1")):
         proc = run_cli(*args, expect=64)
         assert proc.stderr == "error: depth bound must be non-negative\n"
+    bench = ("bench", "--families", "el-abox", "--params", "1")
+    for flag in ("--max-nodes", "--max-seconds"):
+        for args in (("explain", str(path)), bench):
+            proc = run_cli(*args, flag, "-1", expect=64)
+            assert proc.stderr == "error: node and time budgets must be " \
+                "non-negative\n"
+        assert run_cli("explain", str(path), flag, "0",
+                       expect=2).stdout == "exhausted\n"
 
 
 def test_explain_poly_fallback_warns(ex1_file):
@@ -464,6 +477,32 @@ def test_normalize_subcommand(tmp_path):
     proc = run_cli("normalize", str(path), expect=0)
     assert "rule: A(x) -> B(x)" in proc.stdout
     assert "rule: A(x) -> C(x)" in proc.stdout
+
+
+def test_normalize_reads_fact_and_query_lines_as_answer_does(tmp_path):
+    """A line that answer would reject is an error with its line and
+    column, not copied through; the lines it accepts are emitted as
+    written."""
+    path = tmp_path / "in.kb"
+    for line, message in (
+            ("fact: A(", "line 2, column 9: expected 'name', found end of "
+             "line"),
+            ("fact: top(a)", "line 2, column 1: 'top' is reserved"),
+            ("query: exists x. bot(x)", "line 2, column 1: 'bot' cannot "
+             "occur (KBs are assumed consistent)"),
+            ("rule: top(x) -> B(x)", "line 2, column 1: 'top' is reserved")):
+        path.write_text(f"rule: A(x) -> B(x)\n{line}\n")
+        for command in ("normalize", "answer"):
+            proc = run_cli(command, str(path), expect=65)
+            assert proc.stderr == f"error: {message}\n", (command, line)
+    path.write_text("rule: A(x) -> B(x), C(x)\nfact: A(a)  # kept\n"
+                    "query: exists y.  C(y)\n")
+    out = tmp_path / "out.kb"
+    assert run_cli("normalize", str(path), expect=0).stdout.endswith(
+        "fact: A(a)\nquery: exists y.  C(y)\n")
+    run_cli("normalize", str(path), "-o", str(out), expect=0)
+    assert run_cli("answer", str(out), expect=0).stdout == "yes, depth 0, " \
+        "y -> a\n"
 
 
 def test_bench_csv(tmp_path):

@@ -686,6 +686,45 @@ def test_el_tree_size_proof_round_trips():
     assert ok, problems
 
 
+# the nominal rule's d = e rewrites v(d,f_1(d)) to v(e,f_1(d)): an
+# equality replaces only top-level occurrences, in either calculus
+_NESTED_MERGE = """\
+rule: v(x,y), P(y) -> Q(x)
+rule: Q(x) -> exists y. u(x,y), P(y)
+rule: Q(x) -> x = e
+rule: u(x,y) -> v(x,y)
+fact: Q(d)
+query: exists x0. v(e,x0)
+"""
+# the goal's tautology has two v head atoms, and the added one can map onto
+# the wrong copy of the pattern
+_TWO_COPIES = """\
+rule: R(x), u(x,y) -> P(y)
+rule: R(x) -> exists y. v(x,y), R(y)
+rule: Q(x) -> exists y. v(x,y), Q(y)
+rule: v(x,y), P(y) -> Q(x)
+fact: u(e,e)
+fact: P(d)
+fact: v(e,d)
+query: exists x0, x1, x2. Q(x1), v(x1,x2), v(x0,x1)
+"""
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("text", [_NESTED_MERGE, _TWO_COPIES],
+                         ids=["nested-merge", "two-copies"])
+def test_translations_round_trip_where_a_term_or_a_pattern_repeats(
+        text, measure):
+    doc = parse_document(text)
+    kb, q = doc.kb, doc.queries[0]
+    proof = explain(kb, q, RunConfig(measure=measure, algo="exact")).proof
+    for target, transform in (("cq", transform_sk_to_cq),
+                              ("sk", transform_cq_to_sk)):
+        proof = transform(proof, kb)
+        ok, problems = validate_proof(proof, kb, q, target)
+        assert ok, (target, problems)
+
+
 def test_cq_to_sk_does_not_recurse_per_proof_level():
     inst = gen_el_abox(40)
     result = explain(inst.kb, inst.query, RunConfig(measure=Measure.TREE_SIZE))

@@ -9,19 +9,20 @@ import pytest
 
 from hornexplain import deriver_sk, matching
 from hornexplain.chase import chase
-from hornexplain.compress import dp_min_tree, extract_witness
+from hornexplain.compress import dp_min_tree, extract_witness, fold
 from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
                                     _replacements, check_edge_labels,
-                                    saturate, saturate_kb)
+                                    edge_key, saturate, saturate_kb)
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
                             KBError, NormalForm, RoleAtom, SkolemRule,
                             SkolemTerm, Var, atom_key, atom_pred, atom_terms,
                             make_kb, skolemize, substitute_atom, term_depth)
-from hornexplain.generators import (gen_dllite_chain, gen_el_abox, gen_el_tree,
-                                    gen_hornalc_counter)
+from hornexplain.generators import (gen_dllite_chain, gen_dllite_tree_query,
+                                    gen_el_abox, gen_el_tree,
+                                    gen_hornalc_counter, gen_sat, gen_sat_cq)
 from hornexplain.matching import match_conjunction, unify_atom
 from hornexplain.parser import parse_kb, serialize_document
-from hornexplain.proofs import Schema, format_label
+from hornexplain.proofs import Schema, format_label, label_key
 
 from test_chase import _random_kb
 
@@ -440,3 +441,41 @@ def test_saturate_never_calls_the_matcher(monkeypatch, kb, depth):
     monkeypatch.setattr(deriver_sk, "match_conjunction", fail, raising=False)
     structure = saturate_kb(kb, depth)
     assert len(structure.edges) > len(kb.skolem_rules)
+
+
+def sample_structures():
+    """Saturations and folds of the generator instances and of random
+    knowledge bases: what the tie-order tests run over."""
+    kbs = [inst.kb for inst in (
+        *map(gen_el_tree, (1, 3, 5)), *map(gen_el_abox, (1, 6, 20)),
+        *map(gen_dllite_chain, (0, 5, 40)), gen_hornalc_counter(1),
+        *(gen_dllite_tree_query(1 + s % 3, s) for s in range(12)),
+        gen_sat([[1, 2], [-1, 2], [-2, 1]]), gen_sat_cq([[1], [-1, 2]]))]
+    rng = random.Random(20261022)
+    kbs += [_random_kb(rng) for _ in range(300)]
+    for kb in kbs:
+        yield fold(kb).structure
+        for depth in (0, 2):
+            try:
+                yield saturate_kb(kb, depth, Ticker(max_atoms=3000))
+            except BudgetExceeded:
+                pass
+
+
+def test_in_edges_are_kept_in_tie_order():
+    """Every vertex carries its label_key, and its in-edges come in
+    edge_key order, no two with the same key, whatever order saturation
+    found them in."""
+    reordered = 0
+    for structure in sample_structures():
+        assert structure.keys == [label_key(structure.vertices[v])
+                                  for v in range(len(structure.vertices))]
+        listed = []
+        for vid, ins in structure.in_edges.items():
+            keys = [edge_key(structure, i) for i in ins]
+            assert keys == sorted(set(keys))
+            assert all(structure.edges[i].conclusion == vid for i in ins)
+            listed += ins
+            reordered += ins != sorted(ins)
+        assert sorted(listed) == list(range(len(structure.edges)))
+    assert reordered > 0

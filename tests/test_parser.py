@@ -311,7 +311,9 @@ def parse_atom_text(text: str) -> Atom:
 
 def normalize_document_text(text: str) -> str:
     """Split each rule as the parser does, normalize the rules, and re-emit
-    the document."""
+    the document.  With the one fix made since: a fact or query line is
+    read as ``parse_document`` reads it, and no line may use a reserved
+    name, where the frozen copy emitted what it did not read."""
     raw_rules = []
     other_lines = []
     taken: set[str] = set()
@@ -324,7 +326,12 @@ def normalize_document_text(text: str) -> str:
         cur.expect("sym", ":")
         if kind == "rule":
             raw_rules.append(_split_rule(cur))
-        elif kind in ("fact", "query"):
+            _scan_reserved(raw_rules[-1][0] + raw_rules[-1][1], lineno)
+        elif kind == "fact":
+            _scan_reserved([_parse_fact_statement(cur)], lineno)
+            other_lines.append(stripped)
+        elif kind == "query":
+            _scan_reserved(_parse_query_statement(cur).atoms, lineno)
             other_lines.append(stripped)
         else:
             raise KBSyntaxError(f"unknown statement kind {kind!r}", lineno, 1)

@@ -15,13 +15,14 @@ from hornexplain.compress import (CompressError, DecompressError, _Unfold,
                                   add_goal_tail, assemble_proof,
                                   compress_dllite, compress_el,
                                   decompress, dllite_query_min_size,
-                                  dp_min_tree, edge_key, el_cq_min_treesize,
+                                  dp_min_tree, el_cq_min_treesize,
                                   equality_free_fold, extract_witness, fold,
                                   goal_tail_size, least_matches, least_proof,
                                   refutes, tree_query_min_treesize)
 from hornexplain.deriver_cq import transform_cq_to_sk, transform_sk_to_cq
-from hornexplain.deriver_sk import (BudgetExceeded, Ticker,
-                                    default_depth_ceiling, saturate_kb)
+from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
+                                    default_depth_ceiling, edge_key,
+                                    saturate_kb)
 from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_dllite_tree_query, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter,
@@ -33,14 +34,15 @@ from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const,
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
-                                _postorder, domain_size,
-                                ground_terms_of_label, measure,
+                                Schema, _postorder, domain_size,
+                                ground_terms_of_label, label_key, measure,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, validate_proof)
 from hornexplain import search as search_module
 from hornexplain.search import (RunConfig, _reaches,
                                 bounded_search, bounded_search_cq, explain)
 from test_chase import _query_into, _random_kb, _random_query
+from test_deriver_sk import sample_structures
 from test_tooling import _EL_TIES
 
 
@@ -231,6 +233,66 @@ def test_min_tree_size_of_a_leaf_is_one():
     goal = ConceptAtom("P_0", Const("c"))
     value, witness = _min_tree(structure, goal)
     assert value == 1 and proof_size(witness) == 1
+
+
+def _reference_dp_min_tree(structure):
+    """The tree-size DP frozen as it was when it kept its own tie order: a
+    tie of totals switches the chosen edge to the one of lesser key (and
+    asks for another sweep).  Values, chosen edges and ticks."""
+    def key_of(idx):
+        e = structure.edges[idx]
+        return (e.schema.value,
+                tuple(label_key(structure.vertices[q]) for q in e.premises))
+
+    values = {v: float("inf") for v in structure.vertices}
+    for leaf in structure.leaf_ids:
+        values[leaf] = 1
+    chosen, ticks, changed = {}, 0, True
+    while changed:
+        changed = False
+        for idx, (premises, conclusion, _) in enumerate(structure.edges):
+            ticks += 1
+            total = 1 + sum(values[q] for q in premises)
+            cur = values[conclusion]
+            if total < cur:
+                values[conclusion] = total
+                chosen[conclusion] = idx
+                changed = True
+            elif total == cur and chosen.get(conclusion, idx) != idx \
+                    and key_of(idx) < key_of(chosen[conclusion]):
+                chosen[conclusion] = idx
+                changed = True
+    return values, chosen, ticks
+
+
+def _tie_only_sweep():
+    """A structure on which the tie-switching DP needs a sweep that changes
+    only a choice: C(a) is first derived through P(a), then more cheaply
+    through Q(a), and only then does P(a) get cheap enough to tie."""
+    structure = FiniteStructure()
+    a, b = Const("a"), Const("b")
+    leaf, other, p, q, c = (structure.add_vertex(ConceptAtom(name, t))
+                            for name, t in (("A", a), ("A", b), ("P", a),
+                                            ("Q", a), ("C", a)))
+    structure.leaf_ids |= {leaf, other}
+    for premises, conclusion in (((leaf, other, leaf), p), ((leaf,), q),
+                                 ((p,), c), ((q,), c), ((leaf,), p)):
+        structure.add_edge(premises, conclusion, Schema.MP)
+    return structure
+
+
+def test_the_dp_chooses_the_edges_its_tie_switching_chose():
+    """The first in-edge of a vertex's value is the edge the frozen
+    tie-switching DP settled on, with the same values and no more ticks."""
+    fewer = 0
+    for structure in (_tie_only_sweep(), *sample_structures()):
+        ticker = Ticker()
+        values, chosen = dp_min_tree(structure, ticker)
+        ref_values, ref_chosen, ref_ticks = _reference_dp_min_tree(structure)
+        assert (values, chosen) == (ref_values, ref_chosen)
+        assert ticker.count <= ref_ticks
+        fewer += ticker.count < ref_ticks
+    assert fewer > 0
 
 
 def test_compressed_structure_covers_constant_chase_atoms():
