@@ -13,6 +13,7 @@ ran out).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -95,104 +96,171 @@ def _result(config: RunConfig, ticker: Ticker, status: str,
 # Size / domain-size search: choose a derivation per needed vertex
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CoverState:
-    members: dict[int, Optional[int]]    # vertex id -> chosen edge idx
-    pending: list[int]
-    # premise -> the vertices it derives; the sets are shared between
-    # states and replaced, never changed
-    arcs: dict[int, frozenset[int]]
-    terms: set[Term]
-
-
-def _reaches(arcs, start, goal) -> bool:
-    stack = [start]
-    seen = set()
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            return True
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(arcs.get(v, ()))
-    return False
-
-
 def _cover_min(structure: FiniteStructure, targets: list[int],
-               kind: Measure, limit: int | float, ticker: Ticker
+               kind: Measure, limit: int | float, ticker: Ticker,
+               terms_of: Callable[[Atom], set[Term]]
                ) -> Optional[tuple[int, dict[int, Optional[int]]]]:
     """Exact minimum over derivation choices for the target set, one proof
-    vertex per atom label.
+    vertex per atom label, below ``limit``, and the chosen edge of each
+    vertex of an optimum (None for a leaf); None if nothing is below.
 
-    Depth-first with an explicit stack of child iterators: a child state is
-    built only once its elder sibling's subtree is done, so it is pruned
-    against the best value found so far.
+    A node derives the least pending vertex by label key, one child per
+    in-edge in the structure's order.  A child is left out where its edge
+    would close a cycle of chosen derivations, or where a vertex it adds
+    brings the value (the vertices, or under domain size their terms, read
+    by ``terms_of``) to the best found so far.  Depth first over one state
+    that all nodes share: a child's changes are applied when it is visited
+    and undone from a trail once its subtree is done, so it costs time and
+    memory in its own changes only, and ``members`` is copied only for a
+    new best.  Cycles are found on a topological order of the chosen
+    derivations kept as their arcs come and go (Pearce & Kelly, JEA 2006):
+    an arc that agrees with the order costs O(1), and undoing one keeps the
+    order valid.
     """
-    init_members: dict[int, Optional[int]] = {}
-    init_terms: set[Term] = set()
-    init_pending = []
-    for vid in dict.fromkeys(targets):
-        init_members[vid] = None
-        init_terms |= ground_terms_of_label(structure.vertices[vid])
-        if vid not in structure.leaf_ids:
-            init_pending.append(vid)
-    best: list = [limit, None]          # value, choice
-    stack = [iter((_CoverState(init_members, init_pending, {},
-                               init_terms),))]
+    edges, in_edges, leaves = structure.edges, structure.in_edges, \
+        structure.leaf_ids
+    labels, keys = structure.vertices, structure.keys
+    domain = kind is Measure.DOMAIN_SIZE
+    members: dict[int, Optional[int]] = {}    # vertex -> chosen edge index
+    counts: dict[Term, int] = {}              # term -> members naming it
+    cost = counts if domain else members      # the value is its length
+    # the members still to derive, as (label key, vertex), least key first
+    pending: list[tuple] = []
+    # premise -> the members derived from it, and a topological order of
+    # those arcs; it starts from the vertex ids, since saturation mostly
+    # adds a derivation's premises before its conclusion
+    arcs: dict[int, list[int]] = {}
+    order = list(range(len(labels)))
+    lowest = 0
+    # the trail: the premises whose arcs grew, and the members added with
+    # their place in ``pending`` (-1 for a leaf)
+    arc_trail: list[int] = []
+    added: list[int] = []
+    slots: list[int] = []
+
+    def add(v: int) -> None:
+        members[v] = None
+        arcs[v] = []
+        if domain:
+            for t in terms_of(labels[v]):
+                counts[t] = counts.get(t, 0) + 1
+        i = -1
+        if v not in leaves:
+            item = (keys[v], v)
+            i = bisect_left(pending, item)
+            pending.insert(i, item)
+        added.append(v)
+        slots.append(i)
+
+    def undo(n_arcs: int, n_added: int) -> None:
+        while len(arc_trail) > n_arcs:
+            arcs[arc_trail.pop()].pop()
+        while len(added) > n_added:
+            v, i = added.pop(), slots.pop()
+            del members[v]
+            if i >= 0:
+                del pending[i]
+            if domain:
+                for t in terms_of(labels[v]):
+                    if counts[t] == 1:
+                        del counts[t]
+                    else:
+                        counts[t] -= 1
+
+    def reorder(x: int, y: int) -> bool:
+        """Whether the arc x -> y closes no cycle, where y precedes x; if
+        so, the members between them are reordered so that x precedes y
+        (the forward set from y goes after the backward set from x)."""
+        top, bottom = order[x], order[y]
+        ahead, stack, seen = [], [y], {y}
+        while stack:
+            v = stack.pop()
+            ahead.append(v)
+            for w in arcs[v]:
+                if w == x:
+                    return False
+                if w not in seen and order[w] < top:
+                    seen.add(w)
+                    stack.append(w)
+        behind, stack, seen = [], [x], {x}
+        while stack:
+            v = stack.pop()
+            behind.append(v)
+            e = members[v]
+            if e is None:
+                continue
+            # the arcs into a chosen vertex come from its edge's premises
+            for w in edges[e].premises:
+                if w not in seen and order[w] > bottom:
+                    seen.add(w)
+                    stack.append(w)
+        moved = sorted(behind, key=order.__getitem__) + \
+            sorted(ahead, key=order.__getitem__)
+        for v, o in zip(moved, sorted(map(order.__getitem__, moved))):
+            order[v] = o
+        return True
+
+    def choose(vid: int, eidx: int, cap: int | float) -> bool:
+        """Derive ``vid`` by the edge; False where the child is left out."""
+        nonlocal lowest
+        members[vid] = eidx
+        for p in edges[eidx].premises:
+            fresh = p not in members
+            if fresh:
+                add(p)
+            if members[p] is None:
+                # no arc ends in p, so p may precede every member
+                if order[p] > order[vid]:
+                    lowest -= 1
+                    order[p] = lowest
+            elif p == vid or (order[p] > order[vid] and not reorder(p, vid)):
+                return False
+            arcs[p].append(vid)
+            arc_trail.append(p)
+            if fresh and len(cost) >= cap:
+                return False
+        return True
+
+    for v in dict.fromkeys(targets):
+        add(v)
+    ticker.tick()
+    if len(cost) >= limit:
+        return None
+    if not pending:
+        return len(cost), dict(members)
+    best_value, best_members = limit, None
+    # per node: the vertex it derives, its in-edges, the next one to try,
+    # and the trail's lengths before its children
+    stack: list[list] = []
+
+    def expand() -> None:
+        _, vid = pending.pop(0)
+        stack.append([vid, in_edges[vid], 0, len(arc_trail), len(added)])
+
+    expand()
     while stack:
-        state = next(stack[-1], None)
-        if state is None:
+        frame = stack[-1]
+        vid, eids, i, n_arcs, n_added = frame
+        undo(n_arcs, n_added)
+        if i == len(eids):
+            members[vid] = None
+            pending.insert(0, (keys[vid], vid))
             stack.pop()
             continue
-        ticker.tick()
-        value = _cover_value(state, kind)
-        if value >= best[0]:
+        frame[2] = i + 1
+        if not choose(vid, eids[i], best_value):
             continue
-        if state.pending:
-            stack.append(_cover_children(structure, state, kind, best))
+        ticker.tick()
+        value = len(cost)
+        if value >= best_value:
+            continue
+        if pending:
+            expand()
         else:
-            best[:] = value, state.members
-    if best[1] is None:
+            best_value, best_members = value, dict(members)
+    if best_members is None:
         return None
-    return best[0], best[1]
-
-
-def _cover_value(state: _CoverState, kind: Measure) -> int:
-    return len(state.members) if kind is Measure.SIZE else len(state.terms)
-
-
-def _cover_children(structure: FiniteStructure, state: _CoverState,
-                    kind: Measure, best: list):
-    """The states that derive the least pending vertex (by label key): one
-    per incoming edge, in the structure's order, built as they are asked
-    for and left out once they reach ``best[0]``."""
-    state.pending.sort(key=structure.keys.__getitem__, reverse=True)
-    vid = state.pending.pop()
-    for eidx in structure.in_edges[vid]:
-        nxt = _CoverState(dict(state.members), list(state.pending),
-                          dict(state.arcs), state.terms)
-        nxt.members[vid] = eidx
-        ok = True
-        for p in structure.edges[eidx].premises:
-            # only a derived vertex has arcs into it, so only a derived
-            # vertex (vid itself included) can close a cycle
-            if nxt.members.get(p) is not None and _reaches(nxt.arcs, vid, p):
-                ok = False
-                break
-            nxt.arcs[p] = nxt.arcs.get(p, frozenset()) | {vid}
-            if p not in nxt.members:
-                nxt.members[p] = None
-                if kind is Measure.DOMAIN_SIZE:
-                    nxt.terms = nxt.terms | ground_terms_of_label(
-                        structure.vertices[p])
-                if p not in structure.leaf_ids:
-                    nxt.pending.append(p)
-                if _cover_value(nxt, kind) >= best[0]:
-                    ok = False
-                    break
-        if ok:
-            yield nxt
+    return best_value, best_members
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +522,18 @@ def _search_at_depth(q: BooleanCQ, config: RunConfig,
     # branch-and-bound over the matches: each matched atom adds cost that
     # no later choice removes, so a partial match whose lower bound reaches
     # the cap holds no match that could replace the best
+    # each label's terms, computed once per depth, for the domain-size
+    # prune and cover search
+    terms_memo: dict[Atom, set[Term]] = {}
+
+    def terms_of(a: Atom) -> set[Term]:
+        terms = terms_memo.get(a)
+        if terms is None:
+            terms = terms_memo[a] = ground_terms_of_label(a)
+        return terms
     if config.measure is Measure.SIZE:
         tally, floor = _path_tally(lambda a: (a,)), tail_count
     else:
-        # each atom's terms, computed once per depth
-        terms_memo: dict[Atom, set[Term]] = {}
-
-        def terms_of(a: Atom) -> set[Term]:
-            terms = terms_memo.get(a)
-            if terms is None:
-                terms = terms_memo[a] = ground_terms_of_label(a)
-            return terms
         tally, floor = _path_tally(terms_of), 0
 
     def prune(matched: list[Optional[Atom]], order: list[int]) -> bool:
@@ -481,7 +550,7 @@ def _search_at_depth(q: BooleanCQ, config: RunConfig,
                        for atom in q.atoms]
             tail = tail_count if config.measure is Measure.SIZE else 0
             res = _cover_min(structure, targets, config.measure,
-                             min(limit, best_value) - tail, ticker)
+                             min(limit, best_value) - tail, ticker, terms_of)
             if res is not None:
                 best_value, best_sigma = res[0] + tail, sigma
                 best_choice = res[1]

@@ -5,7 +5,8 @@ import functools
 import json
 import random
 import time
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,8 @@ from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, validate_proof)
 from hornexplain import search as search_module
-from hornexplain.search import (RunConfig, _reaches,
-                                bounded_search, bounded_search_cq, explain)
+from hornexplain.search import (RunConfig, _cover_min, bounded_search,
+                                bounded_search_cq, explain)
 from test_chase import _query_into, _random_kb, _random_query
 from test_deriver_sk import sample_structures
 from test_tooling import _EL_TIES
@@ -97,6 +98,16 @@ def _premise_combos(structure, premises, members):
     return combos
 
 
+def _derived_from(arcs, start):
+    """The vertex copies that ``start`` derives through the arcs, itself
+    included (breadth first)."""
+    reached, layer = {start}, [start]
+    while layer:
+        layer = [w for v in layer for w in arcs.get(v, ()) if w not in reached]
+        reached.update(layer)
+    return reached
+
+
 def _cover_min_with_copies(structure, kind, members, pending, arcs, terms,
                            limit):
     """Least size or domain size of a proof that derives every pending
@@ -119,7 +130,7 @@ def _cover_min_with_copies(structure, kind, members, pending, arcs, terms,
             ok = True
             for pkey in combo:
                 if nxt_members.get(pkey) is not None \
-                        and _reaches(nxt_arcs, key, pkey):
+                        and pkey in _derived_from(nxt_arcs, key):
                     ok = False
                     break
                 nxt_arcs[pkey] = nxt_arcs.get(pkey, frozenset()) | {key}
@@ -1330,12 +1341,218 @@ def test_goal_tail_size_counts_the_vertices_add_goal_tail_adds():
             assert len(proof.vertices) - 2 == goal_tail_size(goal, strict)
 
 
+# ---------------------------------------------------------------------------
+# Frozen reference: the cover search as it was before it shared one state
+# and a trail between its nodes, copying its state into every child and
+# finding cycles by a search per premise
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _RefCoverState:
+    members: dict
+    pending: list
+    arcs: dict
+    terms: set
+
+
+def _ref_reaches(arcs, start, goal):
+    stack = [start]
+    seen = set()
+    while stack:
+        v = stack.pop()
+        if v == goal:
+            return True
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(arcs.get(v, ()))
+    return False
+
+
+def _ref_cover_min(structure, targets, kind, limit, ticker):
+    init_members = {}
+    init_terms = set()
+    init_pending = []
+    for vid in dict.fromkeys(targets):
+        init_members[vid] = None
+        init_terms |= ground_terms_of_label(structure.vertices[vid])
+        if vid not in structure.leaf_ids:
+            init_pending.append(vid)
+    best = [limit, None]
+    stack = [iter((_RefCoverState(init_members, init_pending, {},
+                                  init_terms),))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        ticker.tick()
+        value = _ref_cover_value(state, kind)
+        if value >= best[0]:
+            continue
+        if state.pending:
+            stack.append(_ref_cover_children(structure, state, kind, best))
+        else:
+            best[:] = value, state.members
+    if best[1] is None:
+        return None
+    return best[0], best[1]
+
+
+def _ref_cover_value(state, kind):
+    return len(state.members) if kind is Measure.SIZE else len(state.terms)
+
+
+def _ref_cover_children(structure, state, kind, best):
+    state.pending.sort(key=structure.keys.__getitem__, reverse=True)
+    vid = state.pending.pop()
+    for eidx in structure.in_edges[vid]:
+        nxt = _RefCoverState(dict(state.members), list(state.pending),
+                             dict(state.arcs), state.terms)
+        nxt.members[vid] = eidx
+        ok = True
+        for p in structure.edges[eidx].premises:
+            if nxt.members.get(p) is not None and _ref_reaches(nxt.arcs, vid,
+                                                               p):
+                ok = False
+                break
+            nxt.arcs[p] = nxt.arcs.get(p, frozenset()) | {vid}
+            if p not in nxt.members:
+                nxt.members[p] = None
+                if kind is Measure.DOMAIN_SIZE:
+                    nxt.terms = nxt.terms | ground_terms_of_label(
+                        structure.vertices[p])
+                if p not in structure.leaf_ids:
+                    nxt.pending.append(p)
+                if _ref_cover_value(nxt, kind) >= best[0]:
+                    ok = False
+                    break
+        if ok:
+            yield nxt
+
+
+def _cover_answer(result):
+    """A cover search's value and chosen map, in the map's order."""
+    return None if result is None else (result[0], list(result[1].items()))
+
+
+def _assert_cover_agrees(structure, targets, kind, limit, ticker=None,
+                         terms_of=ground_terms_of_label):
+    """The cover search against the frozen reference on one call: the same
+    value, chosen map and ticks.  Returns the search's answer."""
+    ticker = ticker or Ticker()
+    want_ticks = Ticker()
+    want = _ref_cover_min(structure, targets, kind, limit, want_ticks)
+    before = ticker.count
+    got = _cover_min(structure, targets, kind, limit, ticker, terms_of)
+    assert _cover_answer(got) == _cover_answer(want), (targets, kind, limit)
+    assert ticker.count - before == want_ticks.count, (targets, kind, limit)
+    return got
+
+
+def _deck_family_runs(ex1):
+    """(kb, query, config) of the exact cover-search runs over the decks'
+    generator families."""
+    sat = [[[1, 2], [1, -2], [-1, 3], [-1, -3, 4], [-4]],
+           [[1, -2], [2, 3], [-1, -3]], [[-1, 2, 3], [1, -3], [-2, 3]]]
+    yield from ((*ex1, RunConfig(m, algo="exact"))
+                for m in (Measure.SIZE, Measure.DOMAIN_SIZE))
+    for inst, ceilings in [(gen_el_tree(3), [None]), (gen_el_tree(5), [None]),
+                           (gen_hornalc_counter(1), [3, 4, 5]),
+                           (gen_el_abox(10), [None]),
+                           (gen_el_abox(24), [None]), (gen_el_abox(60), [None]),
+                           (gen_dllite_chain(20), [None]),
+                           (gen_dllite_chain(49), [None]),
+                           (gen_dllite_chain(120), [None])]:
+        for m in (Measure.SIZE, Measure.DOMAIN_SIZE):
+            for ceiling in ceilings:
+                yield inst.kb, inst.query, RunConfig(
+                    m, algo="exact", depth_ceiling=ceiling)
+    for clauses in sat:
+        inst = gen_sat(clauses)
+        yield inst.kb, inst.query, RunConfig(Measure.SIZE,
+                                             inst.bounds["size"])
+        yield inst.kb, inst.query, RunConfig(Measure.DOMAIN_SIZE,
+                                             inst.bounds["domain"])
+
+
+def test_the_cover_search_agrees_with_its_frozen_copy_on_the_decks(
+        ex1, monkeypatch):
+    """Every cover call ``explain`` makes on the decks' generator families
+    gives the frozen copy's value, chosen map and ticks."""
+    calls = []
+
+    def checked(structure, targets, kind, limit, ticker, terms_of):
+        calls.append(kind)
+        return _assert_cover_agrees(structure, targets, kind, limit, ticker,
+                                    terms_of)
+
+    for kb, q, config in _deck_family_runs(ex1):
+        monkeypatch.undo()
+        want = explain(kb, q, config)
+        monkeypatch.setattr("hornexplain.search._cover_min", checked)
+        got = explain(kb, q, config)
+        assert (got.status, got.value, got.nodes) == \
+            (want.status, want.value, want.nodes)
+    assert len(calls) >= 40 and len(set(calls)) == 2
+
+
+def _random_hypergraph(rng):
+    """A small structure of concept atoms whose derivations close cycles
+    often: every non-leaf vertex has one to three in-edges, each from one
+    to three premises drawn from all vertices, itself included."""
+    structure = FiniteStructure()
+    n = rng.randint(3, 9)
+    for i in range(n):
+        structure.add_vertex(ConceptAtom(f"A{i}", Const(rng.choice("abcd"))))
+    structure.leaf_ids.update(range(rng.randint(1, n // 2)))
+    for v in range(len(structure.leaf_ids), n):
+        premise_sets = {tuple(rng.choice(range(n))
+                              for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 3))}
+        for premises in premise_sets:
+            structure.add_edge(premises, v, Schema.MP)
+    return structure
+
+
+def test_the_cover_search_agrees_with_its_frozen_copy_on_random_kbs():
+    """On the saturations of random knowledge bases and on random cyclic
+    structures, for random target sets, under size and domain size, at no
+    limit, at the optimum and one above it: the frozen copy's value, chosen
+    map and ticks."""
+    rng = random.Random(33)
+    found = 0
+    for case in range(3000):
+        if case % 2:
+            structure = _random_hypergraph(rng)
+            atoms = list(structure.vertices)
+        else:
+            structure = saturate_kb(_random_kb(rng), rng.choice([0, 1, 2]))
+            atoms = list(structure.atom_ids.values())
+        targets = [rng.choice(atoms) for _ in range(rng.randint(1, 3))]
+        for kind in (Measure.SIZE, Measure.DOMAIN_SIZE):
+            best = _assert_cover_agrees(structure, targets, kind, _INF)
+            if best is not None:
+                found += 1
+                _assert_cover_agrees(structure, targets, kind, best[0])
+                _assert_cover_agrees(structure, targets, kind, best[0] + 1)
+    assert found > 3000
+
+
 def test_cover_search_does_not_recurse_per_proof_level():
+    """A proof 995 levels deep: no recursion per level, and no copy of the
+    search's state per node (copies took a peak of about 79 MB here)."""
     inst = gen_dllite_chain(330)
-    result = explain(inst.kb, inst.query,
-                     RunConfig(measure=Measure.SIZE, algo="exact"))
+    tracemalloc.start()
+    try:
+        result = explain(inst.kb, inst.query,
+                         RunConfig(measure=Measure.SIZE, algo="exact"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (result.status, result.value, result.nodes) == ("found", 1991, 995)
     assert result.complete
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_saturation_keeps_the_cut_rule_applications_as_its_frontier(ex1):
