@@ -26,7 +26,7 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  is_tree_shaped, map_atom_terms, substitute_atom, term_key,
                  variables_of)
 from .matching import match_conjunction, unifiers
-from .proofs import Label, ProofEdge, ProofGraph, Schema
+from .proofs import Label, ProofBuilder, ProofGraph, Schema, postorder
 from .deriver_sk import FiniteStructure, Ticker, saturate
 
 
@@ -536,48 +536,33 @@ def assemble_proof(targets: Iterable[Hashable],
     ``derive(node)`` gives a node's label, its premises (nodes) and the
     schema of the edge from them, None for a leaf.  Each node is derived
     once, when the walk first reaches it, and one vertex is made per node.
-    The walk runs in postorder from the targets, premises in edge order,
-    and numbers a vertex and builds its edge when the vertex is done.  So
-    the ids are read off the proof itself, whatever it was found in, and
-    with the tail numbered last the proof is in postorder from its sink.
-    KBError on a cyclic derivation.
+    The walk runs in postorder from the targets, premises in edge order
+    (:func:`~hornexplain.proofs.postorder`), and numbers a vertex and
+    builds its edge when the vertex is done.  So the ids are read off the
+    proof itself, whatever it was found in, and with the tail numbered last
+    the proof is in postorder from its sink.  KBError on a cyclic
+    derivation.
     """
-    ids: dict = {}                  # a node on the walk's stack maps to -1
-    vertices: dict[int, Label] = {}
-    edges: list[ProofEdge] = []
+    builder = ProofBuilder()
+    # a node's vertex id once it is done, what derive gave until then
+    ids: dict = {}
+
+    def premises(node):
+        step = ids[node] = derive(node)
+        return step[1]
+
     targets = list(targets)
-    for root in targets:
-        if root in ids:
-            continue
-        ids[root] = -1
-        label, premises, schema = derive(root)
-        stack = [(root, label, premises, schema, iter(premises))]
-        while stack:
-            for node in stack[-1][4]:
-                vid = ids.get(node)
-                if vid is None:
-                    label, premises, schema = derive(node)
-                    if schema is None:      # a leaf is done at once
-                        ids[node] = vid = len(vertices)
-                        vertices[vid] = label
-                        continue
-                    ids[node] = -1
-                    stack.append((node, label, premises, schema,
-                                  iter(premises)))
-                    break
-                if vid < 0:
-                    raise KBError("the derivation is cyclic")
-            else:
-                node, label, premises, schema, _ = stack.pop()
-                vid = ids[node] = len(vertices)
-                vertices[vid] = label
-                if schema is not None:
-                    edges.append(ProofEdge(tuple([ids[p] for p in premises]),
-                                           vid, schema))
-    target_ids = [ids[t] for t in targets]
-    if goal is None:
-        return ProofGraph(vertices, edges)
-    return add_goal_tail(vertices, edges, target_ids, goal, strict_cg)
+    try:
+        for node in postorder(targets, premises):
+            label, premises_of, schema = ids[node]
+            vid = ids[node] = builder.add_vertex(label)
+            if schema is not None:
+                builder.add_edge([ids[q] for q in premises_of], vid, schema)
+    except ValueError:
+        raise KBError("the derivation is cyclic") from None
+    if goal is not None:
+        add_goal_tail(builder, [ids[t] for t in targets], goal, strict_cg)
+    return builder.build()
 
 
 def _tail_steps(goal: BooleanCQ, strict_cg: bool) -> tuple[bool, bool]:
@@ -592,25 +577,19 @@ def goal_tail_size(goal: BooleanCQ, strict_cg: bool = False) -> int:
     return sum(_tail_steps(goal, strict_cg))
 
 
-def add_goal_tail(vertices: dict[int, Label], edges: list[ProofEdge],
-                  targets: list[int], goal: BooleanCQ,
-                  strict_cg: bool = False) -> ProofGraph:
-    """Finish a per-atom proof bundle with the conjunction and
-    generalization steps, skipping degenerate identity steps by default."""
+def add_goal_tail(builder: ProofBuilder, targets: list[int],
+                  goal: BooleanCQ, strict_cg: bool = False) -> None:
+    """Finish a per-atom proof bundle in the builder with the conjunction
+    and generalization steps, skipping degenerate identity steps by
+    default."""
     conj, gen = _tail_steps(goal, strict_cg)
-    vertices = dict(vertices)
-    edges = list(edges)
-    next_id = max(vertices) + 1 if vertices else 0
     if conj:
-        vertices[next_id] = tuple(vertices[t] for t in targets) if gen \
-            else goal
-        edges.append(ProofEdge(tuple(targets), next_id, Schema.C))
-        targets = [next_id]
-        next_id += 1
+        vid = builder.add_vertex(
+            tuple(builder.vertices[t] for t in targets) if gen else goal)
+        builder.add_edge(targets, vid, Schema.C)
+        targets = [vid]
     if gen:
-        vertices[next_id] = goal
-        edges.append(ProofEdge((targets[0],), next_id, Schema.G))
-    return ProofGraph(vertices, edges)
+        builder.add_edge(targets, builder.add_vertex(goal), Schema.G)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ Query-level proofs stay sound with respect to the original rules: rule
 application (MPe) rewrites part of a query, tautologies (Te) duplicate
 atoms, and the remaining schemas mirror their ground-atom counterparts on
 quantified conjunctions.  The translations convert in both directions:
-ground-atom proofs aggregate into a tree of query steps and are
-de-Skolemized at the end; query proofs are grounded with Skolem terms and
-split back into single-atom inferences.
+ground-atom proofs aggregate into a tree of query steps, labelled in one
+pass with their Skolem terms named by variables; query proofs are grounded
+with Skolem terms and split back into single-atom inferences.
 """
 
 from __future__ import annotations
@@ -549,12 +549,18 @@ def _collect_steps(p: ProofGraph) -> tuple[list[_Step], dict[Atom, None]]:
 def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     """Aggregate a ground-atom proof into a tree of query-level steps.
 
-    Facts are collected with binary conjunctions, rule applications over the
-    same premises merge into one rewriting step that keeps exactly the atoms
-    still needed later, and the Skolem terms of the intermediate queries are
-    replaced by existential variables at the very end.
+    Facts are collected with binary conjunctions, and rule applications over
+    the same premises merge into one rewriting step that keeps exactly the
+    atoms still needed later.  Each collected conjunction is labelled by
+    its query, its Skolem terms named by variables (:func:`_skolem_naming`)
+    and closed; the last step derives the goal as written.  A goal that
+    names a Skolem term has no query label: TransformError.
     """
     goal, target_atoms = _goal_and_targets(p)
+    if any(isinstance(t, SkolemTerm) for a in goal.atoms
+           for t in atom_terms(a)):
+        raise TransformError("the goal names a Skolem term, which a query "
+                             "label cannot contain")
     steps, facts = _collect_steps(p)
 
     # liveness: the step index after which an atom is no longer needed
@@ -572,10 +578,24 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     if not used_facts:
         raise TransformError("a ground proof always rests on at least one fact")
 
-    # the collected queries are ground conjunctions until _deskolemize
-    # closes them
+    naming = _skolem_naming(p, goal, target_atoms)
+    # each ground atom renamed once, with its variables in first-occurrence
+    # order, so that closing a conjunction does not walk its terms again
+    renamed: dict[Atom, tuple[Atom, tuple[Var, ...]]] = {}
+
+    def query(atoms: Sequence[Atom]) -> BooleanCQ:
+        pairs = []
+        for a in atoms:
+            pair = renamed.get(a)
+            if pair is None:
+                b = map_atom_terms(a, lambda t: rewrite_term(t, naming))
+                pair = renamed[a] = b, tuple(variables_of((b,)))
+            pairs.append(pair)
+        return BooleanCQ.closed([b for b, _ in pairs], dict.fromkeys(
+            v for _, vs in pairs for v in vs))
+
     builder = ProofBuilder()
-    current = conjunction_chain(builder, used_facts, tuple)
+    current = conjunction_chain(builder, used_facts, query)
     running = list(used_facts)
 
     eliminated: set[EqAtom] = set()
@@ -589,8 +609,8 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
             for c in step.conclusions:
                 if c not in new_running:
                     new_running.append(c)
-            rule_vertex = builder.add_vertex(step.rule)
-            nxt = builder.add_vertex(tuple(new_running))
+            rule_vertex = builder.add_vertex(kb.tbox[step.rule.index])
+            nxt = builder.add_vertex(query(new_running))
             builder.add_edge((current, rule_vertex), nxt, Schema.MPe)
             current, running = nxt, new_running
         else:
@@ -616,7 +636,7 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                 b = _replace_top_level(a, eq.lhs, eq.rhs) or a
                 if b not in new_running:
                     new_running.append(b)
-            nxt = builder.add_vertex(tuple(new_running))
+            nxt = builder.add_vertex(query(new_running))
             builder.add_edge((current,), nxt, Schema.Ee)
             current, running = nxt, new_running
 
@@ -627,76 +647,34 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         builder.add_edge((current,), builder.add_vertex(goal), Schema.Ge)
     else:
         tautology_finish(builder, current, goal)
-    return _deskolemize(builder.build(), kb, goal, target_atoms)
+    return builder.build()
 
 
 def _mentions_term(atom: Atom, t: Term) -> bool:
     return any(t == s for term in atom_terms(atom) for s in subterms(term))
 
 
-def _deskolemize(graph: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
-                 target_atoms: list[Atom]) -> ProofGraph:
-    """Replace ground Skolem terms by variables throughout the proof and
-    close every collected conjunction into a query."""
-    def atoms_of(label: Label) -> tuple[Atom, ...]:
-        if isinstance(label, tuple):
-            return label
-        return label.atoms if isinstance(label, BooleanCQ) else ()
-
-    # consecutive query labels share most atom objects: each is mapped
-    # once, found by identity (hashing a nested Skolem term walks it)
-    fixed: dict[int, Atom] = {id(a): a for label in graph.vertices.values()
-                              for a in atoms_of(label)}
-    skolem_terms = {s for a in fixed.values() for t in atom_terms(a)
-                    for s in _skolem_subterms(t)}
+def _skolem_naming(p: ProofGraph, goal: BooleanCQ,
+                   target_atoms: list[Atom]) -> dict[Term, Var]:
+    """The variable that names each Skolem term of the proof's atoms in the
+    query labels.  A term the goal's match onto the targets gives to a goal
+    variable keeps that variable; the others get ``u1, u2, ...`` in
+    ``term_key`` order, apart from the goal's variables.  An equality
+    rewrite only removes Skolem terms, so these are all the labels'."""
     naming: dict[Term, Var] = {}
-    sigma = match_positionally(list(goal.atoms), target_atoms)
-    if sigma:
-        for v in goal.existential_vars:
-            t = sigma.get(v)
-            if t is not None and isinstance(t, SkolemTerm) \
-                    and t not in naming:
-                naming[t] = v
-    taken = {v.name for v in naming.values()} | {
-        v.name for label in graph.vertices.values()
-        if isinstance(label, BooleanCQ) for v in label.existential_vars}
-    rest = sorted((t for t in skolem_terms if t not in naming), key=term_key)
-    for t, v in zip(rest, fresh_vars(len(rest), taken)):
-        naming[t] = v
-
-    def fix_term(t: Term) -> Term:
-        # the highest named subterm is replaced whole
-        return rewrite_term(t, naming)
-
-    # each atom fixed once, with its variables in first-occurrence order,
-    # so that closing a label does not walk its atoms' terms again
-    closing: dict[int, tuple[Atom, tuple[Var, ...]]] = {}
-    for key, a in fixed.items():
-        b = map_atom_terms(a, fix_term)
-        closing[key] = b, tuple(variables_of((b,)))
-
-    def fix_label(label: Label) -> Label:
-        if isinstance(label, (tuple, BooleanCQ)):
-            pairs = [closing[id(a)] for a in atoms_of(label)]
-            return BooleanCQ.closed(
-                [b for b, _ in pairs],
-                dict.fromkeys(v for _, vs in pairs for v in vs))
-        if isinstance(label, SkolemRule):
-            return kb.tbox[label.index]
-        if isinstance(label, TautRule):
-            return TautRule(
-                tuple(map_atom_terms(a, fix_term) for a in label.body),
-                tuple(map_atom_terms(a, fix_term) for a in label.head),
-                label.existential_vars)
-        return label
-
-    return graph.relabel(fix_label)
-
-
-def _skolem_subterms(t: Term):
-    for s in subterms(t):
-        if isinstance(s, SkolemTerm):
-            yield s
+    sigma = match_positionally(list(goal.atoms), target_atoms) or {}
+    for v in goal.existential_vars:
+        t = sigma.get(v)
+        if isinstance(t, SkolemTerm) and t not in naming:
+            naming[t] = v
+    rest = sorted({s for a in p.vertices.values()
+                   if isinstance(a, ATOM_TYPES) for t in atom_terms(a)
+                   for s in subterms(t)
+                   if isinstance(s, SkolemTerm) and s not in naming},
+                  key=term_key)
+    naming.update(zip(rest, fresh_vars(
+        len(rest), {v.name for v in goal.existential_vars})))
+    return naming
 
 
 # ---------------------------------------------------------------------------

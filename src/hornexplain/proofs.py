@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
+                    Optional, Sequence, Union)
 
 from .kb import (ATOM_TYPES, Atom, BooleanCQ, KBError, KnowledgeBase,
                  NormalForm, Rule, SkolemRule, Term, Var, atom_key, atom_terms,
@@ -117,31 +118,43 @@ def label_key(label: Label):
 # The hypergraph
 # ---------------------------------------------------------------------------
 
-def _postorder(inc: dict[int, list[ProofEdge]],
-               roots: Iterable[int]) -> Iterator[int]:
-    """Every vertex reachable from the roots through premises, each after
-    all of its premises (depth first, in edge and premise order); raises
-    ValueError on a cycle."""
-    state: dict[int, int] = {}          # 1 on the path, 2 done
+def postorder(roots: Iterable[Hashable],
+              premises: Callable[[Hashable], Sequence[Hashable]]
+              ) -> Iterator[Hashable]:
+    """Every node reachable from the roots through ``premises``, each after
+    all of its premises (depth first, in premise order).  A node is asked
+    for its premises once, when the walk first reaches it.  ValueError on a
+    cycle."""
+    state: dict = {}                    # 1 on the path, 2 done
     for root in roots:
-        if state.get(root):
+        if root in state:
             continue
         state[root] = 1
-        stack = [(root, (q for e in inc[root] for q in e.premises))]
+        stack = [(root, iter(premises(root)))]
         while stack:
-            v, premises = stack[-1]
-            for q in premises:
-                s = state.get(q, 0)
-                if s == 1:
+            v, todo = stack[-1]
+            for q in todo:
+                s = state.get(q)
+                if s is None:
+                    below = premises(q)
+                    if below:
+                        state[q] = 1
+                        stack.append((q, iter(below)))
+                        break
+                    state[q] = 2        # a leaf is done at once
+                    yield q
+                elif s == 1:
                     raise ValueError("cycle detected")
-                if s == 0:
-                    state[q] = 1
-                    stack.append((q, (r for e in inc[q] for r in e.premises)))
-                    break
             else:
                 stack.pop()
                 state[v] = 2
                 yield v
+
+
+def _postorder(inc: dict[int, list[ProofEdge]],
+               roots: Iterable[int]) -> Iterator[int]:
+    """:func:`postorder` over the incoming edges, premises in edge order."""
+    return postorder(roots, lambda v: [q for e in inc[v] for q in e.premises])
 
 
 class ProofEdge(NamedTuple):
@@ -181,29 +194,26 @@ class ProofGraph:
             return "cq"
         return "sk"
 
-    def relabel(self, mapping) -> "ProofGraph":
-        return ProofGraph({v: mapping(lab) for v, lab in self.vertices.items()},
-                          list(self.edges))
-
 
 class ProofBuilder:
+    """A proof as it is built, its vertices numbered 0, 1, ... in the order
+    they are added."""
+
     def __init__(self):
-        self._vertices: dict[int, Label] = {}
-        self._edges: list[ProofEdge] = []
-        self._next = 0
+        self.vertices: dict[int, Label] = {}
+        self.edges: list[ProofEdge] = []
 
     def add_vertex(self, label: Label) -> int:
-        vid = self._next
-        self._next += 1
-        self._vertices[vid] = label
+        vid = len(self.vertices)
+        self.vertices[vid] = label
         return vid
 
     def add_edge(self, premises: Iterable[int], conclusion: int,
                  schema: Schema) -> None:
-        self._edges.append(ProofEdge(tuple(premises), conclusion, schema))
+        self.edges.append(ProofEdge(tuple(premises), conclusion, schema))
 
     def build(self) -> ProofGraph:
-        return ProofGraph(dict(self._vertices), list(self._edges))
+        return ProofGraph(dict(self.vertices), list(self.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +305,9 @@ def tree_unravel(p: ProofGraph) -> ProofGraph:
 def sub_derivation(p: ProofGraph, vid: int) -> ProofGraph:
     """The subgraph of everything feeding into ``vid`` (ids preserved)."""
     inc = p.incoming()
-    keep: set[int] = set()
-    edges: list[ProofEdge] = []
-    stack = [vid]
-    while stack:
-        v = stack.pop()
-        if v in keep:
-            continue
-        keep.add(v)
-        for e in inc[v]:
-            edges.append(e)
-            stack.extend(e.premises)
-    return ProofGraph({v: p.vertices[v] for v in keep}, edges)
+    keep = list(_postorder(inc, [vid]))
+    return ProofGraph({v: p.vertices[v] for v in keep},
+                      [e for v in keep for e in inc[v]])
 
 
 # ---------------------------------------------------------------------------

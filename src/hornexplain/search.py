@@ -25,8 +25,8 @@ from .compress import (CompressError, CompressedStructure, DecompressError,
 from .deriver_cq import conjunction_chain, mpe_apply, tautology_finish
 from .deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
                          default_depth_ceiling, saturate_kb)
-from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
-                 NormalForm, Term, Var, atom_pred, atom_terms, cq_equivalent,
+from .kb import (Atom, BooleanCQ, Const, Fragment, KnowledgeBase, NormalForm,
+                 Term, Var, atom_pred, atom_terms, cq_equivalent,
                  is_tree_shaped, orient_equality, substitute_atom)
 from .matching import AtomIndex, match_conjunction
 from .proofs import (Measure, ProofBuilder, ProofGraph, Schema,
@@ -695,9 +695,8 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
             return value, sub_derivation(builder.build(), sink)
 
         # rule applications
-        body_index = AtomIndex(cq.atoms)
         for rule in kb.tbox:
-            for pi in match_conjunction(rule.body, body_index):
+            for pi in match_conjunction(rule.body, cq.index):
                 matched = sorted({substitute_atom(b, pi) for b in rule.body},
                                  key=lambda a: str(a))
                 n_heads = len(rule.head)
@@ -706,10 +705,7 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
                                if rmask >> i & 1]
                     for kmask in range(1, 2 ** n_heads):
                         keep = [i for i in range(n_heads) if kmask >> i & 1]
-                        try:
-                            new_cq = mpe_apply(cq, rule, pi, replace, keep)
-                        except KBError:
-                            continue
+                        new_cq = mpe_apply(cq, rule, pi, replace, keep)
                         if len(new_cq.atoms) > max_atoms:
                             continue
                         new_cost = cost + 2
@@ -731,8 +727,7 @@ def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: int,
                     builder: ProofBuilder) -> Optional[tuple[int, int]]:
     if cq_equivalent(cq, q):
         return cost, vid
-    index = AtomIndex(cq.atoms)
-    for pi in match_conjunction(q.atoms, index):
+    for pi in match_conjunction(q.atoms, cq.index):
         image = {substitute_atom(a, pi) for a in q.atoms}
         if not set(cq.atoms) <= image:
             continue  # leftovers would survive into the conclusion

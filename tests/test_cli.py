@@ -274,6 +274,23 @@ def test_convert_and_export_round_trip(ex1_file, tmp_path):
     assert back.returncode == 0
 
 
+@pytest.mark.parametrize("query", ["A(f_0(a))", "exists z. r(f_0(a), z)"])
+def test_convert_rejects_a_goal_that_names_a_skolem_term(query, tmp_path,
+                                                         capsys):
+    """A query label cannot hold a Skolem term, so such a goal has no cq
+    proof: bad input (65), not a translation that fails validation (70)."""
+    from hornexplain import cli
+    kb = tmp_path / "chain.kb"
+    kb.write_text("rule: A(x) -> exists y. r(x,y), A(y)\nfact: A(a)\n"
+                  f"query: {query}\n")
+    proof = tmp_path / "p.json"
+    assert cli.main(["explain", str(kb), "--format", "json",
+                     "-o", str(proof)]) == 0
+    assert cli.main(["convert", str(proof), "--kb", str(kb),
+                     "--to", "cq"]) == 65
+    assert "names a Skolem term" in capsys.readouterr().err
+
+
 def test_export_empty_file_fails(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")

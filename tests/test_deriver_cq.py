@@ -19,9 +19,9 @@ from hornexplain.generators import (gen_dllite_chain, gen_el_abox,
                                     gen_el_tree, gen_hornalc_counter,
                                     gen_sat_cq)
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
-                            KBError, RoleAtom, Var, atom_key, atom_pred,
-                            atom_vars, cq_equivalent, substitute_atom,
-                            variables_of)
+                            KBError, RoleAtom, SkolemTerm, Var, atom_key,
+                            atom_pred, atom_vars, cq_equivalent,
+                            substitute_atom, variables_of)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, Measure, ProofBuilder,
@@ -111,6 +111,32 @@ def test_ce_apply_renames_apart(ex1):
         assert check_edge_labels(e.schema,
                                  tuple(chain.vertices[v] for v in e.premises),
                                  chain.vertices[e.conclusion], kb) is None
+
+
+def test_a_ce_step_that_renames_variables_grounds_through_the_renaming():
+    """Two derived queries with the same variable, conjoined with the second
+    one's renamed apart: the renamed variable is grounded by the second
+    premise's grounding of the original."""
+    kb = parse_kb("rule: A(x) -> exists y. r(x,y)\nfact: A(a)\nfact: A(b)\n")
+    rule, b, u1, w = kb.tbox[0], Const("b"), Var("u1"), Var("w")
+    builder = ProofBuilder()
+    derived = []
+    for c in (A_, b):
+        fact = builder.add_vertex(_cq([ConceptAtom("A", c)]))
+        rule_vertex = builder.add_vertex(rule)
+        derived.append(builder.add_vertex(_cq([RoleAtom("r", c, u1)], [u1])))
+        builder.add_edge((fact, rule_vertex), derived[-1], Schema.MPe)
+    goal = _cq([RoleAtom("r", A_, u1), RoleAtom("r", b, w)], [u1, w])
+    builder.add_edge(derived, builder.add_vertex(goal), Schema.Ce)
+    cq = builder.build()
+    ok, problems = validate_proof(cq, kb, goal, "cq")
+    assert ok, problems
+    sk = transform_cq_to_sk(cq, kb)
+    ok, problems = validate_proof(sk, kb, goal, "sk")
+    assert ok, problems
+    fn = kb.skolem_rules[0].fn
+    assert {a for a in sk.vertices.values() if isinstance(a, RoleAtom)} == {
+        RoleAtom("r", c, SkolemTerm(fn, c)) for c in (A_, b)}
 
 
 def test_ge_apply_empty_and_real(ex1):

@@ -29,13 +29,13 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_el_tree, gen_hornalc_counter,
                                     gen_sat, gen_sat_cq)
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const,
-                            Fragment, RoleAtom, SkolemTerm, Var, atom_pred,
-                            atom_terms, is_tree_shaped, substitute_atom,
-                            term_key)
+                            Fragment, KBError, RoleAtom, SkolemTerm, Var,
+                            atom_pred, atom_terms, is_tree_shaped,
+                            substitute_atom, term_key)
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
-                                Schema, _postorder, domain_size,
+from hornexplain.proofs import (RULE_TYPES, Measure, ProofBuilder, ProofEdge,
+                                ProofGraph, Schema, _postorder, domain_size,
                                 ground_terms_of_label, label_key, measure,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, validate_proof)
@@ -1268,6 +1268,88 @@ def test_bounded_search_cq_rejects_domain_size():
                           RunConfig(Measure.DOMAIN_SIZE, bound=5))
 
 
+# ---------------------------------------------------------------------------
+# Budget trips: each phase that can run out ends the run as it says
+# ---------------------------------------------------------------------------
+
+_CHAIN = "rule: A(x) -> exists y. r(x,y), A(y)\nfact: A(a)\n"
+
+
+def _doc(text: str):
+    doc = parse_document(text)
+    return doc.kb, doc.queries[0]
+
+
+def _raise_budget(*args, **kwargs):
+    raise BudgetExceeded("node limit")
+
+
+def test_the_cq_search_running_out_while_matching_is_exhausted():
+    """A budget of no nodes trips at the first match."""
+    kb, q = _doc("fact: A(a)\nfact: B(a)\nquery: exists x. A(x), B(x)\n")
+    result = bounded_search_cq(kb, q, RunConfig(Measure.TREE_SIZE,
+                                                max_nodes=0))
+    assert (result.status, result.complete) == ("exhausted", False)
+    assert bounded_search_cq(kb, q, RunConfig(Measure.TREE_SIZE)).status \
+        == "found"
+
+
+def test_the_cq_search_running_out_in_its_forward_closure():
+    """Without a rule-free match the run is exhausted; with one, that
+    match's proof stands, uncertified."""
+    kb, q = _doc(_CHAIN + "query: exists z. r(a,z)\n")
+    result = bounded_search_cq(kb, q, RunConfig(Measure.TREE_SIZE,
+                                                max_nodes=0))
+    assert (result.status, result.complete) == ("exhausted", False)
+    # the ABox match takes the one node; the closure's first pop trips
+    kb, q = _doc(_CHAIN + "query: A(a)\n")
+    result = bounded_search_cq(kb, q, RunConfig(Measure.TREE_SIZE,
+                                                max_nodes=1))
+    assert (result.status, result.value, result.complete) \
+        == ("found", 1, False)
+    ok, problems = validate_proof(result.proof, kb, q, "cq")
+    assert ok, problems
+
+
+def test_a_fold_that_runs_out_bounds_nothing_and_the_run_goes_on(
+        monkeypatch):
+    """Without its fold the search still certifies the chain's optimum, by
+    the frontier of a deeper structure, but cannot refute a query the fold
+    would: ``exhausted`` where the fold certifies ``none``."""
+    config = RunConfig(Measure.SIZE, algo="exact")
+    kb, q = _doc(_CHAIN + "query: exists z, w. r(a,z), r(z,w)\n")
+    kb2, q2 = _doc(_CHAIN + "query: exists z. s(a,z)\n")
+    with_fold = bounded_search(kb, q, config)
+    refuted = bounded_search(kb2, q2, config)
+    assert (refuted.status, refuted.complete) == ("none", True)
+    asked = []
+
+    def fold_runs_out(*args):
+        asked.append(args)
+        _raise_budget()
+
+    monkeypatch.setattr(search_module, "equality_free_fold", fold_runs_out)
+    result = bounded_search(kb, q, config)
+    assert (result.status, result.value, result.complete) \
+        == ("found", with_fold.value, True)
+    result = bounded_search(kb2, q2, config)
+    assert (result.status, result.complete) == ("exhausted", False)
+    assert len(asked) == 2      # once per run
+
+
+def test_running_out_in_the_frontier_bound_leaves_the_best_uncertified(
+        ex1, monkeypatch):
+    """Under size the frontier bound reads the least heights, which charge
+    the run's clock."""
+    kb, q = ex1
+    config = RunConfig(Measure.SIZE, algo="exact")
+    assert bounded_search(kb, q, config).complete
+    monkeypatch.setattr(search_module, "min_heights", _raise_budget)
+    result = bounded_search(kb, q, config)
+    assert (result.status, result.value, result.complete) \
+        == ("found", 12, False)
+
+
 def test_explain_routes_and_falls_back(ex1):
     kb, q = ex1
     # poly requested on a fragment it does not support: warn and fall back
@@ -1331,14 +1413,15 @@ def test_strict_cg_adds_the_identity_tail():
 def test_goal_tail_size_counts_the_vertices_add_goal_tail_adds():
     a, b, x = ConceptAtom("A", Const("a")), ConceptAtom("B", Const("a")), \
         Var("x")
-    vertices = {0: a, 1: b}
     for goal in (BooleanCQ((a,), ()), BooleanCQ((a, b), ()),
                  BooleanCQ((ConceptAtom("A", x),), (x,)),
                  BooleanCQ((ConceptAtom("A", x), b), (x,))):
         for strict in (False, True):
-            proof = add_goal_tail(vertices, [], [0, 1][:len(goal.atoms)],
-                                  goal, strict)
-            assert len(proof.vertices) - 2 == goal_tail_size(goal, strict)
+            builder = ProofBuilder()
+            builder.add_vertex(a)
+            builder.add_vertex(b)
+            add_goal_tail(builder, [0, 1][:len(goal.atoms)], goal, strict)
+            assert len(builder.vertices) - 2 == goal_tail_size(goal, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -2025,6 +2108,17 @@ def test_the_golden_sk_proofs_are_numbered_in_postorder_from_their_sink():
             assert _in_postorder(p), path.name
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("cycle", [["A"], ["A", "B"]])
+def test_the_assembler_rejects_a_cyclic_derivation(cycle):
+    """A derives B derives ... A, or A derives itself."""
+    def derive(node):
+        after = cycle[(cycle.index(node) + 1) % len(cycle)]
+        return ConceptAtom(node, Const("a")), [after], Schema.MP
+
+    with pytest.raises(KBError, match="cyclic"):
+        assemble_proof(["A"], derive)
 
 
 def _frozen_bounded_search_cq(kb, q, config):
