@@ -812,8 +812,11 @@ def _ground_mpe(g: _Grounding, edge, v: int, found) -> None:
             gamma_new[w] = SkolemTerm(sk_rule.fn, pi_hat[rule.body[0].term])
     step = (Schema.MP, tuple(substitute_atom(b, pi_hat)
                              for b in sk_rule.body) + (idx,))
-    for h in sk_rule.head:
-        g.producer.setdefault(substitute_atom(h, pi_hat), step)
+    # file the atoms the step added; a later step derives any it dropped
+    premise = g.vertices[phi_vid].atom_set
+    for a in g.vertices[v].atoms:
+        if a not in premise:
+            g.producer.setdefault(ground_atom(gamma_new, a), step)
 
 
 def _ground_ee(g: _Grounding, edge, v: int, equality: EqAtom) -> None:

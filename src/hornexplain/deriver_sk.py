@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .kb import (ATOM_TYPES, Atom, BooleanCQ, EqAtom, KnowledgeBase,
-                 SkolemRule, SkolemTerm, Term, atom_is_ground, atom_key,
-                 atom_pred, atom_terms, map_atom_terms, orient_equality,
-                 substitute_atom, term_depth)
+                 SkolemRule, Term, atom_is_ground, atom_key, atom_pred,
+                 atom_terms, map_atom_terms, orient_equality, substitute_atom,
+                 term_depth)
 from .matching import AtomIndex, match_positionally, unifiers, unify_atom
 from .proofs import RULE_TYPES, Label, ProofEdge, Schema, label_key
 
@@ -211,12 +211,11 @@ class FiniteStructure:
     # premise ids of the rule applications cut off by the depth bound
     frontier: set[tuple[int, ...]] = field(default_factory=set)
 
-    def add_vertex(self, label: Label, key: Optional[tuple] = None) -> int:
-        """A new vertex; an atom's is filed in ``atom_ids``.  ``key`` is
-        the label's ``label_key`` where the caller has it."""
+    def add_vertex(self, label: Label) -> int:
+        """A new vertex; an atom's is filed in ``atom_ids``."""
         vid = len(self.vertices)
         self.vertices[vid] = label
-        self.keys.append(label_key(label) if key is None else key)
+        self.keys.append(label_key(label))
         self.in_edges[vid] = []
         if isinstance(label, ATOM_TYPES):
             self.atom_ids[label] = vid
@@ -269,16 +268,15 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     charge, max_atoms = ticker.charge, ticker.max_atoms
     structure = FiniteStructure(depth_bound=depth_bound)
     index, atom_ids = structure.index, structure.atom_ids
-    new_atoms: dict[Atom, tuple] = {}    # this round's, with their atom_key
+    new_atoms: set[Atom] = set()    # this round's
 
-    def add_atom(atom: Atom, key: tuple) -> int:
-        new_atoms[atom] = key
-        index.add(atom, key)
-        return structure.add_vertex(atom, (0, key))
+    def add_atom(atom: Atom) -> int:
+        new_atoms.add(atom)
+        index.add(atom)
+        return structure.add_vertex(atom)
 
-    keys = {f: atom_key(f) for f in facts}
-    for f in sorted(keys, key=keys.__getitem__):
-        structure.leaf_ids.add(add_atom(f, keys[f]))
+    for f in sorted(set(facts), key=atom_key):
+        structure.leaf_ids.add(add_atom(f))
     rule_ids = []
     for r in rules:
         vid = structure.add_vertex(r)
@@ -288,24 +286,13 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
     # MP premises end with a rule vertex and E premises do not, so the
     # premises and the conclusion identify an edge
     seen_edges: set[tuple[tuple[int, ...], Atom]] = set()
-    # each term's depth, once: a conclusion's terms are premise terms,
-    # constants and Skolem applications to premise terms, so a term's
-    # depth is mostly its argument's plus one
-    depths: dict[Term, int] = {}
-
-    def depth(t: Term) -> int:
-        d = depths.get(t)
-        if d is None:
-            inner = depths.get(t.arg) if isinstance(t, SkolemTerm) else -1
-            d = depths[t] = term_depth(t) if inner is None else inner + 1
-        return d
 
     def record(schema: Schema, premise_ids: tuple[int, ...],
                concl_atom: Atom) -> None:
         """Add the edge unless it is known; a new conclusion atom joins the
         next frontier.  The premises are atoms of the index (or rules), so
         they already have vertices."""
-        if max(map(depth, atom_terms(concl_atom))) > depth_bound:
+        if max(map(term_depth, atom_terms(concl_atom))) > depth_bound:
             structure.complete = False
             structure.frontier.add(premise_ids)
             return
@@ -318,7 +305,7 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
             if max_atoms is not None and len(index) >= max_atoms:
                 structure.complete = False
                 raise BudgetExceeded(f"saturation exceeded {max_atoms} atoms")
-            vid = add_atom(concl_atom, atom_key(concl_atom))
+            vid = add_atom(concl_atom)
         structure.add_edge(premise_ids, vid, schema)
 
     def body_matches(body: Sequence[Atom], seeds_by_pred: dict
@@ -356,8 +343,8 @@ def saturate(facts: Iterable[Atom], rules: Sequence[SkolemRule],
 
     while new_atoms:
         charge()
-        current, new_atoms = new_atoms, {}
-        frontier = sorted(current, key=current.__getitem__)
+        current, new_atoms = new_atoms, set()
+        frontier = sorted(current, key=atom_key)
         frontier_by_pred: dict[tuple, list[Atom]] = {}
         for fa in frontier:
             frontier_by_pred.setdefault(atom_pred(fa), []).append(fa)

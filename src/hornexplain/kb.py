@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -43,21 +44,23 @@ class _Interned:
 
     Constructing an instance from arguments equal to those of a live
     instance returns that instance, so equality and hashing are the default
-    identity ones.  Arguments are positional, in ``__slots__`` order, and
-    are strings or interned values themselves, so the table key hashes in
-    constant time.  Each class keeps a weak-valued table: a value nothing
-    else references leaves it.
+    identity ones.  Arguments are positional, in ``_fields`` order, and are
+    strings or interned values themselves, so the table key hashes in
+    constant time.  A class may keep more slots, which ``_derive`` fills
+    from the arguments once, when the value is built.  Each class keeps a
+    weak-valued table: a value nothing else references leaves it.
     """
 
     __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()    # the constructor's arguments
     _table: weakref.WeakValueDictionary
     _refs: dict  # the table's own dict: key -> weak reference
-    _setters: tuple  # the slot descriptors' setters, in argument order
+    _setters: tuple  # the fields' slot setters, in argument order
 
     def __init_subclass__(cls):
         cls._table = weakref.WeakValueDictionary()
         cls._refs = cls._table.data
-        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._fields)
 
     def __new__(cls, *args):
         refs = cls._refs
@@ -78,9 +81,13 @@ class _Interned:
                 obj = object.__new__(cls)
                 for setter, value in zip(cls._setters, args):
                     setter(obj, value)
+                obj._derive()
                 ref = refs[args] = _TableRef(obj, cls._table._remove)
                 ref.key = args
         return obj
+
+    def _derive(self) -> None:
+        """Fill the slots that are not constructor fields."""
 
     def _immutable(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -89,10 +96,10 @@ class _Interned:
 
     def __reduce__(self):
         # copying or unpickling constructs, and so interns, again
-        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -101,16 +108,18 @@ class _Interned:
 # ---------------------------------------------------------------------------
 
 class Const(_Interned):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
     name: str
+    depth = 0
 
     def __repr__(self) -> str:
         return self.name
 
 
 class Var(_Interned):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
     name: str
+    depth = 0
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -119,23 +128,22 @@ class Var(_Interned):
 class SkolemTerm(_Interned):
     """Application of a unary Skolem function to a term."""
 
-    __slots__ = ("fn", "arg")
+    _fields = ("fn", "arg")
+    __slots__ = _fields + ("depth",)
     fn: str
     arg: Term
+    depth: int      # the number of Skolem applications down to the base
+
+    def _derive(self) -> None:
+        SkolemTerm.depth.__set__(self, self.arg.depth + 1)
 
     def __repr__(self) -> str:
         return format_term(self)
 
 
 Term = Union[Const, Var, SkolemTerm]
-
-
-def term_depth(t: Term) -> int:
-    d = 0
-    while isinstance(t, SkolemTerm):
-        d += 1
-        t = t.arg
-    return d
+# a term's depth: 0 for constants and variables
+term_depth = attrgetter("depth")
 
 
 def term_is_ground(t: Term) -> bool:
@@ -154,7 +162,8 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def term_key(t: Term):
-    """Total order on terms: constants, then Skolem terms, then variables."""
+    """Total order on terms: constants, then Skolem terms, then variables.
+    Walked per call: a key kept per term is quadratic in a chain's depth."""
     if isinstance(t, Const):
         return (0, t.name)
     if isinstance(t, Var):
@@ -189,21 +198,33 @@ def format_term(t: Term, texts: Optional[dict[Term, str]] = None) -> str:
 # Atoms
 # ---------------------------------------------------------------------------
 
-class ConceptAtom(_Interned):
-    __slots__ = ("concept", "term")
+class _Atom(_Interned):
+    """An atom carries its order key (:func:`atom_key`), computed once,
+    when the atom is interned."""
+
+    __slots__ = ("key",)
+    key: tuple
+
+    def _derive(self) -> None:
+        _Atom.key.__set__(self, atom_pred(self) + tuple(
+            map(term_key, atom_terms(self))))
+
+
+class ConceptAtom(_Atom):
+    __slots__ = _fields = ("concept", "term")
     concept: str
     term: Term
 
 
-class RoleAtom(_Interned):
-    __slots__ = ("role", "subj", "obj")
+class RoleAtom(_Atom):
+    __slots__ = _fields = ("role", "subj", "obj")
     role: str
     subj: Term
     obj: Term
 
 
-class EqAtom(_Interned):
-    __slots__ = ("lhs", "rhs")
+class EqAtom(_Atom):
+    __slots__ = _fields = ("lhs", "rhs")
     lhs: Term
     rhs: Term
 
@@ -266,8 +287,8 @@ def atom_pred(a: Atom) -> tuple:
     return ("=",)
 
 
-def atom_key(a: Atom):
-    return atom_pred(a) + tuple(term_key(t) for t in atom_terms(a))
+# the total order on atoms: by predicate, then by term_key argument-wise
+atom_key = attrgetter("key")
 
 
 def format_atom(a: Atom, texts: Optional[dict[Term, str]] = None) -> str:

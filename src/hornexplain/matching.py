@@ -4,9 +4,11 @@ Used for rule application, query answering, and inference checking.
 
 :class:`AtomIndex` keeps every atom in one list per predicate and in one
 list per (predicate, argument position, term), all in ``atom_key`` order.
-No caller adds to an index while a :func:`match_conjunction` generator over
-it is suspended, and the matcher relies on that: the plans it hands down
-would go stale.
+An atom carries its key from when it is interned, so the lists hold the
+atoms alone, and an atom that comes out of order is bisected into each list
+on the keys its atoms carry.  No caller adds to an index while a
+:func:`match_conjunction` generator over it is suspended, and the matcher
+relies on that: the plans it hands down would go stale.
 
 At each step the search picks the most constrained pattern atom: the one
 with the fewest unifiers under the current bindings, ties going to the
@@ -37,23 +39,18 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .kb import (Atom, SkolemTerm, Term, Var, atom_key, atom_pred,
                  atom_terms, atom_vars, substitute_term)
 
 
-def _insert(entry: tuple[list[Atom], list[tuple]], atom: Atom,
-            key: tuple) -> None:
-    atoms, keys = entry
-    if key > keys[-1]:
+def _insert(atoms: list[Atom], atom: Atom) -> None:
+    key = atom.key
+    if key > atoms[-1].key:
         atoms.append(atom)
-        keys.append(key)
     else:
-        i = bisect_left(keys, key)
-        atoms.insert(i, atom)
-        keys.insert(i, key)
+        atoms.insert(bisect_left(atoms, key, key=atom_key), atom)
 
 
 class AtomIndex:
@@ -62,56 +59,44 @@ class AtomIndex:
 
     def __init__(self, atoms=()):
         self.atoms: set[Atom] = set()
-        # each list is kept as (atoms, their atom_key values), in key order
-        self._buckets: dict[tuple, tuple[list[Atom], list[tuple]]] = {}
+        self._buckets: dict[tuple, list[Atom]] = {}
         # predicate -> per argument position: term -> list
-        self._positions: dict[tuple, list[dict[Term, tuple[list[Atom],
-                                                           list[tuple]]]]] = {}
+        self._positions: dict[tuple, list[dict[Term, list[Atom]]]] = {}
         # in key order, so every list only grows at its end
-        for key, atom in sorted(zip(map(atom_key, atoms), atoms),
-                                key=itemgetter(0)):
-            if self._new(atom):
-                self._add(atom, key)
+        for atom in sorted(atoms, key=atom_key):
+            self.add(atom)
 
-    def _new(self, atom: Atom) -> bool:
+    def add(self, atom: Atom) -> bool:
+        """Index the atom unless it is; whether it was new."""
         n = len(self.atoms)
         self.atoms.add(atom)
-        return len(self.atoms) > n
-
-    def add(self, atom: Atom, key: Optional[tuple] = None) -> bool:
-        """Index the atom unless it is; ``key`` is its ``atom_key`` if known."""
-        if not self._new(atom):
+        if len(self.atoms) == n:
             return False
-        self._add(atom, atom_key(atom) if key is None else key)
-        return True
-
-    def _add(self, atom: Atom, key: tuple) -> None:
         pred = atom_pred(atom)
         terms = atom_terms(atom)
         bucket = self._buckets.get(pred)
         if bucket is None:
-            self._buckets[pred] = ([atom], [key])
+            self._buckets[pred] = [atom]
             positions = self._positions[pred] = [{} for _ in terms]
         else:
-            _insert(bucket, atom, key)
+            _insert(bucket, atom)
             positions = self._positions[pred]
         for by_term, t in zip(positions, terms):
             entry = by_term.get(t)
             if entry is None:
-                by_term[t] = ([atom], [key])
+                by_term[t] = [atom]
             else:
-                _insert(entry, atom, key)
+                _insert(entry, atom)
+        return True
 
     def bucket(self, pred: tuple) -> Sequence[Atom]:
         """The atoms of one predicate."""
-        entry = self._buckets.get(pred)
-        return entry[0] if entry is not None else ()
+        return self._buckets.get(pred, ())
 
     def at(self, pred: tuple, pos: int, term: Term) -> Sequence[Atom]:
         """The atoms of one predicate with ``term`` at argument ``pos``."""
         positions = self._positions.get(pred)
-        entry = positions[pos].get(term) if positions is not None else None
-        return entry[0] if entry is not None else ()
+        return positions[pos].get(term, ()) if positions is not None else ()
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms

@@ -434,33 +434,44 @@ def test_answer_deepens_from_the_query_s_own_term_depth(
 
 def test_answer_on_a_deep_chain_keys_and_measures_each_atom_once(
         tmp_path, capsys, monkeypatch):
-    """A machine-independent count on the 1,100-deep chain: the saturation
-    computes each of its 2,201 atoms' keys once and the query is matched
-    into its index, and a conclusion's depth is its premise term's plus
-    one.  A fresh index for the match and a walk down every conclusion
-    term made 4,402 atom_key and 3,305 term_depth calls here; the two
-    left are the query's own depth, read for the ceiling and the start."""
-    import sys
+    """A machine-independent count on the 1,100-deep chain: each of its
+    2,201 atoms computes its order key once, when it is interned, and each
+    of its 1,100 Skolem terms its depth once, from its argument's.  The
+    index, the sorts and the depth checks read what the values carry.  A
+    fresh index for the match and a walk down every conclusion term once
+    made 4,402 key and 3,305 depth computations here.  The chain grows
+    from a constant of its own, so no value of it is alive before."""
+    from collections import Counter
 
     from hornexplain import cli, kb
 
-    calls = {"atom_key": 0, "term_depth": 0}
-    for name in calls:
-        real = getattr(kb, name)
+    keyed, measured = Counter(), Counter()
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def count(cls, record):
+        real = cls._derive
 
-        for module in [m for n, m in sys.modules.items()
-                       if n.startswith("hornexplain")]:
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
+        def counted(self):
+            real(self)
+            record(self)
+
+        monkeypatch.setattr(cls, "_derive", counted)
+
+    # an atom's key names it; holding the key does not keep the atom alive
+    count(kb._Atom, lambda atom: keyed.update([atom.key]))
+    count(kb.SkolemTerm, lambda t: measured.update(
+        [t.depth] if kb.term_is_ground(t) else []))
     path = tmp_path / "deep.kb"
-    path.write_text(_DEEP_CHAIN + f"query: A({_skolem_chain(1100)})\n")
+    path.write_text(_DEEP_CHAIN.replace("A(a)", "A(root_of_keys)")
+                    + "query: A(" + _skolem_chain(1100).replace(
+                        "(a)", "(root_of_keys)") + ")\n")
     assert cli.main(["answer", str(path)]) == 0
     assert capsys.readouterr().out == "yes, depth 1100\n"
-    assert calls == {"atom_key": 2201, "term_depth": 2}
+    # a term's key is 2 entries per Skolem application and 2 for its base
+    depth = {key: max(len(k) // 2 - 1 for k in key if type(k) is tuple)
+             for key in keyed if key[-1][-2:] == (0, "root_of_keys")}
+    assert sum(d <= 1100 for d in depth.values()) == 2201
+    assert set(keyed.values()) == {1}
+    assert all(measured[d] == 1 for d in range(1, 1101))
 
 
 def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, ex1_file):

@@ -712,6 +712,23 @@ def test_el_tree_size_proof_round_trips():
     assert ok, problems
 
 
+@pytest.mark.parametrize("ceiling", [3, 4, 5])
+def test_a_head_atom_the_step_dropped_keeps_its_later_derivation(ceiling):
+    """In the counter's domain-size proof, the query step applying
+    SawO_1(x) -> s(x,f_7(x)), O_1(f_7(x)) keeps s(a,f_7(a)) only, and the
+    next step derives O_1(f_7(a)) from it.  cq→sk files each atom under
+    the step that kept it, so the proof comes back byte for byte; filed
+    under the first step, it came back with 22 vertices, not 23."""
+    inst = gen_hornalc_counter(1)
+    proof = explain(inst.kb, inst.query, RunConfig(
+        measure=Measure.DOMAIN_SIZE, algo="exact",
+        depth_ceiling=ceiling)).proof
+    back = transform_cq_to_sk(transform_sk_to_cq(proof, inst.kb), inst.kb)
+    assert len(back.vertices) == len(proof.vertices) == 23
+    assert proof_to_json(back, inst.query) == \
+        proof_to_json(proof, inst.query)
+
+
 # the nominal rule's d = e rewrites v(d,f_1(d)) to v(e,f_1(d)): an
 # equality replaces only top-level occurrences, in either calculus
 _NESTED_MERGE = """\

@@ -5,6 +5,7 @@ import gc
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,7 +272,7 @@ def test_equal_atoms_are_one_object(atom):
     terms = {"ConceptAtom": ("term",), "RoleAtom": ("subj", "obj"),
              "EqAtom": ("lhs", "rhs")}[type(atom).__name__]
     args = [_fresh(a) if isinstance(a, str) else a
-            for a in (getattr(atom, n) for n in atom.__slots__)]
+            for a in (getattr(atom, n) for n in atom._fields)]
     assert type(atom)(*args) is atom
     assert map_atom_terms(atom, lambda t: t) is atom
     assert parse_atom_text(format_atom(atom)) is atom
@@ -283,6 +284,58 @@ def test_equal_atoms_are_one_object(atom):
             assert SkolemTerm(_fresh(t.fn), t.arg) is t
             t = t.arg
         assert type(t)(_fresh(t.name)) is t
+
+
+# The order as it was defined before values carried their keys and depths,
+# frozen: every index list, search tie and proof numbering reads it, so the
+# keys the values carry must stay these, bit for bit.
+
+def _reference_term_key(t):
+    if isinstance(t, Const):
+        return (0, t.name)
+    if isinstance(t, Var):
+        return (2, t.name)
+    key: list = []
+    while isinstance(t, SkolemTerm):
+        key += (1, t.fn)
+        t = t.arg
+    return tuple(key) + _reference_term_key(t)
+
+
+def _reference_atom_key(a):
+    if isinstance(a, ConceptAtom):
+        return ("C", a.concept, _reference_term_key(a.term))
+    if isinstance(a, RoleAtom):
+        return ("R", a.role, _reference_term_key(a.subj),
+                _reference_term_key(a.obj))
+    return ("=", _reference_term_key(a.lhs), _reference_term_key(a.rhs))
+
+
+def _reference_term_depth(t):
+    d = 0
+    while isinstance(t, SkolemTerm):
+        d += 1
+        t = t.arg
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_atoms(_terms()), min_size=1, max_size=12), st.randoms())
+def test_values_carry_the_reference_keys_and_depths(atoms, rnd):
+    for atom in atoms:
+        assert atom.key == kb_module.atom_key(atom) \
+            == _reference_atom_key(atom)
+        for t in kb_module.atom_terms(atom):
+            while True:
+                assert t.depth == kb_module.term_depth(t) \
+                    == _reference_term_depth(t)
+                assert kb_module.term_key(t) == _reference_term_key(t)
+                if not isinstance(t, SkolemTerm):
+                    break
+                t = t.arg
+    rnd.shuffle(atoms)
+    assert sorted(atoms, key=kb_module.atom_key) == \
+        sorted(atoms, key=_reference_atom_key)
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,12 +436,21 @@ def test_format_term_stops_at_a_known_term():
 
 
 def test_terms_nested_5000_deep_need_no_recursion():
-    """Formatting, ordering and substituting walk a term iteratively."""
+    """Formatting, ordering and substituting walk a term iteratively.  A
+    term's memory does not grow with its depth: building both chains takes
+    about 3 MiB, where a flat order key kept on every term took 385 MiB."""
     a, x = Const("a"), Var("x")
     deep, pattern = a, x
-    for i in range(5000):
-        deep = SkolemTerm(f"f_{i % 2}", deep)
-        pattern = SkolemTerm(f"f_{i % 2}", pattern)
+    tracemalloc.start()
+    try:
+        for i in range(5000):
+            deep = SkolemTerm(f"f_{i % 2}", deep)
+            pattern = SkolemTerm(f"f_{i % 2}", pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert deep.depth == pattern.depth == 5000
     text = kb_module.format_term(deep)
     assert text.startswith("f_1(f_0(") and text.endswith("(a" + ")" * 5000)
     assert kb_module.term_key(deep) == (1, "f_1", 1, "f_0") * 2500 + (0, "a")

@@ -2,6 +2,7 @@
 by unifying it with every atom of its predicate, and a count of its planning
 work on the SAT reduction."""
 
+import itertools
 import zlib
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hornexplain import matching
 from hornexplain.generators import gen_sat, gen_sat_cq
 from hornexplain.kb import (ConceptAtom, Const, EqAtom, RoleAtom, SkolemTerm,
-                            Var, atom_key, atom_pred, atom_vars,
+                            Var, atom_key, atom_pred, atom_terms, atom_vars,
                             substitute_atom)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.proofs import Measure
@@ -157,6 +158,28 @@ def test_index_lists_stay_in_key_order():
         sorted(atoms[1:], key=atom_key)
     assert list(index.at(("R", "r"), 1, b)) == [RoleAtom("r", a, b)]
     assert list(index.at(("C", "A"), 0, a)) == []
+
+
+def test_index_inserts_atoms_that_come_out_of_order():
+    """Atoms added one at a time in every order, so that an atom lands at
+    the front, in the middle and at the end of its bucket list and of its
+    position lists: every list stays the added atoms in key order."""
+    a, b = Const("a"), Const("b")
+    fa = SkolemTerm("f", a)
+    atoms = [RoleAtom("r", a, a), RoleAtom("r", a, b), RoleAtom("r", a, fa),
+             RoleAtom("r", b, a), RoleAtom("r", fa, a)]
+    assert atoms == sorted(atoms, key=atom_key)
+    for order in itertools.permutations(atoms):
+        index = AtomIndex()
+        for n, atom in enumerate(order, 1):
+            assert index.add(atom)
+            added = sorted(order[:n], key=atom_key)
+            assert list(index.bucket(("R", "r"))) == added
+            for pos, t in itertools.product((0, 1), (a, b, fa)):
+                assert list(index.at(("R", "r"), pos, t)) == \
+                    [g for g in added if atom_terms(g)[pos] is t]
+        assert not index.add(order[0])
+        assert len(index) == len(atoms)
 
 
 def _scan_pruned(patterns, index, cut, calls):
