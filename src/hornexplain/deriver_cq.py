@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .compress import assemble_proof
@@ -25,8 +26,8 @@ from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
                  term_is_ground, term_key, variables_of)
 from .matching import (AtomIndex, bind_term, match_conjunction,
                        match_positionally, unify_atom)
-from .proofs import (RULE_TYPES, Label, ProofBuilder, ProofGraph, Schema,
-                     TautRule, _postorder)
+from .proofs import (RULE_TYPES, Label, ProofBuilder, ProofEdge, ProofGraph,
+                     Schema, TautRule, _postorder)
 
 
 class TransformError(KBError):
@@ -145,8 +146,46 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
     analyze = ANALYSES.get(schema)
     if analyze is None:
         return f"schema {schema.value} does not belong to this deriver"
-    found = analyze(premises, conclusion, kb)
+    found = _rule_error(schema, premises, kb) or analyze(premises, conclusion)
     return found if isinstance(found, str) else None
+
+
+def analyze_edge(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase,
+                 reuse: bool = False):
+    """What the step of a query-level edge is made of (its entry in
+    ``ANALYSES``), or why it is invalid as a string.
+
+    The analysis is kept on the proof with the labels it read.  With
+    ``reuse``, one kept for labels that are still the proof's own objects
+    is read instead of made again.  The KB's part of the check is not kept:
+    it runs on every call.
+    """
+    premises = tuple(p.vertices[q] for q in edge.premises)
+    conclusion = p.vertices[edge.conclusion]
+    err = _rule_error(edge.schema, premises, kb)
+    if err is not None:
+        return err
+    kept = p.analyses.get(edge) if reuse else None
+    if kept is None or kept[0] is not conclusion \
+            or not all(map(is_, kept[1], premises)):
+        kept = p.analyses[edge] = (
+            conclusion, premises, ANALYSES[edge.schema](premises, conclusion))
+    return kept[2]
+
+
+def _rule_error(schema: Schema, premises: tuple[Label, ...],
+                kb: KnowledgeBase) -> Optional[str]:
+    """Why the rule an MPe step applies may not be used with the KB, or
+    None; a step of another schema, or of another shape, uses none."""
+    if schema is not Schema.MPe or len(premises) != 2 \
+            or not isinstance(premises[0], BooleanCQ):
+        return None
+    rule = premises[1]
+    if isinstance(rule, SkolemRule):
+        return "query-level proofs use original rules, not Skolemized ones"
+    if isinstance(rule, Rule) and rule not in kb.rule_index:
+        return "rule is not from the TBox"
+    return None
 
 
 def analyze_mpe(premise: BooleanCQ, rule, conclusion: BooleanCQ
@@ -303,21 +342,18 @@ def _bind_head(pattern: Atom, target: Atom, assignment: dict[Var, Term],
 
 
 # An analysis returns what a valid step is made of, or the reason it is
-# invalid as a string; the checker and the cq->sk grounding share it.
+# invalid as a string.  It reads the labels only: the checks against the KB
+# are _rule_error's.  The checker keeps each edge's analysis on the proof
+# (analyze_edge), and the cq->sk grounding of the same labels reads it.
 
-def _analyze_mpe_step(premises, conclusion, kb
+def _analyze_mpe_step(premises, conclusion
                       ) -> tuple[dict[Var, Term], dict[Var, Term]] | str:
     """The rule's body match and head assignment (:func:`analyze_mpe`)."""
     if len(premises) != 2 or not isinstance(premises[0], BooleanCQ) \
             or not isinstance(premises[1], RULE_TYPES):
         return "rule application takes a query and a rule"
     rule = premises[1]
-    if isinstance(rule, SkolemRule):
-        return "query-level proofs use original rules, not Skolemized ones"
-    if isinstance(rule, Rule):
-        if rule not in kb.rule_index:
-            return "rule is not from the TBox"
-    elif rule.shape_error:
+    if isinstance(rule, TautRule) and rule.shape_error:
         return rule.shape_error
     if not isinstance(conclusion, BooleanCQ):
         return "conclusion must be a query"
@@ -325,7 +361,7 @@ def _analyze_mpe_step(premises, conclusion, kb
         "no substitution and replaced/kept choice yields the conclusion"
 
 
-def _analyze_te(premises, conclusion, kb) -> TautRule | str:
+def _analyze_te(premises, conclusion) -> TautRule | str:
     """The tautology the step introduces."""
     if premises:
         return "tautology introduction takes no premises"
@@ -334,7 +370,7 @@ def _analyze_te(premises, conclusion, kb) -> TautRule | str:
     return conclusion.shape_error or conclusion
 
 
-def _analyze_ee(premises, conclusion, kb) -> EqAtom | str:
+def _analyze_ee(premises, conclusion) -> EqAtom | str:
     """The equality conjunct the step eliminates."""
     if len(premises) != 1 or not isinstance(premises[0], BooleanCQ):
         return "equality elimination takes a single query premise"
@@ -351,7 +387,7 @@ def _analyze_ee(premises, conclusion, kb) -> EqAtom | str:
     return "no equality conjunct produces the conclusion"
 
 
-def _analyze_ce(premises, conclusion, kb) -> dict[Var, Term] | str:
+def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
     """The renaming of the second premise into the conclusion's tail."""
     if len(premises) != 2 or not all(isinstance(p, BooleanCQ)
                                      for p in premises):
@@ -386,7 +422,7 @@ def _analyze_ce(premises, conclusion, kb) -> dict[Var, Term] | str:
     return mapping
 
 
-def _analyze_ge(premises, conclusion, kb) -> dict[Var, Term] | str:
+def _analyze_ge(premises, conclusion) -> dict[Var, Term] | str:
     """The match of the conclusion onto the premise."""
     if len(premises) != 1 or not isinstance(premises[0], BooleanCQ):
         return "generalization takes a single query premise"
@@ -408,7 +444,8 @@ def _analyze_ge(premises, conclusion, kb) -> dict[Var, Term] | str:
     return mapping
 
 
-# each schema's one definition, read by the checker and the grounding
+# each schema's one definition; the checker's analysis of an edge is kept
+# on the proof, and its translation to ground atoms reads it
 ANALYSES = {Schema.MPe: _analyze_mpe_step, Schema.Te: _analyze_te,
             Schema.Ee: _analyze_ee, Schema.Ce: _analyze_ce,
             Schema.Ge: _analyze_ge}
@@ -688,7 +725,9 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     Generalization steps are deferred (their conclusions keep the premise's
     grounding), tautology applications collapse, and the needed atoms are
     re-derived backward from the goal instance.  Each step is grounded from
-    the checker's analysis of it; TransformError when the step is invalid.
+    the checker's analysis of it: after a validation of the same proof, the
+    one the validation kept for the same label objects, else a new one
+    (:func:`analyze_edge`); TransformError when the step is invalid.
     """
     inc = p.incoming()
     g = _Grounding(p, kb)
@@ -709,8 +748,7 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         if ground is None:
             raise TransformError(f"unexpected schema {edge.schema.value} in "
                                  "a query-level proof")
-        found = ANALYSES[edge.schema](
-            tuple(p.vertices[q] for q in edge.premises), label, kb)
+        found = analyze_edge(p, edge, kb, reuse=True)
         if isinstance(found, str):
             raise TransformError(f"invalid {edge.schema.value} step: {found}")
         ground(g, edge, v, found)
@@ -791,8 +829,7 @@ def _ground_mpe(g: _Grounding, edge, v: int, found) -> None:
         # copies collapse on ground queries: interpret duplicated variables
         # by the terms of the originals they renamed
         shared = dict(gamma_new)
-        mapping = match_positionally(list(rule.body), list(rule.head))
-        for body_var, head_term in mapping.items():
+        for body_var, head_term in rule.renaming.items():
             if isinstance(head_term, Var):
                 w = head_assign.get(head_term)
                 if isinstance(w, Var):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
@@ -69,11 +69,17 @@ class TautRule:
         the verdict."""
         return _taut_shape_error(self)
 
+    @cached_property
+    def renaming(self) -> Optional[dict[Var, Term]]:
+        """The match of the body onto the head, or None; computed once per
+        rule for its shape check and its grounding."""
+        return match_positionally(list(self.body), list(self.head))
+
 
 def _taut_shape_error(rule: TautRule) -> Optional[str]:
     if len(rule.body) != len(rule.head):
         return "tautology head must repeat the pattern"
-    mapping = match_positionally(list(rule.body), list(rule.head))
+    mapping = rule.renaming
     if mapping is None:
         return "tautology head must be a variable renaming of the pattern"
     image_evars = set(rule.existential_vars)
@@ -170,6 +176,17 @@ class ProofEdge(NamedTuple):
 class ProofGraph:
     vertices: dict[int, Label]
     edges: list[ProofEdge]
+    # each query-level edge's analysis with the labels it read
+    # (deriver_cq.analyze_edge); no part of the proof's value, so equality,
+    # repr, copies and pickles leave it out
+    analyses: dict[ProofEdge, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {"vertices": self.vertices, "edges": self.edges}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, analyses={})
 
     def incoming(self) -> dict[int, list[ProofEdge]]:
         """Incoming edges by vertex, and by each unknown id one concludes."""
@@ -378,19 +395,21 @@ def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
         problems.append("sink label does not match the goal query")
 
     if deriver == "sk":
-        leaf_ok = kb.sk_leaf_labels
-        checker = deriver_sk.check_edge_labels
+        leaf_ok, checker = kb.sk_leaf_labels, deriver_sk.check_edge_labels
     else:
-        leaf_ok = kb.cq_leaf_labels
-        checker = deriver_cq.check_edge_labels
+        leaf_ok, checker = kb.cq_leaf_labels, None
     for v in leaves:
         if p.vertices[v] not in leaf_ok:
             problems.append(f"leaf {v} ({format_label(p.vertices[v])}) is not "
                             "a fact or rule of the knowledge base")
     for e in p.edges:
-        premises = tuple(p.vertices[q] for q in e.premises)
         conclusion = p.vertices[e.conclusion]
-        err = checker(e.schema, premises, conclusion, kb)
+        if checker is not None:
+            err = checker(e.schema, tuple(p.vertices[q] for q in e.premises),
+                          conclusion, kb)
+        else:   # kept on the proof, where its translation reads it
+            err = deriver_cq.analyze_edge(p, e, kb)
+            err = err if isinstance(err, str) else None
         if err is not None:
             problems.append(
                 f"edge -> {format_label(conclusion)} [{e.schema.value}]: {err}")

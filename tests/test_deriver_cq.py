@@ -1,8 +1,10 @@
 """Query-level schemas and the translations between proof formats."""
 
 import collections
+import copy
 import hashlib
 import inspect
+import pickle
 import random
 import sys
 
@@ -456,15 +458,29 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
 
 def test_a_tautology_shape_is_judged_once_per_rule(monkeypatch):
     """Validation (the Te step and the MPe step that applies it) and the
-    translation to ground atoms share one verdict per tautology vertex."""
+    translation to ground atoms share one verdict per tautology vertex,
+    and one match of its body onto its head: the shape check and the
+    grounding of its application both read it."""
     calls = collections.Counter()
+    renamings = collections.Counter()
     judge = proofs._taut_shape_error
 
     def counted(rule):
         calls[id(rule)] += 1
         return judge(rule)
 
+    def counted_match(module):
+        match = module.match_positionally
+
+        def run(patterns, targets):
+            renamings[tuple(patterns), tuple(targets)] += 1
+            return match(patterns, targets)
+        return run
+
     monkeypatch.setattr(proofs, "_taut_shape_error", counted)
+    for module in (proofs, deriver_cq):
+        monkeypatch.setattr(module, "match_positionally",
+                            counted_match(module))
     kb = parse_kb("fact: A(a)\n")
     fact = BooleanCQ((ConceptAtom("A", A_),), ())
     # two equal tautologies, each its own vertex and its own verdict
@@ -483,9 +499,12 @@ def test_a_tautology_shape_is_judged_once_per_rule(monkeypatch):
         tautologies = [v for v in p.vertices.values()
                        if isinstance(v, TautRule)]
         calls.clear()
+        renamings.clear()
         assert validate_proof(p, kb, goal, "cq")[0]
         assert validate_proof(transform_cq_to_sk(p, kb), kb, goal, "sk")[0]
         assert calls == {id(t): 1 for t in tautologies}
+        once = collections.Counter((t.body, t.head) for t in tautologies)
+        assert {k: renamings[k] for k in once} == once
     assert twice.vertices[1] == twice.vertices[3] \
         and twice.vertices[1] is not twice.vertices[3]
 
@@ -496,7 +515,9 @@ def test_each_schema_is_defined_in_one_table():
     assert set(deriver_cq.ANALYSES) == CQ_SCHEMAS
     # a Te step concludes a rule, which grounds to nothing
     assert set(deriver_cq.GROUNDINGS) == CQ_SCHEMAS - {Schema.Te}
-    for table, arity in ((deriver_sk.CHECKS, 3), (deriver_cq.ANALYSES, 3),
+    # an analysis reads the labels only: the proof keeps it for the
+    # translation, and the KB's part of the check runs apart
+    for table, arity in ((deriver_sk.CHECKS, 3), (deriver_cq.ANALYSES, 2),
                          (deriver_cq.GROUNDINGS, 4)):
         assert all(len(inspect.signature(f).parameters) == arity
                    for f in table.values())
@@ -616,7 +637,9 @@ def test_a_tautology_step_tries_one_head_pattern_per_added_atom(
     the checker and through the translation to the sk calculus.  A head
     pattern that covers an added atom maps onto that atom only, and trying
     it again for each later atom of its predicate made the number of
-    attempts grow with the square of the goal's length."""
+    attempts grow with the square of the goal's length.  The translation
+    of a validated proof reads the validation's analysis, so it runs on a
+    copy read back from JSON, whose labels no validation has seen."""
     calls = collections.Counter()
     bind, analyze = deriver_cq._bind_head, deriver_cq.analyze_mpe
 
@@ -639,9 +662,10 @@ def test_a_tautology_step_tries_one_head_pattern_per_added_atom(
                                    deriver="cq"))
         assert any(isinstance(v, TautRule)
                    for v in result.proof.vertices.values())
+        fresh, _ = proof_from_json(proof_to_json(result.proof))
         for run in (lambda: validate_proof(result.proof, inst.kb,
                                            inst.query, "cq")[0],
-                    lambda: transform_cq_to_sk(result.proof, inst.kb)):
+                    lambda: transform_cq_to_sk(fresh, inst.kb)):
             calls.clear()
             assert run()
             assert calls["attempts"] == calls["added"] == \
@@ -694,6 +718,117 @@ def test_translations_are_byte_identical_to_the_pinned_ones(
         text = proof_to_json(proof, inst.query)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert digests == [there, back]
+
+
+# ---------------------------------------------------------------------------
+# The translation reads the analyses its validation kept
+# ---------------------------------------------------------------------------
+
+def _count_analyses(monkeypatch) -> collections.Counter:
+    """Calls of each ANALYSES entry, by schema, from now on."""
+    calls = collections.Counter()
+    for schema, analyze in list(deriver_cq.ANALYSES.items()):
+        def counted(premises, conclusion, schema=schema, analyze=analyze):
+            calls[schema] += 1
+            return analyze(premises, conclusion)
+        monkeypatch.setitem(deriver_cq.ANALYSES, schema, counted)
+    return calls
+
+
+def _query_proof(case, ex1):
+    """(proof, kb, goal): the SAT-cq search's proof, or the sk→cq
+    translation of the running example's proof."""
+    if case == "sat-cq":
+        return explain(_SAT_CQ.kb, _SAT_CQ.query, RunConfig(
+            measure=Measure.TREE_SIZE, bound=_SAT_CQ.bounds["cq_tree"],
+            deriver="cq")).proof, _SAT_CQ.kb, _SAT_CQ.query
+    kb, q = ex1
+    return transform_sk_to_cq(explain(kb, q, RunConfig()).proof, kb), kb, q
+
+
+@pytest.mark.parametrize("case, counts", [
+    ("sat-cq", {Schema.Ce: 13, Schema.Te: 1, Schema.MPe: 1}),
+    ("running-example", {Schema.MPe: 5, Schema.Te: 1}),
+])
+def test_each_query_step_is_analyzed_once(monkeypatch, ex1, case, counts):
+    """Validating a query-level proof and then translating it to ground
+    atoms analyzes each edge once: the translation reads what the
+    validation found.  A copy read back from JSON has labels no validation
+    has seen, and its translation alone analyzes each edge once too, but
+    its Te edges, which conclude rules and ground to nothing.  Each of the
+    two analyzed every edge before, so the pairs made these counts and
+    again as many but the Te ones; a change to them must say why."""
+    proof, kb, goal = _query_proof(case, ex1)
+    calls = _count_analyses(monkeypatch)
+    assert validate_proof(proof, kb, goal, "cq")[0]
+    back = transform_cq_to_sk(proof, kb)
+    assert calls == collections.Counter(e.schema for e in proof.edges) \
+        == counts
+
+    fresh, _ = proof_from_json(proof_to_json(proof))
+    calls.clear()
+    assert proof_to_json(transform_cq_to_sk(fresh, kb)) == \
+        proof_to_json(back)
+    assert calls == {k: n for k, n in counts.items() if k is not Schema.Te}
+
+
+def test_a_kept_analysis_serves_only_the_labels_it_was_made_for(
+        monkeypatch, ex1):
+    """What a validation keeps is read only for the same label objects, and
+    never instead of the KB's own checks; and it is no part of the proof:
+    equality, repr, JSON, copies and pickles do not see it."""
+    proof, kb, goal = _query_proof("running-example", ex1)
+    text = proof_to_json(proof, goal)
+
+    def read():
+        return proof_from_json(text)[0]
+
+    checked, unchecked = read(), read()
+    assert validate_proof(checked, kb, goal, "cq")[0]
+    assert len(checked.analyses) == len(checked.edges)
+    assert not unchecked.analyses
+    assert checked == unchecked and repr(checked) == repr(unchecked)
+    assert proof_to_json(checked, goal) == text
+    for copy_of in (copy.deepcopy,
+                    lambda p: pickle.loads(pickle.dumps(p))):
+        twin = copy_of(checked)
+        assert twin == unchecked and not twin.analyses
+    want = proof_to_json(transform_cq_to_sk(read(), kb))
+
+    # a KB without the rule of the step into vertex 6 rejects it still
+    rule = checked.vertices[5]
+    lacking = parse_kb("".join(line for line in EX1_TEXT.splitlines(True)
+                               if not line.startswith("rule: s(x,y)")))
+    assert rule in kb.rule_index and rule not in lacking.rule_index
+    with pytest.raises(TransformError,
+                       match="^invalid MPe step: rule is not from the TBox$"):
+        transform_cq_to_sk(checked, lacking)
+
+    # an equal label of another object: the two steps that read it are
+    # analyzed again, and the translation is the same
+    equal = read()
+    assert validate_proof(equal, kb, goal, "cq")[0]
+    lab = equal.vertices[6]
+    equal.vertices[6] = BooleanCQ(lab.atoms, lab.existential_vars)
+    assert equal.vertices[6] == lab and equal.vertices[6] is not lab
+    calls = _count_analyses(monkeypatch)
+    assert proof_to_json(transform_cq_to_sk(equal, kb)) == want
+    assert calls == {Schema.MPe: 2}
+
+    # a wrong label: the error a proof without kept analyses gives
+    wrong = BooleanCQ(checked.vertices[2].atoms,
+                      checked.vertices[2].existential_vars)
+    errors = []
+    for validated in (False, True):
+        p = read()
+        if validated:
+            assert validate_proof(p, kb, goal, "cq")[0]
+        p.vertices[6] = wrong
+        with pytest.raises(TransformError) as raised:
+            transform_cq_to_sk(p, kb)
+        errors.append(str(raised.value))
+    assert errors == ["invalid MPe step: no substitution and replaced/kept "
+                      "choice yields the conclusion"] * 2
 
 
 # ---------------------------------------------------------------------------
