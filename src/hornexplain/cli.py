@@ -328,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=sorted(MEASURES), default="size")
     p.add_argument("--bound", type=int, default=None,
                    help="decision mode: is there a proof of measure <= N "
-                        "(N > 1)")
+                        "(N > 1)? The proof shown is the first one the "
+                        "search finds within N, at the first depth that "
+                        "has one; its value is not minimized")
     p.add_argument("--algo", choices=["auto", "poly", "exact"],
                    default="auto")
     p.add_argument("--deriver", choices=["sk", "cq"], default="sk")

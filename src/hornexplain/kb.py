@@ -714,6 +714,15 @@ def variables_of(atoms: Iterable[Atom]) -> dict[Var, None]:
     return used
 
 
+def state_without_caches(obj) -> dict:
+    """The instance state of ``obj`` without its ``cached_property`` values,
+    as its ``__getstate__``: they are no part of its value and are computed
+    again on first use, so copies and pickles leave them out."""
+    cls = type(obj)
+    return {k: v for k, v in obj.__dict__.items()
+            if not isinstance(getattr(cls, k, None), cached_property)}
+
+
 @dataclass(frozen=True)
 class BooleanCQ:
     """Existentially closed conjunction of concept and role atoms."""
@@ -748,6 +757,8 @@ class BooleanCQ:
         object.__setattr__(cq, "existential_vars", used)
         object.__setattr__(cq, "_variables", frozenset(used))
         return cq
+
+    __getstate__ = state_without_caches
 
     def variables(self) -> frozenset[Var]:
         return self._variables

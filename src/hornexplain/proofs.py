@@ -22,8 +22,8 @@ from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
 
 from .kb import (ATOM_TYPES, Atom, BooleanCQ, KBError, KnowledgeBase,
                  NormalForm, Rule, SkolemRule, Term, Var, atom_key, atom_terms,
-                 atom_vars, cq_equivalent, format_atom, make_rule, subterms,
-                 term_is_ground)
+                 atom_vars, cq_equivalent, format_atom, make_rule,
+                 state_without_caches, subterms, term_is_ground)
 from .matching import match_positionally
 
 
@@ -74,6 +74,8 @@ class TautRule:
         """The match of the body onto the head, or None; computed once per
         rule for its shape check and its grounding."""
         return match_positionally(list(self.body), list(self.head))
+
+    __getstate__ = state_without_caches
 
 
 def _taut_shape_error(rule: TautRule) -> Optional[str]:

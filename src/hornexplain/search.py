@@ -275,8 +275,10 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
     implied by the bound and the configured ceiling, and optimizes over the
     query matches and derivation choices of each, until a complete
     structure, the frontier bound or the fold (:func:`_fold_value`)
-    certifies the result.  Three-valued outcome; ``none`` is exact relative
-    to the structural bounds.  ``ticker`` is the run's budget where the run
+    certifies the result.  Under a bound the proof is the first one the
+    search finds within it, at the first depth that has one, and its value
+    is not minimized.  Three-valued outcome; ``none`` is exact relative to
+    the structural bounds.  ``ticker`` is the run's budget where the run
     spent some of it before the search (default: ``config.ticker()``).
     """
     if config.deriver == "cq":
@@ -399,6 +401,12 @@ def _fold_value(q: BooleanCQ, config: RunConfig,
     The search spends the run's nodes and time.  One that runs out of them
     bounds nothing (0), as does a fold that could not be built or holds an
     equality atom; the run then goes on as far as its budget reaches.
+
+    Under a bound the target is always ``bound + 1``, and the search stops
+    at its first proof within the bound (:func:`_search_at_depth`).  That
+    proof's value is below the target, as the fold's optimum is, so neither
+    certifies the bound: the caller's ``fold_value >= target`` fails either
+    way.
     """
     if folded is None:
         return 0
@@ -489,7 +497,10 @@ def _search_at_depth(q: BooleanCQ, config: RunConfig,
                      ) -> tuple[int | float, Optional[dict], Optional[dict],
                                 Optional[dict], bool]:
     """The best match and derivation choice at one depth below
-    ``incoming_best``, and the tree-size values if they were computed."""
+    ``incoming_best``, and the tree-size values if they were computed.
+
+    Under a bound, size and domain size take the first match whose cover
+    is within it, with that match's least cover, and search no further."""
     tail_count = goal_tail_size(q, config.strict_cg)
     limit = config.bound + 1 if config.bound is not None else _INF
 
@@ -554,6 +565,8 @@ def _search_at_depth(q: BooleanCQ, config: RunConfig,
             if res is not None:
                 best_value, best_sigma = res[0] + tail, sigma
                 best_choice = res[1]
+                if config.bound is not None:
+                    break  # a proof within the bound settles existence
     except BudgetExceeded:
         tripped = True
     return best_value, best_sigma, best_choice, None, tripped
@@ -570,7 +583,9 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
     Exact for rule-free knowledge bases, where every proof collects facts
     with binary conjunction steps and finishes with one generalization or
     one tautology application; with rules, a node-capped forward closure is
-    attempted and ``none`` is never claimed.
+    attempted and ``none`` is never claimed.  Under a bound the proof is
+    the first one the search finds within it, and its value is not
+    minimized.
     """
     if config.measure is Measure.DOMAIN_SIZE:
         raise ValueError("domain size is not defined for query-level proofs")
@@ -607,12 +622,16 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
                 2 if use_taut else bool(q.existential_vars))
             if value < (best[0] if best else limit) and value < limit:
                 best = (value, sigma, use_taut)
+                if config.bound is not None:
+                    break  # a proof within the bound settles existence
     except BudgetExceeded:
         return _result(config, ticker, "exhausted")
 
     complete = not kb.tbox
     forward: Optional[tuple[int, ProofGraph]] = None
-    if kb.tbox:
+    # the forward closure looks for a proof cheaper than the match's, which
+    # a bound that the match meets does not ask for
+    if kb.tbox and (best is None or config.bound is None):
         cap = min(limit, best[0] if best else _INF)
         try:
             forward = _forward_cq_search(kb, q, cap, ticker)

@@ -831,6 +831,38 @@ def test_a_kept_analysis_serves_only_the_labels_it_was_made_for(
                       "choice yields the conclusion"] * 2
 
 
+def test_a_validated_proof_pickles_to_the_bytes_of_an_unvalidated_one():
+    """What a validation caches on the labels (a query's atom set and
+    index, a tautology's verdict and renaming) is no part of them: a
+    validated proof pickles to the bytes of an unvalidated copy, and its
+    equality, repr, JSON and copies are those of the copy."""
+    inst = gen_sat_cq([[1, -2], [2, 3], [-1, -3]])
+    result = explain(inst.kb, inst.query, RunConfig(
+        measure=Measure.TREE_SIZE, algo="exact", deriver="cq"))
+    text = proof_to_json(result.proof, inst.query)
+    checked, unchecked = (proof_from_json(text)[0] for _ in range(2))
+    assert validate_proof(checked, inst.kb, inst.query, "cq")[0]
+    cached = {k for label in checked.vertices.values()
+              if isinstance(label, (BooleanCQ, TautRule))
+              for k in vars(label)}
+    assert {"atom_set", "index", "shape_error", "renaming"} <= cached
+    assert pickle.dumps(checked) == pickle.dumps(unchecked)
+    assert checked == unchecked and repr(checked) == repr(unchecked)
+    assert proof_to_json(checked, inst.query) == text
+    for copy_of in (copy.deepcopy,
+                    lambda p: pickle.loads(pickle.dumps(p))):
+        twin = copy_of(checked)
+        assert twin == unchecked
+        assert all(vars(label).keys() <= {"atoms", "existential_vars",
+                                          "_variables", "body", "head"}
+                   for label in twin.vertices.values()
+                   if isinstance(label, (BooleanCQ, TautRule)))
+        # a copy computes its caches again where it is read
+        assert validate_proof(twin, inst.kb, inst.query, "cq")[0]
+        assert proof_to_json(transform_cq_to_sk(twin, inst.kb)) == \
+            proof_to_json(transform_cq_to_sk(checked, inst.kb))
+
+
 # ---------------------------------------------------------------------------
 # Round trips the translations used to refuse, and deep proofs
 # ---------------------------------------------------------------------------

@@ -333,9 +333,9 @@ def test_prune_on_long_conjunctions_asks_what_the_bucket_scan_asks(
 
 
 @pytest.mark.parametrize("clauses, measure, plans, status, value", [
-    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], Measure.SIZE, 260,
+    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], Measure.SIZE, 45,
      "found", 21),
-    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], Measure.DOMAIN_SIZE, 114,
+    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], Measure.DOMAIN_SIZE, 45,
      "found", 12),
     ([[1, 2], [-1, 2], [1, -2], [-1, -2]], Measure.SIZE, 151, "none", None),
     ([[1, 2], [-1, 2], [1, -2], [-1, -2]], Measure.DOMAIN_SIZE, 103,
@@ -345,8 +345,9 @@ def test_sat_search_plans_each_pattern_once_per_binding(
         monkeypatch, clauses, measure, plans, status, value):
     """A machine-independent count of the matcher's work on the SAT
     reduction at its stated bounds.  Re-planning every remaining pattern at
-    every step made 2,221 / 1,055 / 1,009 / 709 plans here; a change to
-    these counts must say why."""
+    every step made 2,221 / 1,055 / 1,009 / 709 plans here, and searching
+    on past the first proof within the bound 260 / 114 / 151 / 103; a
+    change to these counts must say why."""
     calls = []
     plan = matching._plan
 
@@ -365,7 +366,7 @@ def test_sat_search_plans_each_pattern_once_per_binding(
 
 
 @pytest.mark.parametrize("clauses, status, value, nodes, plans", [
-    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], "found", 39, 557, 260),
+    ([[1, -2, 3], [-1, 2], [2, 3, -4], [-3, 4]], "found", 39, 23, 45),
     ([[1, 2], [-1, 2], [1, -2], [-1, -2]], "none", None, 210, 151),
 ])
 def test_sat_cq_search_counts_its_nodes_and_plans(
@@ -373,7 +374,9 @@ def test_sat_cq_search_counts_its_nodes_and_plans(
     """The query-level search on the SAT reduction at its stated tree-size
     bound.  Before its bound counted the tautology finish of a partial
     match that repeats an atom, it took 940 / 210 nodes and made 391 / 151
-    plans here; a change to these counts must say why."""
+    plans here, and before it stopped at its first proof within the bound
+    557 / 210 nodes and 260 / 151 plans; a change to these counts must say
+    why."""
     calls = []
     plan = matching._plan
 

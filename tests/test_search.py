@@ -30,7 +30,7 @@ from hornexplain.generators import (brute_force_sat, gen_dllite_chain,
                                     gen_sat, gen_sat_cq)
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const,
                             Fragment, KBError, RoleAtom, SkolemTerm, Var,
-                            atom_pred, atom_terms, is_tree_shaped,
+                            atom_pred, atom_terms, is_tree_shaped, make_kb,
                             substitute_atom, term_key)
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
@@ -1080,6 +1080,114 @@ def test_bounded_search_monotone_in_the_bound(ex1):
     assert all(s == "none" for s in outcomes[:first_yes])
 
 
+def _at_one_depth(q, m, structure, bound, stop=True):
+    """The size or domain-size search at one depth and its nodes: under
+    the bound, which stops it at its first witness, or without ``stop`` as
+    it was before that, minimizing from a best of ``bound + 1``."""
+    ticker = Ticker()
+    config, best = (RunConfig(m, bound=bound), _INF) if stop else \
+        (RunConfig(m), bound + 1)
+    found = search_module._search_at_depth(q, config, structure, ticker,
+                                           best)
+    return found, ticker.count
+
+
+def test_decision_mode_stops_at_its_first_witness():
+    """Under a bound the searches return the first proof they find within
+    it.  At the SAT reductions' stated bounds that is the minimizing run's
+    proof, byte for byte, found in at most the nodes of a search that
+    minimizes within the bound.  On random knowledge bases a decision is
+    ``found`` exactly where the certified minimum is within the bound,
+    each witness validates within the bound, though not always at the
+    minimum, and a search at one depth finds a witness where the search
+    that minimizes within the bound does, in at most its nodes."""
+    rng = random.Random(20261030)
+    left = {True: 6, False: 6}
+    fewer = 0
+    while any(left.values()):
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, 3)
+                    for _ in range(rng.randint(1, 3))]
+                   for _ in range(rng.randint(2, 4))]
+        sat, sat_cq = gen_sat(clauses), gen_sat_cq(clauses)
+        verdict = brute_force_sat(map(frozenset, sat.bounds["clauses"]),
+                                  sat.bounds["k"])
+        if not left[verdict]:
+            continue
+        left[verdict] -= 1
+        for inst, m, key, deriver in (
+                (sat, Measure.SIZE, "size", "sk"),
+                (sat, Measure.DOMAIN_SIZE, "domain", "sk"),
+                (sat_cq, Measure.TREE_SIZE, "cq_tree", "cq")):
+            bound = inst.bounds[key]
+            config = RunConfig(m, deriver=deriver)
+            least = bounded_search(inst.kb, inst.query, config)
+            got = bounded_search(inst.kb, inst.query,
+                                 replace(config, bound=bound))
+            assert got.status == ("found" if verdict else "none"), clauses
+            if verdict:
+                assert proof_to_json(got.proof, inst.query) == \
+                    proof_to_json(least.proof, inst.query), (clauses, m)
+            if deriver == "cq":
+                old = _frozen_bounded_search_cq(
+                    inst.kb, inst.query, replace(config, bound=bound),
+                    first_witness=False)
+                assert got.nodes <= old.nodes, clauses
+                fewer += got.nodes < old.nodes
+                continue
+            structure = saturate_kb(inst.kb, 0)
+            (value, *chosen, _), nodes = _at_one_depth(
+                inst.query, m, structure, bound)
+            (old_value, *old_chosen, _), old_nodes = _at_one_depth(
+                inst.query, m, structure, bound, stop=False)
+            assert (value <= bound) == (old_value <= bound) == verdict
+            if verdict:
+                assert (value, chosen) == (old_value, old_chosen), clauses
+            assert nodes <= old_nodes, (clauses, m)
+            fewer += nodes < old_nodes
+    assert fewer
+
+    decided = fewer = 0
+    slack = {"sk": 0, "cq": 0}
+    for case in range(300):
+        kb = _random_kb(rng)
+        ceiling = rng.randint(0, 2)
+        q = _query_into(rng, saturate_kb(kb, rng.randint(0, ceiling)))
+        # a query-level minimum is certified on rule-free knowledge bases
+        facts = make_kb((), kb.abox)
+        q_facts = _query_into(rng, saturate_kb(facts, 0))
+        for kb_, q_, m, deriver in ((kb, q, Measure.SIZE, "sk"),
+                                    (kb, q, Measure.DOMAIN_SIZE, "sk"),
+                                    (facts, q_facts, Measure.TREE_SIZE, "cq"),
+                                    (facts, q_facts, Measure.SIZE, "cq")):
+            config = RunConfig(m, deriver=deriver, depth_ceiling=ceiling)
+            least = bounded_search(kb_, q_, config)
+            if not least.complete:
+                continue
+            v = least.value if least.status == "found" else _INF
+            bounds = {rng.randint(2, 8)} if v == _INF else \
+                {b for b in (v - 1, v, v + 1, v + 3) if b > 1}
+            for b in sorted(bounds):
+                got = bounded_search(kb_, q_, replace(config, bound=b))
+                assert (got.status == "found") == (v <= b), (case, m, b)
+                decided += 1
+                if got.status == "found":
+                    assert got.value <= b and \
+                        measure(got.proof, m) == got.value, (case, m, b)
+                    ok, problems = validate_proof(got.proof, kb_, q_,
+                                                  deriver)
+                    assert ok, (case, m, b, problems)
+                    slack[deriver] += got.value > v
+                if deriver == "sk":
+                    structure = saturate_kb(kb_, ceiling)
+                    (value, *_), nodes = _at_one_depth(q_, m, structure, b)
+                    (old_value, *_), old_nodes = _at_one_depth(
+                        q_, m, structure, b, stop=False)
+                    assert (value <= b) == (old_value <= b), (case, m, b)
+                    assert nodes <= old_nodes, (case, m, b)
+                    fewer += nodes < old_nodes
+    assert decided > 2000 and all(slack.values()) and fewer
+
+
 def test_none_is_certified_by_the_chase_where_saturation_keeps_growing():
     """Every merged witness spawns a new one, so no saturation is complete;
     the chase merges them eagerly and terminates."""
@@ -2121,10 +2229,12 @@ def test_the_assembler_rejects_a_cyclic_derivation(cycle):
         assemble_proof(["A"], derive)
 
 
-def _frozen_bounded_search_cq(kb, q, config):
+def _frozen_bounded_search_cq(kb, q, config, first_witness=True):
     """Frozen reference: ``bounded_search_cq`` on a rule-free knowledge base
     as it was before its bound counted the tautology finish, with one final
-    step after the Ce chain whatever the partial match repeats."""
+    step after the Ce chain whatever the partial match repeats.  Under a
+    bound it stops at its first proof within it, as the search does, or
+    without ``first_witness`` minimizes within the bound."""
     ticker = config.ticker()
     index = AtomIndex(kb.abox)
     best = None
@@ -2148,6 +2258,8 @@ def _frozen_bounded_search_cq(kb, q, config):
             2 if use_taut else bool(q.existential_vars))
         if value < (best[0] if best else limit) and value < limit:
             best = (value, sigma, use_taut)
+            if first_witness and config.bound is not None:
+                break
     if best is None:
         return search_module._result(config, ticker, "none", complete=True)
     value, sigma, use_taut = best

@@ -214,7 +214,8 @@ def _cli_outputs(hash_seed: str, workdir: Path,
     explain("sat-size.json", sat, "--measure", "size")
     explain("sat-cq-tree.json", sat, "--deriver", "cq", "--measure", "tree")
     # decision mode at the reductions' bounds and 3 above them: a loose
-    # bound still gets the least proof the search finds at its depth
+    # bound gets the first proof within it that the search finds, here one
+    # that reads x2 both ways, which the stated bounds leave no room for
     for name, bound, args in (
             ("sat-size", gen_sat(_SAT_CLAUSES).bounds["size"],
              ("--measure", "size")),
