@@ -114,14 +114,9 @@ def match_query(q: BooleanCQ, state: ChaseState,
     patterns = [map_atom_terms(a, lambda t: _resolve(merges, t))
                 for a in q.atoms]
     out: list[QueryMatch] = []
-    seen: set[tuple] = set()
     for subst in match_conjunction(patterns, state.index):
-        pairs = tuple(sorted(((v, t) for v, t in subst.items()),
-                             key=lambda p: p[0].name))
-        if pairs in seen:
-            continue
-        seen.add(pairs)
-        out.append(QueryMatch(pairs))
+        out.append(QueryMatch(tuple(sorted(subst.items(),
+                                           key=lambda p: p[0].name))))
         if len(out) >= limit:
             break
     return out

@@ -26,7 +26,7 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KBError, KnowledgeBase,
                  is_tree_shaped, map_atom_terms, substitute_atom, term_key,
                  variables_of)
 from .matching import match_conjunction, unifiers
-from .proofs import Label, ProofBuilder, ProofGraph, Schema, postorder
+from .proofs import Label, ProofGraph, Schema, postorder
 from .deriver_sk import FiniteStructure, Ticker, saturate
 
 
@@ -543,7 +543,7 @@ def assemble_proof(targets: Iterable[Hashable],
     the proof is in postorder from its sink.  KBError on a cyclic
     derivation.
     """
-    builder = ProofBuilder()
+    proof = ProofGraph()
     # a node's vertex id once it is done, what derive gave until then
     ids: dict = {}
 
@@ -555,14 +555,14 @@ def assemble_proof(targets: Iterable[Hashable],
     try:
         for node in postorder(targets, premises):
             label, premises_of, schema = ids[node]
-            vid = ids[node] = builder.add_vertex(label)
+            vid = ids[node] = proof.add_vertex(label)
             if schema is not None:
-                builder.add_edge([ids[q] for q in premises_of], vid, schema)
+                proof.add_edge([ids[q] for q in premises_of], vid, schema)
     except ValueError:
         raise KBError("the derivation is cyclic") from None
     if goal is not None:
-        add_goal_tail(builder, [ids[t] for t in targets], goal, strict_cg)
-    return builder.build()
+        add_goal_tail(proof, [ids[t] for t in targets], goal, strict_cg)
+    return proof
 
 
 def _tail_steps(goal: BooleanCQ, strict_cg: bool) -> tuple[bool, bool]:
@@ -577,19 +577,19 @@ def goal_tail_size(goal: BooleanCQ, strict_cg: bool = False) -> int:
     return sum(_tail_steps(goal, strict_cg))
 
 
-def add_goal_tail(builder: ProofBuilder, targets: list[int],
+def add_goal_tail(proof: ProofGraph, targets: list[int],
                   goal: BooleanCQ, strict_cg: bool = False) -> None:
-    """Finish a per-atom proof bundle in the builder with the conjunction
+    """Finish a per-atom proof bundle in the proof with the conjunction
     and generalization steps, skipping degenerate identity steps by
     default."""
     conj, gen = _tail_steps(goal, strict_cg)
     if conj:
-        vid = builder.add_vertex(
-            tuple(builder.vertices[t] for t in targets) if gen else goal)
-        builder.add_edge(targets, vid, Schema.C)
+        vid = proof.add_vertex(
+            tuple(proof.vertices[t] for t in targets) if gen else goal)
+        proof.add_edge(targets, vid, Schema.C)
         targets = [vid]
     if gen:
-        builder.add_edge(targets, builder.add_vertex(goal), Schema.G)
+        proof.add_edge(targets, proof.add_vertex(goal), Schema.G)
 
 
 # ---------------------------------------------------------------------------

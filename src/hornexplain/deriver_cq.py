@@ -26,8 +26,8 @@ from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
                  term_is_ground, term_key, variables_of)
 from .matching import (AtomIndex, bind_term, match_conjunction,
                        match_positionally, unify_atom)
-from .proofs import (RULE_TYPES, Label, ProofBuilder, ProofEdge, ProofGraph,
-                     Schema, TautRule, _postorder)
+from .proofs import (RULE_TYPES, Label, ProofEdge, ProofGraph, Schema,
+                     TautRule, _postorder)
 
 
 class TransformError(KBError):
@@ -101,28 +101,28 @@ def te_rule(pattern: Sequence[Atom], vars_to_duplicate: Iterable[Var],
     return TautRule(tuple(pattern), head, tuple(rename[v] for v in dup))
 
 
-def conjunction_chain(builder: ProofBuilder, atoms: Sequence[Atom],
+def conjunction_chain(proof: ProofGraph, atoms: Sequence[Atom],
                       label: Callable[[tuple[Atom, ...]], Label]) -> int:
     """Collect the atoms left to right with Ce steps: a leaf per atom and a
     conclusion per longer prefix.  Returns the vertex of the last one."""
-    current = builder.add_vertex(label(tuple(atoms[:1])))
+    current = proof.add_vertex(label(tuple(atoms[:1])))
     for i in range(1, len(atoms)):
-        leaf = builder.add_vertex(label((atoms[i],)))
-        nxt = builder.add_vertex(label(tuple(atoms[:i + 1])))
-        builder.add_edge((current, leaf), nxt, Schema.Ce)
+        leaf = proof.add_vertex(label((atoms[i],)))
+        nxt = proof.add_vertex(label(tuple(atoms[:i + 1])))
+        proof.add_edge((current, leaf), nxt, Schema.Ce)
         current = nxt
     return current
 
 
-def tautology_finish(builder: ProofBuilder, current: int,
+def tautology_finish(proof: ProofGraph, current: int,
                      goal: BooleanCQ) -> int:
     """Derive the goal from the vertex ``current`` with the tautology over
     the goal's atoms (Te) and its application (MPe).  Returns the goal's
     vertex."""
-    taut = builder.add_vertex(te_rule(goal.atoms, goal.existential_vars))
-    builder.add_edge((), taut, Schema.Te)
-    goal_vid = builder.add_vertex(goal)
-    builder.add_edge((current, taut), goal_vid, Schema.MPe)
+    taut = proof.add_vertex(te_rule(goal.atoms, goal.existential_vars))
+    proof.add_edge((), taut, Schema.Te)
+    goal_vid = proof.add_vertex(goal)
+    proof.add_edge((current, taut), goal_vid, Schema.MPe)
     return goal_vid
 
 
@@ -378,12 +378,9 @@ def _analyze_ee(premises, conclusion) -> EqAtom | str:
         return "conclusion must be a query"
     cq = premises[0]
     for eq in cq.atoms:
-        if isinstance(eq, EqAtom):
-            try:
-                if cq_equivalent(ee_apply(cq, eq), conclusion):
-                    return eq
-            except KBError:
-                continue
+        if isinstance(eq, EqAtom) and cq_equivalent(ee_apply(cq, eq),
+                                                    conclusion):
+            return eq
     return "no equality conjunct produces the conclusion"
 
 
@@ -478,7 +475,8 @@ def _goal_and_targets(p: ProofGraph) -> tuple[BooleanCQ, list[Atom]]:
     premise = p.vertices[edge.premises[0]]
     if isinstance(premise, ATOM_TYPES):
         return goal, [premise]
-    assert isinstance(premise, tuple)
+    if not isinstance(premise, tuple):
+        raise TransformError("the goal must be derived from ground atoms")
     return goal, list(premise)
 
 
@@ -519,7 +517,8 @@ def _collect_steps(p: ProofGraph) -> tuple[list[_Step], dict[Atom, None]]:
             continue
         if e.schema is Schema.MP:
             rule = p.vertices[e.premises[-1]]
-            assert isinstance(rule, SkolemRule)
+            if not isinstance(rule, SkolemRule):
+                raise TransformError("an MP step must apply a Skolem rule")
             body = tuple(_atom_of(p, q) for q in e.premises[:-1])
             key = (rule.index, body)
             step = mp_groups.get(key)
@@ -532,7 +531,8 @@ def _collect_steps(p: ProofGraph) -> tuple[list[_Step], dict[Atom, None]]:
         elif e.schema is Schema.E:
             alpha = _atom_of(p, e.premises[0])
             eq = _atom_of(p, e.premises[1])
-            assert isinstance(eq, EqAtom)
+            if not isinstance(eq, EqAtom):
+                raise TransformError("an E step must apply an equality")
             key = ("e", eq)
             step = e_groups.get(key)
             if step is None:
@@ -631,8 +631,8 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         return BooleanCQ.closed([b for b, _ in pairs], dict.fromkeys(
             v for _, vs in pairs for v in vs))
 
-    builder = ProofBuilder()
-    current = conjunction_chain(builder, used_facts, query)
+    proof = ProofGraph()
+    current = conjunction_chain(proof, used_facts, query)
     running = list(used_facts)
 
     eliminated: set[EqAtom] = set()
@@ -646,9 +646,9 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
             for c in step.conclusions:
                 if c not in new_running:
                     new_running.append(c)
-            rule_vertex = builder.add_vertex(kb.tbox[step.rule.index])
-            nxt = builder.add_vertex(query(new_running))
-            builder.add_edge((current, rule_vertex), nxt, Schema.MPe)
+            rule_vertex = proof.add_vertex(kb.tbox[step.rule.index])
+            nxt = proof.add_vertex(query(new_running))
+            proof.add_edge((current, rule_vertex), nxt, Schema.MPe)
             current, running = nxt, new_running
         else:
             eq = step.equality
@@ -673,18 +673,18 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
                 b = _replace_top_level(a, eq.lhs, eq.rhs) or a
                 if b not in new_running:
                     new_running.append(b)
-            nxt = builder.add_vertex(query(new_running))
-            builder.add_edge((current,), nxt, Schema.Ee)
+            nxt = proof.add_vertex(query(new_running))
+            proof.add_edge((current,), nxt, Schema.Ee)
             current, running = nxt, new_running
 
     # final step: produce the goal exactly
     if not goal.existential_vars and running == list(goal.atoms):
         pass  # the collected query already is the goal
     elif len(goal.atoms) == 1 and len(running) == 1 and goal.existential_vars:
-        builder.add_edge((current,), builder.add_vertex(goal), Schema.Ge)
+        proof.add_edge((current,), proof.add_vertex(goal), Schema.Ge)
     else:
-        tautology_finish(builder, current, goal)
-    return builder.build()
+        tautology_finish(proof, current, goal)
+    return proof
 
 
 def _mentions_term(atom: Atom, t: Term) -> bool:

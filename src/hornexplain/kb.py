@@ -658,12 +658,23 @@ def signature_of(tbox: Iterable[Rule], abox: Iterable[Atom]) -> Signature:
     return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
 
 
+def state_without_caches(obj) -> dict:
+    """The instance state of ``obj`` without its ``cached_property`` values,
+    as its ``__getstate__``: they are no part of its value and are computed
+    again on first use, so copies and pickles leave them out."""
+    cls = type(obj)
+    return {k: v for k, v in obj.__dict__.items()
+            if not isinstance(getattr(cls, k, None), cached_property)}
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     tbox: tuple[Rule, ...]
     abox: tuple[Atom, ...]
     signature: Signature = field(compare=False)
     fragment: Fragment = field(compare=False)
+
+    __getstate__ = state_without_caches
 
     @cached_property
     def rule_index(self) -> dict[Rule, int]:
@@ -712,15 +723,6 @@ def variables_of(atoms: Iterable[Atom]) -> dict[Var, None]:
             if isinstance(t, Var):
                 used[t] = None
     return used
-
-
-def state_without_caches(obj) -> dict:
-    """The instance state of ``obj`` without its ``cached_property`` values,
-    as its ``__getstate__``: they are no part of its value and are computed
-    again on first use, so copies and pickles leave them out."""
-    cls = type(obj)
-    return {k: v for k, v in obj.__dict__.items()
-            if not isinstance(getattr(cls, k, None), cached_property)}
 
 
 @dataclass(frozen=True)

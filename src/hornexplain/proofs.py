@@ -176,19 +176,28 @@ class ProofEdge(NamedTuple):
 
 @dataclass
 class ProofGraph:
-    vertices: dict[int, Label]
-    edges: list[ProofEdge]
-    # each query-level edge's analysis with the labels it read
-    # (deriver_cq.analyze_edge); no part of the proof's value, so equality,
-    # repr, copies and pickles leave it out
-    analyses: dict[ProofEdge, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    """A proof; one that is built starts empty and numbers its vertices
+    0, 1, ... in the order they are added."""
 
-    def __getstate__(self) -> dict:
-        return {"vertices": self.vertices, "edges": self.edges}
+    vertices: dict[int, Label] = field(default_factory=dict)
+    edges: list[ProofEdge] = field(default_factory=list)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, analyses={})
+    @cached_property
+    def analyses(self) -> dict[ProofEdge, tuple]:
+        """Each query-level edge's analysis with the labels it read
+        (:func:`~hornexplain.deriver_cq.analyze_edge`)."""
+        return {}
+
+    __getstate__ = state_without_caches
+
+    def add_vertex(self, label: Label) -> int:
+        vid = len(self.vertices)
+        self.vertices[vid] = label
+        return vid
+
+    def add_edge(self, premises: Iterable[int], conclusion: int,
+                 schema: Schema) -> None:
+        self.edges.append(ProofEdge(tuple(premises), conclusion, schema))
 
     def incoming(self) -> dict[int, list[ProofEdge]]:
         """Incoming edges by vertex, and by each unknown id one concludes."""
@@ -212,27 +221,6 @@ class ProofGraph:
         if any(e.schema in CQ_SCHEMAS for e in self.edges):
             return "cq"
         return "sk"
-
-
-class ProofBuilder:
-    """A proof as it is built, its vertices numbered 0, 1, ... in the order
-    they are added."""
-
-    def __init__(self):
-        self.vertices: dict[int, Label] = {}
-        self.edges: list[ProofEdge] = []
-
-    def add_vertex(self, label: Label) -> int:
-        vid = len(self.vertices)
-        self.vertices[vid] = label
-        return vid
-
-    def add_edge(self, premises: Iterable[int], conclusion: int,
-                 schema: Schema) -> None:
-        self.edges.append(ProofEdge(tuple(premises), conclusion, schema))
-
-    def build(self) -> ProofGraph:
-        return ProofGraph(dict(self.vertices), list(self.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +279,7 @@ def measure(p: ProofGraph, m: Measure) -> int:
 def tree_unravel(p: ProofGraph) -> ProofGraph:
     """Duplicate shared subproofs so the result is a tree."""
     inc = p.incoming()
-    builder = ProofBuilder()
+    tree = ProofGraph()
     on_path: set[int] = set()
 
     def start(v: int) -> tuple[int, int, Optional[ProofEdge], list[int]]:
@@ -302,7 +290,7 @@ def tree_unravel(p: ProofGraph) -> ProofGraph:
             raise ValueError("unraveling needs at most one incoming edge "
                              "per vertex")
         on_path.add(v)
-        return v, builder.add_vertex(p.vertices[v]), \
+        return v, tree.add_vertex(p.vertices[v]), \
             (es[0] if es else None), []
 
     # copies get ids in preorder, edges are added in postorder
@@ -315,10 +303,10 @@ def tree_unravel(p: ProofGraph) -> ProofGraph:
         stack.pop()
         on_path.discard(v)
         if e is not None:
-            builder.add_edge(tuple(copies), nid, e.schema)
+            tree.add_edge(tuple(copies), nid, e.schema)
         if stack:
             stack[-1][3].append(nid)
-    return builder.build()
+    return tree
 
 
 def sub_derivation(p: ProofGraph, vid: int) -> ProofGraph:

@@ -12,6 +12,7 @@ ran out).
 
 from __future__ import annotations
 
+import functools
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -29,9 +30,8 @@ from .kb import (Atom, BooleanCQ, Const, Fragment, KnowledgeBase, NormalForm,
                  Term, Var, atom_pred, atom_terms, cq_equivalent,
                  is_tree_shaped, orient_equality, substitute_atom)
 from .matching import AtomIndex, match_conjunction
-from .proofs import (Measure, ProofBuilder, ProofGraph, Schema,
-                     ground_terms_of_label, measure,
-                     sub_derivation)
+from .proofs import (Measure, ProofGraph, Schema, ground_terms_of_label,
+                     measure, sub_derivation)
 
 
 @dataclass
@@ -288,16 +288,14 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
     bound, ceiling = config.bound, config.depth_ceiling
     # the equality-free fold, built at most once, when first asked, and the
     # value of its one search
-    fold: list[Optional[CompressedStructure]] = []
     fold_value: Optional[int | float] = None
 
+    @functools.cache
     def folded() -> Optional[CompressedStructure]:
-        if not fold:
-            try:
-                fold.append(equality_free_fold(kb, ticker))
-            except BudgetExceeded:
-                fold.append(None)
-        return fold[0]
+        try:
+            return equality_free_fold(kb, ticker)
+        except BudgetExceeded:
+            return None
 
     explicit_ceiling = ceiling is not None
     hard = ceiling if explicit_ceiling else default_depth_ceiling(kb, q)
@@ -369,7 +367,7 @@ def bounded_search(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
             break
         depth = min(depth_want, depth + 1)
 
-    if best_sigma is not None and (bound is None or best_value <= bound):
+    if best_sigma is not None:
         assert best_structure is not None
         # the tree-size DP's chosen edges, or the cover's chosen vertices
         targets = [best_structure.atom_ids[substitute_atom(a, best_sigma)]
@@ -535,13 +533,7 @@ def _search_at_depth(q: BooleanCQ, config: RunConfig,
     # the cap holds no match that could replace the best
     # each label's terms, computed once per depth, for the domain-size
     # prune and cover search
-    terms_memo: dict[Atom, set[Term]] = {}
-
-    def terms_of(a: Atom) -> set[Term]:
-        terms = terms_memo.get(a)
-        if terms is None:
-            terms = terms_memo[a] = ground_terms_of_label(a)
-        return terms
+    terms_of = functools.cache(ground_terms_of_label)
     if config.measure is Measure.SIZE:
         tally, floor = _path_tally(lambda a: (a,)), tail_count
     else:
@@ -620,7 +612,7 @@ def bounded_search_cq(kb: KnowledgeBase, q: BooleanCQ, config: RunConfig,
             use_taut = len(distinct) < len(grounds)
             value = 2 * len(distinct) - 1 + (
                 2 if use_taut else bool(q.existential_vars))
-            if value < (best[0] if best else limit) and value < limit:
+            if value < (best[0] if best else limit):
                 best = (value, sigma, use_taut)
                 if config.bound is not None:
                     break  # a proof within the bound settles existence
@@ -688,14 +680,14 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
     goal hit is the minimum over the enumerated moves (intermediate
     tautologies are not explored).
     """
-    builder = ProofBuilder()
+    proof = ProofGraph()
     max_atoms = max(len(q.atoms), 2) + 2
     heap: list[tuple[int, int, BooleanCQ, int]] = []
     seen: dict[tuple, int] = {}
     counter = 0
     for fact in sorted(kb.abox, key=lambda a: str(a)):
         cq = BooleanCQ((fact,), ())
-        vid = builder.add_vertex(cq)
+        vid = proof.add_vertex(cq)
         heapq.heappush(heap, (1, counter, cq, vid))
         counter += 1
 
@@ -708,10 +700,10 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
         seen[key] = cost
 
         # try to finish: the popped query instantiates the goal
-        finish = _finish_cq_goal(cq, vid, q, cost, builder)
+        finish = _finish_cq_goal(cq, vid, q, cost, proof)
         if finish is not None and finish[0] < limit:
             value, sink = finish
-            return value, sub_derivation(builder.build(), sink)
+            return value, sub_derivation(proof, sink)
 
         # rule applications
         for rule in kb.tbox:
@@ -733,9 +725,9 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
                         nkey = _canon_cq(new_cq)
                         if seen.get(nkey, _INF) <= new_cost:
                             continue
-                        rule_vid = builder.add_vertex(rule)
-                        new_vid = builder.add_vertex(new_cq)
-                        builder.add_edge((vid, rule_vid), new_vid, Schema.MPe)
+                        rule_vid = proof.add_vertex(rule)
+                        new_vid = proof.add_vertex(new_cq)
+                        proof.add_edge((vid, rule_vid), new_vid, Schema.MPe)
                         heapq.heappush(heap,
                                        (new_cost, counter, new_cq, new_vid))
                         counter += 1
@@ -743,14 +735,14 @@ def _forward_cq_search(kb: KnowledgeBase, q: BooleanCQ, limit: int | float,
 
 
 def _finish_cq_goal(cq: BooleanCQ, vid: int, q: BooleanCQ, cost: int,
-                    builder: ProofBuilder) -> Optional[tuple[int, int]]:
+                    proof: ProofGraph) -> Optional[tuple[int, int]]:
     if cq_equivalent(cq, q):
         return cost, vid
     for pi in match_conjunction(q.atoms, cq.index):
         image = {substitute_atom(a, pi) for a in q.atoms}
         if not set(cq.atoms) <= image:
             continue  # leftovers would survive into the conclusion
-        return cost + 2, tautology_finish(builder, vid, q)
+        return cost + 2, tautology_finish(proof, vid, q)
     return None
 
 
@@ -759,14 +751,14 @@ def _assemble_cq(q: BooleanCQ, sigma: dict[Var, Term],
     """The facts of the match collected by Ce steps, then a Ge step or a
     tautology application unless the collected query is the goal."""
     grounds = [substitute_atom(a, sigma) for a in q.atoms]
-    builder = ProofBuilder()
-    current = conjunction_chain(builder, list(dict.fromkeys(grounds)),
+    proof = ProofGraph()
+    current = conjunction_chain(proof, list(dict.fromkeys(grounds)),
                                 lambda atoms: BooleanCQ(atoms, ()))
     if use_taut:
-        tautology_finish(builder, current, q)
+        tautology_finish(proof, current, q)
     elif q.existential_vars:
-        builder.add_edge((current,), builder.add_vertex(q), Schema.Ge)
-    return builder.build()
+        proof.add_edge((current,), proof.add_vertex(q), Schema.Ge)
+    return proof
 
 
 # ---------------------------------------------------------------------------

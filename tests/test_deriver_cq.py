@@ -26,8 +26,8 @@ from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
                             substitute_atom, variables_of)
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, Measure, ProofBuilder,
-                                ProofEdge, ProofGraph, Schema, TautRule,
+from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, Measure, ProofEdge,
+                                ProofGraph, Schema, TautRule,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, tree_unravel, validate_proof)
 from hornexplain.search import RunConfig, explain
@@ -104,10 +104,9 @@ def test_ce_apply_renames_apart(ex1):
     assert "renamed apart" in check_edge_labels(Schema.Ce, (q1, q2), shared,
                                                 kb)
     # the chain the translations build: one Ce step per further fact
-    builder = ProofBuilder()
-    conjunction_chain(builder, [ConceptAtom("A", A_), ConceptAtom("B", A_),
-                                RoleAtom("r", A_, A_)], _cq)
-    chain = builder.build()
+    chain = ProofGraph()
+    conjunction_chain(chain, [ConceptAtom("A", A_), ConceptAtom("B", A_),
+                              RoleAtom("r", A_, A_)], _cq)
     assert [e.schema for e in chain.edges] == [Schema.Ce, Schema.Ce]
     for e in chain.edges:
         assert check_edge_labels(e.schema,
@@ -121,16 +120,15 @@ def test_a_ce_step_that_renames_variables_grounds_through_the_renaming():
     premise's grounding of the original."""
     kb = parse_kb("rule: A(x) -> exists y. r(x,y)\nfact: A(a)\nfact: A(b)\n")
     rule, b, u1, w = kb.tbox[0], Const("b"), Var("u1"), Var("w")
-    builder = ProofBuilder()
+    cq = ProofGraph()
     derived = []
     for c in (A_, b):
-        fact = builder.add_vertex(_cq([ConceptAtom("A", c)]))
-        rule_vertex = builder.add_vertex(rule)
-        derived.append(builder.add_vertex(_cq([RoleAtom("r", c, u1)], [u1])))
-        builder.add_edge((fact, rule_vertex), derived[-1], Schema.MPe)
+        fact = cq.add_vertex(_cq([ConceptAtom("A", c)]))
+        rule_vertex = cq.add_vertex(rule)
+        derived.append(cq.add_vertex(_cq([RoleAtom("r", c, u1)], [u1])))
+        cq.add_edge((fact, rule_vertex), derived[-1], Schema.MPe)
     goal = _cq([RoleAtom("r", A_, u1), RoleAtom("r", b, w)], [u1, w])
-    builder.add_edge(derived, builder.add_vertex(goal), Schema.Ce)
-    cq = builder.build()
+    cq.add_edge(derived, cq.add_vertex(goal), Schema.Ce)
     ok, problems = validate_proof(cq, kb, goal, "cq")
     assert ok, problems
     sk = transform_cq_to_sk(cq, kb)
@@ -454,6 +452,42 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
             transform_cq_to_sk(proof, kb)
         assert str(raised.value) == \
             f"invalid {edge.schema.value} step: {reason}"
+
+
+def test_sk_to_cq_rejects_a_malformed_ground_proof(ex1):
+    """A ground-atom proof that no validation has seen is refused with a
+    TransformError that says why, not an assertion or an attribute error,
+    and the checker rejects the same proof."""
+    kb, q = ex1
+    proof = explain(kb, q, RunConfig()).proof
+    # an MP step that applies the original rule, not its Skolemization
+    plain_rule = copy.deepcopy(proof)
+    v = next(v for v, label in plain_rule.vertices.items()
+             if label in kb.skolem_rules)
+    plain_rule.vertices[v] = kb.tbox[plain_rule.vertices[v].index]
+    # a query sink generalized from a query, not from ground atoms
+    from_query = ProofGraph()
+    fact = from_query.add_vertex(BooleanCQ((ConceptAtom("A", A_),), ()))
+    goal = BooleanCQ((ConceptAtom("A", X),), (X,))
+    from_query.add_edge((fact,), from_query.add_vertex(goal), Schema.G)
+    # an equality step whose second premise is no equality
+    no_equality = ProofGraph()
+    premises = [no_equality.add_vertex(ConceptAtom(n, A_)) for n in "AB"]
+    no_equality.add_edge(premises,
+                         no_equality.add_vertex(ConceptAtom("A", Const("b"))),
+                         Schema.E)
+    for bad, query, reason, found in [
+            (plain_rule, q, "an MP step must apply a Skolem rule",
+             "rule premise must be Skolemized"),
+            (from_query, goal, "the goal must be derived from ground atoms",
+             "premise must be a ground conjunction or atom"),
+            (no_equality, BooleanCQ((ConceptAtom("A", Const("b")),), ()),
+             "an E step must apply an equality",
+             "second premise must be an equality")]:
+        with pytest.raises(TransformError, match=f"^{reason}$"):
+            transform_sk_to_cq(bad, kb)
+        ok, problems = validate_proof(bad, kb, query, "sk")
+        assert not ok and any(p.endswith(found) for p in problems)
 
 
 def test_a_tautology_shape_is_judged_once_per_rule(monkeypatch):
@@ -833,10 +867,13 @@ def test_a_kept_analysis_serves_only_the_labels_it_was_made_for(
 
 def test_a_validated_proof_pickles_to_the_bytes_of_an_unvalidated_one():
     """What a validation caches on the labels (a query's atom set and
-    index, a tautology's verdict and renaming) is no part of them: a
-    validated proof pickles to the bytes of an unvalidated copy, and its
-    equality, repr, JSON and copies are those of the copy."""
+    index, a tautology's verdict and renaming) and on the KB (its rule
+    index and leaf labels) is no part of them: a validated proof pickles to
+    the bytes of an unvalidated copy, and its equality, repr, JSON and
+    copies are those of the copy; the KB pickles to the bytes it did before
+    its caches were filled."""
     inst = gen_sat_cq([[1, -2], [2, 3], [-1, -3]])
+    kb_bytes = pickle.dumps(inst.kb)
     result = explain(inst.kb, inst.query, RunConfig(
         measure=Measure.TREE_SIZE, algo="exact", deriver="cq"))
     text = proof_to_json(result.proof, inst.query)
@@ -861,6 +898,18 @@ def test_a_validated_proof_pickles_to_the_bytes_of_an_unvalidated_one():
         assert validate_proof(twin, inst.kb, inst.query, "cq")[0]
         assert proof_to_json(transform_cq_to_sk(twin, inst.kb)) == \
             proof_to_json(transform_cq_to_sk(checked, inst.kb))
+
+    caches = {"rule_index", "skolem_rules", "sk_leaf_labels",
+              "cq_leaf_labels"}
+    for name in caches:
+        getattr(inst.kb, name)
+    assert caches <= vars(inst.kb).keys()
+    assert pickle.dumps(inst.kb) == kb_bytes
+    for copy_of in (copy.deepcopy,
+                    lambda kb: pickle.loads(pickle.dumps(kb))):
+        twin = copy_of(inst.kb)
+        assert twin == inst.kb and not caches & vars(twin).keys()
+        assert twin.rule_index == inst.kb.rule_index
 
 
 # ---------------------------------------------------------------------------

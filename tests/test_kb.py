@@ -218,6 +218,46 @@ def test_normalize_splits_heads_and_wide_bodies():
     assert "fact: A(a)" in normalized
 
 
+def test_normalize_gives_conjunctive_fillers_one_fresh_concept():
+    normalized = normalize_document_text(
+        "rule: A(x) -> exists y. r(x,y), B(y), C(y)\nfact: A(a)\n")
+    assert normalized == ("rule: A(x) -> exists y. r(x,y), N1(y)\n"
+                          "rule: N1(x) -> B(x)\n"
+                          "rule: N1(x) -> C(x)\n"
+                          "fact: A(a)\n")
+    assert [r.normal_form for r in parse_document(normalized).kb.tbox] == [
+        NormalForm.IV, NormalForm.I, NormalForm.I]
+
+
+def test_normalize_reduces_a_wide_body_to_two_atom_rules():
+    """A qualified role and a role to a variable of its own each become a
+    fresh concept on the anchor, and the concepts are conjoined two at a
+    time; fresh names skip the names the document uses (N1, N3)."""
+    normalized = normalize_document_text(
+        "rule: r(x,y), B(y), s(x,z), A(x), C(x), D(x) -> E(x)\n"
+        "fact: N1(a)\nquery: exists x. E(x), N3(x)\n")
+    assert normalized == ("rule: r(x,y), B(y) -> N2(x)\n"
+                          "rule: s(x,z) -> N4(x)\n"
+                          "rule: N2(x), N4(x) -> N5(x)\n"
+                          "rule: N5(x), A(x) -> N6(x)\n"
+                          "rule: N6(x), C(x) -> N7(x)\n"
+                          "rule: N7(x), D(x) -> E(x)\n"
+                          "fact: N1(a)\nquery: exists x. E(x), N3(x)\n")
+    doc = parse_document(normalized)
+    assert all(len(r.body) <= 2 and r.normal_form is not None
+               for r in doc.kb.tbox)
+    assert len(doc.queries) == 1
+
+
+def test_normalize_refuses_a_body_that_is_no_bundle_on_one_variable():
+    # a role to a variable that another role names, and a concept on
+    # another variable than the anchor
+    for body in ("r(x,y), s(y,z), t(z,w)", "A(x), B(x), C(y)"):
+        with pytest.raises(KBError, match="^cannot normalize: body is not a "
+                           "bundle of features on one variable$"):
+            normalize_document_text(f"rule: {body} -> D(x)\n")
+
+
 def test_normalize_rejects_what_the_parser_rejects():
     for text in ("rule: A(x) B(x) -> C(x)\n",
                  "rule: A(x) -> exists x. r(x,x)\n"):

@@ -34,8 +34,8 @@ from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const,
                             substitute_atom, term_key)
 from hornexplain.matching import AtomIndex, match_conjunction
 from hornexplain.parser import parse_document, parse_kb
-from hornexplain.proofs import (RULE_TYPES, Measure, ProofBuilder, ProofEdge,
-                                ProofGraph, Schema, _postorder, domain_size,
+from hornexplain.proofs import (RULE_TYPES, Measure, ProofEdge, ProofGraph,
+                                Schema, _postorder, domain_size,
                                 ground_terms_of_label, label_key, measure,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, validate_proof)
@@ -462,6 +462,27 @@ def test_tree_query_optimum_matches_brute_force():
         out = bounded_search(inst.kb, inst.query,
                              RunConfig(Measure.TREE_SIZE))
         assert tree_size(proof) == out.value == 6 * n + 11
+
+
+def test_the_poly_routes_answer_a_bound_below_their_value():
+    """Below the route's value, tree size is refuted by the route itself;
+    the size route only bounds the optimum from above, so it leaves the
+    bound to the exact search, which certifies ``none``."""
+    inst = gen_dllite_chain(2)
+    tree = explain(inst.kb, inst.query, RunConfig(Measure.TREE_SIZE))
+    assert (tree.status, tree.value) == ("found", 23)
+    tree = explain(inst.kb, inst.query, RunConfig(Measure.TREE_SIZE,
+                                                  bound=22))
+    assert (tree.status, tree.value, tree.complete, tree.algorithm,
+            tree.warnings, tree.exit_code) == (
+        "none", 23, True, "poly-dllite-tree", [], 1)
+    size = explain(inst.kb, inst.query, RunConfig(Measure.SIZE, bound=22,
+                                                  algo="poly"))
+    assert (size.status, size.complete, size.algorithm, size.exit_code) == (
+        "none", True, "exact", 1)
+    assert size.warnings == [
+        "polynomial size value 23 exceeds the bound but only bounds the "
+        "optimum from above; falling back to exact search"]
 
 
 def test_tree_query_single_atom_reduces_to_plain_minimum():
@@ -1525,11 +1546,11 @@ def test_goal_tail_size_counts_the_vertices_add_goal_tail_adds():
                  BooleanCQ((ConceptAtom("A", x),), (x,)),
                  BooleanCQ((ConceptAtom("A", x), b), (x,))):
         for strict in (False, True):
-            builder = ProofBuilder()
-            builder.add_vertex(a)
-            builder.add_vertex(b)
-            add_goal_tail(builder, [0, 1][:len(goal.atoms)], goal, strict)
-            assert len(builder.vertices) - 2 == goal_tail_size(goal, strict)
+            proof = ProofGraph()
+            proof.add_vertex(a)
+            proof.add_vertex(b)
+            add_goal_tail(proof, [0, 1][:len(goal.atoms)], goal, strict)
+            assert len(proof.vertices) - 2 == goal_tail_size(goal, strict)
 
 
 # ---------------------------------------------------------------------------

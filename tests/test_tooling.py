@@ -120,6 +120,36 @@ def test_one_budget_reaches_every_phase():
     assert not _budget_bypasses(ROOT / "src" / "hornexplain")
 
 
+def _caches_left_in_state(src: Path) -> list[str]:
+    """Classes with a ``cached_property`` whose ``__getstate__`` is not
+    ``state_without_caches``, so that copies and pickles would carry the
+    cached values."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cached = any(
+                ast.unparse(d) in ("cached_property",
+                                   "functools.cached_property")
+                for f in node.body if isinstance(f, ast.FunctionDef)
+                for d in f.decorator_list)
+            getstate = [ast.unparse(a.value) for a in node.body
+                        if isinstance(a, ast.Assign)
+                        and any(isinstance(t, ast.Name)
+                                and t.id == "__getstate__"
+                                for t in a.targets)]
+            if cached and getstate != ["state_without_caches"]:
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_cached_values_stay_out_of_copies_and_pickles():
+    """Every class that caches a value per instance leaves it out of its
+    state with the one helper, ``kb.state_without_caches``."""
+    assert not _caches_left_in_state(ROOT / "src" / "hornexplain")
+
+
 # Runs the CLI after interning a few thousand unrelated terms and atoms, so
 # that every value the run builds sits at another address
 _SHIFTED_CLI = """\
