@@ -18,7 +18,7 @@ from operator import is_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .compress import assemble_proof
-from .deriver_sk import _replace_top_level
+from .deriver_sk import CHECKS, _replace_top_level
 from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
                  KnowledgeBase, Rule, SkolemRule, SkolemTerm, Term, Var,
                  atom_key, atom_pred, atom_terms, atom_vars, cq_equivalent,
@@ -26,8 +26,8 @@ from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
                  term_is_ground, term_key, variables_of)
 from .matching import (AtomIndex, bind_term, match_conjunction,
                        match_positionally, unify_atom)
-from .proofs import (RULE_TYPES, Label, ProofEdge, ProofGraph, Schema,
-                     TautRule, _postorder)
+from .proofs import (RULE_TYPES, SK_SCHEMAS, Label, ProofEdge, ProofGraph,
+                     Schema, TautRule, _postorder)
 
 
 class TransformError(KBError):
@@ -142,45 +142,59 @@ def ee_apply(cq: BooleanCQ, equality: EqAtom) -> BooleanCQ:
 
 def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
                       conclusion: Label, kb: KnowledgeBase) -> Optional[str]:
-    """None when the edge instantiates its schema, else a diagnostic."""
-    analyze = ANALYSES.get(schema)
-    if analyze is None:
-        return f"schema {schema.value} does not belong to this deriver"
-    found = _rule_error(schema, premises, kb) or analyze(premises, conclusion)
+    """None when the edge instantiates its schema, else a diagnostic; the
+    one checker of both calculi (``ANALYSES`` and ``deriver_sk.CHECKS``)."""
+    found = _rule_error(schema, premises, kb) or \
+        (ANALYSES.get(schema) or CHECKS[schema])(premises, conclusion)
     return found if isinstance(found, str) else None
 
 
 def analyze_edge(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase,
                  reuse: bool = False):
-    """What the step of a query-level edge is made of (its entry in
-    ``ANALYSES``), or why it is invalid as a string.
+    """The verdict on an edge of either calculus: what its query-level step
+    is made of (its entry in ``ANALYSES``), None for a valid ground-atom
+    step (``deriver_sk.CHECKS``), or why the step is invalid as a string.
 
-    The analysis is kept on the proof with the labels it read.  With
+    The verdict is kept on the proof with the labels it read.  With
     ``reuse``, one kept for labels that are still the proof's own objects
     is read instead of made again.  The KB's part of the check is not kept:
     it runs on every call.
     """
-    premises = tuple(p.vertices[q] for q in edge.premises)
-    conclusion = p.vertices[edge.conclusion]
-    err = _rule_error(edge.schema, premises, kb)
+    vertices = p.vertices
+    premises = tuple(map(vertices.__getitem__, edge.premises))
+    conclusion = vertices[edge.conclusion]
+    schema = edge.schema
+    err = _rule_error(schema, premises, kb)
     if err is not None:
         return err
-    kept = p.analyses.get(edge) if reuse else None
-    if kept is None or kept[0] is not conclusion \
-            or not all(map(is_, kept[1], premises)):
-        kept = p.analyses[edge] = (
-            conclusion, premises, ANALYSES[edge.schema](premises, conclusion))
-    return kept[2]
+    if reuse:
+        kept = p.analyses.get(edge)
+        if kept is not None and kept[0] is conclusion \
+                and all(map(is_, kept[1], premises)):
+            return kept[2]
+    found = (ANALYSES.get(schema) or CHECKS[schema])(premises, conclusion)
+    p.analyses[edge] = conclusion, premises, found
+    return found
 
 
 def _rule_error(schema: Schema, premises: tuple[Label, ...],
                 kb: KnowledgeBase) -> Optional[str]:
-    """Why the rule an MPe step applies may not be used with the KB, or
-    None; a step of another schema, or of another shape, uses none."""
+    """Why the rule an MP or MPe step applies may not be used with the KB
+    (an MP step's must be the KB's own Skolem rule of its index, an MPe
+    step's one of its original rules or a tautology), or None."""
+    rule = premises[-1] if premises else None
+    if not isinstance(rule, RULE_TYPES):
+        return None
+    if schema is Schema.MP:
+        if isinstance(rule, SkolemRule):
+            sk_rules, i = kb.skolem_rules, rule.index
+            if not (0 <= i < len(sk_rules) and (sk_rules[i] is rule
+                                                or sk_rules[i] == rule)):
+                return "rule is not from the TBox"
+        return None
     if schema is not Schema.MPe or len(premises) != 2 \
             or not isinstance(premises[0], BooleanCQ):
         return None
-    rule = premises[1]
     if isinstance(rule, SkolemRule):
         return "query-level proofs use original rules, not Skolemized ones"
     if isinstance(rule, Rule) and rule not in kb.rule_index:
@@ -452,39 +466,44 @@ ANALYSES = {Schema.MPe: _analyze_mpe_step, Schema.Te: _analyze_te,
 # Ground-atom proofs -> query proofs
 # ---------------------------------------------------------------------------
 
-def _goal_and_targets(p: ProofGraph) -> tuple[BooleanCQ, list[Atom]]:
-    """The goal query of a ground-atom proof and its atom instances,
-    one per goal-atom occurrence."""
-    sink = p.sink()
+def _goal_and_targets(p: ProofGraph, sink: int
+                      ) -> tuple[BooleanCQ, list[Atom]]:
+    """The goal query of a ground-atom proof whose steps are valid and its
+    atom instances, one per goal-atom occurrence."""
     label = p.vertices[sink]
-    inc = p.incoming()
     if isinstance(label, ATOM_TYPES):
         return BooleanCQ((label,), ()), [label]
     if isinstance(label, tuple):
         return BooleanCQ(label, ()), list(label)
     if not isinstance(label, BooleanCQ):
         raise TransformError("sink must be an atom, conjunction, or query")
-    goal = label
-    edges = inc[sink]
+    edges = p.incoming()[sink]
     if not edges:
         raise TransformError("query-labeled sink must be derived")
-    edge = edges[0]
+    edge = edges[0]     # a valid one: C from atoms, G from an atom or tuple
     if edge.schema is Schema.C:
-        targets = [_atom_of(p, v) for v in edge.premises]
-        return goal, targets
+        return label, [p.vertices[v] for v in edge.premises]
     premise = p.vertices[edge.premises[0]]
-    if isinstance(premise, ATOM_TYPES):
-        return goal, [premise]
-    if not isinstance(premise, tuple):
-        raise TransformError("the goal must be derived from ground atoms")
-    return goal, list(premise)
+    return label, [premise] if isinstance(premise, ATOM_TYPES) \
+        else list(premise)
 
 
-def _atom_of(p: ProofGraph, vid: int) -> Atom:
-    label = p.vertices[vid]
-    if not isinstance(label, ATOM_TYPES):
-        raise TransformError("expected a ground atom vertex")
-    return label
+def _verdict(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase):
+    """The checker's verdict on a step a translation reads, kept or new
+    (:func:`analyze_edge`); TransformError when the step is invalid."""
+    found = analyze_edge(p, edge, kb, reuse=True)
+    if isinstance(found, str):
+        raise TransformError(f"invalid {edge.schema.value} step: {found}")
+    return found
+
+
+def _shape_checked(walk: Callable[[], object]):
+    """What a walk of the proof's shape (its sink, an order) returns; a
+    proof without one sink, or with a cycle, raises TransformError."""
+    try:
+        return walk()
+    except ValueError as exc:
+        raise TransformError(str(exc)) from None
 
 
 @dataclass
@@ -496,56 +515,49 @@ class _Step:
     equality: Optional[EqAtom] = None
 
 
-def _collect_steps(p: ProofGraph) -> tuple[list[_Step], dict[Atom, None]]:
+def _collect_steps(p: ProofGraph, kb: KnowledgeBase, sink: int
+                   ) -> tuple[list[_Step], dict[Atom, None]]:
     """Atom-level inference steps of a ground proof, dependency-ordered,
     with rule applications sharing premises aggregated into one step, and
     the facts it rests on.  Both are read in postorder from the sink, so
-    they do not depend on the vertex ids."""
+    they do not depend on the vertex ids.  Each step read is checked
+    (:func:`_verdict`), so a step's labels are the atoms and the rule its
+    schema takes."""
     inc = p.incoming()
     mp_groups: dict[tuple, _Step] = {}
-    e_groups: dict[tuple, _Step] = {}
+    e_groups: dict[EqAtom, _Step] = {}
     facts: dict[Atom, None] = {}
-    for v in _postorder(inc, [p.sink()]):
-        label = p.vertices[v]
+    vertices = p.vertices
+    for v in _shape_checked(lambda: list(_postorder(inc, [sink]))):
+        label = vertices[v]
         edges = inc[v]
         if not edges:
             if isinstance(label, ATOM_TYPES):
                 facts[label] = None
             continue
         e = edges[0]
-        if e.schema in (Schema.C, Schema.G):
-            continue
+        if e.schema not in SK_SCHEMAS:
+            raise TransformError(f"unexpected schema {e.schema.value} in a "
+                                 "ground-atom proof")
+        _verdict(p, e, kb)
         if e.schema is Schema.MP:
-            rule = p.vertices[e.premises[-1]]
-            if not isinstance(rule, SkolemRule):
-                raise TransformError("an MP step must apply a Skolem rule")
-            body = tuple(_atom_of(p, q) for q in e.premises[:-1])
+            rule = vertices[e.premises[-1]]
+            body = tuple(map(vertices.__getitem__, e.premises[:-1]))
             key = (rule.index, body)
             step = mp_groups.get(key)
             if step is None:
-                step = _Step("mp", body, (), rule=rule)
-                mp_groups[key] = step
-            concl = _atom_of(p, v)
-            if concl not in step.conclusions:
-                step.conclusions = step.conclusions + (concl,)
+                step = mp_groups[key] = _Step("mp", body, (), rule=rule)
+            if label not in step.conclusions:
+                step.conclusions = step.conclusions + (label,)
         elif e.schema is Schema.E:
-            alpha = _atom_of(p, e.premises[0])
-            eq = _atom_of(p, e.premises[1])
-            if not isinstance(eq, EqAtom):
-                raise TransformError("an E step must apply an equality")
-            key = ("e", eq)
-            step = e_groups.get(key)
+            alpha, eq = map(vertices.__getitem__, e.premises)
+            step = e_groups.get(eq)
             if step is None:
-                step = _Step("e", (eq,), (), equality=eq)
-                e_groups[key] = step
+                step = e_groups[eq] = _Step("e", (eq,), (), equality=eq)
             if alpha not in step.premises:
                 step.premises = step.premises + (alpha,)
-            concl = _atom_of(p, v)
-            if concl not in step.conclusions:
-                step.conclusions = step.conclusions + (concl,)
-        else:
-            raise TransformError(f"unexpected schema {e.schema.value} in a "
-                                 "ground-atom proof")
+            if label not in step.conclusions:
+                step.conclusions = step.conclusions + (label,)
 
     steps = list(mp_groups.values()) + list(e_groups.values())
     # dependency-consistent order (Kahn): a step waits for the first producer
@@ -591,14 +603,16 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     atoms still needed later.  Each collected conjunction is labelled by
     its query, its Skolem terms named by variables (:func:`_skolem_naming`)
     and closed; the last step derives the goal as written.  A goal that
-    names a Skolem term has no query label: TransformError.
+    names a Skolem term has no query label, and an invalid step reads as
+    in the checker: TransformError.
     """
-    goal, target_atoms = _goal_and_targets(p)
+    sink = _shape_checked(p.sink)
+    steps, facts = _collect_steps(p, kb, sink)
+    goal, target_atoms = _goal_and_targets(p, sink)
     if any(isinstance(t, SkolemTerm) for a in goal.atoms
            for t in atom_terms(a)):
         raise TransformError("the goal names a Skolem term, which a query "
                              "label cannot contain")
-    steps, facts = _collect_steps(p)
 
     # liveness: the step index after which an atom is no longer needed
     last_use: dict[Atom, int] = {}
@@ -731,7 +745,7 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     """
     inc = p.incoming()
     g = _Grounding(p, kb)
-    for v in p.topological_order():
+    for v in _shape_checked(p.topological_order):
         label = p.vertices[v]
         edges = inc[v]
         if isinstance(label, RULE_TYPES):
@@ -748,12 +762,9 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
         if ground is None:
             raise TransformError(f"unexpected schema {edge.schema.value} in "
                                  "a query-level proof")
-        found = analyze_edge(p, edge, kb, reuse=True)
-        if isinstance(found, str):
-            raise TransformError(f"invalid {edge.schema.value} step: {found}")
-        ground(g, edge, v, found)
+        ground(g, edge, v, _verdict(p, edge, kb))
 
-    sink = p.sink()
+    sink = _shape_checked(p.sink)
     goal = p.vertices[sink]
     if not isinstance(goal, BooleanCQ):
         raise TransformError("query-proof sinks carry queries")

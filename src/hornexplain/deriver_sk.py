@@ -5,10 +5,10 @@ The full derivation structure over a knowledge base is infinite (Skolem
 terms nest arbitrarily deep), so it is only ever materialized up to a term
 depth bound, as a :class:`FiniteStructure`, by :func:`saturate`, whose
 vertices are labeled by the atoms and Skolem rules themselves, each atom's
-vertex found through ``atom_ids``.  Edge admissibility is checked
-separately, by each schema's entry in ``CHECKS`` (:func:`check_edge_labels`),
-on the labels of the premises and the conclusion: atoms, ground
-conjunctions (tuples of atoms), queries and rules.
+vertex found through ``atom_ids``.  Each schema's entry in ``CHECKS``
+checks a step on its premise and conclusion labels: atoms, ground
+conjunctions (tuples of atoms), queries and rules.  The one checker of both
+calculi, :func:`hornexplain.deriver_cq.check_edge_labels`, reads it.
 """
 
 from __future__ import annotations
@@ -59,16 +59,7 @@ def _replacements(eqs: Iterable[Atom],
 # Edge admissibility
 # ---------------------------------------------------------------------------
 
-def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
-                      conclusion: Label, kb: KnowledgeBase) -> Optional[str]:
-    """None when the edge instantiates its schema, else a diagnostic."""
-    check = CHECKS.get(schema)
-    if check is None:
-        return f"schema {schema.value} does not belong to this deriver"
-    return check(premises, conclusion, kb)
-
-
-def _check_mp(premises, conclusion, kb) -> Optional[str]:
+def _check_mp(premises, conclusion) -> Optional[str]:
     """The rule body bound to the premises position by position; no
     recorded substitution is trusted."""
     if not premises or not isinstance(premises[-1], RULE_TYPES):
@@ -76,9 +67,6 @@ def _check_mp(premises, conclusion, kb) -> Optional[str]:
     rule = premises[-1]
     if not isinstance(rule, SkolemRule):
         return "rule premise must be Skolemized"
-    sk_rules = kb.skolem_rules
-    if not (0 <= rule.index < len(sk_rules) and sk_rules[rule.index] == rule):
-        return "rule is not from the TBox"
     atom_premises = premises[:-1]
     for lab in atom_premises:
         if not isinstance(lab, ATOM_TYPES) or not atom_is_ground(lab):
@@ -93,7 +81,7 @@ def _check_mp(premises, conclusion, kb) -> Optional[str]:
     return None
 
 
-def _check_e(premises, conclusion, kb) -> Optional[str]:
+def _check_e(premises, conclusion) -> Optional[str]:
     if len(premises) != 2 or not all(isinstance(p, ATOM_TYPES)
                                      for p in premises):
         return "equality replacement takes an atom and an equality"
@@ -117,7 +105,7 @@ def _check_e(premises, conclusion, kb) -> Optional[str]:
     return None
 
 
-def _check_c(premises, conclusion, kb) -> Optional[str]:
+def _check_c(premises, conclusion) -> Optional[str]:
     for lab in premises:
         if not isinstance(lab, ATOM_TYPES) or not atom_is_ground(lab):
             return "conjunction premises must be ground atoms"
@@ -132,7 +120,7 @@ def _check_c(premises, conclusion, kb) -> Optional[str]:
     return None
 
 
-def _check_g(premises, conclusion, kb) -> Optional[str]:
+def _check_g(premises, conclusion) -> Optional[str]:
     if len(premises) != 1:
         return "generalization takes a single conjunction premise"
     ground = premises[0]
@@ -152,7 +140,8 @@ def _check_g(premises, conclusion, kb) -> Optional[str]:
 
 
 # each schema's one definition: None when a step instantiates it, else why
-# not (all of them on the premise and conclusion labels and the KB)
+# not, on the premise and conclusion labels only (whether an MP step's rule
+# is the KB's own is deriver_cq._rule_error's check)
 CHECKS = {Schema.MP: _check_mp, Schema.E: _check_e, Schema.C: _check_c,
           Schema.G: _check_g}
 

@@ -184,7 +184,7 @@ class ProofGraph:
 
     @cached_property
     def analyses(self) -> dict[ProofEdge, tuple]:
-        """Each query-level edge's analysis with the labels it read
+        """Each checked edge's verdict with the labels it read
         (:func:`~hornexplain.deriver_cq.analyze_edge`)."""
         return {}
 
@@ -369,7 +369,7 @@ def label_matches_goal(label: Label, goal: BooleanCQ) -> bool:
 def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
                    deriver: str = "sk") -> tuple[bool, list[str]]:
     """Full admissibility check against the KB and the goal query."""
-    from . import deriver_cq, deriver_sk
+    from .deriver_cq import analyze_edge
 
     sinks, leaves, problems = _walk(p)
     if problems:
@@ -384,25 +384,16 @@ def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
     if not label_matches_goal(p.vertices[sinks[0]], goal):
         problems.append("sink label does not match the goal query")
 
-    if deriver == "sk":
-        leaf_ok, checker = kb.sk_leaf_labels, deriver_sk.check_edge_labels
-    else:
-        leaf_ok, checker = kb.cq_leaf_labels, None
+    leaf_ok = kb.sk_leaf_labels if deriver == "sk" else kb.cq_leaf_labels
     for v in leaves:
         if p.vertices[v] not in leaf_ok:
             problems.append(f"leaf {v} ({format_label(p.vertices[v])}) is not "
                             "a fact or rule of the knowledge base")
-    for e in p.edges:
-        conclusion = p.vertices[e.conclusion]
-        if checker is not None:
-            err = checker(e.schema, tuple(p.vertices[q] for q in e.premises),
-                          conclusion, kb)
-        else:   # kept on the proof, where its translation reads it
-            err = deriver_cq.analyze_edge(p, e, kb)
-            err = err if isinstance(err, str) else None
-        if err is not None:
-            problems.append(
-                f"edge -> {format_label(conclusion)} [{e.schema.value}]: {err}")
+    for e in p.edges:   # each verdict is kept on the proof for a translation
+        err = analyze_edge(p, e, kb)
+        if isinstance(err, str):
+            label = format_label(p.vertices[e.conclusion])
+            problems.append(f"edge -> {label} [{e.schema.value}]: {err}")
     return not problems, problems
 
 

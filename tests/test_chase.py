@@ -5,7 +5,7 @@ import random
 import re
 
 from hornexplain.chase import ChaseState, chase, entails, match_query
-from hornexplain.deriver_sk import Ticker, saturate_kb
+from hornexplain.deriver_sk import BudgetExceeded, Ticker, saturate_kb
 from hornexplain.kb import (BooleanCQ, ConceptAtom, Const, EqAtom, RoleAtom,
                             SkolemTerm, Var, atom_key, atom_terms,
                             map_atom_terms, orient_equality, skolemize,
@@ -158,6 +158,35 @@ def test_entails_unknown_when_ceiling_hit(monkeypatch):
     assert entails(doc.kb, absent, ceiling=2).verdict == "no"
     monkeypatch.setattr(chase_module, "equality_free_fold", _no_fold)
     assert entails(doc.kb, absent, ceiling=2).verdict == "unknown"
+
+
+def test_entails_says_unknown_when_the_fold_runs_out_of_budget(monkeypatch):
+    """A fold that cannot be built within the budget refutes nothing: the
+    verdict is the deepening's ``unknown``, not ``no`` and not the
+    exception."""
+    doc = parse_document("rule: A(x) -> exists y. r(x,y), A(y)\n"
+                         "fact: A(a)\nquery: B(a)\n")
+    kb, absent = doc.kb, doc.queries[0]
+    assert entails(kb, absent, ceiling=2).verdict == "no"
+
+    def exhausted(*args, **kwargs):
+        raise BudgetExceeded("saturation exceeded 0 atoms")
+
+    monkeypatch.setattr(chase_module, "equality_free_fold", exhausted)
+    result = entails(kb, absent, ceiling=2)
+    assert (result.verdict, result.at_depth) == ("unknown", 2)
+
+
+def test_an_entailment_result_is_true_only_for_yes(ex1):
+    kb, q = ex1
+    doc = parse_document("rule: A(x) -> exists y. r(x,y), A(y)\n"
+                         "fact: A(a)\nquery: exists x. r(x,x)\n"
+                         "query: B(a)\n")
+    loop, absent = doc.queries
+    results = [entails(kb, q), entails(doc.kb, absent, ceiling=2),
+               entails(doc.kb, loop, ceiling=2)]
+    assert [(r.verdict, bool(r)) for r in results] == [
+        ("yes", True), ("no", False), ("unknown", False)]
 
 
 def test_entails_generated_el_instance():

@@ -17,10 +17,8 @@ import pytest
 
 import hornexplain
 from hornexplain.deriver_cq import (TransformError, analyze_mpe,
-                                    check_edge_labels as cq_check_edge,
-                                    mpe_apply, te_rule, transform_cq_to_sk,
-                                    transform_sk_to_cq)
-from hornexplain.deriver_sk import check_edge_labels as sk_check_edge
+                                    check_edge_labels, mpe_apply, te_rule,
+                                    transform_cq_to_sk, transform_sk_to_cq)
 from hornexplain.deriver_sk import saturate_kb
 from hornexplain.generators import (gen_dllite_chain, gen_dllite_tree_query,
                                     gen_el_tree)
@@ -271,10 +269,10 @@ def _ref_validate_proof(p, kb, goal, deriver="sk"):
         problems.append("sink label does not match the goal query")
     if deriver == "sk":
         leaf_ok = set(kb.abox) | set(kb.skolem_rules)
-        frozen, checker = (Schema.MP, _ref_check_mp), sk_check_edge
+        frozen = Schema.MP, _ref_check_mp
     else:
         leaf_ok = {BooleanCQ((a,), ()) for a in kb.abox} | set(kb.tbox)
-        frozen, checker = (Schema.MPe, _ref_check_mpe), cq_check_edge
+        frozen = Schema.MPe, _ref_check_mpe
     for v in sorted(v for v, es in _ref_incoming(p).items() if not es):
         if p.vertices[v] not in leaf_ok:
             problems.append(f"leaf {v} ({format_label(p.vertices[v])}) is not "
@@ -285,7 +283,7 @@ def _ref_validate_proof(p, kb, goal, deriver="sk"):
         if e.schema is frozen[0]:
             err = frozen[1](premises, conclusion, kb)
         else:
-            err = checker(e.schema, premises, conclusion, kb)
+            err = check_edge_labels(e.schema, premises, conclusion, kb)
         if err is not None:
             problems.append(
                 f"edge -> {format_label(conclusion)} [{e.schema.value}]: {err}")

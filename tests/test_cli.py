@@ -258,6 +258,38 @@ def test_internal_errors_exit_70(ex1_file, tmp_path, monkeypatch, capsys):
     assert "invalid proof: bad edge" in capsys.readouterr().err
 
 
+def test_the_query_comes_from_the_option_or_the_file(ex1_file, tmp_path,
+                                                     capsys):
+    """``--query`` overrides the file's queries; a file without one, or an
+    index past its queries, is a data error that says so."""
+    from hornexplain import cli
+
+    assert cli.main(["answer", ex1_file, "--query", "B(a)"]) == 1
+    assert capsys.readouterr().out == "no\n"
+    bare = tmp_path / "bare.kb"
+    bare.write_text("fact: A(a)\n")
+    assert cli.main(["answer", str(bare), "--query", "A(a)"]) == 0
+    assert capsys.readouterr().out == "yes, depth 0\n"
+    assert cli.main(["answer", str(bare)]) == 65
+    assert capsys.readouterr().err == \
+        "error: the file declares no query; pass one with --query\n"
+    for index in ("1", "-1"):
+        assert cli.main(["explain", ex1_file, "--query-index", index]) == 65
+        assert capsys.readouterr().err == \
+            f"error: query index {index} out of range\n"
+
+
+def test_explain_writes_the_status_as_json_when_nothing_is_found(tmp_path,
+                                                                 capsys):
+    from hornexplain import cli
+
+    path = tmp_path / "no.kb"
+    path.write_text("fact: A(a)\nquery: B(a)\n")
+    assert cli.main(["explain", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"schema_version": 1,
+                                                   "status": "none"}
+
+
 def test_convert_and_export_round_trip(ex1_file, tmp_path):
     proof = tmp_path / "p.json"
     run_cli("explain", ex1_file, "--measure", "size", "--format", "json",

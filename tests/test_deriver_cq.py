@@ -328,8 +328,8 @@ def _ground_proofs():
 
 def test_collect_steps_keeps_the_scan_and_sort_order():
     kinds = set()
-    for _, _, proof in _ground_proofs():
-        steps, facts = _collect_steps(proof)
+    for kb, _, proof in _ground_proofs():
+        steps, facts = _collect_steps(proof, kb, proof.sink())
         assert (steps, list(facts)) == _reference_collect_steps(proof)
         kinds |= {s.kind for s in steps}
     assert kinds == {"mp", "e"}
@@ -456,8 +456,8 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
 
 def test_sk_to_cq_rejects_a_malformed_ground_proof(ex1):
     """A ground-atom proof that no validation has seen is refused with a
-    TransformError that says why, not an assertion or an attribute error,
-    and the checker rejects the same proof."""
+    TransformError that says why, not an assertion, an attribute error or
+    an index error: the checker's reason for the step it rejects."""
     kb, q = ex1
     proof = explain(kb, q, RunConfig()).proof
     # an MP step that applies the original rule, not its Skolemization
@@ -476,18 +476,58 @@ def test_sk_to_cq_rejects_a_malformed_ground_proof(ex1):
     no_equality.add_edge(premises,
                          no_equality.add_vertex(ConceptAtom("A", Const("b"))),
                          Schema.E)
-    for bad, query, reason, found in [
-            (plain_rule, q, "an MP step must apply a Skolem rule",
-             "rule premise must be Skolemized"),
-            (from_query, goal, "the goal must be derived from ground atoms",
-             "premise must be a ground conjunction or atom"),
+    # a query sink generalized from nothing
+    no_premise = ProofGraph()
+    no_premise.add_edge((), no_premise.add_vertex(goal), Schema.G)
+    # an equality step with its atom and no equality
+    one_premise = ProofGraph()
+    one_premise.add_edge((one_premise.add_vertex(ConceptAtom("A", A_)),),
+                         one_premise.add_vertex(ConceptAtom("A", Const("b"))),
+                         Schema.E)
+    for bad, query, reason in [
+            (plain_rule, q, "invalid MP step: rule premise must be Skolemized"),
+            (no_premise, goal, "invalid G step: generalization takes a "
+             "single conjunction premise"),
+            (one_premise, BooleanCQ((ConceptAtom("A", Const("b")),), ()),
+             "invalid E step: equality replacement takes an atom and an "
+             "equality"),
+            (from_query, goal, "invalid G step: premise must be a ground "
+             "conjunction or atom"),
             (no_equality, BooleanCQ((ConceptAtom("A", Const("b")),), ()),
-             "an E step must apply an equality",
-             "second premise must be an equality")]:
+             "invalid E step: second premise must be an equality")]:
         with pytest.raises(TransformError, match=f"^{reason}$"):
             transform_sk_to_cq(bad, kb)
         ok, problems = validate_proof(bad, kb, query, "sk")
-        assert not ok and any(p.endswith(found) for p in problems)
+        schema, found = reason[len("invalid "):].split(" step: ")
+        assert not ok and any(p.endswith(f"[{schema}]: {found}")
+                              for p in problems)
+
+
+def test_both_translations_refuse_a_proof_without_one_sink(ex1):
+    """A proof with no sink, several sinks or a cycle is refused with a
+    TransformError that names the defect, in either direction."""
+    kb, _ = ex1
+    two = ProofGraph()
+    for name in "AB":
+        two.add_vertex(ConceptAtom(name, A_))
+    # a sink below a cycle: the walk from the sink meets the cycle
+    below = copy.deepcopy(two)
+    below.add_edge((0,), 1, Schema.E)
+    below.add_edge((1,), 0, Schema.E)
+    below.add_edge((1,), below.add_vertex(ConceptAtom("D", A_)), Schema.E)
+    fact = BooleanCQ((ConceptAtom("A", A_),), ())
+    ge_cycle = ProofGraph({0: fact, 1: fact}, [ProofEdge((0,), 1, Schema.Ge),
+                                               ProofEdge((1,), 0, Schema.Ge)])
+    for transform, p, reason in [
+            (transform_sk_to_cq, ProofGraph(),
+             "expected exactly one sink, found 0"),
+            (transform_sk_to_cq, two, "expected exactly one sink, found 2"),
+            (transform_sk_to_cq, below, "cycle detected"),
+            (transform_cq_to_sk, ProofGraph(),
+             "expected exactly one sink, found 0"),
+            (transform_cq_to_sk, ge_cycle, "cycle detected")]:
+        with pytest.raises(TransformError, match=f"^{reason}$"):
+            transform(p, kb)
 
 
 def test_a_tautology_shape_is_judged_once_per_rule(monkeypatch):
@@ -549,9 +589,9 @@ def test_each_schema_is_defined_in_one_table():
     assert set(deriver_cq.ANALYSES) == CQ_SCHEMAS
     # a Te step concludes a rule, which grounds to nothing
     assert set(deriver_cq.GROUNDINGS) == CQ_SCHEMAS - {Schema.Te}
-    # an analysis reads the labels only: the proof keeps it for the
-    # translation, and the KB's part of the check runs apart
-    for table, arity in ((deriver_sk.CHECKS, 3), (deriver_cq.ANALYSES, 2),
+    # a check or an analysis reads the labels only: the proof keeps its
+    # verdict for the translation, and the KB's part of the check runs apart
+    for table, arity in ((deriver_sk.CHECKS, 2), (deriver_cq.ANALYSES, 2),
                          (deriver_cq.GROUNDINGS, 4)):
         assert all(len(inspect.signature(f).parameters) == arity
                    for f in table.values())
@@ -759,13 +799,14 @@ def test_translations_are_byte_identical_to_the_pinned_ones(
 # ---------------------------------------------------------------------------
 
 def _count_analyses(monkeypatch) -> collections.Counter:
-    """Calls of each ANALYSES entry, by schema, from now on."""
+    """Calls of each ANALYSES and CHECKS entry, by schema, from now on."""
     calls = collections.Counter()
-    for schema, analyze in list(deriver_cq.ANALYSES.items()):
-        def counted(premises, conclusion, schema=schema, analyze=analyze):
-            calls[schema] += 1
-            return analyze(premises, conclusion)
-        monkeypatch.setitem(deriver_cq.ANALYSES, schema, counted)
+    for table in (deriver_cq.ANALYSES, deriver_sk.CHECKS):
+        for schema, analyze in list(table.items()):
+            def counted(premises, conclusion, schema=schema, analyze=analyze):
+                calls[schema] += 1
+                return analyze(premises, conclusion)
+            monkeypatch.setitem(table, schema, counted)
     return calls
 
 
@@ -804,6 +845,27 @@ def test_each_query_step_is_analyzed_once(monkeypatch, ex1, case, counts):
     assert proof_to_json(transform_cq_to_sk(fresh, kb)) == \
         proof_to_json(back)
     assert calls == {k: n for k, n in counts.items() if k is not Schema.Te}
+
+
+@pytest.mark.parametrize("text", [EX1_TEXT, _NOMINAL_TEXT])
+def test_each_ground_step_is_checked_once(monkeypatch, text):
+    """Validating a ground-atom proof and then translating it to query
+    steps checks each edge once: the translation reads the validation's
+    verdicts.  A copy read back from JSON has labels no validation has
+    seen, and its translation alone checks each edge once too."""
+    doc = parse_document(text)
+    kb, goal = doc.kb, doc.queries[0]
+    proof = explain(kb, goal, RunConfig(algo="exact")).proof
+    every = collections.Counter(e.schema for e in proof.edges)
+    calls = _count_analyses(monkeypatch)
+    assert validate_proof(proof, kb, goal, "sk")[0]
+    there = proof_to_json(transform_sk_to_cq(proof, kb))
+    assert calls == every and every[Schema.MP]
+
+    fresh, _ = proof_from_json(proof_to_json(proof))
+    calls.clear()
+    assert proof_to_json(transform_sk_to_cq(fresh, kb)) == there
+    assert calls == every
 
 
 def test_a_kept_analysis_serves_only_the_labels_it_was_made_for(

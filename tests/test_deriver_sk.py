@@ -10,9 +10,10 @@ import pytest
 from hornexplain import deriver_sk, matching
 from hornexplain.chase import chase
 from hornexplain.compress import dp_min_tree, extract_witness, fold
+from hornexplain.deriver_cq import check_edge_labels
 from hornexplain.deriver_sk import (BudgetExceeded, FiniteStructure, Ticker,
-                                    _replacements, check_edge_labels,
-                                    edge_key, saturate, saturate_kb)
+                                    _replacements, edge_key, saturate,
+                                    saturate_kb)
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
                             KBError, NormalForm, RoleAtom, SkolemRule,
                             SkolemTerm, Var, atom_key, atom_pred, atom_terms,

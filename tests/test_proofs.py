@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
-                            NormalForm, RoleAtom, Rule, SkolemRule, SkolemTerm,
-                            Var, atom_vars)
+                            KBError, NormalForm, RoleAtom, Rule, SkolemRule,
+                            SkolemTerm, Var, atom_vars)
 from hornexplain.kb import format_term as _format_term
 from hornexplain.proofs import (Measure, ProofEdge, ProofGraph, Schema,
                                 TautRule, check_proof_shape, domain_size,
@@ -182,6 +182,57 @@ def test_json_round_trip(ex1, ex1_reference_proof):
     assert ok, problems
 
 
+def _first(doc, kind):
+    return next(v for v in doc["vertices"] if v["kind"] == kind)
+
+
+_SKOLEM_FIELDS = ("a Skolem rule needs an integer 'index' and a string or "
+                  "null 'fn'")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: _first(d, "conjunction")["atoms"].append(3),
+     r"vertex \d+: 'atoms' must be a list of strings$"),
+    (lambda d: d.update(goal=[]), "goal: a label must be a JSON object$"),
+    (lambda d: _first(d, "skolem_rule").update(form="viii"),
+     r"vertex \d+: unknown rule form 'viii'$"),
+    (lambda d: _first(d, "skolem_rule").update(index="0"),
+     rf"vertex \d+: {_SKOLEM_FIELDS}$"),
+    (lambda d: _first(d, "skolem_rule").update(fn=0),
+     rf"vertex \d+: {_SKOLEM_FIELDS}$"),
+    (lambda d: _first(d, "atom").update(atom=7),
+     r"vertex \d+: an atom must be a string, not 7$"),
+    (lambda d: d.update(vertices={}),
+     "a proof needs 'vertices' and 'edges' lists$"),
+    (lambda d: d.update(edges=None),
+     "a proof needs 'vertices' and 'edges' lists$"),
+    (lambda d: d["vertices"][0].update(id="0"),
+     "vertex without an integer 'id': {"),
+    (lambda d: d["vertices"].append(5), "vertex without an integer 'id': 5$"),
+    (lambda d: d["vertices"].append(dict(d["vertices"][0])),
+     r"vertex \d+ is defined twice$"),
+    (lambda d: d["edges"].append([0]),
+     r"an edge must be a JSON object: \[0\]$"),
+    (lambda d: d["edges"][0].pop("premises"),
+     r"edge into \d+ has no 'premises' list$"),
+    (lambda d: d["goal"].update(evars="xp"),
+     "goal: 'evars' must be a list of strings$"),
+    (lambda d: d.update(goal={"kind": "atom", "atom": "A(a)"}),
+     "the goal must be a 'cq' label$"),
+], ids=["list-entry", "label", "rule-form", "skolem-index", "skolem-fn",
+        "atom", "vertices", "edges", "vertex-id", "vertex-object",
+        "duplicate-id", "edge-object", "edge-premises", "goal-evars",
+        "goal-kind"])
+def test_proof_from_json_names_each_malformed_part(ex1, ex1_reference_proof,
+                                                   change, message):
+    """Each rejection of a proof document, one defect at a time in an
+    otherwise valid one, says which part is wrong."""
+    doc = json.loads(proof_to_json(ex1_reference_proof, ex1[1]))
+    change(doc)
+    with pytest.raises(KBError, match=f"^{message}"):
+        proof_from_json(json.dumps(doc))
+
+
 def test_dot_export_shapes(ex1_reference_proof):
     dot = proof_to_dot(ex1_reference_proof)
     assert dot.startswith("digraph proof {")
@@ -206,10 +257,9 @@ def test_schema_tags_are_deriver_specific(ex1, ex1_reference_proof):
 def test_each_kind_of_label_is_the_value_it_labels():
     """One label of each kind, with no wrapper around it, through the label
     key, the display text, the JSON round trip, the knowledge base's leaf
-    labels and each checker's test of a premise's or conclusion's kind."""
-    from hornexplain.deriver_cq import check_edge_labels as cq_check
+    labels and the checker's test of a premise's or conclusion's kind."""
+    from hornexplain.deriver_cq import check_edge_labels as check
     from hornexplain.deriver_cq import te_rule
-    from hornexplain.deriver_sk import check_edge_labels as sk_check
     from hornexplain.parser import parse_kb
 
     kb = parse_kb("rule: A(x) -> exists y. r(x,y), B(y)\nfact: A(a)\n")
@@ -283,16 +333,15 @@ def test_each_kind_of_label_is_the_value_it_labels():
         (lambda x: (x,), None, Schema.Ge, {"cq"},
          {"generalization takes a single query premise"}),
     ]
-    for check, cases in ((sk_check, sk_cases), (cq_check, cq_cases)):
-        for premises, conclusion, schema, kinds, errors in cases:
-            for kind, lab in labels.items():
-                err = check(schema, premises(lab), conclusion or cq, kb)
-                if kind in kinds:
-                    assert err not in errors, (schema, kind, err)
-                else:
-                    assert err in errors, (schema, kind, err)
+    for premises, conclusion, schema, kinds, errors in sk_cases + cq_cases:
+        for kind, lab in labels.items():
+            err = check(schema, premises(lab), conclusion or cq, kb)
+            if kind in kinds:
+                assert err not in errors, (schema, kind, err)
+            else:
+                assert err in errors, (schema, kind, err)
     for kind, lab in labels.items():
-        err = cq_check(Schema.Te, (), lab, kb)
+        err = check(Schema.Te, (), lab, kb)
         assert (err is None) == (kind == "taut_rule"), (kind, err)
         assert kind == "taut_rule" \
             or err == "conclusion must be a tautological rule"

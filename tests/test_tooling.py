@@ -69,6 +69,21 @@ def test_no_two_functions_in_a_module_share_a_body():
     assert not _function_clashes(ROOT / "src" / "hornexplain")
 
 
+def test_no_two_modules_define_one_public_name():
+    """A top-level function or class is defined in one module of the
+    package; a second one of the same name would leave two versions of it
+    to keep in step.  Private helpers (a leading underscore) are exempt."""
+    defined: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "hornexplain").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined.setdefault(node.name, []).append(path.stem)
+    assert not {name: modules for name, modules in defined.items()
+                if len(modules) > 1}
+
+
 def _budget_bypasses(src: Path) -> list[str]:
     """Outside the run's budget itself (``deriver_sk.Ticker``): clock reads
     other than the bench command's wall time, reads of the time a ticker
