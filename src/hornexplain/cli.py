@@ -22,13 +22,15 @@ import time
 from typing import Optional
 
 from .chase import chase, entails
+from .deriver_cq import transform_cq_to_sk, transform_sk_to_cq
 from .generators import FAMILIES, gen_sat, gen_sat_cq
-from .kb import BooleanCQ, KBError, KnowledgeBase, format_atom, term_key
+from .kb import (BooleanCQ, ConceptAtom, KBError, KnowledgeBase, RoleAtom,
+                 format_atom, term_key)
 from .parser import (format_term_surface, normalize_document_text,
                      parse_document, serialize_document)
 from .proofs import (Measure, check_proof_shape, format_label,
-                     proof_from_json, proof_to_dot, proof_to_json,
-                     validate_proof)
+                     inference_steps, proof_from_json, proof_to_dot,
+                     proof_to_json, validate_proof)
 from .search import RunConfig, explain
 
 USAGE_ERROR = 64
@@ -58,10 +60,9 @@ def _read(path: str) -> str:
 
 def _load(path: str, query: Optional[str], query_index: int
           ) -> tuple[KnowledgeBase, BooleanCQ]:
-    doc = parse_document(_read(path))
+    doc = parse_document(_read(path), query)
     if query is not None:
-        from .parser import parse_query_text
-        return doc.kb, parse_query_text(query)
+        return doc.kb, doc.queries[0]
     if not doc.queries:
         raise KBError("the file declares no query; pass one with --query")
     if not 0 <= query_index < len(doc.queries):
@@ -148,7 +149,6 @@ def cmd_explain(args) -> int:
         algorithm = result.algorithm if result.complete \
             else f"{result.algorithm}, uncertified"
         lines = [f"{args.measure} = {result.value} ({algorithm})"]
-        from .proofs import inference_steps
         for schema, premises, conclusions in inference_steps(result.proof):
             prem = "; ".join(format_label(result.proof.vertices[v])
                              for v in premises)
@@ -172,15 +172,14 @@ def cmd_chase(args) -> int:
 
 
 def _chase_dot(state) -> str:
-    from .kb import ConceptAtom as CA, RoleAtom as RA
     concepts: dict = {}
     edges = []
     terms = set()
     for atom in state.sorted_atoms():
-        if isinstance(atom, CA):
+        if isinstance(atom, ConceptAtom):
             concepts.setdefault(atom.term, []).append(atom.concept)
             terms.add(atom.term)
-        elif isinstance(atom, RA):
+        elif isinstance(atom, RoleAtom):
             edges.append(atom)
             terms.add(atom.subj)
             terms.add(atom.obj)
@@ -245,7 +244,6 @@ def cmd_convert(args) -> int:
     kb = parse_document(_read(args.kb)).kb
     if goal is None:
         raise KBError("proof file carries no goal, cannot convert safely")
-    from .deriver_cq import transform_cq_to_sk, transform_sk_to_cq
     current = proof.deriver()
     ok, problems = validate_proof(proof, kb, goal, current)
     if not ok:

@@ -26,8 +26,8 @@ from .kb import (ATOM_TYPES, Atom, BooleanCQ, Const, EqAtom, KBError,
                  term_is_ground, term_key, variables_of)
 from .matching import (AtomIndex, bind_term, match_conjunction,
                        match_positionally, unify_atom)
-from .proofs import (RULE_TYPES, SK_SCHEMAS, Label, ProofEdge, ProofGraph,
-                     Schema, TautRule, _postorder)
+from .proofs import (RULE_TYPES, Label, ProofEdge, ProofGraph, Schema,
+                     TautRule, _conditions, _postorder)
 
 
 class TransformError(KBError):
@@ -149,16 +149,15 @@ def check_edge_labels(schema: Schema, premises: tuple[Label, ...],
     return found if isinstance(found, str) else None
 
 
-def analyze_edge(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase,
-                 reuse: bool = False):
+def analyze_edge(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase):
     """The verdict on an edge of either calculus: what its query-level step
     is made of (its entry in ``ANALYSES``), None for a valid ground-atom
     step (``deriver_sk.CHECKS``), or why the step is invalid as a string.
 
-    The verdict is kept on the proof with the labels it read.  With
-    ``reuse``, one kept for labels that are still the proof's own objects
-    is read instead of made again.  The KB's part of the check is not kept:
-    it runs on every call.
+    The verdict is kept on the proof with the labels it read, and one kept
+    for labels that are still the proof's own objects is read instead of
+    made again.  The KB's part of the check is not kept: it runs on every
+    call.
     """
     vertices = p.vertices
     premises = tuple(map(vertices.__getitem__, edge.premises))
@@ -167,11 +166,10 @@ def analyze_edge(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase,
     err = _rule_error(schema, premises, kb)
     if err is not None:
         return err
-    if reuse:
-        kept = p.analyses.get(edge)
-        if kept is not None and kept[0] is conclusion \
-                and all(map(is_, kept[1], premises)):
-            return kept[2]
+    kept = p.analyses.get(edge)
+    if kept is not None and kept[0] is conclusion \
+            and all(map(is_, kept[1], premises)):
+        return kept[2]
     found = (ANALYSES.get(schema) or CHECKS[schema])(premises, conclusion)
     p.analyses[edge] = conclusion, premises, found
     return found
@@ -419,17 +417,14 @@ def _analyze_ce(premises, conclusion) -> dict[Var, Term] | str:
     if mapping is None:
         return "conclusion tail is not a renaming of the second premise"
     image = set()
-    for v, t in mapping.items():
-        if not isinstance(t, Var) and not term_is_ground(t):
+    for t in mapping.values():
+        if not isinstance(t, Var):      # a ground term included
             return "conjunction only renames variables"
-        if isinstance(t, Var):
-            if t in cq1.variables():
-                return "second premise must be renamed apart"
-            if t in image:
-                return "renaming must be injective"
-            image.add(t)
-        elif v != t:
-            return "constants cannot be renamed"
+        if t in cq1.variables():
+            return "second premise must be renamed apart"
+        if t in image:
+            return "renaming must be injective"
+        image.add(t)
     return mapping
 
 
@@ -466,10 +461,11 @@ ANALYSES = {Schema.MPe: _analyze_mpe_step, Schema.Te: _analyze_te,
 # Ground-atom proofs -> query proofs
 # ---------------------------------------------------------------------------
 
-def _goal_and_targets(p: ProofGraph, sink: int
+def _goal_and_targets(p: ProofGraph, sink: int, edges: list[ProofEdge]
                       ) -> tuple[BooleanCQ, list[Atom]]:
-    """The goal query of a ground-atom proof whose steps are valid and its
-    atom instances, one per goal-atom occurrence."""
+    """The goal query of a ground-atom proof whose leaves and steps are
+    valid, given the edges into its sink, and its atom instances, one per
+    goal-atom occurrence."""
     label = p.vertices[sink]
     if isinstance(label, ATOM_TYPES):
         return BooleanCQ((label,), ()), [label]
@@ -477,10 +473,9 @@ def _goal_and_targets(p: ProofGraph, sink: int
         return BooleanCQ(label, ()), list(label)
     if not isinstance(label, BooleanCQ):
         raise TransformError("sink must be an atom, conjunction, or query")
-    edges = p.incoming()[sink]
-    if not edges:
-        raise TransformError("query-labeled sink must be derived")
-    edge = edges[0]     # a valid one: C from atoms, G from an atom or tuple
+    # a query is no leaf, so a step concludes it: C from atoms, G from an
+    # atom or a tuple
+    edge = edges[0]
     if edge.schema is Schema.C:
         return label, [p.vertices[v] for v in edge.premises]
     premise = p.vertices[edge.premises[0]]
@@ -491,19 +486,10 @@ def _goal_and_targets(p: ProofGraph, sink: int
 def _verdict(p: ProofGraph, edge: ProofEdge, kb: KnowledgeBase):
     """The checker's verdict on a step a translation reads, kept or new
     (:func:`analyze_edge`); TransformError when the step is invalid."""
-    found = analyze_edge(p, edge, kb, reuse=True)
+    found = analyze_edge(p, edge, kb)
     if isinstance(found, str):
         raise TransformError(f"invalid {edge.schema.value} step: {found}")
     return found
-
-
-def _shape_checked(walk: Callable[[], object]):
-    """What a walk of the proof's shape (its sink, an order) returns; a
-    proof without one sink, or with a cycle, raises TransformError."""
-    try:
-        return walk()
-    except ValueError as exc:
-        raise TransformError(str(exc)) from None
 
 
 @dataclass
@@ -515,20 +501,20 @@ class _Step:
     equality: Optional[EqAtom] = None
 
 
-def _collect_steps(p: ProofGraph, kb: KnowledgeBase, sink: int
+def _collect_steps(p: ProofGraph, kb: KnowledgeBase, sink: int,
+                   inc: dict[int, list[ProofEdge]]
                    ) -> tuple[list[_Step], dict[Atom, None]]:
-    """Atom-level inference steps of a ground proof, dependency-ordered,
-    with rule applications sharing premises aggregated into one step, and
-    the facts it rests on.  Both are read in postorder from the sink, so
-    they do not depend on the vertex ids.  Each step read is checked
-    (:func:`_verdict`), so a step's labels are the atoms and the rule its
-    schema takes."""
-    inc = p.incoming()
+    """Atom-level inference steps of a ground proof that passes
+    :func:`_conditions`, dependency-ordered, with rule applications sharing
+    premises aggregated into one step, and the facts it rests on.  Both are
+    read in postorder from the sink, so they do not depend on the vertex
+    ids.  Each step read is checked (:func:`_verdict`), so a step's labels
+    are the atoms and the rule its schema takes."""
     mp_groups: dict[tuple, _Step] = {}
     e_groups: dict[EqAtom, _Step] = {}
     facts: dict[Atom, None] = {}
     vertices = p.vertices
-    for v in _shape_checked(lambda: list(_postorder(inc, [sink]))):
+    for v in _postorder(inc, [sink]):
         label = vertices[v]
         edges = inc[v]
         if not edges:
@@ -536,9 +522,6 @@ def _collect_steps(p: ProofGraph, kb: KnowledgeBase, sink: int
                 facts[label] = None
             continue
         e = edges[0]
-        if e.schema not in SK_SCHEMAS:
-            raise TransformError(f"unexpected schema {e.schema.value} in a "
-                                 "ground-atom proof")
         _verdict(p, e, kb)
         if e.schema is Schema.MP:
             rule = vertices[e.premises[-1]]
@@ -603,12 +586,15 @@ def transform_sk_to_cq(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     atoms still needed later.  Each collected conjunction is labelled by
     its query, its Skolem terms named by variables (:func:`_skolem_naming`)
     and closed; the last step derives the goal as written.  A goal that
-    names a Skolem term has no query label, and an invalid step reads as
-    in the checker: TransformError.
+    names a Skolem term has no query label, and what the checker refuses
+    reads as there, its first proof-level problem (:func:`_conditions`)
+    before any step's: TransformError.
     """
-    sink = _shape_checked(p.sink)
-    steps, facts = _collect_steps(p, kb, sink)
-    goal, target_atoms = _goal_and_targets(p, sink)
+    sink, inc, _, problems = _conditions(p, kb, "sk")
+    if problems:
+        raise TransformError(problems[0])
+    steps, facts = _collect_steps(p, kb, sink, inc)
+    goal, target_atoms = _goal_and_targets(p, sink, inc[sink])
     if any(isinstance(t, SkolemTerm) for a in goal.atoms
            for t in atom_terms(a)):
         raise TransformError("the goal names a Skolem term, which a query "
@@ -741,30 +727,28 @@ def transform_cq_to_sk(p: ProofGraph, kb: KnowledgeBase) -> ProofGraph:
     re-derived backward from the goal instance.  Each step is grounded from
     the checker's analysis of it: after a validation of the same proof, the
     one the validation kept for the same label objects, else a new one
-    (:func:`analyze_edge`); TransformError when the step is invalid.
+    (:func:`analyze_edge`).  What the checker refuses reads as there, its
+    first proof-level problem (:func:`_conditions`) before any step's:
+    TransformError.
     """
-    inc = p.incoming()
+    sink, inc, order, problems = _conditions(p, kb, "cq")
+    if problems:
+        raise TransformError(problems[0])
     g = _Grounding(p, kb)
-    for v in _shape_checked(p.topological_order):
+    for v in order:
         label = p.vertices[v]
         edges = inc[v]
         if isinstance(label, RULE_TYPES):
             continue
-        if not edges:
-            if not isinstance(label, BooleanCQ) or label.existential_vars \
-                    or len(label.atoms) != 1:
-                raise TransformError("query-proof leaves must be single facts")
+        if not edges:       # a fact, as the leaf check found
             g.gamma[v] = {}
             g.producer.setdefault(label.atoms[0], (None, ()))
             continue
         edge = edges[0]
-        ground = GROUNDINGS.get(edge.schema)
-        if ground is None:
-            raise TransformError(f"unexpected schema {edge.schema.value} in "
-                                 "a query-level proof")
-        ground(g, edge, v, _verdict(p, edge, kb))
+        # a Te step that passes concludes a rule, which is skipped above
+        found = _verdict(p, edge, kb)
+        GROUNDINGS[edge.schema](g, edge, v, found)
 
-    sink = _shape_checked(p.sink)
     goal = p.vertices[sink]
     if not isinstance(goal, BooleanCQ):
         raise TransformError("query-proof sinks carry queries")
@@ -891,9 +875,8 @@ def _ground_ce(g: _Grounding, edge, v: int, mapping: dict[Var, Term]
     left_vid, right_vid = edge.premises
     gamma = dict(g.gamma[left_vid])
     gamma_right = g.gamma[right_vid]
-    for var, target in mapping.items():
-        if isinstance(target, Var):
-            gamma[target] = gamma_right[var]
+    for var, target in mapping.items():     # a renaming (_analyze_ce)
+        gamma[target] = gamma_right[var]
     g.gamma[v] = gamma
     g[v] = list(dict.fromkeys(g[left_vid] + g[right_vid]))
 

@@ -421,7 +421,9 @@ def _read_statement(raw: str, lineno: int) -> Optional[tuple]:
     return statement
 
 
-def parse_document(text: str) -> Document:
+def parse_document(text: str, query: Optional[str] = None) -> Document:
+    """The document; ``query``, a query without its 'query:' marker, is
+    read as one more 'query:' line, at line 0, that comes first."""
     rules: list[tuple[int, Rule]] = []
     facts: list[tuple[int, Atom]] = []
     queries: list[BooleanCQ] = []
@@ -434,6 +436,9 @@ def parse_document(text: str) -> Document:
             queries.append(value)
         else:
             (rules if kind == "rule" else facts).append((lineno, value))
+    if query is not None:
+        queries.insert(0, parse_query_text(query))
+        _scan_reserved(queries[0].atoms, 0)
 
     try:
         kb = make_kb([r for _, r in rules], [a for _, a in facts])

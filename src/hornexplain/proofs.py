@@ -28,6 +28,10 @@ from .matching import match_positionally
 
 
 class Schema(Enum):
+    # the members are singletons compared by identity; Enum's own hash is
+    # a Python-level call on the name
+    __hash__ = object.__hash__
+
     MP = "MP"
     E = "E"
     C = "C"
@@ -89,9 +93,8 @@ def _taut_shape_error(rule: TautRule) -> Optional[str]:
     for v, t in mapping.items():
         if not isinstance(t, Var):
             return "tautologies only rename variables"
-        if t in seen.values() and seen.get(t) != v:
+        if seen.setdefault(t, v) != v:
             return "tautology renaming must be injective"
-        seen[t] = v
         if t != v and t not in image_evars:
             return "renamed variables must be re-quantified"
     for v in image_evars:
@@ -207,15 +210,11 @@ class ProofGraph:
         return inc
 
     def sink(self) -> int:
-        premises = {q for e in self.edges for q in e.premises}
-        sinks = [v for v in self.vertices if v not in premises]
-        if len(sinks) != 1:
-            raise ValueError(f"expected exactly one sink, found {len(sinks)}")
-        return sinks[0]
+        return _shaped(self).sink
 
     def topological_order(self) -> list[int]:
-        """Vertices ordered premises before conclusions; raises on cycles."""
-        return list(_postorder(self.incoming(), sorted(self.vertices)))
+        """Vertices ordered premises before conclusions, roots by id."""
+        return _shaped(self).order
 
     def deriver(self) -> str:
         if any(e.schema in CQ_SCHEMAS for e in self.edges):
@@ -233,14 +232,10 @@ def proof_size(p: ProofGraph) -> int:
 
 def tree_size(p: ProofGraph) -> int:
     """Size of the tree unraveling: shared premises count once per use."""
-    inc = p.incoming()
-    sink = p.sink()
+    sink, inc, order = _shaped(p)[:3]
     memo: dict[int, int] = {}
-    for v in _postorder(inc, [sink]):
+    for v in order:
         es = inc[v]
-        if len(es) > 1:
-            raise ValueError("tree size needs at most one incoming edge "
-                             "per vertex")
         memo[v] = 1 + sum(memo[q] for q in es[0].premises) if es else 1
     return memo[sink]
 
@@ -278,34 +273,25 @@ def measure(p: ProofGraph, m: Measure) -> int:
 
 def tree_unravel(p: ProofGraph) -> ProofGraph:
     """Duplicate shared subproofs so the result is a tree."""
-    inc = p.incoming()
+    sink, inc = _shaped(p)[:2]
     tree = ProofGraph()
-    on_path: set[int] = set()
 
-    def start(v: int) -> tuple[int, int, Optional[ProofEdge], list[int]]:
-        if v in on_path:
-            raise ValueError("cycle detected")
+    def start(v: int) -> tuple[int, Optional[ProofEdge], list[int]]:
         es = inc[v]
-        if len(es) > 1:
-            raise ValueError("unraveling needs at most one incoming edge "
-                             "per vertex")
-        on_path.add(v)
-        return v, tree.add_vertex(p.vertices[v]), \
-            (es[0] if es else None), []
+        return tree.add_vertex(p.vertices[v]), (es[0] if es else None), []
 
     # copies get ids in preorder, edges are added in postorder
-    stack = [start(p.sink())]
+    stack = [start(sink)]
     while stack:
-        v, nid, e, copies = stack[-1]
+        nid, e, copies = stack[-1]
         if e is not None and len(copies) < len(e.premises):
             stack.append(start(e.premises[len(copies)]))
             continue
         stack.pop()
-        on_path.discard(v)
         if e is not None:
             tree.add_edge(tuple(copies), nid, e.schema)
         if stack:
-            stack[-1][3].append(nid)
+            stack[-1][2].append(nid)
     return tree
 
 
@@ -321,10 +307,27 @@ def sub_derivation(p: ProofGraph, vid: int) -> ProofGraph:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _walk(p: ProofGraph) -> tuple[list[int], list[int], list[str]]:
-    """The sinks, the leaves and the shape problems, from one walk."""
+class _Conditions(NamedTuple):
+    """What :func:`_conditions` finds: the sink (None when a problem ends
+    the check), the incoming edges of each vertex, every vertex after its
+    premises (roots by id) and the problems, in report order."""
+
+    sink: Optional[int]
+    incoming: dict[int, list[ProofEdge]]
+    order: list[int]
+    problems: list[str]
+
+
+def _conditions(p: ProofGraph, kb: Optional[KnowledgeBase] = None,
+                deriver: Optional[str] = None,
+                goal: Optional[BooleanCQ] = None) -> _Conditions:
+    """Every proof-level condition, each decided here alone: the shape (one
+    sink, at most one incoming edge per vertex, no cycle, no edge naming an
+    id that is no vertex); with a deriver, each edge's schema against its
+    calculus; with a goal, the sink's label; with a KB (and a deriver), the
+    leaves.  A shape or calculus problem ends the check."""
     if not p.vertices:
-        return [], [], ["proof has no vertices"]
+        return _Conditions(None, {}, [], ["proof has no vertices"])
     ids = sorted(p.vertices)
     inc = p.incoming()
     premises = {q for e in p.edges for q in e.premises}
@@ -335,8 +338,9 @@ def _walk(p: ProofGraph) -> tuple[list[int], list[int], list[str]]:
                  for v in ids if len(inc[v]) > 1]
     for q in premises.difference(p.vertices):
         inc.setdefault(q, [])       # not a vertex: a leaf of the walk
+    order: list[int] = []
     try:
-        list(_postorder(inc, ids))
+        order = list(_postorder(inc, ids))
     except ValueError:
         problems.append("acyclicity violated")
     if len(inc) > len(ids):         # an edge names an id that is no vertex
@@ -345,12 +349,36 @@ def _walk(p: ProofGraph) -> tuple[list[int], list[int], list[str]]:
                              .difference(p.vertices))
             if missing:
                 problems.append(f"edge references unknown vertices {missing}")
-    return sinks, [v for v in ids if not inc[v]], problems
+    if not problems and deriver is not None:
+        allowed = SK_SCHEMAS if deriver == "sk" else CQ_SCHEMAS
+        problems = [f"schema {e.schema.value} not available in the "
+                    f"{deriver} deriver" for e in p.edges
+                    if e.schema not in allowed]
+    if problems:
+        return _Conditions(None, inc, order, problems)
+    sink = sinks[0]
+    if goal is not None and not label_matches_goal(p.vertices[sink], goal):
+        problems.append("sink label does not match the goal query")
+    if kb is not None:
+        leaf_ok = kb.sk_leaf_labels if deriver == "sk" else kb.cq_leaf_labels
+        problems += [f"leaf {v} ({format_label(p.vertices[v])}) is not a "
+                     "fact or rule of the knowledge base"
+                     for v in ids if not inc[v]
+                     and p.vertices[v] not in leaf_ok]
+    return _Conditions(sink, inc, order, problems)
+
+
+def _shaped(p: ProofGraph) -> _Conditions:
+    """The proof's shape; ValueError with its first shape problem."""
+    found = _conditions(p)
+    if found.problems:
+        raise ValueError(found.problems[0])
+    return found
 
 
 def check_proof_shape(p: ProofGraph) -> tuple[bool, list[str]]:
     """The deriver-independent proof conditions."""
-    problems = _walk(p)[2]
+    problems = _conditions(p).problems
     return not problems, problems
 
 
@@ -371,24 +399,10 @@ def validate_proof(p: ProofGraph, kb: KnowledgeBase, goal: BooleanCQ,
     """Full admissibility check against the KB and the goal query."""
     from .deriver_cq import analyze_edge
 
-    sinks, leaves, problems = _walk(p)
-    if problems:
+    found = _conditions(p, kb, deriver, goal)
+    problems = found.problems
+    if found.sink is None:
         return False, problems
-
-    allowed = SK_SCHEMAS if deriver == "sk" else CQ_SCHEMAS
-    problems = [f"schema {e.schema.value} not available in the {deriver} "
-                "deriver" for e in p.edges if e.schema not in allowed]
-    if problems:
-        return False, problems
-
-    if not label_matches_goal(p.vertices[sinks[0]], goal):
-        problems.append("sink label does not match the goal query")
-
-    leaf_ok = kb.sk_leaf_labels if deriver == "sk" else kb.cq_leaf_labels
-    for v in leaves:
-        if p.vertices[v] not in leaf_ok:
-            problems.append(f"leaf {v} ({format_label(p.vertices[v])}) is not "
-                            "a fact or rule of the knowledge base")
     for e in p.edges:   # each verdict is kept on the proof for a translation
         err = analyze_edge(p, e, kb)
         if isinstance(err, str):

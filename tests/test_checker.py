@@ -349,6 +349,155 @@ def test_an_edge_naming_an_unknown_vertex_is_reported(ex1, edge, expected):
         _ref_check_proof_shape(p)
 
 
+# ---------------------------------------------------------------------------
+# Every step reason, through validate_proof
+# ---------------------------------------------------------------------------
+
+_A, _B = Const("a"), Const("b")
+_X, _Y, _Z = Var("x"), Var("y"), Var("z")
+_REASONS_KB = parse_kb("rule: A(x) -> B(x)\nfact: A(a)\nfact: B(b)\n"
+                       "fact: r(a,b)\n")
+
+
+def _fact(atom):
+    return BooleanCQ((atom,), ())
+
+
+def _tautology_proof(taut):
+    """The fact A(a), the tautology (Te) and its application (MPe) to a
+    conclusion that repeats A(a)."""
+    goal = BooleanCQ((ConceptAtom("A", _A),) * 2, ())
+    return ProofGraph({0: _fact(ConceptAtom("A", _A)), 1: taut, 2: goal},
+                      [ProofEdge((), 1, Schema.Te),
+                       ProofEdge((0, 1), 2, Schema.MPe)])
+
+
+def _generalized(premise, conclusion, then):
+    """The fact ``premise`` generalized (Ge) to ``conclusion`` (vertex 1);
+    ``then`` adds the rest of the proof."""
+    p = ProofGraph({0: _fact(premise), 1: conclusion},
+                   [ProofEdge((0,), 1, Schema.Ge)])
+    then(p)
+    return p
+
+
+def _conjoined(premise, general, conclusion):
+    """Ce of the fact A(a) and ``general``, which generalizes the fact
+    ``premise``, into ``conclusion``."""
+    def then(p):
+        first = p.add_vertex(_fact(ConceptAtom("A", _A)))
+        p.add_edge((first, 1), p.add_vertex(conclusion), Schema.Ce)
+    return _generalized(premise, general, then)
+
+
+def _ground_step(premises, conclusion, schema):
+    p = ProofGraph()
+    ids = [p.add_vertex(label) for label in premises]
+    p.add_edge(ids, p.add_vertex(conclusion), schema)
+    return p
+
+
+_R_XY = BooleanCQ((RoleAtom("r", _X, _Y),), (_X, _Y))
+
+
+def _swapped(p):
+    """Ge from r(?x,?y) at vertex 1 to r(?y,?x)."""
+    p.add_edge((1,), p.add_vertex(BooleanCQ((RoleAtom("r", _Y, _X),),
+                                            (_Y, _X))), Schema.Ge)
+
+
+_F_A = SkolemTerm("f", _A)
+
+
+@pytest.mark.parametrize("proof, deriver, reason", [
+    pytest.param(_tautology_proof(TautRule(
+        (ConceptAtom("A", _X),), (ConceptAtom("B", _X),), ())), "cq",
+        "tautology head must be a variable renaming of the pattern",
+        id="taut-no-renaming"),
+    pytest.param(_tautology_proof(TautRule(
+        (ConceptAtom("A", _X),), (ConceptAtom("A", _A),), ())), "cq",
+        "tautologies only rename variables", id="taut-constant"),
+    pytest.param(_tautology_proof(TautRule(
+        (RoleAtom("r", _X, _Y),), (RoleAtom("r", _Y, _Y),), (_Y,))), "cq",
+        "tautology renaming must be injective", id="taut-not-injective"),
+    pytest.param(_tautology_proof(TautRule(
+        (ConceptAtom("A", _X),), (ConceptAtom("A", _Y),), ())), "cq",
+        "renamed variables must be re-quantified", id="taut-free-rename"),
+    pytest.param(_tautology_proof(TautRule(
+        (ConceptAtom("A", _X),), (ConceptAtom("A", _X),), (_Z,))), "cq",
+        "existential variables must occur in the head",
+        id="taut-unused-evar"),
+    # an MP step whose Skolem rule is another KB's rule of the same index
+    pytest.param(_ground_step(
+        (ConceptAtom("A", _A), parse_kb("rule: A(x) -> C(x)\n")
+         .skolem_rules[0]), ConceptAtom("C", _A), Schema.MP), "sk",
+        "rule is not from the TBox", id="mp-foreign-rule"),
+    pytest.param(ProofGraph({0: _fact(ConceptAtom("A", _A)),
+                             1: ConceptAtom("A", _A)},
+                            [ProofEdge((0,), 1, Schema.Ee)]), "cq",
+                 "conclusion must be a query", id="ee-atom-conclusion"),
+    pytest.param(_conjoined(ConceptAtom("B", _B),
+                            BooleanCQ((ConceptAtom("B", _X),), (_X,)),
+                            BooleanCQ((ConceptAtom("A", _A),
+                                       ConceptAtom("B", _B)), ())), "cq",
+                 "conjunction only renames variables", id="ce-to-constant"),
+    pytest.param(_conjoined(RoleAtom("r", _A, _B), _R_XY,
+                            BooleanCQ((ConceptAtom("A", _A),
+                                       RoleAtom("r", _Z, _Z)), (_Z,))), "cq",
+                 "renaming must be injective", id="ce-not-injective"),
+    pytest.param(_generalized(RoleAtom("r", _A, _B), _R_XY, _swapped), "cq",
+                 "existing variables cannot be remapped", id="ge-remap"),
+    pytest.param(_ground_step(
+        (ConceptAtom("A", _F_A), EqAtom(_F_A, SkolemTerm("g", _A))),
+        ConceptAtom("A", _A), Schema.E), "sk",
+        "equality cannot be oriented toward a constant", id="e-no-constant"),
+    pytest.param(_ground_step((ConceptAtom("A", _A), EqAtom(_A, _A)),
+                              ConceptAtom("A", _A), Schema.E), "sk",
+                 "equality is trivial", id="e-trivial"),
+    pytest.param(_ground_step((ConceptAtom("B", _B), EqAtom(_A, _F_A)),
+                              ConceptAtom("B", _A), Schema.E), "sk",
+                 "replaced term does not occur at the top level of the atom",
+                 id="e-skolem-side"),
+])
+def test_each_step_reason_reaches_validate_proof(proof, deriver, reason):
+    """Every reason a step check gives is reported by ``validate_proof`` on
+    the proof's last edge, with its text; the translation of the proof
+    refuses it as well."""
+    kb = _REASONS_KB
+    edge = proof.edges[-1]
+    goal_label = proof.vertices[edge.conclusion]
+    goal = goal_label if isinstance(goal_label, BooleanCQ) \
+        else _fact(goal_label)
+    ok, problems = validate_proof(proof, kb, goal, deriver)
+    assert not ok
+    assert f"edge -> {format_label(goal_label)} [{edge.schema.value}]: " \
+        f"{reason}" in problems
+    with pytest.raises(TransformError):
+        (transform_sk_to_cq if deriver == "sk" else transform_cq_to_sk)(
+            proof, kb)
+
+
+def test_a_swapped_pair_of_variables_is_a_tautology():
+    """A renaming that swaps two re-quantified variables is injective, and
+    a tautology; one that sends two variables to one is neither, and the
+    proof of ``exists y. r(y,y)`` from ``r(a,b)`` that it gave is refused."""
+    kb = parse_kb("fact: r(a,b)\n")
+    swap = TautRule((RoleAtom("r", _X, _Y),), (RoleAtom("r", _Y, _X),),
+                    (_X, _Y))
+    goal = BooleanCQ((RoleAtom("r", _Y, _X),), (_X, _Y))
+    proof = ProofGraph({0: _fact(RoleAtom("r", _A, _B)), 1: swap, 2: goal},
+                       [ProofEdge((), 1, Schema.Te),
+                        ProofEdge((0, 1), 2, Schema.MPe)])
+    assert validate_proof(proof, kb, goal, "cq") == (True, [])
+    back = transform_cq_to_sk(proof, kb)
+    assert validate_proof(back, kb, goal, "sk") == (True, [])
+    merge = TautRule((RoleAtom("r", _X, _Y),), (RoleAtom("r", _Y, _Y),),
+                     (_Y,))
+    loop = BooleanCQ((RoleAtom("r", _Y, _Y),), (_Y,))
+    proof.vertices.update({1: merge, 2: loop})
+    assert not validate_proof(proof, kb, loop, "cq")[0]
+
+
 def test_validate_proof_builds_its_incoming_map_once(
         monkeypatch, ex1, ex1_reference_proof, ex1_reference_cq_proof):
     """A machine-independent count of the walk: the checker built the

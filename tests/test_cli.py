@@ -279,6 +279,31 @@ def test_the_query_comes_from_the_option_or_the_file(ex1_file, tmp_path,
             f"error: query index {index} out of range\n"
 
 
+@pytest.mark.parametrize("command, query, message", [
+    ("answer", "bot(a)", "'bot' cannot occur (KBs are assumed consistent)"),
+    ("explain", "B(top)", "'top' is reserved"),
+    ("explain", "exists x. r(x,A)",
+     "'A' is used both as a predicate and an individual name"),
+])
+def test_the_query_option_is_read_as_a_query_line(tmp_path, capsys, command,
+                                                  query, message):
+    """``--query`` is checked as a 'query:' line of the file is: a reserved
+    name, then a name used in two roles, is a data error with the same
+    message, where the option was once answered 'no' or 'none'."""
+    from hornexplain import cli
+
+    kb = "rule: A(x) -> B(x)\nfact: A(a)\n"
+    path = tmp_path / "q.kb"
+    path.write_text(kb + f"query: {query}\n")
+    assert cli.main([command, str(path)]) == 65
+    as_line = capsys.readouterr()
+    assert as_line.out == "" and as_line.err.endswith(f": {message}\n")
+    path.write_text(kb)
+    assert cli.main([command, str(path), "--query", query]) == 65
+    as_option = capsys.readouterr()
+    assert as_option.out == "" and as_option.err.endswith(f": {message}\n")
+
+
 def test_explain_writes_the_status_as_json_when_nothing_is_found(tmp_path,
                                                                  capsys):
     from hornexplain import cli

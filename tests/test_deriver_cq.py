@@ -27,7 +27,7 @@ from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
 from hornexplain.matching import AtomIndex, match_conjunction, unify_atom
 from hornexplain.parser import parse_document, parse_kb
 from hornexplain.proofs import (CQ_SCHEMAS, SK_SCHEMAS, Measure, ProofEdge,
-                                ProofGraph, Schema, TautRule,
+                                ProofGraph, Schema, TautRule, format_label,
                                 proof_from_json, proof_size, proof_to_json,
                                 tree_size, tree_unravel, validate_proof)
 from hornexplain.search import RunConfig, explain
@@ -329,7 +329,8 @@ def _ground_proofs():
 def test_collect_steps_keeps_the_scan_and_sort_order():
     kinds = set()
     for kb, _, proof in _ground_proofs():
-        steps, facts = _collect_steps(proof, kb, proof.sink())
+        steps, facts = _collect_steps(proof, kb, proof.sink(),
+                                      proof.incoming())
         assert (steps, list(facts)) == _reference_collect_steps(proof)
         kinds |= {s.kind for s in steps}
     assert kinds == {"mp", "e"}
@@ -423,25 +424,35 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
         [ProofEdge((0,), 1, Schema.Ge), ProofEdge((1,), 2, Schema.Ge)])
 
     def bad_mpe(rule, conclusion, premises=(0, 1)):
+        # a tautology is introduced by its Te step, a rule is a leaf
+        introduced = [ProofEdge((), 1, Schema.Te)] \
+            if isinstance(rule, TautRule) else []
         return ProofGraph({0: leaves[0], 1: rule,
                            2: BooleanCQ(conclusion, ())},
-                          [ProofEdge(premises, 2, Schema.MPe)])
+                          introduced + [ProofEdge(premises, 2, Schema.MPe)])
 
+    def not_in_kb(rule):
+        return (f"leaf 1 ({format_label(rule)}) is not a fact or rule of the "
+                "knowledge base")
+
+    other = parse_kb("rule: A(x) -> C(x)\n").tbox[0]
+    # (proof, the checker's reason for its last edge, the translation's
+    # error: that reason, unless the rule is a leaf the KB does not have)
     cases = [
-        (bad_ce, "conclusion must start with the first premise's atoms"),
-        (bad_ge, "new variables must abstract ground terms"),
+        (bad_ce, "conclusion must start with the first premise's atoms", None),
+        (bad_ge, "new variables must abstract ground terms", None),
         # a tautology A(?x) -> A(?x), B(?x)
         (bad_mpe(TautRule((ConceptAtom("A", X),), (ConceptAtom("A", X),
                                                    ConceptAtom("B", X)), ()),
-                 (a, b)), "tautology head must repeat the pattern"),
+                 (a, b)), "tautology head must repeat the pattern", None),
         (bad_mpe(kb.tbox[0], (b,), premises=(1, 0)),
-         "rule application takes a query and a rule"),
+         "rule application takes a query and a rule", None),
         (bad_mpe(kb.skolem_rules[0], (b,)),
-         "query-level proofs use original rules, not Skolemized ones"),
-        (bad_mpe(parse_kb("rule: A(x) -> C(x)\n").tbox[0], (c,)),
-         "rule is not from the TBox"),
+         "query-level proofs use original rules, not Skolemized ones",
+         not_in_kb(kb.skolem_rules[0])),
+        (bad_mpe(other, (c,)), "rule is not from the TBox", not_in_kb(other)),
     ]
-    for proof, reason in cases:
+    for proof, reason, error in cases:
         edge = proof.edges[-1]
         assert check_edge_labels(edge.schema,
                                  tuple(proof.vertices[v]
@@ -451,28 +462,33 @@ def test_cq_to_sk_rejects_the_steps_the_checker_rejects():
         with pytest.raises(TransformError) as raised:
             transform_cq_to_sk(proof, kb)
         assert str(raised.value) == \
-            f"invalid {edge.schema.value} step: {reason}"
+            (error or f"invalid {edge.schema.value} step: {reason}")
 
 
 def test_sk_to_cq_rejects_a_malformed_ground_proof(ex1):
     """A ground-atom proof that no validation has seen is refused with a
     TransformError that says why, not an assertion, an attribute error or
-    an index error: the checker's reason for the step it rejects."""
+    an index error: the checker's first problem, a leaf that is not the
+    KB's or its reason for the step it rejects."""
     kb, q = ex1
     proof = explain(kb, q, RunConfig()).proof
-    # an MP step that applies the original rule, not its Skolemization
+    # an MP step that applies the original rule, not its Skolemization:
+    # a leaf the KB does not have
     plain_rule = copy.deepcopy(proof)
     v = next(v for v, label in plain_rule.vertices.items()
              if label in kb.skolem_rules)
     plain_rule.vertices[v] = kb.tbox[plain_rule.vertices[v].index]
     # a query sink generalized from a query, not from ground atoms
     from_query = ProofGraph()
-    fact = from_query.add_vertex(BooleanCQ((ConceptAtom("A", A_),), ()))
+    fact = from_query.add_vertex(ConceptAtom("A", A_))
+    cq = from_query.add_vertex(BooleanCQ((ConceptAtom("A", A_),), ()))
+    from_query.add_edge((fact,), cq, Schema.C)
     goal = BooleanCQ((ConceptAtom("A", X),), (X,))
-    from_query.add_edge((fact,), from_query.add_vertex(goal), Schema.G)
+    from_query.add_edge((cq,), from_query.add_vertex(goal), Schema.G)
     # an equality step whose second premise is no equality
     no_equality = ProofGraph()
-    premises = [no_equality.add_vertex(ConceptAtom(n, A_)) for n in "AB"]
+    premises = [no_equality.add_vertex(ConceptAtom("A", A_))
+                for _ in range(2)]
     no_equality.add_edge(premises,
                          no_equality.add_vertex(ConceptAtom("A", Const("b"))),
                          Schema.E)
@@ -485,7 +501,9 @@ def test_sk_to_cq_rejects_a_malformed_ground_proof(ex1):
                          one_premise.add_vertex(ConceptAtom("A", Const("b"))),
                          Schema.E)
     for bad, query, reason in [
-            (plain_rule, q, "invalid MP step: rule premise must be Skolemized"),
+            (plain_rule, q, f"leaf {v} "
+             f"({format_label(plain_rule.vertices[v])}) is not a fact or "
+             "rule of the knowledge base"),
             (no_premise, goal, "invalid G step: generalization takes a "
              "single conjunction premise"),
             (one_premise, BooleanCQ((ConceptAtom("A", Const("b")),), ()),
@@ -495,17 +513,20 @@ def test_sk_to_cq_rejects_a_malformed_ground_proof(ex1):
              "conjunction or atom"),
             (no_equality, BooleanCQ((ConceptAtom("A", Const("b")),), ()),
              "invalid E step: second premise must be an equality")]:
-        with pytest.raises(TransformError, match=f"^{reason}$"):
+        with pytest.raises(TransformError) as raised:
             transform_sk_to_cq(bad, kb)
+        assert str(raised.value) == reason
         ok, problems = validate_proof(bad, kb, query, "sk")
-        schema, found = reason[len("invalid "):].split(" step: ")
-        assert not ok and any(p.endswith(f"[{schema}]: {found}")
-                              for p in problems)
+        if reason.startswith("invalid "):
+            schema, found = reason[len("invalid "):].split(" step: ")
+            reason = f"[{schema}]: {found}"
+        assert not ok and any(p.endswith(reason) for p in problems)
 
 
 def test_both_translations_refuse_a_proof_without_one_sink(ex1):
-    """A proof with no sink, several sinks or a cycle is refused with a
-    TransformError that names the defect, in either direction."""
+    """A proof with no vertex, several sinks or a cycle is refused with a
+    TransformError that names the defect as the checker does, in either
+    direction."""
     kb, _ = ex1
     two = ProofGraph()
     for name in "AB":
@@ -519,13 +540,12 @@ def test_both_translations_refuse_a_proof_without_one_sink(ex1):
     ge_cycle = ProofGraph({0: fact, 1: fact}, [ProofEdge((0,), 1, Schema.Ge),
                                                ProofEdge((1,), 0, Schema.Ge)])
     for transform, p, reason in [
-            (transform_sk_to_cq, ProofGraph(),
-             "expected exactly one sink, found 0"),
+            (transform_sk_to_cq, ProofGraph(), "proof has no vertices"),
             (transform_sk_to_cq, two, "expected exactly one sink, found 2"),
-            (transform_sk_to_cq, below, "cycle detected"),
-            (transform_cq_to_sk, ProofGraph(),
-             "expected exactly one sink, found 0"),
-            (transform_cq_to_sk, ge_cycle, "cycle detected")]:
+            (transform_sk_to_cq, below, "acyclicity violated"),
+            (transform_cq_to_sk, ProofGraph(), "proof has no vertices"),
+            (transform_cq_to_sk, ge_cycle,
+             "expected exactly one sink, found 0")]:
         with pytest.raises(TransformError, match=f"^{reason}$"):
             transform(p, kb)
 
@@ -891,14 +911,21 @@ def test_a_kept_analysis_serves_only_the_labels_it_was_made_for(
         assert twin == unchecked and not twin.analyses
     want = proof_to_json(transform_cq_to_sk(read(), kb))
 
-    # a KB without the rule of the step into vertex 6 rejects it still
+    # a KB without the rule of the step into vertex 6 rejects it still: the
+    # rule is a leaf it does not have, and the step's kept verdict does not
+    # replace the KB's check of it
     rule = checked.vertices[5]
     lacking = parse_kb("".join(line for line in EX1_TEXT.splitlines(True)
                                if not line.startswith("rule: s(x,y)")))
     assert rule in kb.rule_index and rule not in lacking.rule_index
-    with pytest.raises(TransformError,
-                       match="^invalid MPe step: rule is not from the TBox$"):
+    with pytest.raises(TransformError) as raised:
         transform_cq_to_sk(checked, lacking)
+    assert str(raised.value) == (f"leaf 5 ({format_label(rule)}) is not a "
+                                 "fact or rule of the knowledge base")
+    edge = next(e for e in checked.edges if e.conclusion == 6)
+    assert not isinstance(checked.analyses[edge][2], str)
+    assert deriver_cq.analyze_edge(checked, edge, lacking) == \
+        "rule is not from the TBox"
 
     # an equal label of another object: the two steps that read it are
     # analyzed again, and the translation is the same

@@ -10,7 +10,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hornexplain.kb import (ATOM_TYPES, BooleanCQ, ConceptAtom, Const, EqAtom,
                             KBError, NormalForm, RoleAtom, Rule, SkolemRule,
                             SkolemTerm, Var, atom_vars)
+from hornexplain.deriver_cq import (TransformError, transform_cq_to_sk,
+                                    transform_sk_to_cq)
 from hornexplain.kb import format_term as _format_term
+from hornexplain.parser import parse_kb
 from hornexplain.proofs import (Measure, ProofEdge, ProofGraph, Schema,
                                 TautRule, check_proof_shape, domain_size,
                                 format_label, inference_steps, label_key,
@@ -535,3 +538,68 @@ def _chain_to(t, known):
     while isinstance(t, SkolemTerm) and t not in known:
         yield t
         t = t.arg
+
+
+# ---------------------------------------------------------------------------
+# Every reader of a proof, on hand-built graphs of any shape
+# ---------------------------------------------------------------------------
+
+_READER_KB = parse_kb("rule: A(x) -> B(x)\nfact: A(a)\n")
+_A_OF_A = ConceptAtom("A", Const("a"))
+# the KB's leaves in both calculi, an atom outside the KB, and a query
+_READER_LABELS = [_A_OF_A, _READER_KB.skolem_rules[0], _READER_KB.tbox[0],
+                  BooleanCQ((_A_OF_A,), ()), ConceptAtom("C", Const("a")),
+                  BooleanCQ((ConceptAtom("B", Var("x")),), (Var("x"),))]
+
+
+@st.composite
+def _any_proofs(draw):
+    """Vertices on ids 0-4 (none for the empty proof) and edges of any
+    schema, whose ids may be no vertex's."""
+    ids = draw(st.lists(st.integers(0, 4), max_size=5, unique=True))
+    vertices = {v: draw(st.sampled_from(_READER_LABELS)) for v in ids}
+    some_id = st.integers(0, 6)
+    edges = draw(st.lists(st.builds(
+        ProofEdge, st.lists(some_id, max_size=3).map(tuple), some_id,
+        st.sampled_from(Schema)), max_size=5))
+    return ProofGraph(vertices, edges)
+
+
+def _readers():
+    return {"sink": lambda p: p.sink(),
+            "topological_order": lambda p: p.topological_order(),
+            "tree_size": tree_size,
+            "measure": lambda p: measure(p, Measure.TREE_SIZE),
+            "tree_unravel": tree_unravel,
+            "inference_steps": inference_steps,
+            "proof_to_dot": proof_to_dot}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_proofs())
+def test_every_reader_refuses_what_the_shape_check_refuses(p):
+    """Each reader of a proof raises ValueError, with the first problem
+    ``check_proof_shape`` reports, exactly when it reports one; each
+    translation raises TransformError with the checker's first problem of
+    shape, calculus or leaves whenever there is one.  No reader fails with
+    another error."""
+    ok, problems = check_proof_shape(p)
+    for name, read in _readers().items():
+        if ok:
+            read(p)
+            continue
+        with pytest.raises(ValueError) as raised:
+            read(p)
+        assert str(raised.value) == problems[0], name
+    goal = BooleanCQ((_A_OF_A,), ())
+    for deriver, translate in (("sk", transform_sk_to_cq),
+                               ("cq", transform_cq_to_sk)):
+        found = validate_proof(p, _READER_KB, goal, deriver)[1]
+        first = problems or [m for m in found
+                             if m.startswith(("schema ", "leaf "))]
+        try:
+            translate(p, _READER_KB)
+        except TransformError as exc:
+            assert not first or str(exc) == first[0], deriver
+        else:
+            assert not first, deriver

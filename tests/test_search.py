@@ -334,6 +334,20 @@ def test_compress_dllite_bullet_rules():
     assert RoleAtom("Q", Const("a"), witness_obj) in comp.structure.atom_ids
 
 
+
+def test_a_placeholder_steps_aside_from_a_name_the_kb_uses():
+    """A placeholder takes the name ``c_<f>`` unless the KB already names
+    an individual so; then it is prefixed with ``_`` until it is new, and
+    the KB's own individual keeps its atoms apart from the placeholder's."""
+    kb = parse_kb("rule: A(x) -> exists y. P(x,y)\n"
+                  "fact: A(a)\nfact: B(c_f_0)\nfact: B(_c_f_0)\n")
+    comp = compress_dllite(kb)
+    assert comp.placeholders == {"f_0": Const("__c_f_0")}
+    atoms = comp.structure.atom_ids
+    assert RoleAtom("P", Const("a"), Const("__c_f_0")) in atoms
+    assert RoleAtom("P", Const("a"), Const("c_f_0")) not in atoms
+    assert ConceptAtom("B", Const("c_f_0")) in atoms
+
 def test_compress_dllite_empty_abox_has_only_leaves():
     kb = parse_kb("rule: A(x) -> B(x)\n")
     comp = compress_dllite(kb)

@@ -165,6 +165,45 @@ def test_cached_values_stay_out_of_copies_and_pickles():
     assert not _caches_left_in_state(ROOT / "src" / "hornexplain")
 
 
+# the imports inside a function that break an import cycle: the module
+# imported, by the function that imports it
+_CYCLE_BREAKERS = {"kb.BooleanCQ.index": "matching",
+                   "proofs.validate_proof": "deriver_cq",
+                   "proofs.proof_from_json": "parser"}
+
+
+def _imports_in_functions(src: Path) -> list[str]:
+    """Each import made inside a function (by qualified name) other than a
+    cycle breaker, as "<function> imports <module>"."""
+    found = []
+
+    def visit(node, prefix: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                modules = ([child.module or ""]
+                           if isinstance(child, ast.ImportFrom)
+                           else [a.name for a in child.names])
+                found.extend(f"{prefix} imports {m}" for m in modules
+                             if _CYCLE_BREAKERS.get(prefix) != m)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+                visit(child, f"{prefix}.{child.name}",
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, prefix, in_function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    return found
+
+
+def test_functions_import_only_to_break_a_cycle():
+    """A module's imports stand at its top, where a reader finds them; an
+    import inside a function is kept only where a top-level one would close
+    an import cycle."""
+    assert not _imports_in_functions(ROOT / "src" / "hornexplain")
+
+
 # Runs the CLI after interning a few thousand unrelated terms and atoms, so
 # that every value the run builds sits at another address
 _SHIFTED_CLI = """\
